@@ -83,9 +83,10 @@ def altruistic_intersection(phi: float, delta: float, beta_e: float) -> float:
 
     A weighted average of phi (weight (1-beta_e)/(1+beta_e)) and delta (weight
     2*beta_e/(1+beta_e)); it equals phi at level 0, delta at level 1, and
-    increases toward 2*delta - phi as the level grows.
+    increases toward 2*delta - phi as the level grows.  ``beta_e`` may also
+    be a numpy array of levels, which the caller keeps nonnegative.
     """
-    if beta_e < 0.0:
+    if isinstance(beta_e, (int, float)) and beta_e < 0.0:
         raise ValueError(f"effective altruism level must be >= 0, got {beta_e}")
     return ((1.0 - beta_e) * phi + 2.0 * beta_e * delta) / (1.0 + beta_e)
 
@@ -136,6 +137,13 @@ def _membership_reason(phi: float, delta: float) -> str | None:
     return None
 
 
+def worst_case_regime(pi: float, interval: ErrorInterval) -> Regime:
+    """Regime of a meaningful-set configuration with regime ratio ``pi`` (see classify)."""
+    if 0.0 < pi < interval.ratio_sqrt:
+        return Regime.TRANSITION_LIMITED
+    return Regime.ENDPOINT_SYMMETRIC
+
+
 def classify(
     config: OnRampConfig, derived: DelayCoefficients, interval: ErrorInterval
 ) -> Classification:
@@ -155,9 +163,7 @@ def classify(
         pi = pi_value(phi, delta)
     except SingularPiError:
         pi = math.inf
-    if 0.0 < pi < interval.ratio_sqrt:
-        return Classification(Regime.TRANSITION_LIMITED)
-    return Classification(Regime.ENDPOINT_SYMMETRIC)
+    return Classification(worst_case_regime(pi, interval))
 
 
 @dataclass(frozen=True)
@@ -205,6 +211,14 @@ def analyze(config: OnRampConfig, derived: DelayCoefficients | None = None) -> A
     )
 
 
+def require_meaningful(summary: AnalysisSummary) -> None:
+    """Raise NotInMeaningfulSetError unless the configuration is in the meaningful set."""
+    if not summary.in_meaningful_set:
+        raise NotInMeaningfulSetError(
+            summary.exclusion_reason or "configuration outside the meaningful set"
+        )
+
+
 class ImprovementFlags(NamedTuple):
     decreases: bool
     optimizes: bool
@@ -220,10 +234,7 @@ def improvement_conditions(
     reaches the optimum exactly when the level is 1 and the share is at least
     delta.
     """
-    if not summary.in_meaningful_set:
-        raise NotInMeaningfulSetError(
-            summary.exclusion_reason or "configuration outside the meaningful set"
-        )
+    require_meaningful(summary)
     decreases = beta > 0.0 and alpha > summary.phi
     optimizes = beta == 1.0 and alpha >= summary.delta
     return ImprovementFlags(decreases=decreases, optimizes=optimizes)

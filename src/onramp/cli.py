@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
-from .analysis import ErrorInterval, analyze, classify
+from .analysis import ErrorInterval, analyze, require_meaningful, worst_case_regime
 from .equilibrium import (
     best_response_dynamics,
     brute_force_equilibrium,
@@ -19,11 +20,11 @@ from .equilibrium import (
     verify_wardrop,
 )
 from .errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
-from .model import FlowDistribution, derive_coefficients, load_config
+from .model import FlowDistribution, check_population, derive_coefficients, load_config
 from .robustness import (
     grid_optimal_beta,
     optimal_altruism_level,
-    price_of_anarchy,
+    require_positive_optimum,
     worst_case_social_delay,
 )
 from .sweeps import (
@@ -54,21 +55,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="onramp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config file")
+        cmd.set_defaults(handler=handler)
         return cmd
 
-    analyze_cmd = add("analyze", "derived coefficients and structural quantities")
+    analyze_cmd = add("analyze", _cmd_analyze, "derived coefficients and structural quantities")
     analyze_cmd.add_argument("--e-lower", type=float, default=None)
     analyze_cmd.add_argument("--e-upper", type=float, default=None)
 
-    eq_cmd = add("equilibrium", "closed-form equilibrium at one population point")
+    eq_cmd = add(
+        "equilibrium", _cmd_equilibrium, "closed-form equilibrium at one population point"
+    )
     eq_cmd.add_argument("--alpha", type=float, required=True)
     eq_cmd.add_argument("--beta", type=float, required=True)
     eq_cmd.add_argument("--error", type=float, default=1.0)
 
-    sa_cmd = add("sweep-alpha", "CSV sweep of the altruistic ratio per level")
+    sa_cmd = add("sweep-alpha", _cmd_sweep_alpha, "CSV sweep of the altruistic ratio per level")
     sa_cmd.add_argument(
         "--beta", type=float, action="append", default=None,
         help=f"repeatable; default {list(DEFAULT_SWEEP_BETAS)}",
@@ -76,7 +80,7 @@ def _build_parser() -> _Parser:
     sa_cmd.add_argument("--step", type=float, default=0.01)
     sa_cmd.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    sb_cmd = add("sweep-beta-e", "CSV sweep of the effective level per ratio")
+    sb_cmd = add("sweep-beta-e", _cmd_sweep_beta_e, "CSV sweep of the effective level per ratio")
     sb_cmd.add_argument(
         "--alpha", type=float, action="append", default=None,
         help=f"repeatable; default {list(DEFAULT_SWEEP_ALPHAS)}",
@@ -85,20 +89,20 @@ def _build_parser() -> _Parser:
     sb_cmd.add_argument("--step", type=float, default=0.01)
     sb_cmd.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    poa_cmd = add("poa", "price of anarchy at a given level")
+    poa_cmd = add("poa", _cmd_poa, "price of anarchy at a given level")
     poa_cmd.add_argument("--beta", type=float, required=True)
     poa_cmd.add_argument("--e-lower", type=float, required=True)
     poa_cmd.add_argument("--e-upper", type=float, required=True)
     poa_cmd.add_argument("--verify", action="store_true",
                          help="cross-check the closed form against the grid minimizer")
 
-    ob_cmd = add("optimal-beta", "worst-case-optimal altruism level")
+    ob_cmd = add("optimal-beta", _cmd_optimal_beta, "worst-case-optimal altruism level")
     ob_cmd.add_argument("--e-lower", type=float, required=True)
     ob_cmd.add_argument("--e-upper", type=float, required=True)
     ob_cmd.add_argument("--verify", action="store_true",
                         help="cross-check the closed form against the grid minimizer")
 
-    ver_cmd = add("verify", "closed form vs. grid and dynamics oracles at one point")
+    ver_cmd = add("verify", _cmd_verify, "closed form vs. grid and dynamics oracles at one point")
     ver_cmd.add_argument("--alpha", type=float, default=0.8)
     ver_cmd.add_argument("--beta", type=float, default=1.0)
     ver_cmd.add_argument("--error", type=float, default=1.0)
@@ -112,41 +116,23 @@ def _print(key, value):
     print(f"{key} = {value}")
 
 
-def _load(args):
-    config = load_config(args.config)
-    derived = derive_coefficients(config)
-    summary = analyze(config, derived)
-    return config, derived, summary
-
-
-def _require_meaningful(summary):
-    if not summary.in_meaningful_set:
-        print("meaningful_set = false", file=sys.stderr)
-        print(f"exclusion_reason = {summary.exclusion_reason}", file=sys.stderr)
-        raise NotInMeaningfulSetError(summary.exclusion_reason)
+def _print_fields(record, prefix="", names=None):
+    """Print a dataclass's fields, all of them in declaration order unless named."""
+    for name in names or [field.name for field in fields(record)]:
+        _print(prefix + name, getattr(record, name))
 
 
 def _interval(args) -> ErrorInterval:
     try:
         return ErrorInterval(args.e_lower, args.e_upper)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid error interval: {exc}") from exc
 
 
-def _cmd_analyze(args) -> int:
-    config, derived, summary = _load(args)
-    _print("n0", config.flows.n0)
-    _print("n2", config.flows.n2)
-    _print("steadfast_slope", derived.steadfast_slope)
-    _print("steadfast_intercept", derived.steadfast_intercept)
-    _print("bypass_slope", derived.bypass_slope)
-    _print("bypass_intercept", derived.bypass_intercept)
-    _print("lane2_slope", derived.lane2_slope)
-    _print("phi", summary.phi)
-    _print("delta", summary.delta)
-    _print("pi", summary.pi)
-    _print("j_opt", summary.j_opt)
-    _print("j_soc_at_phi", summary.j_soc_at_phi)
+def _cmd_analyze(args, config, derived, summary) -> int:
+    _print_fields(config.flows)
+    _print_fields(derived)
+    _print_fields(summary, names=("phi", "delta", "pi", "j_opt", "j_soc_at_phi"))
     _print("decrease_alpha_above", summary.decrease_interval[0])
     _print("optimize_alpha_from", summary.optimize_interval[0])
     _print("meaningful_set", "true" if summary.in_meaningful_set else "false")
@@ -156,34 +142,19 @@ def _cmd_analyze(args) -> int:
     if args.e_lower is not None or args.e_upper is not None:
         if args.e_lower is None or args.e_upper is None:
             raise ConfigError("--e-lower and --e-upper must be given together")
-        label = classify(config, derived, _interval(args))
-        _print("regime", label.regime.value)
+        _print("regime", worst_case_regime(summary.pi, _interval(args)).value)
     return EXIT_OK
 
 
-def _cmd_equilibrium(args) -> int:
-    config, derived, summary = _load(args)
-    _require_meaningful(summary)
-    try:
-        result = solve_equilibrium(config, derived, summary, args.alpha, args.beta, args.error)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _cmd_equilibrium(args, config, derived, summary) -> int:
+    result = solve_equilibrium(config, derived, summary, args.alpha, args.beta, args.error)
     _print("case", result.case.value)
     _print("x_hat_b", result.x_hat_b)
-    _print("selfish_steadfast", result.flow.selfish_steadfast)
-    _print("selfish_bypass", result.flow.selfish_bypass)
-    _print("altruistic_steadfast", result.flow.altruistic_steadfast)
-    _print("altruistic_bypass", result.flow.altruistic_bypass)
-    _print("delay_steadfast", result.delays.steadfast)
-    _print("delay_bypass", result.delays.bypass)
-    _print("delay_on_ramp", result.delays.on_ramp)
-    _print("delay_lane2", result.delays.lane2)
+    _print_fields(result.flow)
+    _print_fields(result.delays, "delay_")
     _print("j_soc", result.social_delay)
     report = verify_wardrop(config, derived, result.flow, args.beta, args.error)
-    _print("wardrop_selfish_steadfast", report.selfish_steadfast)
-    _print("wardrop_selfish_bypass", report.selfish_bypass)
-    _print("wardrop_altruistic_steadfast", report.altruistic_steadfast)
-    _print("wardrop_altruistic_bypass", report.altruistic_bypass)
+    _print_fields(report, "wardrop_", [field.name for field in fields(result.flow)])
     _print("wardrop_pass", "true" if report.passed else "false")
     return EXIT_OK
 
@@ -194,33 +165,21 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _cmd_sweep_alpha(args) -> int:
-    config, derived, summary = _load(args)
-    _require_meaningful(summary)
+def _cmd_sweep_alpha(args, config, derived, summary) -> int:
     betas = args.beta if args.beta else list(DEFAULT_SWEEP_BETAS)
-    for beta in betas:
-        if beta < 0.0:
-            raise ConfigError(f"beta must be >= 0, got {beta}")
-    try:
-        rows = sweep_alpha(config, derived, summary, betas, args.step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for beta in betas:  # reported before a bad step
+        check_population(beta=beta)
+    rows = sweep_alpha(config, derived, summary, betas, args.step)
     with _open_out(args.out) as stream:
         write_alpha_sweep(rows, stream)
     return EXIT_OK
 
 
-def _cmd_sweep_beta_e(args) -> int:
-    config, derived, summary = _load(args)
-    _require_meaningful(summary)
+def _cmd_sweep_beta_e(args, config, derived, summary) -> int:
     alphas = args.alpha if args.alpha else list(DEFAULT_SWEEP_ALPHAS)
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    try:
-        rows = sweep_beta_e(config, derived, summary, alphas, args.beta_e_max, args.step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for alpha in alphas:  # reported before a bad level grid
+        check_population(alpha=alpha)
+    rows = sweep_beta_e(config, derived, summary, alphas, args.beta_e_max, args.step)
     with _open_out(args.out) as stream:
         write_beta_e_sweep(rows, stream)
     return EXIT_OK
@@ -249,26 +208,23 @@ def _verify_beta_star(config, derived, summary, interval, beta_star) -> int:
     gap = abs(beta_star - sampled)
     _print("grid_beta_star", sampled)
     _print("grid_beta_star_gap", gap)
-    if gap > 2e-3:
-        _print("verify_pass", "false")
-        return EXIT_VERIFY_FAILED
-    _print("verify_pass", "true")
-    return EXIT_OK
+    return _verdict(gap <= 2e-3)
 
 
-def _cmd_poa(args) -> int:
-    config, derived, summary = _load(args)
-    _require_meaningful(summary)
+def _verdict(ok: bool) -> int:
+    _print("verify_pass", "true" if ok else "false")
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+
+
+def _cmd_poa(args, config, derived, summary) -> int:
     interval = _interval(args)
-    if args.beta < 0.0:
-        raise ConfigError(f"beta must be >= 0, got {args.beta}")
     supremum, points = worst_case_social_delay(config, derived, summary, args.beta, interval)
     _print("beta", args.beta)
-    _print("e_lower", interval.e_lower)
-    _print("e_upper", interval.e_upper)
+    _print_fields(interval)
     _print("j_opt", summary.j_opt)
     _print("worst_case_j_soc", supremum)
-    _print("poa", price_of_anarchy(config, derived, summary, args.beta, interval))
+    require_positive_optimum(summary)
+    _print("poa", supremum / summary.j_opt)
     _print_worst_case(points)
     result = optimal_altruism_level(config, derived, summary, interval)
     _print_summary(result)
@@ -277,13 +233,10 @@ def _cmd_poa(args) -> int:
     return EXIT_OK
 
 
-def _cmd_optimal_beta(args) -> int:
-    config, derived, summary = _load(args)
-    _require_meaningful(summary)
+def _cmd_optimal_beta(args, config, derived, summary) -> int:
     interval = _interval(args)
     result = optimal_altruism_level(config, derived, summary, interval)
-    _print("e_lower", interval.e_lower)
-    _print("e_upper", interval.e_upper)
+    _print_fields(interval)
     _print("j_opt", summary.j_opt)
     _print_summary(result)
     _print_worst_case(result.worst_case_points)
@@ -292,28 +245,21 @@ def _cmd_optimal_beta(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    config, derived, summary = _load(args)
-    _require_meaningful(summary)
-    try:
-        result = solve_equilibrium(config, derived, summary, args.alpha, args.beta, args.error)
-        candidates = brute_force_equilibrium(
-            config, derived, args.alpha, args.beta, args.error, grid_step=args.step
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _cmd_verify(args, config, derived, summary) -> int:
+    result = solve_equilibrium(config, derived, summary, args.alpha, args.beta, args.error)
+    candidates = brute_force_equilibrium(
+        config, derived, args.alpha, args.beta, args.error, grid_step=args.step
+    )
     _print("closed_form_x_hat_b", result.x_hat_b)
     _print("case", result.case.value)
     _print("brute_force_count", len(candidates))
-    ok = True
+    ok = bool(candidates)
     if candidates:
         closest = min(candidates, key=lambda flow: abs(flow.total_bypass - result.x_hat_b))
         gap = abs(closest.total_bypass - result.x_hat_b)
         _print("brute_force_closest", closest.total_bypass)
         _print("brute_force_gap", gap)
-        ok &= gap <= 2.0 * args.step
-    else:
-        ok = False
+        ok = gap <= 2.0 * args.step
     start = FlowDistribution(1.0 - args.alpha, 0.0, args.alpha, 0.0)
     trace = best_response_dynamics(
         config, derived, args.alpha, args.beta, args.error, start,
@@ -326,33 +272,26 @@ def _cmd_verify(args) -> int:
     ok &= abs(dynamics_x - result.x_hat_b) <= 1e-4
     report = verify_wardrop(config, derived, result.flow, args.beta, args.error)
     _print("wardrop_max_product", report.max_product)
-    ok &= report.passed
-    _print("verify_pass", "true" if ok else "false")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "equilibrium": _cmd_equilibrium,
-    "sweep-alpha": _cmd_sweep_alpha,
-    "sweep-beta-e": _cmd_sweep_beta_e,
-    "poa": _cmd_poa,
-    "optimal-beta": _cmd_optimal_beta,
-    "verify": _cmd_verify,
-}
+    return _verdict(ok and report.passed)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (ConfigError, OSError) as exc:
-        print(f"onramp: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        config = load_config(args.config)
+        derived = derive_coefficients(config)
+        summary = analyze(config, derived)
+        if args.command != "analyze" and not summary.in_meaningful_set:
+            print("meaningful_set = false", file=sys.stderr)
+            print(f"exclusion_reason = {summary.exclusion_reason}", file=sys.stderr)
+            require_meaningful(summary)
+        return args.handler(args, config, derived, summary)
     except (NotInMeaningfulSetError, DegenerateConfigError) as exc:
         print(f"onramp: configuration outside the meaningful set: {exc}", file=sys.stderr)
         return EXIT_NOT_MEANINGFUL
+    except (ValueError, OSError) as exc:
+        print(f"onramp: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

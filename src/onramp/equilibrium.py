@@ -15,14 +15,15 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import AnalysisSummary, altruistic_intersection
-from .errors import NotInMeaningfulSetError
+from .analysis import AnalysisSummary, altruistic_intersection, require_meaningful
 from .model import (
     DelayCoefficients,
     DelayProfile,
     FlowDistribution,
     OnRampConfig,
-    altruistic_costs,
+    check_population,
+    check_share,
+    cost_gaps,
     delays,
     social_delay,
     validate_flow_distribution,
@@ -53,15 +54,6 @@ class EquilibriumResult:
     social_delay: float
 
 
-def _check_population(alpha: float, beta: float, error: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if error <= 0.0:
-        raise ValueError(f"error factor must be > 0, got {error}")
-
-
 def solve_equilibrium(
     config: OnRampConfig,
     derived: DelayCoefficients,
@@ -79,11 +71,8 @@ def solve_equilibrium(
     active cases.  Boundary ties resolve to CASE_B at alpha == phi and to
     CASE_D at alpha == crossing; the share is the same either way.
     """
-    if not summary.in_meaningful_set:
-        raise NotInMeaningfulSetError(
-            summary.exclusion_reason or "configuration outside the meaningful set"
-        )
-    _check_population(alpha, beta, error)
+    require_meaningful(summary)
+    check_population(alpha, beta, error)
     level = beta * error
     phi = summary.phi
     if level == 0.0 or alpha == 0.0:
@@ -163,10 +152,9 @@ def verify_wardrop(
     tol: float = 1e-9,
 ) -> WardropReport:
     """Evaluate the equilibrium definition at a feasible flow."""
-    profile = delays(derived, flow.total_bypass)
-    costs = altruistic_costs(config, derived, flow.total_bypass, beta, error)
-    travel_gap = profile.steadfast - profile.bypass
-    perceived_gap = costs.steadfast_cost - costs.bypass_cost
+    check_share(flow.total_bypass)
+    check_population(beta=beta, error=error)
+    travel_gap, perceived_gap = cost_gaps(config, derived, flow.total_bypass, beta * error)
     return WardropReport(
         selfish_steadfast=flow.selfish_steadfast * travel_gap,
         selfish_bypass=flow.selfish_bypass * -travel_gap,
@@ -176,12 +164,17 @@ def verify_wardrop(
     )
 
 
-def _axis_grid(upper: float, step: float) -> np.ndarray:
-    """Multiples of ``step`` over [0, upper] with the endpoint always included."""
-    if upper <= 0.0:
-        return np.array([0.0])
-    count = int(math.floor(upper / step + 1e-9))
-    grid = np.arange(count + 1, dtype=float) * step
+def inclusive_grid(lower: float, upper: float, step: float) -> np.ndarray:
+    """Multiples of ``step`` from ``lower``, with ``upper`` always included, as an array."""
+    if not step > 0.0:
+        raise ValueError(f"step must be > 0, got {step}")
+    if upper < lower:
+        raise ValueError(f"empty grid: [{lower}, {upper}]")
+    span = (upper - lower) / step
+    if not (math.isfinite(span) and math.isfinite(step)):
+        raise ValueError(f"grid [{lower}, {upper}] with step {step} is not finite")
+    count = int(math.floor(span + 1e-9))
+    grid = lower + np.arange(count + 1, dtype=float) * step
     if grid[-1] > upper:
         grid[-1] = upper
     elif upper - grid[-1] > 1e-12:
@@ -208,25 +201,17 @@ def brute_force_equilibrium(
     """
     if not 0.0 < grid_step <= 0.1:
         raise ValueError(f"grid step must lie in (0, 0.1], got {grid_step}")
-    _check_population(alpha, beta, error)
-    level = beta * error
+    check_population(alpha, beta, error)
     tol = (
         derived.steadfast_slope + derived.bypass_slope + derived.lane2_slope
     ) * grid_step
 
-    selfish_bypass = _axis_grid(1.0 - alpha, grid_step)[:, None]
-    altruistic_bypass = _axis_grid(alpha, grid_step)[None, :]
+    selfish_bypass = inclusive_grid(0.0, 1.0 - alpha, grid_step)[:, None]
+    altruistic_bypass = inclusive_grid(0.0, alpha, grid_step)[None, :]
     selfish_steadfast = (1.0 - alpha) - selfish_bypass
     altruistic_steadfast = alpha - altruistic_bypass
-    x = selfish_bypass + altruistic_bypass
-
-    steadfast_delay = derived.steadfast_slope * (1.0 - x) + derived.steadfast_intercept
-    bypass_delay = derived.bypass_slope * x + derived.bypass_intercept
-    travel_gap = steadfast_delay - bypass_delay
-    n0, n2 = config.flows.n0, config.flows.n2
-    perceived_gap = travel_gap + level * (
-        derived.steadfast_slope * ((1.0 - x) + n0)
-        - (derived.bypass_slope * x + derived.lane2_slope * n2)
+    travel_gap, perceived_gap = cost_gaps(
+        config, derived, selfish_bypass + altruistic_bypass, beta * error
     )
 
     ok = (
@@ -294,7 +279,7 @@ def best_response_dynamics(
     fraction_k = step_size / (1 + step_decay * k), collapsing the orbit onto
     the fixed point.  Fixed points are the same either way.
     """
-    _check_population(alpha, beta, error)
+    check_population(alpha, beta, error)
     if not 0.0 < step_size <= 1.0:
         raise ValueError(f"step size must lie in (0, 1], got {step_size}")
     if tol <= 0.0:
@@ -308,7 +293,6 @@ def best_response_dynamics(
 
     level = beta * error
     selfish_mass = 1.0 - alpha
-    n0, n2 = config.flows.n0, config.flows.n2
     xb = initial.selfish_bypass
     xtb = initial.altruistic_bypass
 
@@ -318,14 +302,7 @@ def best_response_dynamics(
     for moves in range(max_iters + 1):
         xs = selfish_mass - xb
         xts = alpha - xtb
-        x = xb + xtb
-        steadfast_delay = derived.steadfast_slope * (1.0 - x) + derived.steadfast_intercept
-        bypass_delay = derived.bypass_slope * x + derived.bypass_intercept
-        travel_gap = steadfast_delay - bypass_delay
-        perceived_gap = travel_gap + level * (
-            derived.steadfast_slope * ((1.0 - x) + n0)
-            - (derived.bypass_slope * x + derived.lane2_slope * n2)
-        )
+        travel_gap, perceived_gap = cost_gaps(config, derived, xb + xtb, level)
         worst = max(xs * travel_gap, xb * -travel_gap, xts * perceived_gap, xtb * -perceived_gap)
         terminal = worst <= tol or moves == max_iters
         if terminal or moves % record_every == 0:

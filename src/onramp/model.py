@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -101,15 +101,19 @@ class OnRampConfig:
             value = data[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config key {key} must be a number, got {value!r}")
-            values[key] = float(value)
+            try:
+                values[key] = float(value)
+            except OverflowError as exc:
+                raise ConfigError(f"config key {key} is too large for a float") from exc
         return cls.from_values(**values)
 
 
 def load_config(path) -> OnRampConfig:
     """Parse a JSON config file into an OnRampConfig."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return OnRampConfig.from_dict(data)
@@ -158,13 +162,24 @@ class DelayProfile:
     lane2: float
 
 
-def delays(derived: DelayCoefficients, x_hat_b: float) -> DelayProfile:
-    """Travel delays at total bypass share ``x_hat_b`` in [0, 1]."""
+def check_share(x_hat_b: float) -> None:
     if not 0.0 <= x_hat_b <= 1.0:
         raise ValueError(f"bypass share must lie in [0, 1], got {x_hat_b}")
-    steadfast = derived.steadfast_slope * (1.0 - x_hat_b) + derived.steadfast_intercept
-    bypass = derived.bypass_slope * x_hat_b + derived.bypass_intercept
-    lane2 = derived.lane2_slope * x_hat_b + derived.bypass_intercept
+
+
+def delay_lines(derived: DelayCoefficients, x_hat_b):
+    """Steadfast, bypass and lane-2 delays at any share: a float or numpy array, unchecked."""
+    return (
+        derived.steadfast_slope * (1.0 - x_hat_b) + derived.steadfast_intercept,
+        derived.bypass_slope * x_hat_b + derived.bypass_intercept,
+        derived.lane2_slope * x_hat_b + derived.bypass_intercept,
+    )
+
+
+def delays(derived: DelayCoefficients, x_hat_b: float) -> DelayProfile:
+    """Travel delays at total bypass share ``x_hat_b`` in [0, 1]."""
+    check_share(x_hat_b)
+    steadfast, bypass, lane2 = delay_lines(derived, x_hat_b)
     return DelayProfile(steadfast=steadfast, bypass=bypass, on_ramp=steadfast, lane2=lane2)
 
 
@@ -175,12 +190,9 @@ def social_delay(config: OnRampConfig, derived: DelayCoefficients, x_hat_b: floa
     fall outside [0, 1] and callers locate it by evaluating the same affine
     extension used here.
     """
-    x = x_hat_b
-    steadfast = derived.steadfast_slope * (1.0 - x) + derived.steadfast_intercept
-    bypass = derived.bypass_slope * x + derived.bypass_intercept
-    lane2 = derived.lane2_slope * x + derived.bypass_intercept
+    steadfast, bypass, lane2 = delay_lines(derived, x_hat_b)
     n0, n2 = config.flows.n0, config.flows.n2
-    return (1.0 - x) * steadfast + x * bypass + n0 * steadfast + n2 * lane2
+    return (1.0 - x_hat_b) * steadfast + x_hat_b * bypass + n0 * steadfast + n2 * lane2
 
 
 @dataclass(frozen=True)
@@ -189,6 +201,27 @@ class AltruisticCostPair:
 
     steadfast_cost: float
     bypass_cost: float
+
+
+def option_costs(config: OnRampConfig, derived: DelayCoefficients, x_hat_b, level):
+    """(steadfast delay, bypass delay, steadfast cost, bypass cost) at ``x_hat_b``.
+
+    Each perceived cost is the delay plus the effective level beta*error times
+    that option's marginal-delay term.  Unchecked; floats or numpy arrays.
+    """
+    steadfast, bypass, _ = delay_lines(derived, x_hat_b)
+    n0, n2 = config.flows.n0, config.flows.n2
+    steadfast_cost = steadfast + level * derived.steadfast_slope * ((1.0 - x_hat_b) + n0)
+    bypass_cost = bypass + level * (derived.bypass_slope * x_hat_b + derived.lane2_slope * n2)
+    return steadfast, bypass, steadfast_cost, bypass_cost
+
+
+def cost_gaps(config: OnRampConfig, derived: DelayCoefficients, x_hat_b, level):
+    """Steadfast-minus-bypass (travel delay, perceived cost) gaps; positive favors bypass."""
+    steadfast, bypass, steadfast_cost, bypass_cost = option_costs(
+        config, derived, x_hat_b, level
+    )
+    return steadfast - bypass, steadfast_cost - bypass_cost
 
 
 def altruistic_costs(
@@ -205,19 +238,9 @@ def altruistic_costs(
     their product, which is computed first so scaling one against the other
     is exactly neutral.
     """
-    if beta < 0.0:
-        raise ValueError(f"altruism level must be >= 0, got {beta}")
-    if error <= 0.0:
-        raise ValueError(f"error factor must be > 0, got {error}")
-    level = beta * error
-    profile = delays(derived, x_hat_b)
-    n0, n2 = config.flows.n0, config.flows.n2
-    steadfast_cost = profile.steadfast + level * derived.steadfast_slope * (
-        (1.0 - x_hat_b) + n0
-    )
-    bypass_cost = profile.bypass + level * (
-        derived.bypass_slope * x_hat_b + derived.lane2_slope * n2
-    )
+    check_population(beta=beta, error=error)
+    check_share(x_hat_b)
+    _, _, steadfast_cost, bypass_cost = option_costs(config, derived, x_hat_b, beta * error)
     return AltruisticCostPair(steadfast_cost=steadfast_cost, bypass_cost=bypass_cost)
 
 
@@ -272,16 +295,23 @@ def validate_flow_distribution(
         violations.append(
             ConstraintViolation("altruistic_mass_balance", altruistic_residual)
         )
-    for name in (
-        "selfish_steadfast",
-        "selfish_bypass",
-        "altruistic_steadfast",
-        "altruistic_bypass",
-    ):
-        value = getattr(flow, name)
+    for field in fields(flow):
+        value = getattr(flow, field.name)
         if value < -tol:
-            violations.append(ConstraintViolation(f"nonnegative_{name}", -value))
+            violations.append(ConstraintViolation(f"nonnegative_{field.name}", -value))
     return violations
+
+
+def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) -> None:
+    """Require alpha in [0, 1], finite beta >= 0 and finite error > 0; defaults pass, NaN fails."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not 0.0 <= beta < math.inf:
+        reason = "must be >= 0" if beta < 0.0 else "must be finite"
+        raise ValueError(f"beta {reason}, got {beta}")
+    if not 0.0 < error < math.inf:
+        reason = "must be > 0" if error <= 0.0 else "must be finite"
+        raise ValueError(f"error factor {reason}, got {error}")
 
 
 @dataclass(frozen=True)
@@ -292,7 +322,4 @@ class PopulationParams:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        check_population(self.alpha, self.beta)

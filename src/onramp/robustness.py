@@ -17,11 +17,13 @@ from .analysis import (
     AnalysisSummary,
     ErrorInterval,
     Regime,
-    classify,
+    altruistic_intersection,
+    require_meaningful,
+    worst_case_regime,
 )
-from .equilibrium import solve_equilibrium
-from .errors import NotInMeaningfulSetError, TransitionUndefinedError, ZeroOptimumError
-from .model import DelayCoefficients, OnRampConfig, social_delay
+from .equilibrium import inclusive_grid, solve_equilibrium
+from .errors import TransitionUndefinedError, ZeroOptimumError
+from .model import DelayCoefficients, OnRampConfig, check_population, social_delay
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,9 @@ def worst_case_social_delay(
     an interval endpoint: the equilibrium bypass share is monotone in the
     error factor while the social delay is convex in the share, so no interior
     error can dominate both endpoints.  Returns the supremum and the endpoint
-    evaluations achieving it (both, on a tie).
+    evaluations achieving it (both, on a tie).  The configuration and beta are
+    checked by solve_equilibrium.
     """
-    if not summary.in_meaningful_set:
-        raise NotInMeaningfulSetError(
-            summary.exclusion_reason or "configuration outside the meaningful set"
-        )
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
     points = []
     for error in dict.fromkeys((interval.e_lower, interval.e_upper)):
         result = solve_equilibrium(config, derived, summary, alpha=1.0, beta=beta, error=error)
@@ -75,6 +72,12 @@ def worst_case_social_delay(
     return supremum, achieving
 
 
+def require_positive_optimum(summary: AnalysisSummary) -> None:
+    """Raise ZeroOptimumError when the optimum is zero and delay ratios are undefined."""
+    if summary.j_opt <= 0.0:
+        raise ZeroOptimumError("optimal social delay is zero; ratio undefined")
+
+
 def price_of_anarchy(
     config: OnRampConfig,
     derived: DelayCoefficients,
@@ -83,8 +86,7 @@ def price_of_anarchy(
     interval: ErrorInterval,
 ) -> float:
     """Worst-case social delay normalized by the optimum; always >= 1."""
-    if summary.j_opt <= 0.0:
-        raise ZeroOptimumError("optimal social delay is zero; ratio undefined")
+    require_positive_optimum(summary)
     supremum, _ = worst_case_social_delay(config, derived, summary, beta, interval)
     return supremum / summary.j_opt
 
@@ -117,17 +119,13 @@ def optimal_altruism_level(
     equalizing the lower endpoint against the flat stage that starts at
     effective level pi.
     """
-    if not summary.in_meaningful_set:
-        raise NotInMeaningfulSetError(
-            summary.exclusion_reason or "configuration outside the meaningful set"
-        )
-    label = classify(config, derived, interval)
-    if label.regime is Regime.TRANSITION_LIMITED:
+    require_meaningful(summary)
+    regime = worst_case_regime(summary.pi, interval)
+    if regime is Regime.TRANSITION_LIMITED:
         beta_star = 1.0 / (interval.e_lower * summary.pi)
     else:
         beta_star = 1.0 / interval.geometric_mean
-    if summary.j_opt <= 0.0:
-        raise ZeroOptimumError("optimal social delay is zero; ratio undefined")
+    require_positive_optimum(summary)
     supremum, points = worst_case_social_delay(config, derived, summary, beta_star, interval)
     transition = (
         summary.pi if math.isfinite(summary.pi) and summary.pi > 0.0 else None
@@ -135,23 +133,10 @@ def optimal_altruism_level(
     return RobustnessSummary(
         poa=supremum / summary.j_opt,
         beta_star=beta_star,
-        branch=label.regime,
+        branch=regime,
         transition_level_at_full_altruism=transition,
         worst_case_points=points,
     )
-
-
-def _span_grid(lower: float, upper: float, step: float) -> np.ndarray:
-    """Multiples of ``step`` from ``lower`` with both endpoints included."""
-    if upper <= lower:
-        return np.array([lower])
-    count = int(math.floor((upper - lower) / step + 1e-9))
-    grid = lower + np.arange(count + 1, dtype=float) * step
-    if grid[-1] > upper:
-        grid[-1] = upper
-    elif upper - grid[-1] > 1e-12:
-        grid = np.append(grid, upper)
-    return grid
 
 
 def grid_poa(
@@ -165,22 +150,18 @@ def grid_poa(
     """Grid-sampled price of anarchy: errors and ratios enumerated exhaustively.
 
     Evaluates the equilibrium share min(alpha, crossing(beta*error)) on the
-    product grid; valid for the abundant-ratio range where alpha > phi.
+    product grid, every error on the grid at once; valid for the
+    abundant-ratio range where alpha > phi.
     """
     if inner_grid_step <= 0.0:
         raise ValueError(f"inner grid step must be > 0, got {inner_grid_step}")
-    if not summary.in_meaningful_set:
-        raise NotInMeaningfulSetError(
-            summary.exclusion_reason or "configuration outside the meaningful set"
-        )
-    if summary.j_opt <= 0.0:
-        raise ZeroOptimumError("optimal social delay is zero; ratio undefined")
-    errors = _span_grid(interval.e_lower, interval.e_upper, inner_grid_step)
+    require_meaningful(summary)
+    require_positive_optimum(summary)
+    check_population(beta=beta)
+    errors = inclusive_grid(interval.e_lower, interval.e_upper, inner_grid_step)
     delta_clamped = min(max(summary.delta, 0.0), 1.0)
-    alphas = _span_grid(delta_clamped, 1.0, inner_grid_step)
-    levels = beta * errors
-    # same crossing formula as altruistic_intersection, vectorized over the error grid
-    crossings = ((1.0 - levels) * summary.phi + 2.0 * levels * summary.delta) / (1.0 + levels)
+    alphas = inclusive_grid(delta_clamped, 1.0, inner_grid_step)
+    crossings = altruistic_intersection(summary.phi, summary.delta, beta * errors)
     shares = np.minimum(alphas[None, :], crossings[:, None])
     values = social_delay(config, derived, shares)
     return float(values.max()) / summary.j_opt

@@ -2,36 +2,22 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Iterable, Sequence
 
 from .analysis import AnalysisSummary
-from .equilibrium import EquilibriumCase, solve_equilibrium
+from .equilibrium import EquilibriumCase, inclusive_grid, solve_equilibrium
 from .model import DelayCoefficients, DelayProfile, OnRampConfig
 
 ALPHA_SWEEP_COLUMNS = ("beta", "alpha", "x_hat_b", "case", "j_soc")
 LEVEL_SWEEP_COLUMNS = ("alpha", "beta_e", "x_hat_b", "case", "j_soc")
+NUMBER_FORMAT = ".12g"
 
 
 def format_number(value: float) -> str:
     """CSV number format: 12 significant digits, below every tolerance in use."""
-    return format(value, ".12g")
-
-
-def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
-    """Multiples of ``step`` from ``lower``, with ``upper`` always included."""
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if upper < lower:
-        raise ValueError(f"empty grid: [{lower}, {upper}]")
-    count = int(math.floor((upper - lower) / step + 1e-9))
-    values = [lower + index * step for index in range(count + 1)]
-    if values[-1] > upper:
-        values[-1] = upper
-    elif upper - values[-1] > 1e-12:
-        values.append(upper)
-    return values
+    return format(value, NUMBER_FORMAT)
 
 
 @dataclass(frozen=True)
@@ -54,6 +40,20 @@ class LevelSweepRow:
     delays: DelayProfile
 
 
+def _sweep(row_type: type, outer: Sequence[float], grid: list[float], solve) -> list:
+    """A ``row_type`` row per outer value and grid point, in that order, from ``solve``."""
+    rows = []
+    for value in outer:
+        for point in grid:
+            result = solve(value, point)
+            rows.append(
+                row_type(
+                    value, point, result.x_hat_b, result.case, result.social_delay, result.delays
+                )
+            )
+    return rows
+
+
 def sweep_alpha(
     config: OnRampConfig,
     derived: DelayCoefficients,
@@ -64,21 +64,12 @@ def sweep_alpha(
     """One row per (beta, alpha) with alpha on a [0, 1] grid, error factor 1."""
     if not 0.0 < alpha_step <= 0.1:
         raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
-    rows = []
-    for beta in betas:
-        for alpha in inclusive_grid(0.0, 1.0, alpha_step):
-            result = solve_equilibrium(config, derived, summary, alpha, beta)
-            rows.append(
-                AlphaSweepRow(
-                    beta=beta,
-                    alpha=alpha,
-                    x_hat_b=result.x_hat_b,
-                    case=result.case,
-                    j_soc=result.social_delay,
-                    delays=result.delays,
-                )
-            )
-    return rows
+    return _sweep(
+        AlphaSweepRow,
+        betas,
+        inclusive_grid(0.0, 1.0, alpha_step).tolist(),
+        lambda beta, alpha: solve_equilibrium(config, derived, summary, alpha, beta),
+    )
 
 
 def sweep_beta_e(
@@ -96,58 +87,29 @@ def sweep_beta_e(
     """
     if beta_e_max <= 0.0:
         raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
-    rows = []
-    for alpha in alphas:
-        for level in inclusive_grid(0.0, beta_e_max, step):
-            result = solve_equilibrium(config, derived, summary, alpha, beta=level)
-            rows.append(
-                LevelSweepRow(
-                    alpha=alpha,
-                    beta_e=level,
-                    x_hat_b=result.x_hat_b,
-                    case=result.case,
-                    j_soc=result.social_delay,
-                    delays=result.delays,
-                )
-            )
-    return rows
+    return _sweep(
+        LevelSweepRow,
+        alphas,
+        inclusive_grid(0.0, beta_e_max, step).tolist(),
+        lambda alpha, level: solve_equilibrium(config, derived, summary, alpha, beta=level),
+    )
 
 
-def _write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    stream.write(",".join(header) + "\n")
+def _write_csv(rows: Iterable, stream: IO[str], columns: Sequence[str]) -> None:
+    """Header line, then one line per row with each column read as a row attribute.
+
+    Numbers are written in NUMBER_FORMAT, the ``case`` column as its label.
+    """
+    stream.write(",".join(columns) + "\n")
+    cells = attrgetter(*(name + ".value" if name == "case" else name for name in columns))
+    formats = ["" if name == "case" else NUMBER_FORMAT for name in columns]
     for row in rows:
-        stream.write(",".join(row) + "\n")
+        stream.write(",".join(map(format, cells(row), formats)) + "\n")
 
 
 def write_alpha_sweep(rows: Iterable[AlphaSweepRow], stream: IO[str]) -> None:
-    _write_csv(
-        stream,
-        ALPHA_SWEEP_COLUMNS,
-        (
-            (
-                format_number(row.beta),
-                format_number(row.alpha),
-                format_number(row.x_hat_b),
-                row.case.value,
-                format_number(row.j_soc),
-            )
-            for row in rows
-        ),
-    )
+    _write_csv(rows, stream, ALPHA_SWEEP_COLUMNS)
 
 
 def write_beta_e_sweep(rows: Iterable[LevelSweepRow], stream: IO[str]) -> None:
-    _write_csv(
-        stream,
-        LEVEL_SWEEP_COLUMNS,
-        (
-            (
-                format_number(row.alpha),
-                format_number(row.beta_e),
-                format_number(row.x_hat_b),
-                row.case.value,
-                format_number(row.j_soc),
-            )
-            for row in rows
-        ),
-    )
+    _write_csv(rows, stream, LEVEL_SWEEP_COLUMNS)

@@ -236,3 +236,44 @@ def test_console_entrypoint_subprocess(demo_config_file):
     )
     assert result.returncode == 0
     assert "phi = 0.540156834606" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poa", "--beta", "nan", "--e-lower", "0.5", "--e-upper", "2"],
+        ["equilibrium", "--alpha", "0.8", "--beta", "nan"],
+    ],
+)
+def test_nan_beta_exits_one_naming_beta(capsys, demo_config_file, argv):
+    code, out, err = run_cli(capsys, argv[0], "--config", str(demo_config_file), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "onramp: error: beta must be finite, got nan\n"
+
+
+def test_poa_evaluates_the_worst_case_once_at_the_given_beta(
+    capsys, demo_config_file, monkeypatch
+):
+    import onramp.cli
+    import onramp.robustness
+
+    betas = []
+    original = onramp.robustness.worst_case_social_delay
+
+    def counting(config, derived, summary, beta, interval):
+        betas.append(beta)
+        return original(config, derived, summary, beta, interval)
+
+    monkeypatch.setattr(onramp.cli, "worst_case_social_delay", counting)
+    monkeypatch.setattr(onramp.robustness, "worst_case_social_delay", counting)
+    code, out, _ = run_cli(
+        capsys, "poa", "--config", str(demo_config_file),
+        "--beta", "0.3", "--e-lower", "0.5", "--e-upper", "2",
+    )
+    assert code == 0
+    assert betas.count(0.3) == 1
+    values = parse_kv(out)
+    assert float(values["poa"]) == pytest.approx(
+        float(values["worst_case_j_soc"]) / float(values["j_opt"]), rel=1e-10
+    )

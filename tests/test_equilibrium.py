@@ -378,3 +378,26 @@ def test_solver_matches_brute_force_random():
         assert flows
         closest = min(flows, key=lambda f: abs(f.total_bypass - result.x_hat_b))
         assert abs(closest.total_bypass - result.x_hat_b) <= 2e-3
+
+
+@pytest.mark.parametrize(
+    "beta, error, message",
+    [
+        (float("nan"), 1.0, "beta must be finite"),
+        (float("inf"), 1.0, "beta must be finite"),
+        (1.0, float("nan"), "error factor must be finite"),
+        (1.0, float("inf"), "error factor must be finite"),
+    ],
+)
+def test_non_finite_level_rejected_with_its_cause(
+    demo, demo_config, demo_derived, beta, error, message
+):
+    with pytest.raises(ValueError, match=message):
+        onramp.solve_equilibrium(*demo, 0.8, beta, error)
+    with pytest.raises(ValueError, match=message):
+        onramp.brute_force_equilibrium(demo_config, demo_derived, 0.8, beta, error)
+    start = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
+    with pytest.raises(ValueError, match=message):
+        onramp.best_response_dynamics(demo_config, demo_derived, 0.8, beta, error, start)
+    with pytest.raises(ValueError, match=message):
+        onramp.verify_wardrop(demo_config, demo_derived, start, beta, error)

@@ -82,7 +82,8 @@ def _model_cases(name: str, verify: bool):
     yield config, ["optimal-beta", *WIDE, *(["--verify"] if verify else [])]
     yield config, ["optimal-beta", *INTERVAL]
     yield config, ["verify"]
-    yield config, ["verify", "--alpha", "0.4", "--beta", "0.6", "--error", "1.5", "--step", "0.002"]
+    yield config, ["verify", "--alpha", "0.4", "--beta", "0.6", "--error", "1.5",
+                   "--step", "0.002"]
 
 
 def cases():

@@ -1,6 +1,7 @@
 """Unit tests for the configuration types and delay evaluations."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +209,35 @@ def test_config_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         onramp.load_config(path)
+
+
+def test_config_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(json.dumps(DEMO_VALUES).encode("utf-8") + b"\xe9")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        onramp.load_config(path)
+
+
+def test_config_integer_too_large_for_float_is_config_error(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(DEMO_VALUES).replace("21.3", "1" + "0" * 400))
+    with pytest.raises(ConfigError, match="c1m"):
+        onramp.load_config(path)
+
+
+NON_FINITE = (math.nan, math.inf)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_population_rejects_non_finite_beta_and_error(demo_config, demo_derived, value):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        onramp.PopulationParams(alpha=0.5, beta=value)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        onramp.altruistic_costs(demo_config, demo_derived, 0.5, beta=value)
+    with pytest.raises(ValueError, match="error factor must be finite"):
+        onramp.altruistic_costs(demo_config, demo_derived, 0.5, beta=1.0, error=value)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        onramp.PopulationParams(alpha=value, beta=1.0)
 
 
 config_values = st.fixed_dictionaries(

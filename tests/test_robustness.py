@@ -289,3 +289,26 @@ def test_effective_level_equivalence(demo):
             onramp.ErrorInterval(0.5 / scale, 2.0 / scale),
         )
         assert scaled == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_non_finite_beta_rejected_with_its_cause(demo, beta):
+    interval = onramp.ErrorInterval(0.5, 2.0)
+    for evaluate in (
+        onramp.worst_case_social_delay,
+        onramp.price_of_anarchy,
+        onramp.grid_poa,
+    ):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            evaluate(*demo, beta, interval)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_branch_follows_classify_at_the_regime_boundary(seed):
+    config, derived, summary = make_transition_limited(random.Random(seed))
+    for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        interval = onramp.ErrorInterval(1.0, (summary.pi * scale) ** 2)
+        label = onramp.classify(config, derived, interval)
+        robust = onramp.optimal_altruism_level(config, derived, summary, interval)
+        assert robust.branch is label.regime
+    assert robust.branch is onramp.Regime.TRANSITION_LIMITED

@@ -34,6 +34,21 @@ def test_inclusive_grid_hits_endpoints():
     assert inclusive_grid(0.5, 2.0, 0.01)[-1] == 2.0
 
 
+def test_inclusive_grid_values_match_scalar_arithmetic():
+    assert inclusive_grid(0.0, 1.0, 0.03).tolist() == [i * 0.03 for i in range(34)] + [1.0]
+    assert inclusive_grid(0.5, 0.5, 0.01).tolist() == [0.5]
+
+
+@pytest.mark.parametrize(
+    "lower, upper, step",
+    [(0.0, float("inf"), 0.01), (0.0, float("nan"), 0.01), (0.0, 1.0, float("inf")),
+     (0.0, 1.0, float("nan")), (0.0, 1.0, 0.0), (1.0, 0.0, 0.01)],
+)
+def test_inclusive_grid_rejects_bad_bounds_and_steps(lower, upper, step):
+    with pytest.raises(ValueError):
+        inclusive_grid(lower, upper, step)
+
+
 def test_alpha_sweep_row_count_and_order(demo):
     rows = sweep_alpha(*demo, betas=[0.2, 0.5, 1.0], alpha_step=0.01)
     assert len(rows) == 303
