@@ -8,6 +8,7 @@ verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -20,7 +21,7 @@ from .equilibrium import (
     verify_wardrop,
 )
 from .errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
-from .model import FlowDistribution, check_population, derive_coefficients, load_config
+from .model import check_population, derive_coefficients, load_config
 from .robustness import (
     grid_optimal_beta,
     optimal_altruism_level,
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="onramp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,16 +262,14 @@ def _cmd_verify(args, config, derived, summary) -> int:
         _print("brute_force_closest", closest.total_bypass)
         _print("brute_force_gap", gap)
         ok = gap <= 2.0 * args.step
-    start = FlowDistribution(1.0 - args.alpha, 0.0, args.alpha, 0.0)
-    trace = best_response_dynamics(
-        config, derived, args.alpha, args.beta, args.error, start,
-        step_size=0.5, max_iters=20000, tol=1e-10, step_decay=0.5, record_every=1000,
-    )
-    dynamics_x = trace.final.flow.total_bypass
+    trace = best_response_dynamics(config, derived, args.alpha, args.beta, args.error, tol=1e-10)
+    dynamics_x = trace.flow.total_bypass
+    dynamics_gap = abs(dynamics_x - result.x_hat_b)
     _print("dynamics_x_hat_b", dynamics_x)
-    _print("dynamics_gap", abs(dynamics_x - result.x_hat_b))
+    _print("dynamics_gap", dynamics_gap)
     _print("dynamics_iterations", trace.iterations)
-    ok &= abs(dynamics_x - result.x_hat_b) <= 1e-4
+    _print("dynamics_converged", "true" if trace.converged else "false")
+    ok &= trace.converged and dynamics_gap <= 1e-9
     report = verify_wardrop(config, derived, result.flow, args.beta, args.error)
     _print("wardrop_max_product", report.max_product)
     return _verdict(ok and report.passed)

@@ -2,9 +2,9 @@
 
 The closed-form solver maps a population (alpha, beta*error) to the unique
 equilibrium bypass share of a meaningful-set configuration; two independent
-oracles cross-check it: exhaustive verification on a feasibility grid, and
-fractional best-response dynamics whose fixed points are exactly the verified
-equilibria.
+oracles cross-check it: exhaustive verification on a feasibility grid, and a
+bisection on the share that best responses ask for, certified by the Wardrop
+switching products.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .model import (
     cost_gaps,
     delays,
     social_delay,
-    validate_flow_distribution,
 )
 
 
@@ -164,6 +163,10 @@ def verify_wardrop(
     )
 
 
+# largest grid, or brute-force product grid, that is built; larger ones are refused
+MAX_GRID_POINTS = 10**6
+
+
 def inclusive_grid(lower: float, upper: float, step: float) -> np.ndarray:
     """Multiples of ``step`` from ``lower``, with ``upper`` always included, as an array."""
     if not step > 0.0:
@@ -174,6 +177,10 @@ def inclusive_grid(lower: float, upper: float, step: float) -> np.ndarray:
     if not (math.isfinite(span) and math.isfinite(step)):
         raise ValueError(f"grid [{lower}, {upper}] with step {step} is not finite")
     count = int(math.floor(span + 1e-9))
+    if count >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid [{lower}, {upper}] with step {step} has more than {MAX_GRID_POINTS} points"
+        )
     grid = lower + np.arange(count + 1, dtype=float) * step
     if grid[-1] > upper:
         grid[-1] = upper
@@ -202,12 +209,14 @@ def brute_force_equilibrium(
     if not 0.0 < grid_step <= 0.1:
         raise ValueError(f"grid step must lie in (0, 0.1], got {grid_step}")
     check_population(alpha, beta, error)
-    tol = (
-        derived.steadfast_slope + derived.bypass_slope + derived.lane2_slope
-    ) * grid_step
+    tol = (derived.slope_sum + derived.lane2_slope) * grid_step
 
-    selfish_bypass = inclusive_grid(0.0, 1.0 - alpha, grid_step)[:, None]
-    altruistic_bypass = inclusive_grid(0.0, alpha, grid_step)[None, :]
+    xb = inclusive_grid(0.0, 1.0 - alpha, grid_step)
+    xtb = inclusive_grid(0.0, alpha, grid_step)
+    if xb.size * xtb.size > MAX_GRID_POINTS:
+        raise ValueError(f"grid step {grid_step} gives more than {MAX_GRID_POINTS} decompositions")
+    selfish_bypass = xb[:, None]
+    altruistic_bypass = xtb[None, :]
     selfish_steadfast = (1.0 - alpha) - selfish_bypass
     altruistic_steadfast = alpha - altruistic_bypass
     travel_gap, perceived_gap = cost_gaps(
@@ -221,35 +230,30 @@ def brute_force_equilibrium(
         & (altruistic_bypass * -perceived_gap <= tol)
     )
     rows, cols = np.nonzero(ok)
-    xb = selfish_bypass[:, 0]
-    xtb = altruistic_bypass[0, :]
     return [
-        FlowDistribution(
-            selfish_steadfast=(1.0 - alpha) - xb[i],
-            selfish_bypass=float(xb[i]),
-            altruistic_steadfast=alpha - xtb[j],
-            altruistic_bypass=float(xtb[j]),
-        )
+        FlowDistribution((1.0 - alpha) - xb[i], float(xb[i]), alpha - xtb[j], float(xtb[j]))
         for i, j in zip(rows.tolist(), cols.tolist())
     ]
 
 
-@dataclass(frozen=True)
-class DynamicsStep:
-    iteration: int
-    flow: FlowDistribution
-    max_product: float
+# bisection steps on the share bracket [0, 1]: enough to reach adjacent doubles
+# near any share, or a width of 2**-64 at the all-steadfast corner
+MAX_HALVINGS = 64
 
 
 @dataclass(frozen=True)
 class DynamicsTrace:
-    steps: tuple[DynamicsStep, ...]
+    """Oracle flow with its certificate, the largest Wardrop switching product."""
+
+    flow: FlowDistribution
+    max_product: float
     converged: bool
     iterations: int
 
-    @property
-    def final(self) -> DynamicsStep:
-        return self.steps[-1]
+
+def _bypass_range(gap_lo: float, gap_hi: float, mass: float) -> tuple[float, float]:
+    """Bypass masses a class accepts across a share bracket, from its gaps at the ends."""
+    return (mass if gap_hi > 0.0 else 0.0), (0.0 if gap_lo < 0.0 else mass)
 
 
 def best_response_dynamics(
@@ -257,76 +261,44 @@ def best_response_dynamics(
     derived: DelayCoefficients,
     alpha: float,
     beta: float,
-    error: float,
-    initial: FlowDistribution,
-    step_size: float = 0.5,
-    max_iters: int = 10000,
+    error: float = 1.0,
     tol: float = 1e-9,
-    step_decay: float = 0.0,
-    record_every: int = 1,
 ) -> DynamicsTrace:
-    """Fractional best-response dynamics over the two driver classes.
+    """Equilibrium by bisection on the total bypass share, certified by verify_wardrop.
 
-    Each iteration moves a fraction of the mass sitting on the currently
-    worse option toward the better one, selfish drivers by travel delay and
-    altruists by perceived cost, clamped to feasibility.  The run terminates
-    when every switching product falls below ``tol`` (a verified fixed point)
-    or after ``max_iters`` moves.
-
-    With a constant fraction the iterates orbit interior fixed points inside
-    a band proportional to step_size times the moving mass; a positive
-    ``step_decay`` shrinks the fraction harmonically,
-    fraction_k = step_size / (1 + step_decay * k), collapsing the orbit onto
-    the fixed point.  Fixed points are the same either way.
+    Both class gaps decrease in the total share x, so the share that best
+    responses ask for at x, the mass of every class whose gap favors bypass,
+    is nonincreasing and meets x at an equilibrium.  Bisection brackets that
+    point; a class that prefers one option across the final bracket takes
+    it, and indifferent classes fill the midpoint share, altruists first.
+    Only the cost gaps are used, never phi, delta or the crossing, so the
+    oracle is independent of the case analysis in solve_equilibrium.
     """
     check_population(alpha, beta, error)
-    if not 0.0 < step_size <= 1.0:
-        raise ValueError(f"step size must lie in (0, 1], got {step_size}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    if step_decay < 0.0:
-        raise ValueError(f"step decay must be >= 0, got {step_decay}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    if validate_flow_distribution(initial, alpha):
-        raise ValueError("initial flow is not feasible for the given alpha")
-
     level = beta * error
     selfish_mass = 1.0 - alpha
-    xb = initial.selfish_bypass
-    xtb = initial.altruistic_bypass
+    lo, hi, mid = 0.0, 1.0, 0.5
+    halvings = 0
+    while halvings < MAX_HALVINGS and lo < mid < hi:
+        travel_gap, perceived_gap = cost_gaps(config, derived, mid, level)
+        asked = selfish_mass * (travel_gap > 0.0) + alpha * (perceived_gap > 0.0)
+        if asked > mid:
+            lo = mid
+        else:
+            hi = mid
+        halvings += 1
+        mid = 0.5 * (lo + hi)
 
-    steps: list[DynamicsStep] = []
-    converged = False
-    moves = 0
-    for moves in range(max_iters + 1):
-        xs = selfish_mass - xb
-        xts = alpha - xtb
-        travel_gap, perceived_gap = cost_gaps(config, derived, xb + xtb, level)
-        worst = max(xs * travel_gap, xb * -travel_gap, xts * perceived_gap, xtb * -perceived_gap)
-        terminal = worst <= tol or moves == max_iters
-        if terminal or moves % record_every == 0:
-            steps.append(
-                DynamicsStep(
-                    iteration=moves,
-                    flow=FlowDistribution(xs, xb, xts, xtb),
-                    max_product=worst,
-                )
-            )
-        if worst <= tol:
-            converged = True
-            break
-        if moves == max_iters:
-            break
-        fraction = step_size / (1.0 + step_decay * moves)
-        if travel_gap > 0.0:
-            xb += fraction * xs
-        elif travel_gap < 0.0:
-            xb -= fraction * xb
-        if perceived_gap > 0.0:
-            xtb += fraction * xts
-        elif perceived_gap < 0.0:
-            xtb -= fraction * xtb
-        xb = min(max(xb, 0.0), selfish_mass)
-        xtb = min(max(xtb, 0.0), alpha)
-    return DynamicsTrace(steps=tuple(steps), converged=converged, iterations=moves)
+    travel_lo, perceived_lo = cost_gaps(config, derived, lo, level)
+    travel_hi, perceived_hi = cost_gaps(config, derived, hi, level)
+    selfish_min, selfish_max = _bypass_range(travel_lo, travel_hi, selfish_mass)
+    altruistic_min, altruistic_max = _bypass_range(perceived_lo, perceived_hi, alpha)
+    altruistic_bypass = min(max(mid - selfish_min, altruistic_min), altruistic_max)
+    selfish_bypass = min(max(mid - altruistic_bypass, selfish_min), selfish_max)
+    flow = FlowDistribution(
+        selfish_mass - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
+    )
+    report = verify_wardrop(config, derived, flow, beta, error, tol)
+    return DynamicsTrace(flow, report.max_product, report.passed, halvings)

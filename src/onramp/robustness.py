@@ -180,18 +180,11 @@ def grid_optimal_beta(
     Searches levels on (0, 2/e_lower], a range that provably contains both
     closed-form minimizers; ties resolve to the smallest level.
     """
-    if beta_grid_step <= 0.0:
-        raise ValueError(f"beta grid step must be > 0, got {beta_grid_step}")
     beta_max = 2.0 / interval.e_lower
-    count = int(math.floor(beta_max / beta_grid_step + 1e-9))
-    if count < 1:
+    if beta_grid_step > beta_max:
         raise ValueError("beta grid step larger than the search range")
-    best_beta = beta_grid_step
-    best_value = math.inf
-    for index in range(1, count + 1):
-        beta = index * beta_grid_step
-        value = grid_poa(config, derived, summary, beta, interval, inner_grid_step)
-        if value < best_value:
-            best_value = value
-            best_beta = beta
-    return best_beta
+    levels = inclusive_grid(0.0, beta_max, beta_grid_step).tolist()[1:]
+    return min(
+        levels,
+        key=lambda beta: grid_poa(config, derived, summary, beta, interval, inner_grid_step),
+    )

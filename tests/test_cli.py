@@ -225,7 +225,8 @@ def test_verify_command(capsys, demo_config_file):
     values = parse_kv(out)
     assert values["verify_pass"] == "true"
     assert float(values["brute_force_gap"]) <= 2e-3
-    assert float(values["dynamics_gap"]) <= 1e-4
+    assert float(values["dynamics_gap"]) <= 1e-9
+    assert values["dynamics_converged"] == "true"
 
 
 def test_console_entrypoint_subprocess(demo_config_file):

@@ -1,10 +1,12 @@
 """Unit tests for the closed-form solver and its two oracles."""
 
+import math
 import random
 
 import pytest
 
 import onramp
+from onramp import equilibrium
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import NotInMeaningfulSetError
 
@@ -242,6 +244,8 @@ def test_brute_force_grid_step_validated(demo_config, demo_derived):
         onramp.brute_force_equilibrium(demo_config, demo_derived, 0.5, 1.0, grid_step=0.5)
     with pytest.raises(ValueError):
         onramp.brute_force_equilibrium(demo_config, demo_derived, 0.5, 1.0, grid_step=0.0)
+    with pytest.raises(ValueError, match="more than 1000000 decompositions"):
+        onramp.brute_force_equilibrium(demo_config, demo_derived, 0.5, 1.0, grid_step=1e-6)
 
 
 def _corner_band(config, derived, corner, beta, step):
@@ -288,81 +292,88 @@ def test_brute_force_corner_all_bypass_outside_set():
 
 
 def test_dynamics_converges_to_optimum(demo_config, demo_derived, demo_summary):
-    start = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
     trace = onramp.best_response_dynamics(
-        demo_config,
-        demo_derived,
-        alpha=0.8,
-        beta=1.0,
-        error=1.0,
-        initial=start,
-        step_size=0.5,
-        max_iters=20000,
-        tol=1e-12,
-        step_decay=0.5,
-        record_every=500,
+        demo_config, demo_derived, alpha=0.8, beta=1.0, error=1.0, tol=1e-12
     )
-    assert abs(trace.final.flow.total_bypass - DEMO_DELTA) <= 1e-4
-    assert trace.steps[0].iteration == 0
-    assert trace.steps[0].flow.total_bypass == start.total_bypass
+    assert trace.converged
+    assert trace.max_product <= 1e-12
+    assert abs(trace.flow.total_bypass - DEMO_DELTA) <= 1e-12
 
 
 def test_dynamics_fixed_point_at_crossing(demo_config, demo_derived, demo_summary):
-    start = onramp.FlowDistribution(1.0 - demo_summary.phi, demo_summary.phi, 0.0, 0.0)
     trace = onramp.best_response_dynamics(
-        demo_config,
-        demo_derived,
-        alpha=0.0,
-        beta=1.0,
-        error=1.0,
-        initial=start,
-        step_size=0.5,
-        max_iters=100,
-        tol=1e-9,
+        demo_config, demo_derived, alpha=0.0, beta=1.0, error=1.0, tol=1e-9
     )
     assert trace.converged
-    assert trace.iterations == 0
-    assert len(trace.steps) == 1
+    assert 0 < trace.iterations <= equilibrium.MAX_HALVINGS
+    assert trace.flow.selfish_bypass == pytest.approx(demo_summary.phi, abs=1e-12)
     report = onramp.verify_wardrop(
-        demo_config, demo_derived, trace.final.flow, beta=1.0, tol=1e-9
+        demo_config, demo_derived, trace.flow, beta=1.0, tol=1e-9
     )
     assert report.passed
+    assert report.max_product == trace.max_product
 
 
-def test_dynamics_constant_step_oscillates():
-    config = onramp.OnRampConfig.from_values(
-        n0=0.37, c1t=10.0, c1m=213.0, c2t=10.0, c2m=10.0, mu=2.4, gamma=8.6
-    )
-    derived = onramp.derive_coefficients(config)
-    start = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
-    trace = onramp.best_response_dynamics(
-        config,
-        derived,
-        alpha=0.8,
-        beta=1.0,
-        error=1.0,
-        initial=start,
-        step_size=1.0,
-        max_iters=300,
-        tol=1e-6,
-        step_decay=0.0,
-        record_every=50,
-    )
-    assert not trace.converged
-    assert trace.iterations == 300
+# configurations outside the meaningful set: the all-bypass corner of
+# test_brute_force_corner_all_bypass_outside_set and the golden excluded.json
+OUTSIDE_SET = {
+    "all_bypass": dict(n0=0.8, c1t=1.0, c1m=1.0, c2t=1.0, c2m=0.0, mu=2.0, gamma=0.0),
+    "excluded": dict(n0=1.0, c1t=1.0, c1m=21.3, c2t=1.0, c2m=1.0, mu=2.4, gamma=0.0),
+}
+
+
+def _tie_point(tie, summary):
+    """(alpha, beta) at a tie rule of a configuration, or one ulp off it."""
+    phi = summary.phi
+    return {
+        "level_0": (0.8, 0.0),
+        "alpha_0": (0.0, 1.0),
+        "alpha_phi": (phi, 1.0),
+        "alpha_phi_minus_ulp": (math.nextafter(phi, 0.0), 1.0),
+        "alpha_phi_plus_ulp": (math.nextafter(phi, 1.0), 1.0),
+        "alpha_crossing": (onramp.altruistic_intersection(phi, summary.delta, 0.5), 0.5),
+        "alpha_1": (1.0, 1.0),
+        "all_bypass": (0.4, 0.5),
+        "excluded": (0.8, 1.0),
+    }[tie]
+
+
+@pytest.mark.parametrize(
+    "tie",
+    [
+        "level_0",
+        "alpha_0",
+        "alpha_phi",
+        "alpha_phi_minus_ulp",
+        "alpha_phi_plus_ulp",
+        "alpha_crossing",
+        "alpha_1",
+        *OUTSIDE_SET,
+    ],
+)
+def test_dynamics_tie_rules(demo, tie):
+    if tie in OUTSIDE_SET:
+        config = onramp.OnRampConfig.from_values(**OUTSIDE_SET[tie])
+        derived = onramp.derive_coefficients(config)
+        summary = onramp.analyze(config, derived)
+        assert not summary.in_meaningful_set
+    else:
+        config, derived, summary = demo
+    alpha, beta = _tie_point(tie, summary)
+    trace = onramp.best_response_dynamics(config, derived, alpha, beta, tol=1e-10)
+    assert trace.converged, trace
+    assert onramp.validate_flow_distribution(trace.flow, alpha) == []
+    if summary.in_meaningful_set:
+        closed = _solve(demo, alpha, beta)
+        assert abs(trace.flow.total_bypass - closed.x_hat_b) <= 1e-12
 
 
 def test_dynamics_validates_inputs(demo_config, demo_derived):
-    start = onramp.FlowDistribution(0.2, 0.0, 0.7, 0.0)  # masses sum to 0.9, not 1
-    with pytest.raises(ValueError):
-        onramp.best_response_dynamics(
-            demo_config, demo_derived, 0.8, 1.0, 1.0, start
-        )
-    feasible = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
-    with pytest.raises(ValueError):
-        onramp.best_response_dynamics(
-            demo_config, demo_derived, 0.8, 1.0, 1.0, feasible, step_size=0.0
-        )
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        onramp.best_response_dynamics(demo_config, demo_derived, 1.5, 1.0)
+    for tol in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            onramp.best_response_dynamics(demo_config, demo_derived, 0.8, 1.0, tol=tol)
 
 
 def test_solver_matches_brute_force_random():
@@ -396,8 +407,8 @@ def test_non_finite_level_rejected_with_its_cause(
         onramp.solve_equilibrium(*demo, 0.8, beta, error)
     with pytest.raises(ValueError, match=message):
         onramp.brute_force_equilibrium(demo_config, demo_derived, 0.8, beta, error)
-    start = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
     with pytest.raises(ValueError, match=message):
-        onramp.best_response_dynamics(demo_config, demo_derived, 0.8, beta, error, start)
+        onramp.best_response_dynamics(demo_config, demo_derived, 0.8, beta, error)
+    flow = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
     with pytest.raises(ValueError, match=message):
-        onramp.verify_wardrop(demo_config, demo_derived, start, beta, error)
+        onramp.verify_wardrop(demo_config, demo_derived, flow, beta, error)

@@ -159,6 +159,13 @@ def cases():
         ["verify", "--step", "nan"],
     ):
         yield "demo.json", argv
+    # grids too large to build
+    for argv in (
+        ["sweep-beta-e", "--beta-e-max", "1e13"],
+        ["verify", "--step", "1e-6"],
+        ["optimal-beta", "--e-lower", "1e-6", "--e-upper", "1", "--verify"],
+    ):
+        yield "demo.json", argv
     # no subcommand, an unknown one, no --config
     yield None, []
     yield None, ["frobnicate"]

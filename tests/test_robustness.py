@@ -176,6 +176,15 @@ def test_grid_oracle_degenerate_interval(demo):
     assert abs(sampled - 1.0) <= 1e-3
 
 
+def test_grid_oracle_rejects_unusable_level_grids(demo):
+    config, derived, summary = demo
+    interval = onramp.ErrorInterval(0.5, 2.0)
+    with pytest.raises(ValueError, match="larger than the search range"):
+        onramp.grid_optimal_beta(config, derived, summary, interval, beta_grid_step=4.5)
+    with pytest.raises(ValueError, match="more than 1000000 points"):
+        onramp.grid_optimal_beta(config, derived, summary, onramp.ErrorInterval(1e-6, 1.0))
+
+
 def test_optimal_level_transition_limited_branch():
     rng = random.Random(33)
     config, derived, summary = make_transition_limited(rng)

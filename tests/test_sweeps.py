@@ -42,7 +42,7 @@ def test_inclusive_grid_values_match_scalar_arithmetic():
 @pytest.mark.parametrize(
     "lower, upper, step",
     [(0.0, float("inf"), 0.01), (0.0, float("nan"), 0.01), (0.0, 1.0, float("inf")),
-     (0.0, 1.0, float("nan")), (0.0, 1.0, 0.0), (1.0, 0.0, 0.01)],
+     (0.0, 1.0, float("nan")), (0.0, 1.0, 0.0), (1.0, 0.0, 0.01), (0.0, 1e13, 0.01)],
 )
 def test_inclusive_grid_rejects_bad_bounds_and_steps(lower, upper, step):
     with pytest.raises(ValueError):
