@@ -16,7 +16,7 @@ derived = onramp.derive_coefficients(config)
 summary = onramp.analyze(config, derived)
 
 print("== configuration ==")
-print(f"ramp share n0 = {config.flows.n0},  inner-lane share n2 = {config.flows.n2}")
+print(f"ramp share n0 = {config.n0},  inner-lane share n2 = {config.n2}")
 print(f"steadfast delay = {derived.steadfast_slope:.4g} * (1 - x) + {derived.steadfast_intercept:.4g}")
 print(f"bypass delay    = {derived.bypass_slope:.4g} * x + {derived.bypass_intercept:.4g}")
 print(f"lane-2 delay    = {derived.lane2_slope:.4g} * x + {derived.bypass_intercept:.4g}")

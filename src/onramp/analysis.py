@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DegenerateConfigError, NotInMeaningfulSetError, SingularPiError
-from .model import DelayCoefficients, OnRampConfig, derive_coefficients, social_delay
+from .errors import DegenerateConfigError, NotInMeaningfulSetError
+from .model import DelayCoefficients, OnRampConfig, require_finite, social_delay
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,11 @@ def selfish_equilibrium_flow(derived: DelayCoefficients) -> float:
     """Bypass share at which the steadfast and bypass travel delays cross."""
     if derived.slope_sum <= 0.0:
         raise DegenerateConfigError("all delay slopes vanish; no interior crossing")
-    return (
-        derived.steadfast_slope + derived.steadfast_intercept - derived.bypass_intercept
-    ) / derived.slope_sum
+    return require_finite(
+        "phi",
+        (derived.steadfast_slope + derived.steadfast_intercept - derived.bypass_intercept)
+        / derived.slope_sum,
+    )
 
 
 def social_optimum(
@@ -62,11 +64,11 @@ def social_optimum(
     The minimizer comes from the stationarity of the convex quadratic: its
     second-order coefficient is the slope sum, its linear coefficient collects
     the intercept gap and the neighboring-flow weights.  The optimal value
-    clamps the minimizer into [0, 1] before evaluating.
+    clamps the minimizer into [0, 1] before evaluating.  Both must be finite.
     """
     if derived.slope_sum <= 0.0:
         raise DegenerateConfigError("social delay is not strictly convex")
-    n0, n2 = config.flows.n0, config.flows.n2
+    n0, n2 = config.n0, config.n2
     minimizer = (
         2.0 * derived.steadfast_slope
         + derived.steadfast_intercept
@@ -74,8 +76,9 @@ def social_optimum(
         + n0 * derived.steadfast_slope
         - n2 * derived.lane2_slope
     ) / (2.0 * derived.slope_sum)
+    require_finite("delta", minimizer)
     optimum = social_delay(config, derived, min(max(minimizer, 0.0), 1.0))
-    return minimizer, optimum
+    return minimizer, require_finite("j_opt", optimum)
 
 
 def altruistic_intersection(phi: float, delta: float, beta_e: float) -> float:
@@ -95,12 +98,14 @@ def pi_value(phi: float, delta: float) -> float:
     """Regime ratio (1 - phi) / (2*delta - phi - 1).
 
     Inside the meaningful set the ratio is either negative or greater than 1;
-    it is the effective level at which the altruistic crossing reaches 1.
+    it is the effective level at which the altruistic crossing reaches 1.  At
+    a zero denominator it is the limit: +/-inf with the sign of 1 - phi, or
+    NaN when 1 - phi is zero too.
     """
-    denominator = 2.0 * delta - phi - 1.0
+    numerator, denominator = 1.0 - phi, 2.0 * delta - phi - 1.0
     if denominator == 0.0:
-        raise SingularPiError("2*delta - phi - 1 = 0; regime ratio undefined")
-    return (1.0 - phi) / denominator
+        return math.copysign(math.inf, numerator) if numerator != 0.0 else math.nan
+    return numerator / denominator
 
 
 class Regime(Enum):
@@ -151,28 +156,24 @@ def classify(
 
     Membership in the meaningful set requires 0 < phi < delta < 1.  Among
     members, the transition-limited regime requires the regime ratio to lie
-    strictly between 0 and sqrt(e_upper / e_lower); a singular ratio behaves
-    like an arbitrarily large one and therefore falls in the endpoint branch.
+    strictly between 0 and sqrt(e_upper / e_lower).  Members have 1 - phi > 0,
+    so a singular ratio is +inf and falls in the endpoint branch.
     """
     phi = selfish_equilibrium_flow(derived)
     delta, _ = social_optimum(config, derived)
     reason = _membership_reason(phi, delta)
     if reason is not None:
         return Classification(Regime.NOT_IN_MEANINGFUL_SET, reason)
-    try:
-        pi = pi_value(phi, delta)
-    except SingularPiError:
-        pi = math.inf
-    return Classification(worst_case_regime(pi, interval))
+    return Classification(worst_case_regime(pi_value(phi, delta), interval))
 
 
 @dataclass(frozen=True)
 class AnalysisSummary:
     """Closed-form structure of one configuration.
 
-    ``pi`` is +/-inf when its denominator vanishes; ``decrease_interval`` is
-    open on the left (alpha must strictly exceed phi to help) while
-    ``optimize_interval`` is closed.
+    ``pi`` is the pi_value limit when its denominator vanishes;
+    ``decrease_interval`` is open on the left (alpha must strictly exceed phi
+    to help) while ``optimize_interval`` is closed.
     """
 
     phi: float
@@ -186,24 +187,17 @@ class AnalysisSummary:
     optimize_interval: tuple[float, float]
 
 
-def analyze(config: OnRampConfig, derived: DelayCoefficients | None = None) -> AnalysisSummary:
+def analyze(config: OnRampConfig, derived: DelayCoefficients) -> AnalysisSummary:
     """Evaluate all structural quantities of a configuration in one pass."""
-    if derived is None:
-        derived = derive_coefficients(config)
     phi = selfish_equilibrium_flow(derived)
     delta, j_opt = social_optimum(config, derived)
-    try:
-        pi = pi_value(phi, delta)
-    except SingularPiError:
-        numerator = 1.0 - phi
-        pi = math.copysign(math.inf, numerator) if numerator != 0.0 else math.nan
     reason = _membership_reason(phi, delta)
     return AnalysisSummary(
         phi=phi,
         delta=delta,
-        pi=pi,
+        pi=pi_value(phi, delta),
         j_opt=j_opt,
-        j_soc_at_phi=social_delay(config, derived, phi),
+        j_soc_at_phi=require_finite("j_soc_at_phi", social_delay(config, derived, phi)),
         in_meaningful_set=reason is None,
         exclusion_reason=reason,
         decrease_interval=(phi, 1.0),

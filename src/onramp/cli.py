@@ -132,7 +132,7 @@ def _interval(args) -> ErrorInterval:
 
 
 def _cmd_analyze(args, config, derived, summary) -> int:
-    _print_fields(config.flows)
+    _print_fields(config, names=("n0", "n2"))
     _print_fields(derived)
     _print_fields(summary, names=("phi", "delta", "pi", "j_opt", "j_soc_at_phi"))
     _print("decrease_alpha_above", summary.decrease_interval[0])

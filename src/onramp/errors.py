@@ -17,10 +17,6 @@ class NotInMeaningfulSetError(OnRampError, ValueError):
     """Raised when an operation requires a configuration inside the meaningful set."""
 
 
-class SingularPiError(OnRampError, ArithmeticError):
-    """Raised when the regime ratio has a zero denominator and is undefined."""
-
-
 class TransitionUndefinedError(OnRampError, ValueError):
     """Raised when no finite transition level exists for the requested ratio."""
 

@@ -11,80 +11,50 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 
-# absolute tolerance for the n0 + n2 = 1 closure check
-FLOW_CLOSURE_TOL = 1e-12
-
-# required keys of a JSON config document; no others are accepted
+# required keys of a JSON config document, in field order; no others are accepted
 CONFIG_KEYS = ("n0", "c1t", "c1m", "c2t", "c2m", "mu", "gamma")
 
 
 @dataclass(frozen=True)
-class NeighborFlows:
-    """Normalized flows on the lanes neighboring lane 1.
+class OnRampConfig:
+    """One on-ramp: the normalized on-ramp flow and six calibrated cost coefficients.
 
-    ``n2`` may be omitted and is then computed as ``1 - n0``; when supplied it
-    must close to 1 with ``n0`` within ``FLOW_CLOSURE_TOL``.
+    ``n0`` is the on-ramp share of the flow neighboring lane 1; lane 2 carries
+    the rest, ``n2 = 1 - n0``, stored on construction because the delay
+    formulas read it on every call.  ``c1t``/``c1m`` weight the lane-1 through
+    and merge terms, ``c2t``/``c2m`` the lane-2 terms; ``mu`` amplifies the
+    merge interaction and ``gamma`` the lane-change interaction.  The
+    coefficients are treated as opaque nonnegative constants.
     """
 
     n0: float
-    n2: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.n2 is None:
-            object.__setattr__(self, "n2", 1.0 - self.n0)
-        if not (math.isfinite(self.n0) and math.isfinite(self.n2)):
-            raise ConfigError("neighbor flows must be finite numbers")
-        if self.n0 < 0.0 or self.n2 < 0.0:
-            raise ConfigError(
-                f"neighbor flows must be nonnegative, got n0={self.n0}, n2={self.n2}"
-            )
-        if abs(self.n0 + self.n2 - 1.0) > FLOW_CLOSURE_TOL:
-            raise ConfigError(f"n0 + n2 must equal 1, got {self.n0 + self.n2!r}")
-
-
-@dataclass(frozen=True)
-class CostCoefficients:
-    """Calibrated delay-model coefficients, all nonnegative.
-
-    ``c1t``/``c1m`` weight the lane-1 through and merge terms, ``c2t``/``c2m``
-    the lane-2 terms; ``mu`` amplifies the merge interaction and ``gamma`` the
-    lane-change interaction.  They are treated as opaque calibrated constants.
-    """
-
     c1t: float
     c1m: float
     c2t: float
     c2m: float
     mu: float
     gamma: float
+    n2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("c1t", "c1m", "c2t", "c2m", "mu", "gamma"):
+        object.__setattr__(self, "n2", 1.0 - self.n0)
+        if not math.isfinite(self.n0):
+            raise ConfigError("neighbor flows must be finite numbers")
+        if self.n0 < 0.0 or self.n2 < 0.0:
+            raise ConfigError(
+                f"neighbor flows must be nonnegative, got n0={self.n0}, n2={self.n2}"
+            )
+        for name in CONFIG_KEYS[1:]:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ConfigError(
                     f"cost coefficient {name} must be finite and >= 0, got {value}"
                 )
-
-
-@dataclass(frozen=True)
-class OnRampConfig:
-    """Full on-ramp description: neighboring flows plus cost coefficients."""
-
-    flows: NeighborFlows
-    costs: CostCoefficients
-
-    @classmethod
-    def from_values(cls, n0, c1t, c1m, c2t, c2m, mu, gamma):
-        return cls(
-            flows=NeighborFlows(n0),
-            costs=CostCoefficients(c1t=c1t, c1m=c1m, c2t=c2t, c2m=c2m, mu=mu, gamma=gamma),
-        )
 
     @classmethod
     def from_dict(cls, data) -> "OnRampConfig":
@@ -105,7 +75,7 @@ class OnRampConfig:
                 values[key] = float(value)
             except OverflowError as exc:
                 raise ConfigError(f"config key {key} is too large for a float") from exc
-        return cls.from_values(**values)
+        return cls(**values)
 
 
 def load_config(path) -> OnRampConfig:
@@ -139,17 +109,27 @@ class DelayCoefficients:
         return self.steadfast_slope + self.bypass_slope
 
 
+def require_finite(name: str, value: float) -> float:
+    """Return ``value``, or raise ConfigError when the config values overflow it."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} = {value} is not finite; the config values are too large")
+    return value
+
+
 def derive_coefficients(config: OnRampConfig) -> DelayCoefficients:
-    """Collapse a validated config into the five affine delay constants."""
-    n0, n2 = config.flows.n0, config.flows.n2
-    c = config.costs
-    return DelayCoefficients(
+    """Collapse a validated config into the five affine delay constants, all finite."""
+    c = config
+    n0, n2 = c.n0, c.n2
+    derived = DelayCoefficients(
         steadfast_slope=c.c1t * c.mu + c.c1m * n0,
         steadfast_intercept=c.c1t * c.mu * n0,
         bypass_slope=c.c2t * c.gamma + c.c2m * n2,
         bypass_intercept=c.c2t * n2,
         lane2_slope=c.c2t + c.c2m * n2,
     )
+    for name, value in vars(derived).items():
+        require_finite(name, value)
+    return derived
 
 
 @dataclass(frozen=True)
@@ -191,7 +171,7 @@ def social_delay(config: OnRampConfig, derived: DelayCoefficients, x_hat_b: floa
     extension used here.
     """
     steadfast, bypass, lane2 = delay_lines(derived, x_hat_b)
-    n0, n2 = config.flows.n0, config.flows.n2
+    n0, n2 = config.n0, config.n2
     return (1.0 - x_hat_b) * steadfast + x_hat_b * bypass + n0 * steadfast + n2 * lane2
 
 
@@ -210,7 +190,7 @@ def option_costs(config: OnRampConfig, derived: DelayCoefficients, x_hat_b, leve
     that option's marginal-delay term.  Unchecked; floats or numpy arrays.
     """
     steadfast, bypass, _ = delay_lines(derived, x_hat_b)
-    n0, n2 = config.flows.n0, config.flows.n2
+    n0, n2 = config.n0, config.n2
     steadfast_cost = steadfast + level * derived.steadfast_slope * ((1.0 - x_hat_b) + n0)
     bypass_cost = bypass + level * (derived.bypass_slope * x_hat_b + derived.lane2_slope * n2)
     return steadfast, bypass, steadfast_cost, bypass_cost
@@ -295,10 +275,10 @@ def validate_flow_distribution(
         violations.append(
             ConstraintViolation("altruistic_mass_balance", altruistic_residual)
         )
-    for field in fields(flow):
-        value = getattr(flow, field.name)
+    for component in fields(flow):
+        value = getattr(flow, component.name)
         if value < -tol:
-            violations.append(ConstraintViolation(f"nonnegative_{field.name}", -value))
+            violations.append(ConstraintViolation(f"nonnegative_{component.name}", -value))
     return violations
 
 
@@ -312,14 +292,3 @@ def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) 
     if not 0.0 < error < math.inf:
         reason = "must be > 0" if error <= 0.0 else "must be finite"
         raise ValueError(f"error factor {reason}, got {error}")
-
-
-@dataclass(frozen=True)
-class PopulationParams:
-    """Altruistic share of the lane-1 flow and the assigned altruism level."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        check_population(self.alpha, self.beta)

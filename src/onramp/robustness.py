@@ -183,7 +183,12 @@ def grid_optimal_beta(
     beta_max = 2.0 / interval.e_lower
     if beta_grid_step > beta_max:
         raise ValueError("beta grid step larger than the search range")
-    levels = inclusive_grid(0.0, beta_max, beta_grid_step).tolist()[1:]
+    try:
+        levels = inclusive_grid(0.0, beta_max, beta_grid_step).tolist()[1:]
+    except ValueError as exc:
+        raise ValueError(
+            f"beta search range (0, 2/e_lower] with e_lower = {interval.e_lower}: {exc}"
+        ) from exc
     return min(
         levels,
         key=lambda beta: grid_poa(config, derived, summary, beta, interval, inner_grid_step),

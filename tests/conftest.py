@@ -32,7 +32,7 @@ DEMO_J_SOC_AT_PHI = 8.645024242734868
 
 @pytest.fixture(scope="session")
 def demo_config():
-    return onramp.OnRampConfig.from_values(**DEMO_VALUES)
+    return onramp.OnRampConfig(**DEMO_VALUES)
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +53,7 @@ def demo_config_file(tmp_path):
 
 
 def sample_config(rng: random.Random) -> onramp.OnRampConfig:
-    return onramp.OnRampConfig.from_values(
+    return onramp.OnRampConfig(
         n0=rng.uniform(0.08, 0.92),
         c1t=rng.uniform(0.3, 2.0),
         c1m=rng.uniform(0.5, 30.0),
@@ -136,7 +136,7 @@ def make_transition_limited(rng: random.Random, pi_target: float | None = None):
         c1m = (k_s - mu) / n0
         if min(c2m, gamma, mu, c1m) < 0.0:
             continue
-        config = onramp.OnRampConfig.from_values(
+        config = onramp.OnRampConfig(
             n0=n0, c1t=1.0, c1m=c1m, c2t=c2t, c2m=c2m, mu=mu, gamma=gamma
         )
         derived = onramp.derive_coefficients(config)

@@ -1,15 +1,12 @@
 """Unit tests for the structural quantities and classification."""
 
+import math
 import random
 
 import pytest
 
 import onramp
-from onramp.errors import (
-    DegenerateConfigError,
-    NotInMeaningfulSetError,
-    SingularPiError,
-)
+from onramp.errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
 
 from conftest import (
     DEMO_DELTA,
@@ -17,6 +14,7 @@ from conftest import (
     DEMO_J_SOC_AT_PHI,
     DEMO_PHI,
     DEMO_PI,
+    DEMO_VALUES,
     bisect_selfish_crossing,
     grid_scan_minimizer,
     make_transition_limited,
@@ -32,7 +30,7 @@ def test_selfish_crossing_matches_bisection(demo_derived):
 
 
 def test_selfish_crossing_symmetric_config():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.5, c1t=1.0, c1m=1.0, c2t=1.0, c2m=1.0, mu=1.0, gamma=1.0
     )
     derived = onramp.derive_coefficients(config)
@@ -42,7 +40,7 @@ def test_selfish_crossing_symmetric_config():
 
 
 def test_selfish_crossing_negative_outside_set():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0
     )
     derived = onramp.derive_coefficients(config)
@@ -54,7 +52,7 @@ def test_selfish_crossing_negative_outside_set():
 
 
 def test_degenerate_config_raises():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.4, c1t=0.0, c1m=0.0, c2t=0.0, c2m=0.0, mu=0.0, gamma=0.0
     )
     derived = onramp.derive_coefficients(config)
@@ -77,7 +75,7 @@ def test_social_optimum_matches_grid_scan(demo_config, demo_derived):
 
 
 def test_social_optimum_clamps_to_boundary():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.9, c1t=1.0, c1m=10.0, c2t=0.05, c2m=0.0, mu=1.0, gamma=0.0
     )
     derived = onramp.derive_coefficients(config)
@@ -111,8 +109,10 @@ def test_pi_value_examples(demo_summary):
     )
     assert onramp.pi_value(0.0, 0.75) == pytest.approx(2.0, abs=1e-12)
     assert onramp.pi_value(0.5, 0.7) == pytest.approx(-5.0, abs=1e-12)
-    with pytest.raises(SingularPiError):
-        onramp.pi_value(0.5, 0.75)
+    # zero denominator: the limit, +/-inf with the sign of 1 - phi, or NaN at 0/0
+    assert onramp.pi_value(0.5, 0.75) == math.inf
+    assert onramp.pi_value(1.5, 1.25) == -math.inf
+    assert math.isnan(onramp.pi_value(1.0, 1.0))
 
 
 def test_demo_summary_fields(demo_summary):
@@ -132,7 +132,7 @@ def test_classify_demo_config(demo_config, demo_derived):
 
 
 def test_classify_outside_set_reports_reason():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.05, c1t=1.0, c1m=30.0, c2t=0.4, c2m=0.1, mu=5.0, gamma=1.0
     )
     derived = onramp.derive_coefficients(config)
@@ -171,12 +171,55 @@ def test_improvement_conditions(demo_summary):
 
 
 def test_improvement_conditions_require_membership():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0
     )
-    summary = onramp.analyze(config)
+    summary = onramp.analyze(config, onramp.derive_coefficients(config))
     with pytest.raises(NotInMeaningfulSetError):
         onramp.improvement_conditions(0.8, 1.0, summary)
+
+
+def _ulps(x):
+    """x one ulp below, exactly, and one ulp above."""
+    return math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)
+
+
+def test_improvement_conditions_tie_rules(demo_summary):
+    phi, delta = demo_summary.phi, demo_summary.delta
+
+    def flags(alpha, beta):
+        return onramp.improvement_conditions(alpha, beta, demo_summary)
+
+    # alpha == phi: the share must strictly exceed phi to decrease the delay
+    assert [flags(a, 1.0).decreases for a in _ulps(phi)] == [False, False, True]
+    # beta == 0: the level must be strictly positive
+    assert [flags(0.8, b).decreases for b in _ulps(0.0)] == [False, False, True]
+    # beta == 1 and alpha == delta: the optimum needs level exactly 1 and alpha >= delta
+    assert [flags(0.8, b).optimizes for b in _ulps(1.0)] == [False, True, False]
+    assert [flags(a, 1.0).optimizes for a in _ulps(delta)] == [False, True, True]
+
+
+@pytest.mark.parametrize(
+    "kwargs, cause",
+    [
+        # finite derived constants, but 2 * steadfast_slope overflows the optimum
+        ({"mu": 1e308}, "delta = nan is not finite"),
+        # lane 2 dominates: phi is huge and negative, the delay at phi overflows
+        ({"c2t": 1e300, "gamma": 0.0, "c2m": 0.0}, "j_soc_at_phi = .* is not finite"),
+    ],
+)
+def test_overflowing_configs_name_the_cause(kwargs, cause):
+    config = onramp.OnRampConfig(**dict(DEMO_VALUES, **kwargs))
+    derived = onramp.derive_coefficients(config)
+    with pytest.raises(ConfigError, match=cause):
+        onramp.analyze(config, derived)
+
+
+def test_classify_overflow_is_a_config_error():
+    config = onramp.OnRampConfig(**dict(DEMO_VALUES, mu=1e308))
+    derived = onramp.derive_coefficients(config)
+    with pytest.raises(ConfigError, match="delta = nan is not finite"):
+        onramp.classify(config, derived, onramp.ErrorInterval(0.5, 2.0))
 
 
 def test_meaningful_set_invariants_on_random_configs():

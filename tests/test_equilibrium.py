@@ -99,7 +99,7 @@ def test_population_validation(demo):
 
 
 def test_solver_requires_membership():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0
     )
     derived = onramp.derive_coefficients(config)
@@ -261,7 +261,7 @@ def _corner_band(config, derived, corner, beta, step):
 def test_brute_force_corner_all_steadfast_outside_set():
     # bypass intercept dominates everywhere: the only equilibrium is the
     # all-steadfast corner, which the oracle finds without membership checks
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0
     )
     derived = onramp.derive_coefficients(config)
@@ -275,7 +275,7 @@ def test_brute_force_corner_all_steadfast_outside_set():
 
 def test_brute_force_corner_all_bypass_outside_set():
     # steadfast is the costlier option over the whole range: all-bypass corner
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.8, c1t=1.0, c1m=1.0, c2t=1.0, c2m=0.0, mu=2.0, gamma=0.0
     )
     derived = onramp.derive_coefficients(config)
@@ -353,7 +353,7 @@ def _tie_point(tie, summary):
 )
 def test_dynamics_tie_rules(demo, tie):
     if tie in OUTSIDE_SET:
-        config = onramp.OnRampConfig.from_values(**OUTSIDE_SET[tie])
+        config = onramp.OnRampConfig(**OUTSIDE_SET[tie])
         derived = onramp.derive_coefficients(config)
         summary = onramp.analyze(config, derived)
         assert not summary.in_meaningful_set

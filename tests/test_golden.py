@@ -59,6 +59,9 @@ FILES = {
     "negative.json": json.dumps(dict(DEMO, gamma=-1.0)),
     "string_value.json": json.dumps(dict(DEMO, mu="2.4")),
     "huge_int.json": json.dumps(DEMO).replace("21.3", "1" + "0" * 400),
+    # finite values whose derived constants, or whose social optimum, overflow
+    "overflow.json": json.dumps(dict(DEMO, c1t=1e308, c1m=1e308, mu=1e308)),
+    "mu_overflow.json": json.dumps(dict(DEMO, mu=1e308)),
 }
 BYTE_FILES = {"latin1.json": json.dumps(DEMO).replace("21.3", "21.3 ").encode() + b"\xe9"}
 
@@ -109,7 +112,8 @@ def cases():
         yield "degenerate.json", [command, *extra]
     # config files that cannot be used
     for name in ("bad.json", "absent.json", "missing_key.json", "extra_key.json",
-                 "negative.json", "string_value.json", "latin1.json", "huge_int.json"):
+                 "negative.json", "string_value.json", "latin1.json", "huge_int.json",
+                 "overflow.json", "mu_overflow.json"):
         yield name, ["analyze"]
     # flag errors, in the order the CLI reports them
     for argv in (

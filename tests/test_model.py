@@ -1,5 +1,6 @@
 """Unit tests for the configuration types and delay evaluations."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp.errors import ConfigError
+from onramp.model import check_population
 
 from conftest import DEMO_DELTA, DEMO_VALUES
 
@@ -21,7 +23,7 @@ def test_demo_derived_constants(demo_derived):
 
 
 def test_derived_zero_ramp_flow():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.0, c1t=1.3, c1m=7.0, c2t=0.8, c2m=2.0, mu=3.0, gamma=4.0
     )
     derived = onramp.derive_coefficients(config)
@@ -31,7 +33,7 @@ def test_derived_zero_ramp_flow():
 
 
 def test_derived_all_zero_costs():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.4, c1t=0.0, c1m=0.0, c2t=0.0, c2m=0.0, mu=0.0, gamma=0.0
     )
     derived = onramp.derive_coefficients(config)
@@ -46,8 +48,8 @@ def test_derive_is_deterministic(demo_config):
 
 def test_raw_and_rewritten_delay_forms_agree(demo_config, demo_derived):
     # the affine constants must reproduce the raw coefficient expressions
-    n0, n2 = demo_config.flows.n0, demo_config.flows.n2
-    c = demo_config.costs
+    c = demo_config
+    n0, n2 = c.n0, c.n2
     for x in (0.0, 0.25, 0.5401568346061195, 0.8, 1.0):
         steadfast_share = 1.0 - x
         raw_steadfast = c.c1t * c.mu * (steadfast_share + n0) + c.c1m * steadfast_share * n0
@@ -73,14 +75,41 @@ def test_invalid_configs_rejected(kwargs):
     values = dict(DEMO_VALUES)
     values.update(kwargs)
     with pytest.raises(ConfigError):
-        onramp.OnRampConfig.from_values(**values)
+        onramp.OnRampConfig(**values)
 
 
-def test_neighbor_flows_closure_enforced():
-    with pytest.raises(ConfigError):
-        onramp.NeighborFlows(0.4, 0.7)
-    flows = onramp.NeighborFlows(0.4)
-    assert flows.n2 == pytest.approx(0.6, abs=1e-15)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n0": math.nan, "c1m": -1.0}, "neighbor flows must be finite numbers"),
+        ({"n0": 1.2, "c1m": -1.0}, "nonnegative, got n0=1.2, n2=-0.1999"),
+        ({"c1m": -1.0, "gamma": math.inf}, "cost coefficient c1m must be"),
+        ({"gamma": math.inf}, "cost coefficient gamma must be finite and >= 0, got inf"),
+    ],
+)
+def test_config_reports_the_first_invalid_field(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        onramp.OnRampConfig(**dict(DEMO_VALUES, **kwargs))
+
+
+def test_config_lane2_share_closes_the_flow(demo_config):
+    assert demo_config.n2 == 1.0 - DEMO_VALUES["n0"]
+    assert onramp.OnRampConfig(**dict(DEMO_VALUES, n0=1.0)).n2 == 0.0
+    assert dataclasses.replace(demo_config, n0=0.25).n2 == 0.75
+    assert onramp.OnRampConfig(*DEMO_VALUES.values()) == demo_config
+
+
+@pytest.mark.parametrize(
+    "kwargs, constant",
+    [
+        ({"c1t": 1e308, "c1m": 1e308, "mu": 1e308}, "steadfast_slope"),
+        ({"c2t": 1e200, "gamma": 1e200}, "bypass_slope"),
+    ],
+)
+def test_derived_constant_overflow_is_named(kwargs, constant):
+    config = onramp.OnRampConfig(**dict(DEMO_VALUES, **kwargs))
+    with pytest.raises(ConfigError, match=f"^{constant} = inf is not finite"):
+        onramp.derive_coefficients(config)
 
 
 def test_delays_at_zero_bypass(demo_derived):
@@ -104,7 +133,7 @@ def test_delays_domain_checked(demo_derived):
 
 
 def test_social_delay_zero_config():
-    config = onramp.OnRampConfig.from_values(
+    config = onramp.OnRampConfig(
         n0=0.4, c1t=0.0, c1m=0.0, c2t=0.0, c2m=0.0, mu=0.0, gamma=0.0
     )
     derived = onramp.derive_coefficients(config)
@@ -160,14 +189,6 @@ def test_validate_flow_distribution_examples():
     violations = onramp.validate_flow_distribution(negative, alpha=0.8)
     assert [v.constraint for v in violations] == ["nonnegative_selfish_bypass"]
     assert violations[0].residual == pytest.approx(0.1, abs=1e-12)
-
-
-def test_population_params_validation():
-    onramp.PopulationParams(alpha=0.5, beta=2.0)
-    with pytest.raises(ValueError):
-        onramp.PopulationParams(alpha=1.5, beta=1.0)
-    with pytest.raises(ValueError):
-        onramp.PopulationParams(alpha=0.5, beta=-0.1)
 
 
 def test_config_roundtrip_from_file(demo_config_file, demo_config):
@@ -231,13 +252,13 @@ NON_FINITE = (math.nan, math.inf)
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_population_rejects_non_finite_beta_and_error(demo_config, demo_derived, value):
     with pytest.raises(ValueError, match="beta must be finite"):
-        onramp.PopulationParams(alpha=0.5, beta=value)
+        check_population(alpha=0.5, beta=value)
     with pytest.raises(ValueError, match="beta must be finite"):
         onramp.altruistic_costs(demo_config, demo_derived, 0.5, beta=value)
     with pytest.raises(ValueError, match="error factor must be finite"):
         onramp.altruistic_costs(demo_config, demo_derived, 0.5, beta=1.0, error=value)
     with pytest.raises(ValueError, match="alpha must lie in"):
-        onramp.PopulationParams(alpha=value, beta=1.0)
+        check_population(alpha=value, beta=1.0)
 
 
 config_values = st.fixed_dictionaries(
@@ -256,7 +277,7 @@ config_values = st.fixed_dictionaries(
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(values=config_values, x=st.floats(0.05, 0.95), h=st.floats(1e-6, 0.05))
 def test_social_delay_convexity(values, x, h):
-    config = onramp.OnRampConfig.from_values(**values)
+    config = onramp.OnRampConfig(**values)
     derived = onramp.derive_coefficients(config)
     j = lambda point: onramp.social_delay(config, derived, point)
     assert j(x - h) + j(x + h) - 2.0 * j(x) >= -1e-12
@@ -265,7 +286,7 @@ def test_social_delay_convexity(values, x, h):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(values=config_values, x=st.floats(0.0, 1.0))
 def test_on_ramp_delay_mirrors_steadfast(values, x):
-    config = onramp.OnRampConfig.from_values(**values)
+    config = onramp.OnRampConfig(**values)
     derived = onramp.derive_coefficients(config)
     profile = onramp.delays(derived, x)
     assert profile.on_ramp == profile.steadfast
@@ -279,7 +300,7 @@ def test_on_ramp_delay_mirrors_steadfast(values, x):
     error=st.floats(0.1, 5.0),
 )
 def test_altruistic_cost_product_sufficiency(values, x, beta, error):
-    config = onramp.OnRampConfig.from_values(**values)
+    config = onramp.OnRampConfig(**values)
     derived = onramp.derive_coefficients(config)
     direct = onramp.altruistic_costs(config, derived, x, beta, error)
     folded = onramp.altruistic_costs(config, derived, x, beta * error, 1.0)

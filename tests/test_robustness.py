@@ -181,7 +181,8 @@ def test_grid_oracle_rejects_unusable_level_grids(demo):
     interval = onramp.ErrorInterval(0.5, 2.0)
     with pytest.raises(ValueError, match="larger than the search range"):
         onramp.grid_optimal_beta(config, derived, summary, interval, beta_grid_step=4.5)
-    with pytest.raises(ValueError, match="more than 1000000 points"):
+    # the limit names the search range (0, 2/e_lower] that the interval produced
+    with pytest.raises(ValueError, match=r"\(0, 2/e_lower\] with e_lower = 1e-06: .* more than"):
         onramp.grid_optimal_beta(config, derived, summary, onramp.ErrorInterval(1e-6, 1.0))
 
 
