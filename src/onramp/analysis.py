@@ -13,7 +13,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateConfigError, NotInMeaningfulSetError
-from .model import DelayCoefficients, OnRampConfig, require_finite, social_delay
+from .model import DelayCoefficients, OnRampConfig, check_population, require_finite, social_delay
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,7 @@ def improvement_conditions(
     delta.
     """
     require_meaningful(summary)
+    check_population(alpha, beta)
     decreases = beta > 0.0 and alpha > summary.phi
     optimizes = beta == 1.0 and alpha >= summary.delta
     return ImprovementFlags(decreases=decreases, optimizes=optimizes)

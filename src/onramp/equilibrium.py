@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .analysis import AnalysisSummary, altruistic_intersection, require_meaningful
 from .model import (
     DelayCoefficients,
@@ -167,8 +165,8 @@ def verify_wardrop(
 MAX_GRID_POINTS = 10**6
 
 
-def inclusive_grid(lower: float, upper: float, step: float) -> np.ndarray:
-    """Multiples of ``step`` from ``lower``, with ``upper`` always included, as an array."""
+def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
+    """Multiples of ``step`` from ``lower``, with ``upper`` always included, as a list."""
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
     if upper < lower:
@@ -181,11 +179,12 @@ def inclusive_grid(lower: float, upper: float, step: float) -> np.ndarray:
         raise ValueError(
             f"grid [{lower}, {upper}] with step {step} has more than {MAX_GRID_POINTS} points"
         )
-    grid = lower + np.arange(count + 1, dtype=float) * step
+    step, upper = float(step), float(upper)  # a grid of floats, also for integer arguments
+    grid = [lower + i * step for i in range(count + 1)]
     if grid[-1] > upper:
         grid[-1] = upper
     elif upper - grid[-1] > 1e-12:
-        grid = np.append(grid, upper)
+        grid.append(upper)
     return grid
 
 
@@ -206,6 +205,7 @@ def brute_force_equilibrium(
     indifference widens the verified band to a few steps around the true
     share; the band tightens as the level grows.
     """
+    import numpy as np
     if not 0.0 < grid_step <= 0.1:
         raise ValueError(f"grid step must lie in (0, 0.1], got {grid_step}")
     check_population(alpha, beta, error)
@@ -213,10 +213,10 @@ def brute_force_equilibrium(
 
     xb = inclusive_grid(0.0, 1.0 - alpha, grid_step)
     xtb = inclusive_grid(0.0, alpha, grid_step)
-    if xb.size * xtb.size > MAX_GRID_POINTS:
+    if len(xb) * len(xtb) > MAX_GRID_POINTS:
         raise ValueError(f"grid step {grid_step} gives more than {MAX_GRID_POINTS} decompositions")
-    selfish_bypass = xb[:, None]
-    altruistic_bypass = xtb[None, :]
+    selfish_bypass = np.array(xb)[:, None]
+    altruistic_bypass = np.array(xtb)[None, :]
     selfish_steadfast = (1.0 - alpha) - selfish_bypass
     altruistic_steadfast = alpha - altruistic_bypass
     travel_gap, perceived_gap = cost_gaps(
@@ -231,7 +231,7 @@ def brute_force_equilibrium(
     )
     rows, cols = np.nonzero(ok)
     return [
-        FlowDistribution((1.0 - alpha) - xb[i], float(xb[i]), alpha - xtb[j], float(xtb[j]))
+        FlowDistribution((1.0 - alpha) - xb[i], xb[i], alpha - xtb[j], xtb[j])
         for i, j in zip(rows.tolist(), cols.tolist())
     ]
 

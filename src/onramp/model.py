@@ -283,7 +283,7 @@ def validate_flow_distribution(
 
 
 def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) -> None:
-    """Require alpha in [0, 1], finite beta >= 0 and finite error > 0; defaults pass, NaN fails."""
+    """Require alpha in [0, 1] and finite beta >= 0, error > 0 and beta*error; defaults pass."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not 0.0 <= beta < math.inf:
@@ -292,3 +292,5 @@ def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) 
     if not 0.0 < error < math.inf:
         reason = "must be > 0" if error <= 0.0 else "must be finite"
         raise ValueError(f"error factor {reason}, got {error}")
+    if not beta * error < math.inf:
+        raise ValueError(f"effective level beta*error = {beta} * {error} is not finite")

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import (
     AnalysisSummary,
     ErrorInterval,
@@ -153,18 +151,28 @@ def grid_poa(
     product grid, every error on the grid at once; valid for the
     abundant-ratio range where alpha > phi.
     """
+    poa = _grid_poa_of_level(config, derived, summary, interval, inner_grid_step)
+    check_population(beta=beta, error=interval.e_upper)
+    return poa(beta)
+
+
+def _grid_poa_of_level(config, derived, summary, interval, inner_grid_step):
+    """grid_poa as a function of an unchecked level, with its two grids built once."""
+    import numpy as np
     if inner_grid_step <= 0.0:
         raise ValueError(f"inner grid step must be > 0, got {inner_grid_step}")
     require_meaningful(summary)
     require_positive_optimum(summary)
-    check_population(beta=beta)
-    errors = inclusive_grid(interval.e_lower, interval.e_upper, inner_grid_step)
+    errors = np.array(inclusive_grid(interval.e_lower, interval.e_upper, inner_grid_step))
     delta_clamped = min(max(summary.delta, 0.0), 1.0)
-    alphas = inclusive_grid(delta_clamped, 1.0, inner_grid_step)
-    crossings = altruistic_intersection(summary.phi, summary.delta, beta * errors)
-    shares = np.minimum(alphas[None, :], crossings[:, None])
-    values = social_delay(config, derived, shares)
-    return float(values.max()) / summary.j_opt
+    alphas = np.array(inclusive_grid(delta_clamped, 1.0, inner_grid_step))[None, :]
+
+    def poa(beta: float) -> float:
+        crossings = altruistic_intersection(summary.phi, summary.delta, beta * errors)
+        shares = np.minimum(alphas, crossings[:, None])
+        return float(social_delay(config, derived, shares).max()) / summary.j_opt
+
+    return poa
 
 
 def grid_optimal_beta(
@@ -184,12 +192,11 @@ def grid_optimal_beta(
     if beta_grid_step > beta_max:
         raise ValueError("beta grid step larger than the search range")
     try:
-        levels = inclusive_grid(0.0, beta_max, beta_grid_step).tolist()[1:]
+        levels = inclusive_grid(0.0, beta_max, beta_grid_step)[1:]
     except ValueError as exc:
         raise ValueError(
             f"beta search range (0, 2/e_lower] with e_lower = {interval.e_lower}: {exc}"
         ) from exc
-    return min(
-        levels,
-        key=lambda beta: grid_poa(config, derived, summary, beta, interval, inner_grid_step),
-    )
+    poa = _grid_poa_of_level(config, derived, summary, interval, inner_grid_step)
+    check_population(beta=levels[-1], error=interval.e_upper)
+    return min(levels, key=poa)

@@ -67,7 +67,7 @@ def sweep_alpha(
     return _sweep(
         AlphaSweepRow,
         betas,
-        inclusive_grid(0.0, 1.0, alpha_step).tolist(),
+        inclusive_grid(0.0, 1.0, alpha_step),
         lambda beta, alpha: solve_equilibrium(config, derived, summary, alpha, beta),
     )
 
@@ -90,7 +90,7 @@ def sweep_beta_e(
     return _sweep(
         LevelSweepRow,
         alphas,
-        inclusive_grid(0.0, beta_e_max, step).tolist(),
+        inclusive_grid(0.0, beta_e_max, step),
         lambda alpha, level: solve_equilibrium(config, derived, summary, alpha, beta=level),
     )
 

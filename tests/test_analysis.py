@@ -192,11 +192,23 @@ def test_improvement_conditions_tie_rules(demo_summary):
 
     # alpha == phi: the share must strictly exceed phi to decrease the delay
     assert [flags(a, 1.0).decreases for a in _ulps(phi)] == [False, False, True]
-    # beta == 0: the level must be strictly positive
-    assert [flags(0.8, b).decreases for b in _ulps(0.0)] == [False, False, True]
+    # beta == 0: the level must be strictly positive; one ulp below is no level at all
+    below_zero, zero, above_zero = _ulps(0.0)
+    assert [flags(0.8, b).decreases for b in (zero, above_zero)] == [False, True]
     # beta == 1 and alpha == delta: the optimum needs level exactly 1 and alpha >= delta
     assert [flags(0.8, b).optimizes for b in _ulps(1.0)] == [False, True, False]
     assert [flags(a, 1.0).optimizes for a in _ulps(delta)] == [False, True, True]
+    # populations every other entry point rejects
+    for alpha, beta, cause in [
+        (0.8, below_zero, "beta must be >= 0"),
+        (0.8, math.nan, "beta must be finite"),
+        (0.8, math.inf, "beta must be finite"),
+        (math.nan, 1.0, "alpha must lie in"),
+        (2.0, 1.0, "alpha must lie in"),
+        (math.nextafter(0.0, -1.0), 1.0, "alpha must lie in"),
+    ]:
+        with pytest.raises(ValueError, match=cause):
+            flags(alpha, beta)
 
 
 @pytest.mark.parametrize(

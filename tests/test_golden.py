@@ -161,6 +161,9 @@ def cases():
         ["verify", "--beta", "nan"],
         ["verify", "--error", "inf"],
         ["verify", "--step", "nan"],
+        # finite flags whose effective level beta*error overflows
+        ["equilibrium", "--alpha", "0.8", "--beta", "1e308", "--error", "10"],
+        ["verify", "--alpha", "0.8", "--beta", "1e308", "--error", "10"],
     ):
         yield "demo.json", argv
     # grids too large to build

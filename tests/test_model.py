@@ -261,6 +261,26 @@ def test_population_rejects_non_finite_beta_and_error(demo_config, demo_derived,
         check_population(alpha=value, beta=1.0)
 
 
+def test_population_rejects_an_overflowing_level(demo_config, demo_derived, demo_summary):
+    check_population(alpha=0.8, beta=1e308, error=1.0)
+    check_population(alpha=0.8, beta=1e307, error=10.0)
+    overflow = r"effective level beta\*error = 1e\+308 \* 10.0 is not finite"
+    with pytest.raises(ValueError, match=overflow):
+        check_population(alpha=0.8, beta=1e308, error=10.0)
+    flow = onramp.FlowDistribution(0.2, 0.0, 0.2, 0.6)
+    for evaluate in (
+        lambda: onramp.altruistic_costs(demo_config, demo_derived, 0.5, 1e308, 10.0),
+        lambda: onramp.solve_equilibrium(
+            demo_config, demo_derived, demo_summary, 0.8, 1e308, 10.0
+        ),
+        lambda: onramp.verify_wardrop(demo_config, demo_derived, flow, 1e308, 10.0),
+        lambda: onramp.brute_force_equilibrium(demo_config, demo_derived, 0.8, 1e308, 10.0),
+        lambda: onramp.best_response_dynamics(demo_config, demo_derived, 0.8, 1e308, 10.0),
+    ):
+        with pytest.raises(ValueError, match=overflow):
+            evaluate()
+
+
 config_values = st.fixed_dictionaries(
     {
         "n0": st.floats(0.0, 1.0),

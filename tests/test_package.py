@@ -1,7 +1,11 @@
-"""The package surface: the public names in ``__all__`` and the demo scripts."""
+"""The package surface: the public names in ``__all__``, the demo scripts and the imports."""
 
+import json
+import os
 import runpy
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,39 @@ def test_demo_runs_on_a_copy(script, tmp_path, capsys):
     if script == "run_sweeps.py":
         for name in ("ratio_sweep.csv", "level_sweep.csv"):
             assert (tmp_path / "output" / name).read_text(encoding="utf-8").count("\n") > 1
+
+
+# run in a fresh interpreter: whether numpy is loaded after the import and after each command
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import onramp, onramp.cli
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded.append([onramp.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_is_loaded_only_by_the_grid_oracles(tmp_path):
+    config = ["--config", str(DEMOS / "onramp.json")]
+    interval = ["--e-lower", "0.5", "--e-upper", "2"]
+    commands = [
+        ["analyze", *config],
+        ["equilibrium", *config, "--alpha", "0.8", "--beta", "1"],
+        ["poa", *config, "--beta", "1", *interval],
+        ["optimal-beta", *config, *interval],
+        ["sweep-alpha", *config, "--out", str(tmp_path / "alpha.csv")],
+        ["sweep-beta-e", *config, "--out", str(tmp_path / "level.csv")],
+        ["verify", *config],
+    ]
+    src = str(Path(onramp.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    probe = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    after_import, *after_commands = json.loads(probe.stdout)
+    assert after_import is False
+    assert after_commands == [[0, False]] * 6 + [[0, True]]

@@ -313,6 +313,22 @@ def test_non_finite_beta_rejected_with_its_cause(demo, beta):
             evaluate(*demo, beta, interval)
 
 
+def test_overflowing_level_rejected_at_the_upper_error(demo):
+    interval = onramp.ErrorInterval(0.5, 2.0)
+    for evaluate in (
+        onramp.worst_case_social_delay,
+        onramp.price_of_anarchy,
+        onramp.grid_poa,
+    ):
+        with pytest.raises(ValueError, match=r"beta\*error = 1e\+308 \* 2.0 is not finite"):
+            evaluate(*demo, 1e308, interval)
+    # the largest searched level, 2/e_lower, times e_upper overflows
+    with pytest.raises(ValueError, match=r"beta\*error = 200.0 \* 1e\+307 is not finite"):
+        onramp.grid_optimal_beta(
+            *demo, onramp.ErrorInterval(0.01, 1e307), beta_grid_step=1.0, inner_grid_step=1e306
+        )
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_branch_follows_classify_at_the_regime_boundary(seed):
     config, derived, summary = make_transition_limited(random.Random(seed))

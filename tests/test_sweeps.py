@@ -1,8 +1,11 @@
 """Unit tests for the sweep generators and CSV emission."""
 
 import io
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp.sweeps import (
@@ -35,8 +38,37 @@ def test_inclusive_grid_hits_endpoints():
 
 
 def test_inclusive_grid_values_match_scalar_arithmetic():
-    assert inclusive_grid(0.0, 1.0, 0.03).tolist() == [i * 0.03 for i in range(34)] + [1.0]
-    assert inclusive_grid(0.5, 0.5, 0.01).tolist() == [0.5]
+    ragged = inclusive_grid(0.0, 1.0, 0.03)
+    assert ragged == [i * 0.03 for i in range(34)] + [1.0]
+    assert inclusive_grid(0.5, 0.5, 0.01) == [0.5]
+    assert all(type(value) is float for value in ragged)
+
+
+def _numpy_reference_grid(lower, upper, step):
+    """The grid as numpy builds it: an arange times step, then clamp or append upper."""
+    count = int(math.floor((upper - lower) / step + 1e-9))
+    grid = lower + np.arange(count + 1) * step
+    if grid[-1] > upper:
+        grid[-1] = upper
+    elif upper - grid[-1] > 1e-12:
+        grid = np.append(grid, upper)
+    return grid.tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    lower=st.floats(-100.0, 100.0),
+    step=st.floats(1e-3, 1.0),
+    multiple=st.integers(0, 2000),
+    # ragged spans, and spans within rounding of a whole number of steps
+    offset=st.floats(0.0, 1.0) | st.sampled_from([1e-15, 1e-12, 1e-9, 1.0 - 1e-12]),
+)
+def test_inclusive_grid_matches_numpy_reference(lower, step, multiple, offset):
+    upper = lower + (multiple + offset) * step
+    grid = inclusive_grid(lower, upper, step)
+    assert grid == _numpy_reference_grid(lower, upper, step)
+    assert all(type(value) is float for value in grid)
+    assert grid[0] == lower and upper - 1e-12 <= grid[-1] <= upper
 
 
 @pytest.mark.parametrize(
