@@ -51,6 +51,25 @@ class EquilibriumResult:
     social_delay: float
 
 
+def _equilibrium_split(
+    phi: float, delta: float, alpha: float, level: float
+) -> tuple[EquilibriumCase, float, float, float]:
+    """(case, x_hat_b, altruistic bypass, selfish bypass) of a checked population.
+
+    The case analysis of solve_equilibrium, without its input checks; the
+    sweeps call it once per grid point after checking each outer value.
+    """
+    if level == 0.0 or alpha == 0.0:
+        altruistic_bypass = min(alpha, phi)
+        return EquilibriumCase.BASELINE, phi, altruistic_bypass, phi - altruistic_bypass
+    if alpha <= phi:
+        return EquilibriumCase.CASE_B, phi, alpha, phi - alpha
+    crossing = altruistic_intersection(phi, delta, level)
+    if alpha < crossing:
+        return EquilibriumCase.CASE_C, alpha, alpha, 0.0
+    return EquilibriumCase.CASE_D, crossing, crossing, 0.0
+
+
 def solve_equilibrium(
     config: OnRampConfig,
     derived: DelayCoefficients,
@@ -70,28 +89,9 @@ def solve_equilibrium(
     """
     require_meaningful(summary)
     check_population(alpha, beta, error)
-    level = beta * error
-    phi = summary.phi
-    if level == 0.0 or alpha == 0.0:
-        case = EquilibriumCase.BASELINE
-        altruistic_bypass = min(alpha, phi)
-        selfish_bypass = phi - altruistic_bypass
-        x_hat_b = phi
-    elif alpha <= phi:
-        case = EquilibriumCase.CASE_B
-        altruistic_bypass = alpha
-        selfish_bypass = phi - alpha
-        x_hat_b = phi
-    else:
-        crossing = altruistic_intersection(phi, summary.delta, level)
-        if alpha < crossing:
-            case = EquilibriumCase.CASE_C
-            x_hat_b = alpha
-        else:
-            case = EquilibriumCase.CASE_D
-            x_hat_b = crossing
-        altruistic_bypass = x_hat_b
-        selfish_bypass = 0.0
+    case, x_hat_b, altruistic_bypass, selfish_bypass = _equilibrium_split(
+        summary.phi, summary.delta, alpha, beta * error
+    )
     flow = FlowDistribution(
         selfish_steadfast=(1.0 - alpha) - selfish_bypass,
         selfish_bypass=selfish_bypass,
@@ -133,7 +133,9 @@ class WardropReport:
 
     @property
     def max_product(self) -> float:
-        return max(self.products)
+        """The largest product, or NaN when any product is NaN, so that ``passed`` is false."""
+        products = self.products
+        return math.nan if any(map(math.isnan, products)) else max(products)
 
     @property
     def passed(self) -> bool:

@@ -1,4 +1,8 @@
-"""Parameter sweeps over the altruistic ratio and the effective level, with CSV emission."""
+"""Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
+
+Each row comes from the case analysis that solve_equilibrium uses, with the
+inputs checked once per outer value instead of once per grid point.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import IO, Iterable, Sequence
 
-from .analysis import AnalysisSummary
-from .equilibrium import EquilibriumCase, inclusive_grid, solve_equilibrium
+from .analysis import AnalysisSummary, require_meaningful
+from .equilibrium import EquilibriumCase, _equilibrium_split, inclusive_grid
 from .model import DelayCoefficients, DelayProfile, OnRampConfig
+from .model import check_population, delays, social_delay
 
 ALPHA_SWEEP_COLUMNS = ("beta", "alpha", "x_hat_b", "case", "j_soc")
 LEVEL_SWEEP_COLUMNS = ("alpha", "beta_e", "x_hat_b", "case", "j_soc")
@@ -40,17 +45,23 @@ class LevelSweepRow:
     delays: DelayProfile
 
 
-def _sweep(row_type: type, outer: Sequence[float], grid: list[float], solve) -> list:
-    """A ``row_type`` row per outer value and grid point, in that order, from ``solve``."""
+def _sweep(row_type: type, config, derived, summary, outer, grid, outer_name: str) -> list:
+    """A ``row_type`` row per outer value and grid point, in that order.
+
+    ``outer_name`` names the population input of the outer values, "alpha" or
+    "beta"; the grid gives the other.  Each outer value is checked as
+    solve_equilibrium checks it; the grid points are in range by construction.
+    """
+    phi, delta = summary.phi, summary.delta
     rows = []
     for value in outer:
+        require_meaningful(summary)
+        check_population(**{outer_name: value})
         for point in grid:
-            result = solve(value, point)
-            rows.append(
-                row_type(
-                    value, point, result.x_hat_b, result.case, result.social_delay, result.delays
-                )
-            )
+            alpha, level = (value, point) if outer_name == "alpha" else (point, value)
+            case, x_hat_b, _, _ = _equilibrium_split(phi, delta, alpha, level)
+            j_soc = social_delay(config, derived, x_hat_b)
+            rows.append(row_type(value, point, x_hat_b, case, j_soc, delays(derived, x_hat_b)))
     return rows
 
 
@@ -64,12 +75,8 @@ def sweep_alpha(
     """One row per (beta, alpha) with alpha on a [0, 1] grid, error factor 1."""
     if not 0.0 < alpha_step <= 0.1:
         raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
-    return _sweep(
-        AlphaSweepRow,
-        betas,
-        inclusive_grid(0.0, 1.0, alpha_step),
-        lambda beta, alpha: solve_equilibrium(config, derived, summary, alpha, beta),
-    )
+    grid = inclusive_grid(0.0, 1.0, alpha_step)
+    return _sweep(AlphaSweepRow, config, derived, summary, betas, grid, "beta")
 
 
 def sweep_beta_e(
@@ -87,12 +94,8 @@ def sweep_beta_e(
     """
     if beta_e_max <= 0.0:
         raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
-    return _sweep(
-        LevelSweepRow,
-        alphas,
-        inclusive_grid(0.0, beta_e_max, step),
-        lambda alpha, level: solve_equilibrium(config, derived, summary, alpha, beta=level),
-    )
+    grid = inclusive_grid(0.0, beta_e_max, step)
+    return _sweep(LevelSweepRow, config, derived, summary, alphas, grid, "alpha")
 
 
 def _write_csv(rows: Iterable, stream: IO[str], columns: Sequence[str]) -> None:
@@ -100,11 +103,10 @@ def _write_csv(rows: Iterable, stream: IO[str], columns: Sequence[str]) -> None:
 
     Numbers are written in NUMBER_FORMAT, the ``case`` column as its label.
     """
-    stream.write(",".join(columns) + "\n")
     cells = attrgetter(*(name + ".value" if name == "case" else name for name in columns))
-    formats = ["" if name == "case" else NUMBER_FORMAT for name in columns]
-    for row in rows:
-        stream.write(",".join(map(format, cells(row), formats)) + "\n")
+    line = ",".join("%s" if name == "case" else "%" + NUMBER_FORMAT for name in columns) + "\n"
+    stream.write(",".join(columns) + "\n")
+    stream.write("".join([line % cells(row) for row in rows]))
 
 
 def write_alpha_sweep(rows: Iterable[AlphaSweepRow], stream: IO[str]) -> None:
