@@ -253,6 +253,29 @@ def test_nan_beta_exits_one_naming_beta(capsys, demo_config_file, argv):
     assert err == "onramp: error: beta must be finite, got nan\n"
 
 
+def test_equilibrium_with_a_nan_certificate_fails_wardrop(capsys, demo_config_file):
+    code, out, _ = run_cli(
+        capsys, "equilibrium", "--config", str(demo_config_file), "--alpha", "0.8",
+        "--beta", "1e308",
+    )
+    assert code == 0
+    values = parse_kv(out)
+    assert values["wardrop_altruistic_bypass"] == "nan"
+    assert values["wardrop_pass"] == "false"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_with_a_nan_certificate_is_not_converged(capsys, demo_config_file):
+    code, out, _ = run_cli(
+        capsys, "verify", "--config", str(demo_config_file), "--alpha", "0.8", "--beta", "1e308"
+    )
+    assert code == 3
+    values = parse_kv(out)
+    assert values["dynamics_converged"] == "false"
+    assert values["wardrop_max_product"] == "nan"
+    assert values["verify_pass"] == "false"
+
+
 def test_poa_evaluates_the_worst_case_once_at_the_given_beta(
     capsys, demo_config_file, monkeypatch
 ):

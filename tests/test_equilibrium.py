@@ -412,3 +412,28 @@ def test_non_finite_level_rejected_with_its_cause(
     flow = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
     with pytest.raises(ValueError, match=message):
         onramp.verify_wardrop(demo_config, demo_derived, flow, beta, error)
+
+
+def test_wardrop_report_fails_closed_on_nan_products(demo_config, demo_derived):
+    # at level 1e308 both perceived costs overflow and their gap is inf - inf
+    flow = onramp.FlowDistribution(0.2, 0.0, 0.0, 0.8)
+    report = onramp.verify_wardrop(demo_config, demo_derived, flow, 1e308)
+    assert report.products[0] < 0.0 and report.products[1] == 0.0
+    assert all(math.isnan(product) for product in report.products[2:])
+    assert math.isnan(report.max_product)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_wardrop_max_product_is_nan_wherever_the_nan_is(position):
+    products = [-1.0, 0.0, -2.0, 0.0]
+    products[position] = math.nan
+    report = equilibrium.WardropReport(*products, tol=1e-9)
+    assert math.isnan(report.max_product)
+    assert not report.passed
+
+
+def test_dynamics_not_converged_on_a_nan_certificate(demo_config, demo_derived):
+    trace = onramp.best_response_dynamics(demo_config, demo_derived, 0.8, 1e308)
+    assert math.isnan(trace.max_product)
+    assert trace.converged is False

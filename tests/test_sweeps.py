@@ -2,15 +2,21 @@
 
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import onramp
+from onramp.equilibrium import EquilibriumCase
+from onramp.errors import DegenerateConfigError, NotInMeaningfulSetError
 from onramp.sweeps import (
     ALPHA_SWEEP_COLUMNS,
     LEVEL_SWEEP_COLUMNS,
+    NUMBER_FORMAT,
+    AlphaSweepRow,
+    LevelSweepRow,
     format_number,
     inclusive_grid,
     sweep_alpha,
@@ -19,7 +25,7 @@ from onramp.sweeps import (
     write_beta_e_sweep,
 )
 
-from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI
+from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI, sample_config
 
 
 @pytest.fixture()
@@ -183,3 +189,163 @@ def test_sweep_validates_step(demo):
         sweep_alpha(*demo, betas=[1.0], alpha_step=0.5)
     with pytest.raises(ValueError):
         sweep_beta_e(*demo, alphas=[0.8], beta_e_max=-1.0, step=0.01)
+
+
+@st.composite
+def meaningful_configs(draw):
+    """A meaningful configuration from ``sample_config``, seeded by the draw."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        config = sample_config(rng)
+        derived = onramp.derive_coefficients(config)
+        summary = onramp.analyze(config, derived)
+        if summary.in_meaningful_set:
+            return config, derived, summary
+
+
+def _assert_row_solves(demo, row, alpha, beta):
+    result = onramp.solve_equilibrium(*demo, alpha, beta)
+    assert (row.x_hat_b, row.case, row.j_soc, row.delays) == (
+        result.x_hat_b, result.case, result.social_delay, result.delays
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    demo=meaningful_configs(),
+    betas=st.lists(st.floats(0.0, 10.0) | st.integers(0, 4), max_size=3),
+    alphas=st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), max_size=3),
+    alpha_step=st.sampled_from([0.01, 0.03, 0.1]),
+    beta_e_max=st.floats(0.1, 5.0),
+    steps=st.integers(1, 60),
+    tie_at=st.integers(0, 60),
+)
+def test_sweep_rows_equal_the_solver(demo, betas, alphas, alpha_step, beta_e_max, steps, tie_at):
+    """Every row is solve_equilibrium at its point, exactly, ties included.
+
+    Level 0 and alpha 0 are on every grid; the outer values add beta == pi
+    (when positive), alpha == phi and alpha == the crossing at a grid level.
+    """
+    summary = demo[2]
+    step = beta_e_max / steps
+    level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
+    crossing = onramp.altruistic_intersection(summary.phi, summary.delta, level)
+    betas = [0.0, *betas] + ([summary.pi] if summary.pi > 0.0 else [])
+    alphas = [0.0, summary.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
+    for row in sweep_alpha(*demo, betas, alpha_step):
+        _assert_row_solves(demo, row, row.alpha, row.beta)
+    for row in sweep_beta_e(*demo, alphas, beta_e_max, step):
+        _assert_row_solves(demo, row, row.alpha, row.beta_e)
+
+
+def test_level_sweep_resolves_the_ties(demo):
+    phi, delta = demo[2].phi, demo[2].delta
+    level = inclusive_grid(0.0, 2.0, 0.25)[3]
+    crossing = onramp.altruistic_intersection(phi, delta, level)
+    rows = sweep_beta_e(*demo, alphas=[phi, crossing], beta_e_max=2.0, step=0.25)
+    at_phi, at_crossing = rows[:9], rows[9:]
+    assert at_phi[0].case is EquilibriumCase.BASELINE
+    assert {row.case for row in at_phi[1:]} == {EquilibriumCase.CASE_B}
+    assert at_crossing[3].beta_e == level
+    assert at_crossing[3].case is EquilibriumCase.CASE_D
+    assert at_crossing[3].x_hat_b == crossing
+
+
+# outside the meaningful set: Phi <= 0
+EXCLUDED_VALUES = dict(n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0)
+
+
+def _pipeline(values):
+    config = onramp.OnRampConfig(**values)
+    derived = onramp.derive_coefficients(config)
+    return config, derived, onramp.analyze(config, derived)
+
+
+def test_sweeps_check_membership_before_the_outer_values():
+    excluded = _pipeline(EXCLUDED_VALUES)
+    with pytest.raises(NotInMeaningfulSetError):
+        sweep_alpha(*excluded, betas=[math.nan], alpha_step=0.1)
+    with pytest.raises(NotInMeaningfulSetError):
+        sweep_beta_e(*excluded, alphas=[1.5], beta_e_max=1.0, step=0.1)
+    degenerate = dict(n0=0.4, c1t=0.0, c1m=0.0, c2t=0.0, c2m=0.0, mu=0.0, gamma=0.0)
+    with pytest.raises(DegenerateConfigError):
+        sweep_alpha(*_pipeline(degenerate), betas=[math.nan], alpha_step=0.1)
+
+
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        (math.nan, "beta must be finite, got nan"),
+        (math.inf, "beta must be finite, got inf"),
+        (-0.5, "beta must be >= 0, got -0.5"),
+    ],
+)
+def test_alpha_sweep_names_a_bad_beta(demo, beta, message):
+    with pytest.raises(ValueError) as info:
+        sweep_alpha(*demo, betas=[0.5, beta], alpha_step=0.1)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, math.inf])
+def test_level_sweep_names_a_bad_alpha(demo, alpha):
+    with pytest.raises(ValueError) as info:
+        sweep_beta_e(*demo, alphas=[0.8, alpha], beta_e_max=1.0, step=0.1)
+    assert str(info.value) == f"alpha must lie in [0, 1], got {alpha}"
+
+
+def test_empty_outer_list_gives_no_rows(demo):
+    excluded = _pipeline(EXCLUDED_VALUES)
+    for case in (demo, excluded):
+        assert sweep_alpha(*case, betas=[], alpha_step=0.1) == []
+        assert sweep_beta_e(*case, alphas=[], beta_e_max=1.0, step=0.1) == []
+
+
+def _reference_csv(rows, columns):
+    """The CSV as format() writes it, one cell at a time."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = [getattr(row, name) for name in columns]
+        lines.append(",".join(
+            cell.value if name == "case" else format(cell, NUMBER_FORMAT)
+            for name, cell in zip(columns, cells)
+        ))
+    return "\n".join(lines) + "\n"
+
+
+CSV_NUMBERS = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-5, math.nan,
+                       math.inf, -math.inf, 0.1 + 0.2])
+    | st.integers(-(10**20), 10**20)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    cells=st.lists(st.tuples(CSV_NUMBERS, CSV_NUMBERS, CSV_NUMBERS,
+                             st.sampled_from(list(EquilibriumCase)), CSV_NUMBERS),
+                   max_size=4),
+)
+def test_csv_lines_match_per_cell_format(cells):
+    for row_type, columns, write in (
+        (AlphaSweepRow, ALPHA_SWEEP_COLUMNS, write_alpha_sweep),
+        (LevelSweepRow, LEVEL_SWEEP_COLUMNS, write_beta_e_sweep),
+    ):
+        rows = [row_type(*values, delays=None) for values in cells]
+        buffer = io.StringIO()
+        write(rows, buffer)
+        assert buffer.getvalue() == _reference_csv(rows, columns)
+
+
+def test_csv_of_integer_inputs_matches_per_cell_format(demo):
+    for sweep, outer, write, columns in (
+        (lambda values: sweep_alpha(*demo, values, 0.05), [0, 1, 3], write_alpha_sweep,
+         ALPHA_SWEEP_COLUMNS),
+        (lambda values: sweep_beta_e(*demo, values, 2, 0.25), [0, 1], write_beta_e_sweep,
+         LEVEL_SWEEP_COLUMNS),
+    ):
+        rows, float_rows = sweep(outer), sweep([float(value) for value in outer])
+        text, float_text = io.StringIO(), io.StringIO()
+        write(rows, text)
+        write(float_rows, float_text)
+        assert text.getvalue() == _reference_csv(rows, columns) == float_text.getvalue()
