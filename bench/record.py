@@ -9,13 +9,14 @@ Both commits are exported with ``git archive`` into fresh directories under
 
     python3 perfbench/run.py --workload all --seed i --seconds S
 
-once in each checkout, the parent first in even pairs and the change first
-in odd ones, with i = 0 .. pairs-1.  ``--held-out SEED`` adds one more pair
-on that seed, kept apart from the others.  Last, each checkout gets one
-``--trace 1`` run for the per-layer metrics.  The file written holds the
-provenance that run.py prints, and for every end-to-end metric and workload
-both sides' values, medians and quartiles and the number of pairs the change
-won, by the direction BENCHMARK.json gives.
+once in each checkout, with S the ``run_seconds`` of BENCHMARK.json and
+i = 0 .. pairs-1; the parent runs first in even pairs, the change in odd
+ones.  ``--held-out SEED`` adds one more pair on that seed, kept apart from
+the others.  Last, each checkout gets one ``--trace 1`` run for the
+per-layer metrics.  The file written holds the provenance that run.py
+prints, and for every end-to-end metric and workload both sides' values,
+medians and quartiles and the number of pairs the change won, by the
+direction BENCHMARK.json gives.
 """
 
 from __future__ import annotations
@@ -104,11 +105,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit measured as the baseline")
     parser.add_argument("--change", required=True, help="commit measured against it")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--held-out", type=int, default=None, metavar="SEED")
-    parser.add_argument("--workdir", type=Path, default=ROOT / ".bench_build" / "record")
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs, seeds 0 .. N-1")
+    parser.add_argument("--held-out", type=int, default=None, metavar="SEED",
+                        help="seed of one more pair, reported apart")
+    parser.add_argument("--workdir", type=Path, default=ROOT / ".bench_build" / "record",
+                        help="where the two checkouts are exported")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -116,13 +118,14 @@ def main(argv=None) -> int:
     commits = {side: resolve(getattr(args, side)) for side in SIDES}
     trees = {side: export(commits[side], args.workdir) for side in SIDES}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
 
     def pair(seed: int, parent_first: bool) -> dict:
         order = SIDES if parent_first else SIDES[::-1]
         results = {}
         for side in order:
             started = time.monotonic()
-            results[side] = run_bench(trees[side], seed, args.seconds, trace=0)
+            results[side] = run_bench(trees[side], seed, seconds, trace=0)
             print(f"seed {seed} {side}: {time.monotonic() - started:.0f} s", file=sys.stderr)
         return results
 
@@ -133,8 +136,7 @@ def main(argv=None) -> int:
             runs[side].append(results[side])
     document = {
         "commits": commits,
-        "command": "python3 perfbench/run.py --workload all --seed i --seconds "
-                   f"{args.seconds:g}",
+        "command": f"python3 perfbench/run.py --workload all --seed i --seconds {seconds:g}",
         "pairs": args.pairs,
         "order": "parent first in even pairs, change first in odd pairs",
         "provenance": {
@@ -157,7 +159,7 @@ def main(argv=None) -> int:
         document["held_out"] = {"seed": args.held_out, "end_to_end": held}
     document["traced"] = {}
     for side in SIDES:
-        for name, result in run_bench(trees[side], 0, args.seconds, trace=1).items():
+        for name, result in run_bench(trees[side], 0, seconds, trace=1).items():
             layer = {key: value["value"] for key, value in result["metrics"].items()}
             entry = document["traced"].setdefault(name, {})
             entry[side] = {"correct": result["correct"], "metrics": layer}

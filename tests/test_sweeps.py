@@ -203,8 +203,8 @@ def meaningful_configs(draw):
             return config, derived, summary
 
 
-def _assert_row_solves(demo, row, alpha, beta):
-    result = onramp.solve_equilibrium(*demo, alpha, beta)
+def _assert_row_solves(pipeline, row, alpha, beta):
+    result = onramp.solve_equilibrium(*pipeline, alpha, beta)
     assert (row.x_hat_b, row.case, row.j_soc, row.delays) == (
         result.x_hat_b, result.case, result.social_delay, result.delays
     )
@@ -212,7 +212,7 @@ def _assert_row_solves(demo, row, alpha, beta):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    demo=meaningful_configs(),
+    pipeline=meaningful_configs(),
     betas=st.lists(st.floats(0.0, 10.0) | st.integers(0, 4), max_size=3),
     alphas=st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), max_size=3),
     alpha_step=st.sampled_from([0.01, 0.03, 0.1]),
@@ -220,22 +220,24 @@ def _assert_row_solves(demo, row, alpha, beta):
     steps=st.integers(1, 60),
     tie_at=st.integers(0, 60),
 )
-def test_sweep_rows_equal_the_solver(demo, betas, alphas, alpha_step, beta_e_max, steps, tie_at):
+def test_sweep_rows_equal_the_solver(
+    pipeline, betas, alphas, alpha_step, beta_e_max, steps, tie_at
+):
     """Every row is solve_equilibrium at its point, exactly, ties included.
 
     Level 0 and alpha 0 are on every grid; the outer values add beta == pi
     (when positive), alpha == phi and alpha == the crossing at a grid level.
     """
-    summary = demo[2]
+    summary = pipeline[2]
     step = beta_e_max / steps
     level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
     crossing = onramp.altruistic_intersection(summary.phi, summary.delta, level)
     betas = [0.0, *betas] + ([summary.pi] if summary.pi > 0.0 else [])
     alphas = [0.0, summary.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
-    for row in sweep_alpha(*demo, betas, alpha_step):
-        _assert_row_solves(demo, row, row.alpha, row.beta)
-    for row in sweep_beta_e(*demo, alphas, beta_e_max, step):
-        _assert_row_solves(demo, row, row.alpha, row.beta_e)
+    for row in sweep_alpha(*pipeline, betas, alpha_step):
+        _assert_row_solves(pipeline, row, row.alpha, row.beta)
+    for row in sweep_beta_e(*pipeline, alphas, beta_e_max, step):
+        _assert_row_solves(pipeline, row, row.alpha, row.beta_e)
 
 
 def test_level_sweep_resolves_the_ties(demo):
