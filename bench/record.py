@@ -2,21 +2,20 @@
 
 Usage, from the root of the repository:
 
-    python3 bench/record.py --parent REF --change REF --pairs 10 --out BENCH_<pr>.json
+    python3 bench/record.py --parent REF --change REF --out BENCH_<pr>.json
 
 Both commits are exported with ``git archive`` into fresh directories under
-``--workdir``.  Each pair runs
+``--workdir``.  Each of the PAIRS pairs runs
 
     python3 perfbench/run.py --workload all --seed i --seconds S
 
 once in each checkout, with S the ``run_seconds`` of BENCHMARK.json and
-i = 0 .. pairs-1; the parent runs first in even pairs, the change in odd
-ones.  ``--held-out SEED`` adds one more pair on that seed, kept apart from
-the others.  Last, each checkout gets one ``--trace 1`` run for the
-per-layer metrics.  The file written holds the provenance that run.py
-prints, and for every end-to-end metric and workload both sides' values,
-medians and quartiles and the number of pairs the change won, by the
-direction BENCHMARK.json gives.
+i = 0 .. PAIRS-1; the parent runs first in even pairs, the change in odd
+ones.  One more pair on HELD_OUT_SEED is reported apart, and last, each
+checkout gets one ``--trace 1`` run for the per-layer metrics.  The file
+written holds the provenance that run.py prints, and for every end-to-end
+metric and workload both sides' values, medians and quartiles and the
+number of pairs the change won, by the direction BENCHMARK.json gives.
 """
 
 from __future__ import annotations
@@ -33,6 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# ten pairs is the least that can back a claim of a gain
+PAIRS = 10
+HELD_OUT_SEED = 1000
 
 
 def resolve(ref: str) -> str:
@@ -105,15 +107,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit measured as the baseline")
     parser.add_argument("--change", required=True, help="commit measured against it")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs, seeds 0 .. N-1")
-    parser.add_argument("--held-out", type=int, default=None, metavar="SEED",
-                        help="seed of one more pair, reported apart")
     parser.add_argument("--workdir", type=Path, default=ROOT / ".bench_build" / "record",
                         help="where the two checkouts are exported")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     commits = {side: resolve(getattr(args, side)) for side in SIDES}
     trees = {side: export(commits[side], args.workdir) for side in SIDES}
@@ -130,14 +127,14 @@ def main(argv=None) -> int:
         return results
 
     runs = {side: [] for side in SIDES}
-    for seed in range(args.pairs):
+    for seed in range(PAIRS):
         results = pair(seed, parent_first=seed % 2 == 0)
         for side in SIDES:
             runs[side].append(results[side])
     document = {
         "commits": commits,
         "command": f"python3 perfbench/run.py --workload all --seed i --seconds {seconds:g}",
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "parent first in even pairs, change first in odd pairs",
         "provenance": {
             side: {name: result["provenance"] for name, result in runs[side][0].items()}
@@ -153,10 +150,9 @@ def main(argv=None) -> int:
         },
         "end_to_end": compare(runs, spec),
     }
-    if args.held_out is not None:
-        results = pair(args.held_out, parent_first=True)
-        held = compare({side: [results[side]] for side in SIDES}, spec)
-        document["held_out"] = {"seed": args.held_out, "end_to_end": held}
+    results = pair(HELD_OUT_SEED, parent_first=True)
+    held = compare({side: [results[side]] for side in SIDES}, spec)
+    document["held_out"] = {"seed": HELD_OUT_SEED, "end_to_end": held}
     document["traced"] = {}
     for side in SIDES:
         for name, result in run_bench(trees[side], 0, seconds, trace=1).items():

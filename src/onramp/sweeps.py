@@ -45,20 +45,20 @@ class LevelSweepRow:
     delays: DelayProfile
 
 
-def _sweep(row_type: type, config, derived, summary, outer, grid, outer_name: str) -> list:
+def _sweep(row_type: type, config, derived, summary, outer, grid, population) -> list:
     """A ``row_type`` row per outer value and grid point, in that order.
 
-    ``outer_name`` names the population input of the outer values, "alpha" or
-    "beta"; the grid gives the other.  Each outer value is checked as
-    solve_equilibrium checks it; the grid points are in range by construction.
+    ``population(value, point)`` gives the (alpha, level) of a grid point.
+    Each outer value is checked as solve_equilibrium checks it, paired with
+    the grid's first point 0.0; the grid points are in range by construction.
     """
     phi, delta = summary.phi, summary.delta
     rows = []
     for value in outer:
         require_meaningful(summary)
-        check_population(**{outer_name: value})
+        check_population(*population(value, 0.0))
         for point in grid:
-            alpha, level = (value, point) if outer_name == "alpha" else (point, value)
+            alpha, level = population(value, point)
             case, x_hat_b, _, _ = _equilibrium_split(phi, delta, alpha, level)
             j_soc = social_delay(config, derived, x_hat_b)
             rows.append(row_type(value, point, x_hat_b, case, j_soc, delays(derived, x_hat_b)))
@@ -76,7 +76,9 @@ def sweep_alpha(
     if not 0.0 < alpha_step <= 0.1:
         raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
     grid = inclusive_grid(0.0, 1.0, alpha_step)
-    return _sweep(AlphaSweepRow, config, derived, summary, betas, grid, "beta")
+    return _sweep(
+        AlphaSweepRow, config, derived, summary, betas, grid, lambda beta, alpha: (alpha, beta)
+    )
 
 
 def sweep_beta_e(
@@ -95,7 +97,9 @@ def sweep_beta_e(
     if beta_e_max <= 0.0:
         raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
     grid = inclusive_grid(0.0, beta_e_max, step)
-    return _sweep(LevelSweepRow, config, derived, summary, alphas, grid, "alpha")
+    return _sweep(
+        LevelSweepRow, config, derived, summary, alphas, grid, lambda alpha, level: (alpha, level)
+    )
 
 
 def _write_csv(rows: Iterable, stream: IO[str], columns: Sequence[str]) -> None:
