@@ -16,12 +16,18 @@ checkout gets one ``--trace 1`` run for the per-layer metrics.  The file
 written holds the provenance that run.py prints, and for every end-to-end
 metric and workload both sides' values, medians and quartiles and the
 number of pairs the change won, by the direction BENCHMARK.json gives.
+When a BENCH_<n>.json with n below the number in ``--out`` sits beside it,
+the newest such file is the previous one: per workload and end-to-end
+metric, the new file also holds that file's change-side median and this
+run's change median minus it.  The two were run at different times, so
+that difference carries the machine's drift as well as the code's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -103,6 +109,33 @@ def compare(runs: dict, spec: dict) -> dict:
     return table
 
 
+def previous_file(out: Path) -> Path | None:
+    """The BENCH_<n>.json beside ``out`` with the largest n below out's own."""
+    def number(path: Path) -> int | None:
+        match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+        return int(match.group(1)) if match else None
+
+    limit = number(out)
+    numbered = {number(path): path for path in out.parent.glob("BENCH_*.json")}
+    older = [n for n in numbered if n is not None and limit is not None and n < limit]
+    return numbered[max(older)] if older else None
+
+
+def since_previous(previous: dict, table: dict) -> dict:
+    """Per workload and metric in both: the previous change-side median and the move from it."""
+    moves = {}
+    for workload, metrics in table.items():
+        for name, row in metrics.items():
+            before = previous["end_to_end"].get(workload, {}).get(name)
+            if before is not None:
+                median = before["change"]["median"]
+                moves.setdefault(workload, {})[name] = {
+                    "previous_median": median,
+                    "change_since": row["change"]["median"] - median,
+                }
+    return moves
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit measured as the baseline")
@@ -113,6 +146,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     commits = {side: resolve(getattr(args, side)) for side in SIDES}
+    previous = previous_file(args.out.resolve())
+    if previous is not None:  # read before the runs, so a bad file costs no run
+        earlier = json.loads(previous.read_text(encoding="utf-8"))
     trees = {side: export(commits[side], args.workdir) for side in SIDES}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
@@ -159,6 +195,12 @@ def main(argv=None) -> int:
             layer = {key: value["value"] for key, value in result["metrics"].items()}
             entry = document["traced"].setdefault(name, {})
             entry[side] = {"correct": result["correct"], "metrics": layer}
+    if previous is not None:
+        document["since_previous"] = {
+            "file": previous.name,
+            "commit": earlier["commits"]["change"],
+            "end_to_end": since_previous(earlier, document["end_to_end"]),
+        }
     args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

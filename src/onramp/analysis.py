@@ -13,7 +13,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateConfigError, NotInMeaningfulSetError
-from .model import DelayCoefficients, OnRampConfig, check_population, require_finite, social_delay
+from .model import FLOAT_MAX, DelayCoefficients, OnRampConfig, check_float, check_population
+from .model import require_finite, social_delay
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,9 @@ class ErrorInterval:
     e_upper: float
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.e_lower)
-            and math.isfinite(self.e_upper)
-            and 0.0 < self.e_lower <= self.e_upper
-        ):
+        if not 0.0 < self.e_lower <= self.e_upper <= FLOAT_MAX:
+            check_float("e_lower", self.e_lower)
+            check_float("e_upper", self.e_upper)
             raise ValueError(
                 f"need 0 < e_lower <= e_upper, got ({self.e_lower}, {self.e_upper})"
             )

@@ -29,11 +29,12 @@ from .robustness import (
     worst_case_social_delay,
 )
 from .sweeps import (
+    ALPHA_SWEEP_COLUMNS,
+    LEVEL_SWEEP_COLUMNS,
+    _alpha_cells,
+    _level_cells,
+    _write_cells,
     format_number as fmt,
-    sweep_alpha,
-    sweep_beta_e,
-    write_alpha_sweep,
-    write_beta_e_sweep,
 )
 
 EXIT_OK = 0
@@ -171,9 +172,9 @@ def _cmd_sweep_alpha(args, config, derived, summary) -> int:
     betas = args.beta if args.beta else list(DEFAULT_SWEEP_BETAS)
     for beta in betas:  # reported before a bad step
         check_population(beta=beta)
-    rows = sweep_alpha(config, derived, summary, betas, args.step)
+    cells = _alpha_cells(config, derived, summary, betas, args.step)
     with _open_out(args.out) as stream:
-        write_alpha_sweep(rows, stream)
+        _write_cells(cells, stream, ALPHA_SWEEP_COLUMNS)
     return EXIT_OK
 
 
@@ -181,9 +182,9 @@ def _cmd_sweep_beta_e(args, config, derived, summary) -> int:
     alphas = args.alpha if args.alpha else list(DEFAULT_SWEEP_ALPHAS)
     for alpha in alphas:  # reported before a bad level grid
         check_population(alpha=alpha)
-    rows = sweep_beta_e(config, derived, summary, alphas, args.beta_e_max, args.step)
+    cells = _level_cells(config, derived, summary, alphas, args.beta_e_max, args.step)
     with _open_out(args.out) as stream:
-        write_beta_e_sweep(rows, stream)
+        _write_cells(cells, stream, LEVEL_SWEEP_COLUMNS)
     return EXIT_OK
 
 

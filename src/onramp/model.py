@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from .errors import ConfigError
 
 # required keys of a JSON config document, in field order; no others are accepted
 CONFIG_KEYS = ("n0", "c1t", "c1m", "c2t", "c2m", "mu", "gamma")
+# the largest finite float; an int above it compares below inf but has no float
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -282,15 +285,24 @@ def validate_flow_distribution(
     return violations
 
 
+def check_float(name: str, value) -> None:
+    """Raise ValueError naming ``name`` when ``value`` is an int too large for a float."""
+    if isinstance(value, int) and abs(value) > FLOAT_MAX:
+        raise ValueError(f"{name} is too large for a float")
+
+
 def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) -> None:
-    """Require alpha in [0, 1] and finite beta >= 0, error > 0 and beta*error; defaults pass."""
+    """Require alpha in [0, 1], beta >= 0, error > 0 and beta*error <= FLOAT_MAX; defaults pass."""
     if not 0.0 <= alpha <= 1.0:
+        check_float("alpha", alpha)
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not 0.0 <= beta < math.inf:
+    if not 0.0 <= beta <= FLOAT_MAX:
+        check_float("beta", beta)
         reason = "must be >= 0" if beta < 0.0 else "must be finite"
         raise ValueError(f"beta {reason}, got {beta}")
-    if not 0.0 < error < math.inf:
+    if not 0.0 < error <= FLOAT_MAX:
+        check_float("error factor", error)
         reason = "must be > 0" if error <= 0.0 else "must be finite"
         raise ValueError(f"error factor {reason}, got {error}")
-    if not beta * error < math.inf:
+    if not beta * error <= FLOAT_MAX:
         raise ValueError(f"effective level beta*error = {beta} * {error} is not finite")

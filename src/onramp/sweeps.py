@@ -1,7 +1,8 @@
 """Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
 
 Each row comes from the case analysis that solve_equilibrium uses, with the
-inputs checked once per outer value instead of once per grid point.
+inputs checked once per outer value instead of once per grid point.  The CLI
+writes those cells as CSV directly; only library rows carry a DelayProfile.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import IO, Iterable, Sequence
 from .analysis import AnalysisSummary, require_meaningful
 from .equilibrium import EquilibriumCase, _equilibrium_split, inclusive_grid
 from .model import DelayCoefficients, DelayProfile, OnRampConfig
-from .model import check_population, delays, social_delay
+from .model import check_float, check_population, check_share, delays, social_delay
 
 ALPHA_SWEEP_COLUMNS = ("beta", "alpha", "x_hat_b", "case", "j_soc")
 LEVEL_SWEEP_COLUMNS = ("alpha", "beta_e", "x_hat_b", "case", "j_soc")
@@ -45,24 +46,42 @@ class LevelSweepRow:
     delays: DelayProfile
 
 
-def _sweep(row_type: type, config, derived, summary, outer, grid, population) -> list:
-    """A ``row_type`` row per outer value and grid point, in that order.
+def _sweep_cells(config, derived, summary, outer, grid, population) -> list[tuple]:
+    """A (value, point, x_hat_b, case, j_soc) cell per outer value and grid point, in order.
 
     ``population(value, point)`` gives the (alpha, level) of a grid point.
     Each outer value is checked as solve_equilibrium checks it, paired with
     the grid's first point 0.0; the grid points are in range by construction.
     """
     phi, delta = summary.phi, summary.delta
-    rows = []
+    cells = []
     for value in outer:
         require_meaningful(summary)
         check_population(*population(value, 0.0))
         for point in grid:
             alpha, level = population(value, point)
             case, x_hat_b, _, _ = _equilibrium_split(phi, delta, alpha, level)
-            j_soc = social_delay(config, derived, x_hat_b)
-            rows.append(row_type(value, point, x_hat_b, case, j_soc, delays(derived, x_hat_b)))
-    return rows
+            check_share(x_hat_b)
+            cells.append((value, point, x_hat_b, case, social_delay(config, derived, x_hat_b)))
+    return cells
+
+
+def _alpha_cells(config, derived, summary, betas, alpha_step) -> list[tuple]:
+    """The cells of sweep_alpha; the CLI writes them without building rows."""
+    if not 0.0 < alpha_step <= 0.1:
+        raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
+    grid = inclusive_grid(0.0, 1.0, alpha_step)
+    return _sweep_cells(config, derived, summary, betas, grid, lambda beta, alpha: (alpha, beta))
+
+
+def _level_cells(config, derived, summary, alphas, beta_e_max, step) -> list[tuple]:
+    """The cells of sweep_beta_e; the CLI writes them without building rows."""
+    check_float("beta_e_max", beta_e_max)
+    check_float("step", step)
+    if beta_e_max <= 0.0:
+        raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
+    grid = inclusive_grid(0.0, beta_e_max, step)
+    return _sweep_cells(config, derived, summary, alphas, grid, lambda alpha, level: (alpha, level))
 
 
 def sweep_alpha(
@@ -73,12 +92,8 @@ def sweep_alpha(
     alpha_step: float,
 ) -> list[AlphaSweepRow]:
     """One row per (beta, alpha) with alpha on a [0, 1] grid, error factor 1."""
-    if not 0.0 < alpha_step <= 0.1:
-        raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
-    grid = inclusive_grid(0.0, 1.0, alpha_step)
-    return _sweep(
-        AlphaSweepRow, config, derived, summary, betas, grid, lambda beta, alpha: (alpha, beta)
-    )
+    cells = _alpha_cells(config, derived, summary, betas, alpha_step)
+    return [AlphaSweepRow(*cell, delays(derived, cell[2])) for cell in cells]
 
 
 def sweep_beta_e(
@@ -94,28 +109,23 @@ def sweep_beta_e(
     The level is applied as the altruism level itself (error factor 1), which
     is equivalent to any (beta, error) pair with the same product.
     """
-    if beta_e_max <= 0.0:
-        raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
-    grid = inclusive_grid(0.0, beta_e_max, step)
-    return _sweep(
-        LevelSweepRow, config, derived, summary, alphas, grid, lambda alpha, level: (alpha, level)
-    )
+    cells = _level_cells(config, derived, summary, alphas, beta_e_max, step)
+    return [LevelSweepRow(*cell, delays(derived, cell[2])) for cell in cells]
 
 
-def _write_csv(rows: Iterable, stream: IO[str], columns: Sequence[str]) -> None:
-    """Header line, then one line per row with each column read as a row attribute.
+def _write_cells(cells: Iterable[tuple], stream: IO[str], columns: Sequence[str]) -> None:
+    """Header line, then one line per (value, point, x_hat_b, case, j_soc) cell.
 
-    Numbers are written in NUMBER_FORMAT, the ``case`` column as its label.
+    Numbers are written in NUMBER_FORMAT, the case as its label.
     """
-    cells = attrgetter(*(name + ".value" if name == "case" else name for name in columns))
-    line = ",".join("%s" if name == "case" else "%" + NUMBER_FORMAT for name in columns) + "\n"
+    line = "%{0},%{0},%{0},%s,%{0}\n".format(NUMBER_FORMAT)
     stream.write(",".join(columns) + "\n")
-    stream.write("".join([line % cells(row) for row in rows]))
+    stream.write("".join([line % (v, p, x, case.value, j) for v, p, x, case, j in cells]))
 
 
 def write_alpha_sweep(rows: Iterable[AlphaSweepRow], stream: IO[str]) -> None:
-    _write_csv(rows, stream, ALPHA_SWEEP_COLUMNS)
+    _write_cells(map(attrgetter(*ALPHA_SWEEP_COLUMNS), rows), stream, ALPHA_SWEEP_COLUMNS)
 
 
 def write_beta_e_sweep(rows: Iterable[LevelSweepRow], stream: IO[str]) -> None:
-    _write_csv(rows, stream, LEVEL_SWEEP_COLUMNS)
+    _write_cells(map(attrgetter(*LEVEL_SWEEP_COLUMNS), rows), stream, LEVEL_SWEEP_COLUMNS)

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import onramp
 
@@ -62,6 +63,18 @@ def sample_config(rng: random.Random) -> onramp.OnRampConfig:
         mu=rng.uniform(1.0, 5.0),
         gamma=rng.uniform(1.0, 12.0),
     )
+
+
+@st.composite
+def meaningful_configs(draw):
+    """A meaningful configuration from ``sample_config``, seeded by the draw."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        config = sample_config(rng)
+        derived = onramp.derive_coefficients(config)
+        summary = onramp.analyze(config, derived)
+        if summary.in_meaningful_set:
+            return config, derived, summary
 
 
 RATIO_GRID = [i * 0.05 for i in range(21)]

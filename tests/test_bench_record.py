@@ -41,3 +41,30 @@ def test_compare_quartiles_of_ten_runs():
         (2.75, 5.5, 8.25)
     )
     assert row["pairs_won"] == 0
+
+
+def _document(medians):
+    """A BENCH document with only the change-side medians of its end-to-end table."""
+    return {"end_to_end": {
+        workload: {name: {"change": {"median": value}} for name, value in metrics.items()}
+        for workload, metrics in medians.items()
+    }}
+
+
+def test_since_previous_reads_the_previous_change_medians():
+    previous = _document({"w": {"ops_per_s": 1000.0, "setup_s": 0.1}, "gone": {"ops_per_s": 5.0}})
+    current = _document({"w": {"ops_per_s": 1250.0, "setup_s": 0.125}, "new": {"ops_per_s": 7.0}})
+    moves = record.since_previous(previous, current["end_to_end"])
+    assert moves == {"w": {
+        "ops_per_s": {"previous_median": 1000.0, "change_since": 250.0},
+        "setup_s": {"previous_median": 0.1, "change_since": pytest.approx(0.025)},
+    }}
+
+
+def test_previous_file_is_the_newest_below_the_out_number(tmp_path):
+    for name in ("BENCH_3.json", "BENCH_6.json", "BENCH_9.json", "BENCH_x.json"):
+        (tmp_path / name).write_text("{}")
+    assert record.previous_file(tmp_path / "BENCH_7.json") == tmp_path / "BENCH_6.json"
+    assert record.previous_file(tmp_path / "BENCH_6.json") == tmp_path / "BENCH_3.json"
+    assert record.previous_file(tmp_path / "BENCH_3.json") is None
+    assert record.previous_file(tmp_path / "out.json") is None

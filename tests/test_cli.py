@@ -1,14 +1,22 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import onramp
 from onramp.cli import main
+from onramp.equilibrium import inclusive_grid
+from onramp.model import CONFIG_KEYS
 
-from conftest import DEMO_VALUES
+from conftest import DEMO_VALUES, meaningful_configs
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +185,88 @@ def test_sweep_beta_e_schema_and_rows(capsys, demo_config_file, tmp_path):
     lines = out_path.read_text().split("\n")
     assert lines[0] == "alpha,beta_e,x_hat_b,case,j_soc"
     assert len([line for line in lines[1:] if line]) == 2 * 401
+
+
+def _cli_bytes(argv, out_path):
+    """Exit code, stdout and the --out file's bytes (None if absent) of one CLI call."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv + (["--out", str(out_path)] if out_path else []))
+    written = out_path.read_bytes() if out_path and out_path.exists() else None
+    return code, stdout.getvalue(), written
+
+
+def _library_csv(write, rows):
+    buffer = io.StringIO()
+    write(rows, buffer)
+    return buffer.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    pipeline=meaningful_configs(),
+    betas=st.lists(st.floats(0.0, 10.0), max_size=2),
+    alphas=st.lists(st.floats(0.0, 1.0), max_size=2),
+    alpha_step=st.sampled_from([0.01, 0.03, 0.1]) | st.floats(0.005, 0.1),
+    beta_e_max=st.floats(0.1, 5.0),
+    steps=st.integers(1, 60),
+    tie_at=st.integers(0, 60),
+)
+def test_cli_sweeps_write_the_library_csv(
+    pipeline, betas, alphas, alpha_step, beta_e_max, steps, tie_at
+):
+    """The CLI's sweep bytes, on stdout and in --out, are write_*_sweep(sweep_*(...)).
+
+    Level 0 is on every level grid and outer beta 0 is always swept; the
+    outer alphas add alpha == phi and alpha == the crossing at a grid level.
+    """
+    config, derived, summary = pipeline
+    step = beta_e_max / steps
+    level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
+    crossing = onramp.altruistic_intersection(summary.phi, summary.delta, level)
+    betas = [0.0, *betas] + ([summary.pi] if summary.pi > 0.0 else [])
+    alphas = [summary.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
+    expected = {
+        "sweep-alpha": _library_csv(onramp.write_alpha_sweep, onramp.sweep_alpha(
+            config, derived, summary, betas, alpha_step)),
+        "sweep-beta-e": _library_csv(onramp.write_beta_e_sweep, onramp.sweep_beta_e(
+            config, derived, summary, alphas, beta_e_max, step)),
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "config.json"
+        values = {name: getattr(config, name) for name in CONFIG_KEYS}
+        path.write_text(json.dumps(values), encoding="utf-8")
+        argvs = {
+            "sweep-alpha": ["sweep-alpha", "--config", str(path), "--step", repr(alpha_step)]
+            + [arg for beta in betas for arg in ("--beta", repr(beta))],
+            "sweep-beta-e": ["sweep-beta-e", "--config", str(path), "--step", repr(step),
+                             "--beta-e-max", repr(beta_e_max)]
+            + [arg for alpha in alphas for arg in ("--alpha", repr(alpha))],
+        }
+        for kind, argv in argvs.items():
+            assert _cli_bytes(argv, None) == (0, expected[kind], None)
+            out_path = Path(scratch) / f"{kind}.csv"
+            assert _cli_bytes(argv, out_path) == (0, "", expected[kind].encode())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-alpha", "--step", "0.5"], "alpha step must lie in (0, 0.1], got 0.5"),
+        (["sweep-beta-e", "--step", "0"], "step must be > 0, got 0.0"),
+        (["sweep-alpha", "--beta", "0.5", "--beta", "nan"], "beta must be finite, got nan"),
+        (["sweep-beta-e", "--alpha", "nan"], "alpha must lie in [0, 1], got nan"),
+        (["sweep-beta-e", "--alpha", "0.8", "--alpha", "1.5"],
+         "alpha must lie in [0, 1], got 1.5"),
+    ],
+)
+@pytest.mark.parametrize("to_file", [False, True])
+def test_bad_sweep_input_writes_nothing(capsys, demo_config_file, tmp_path, argv, message, to_file):
+    out_path = tmp_path / "sweep.csv" if to_file else None
+    argv = [argv[0], "--config", str(demo_config_file), *argv[1:]]
+    code, stdout, written = _cli_bytes(argv, out_path)
+    assert (code, stdout, written) == (1, "", None)
+    assert capsys.readouterr().err == f"onramp: error: {message}\n"
 
 
 def test_poa_command(capsys, demo_config_file):

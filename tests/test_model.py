@@ -281,6 +281,30 @@ def test_population_rejects_an_overflowing_level(demo_config, demo_derived, demo
             evaluate()
 
 
+HUGE = 10**400
+
+
+def test_api_rejects_integers_too_large_for_a_float(demo_config, demo_derived, demo_summary):
+    demo = (demo_config, demo_derived, demo_summary)
+    for evaluate, name in (
+        (lambda: check_population(beta=HUGE), "beta"),
+        (lambda: check_population(beta=-HUGE), "beta"),
+        (lambda: check_population(alpha=10**5000), "alpha"),
+        # an int product compares below inf, so this one used to pass
+        (lambda: check_population(alpha=0.5, beta=1, error=HUGE), "error factor"),
+        (lambda: onramp.ErrorInterval(HUGE, 10 * HUGE), "e_lower"),
+        (lambda: onramp.ErrorInterval(1, HUGE), "e_upper"),
+        (lambda: onramp.solve_equilibrium(*demo, 0.8, HUGE), "beta"),
+        (lambda: onramp.sweep_beta_e(*demo, [0.8], HUGE, 0.01), "beta_e_max"),
+        (lambda: onramp.sweep_beta_e(*demo, [0.8], 4.0, HUGE), "step"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+            evaluate()
+    with pytest.raises(ValueError, match=r"effective level beta\*error = .* is not finite"):
+        check_population(beta=10**200, error=10**200)
+    check_population(alpha=1, beta=10**308, error=1)
+
+
 config_values = st.fixed_dictionaries(
     {
         "n0": st.floats(0.0, 1.0),

@@ -2,7 +2,6 @@
 
 import io
 import math
-import random
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from onramp.sweeps import (
     write_beta_e_sweep,
 )
 
-from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI, sample_config
+from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI, meaningful_configs
 
 
 @pytest.fixture()
@@ -189,18 +188,6 @@ def test_sweep_validates_step(demo):
         sweep_alpha(*demo, betas=[1.0], alpha_step=0.5)
     with pytest.raises(ValueError):
         sweep_beta_e(*demo, alphas=[0.8], beta_e_max=-1.0, step=0.01)
-
-
-@st.composite
-def meaningful_configs(draw):
-    """A meaningful configuration from ``sample_config``, seeded by the draw."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    while True:
-        config = sample_config(rng)
-        derived = onramp.derive_coefficients(config)
-        summary = onramp.analyze(config, derived)
-        if summary.in_meaningful_set:
-            return config, derived, summary
 
 
 def _assert_row_solves(pipeline, row, alpha, beta):
