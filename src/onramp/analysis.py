@@ -126,10 +126,6 @@ class Classification:
     regime: Regime
     reason: str | None = None
 
-    @property
-    def in_meaningful_set(self) -> bool:
-        return self.regime is not Regime.NOT_IN_MEANINGFUL_SET
-
 
 def _membership_reason(phi: float, delta: float) -> str | None:
     if not phi > 0.0:

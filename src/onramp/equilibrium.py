@@ -142,6 +142,17 @@ class WardropReport:
         return self.max_product <= self.tol
 
 
+def _switching_products(config, derived, flow, level):
+    """WardropReport's four products, unchecked; the flow's fields may be numpy arrays."""
+    travel_gap, perceived_gap = cost_gaps(config, derived, flow.total_bypass, level)
+    return (
+        flow.selfish_steadfast * travel_gap,
+        flow.selfish_bypass * -travel_gap,
+        flow.altruistic_steadfast * perceived_gap,
+        flow.altruistic_bypass * -perceived_gap,
+    )
+
+
 def verify_wardrop(
     config: OnRampConfig,
     derived: DelayCoefficients,
@@ -153,14 +164,7 @@ def verify_wardrop(
     """Evaluate the equilibrium definition at a feasible flow."""
     check_share(flow.total_bypass)
     check_population(beta=beta, error=error)
-    travel_gap, perceived_gap = cost_gaps(config, derived, flow.total_bypass, beta * error)
-    return WardropReport(
-        selfish_steadfast=flow.selfish_steadfast * travel_gap,
-        selfish_bypass=flow.selfish_bypass * -travel_gap,
-        altruistic_steadfast=flow.altruistic_steadfast * perceived_gap,
-        altruistic_bypass=flow.altruistic_bypass * -perceived_gap,
-        tol=tol,
-    )
+    return WardropReport(*_switching_products(config, derived, flow, beta * error), tol=tol)
 
 
 # largest grid, or brute-force product grid, that is built; larger ones are refused
@@ -219,18 +223,11 @@ def brute_force_equilibrium(
         raise ValueError(f"grid step {grid_step} gives more than {MAX_GRID_POINTS} decompositions")
     selfish_bypass = np.array(xb)[:, None]
     altruistic_bypass = np.array(xtb)[None, :]
-    selfish_steadfast = (1.0 - alpha) - selfish_bypass
-    altruistic_steadfast = alpha - altruistic_bypass
-    travel_gap, perceived_gap = cost_gaps(
-        config, derived, selfish_bypass + altruistic_bypass, beta * error
+    grid = FlowDistribution(
+        (1.0 - alpha) - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
     )
-
-    ok = (
-        (selfish_steadfast * travel_gap <= tol)
-        & (selfish_bypass * -travel_gap <= tol)
-        & (altruistic_steadfast * perceived_gap <= tol)
-        & (altruistic_bypass * -perceived_gap <= tol)
-    )
+    products = _switching_products(config, derived, grid, beta * error)
+    ok = np.logical_and.reduce([product <= tol for product in products])
     rows, cols = np.nonzero(ok)
     return [
         FlowDistribution((1.0 - alpha) - xb[i], xb[i], alpha - xtb[j], xtb[j])

@@ -241,16 +241,8 @@ class FlowDistribution:
     altruistic_bypass: float
 
     @property
-    def total_steadfast(self) -> float:
-        return self.selfish_steadfast + self.altruistic_steadfast
-
-    @property
     def total_bypass(self) -> float:
         return self.selfish_bypass + self.altruistic_bypass
-
-    @property
-    def altruistic_ratio(self) -> float:
-        return self.altruistic_steadfast + self.altruistic_bypass
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
 
 Each row comes from the case analysis that solve_equilibrium uses, with the
-inputs checked once per outer value instead of once per grid point.  The CLI
-writes those cells as CSV directly; only library rows carry a DelayProfile.
+inputs checked once per outer value instead of once per grid point.  A row
+holds exactly the CSV columns; the CLI writes the cells without building rows.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import IO, Iterable, Sequence
 
 from .analysis import AnalysisSummary, require_meaningful
 from .equilibrium import EquilibriumCase, _equilibrium_split, inclusive_grid
-from .model import DelayCoefficients, DelayProfile, OnRampConfig
-from .model import check_float, check_population, check_share, delays, social_delay
+from .model import DelayCoefficients, OnRampConfig
+from .model import check_float, check_population, check_share, social_delay
 
 ALPHA_SWEEP_COLUMNS = ("beta", "alpha", "x_hat_b", "case", "j_soc")
 LEVEL_SWEEP_COLUMNS = ("alpha", "beta_e", "x_hat_b", "case", "j_soc")
@@ -33,7 +33,6 @@ class AlphaSweepRow:
     x_hat_b: float
     case: EquilibriumCase
     j_soc: float
-    delays: DelayProfile
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class LevelSweepRow:
     x_hat_b: float
     case: EquilibriumCase
     j_soc: float
-    delays: DelayProfile
 
 
 def _sweep_cells(config, derived, summary, outer, grid, population) -> list[tuple]:
@@ -93,7 +91,7 @@ def sweep_alpha(
 ) -> list[AlphaSweepRow]:
     """One row per (beta, alpha) with alpha on a [0, 1] grid, error factor 1."""
     cells = _alpha_cells(config, derived, summary, betas, alpha_step)
-    return [AlphaSweepRow(*cell, delays(derived, cell[2])) for cell in cells]
+    return [AlphaSweepRow(*cell) for cell in cells]
 
 
 def sweep_beta_e(
@@ -110,7 +108,7 @@ def sweep_beta_e(
     is equivalent to any (beta, error) pair with the same product.
     """
     cells = _level_cells(config, derived, summary, alphas, beta_e_max, step)
-    return [LevelSweepRow(*cell, delays(derived, cell[2])) for cell in cells]
+    return [LevelSweepRow(*cell) for cell in cells]
 
 
 def _write_cells(cells: Iterable[tuple], stream: IO[str], columns: Sequence[str]) -> None:

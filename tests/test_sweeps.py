@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -177,12 +178,6 @@ def test_number_format_is_twelve_significant_digits():
     assert format_number(8.563714806200348) == "8.5637148062"
 
 
-def test_sweep_rows_carry_delays(demo):
-    rows = sweep_alpha(*demo, betas=[1.0], alpha_step=0.1)
-    for row in rows:
-        assert row.delays.on_ramp == row.delays.steadfast
-
-
 def test_sweep_validates_step(demo):
     with pytest.raises(ValueError):
         sweep_alpha(*demo, betas=[1.0], alpha_step=0.5)
@@ -192,9 +187,7 @@ def test_sweep_validates_step(demo):
 
 def _assert_row_solves(pipeline, row, alpha, beta):
     result = onramp.solve_equilibrium(*pipeline, alpha, beta)
-    assert (row.x_hat_b, row.case, row.j_soc, row.delays) == (
-        result.x_hat_b, result.case, result.social_delay, result.delays
-    )
+    assert (row.x_hat_b, row.case, row.j_soc) == (result.x_hat_b, result.case, result.social_delay)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -309,6 +302,14 @@ CSV_NUMBERS = (
 )
 
 
+def test_row_fields_are_the_csv_columns():
+    for row_type, columns in (
+        (AlphaSweepRow, ALPHA_SWEEP_COLUMNS),
+        (LevelSweepRow, LEVEL_SWEEP_COLUMNS),
+    ):
+        assert tuple(field.name for field in fields(row_type)) == columns
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     cells=st.lists(st.tuples(CSV_NUMBERS, CSV_NUMBERS, CSV_NUMBERS,
@@ -320,7 +321,7 @@ def test_csv_lines_match_per_cell_format(cells):
         (AlphaSweepRow, ALPHA_SWEEP_COLUMNS, write_alpha_sweep),
         (LevelSweepRow, LEVEL_SWEEP_COLUMNS, write_beta_e_sweep),
     ):
-        rows = [row_type(*values, delays=None) for values in cells]
+        rows = [row_type(*values) for values in cells]
         buffer = io.StringIO()
         write(rows, buffer)
         assert buffer.getvalue() == _reference_csv(rows, columns)
