@@ -21,6 +21,8 @@ from .errors import ConfigError
 CONFIG_KEYS = ("n0", "c1t", "c1m", "c2t", "c2m", "mu", "gamma")
 # the largest finite float; an int above it compares below inf but has no float
 FLOAT_MAX = sys.float_info.max
+# the largest effective level: above it the altruistic crossing's 2*level*delta overflows
+LEVEL_MAX = FLOAT_MAX / 2
 
 
 @dataclass(frozen=True)
@@ -45,19 +47,23 @@ class OnRampConfig:
     n2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n2", 1.0 - self.n0)
-        if not math.isfinite(self.n0):
-            raise ConfigError("neighbor flows must be finite numbers")
-        if self.n0 < 0.0 or self.n2 < 0.0:
-            raise ConfigError(
-                f"neighbor flows must be nonnegative, got n0={self.n0}, n2={self.n2}"
-            )
-        for name in CONFIG_KEYS[1:]:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
+        try:
+            object.__setattr__(self, "n2", 1.0 - self.n0)
+            if not math.isfinite(self.n0):
+                raise ConfigError("neighbor flows must be finite numbers")
+            if self.n0 < 0.0 or self.n2 < 0.0:
                 raise ConfigError(
-                    f"cost coefficient {name} must be finite and >= 0, got {value}"
+                    f"neighbor flows must be nonnegative, got n0={self.n0}, n2={self.n2}"
                 )
+            for name in CONFIG_KEYS[1:]:
+                value = getattr(self, name)
+                if not math.isfinite(value) or value < 0.0:
+                    raise ConfigError(
+                        f"cost coefficient {name} must be finite and >= 0, got {value}"
+                    )
+        except OverflowError as exc:  # a huge int; the checks run in field order
+            name = next(key for key in CONFIG_KEYS if abs(getattr(self, key)) > FLOAT_MAX)
+            raise ConfigError(f"config key {name} is too large for a float") from exc
 
     @classmethod
     def from_dict(cls, data) -> "OnRampConfig":
@@ -284,7 +290,7 @@ def check_float(name: str, value) -> None:
 
 
 def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) -> None:
-    """Require alpha in [0, 1], beta >= 0, error > 0 and beta*error <= FLOAT_MAX; defaults pass."""
+    """Require alpha in [0, 1], beta >= 0, error > 0 and beta*error <= LEVEL_MAX; defaults pass."""
     if not 0.0 <= alpha <= 1.0:
         check_float("alpha", alpha)
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -296,5 +302,6 @@ def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) 
         check_float("error factor", error)
         reason = "must be > 0" if error <= 0.0 else "must be finite"
         raise ValueError(f"error factor {reason}, got {error}")
-    if not beta * error <= FLOAT_MAX:
-        raise ValueError(f"effective level beta*error = {beta} * {error} is not finite")
+    if not beta * error <= LEVEL_MAX:
+        cause = "is not finite" if beta * error > FLOAT_MAX else f"exceeds the bound {LEVEL_MAX}"
+        raise ValueError(f"effective level beta*error = {beta} * {error} {cause}")

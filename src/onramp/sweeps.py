@@ -13,7 +13,7 @@ from typing import IO, Iterable, Sequence
 
 from .analysis import AnalysisSummary, require_meaningful
 from .equilibrium import EquilibriumCase, _equilibrium_split, inclusive_grid
-from .model import DelayCoefficients, OnRampConfig
+from .model import FLOAT_MAX, LEVEL_MAX, DelayCoefficients, OnRampConfig
 from .model import check_float, check_population, check_share, social_delay
 
 ALPHA_SWEEP_COLUMNS = ("beta", "alpha", "x_hat_b", "case", "j_soc")
@@ -78,6 +78,8 @@ def _level_cells(config, derived, summary, alphas, beta_e_max, step) -> list[tup
     check_float("step", step)
     if beta_e_max <= 0.0:
         raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
+    if LEVEL_MAX < beta_e_max <= FLOAT_MAX:
+        raise ValueError(f"beta_e_max = {beta_e_max} exceeds the level bound {LEVEL_MAX}")
     grid = inclusive_grid(0.0, beta_e_max, step)
     return _sweep_cells(config, derived, summary, alphas, grid, lambda alpha, level: (alpha, level))
 

@@ -9,6 +9,7 @@ import onramp
 from onramp import equilibrium
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import NotInMeaningfulSetError
+from onramp.model import LEVEL_MAX
 
 from conftest import DEMO_DELTA, DEMO_PHI, bisect_selfish_crossing, sample_meaningful
 
@@ -414,10 +415,19 @@ def test_non_finite_level_rejected_with_its_cause(
         onramp.verify_wardrop(demo_config, demo_derived, flow, beta, error)
 
 
+def test_closed_form_takes_the_right_case_up_to_the_level_bound(demo):
+    # at LEVEL_MAX the crossing is finite, just below its limit 2*delta - phi < 0.8
+    result = onramp.solve_equilibrium(*demo, 0.8, LEVEL_MAX)
+    assert result.case is EquilibriumCase.CASE_D
+    assert result.x_hat_b == pytest.approx(2.0 * DEMO_DELTA - DEMO_PHI, abs=1e-15)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        onramp.solve_equilibrium(*demo, 0.8, math.nextafter(LEVEL_MAX, math.inf))
+
+
 def test_wardrop_report_fails_closed_on_nan_products(demo_config, demo_derived):
-    # at level 1e308 both perceived costs overflow and their gap is inf - inf
+    # at level 5e307 both perceived costs overflow and their gap is inf - inf
     flow = onramp.FlowDistribution(0.2, 0.0, 0.0, 0.8)
-    report = onramp.verify_wardrop(demo_config, demo_derived, flow, 1e308)
+    report = onramp.verify_wardrop(demo_config, demo_derived, flow, 5e307)
     assert report.products[0] < 0.0 and report.products[1] == 0.0
     assert all(math.isnan(product) for product in report.products[2:])
     assert math.isnan(report.max_product)
@@ -434,6 +444,5 @@ def test_wardrop_max_product_is_nan_wherever_the_nan_is(position):
 
 
 def test_dynamics_not_converged_on_a_nan_certificate(demo_config, demo_derived):
-    trace = onramp.best_response_dynamics(demo_config, demo_derived, 0.8, 1e308)
-    assert math.isnan(trace.max_product)
+    trace = onramp.best_response_dynamics(demo_config, demo_derived, 0.8, 5e307)
     assert trace.converged is False

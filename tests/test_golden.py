@@ -54,6 +54,7 @@ FILES = {
     "excluded.json": json.dumps(dict(DEMO, n0=1.0, gamma=0.0)),
     "degenerate.json": json.dumps(dict.fromkeys(DEMO, 0.0)),
     "bad.json": "{oops",
+    "array.json": "[1, 2]",
     "missing_key.json": json.dumps({k: v for k, v in DEMO.items() if k != "mu"}),
     "extra_key.json": json.dumps(dict(DEMO, extra=1.0)),
     "negative.json": json.dumps(dict(DEMO, gamma=-1.0)),
@@ -113,7 +114,7 @@ def cases():
     # config files that cannot be used
     for name in ("bad.json", "absent.json", "missing_key.json", "extra_key.json",
                  "negative.json", "string_value.json", "latin1.json", "huge_int.json",
-                 "overflow.json", "mu_overflow.json"):
+                 "overflow.json", "mu_overflow.json", "array.json"):
         yield name, ["analyze"]
     # flag errors, in the order the CLI reports them
     for argv in (
@@ -164,6 +165,10 @@ def cases():
         # finite flags whose effective level beta*error overflows
         ["equilibrium", "--alpha", "0.8", "--beta", "1e308", "--error", "10"],
         ["verify", "--alpha", "0.8", "--beta", "1e308", "--error", "10"],
+        # finite effective levels whose altruistic crossing, 2*level*delta, overflows
+        ["equilibrium", "--alpha", "0.8", "--beta", "1e308"],
+        ["poa", "--beta", "6e307", *INTERVAL],
+        ["sweep-beta-e", "--alpha", "0.8", "--beta-e-max", "1.7e308", "--step", "1.7e303"],
     ):
         yield "demo.json", argv
     # grids too large to build

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp.errors import ConfigError
-from onramp.model import check_population
+from onramp.model import LEVEL_MAX, check_population
 
 from conftest import DEMO_DELTA, DEMO_VALUES
 
@@ -85,6 +86,11 @@ def test_invalid_configs_rejected(kwargs):
         ({"n0": 1.2, "c1m": -1.0}, "nonnegative, got n0=1.2, n2=-0.1999"),
         ({"c1m": -1.0, "gamma": math.inf}, "cost coefficient c1m must be"),
         ({"gamma": math.inf}, "cost coefficient gamma must be finite and >= 0, got inf"),
+        # ints too large for a float, named as from_dict names them
+        ({"n0": 10**400}, "^config key n0 is too large for a float$"),
+        ({"n0": -(10**400)}, "^config key n0 is too large for a float$"),
+        ({"c1t": 10**400, "gamma": 10**400}, "^config key c1t is too large for a float$"),
+        ({"c1m": -1.0, "c2t": 10**400}, "cost coefficient c1m must be"),
     ],
 )
 def test_config_reports_the_first_invalid_field(kwargs, message):
@@ -190,6 +196,11 @@ def test_validate_flow_distribution_examples():
     assert [v.constraint for v in violations] == ["nonnegative_selfish_bypass"]
     assert violations[0].residual == pytest.approx(0.1, abs=1e-12)
 
+    altruists_short = onramp.FlowDistribution(0.2, 0.0, 0.5, 0.1)
+    violations = onramp.validate_flow_distribution(altruists_short, alpha=0.8)
+    assert [v.constraint for v in violations] == ["altruistic_mass_balance"]
+    assert violations[0].residual == pytest.approx(0.2, abs=1e-12)
+
 
 def test_config_roundtrip_from_file(demo_config_file, demo_config):
     assert onramp.load_config(demo_config_file) == demo_config
@@ -262,8 +273,14 @@ def test_population_rejects_non_finite_beta_and_error(demo_config, demo_derived,
 
 
 def test_population_rejects_an_overflowing_level(demo_config, demo_derived, demo_summary):
-    check_population(alpha=0.8, beta=1e308, error=1.0)
-    check_population(alpha=0.8, beta=1e307, error=10.0)
+    # above LEVEL_MAX the crossing's 2*level*delta overflows; the bound is exact
+    check_population(alpha=0.8, beta=LEVEL_MAX, error=1.0)
+    check_population(alpha=0.8, beta=LEVEL_MAX / 8, error=8.0)
+    above = math.nextafter(LEVEL_MAX, math.inf)
+    for beta, error in ((above, 1.0), (1e308, 1.0), (1e307, 10.0), (LEVEL_MAX, 1.5)):
+        message = f"effective level beta*error = {beta} * {error} exceeds the bound {LEVEL_MAX}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_population(alpha=0.8, beta=beta, error=error)
     overflow = r"effective level beta\*error = 1e\+308 \* 10.0 is not finite"
     with pytest.raises(ValueError, match=overflow):
         check_population(alpha=0.8, beta=1e308, error=10.0)
@@ -302,7 +319,7 @@ def test_api_rejects_integers_too_large_for_a_float(demo_config, demo_derived, d
             evaluate()
     with pytest.raises(ValueError, match=r"effective level beta\*error = .* is not finite"):
         check_population(beta=10**200, error=10**200)
-    check_population(alpha=1, beta=10**308, error=1)
+    check_population(alpha=1, beta=8 * 10**307, error=1)
 
 
 config_values = st.fixed_dictionaries(

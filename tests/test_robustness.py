@@ -184,6 +184,8 @@ def test_grid_oracle_rejects_unusable_level_grids(demo):
     # the limit names the search range (0, 2/e_lower] that the interval produced
     with pytest.raises(ValueError, match=r"\(0, 2/e_lower\] with e_lower = 1e-06: .* more than"):
         onramp.grid_optimal_beta(config, derived, summary, onramp.ErrorInterval(1e-6, 1.0))
+    with pytest.raises(ValueError, match=r"^inner grid step must be > 0, got 0.0$"):
+        onramp.grid_poa(config, derived, summary, 1.0, interval, inner_grid_step=0.0)
 
 
 def test_optimal_level_transition_limited_branch():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import onramp
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import DegenerateConfigError, NotInMeaningfulSetError
+from onramp.model import LEVEL_MAX
 from onramp.sweeps import (
     ALPHA_SWEEP_COLUMNS,
     LEVEL_SWEEP_COLUMNS,
@@ -218,6 +220,15 @@ def test_sweep_rows_equal_the_solver(
         _assert_row_solves(pipeline, row, row.alpha, row.beta)
     for row in sweep_beta_e(*pipeline, alphas, beta_e_max, step):
         _assert_row_solves(pipeline, row, row.alpha, row.beta_e)
+
+
+def test_level_sweep_stops_at_the_level_bound(demo):
+    rows = sweep_beta_e(*demo, alphas=[0.8], beta_e_max=LEVEL_MAX, step=LEVEL_MAX / 4)
+    assert (rows[-1].beta_e, rows[-1].case) == (LEVEL_MAX, EquilibriumCase.CASE_D)
+    above = math.nextafter(LEVEL_MAX, math.inf)
+    message = f"beta_e_max = {above} exceeds the level bound {LEVEL_MAX}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_beta_e(*demo, alphas=[0.8], beta_e_max=above, step=above / 4)
 
 
 def test_level_sweep_resolves_the_ties(demo):
