@@ -21,12 +21,21 @@ the newest such file is the previous one: per workload and end-to-end
 metric, the new file also holds that file's change-side median and this
 run's change median minus it.  The two were run at different times, so
 that difference carries the machine's drift as well as the code's.
+
+Apart from the gated end-to-end table, the file also holds L5 oracle timings.
+In each of ORACLE_REPEATS rounds, alternating which side goes first, each
+checkout runs ``oracle_times`` in a fresh interpreter, which calls each oracle
+once on demos/onramp.json and times the call with ``time.perf_counter``.  The
+file keeps each side's runs, its best and the ratio of the bests.  They are
+not gated: perfbench/README.md shows why the oracles are too unsteady on a
+shared VM to gate on.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shutil
 import statistics
@@ -41,6 +50,7 @@ SIDES = ("parent", "change")
 # ten pairs is the least that can back a claim of a gain
 PAIRS = 10
 HELD_OUT_SEED = 1000
+ORACLE_REPEATS = 5
 
 
 def resolve(ref: str) -> str:
@@ -78,6 +88,59 @@ def run_bench(checkout: Path, seed: int, seconds: float, trace: int) -> dict:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     return results
+
+
+def oracle_times() -> dict[str, float]:
+    """Seconds of one call of each L5 oracle on the demo config, as `onramp verify` makes it.
+
+    Imports onramp from sys.path, so run it where the checkout's src/ is first.
+    """
+    import numpy  # imported here, so that no timed call pays for its import
+    import onramp
+    config = onramp.load_config("demos/onramp.json")
+    derived = onramp.derive_coefficients(config)
+    summary = onramp.analyze(config, derived)
+    narrow, wide = onramp.ErrorInterval(0.5, 2.0), onramp.ErrorInterval(0.25, 4.0)
+    calls = {
+        "grid_optimal_beta[0.5,2]": lambda: onramp.grid_optimal_beta(
+            config, derived, summary, narrow),
+        "grid_optimal_beta[0.25,4]": lambda: onramp.grid_optimal_beta(
+            config, derived, summary, wide),
+        "brute_force_equilibrium": lambda: onramp.brute_force_equilibrium(
+            config, derived, 0.8, 1.0, grid_step=1e-3),
+        "best_response_dynamics": lambda: onramp.best_response_dynamics(config, derived, 0.8, 1.0),
+        "grid_poa": lambda: onramp.grid_poa(config, derived, summary, 1.0, narrow),
+    }
+    times = {}
+    for name, call in calls.items():
+        start = time.perf_counter()
+        call()
+        times[name] = time.perf_counter() - start
+    return times
+
+
+def run_oracles(checkout: Path) -> dict[str, float]:
+    """oracle_times in a fresh interpreter that imports onramp from the checkout's src/."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); import record; "
+            "print(json.dumps(record.oracle_times()))")
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise RuntimeError(f"oracle timing in {checkout} exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def oracle_table(times: dict) -> dict:
+    """Per oracle: each side's runs and best, and the change's best over the parent's."""
+    table = {}
+    for name in times["parent"]:
+        row = {side: {"best_s": min(times[side][name]), "runs_s": times[side][name]}
+               for side in SIDES}
+        row["change_over_parent"] = row["change"]["best_s"] / row["parent"]["best_s"]
+        table[name] = row
+    return table
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -195,6 +258,18 @@ def main(argv=None) -> int:
             layer = {key: value["value"] for key, value in result["metrics"].items()}
             entry = document["traced"].setdefault(name, {})
             entry[side] = {"correct": result["correct"], "metrics": layer}
+    oracle_runs = {side: {} for side in SIDES}
+    for round_ in range(ORACLE_REPEATS):
+        for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
+            for name, seconds in run_oracles(trees[side]).items():
+                oracle_runs[side].setdefault(name, []).append(seconds)
+    document["oracles"] = {
+        "gated": False,
+        "config": "demos/onramp.json",
+        "timer": f"time.perf_counter, best of {ORACLE_REPEATS} calls, one per fresh process,"
+                 " the sides alternating",
+        "timings": oracle_table(oracle_runs),
+    }
     if previous is not None:
         document["since_previous"] = {
             "file": previous.name,

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateConfigError, NotInMeaningfulSetError
 from .model import FLOAT_MAX, DelayCoefficients, OnRampConfig, check_float, check_population
-from .model import require_finite, social_delay
+from .model import LEVEL_MAX, require_finite, social_delay
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,17 @@ def altruistic_intersection(phi: float, delta: float, beta_e: float) -> float:
 
     A weighted average of phi (weight (1-beta_e)/(1+beta_e)) and delta (weight
     2*beta_e/(1+beta_e)); it equals phi at level 0, delta at level 1, and
-    increases toward 2*delta - phi as the level grows.  ``beta_e`` may also
-    be a numpy array of levels, which the caller keeps nonnegative.
+    increases toward 2*delta - phi as the level grows.  The level must lie in
+    [0, LEVEL_MAX], where 2*beta_e*delta is still finite.
     """
-    if isinstance(beta_e, (int, float)) and beta_e < 0.0:
-        raise ValueError(f"effective altruism level must be >= 0, got {beta_e}")
-    return ((1.0 - beta_e) * phi + 2.0 * beta_e * delta) / (1.0 + beta_e)
+    if not 0.0 <= beta_e <= LEVEL_MAX:
+        raise ValueError(f"effective altruism level must lie in [0, {LEVEL_MAX}], got {beta_e}")
+    return _crossing(phi, delta, beta_e)
+
+
+def _crossing(phi, delta, level):
+    """altruistic_intersection unchecked; ``level`` may be a numpy array of levels."""
+    return ((1.0 - level) * phi + 2.0 * level * delta) / (1.0 + level)
 
 
 def pi_value(phi: float, delta: float) -> float:
@@ -121,6 +126,10 @@ class Regime(Enum):
     NOT_IN_MEANINGFUL_SET = "not_in_meaningful_set"
 
 
+# members read once here, not through the Enum metaclass on every call
+_TRANSITION_LIMITED, _ENDPOINT_SYMMETRIC, _NOT_IN_MEANINGFUL_SET = Regime
+
+
 @dataclass(frozen=True)
 class Classification:
     regime: Regime
@@ -140,8 +149,8 @@ def _membership_reason(phi: float, delta: float) -> str | None:
 def worst_case_regime(pi: float, interval: ErrorInterval) -> Regime:
     """Regime of a meaningful-set configuration with regime ratio ``pi`` (see classify)."""
     if 0.0 < pi < interval.ratio_sqrt:
-        return Regime.TRANSITION_LIMITED
-    return Regime.ENDPOINT_SYMMETRIC
+        return _TRANSITION_LIMITED
+    return _ENDPOINT_SYMMETRIC
 
 
 def classify(
@@ -158,7 +167,7 @@ def classify(
     delta, _ = social_optimum(config, derived)
     reason = _membership_reason(phi, delta)
     if reason is not None:
-        return Classification(Regime.NOT_IN_MEANINGFUL_SET, reason)
+        return Classification(_NOT_IN_MEANINGFUL_SET, reason)
     return Classification(worst_case_regime(pi_value(phi, delta), interval))
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import AnalysisSummary, altruistic_intersection, require_meaningful
+from .analysis import AnalysisSummary, _crossing, require_meaningful
 from .model import (
     DelayCoefficients,
     DelayProfile,
@@ -42,6 +42,9 @@ class EquilibriumCase(Enum):
     CASE_D = "case_d"
 
 
+_BASELINE, _CASE_B, _CASE_C, _CASE_D = EquilibriumCase  # read once, not via the metaclass
+
+
 @dataclass(frozen=True)
 class EquilibriumResult:
     flow: FlowDistribution
@@ -57,17 +60,17 @@ def _equilibrium_split(
     """(case, x_hat_b, altruistic bypass, selfish bypass) of a checked population.
 
     The case analysis of solve_equilibrium, without its input checks; the
-    sweeps call it once per grid point after checking each outer value.
+    sweeps (per grid point) and worst_case_social_delay call it after theirs.
     """
     if level == 0.0 or alpha == 0.0:
         altruistic_bypass = min(alpha, phi)
-        return EquilibriumCase.BASELINE, phi, altruistic_bypass, phi - altruistic_bypass
+        return _BASELINE, phi, altruistic_bypass, phi - altruistic_bypass
     if alpha <= phi:
-        return EquilibriumCase.CASE_B, phi, alpha, phi - alpha
-    crossing = altruistic_intersection(phi, delta, level)
+        return _CASE_B, phi, alpha, phi - alpha
+    crossing = _crossing(phi, delta, level)
     if alpha < crossing:
-        return EquilibriumCase.CASE_C, alpha, alpha, 0.0
-    return EquilibriumCase.CASE_D, crossing, crossing, 0.0
+        return _CASE_C, alpha, alpha, 0.0
+    return _CASE_D, crossing, crossing, 0.0
 
 
 def solve_equilibrium(

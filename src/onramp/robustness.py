@@ -15,11 +15,11 @@ from .analysis import (
     AnalysisSummary,
     ErrorInterval,
     Regime,
-    altruistic_intersection,
+    _crossing,
     require_meaningful,
     worst_case_regime,
 )
-from .equilibrium import inclusive_grid, solve_equilibrium
+from .equilibrium import _equilibrium_split, inclusive_grid
 from .errors import TransitionUndefinedError, ZeroOptimumError
 from .model import DelayCoefficients, OnRampConfig, check_population, social_delay
 
@@ -55,16 +55,14 @@ def worst_case_social_delay(
     error factor while the social delay is convex in the share, so no interior
     error can dominate both endpoints.  Returns the supremum and the endpoint
     evaluations achieving it (both, on a tie).  The configuration and beta are
-    checked by solve_equilibrium.
+    checked as solve_equilibrium checks them, whose case analysis gives each share.
     """
+    require_meaningful(summary)
     points = []
     for error in dict.fromkeys((interval.e_lower, interval.e_upper)):
-        result = solve_equilibrium(config, derived, summary, alpha=1.0, beta=beta, error=error)
-        points.append(
-            WorstCasePoint(
-                error=error, alpha=1.0, x_hat_b=result.x_hat_b, j_soc=result.social_delay
-            )
-        )
+        check_population(1.0, beta, error)
+        _, x_hat_b, _, _ = _equilibrium_split(summary.phi, summary.delta, 1.0, beta * error)
+        points.append(WorstCasePoint(error, 1.0, x_hat_b, social_delay(config, derived, x_hat_b)))
     supremum = max(point.j_soc for point in points)
     achieving = tuple(p for p in points if p.j_soc >= supremum - 1e-12)
     return supremum, achieving
@@ -168,7 +166,7 @@ def _grid_poa_of_level(config, derived, summary, interval, inner_grid_step):
     alphas = np.array(inclusive_grid(delta_clamped, 1.0, inner_grid_step))[None, :]
 
     def poa(beta: float) -> float:
-        crossings = altruistic_intersection(summary.phi, summary.delta, beta * errors)
+        crossings = _crossing(summary.phi, summary.delta, beta * errors)
         shares = np.minimum(alphas, crossings[:, None])
         return float(social_delay(config, derived, shares).max()) / summary.j_opt
 

@@ -1,8 +1,10 @@
 """Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
 
 Each row comes from the case analysis that solve_equilibrium uses, with the
-inputs checked once per outer value instead of once per grid point.  A row
-holds exactly the CSV columns; the CLI writes the cells without building rows.
+inputs checked once per outer value instead of once per grid point, and each
+distinct share checked and evaluated once.  A row holds exactly the CSV columns;
+the CLI writes the cells without building rows, through a writer that formats
+each distinct number once and never caches zeros (-0.0 == 0.0 but prints "-0").
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def _sweep_cells(config, derived, summary, outer, grid, population) -> list[tupl
     the grid's first point 0.0; the grid points are in range by construction.
     """
     phi, delta = summary.phi, summary.delta
+    j_socs = {}  # each distinct share is checked and evaluated once
     cells = []
     for value in outer:
         require_meaningful(summary)
@@ -59,8 +62,10 @@ def _sweep_cells(config, derived, summary, outer, grid, population) -> list[tupl
         for point in grid:
             alpha, level = population(value, point)
             case, x_hat_b, _, _ = _equilibrium_split(phi, delta, alpha, level)
-            check_share(x_hat_b)
-            cells.append((value, point, x_hat_b, case, social_delay(config, derived, x_hat_b)))
+            if x_hat_b not in j_socs:
+                check_share(x_hat_b)
+                j_socs[x_hat_b] = social_delay(config, derived, x_hat_b)
+            cells.append((value, point, x_hat_b, case, j_socs[x_hat_b]))
     return cells
 
 
@@ -116,11 +121,26 @@ def sweep_beta_e(
 def _write_cells(cells: Iterable[tuple], stream: IO[str], columns: Sequence[str]) -> None:
     """Header line, then one line per (value, point, x_hat_b, case, j_soc) cell.
 
-    Numbers are written in NUMBER_FORMAT, the case as its label.
+    Numbers are written in NUMBER_FORMAT, the case as its label.  Each outer value and
+    case label is made once per run, each grid point and tail once per distinct value.
     """
-    line = "%{0},%{0},%{0},%s,%{0}\n".format(NUMBER_FORMAT)
-    stream.write(",".join(columns) + "\n")
-    stream.write("".join([line % (v, p, x, case.value, j) for v, p, x, case, j in cells]))
+    number = "%" + NUMBER_FORMAT
+    points, cases = {}, {}  # point -> text; case -> (label, {(x_hat_b, j_soc): tail})
+    lines = [",".join(columns) + "\n"]
+    value = run_case = object()
+    for v, p, x, case, j in cells:
+        if v is not value:
+            value, head = v, number % v
+        if case is not run_case:
+            run_case, (label, tails) = case, cases.setdefault(case, (case.value, {}))
+        point = points.get(p) if p else None
+        if point is None:
+            point = points[p] = number % p
+        tail = tails.get((x, j)) if x and j else None
+        if tail is None:
+            tail = tails[x, j] = f"{number % x},{label},{number % j}\n"
+        lines.append(f"{head},{point},{tail}")
+    stream.write("".join(lines))
 
 
 def write_alpha_sweep(rows: Iterable[AlphaSweepRow], stream: IO[str]) -> None:

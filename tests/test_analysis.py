@@ -2,11 +2,13 @@
 
 import math
 import random
+import re
 
 import pytest
 
 import onramp
 from onramp.errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
+from onramp.model import LEVEL_MAX
 
 from conftest import (
     DEMO_DELTA,
@@ -92,6 +94,17 @@ def test_altruistic_intersection_endpoints(demo_summary):
     assert onramp.altruistic_intersection(phi, delta, 1e6) == pytest.approx(limit, abs=1e-5)
     with pytest.raises(ValueError):
         onramp.altruistic_intersection(phi, delta, -0.1)
+
+
+def test_altruistic_intersection_is_bounded_at_the_level_bound(demo_summary):
+    phi, delta = demo_summary.phi, demo_summary.delta
+    limit = 2.0 * delta - phi
+    assert onramp.altruistic_intersection(phi, delta, LEVEL_MAX) == pytest.approx(limit, abs=1e-15)
+    assert onramp.altruistic_intersection(phi, delta, -0.0) == phi
+    for level in (math.nextafter(LEVEL_MAX, math.inf), math.inf, math.nan, -5e-324, -1.0):
+        message = f"effective altruism level must lie in [0, {LEVEL_MAX}], got {level}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            onramp.altruistic_intersection(phi, delta, level)
 
 
 def test_altruistic_intersection_monotone(demo_summary):

@@ -68,3 +68,17 @@ def test_previous_file_is_the_newest_below_the_out_number(tmp_path):
     assert record.previous_file(tmp_path / "BENCH_6.json") == tmp_path / "BENCH_3.json"
     assert record.previous_file(tmp_path / "BENCH_3.json") is None
     assert record.previous_file(tmp_path / "out.json") is None
+
+
+def test_oracle_table_keeps_runs_best_and_ratio():
+    times = {
+        "parent": {"grid_poa": [0.5, 0.2, 0.4], "best_response_dynamics": [1e-4, 2e-4]},
+        "change": {"grid_poa": [0.3, 0.1, 0.6], "best_response_dynamics": [3e-4, 4e-4]},
+    }
+    table = record.oracle_table(times)
+    assert set(table) == {"grid_poa", "best_response_dynamics"}
+    row = table["grid_poa"]
+    assert row["parent"] == {"best_s": 0.2, "runs_s": [0.5, 0.2, 0.4]}
+    assert row["change"] == {"best_s": 0.1, "runs_s": [0.3, 0.1, 0.6]}
+    assert row["change_over_parent"] == 0.5
+    assert table["best_response_dynamics"]["change_over_parent"] == pytest.approx(3.0)

@@ -67,6 +67,38 @@ def test_worst_case_dominates_error_grid(demo):
                 assert result.social_delay <= supremum + 1e-12
 
 
+def test_worst_case_points_are_the_solver_equilibria():
+    rng = random.Random(23)
+    for _ in range(30):
+        config, derived, summary = sample_meaningful(rng)
+        for beta in (0.0, 0.4, 1.0, 3.0, summary.pi if summary.pi > 0.0 else 7.0):
+            interval = onramp.ErrorInterval(rng.uniform(0.2, 1.0), rng.uniform(1.0, 5.0))
+            supremum, points = onramp.worst_case_social_delay(
+                config, derived, summary, beta, interval
+            )
+            solved = {
+                error: onramp.solve_equilibrium(config, derived, summary, 1.0, beta, error)
+                for error in (interval.e_lower, interval.e_upper)
+            }
+            assert supremum == max(result.social_delay for result in solved.values())
+            for point in points:
+                result = solved[point.error]
+                assert (point.alpha, point.x_hat_b, point.j_soc) == (
+                    1.0, result.x_hat_b, result.social_delay
+                )
+
+
+def test_worst_case_checks_membership_before_the_level():
+    excluded = dict(n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0)
+    config = onramp.OnRampConfig(**excluded)
+    derived = onramp.derive_coefficients(config)
+    summary = onramp.analyze(config, derived)
+    with pytest.raises(onramp.NotInMeaningfulSetError):
+        onramp.worst_case_social_delay(
+            config, derived, summary, float("nan"), onramp.ErrorInterval(0.5, 2.0)
+        )
+
+
 def test_price_of_anarchy_values(demo):
     config, derived, summary = demo
     assert onramp.price_of_anarchy(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onramp
+from onramp import sweeps
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import DegenerateConfigError, NotInMeaningfulSetError
 from onramp.model import LEVEL_MAX
@@ -350,3 +351,49 @@ def test_csv_of_integer_inputs_matches_per_cell_format(demo):
         write(rows, text)
         write(float_rows, float_text)
         assert text.getvalue() == _reference_csv(rows, columns) == float_text.getvalue()
+
+
+# every cache key of the writer repeats: equal numbers that print differently
+# (0.0 and -0.0), NaN objects, ints equal to floats, and one share that comes
+# with two cases and two social delays
+POOL_NUMBERS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1, 1.0,
+                                0.25, 0.1 + 0.2, 0.3])
+POOL_TAILS = st.sampled_from([
+    (0.3, case, j_soc)
+    for case in (EquilibriumCase.CASE_C, EquilibriumCase.CASE_D)
+    for j_soc in (8.6, 8.645024242734868)
+]) | st.tuples(POOL_NUMBERS, st.sampled_from(list(EquilibriumCase)), POOL_NUMBERS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    cells=st.lists(st.tuples(POOL_NUMBERS, POOL_NUMBERS, POOL_TAILS), min_size=2, max_size=40)
+)
+def test_csv_caches_repeat_the_per_cell_format(cells):
+    for row_type, columns, write in (
+        (AlphaSweepRow, ALPHA_SWEEP_COLUMNS, write_alpha_sweep),
+        (LevelSweepRow, LEVEL_SWEEP_COLUMNS, write_beta_e_sweep),
+    ):
+        rows = [row_type(value, point, *tail) for value, point, tail in cells]
+        buffer = io.StringIO()
+        write(rows, buffer)
+        assert buffer.getvalue() == _reference_csv(rows, columns)
+
+
+def test_sweeps_evaluate_each_distinct_share_once(demo, monkeypatch):
+    config, derived, summary = demo
+    shares = []
+
+    def counting_social_delay(config, derived, x_hat_b):
+        shares.append(x_hat_b)
+        return onramp.social_delay(config, derived, x_hat_b)
+
+    monkeypatch.setattr(sweeps, "social_delay", counting_social_delay)
+    rows = sweep_beta_e(*demo, alphas=[0.0, 0.3, summary.phi], beta_e_max=4.0, step=0.01)
+    assert len(rows) == 3 * 401 and len(shares) <= 2
+    shares.clear()
+    rows = sweep_alpha(*demo, betas=[0.0, 0.2, 0.5, 1.0], alpha_step=0.01)
+    assert len(rows) == 4 * 101
+    assert sorted(shares) == sorted({row.x_hat_b for row in rows})
+    for row in rows:
+        assert row.j_soc == onramp.social_delay(config, derived, row.x_hat_b)
