@@ -22,13 +22,16 @@ metric, the new file also holds that file's change-side median and this
 run's change median minus it.  The two were run at different times, so
 that difference carries the machine's drift as well as the code's.
 
-Apart from the gated end-to-end table, the file also holds L5 oracle timings.
-In each of ORACLE_REPEATS rounds, alternating which side goes first, each
-checkout runs ``oracle_times`` in a fresh interpreter, which calls each oracle
-once on demos/onramp.json and times the call with ``time.perf_counter``.  The
-file keeps each side's runs, its best and the ratio of the bests.  They are
-not gated: perfbench/README.md shows why the oracles are too unsteady on a
-shared VM to gate on.
+Apart from the gated end-to-end table, the file also holds ungated timings
+of single calls.  In each of ORACLE_REPEATS rounds, alternating which side
+goes first, each checkout runs two fresh interpreters.  One runs
+``oracle_times``, which calls each L5 oracle once on demos/onramp.json and
+times the call with ``time.perf_counter``.  The other times ``import
+onramp.cli`` first (L6), then runs ``closed_form_times``, the best per-call
+time of each L0-L3 closed form on the same config.  The file keeps each
+side's runs, its best and the ratio of the bests.  They are not gated:
+perfbench/README.md shows why the oracles are too unsteady on a shared VM to
+gate on, and a single call is far shorter than a benchmark op.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import subprocess
 import sys
 import tarfile
 import time
+import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,6 +55,9 @@ SIDES = ("parent", "change")
 PAIRS = 10
 HELD_OUT_SEED = 1000
 ORACLE_REPEATS = 5
+# each closed form is timed over CALL_REPEATS loops of CALLS_PER_LOOP calls
+CALL_REPEATS, CALLS_PER_LOOP = 20, 500
+DEMO_CONFIG = "demos/onramp.json"
 
 
 def resolve(ref: str) -> str:
@@ -119,21 +126,60 @@ def oracle_times() -> dict[str, float]:
     return times
 
 
-def run_oracles(checkout: Path) -> dict[str, float]:
-    """oracle_times in a fresh interpreter that imports onramp from the checkout's src/."""
-    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); import record; "
-            "print(json.dumps(record.oracle_times()))")
+def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
+    """Best seconds per call of each L0-L3 closed form on the config at ``path``.
+
+    Each call is timed by timeit, which uses time.perf_counter and turns the
+    garbage collector off, as the fastest of CALL_REPEATS loops of
+    CALLS_PER_LOOP calls.  The config must lie in the meaningful set.
+    """
+    import onramp
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    config = onramp.OnRampConfig.from_dict(data)
+    derived = onramp.derive_coefficients(config)
+    summary = onramp.analyze(config, derived)
+    interval = onramp.ErrorInterval(0.5, 2.0)
+    calls = {
+        "from_dict": lambda: onramp.OnRampConfig.from_dict(data),
+        "derive_coefficients": lambda: onramp.derive_coefficients(config),
+        "analyze": lambda: onramp.analyze(config, derived),
+        "classify": lambda: onramp.classify(config, derived, interval),
+        "optimal_altruism_level": lambda: onramp.optimal_altruism_level(
+            config, derived, summary, interval),
+        "price_of_anarchy": lambda: onramp.price_of_anarchy(
+            config, derived, summary, 1.0, interval),
+        "solve_equilibrium": lambda: onramp.solve_equilibrium(config, derived, summary, 0.8, 1.0),
+    }
+    return {
+        name: min(timeit.repeat(call, repeat=CALL_REPEATS, number=CALLS_PER_LOOP)) / CALLS_PER_LOOP
+        for name, call in calls.items()
+    }
+
+
+# code run in a fresh interpreter: each prints one JSON object of seconds on its last line
+BENCH = str(ROOT / "bench")
+ORACLE_CODE = (f"import json, sys; sys.path.insert(0, {BENCH!r}); import record; "
+               "print(json.dumps(record.oracle_times()))")
+CLOSED_FORM_CODE = ("import time; start = time.perf_counter(); import onramp.cli; "
+                    "seconds = time.perf_counter() - start; "
+                    f"import json, sys; sys.path.insert(0, {BENCH!r}); import record; "
+                    "print(json.dumps({'import onramp.cli': seconds, "
+                    "**record.closed_form_times()}))")
+
+
+def run_fresh(checkout: Path, code: str) -> dict[str, float]:
+    """The timings ``code`` prints, run in a fresh interpreter importing the checkout's src/."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
                           capture_output=True, text=True, check=False)
     if done.returncode != 0:
-        raise RuntimeError(f"oracle timing in {checkout} exited {done.returncode}:\n"
+        raise RuntimeError(f"timing in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def oracle_table(times: dict) -> dict:
-    """Per oracle: each side's runs and best, and the change's best over the parent's."""
+    """Per timed call: each side's runs and best, and the change's best over the parent's."""
     table = {}
     for name in times["parent"]:
         row = {side: {"best_s": min(times[side][name]), "runs_s": times[side][name]}
@@ -258,17 +304,27 @@ def main(argv=None) -> int:
             layer = {key: value["value"] for key, value in result["metrics"].items()}
             entry = document["traced"].setdefault(name, {})
             entry[side] = {"correct": result["correct"], "metrics": layer}
-    oracle_runs = {side: {} for side in SIDES}
+    oracle_runs, closed_form_runs = {side: {} for side in SIDES}, {side: {} for side in SIDES}
     for round_ in range(ORACLE_REPEATS):
         for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
-            for name, seconds in run_oracles(trees[side]).items():
-                oracle_runs[side].setdefault(name, []).append(seconds)
+            for code, runs in ((ORACLE_CODE, oracle_runs), (CLOSED_FORM_CODE, closed_form_runs)):
+                for name, seconds in run_fresh(trees[side], code).items():
+                    runs[side].setdefault(name, []).append(seconds)
     document["oracles"] = {
         "gated": False,
-        "config": "demos/onramp.json",
+        "config": DEMO_CONFIG,
         "timer": f"time.perf_counter, best of {ORACLE_REPEATS} calls, one per fresh process,"
                  " the sides alternating",
         "timings": oracle_table(oracle_runs),
+    }
+    document["closed_forms"] = {
+        "gated": False,
+        "config": DEMO_CONFIG,
+        "timer": f"'import onramp.cli': time.perf_counter around the first import of onramp;"
+                 f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
+                 f" {CALLS_PER_LOOP} calls; each run one fresh process, best of"
+                 f" {ORACLE_REPEATS}, the sides alternating",
+        "timings": oracle_table(closed_form_runs),
     }
     if previous is not None:
         document["since_previous"] = {

@@ -96,17 +96,10 @@ def solve_equilibrium(
         summary.phi, summary.delta, alpha, beta * error
     )
     flow = FlowDistribution(
-        selfish_steadfast=(1.0 - alpha) - selfish_bypass,
-        selfish_bypass=selfish_bypass,
-        altruistic_steadfast=alpha - altruistic_bypass,
-        altruistic_bypass=altruistic_bypass,
+        (1.0 - alpha) - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
     )
     return EquilibriumResult(
-        flow=flow,
-        x_hat_b=x_hat_b,
-        case=case,
-        delays=delays(derived, x_hat_b),
-        social_delay=social_delay(config, derived, x_hat_b),
+        flow, x_hat_b, case, delays(derived, x_hat_b), social_delay(config, derived, x_hat_b)
     )
 
 

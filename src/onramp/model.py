@@ -13,12 +13,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import ConfigError
 
 # required keys of a JSON config document, in field order; no others are accepted
 CONFIG_KEYS = ("n0", "c1t", "c1m", "c2t", "c2m", "mu", "gamma")
+_fields_of, _keys_of = attrgetter(*CONFIG_KEYS), itemgetter(*CONFIG_KEYS)
 # the largest finite float; an int above it compares below inf but has no float
 FLOAT_MAX = sys.float_info.max
 # the largest effective level: above it the altruistic crossing's 2*level*delta overflows
@@ -49,6 +51,13 @@ class OnRampConfig:
     def __post_init__(self):
         try:
             object.__setattr__(self, "n2", 1.0 - self.n0)
+            values = _fields_of(self)
+            if all(map(math.isfinite, values)) and min(values) >= 0.0 and self.n2 >= 0.0:
+                return  # the common valid case, in one pass
+        except (TypeError, OverflowError):  # the checks below raise in field order
+            pass
+        try:
+            object.__setattr__(self, "n2", 1.0 - self.n0)
             if not math.isfinite(self.n0):
                 raise ConfigError("neighbor flows must be finite numbers")
             if self.n0 < 0.0 or self.n2 < 0.0:
@@ -70,9 +79,11 @@ class OnRampConfig:
         """Build a config from a flat mapping with exactly the keys in CONFIG_KEYS."""
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
-        unknown = sorted(set(data) - set(CONFIG_KEYS))
+        unknown = sorted(data.keys() - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        if len(data) == len(CONFIG_KEYS) and {float}.issuperset(map(type, data.values())):
+            return cls(*_keys_of(data))  # every key, each a float: the common case in one pass
         values = {}
         for key in CONFIG_KEYS:
             if key not in data:
@@ -129,15 +140,17 @@ def derive_coefficients(config: OnRampConfig) -> DelayCoefficients:
     """Collapse a validated config into the five affine delay constants, all finite."""
     c = config
     n0, n2 = c.n0, c.n2
-    derived = DelayCoefficients(
-        steadfast_slope=c.c1t * c.mu + c.c1m * n0,
-        steadfast_intercept=c.c1t * c.mu * n0,
-        bypass_slope=c.c2t * c.gamma + c.c2m * n2,
-        bypass_intercept=c.c2t * n2,
-        lane2_slope=c.c2t + c.c2m * n2,
+    values = (
+        c.c1t * c.mu + c.c1m * n0,  # steadfast_slope
+        c.c1t * c.mu * n0,  # steadfast_intercept
+        c.c2t * c.gamma + c.c2m * n2,  # bypass_slope
+        c.c2t * n2,  # bypass_intercept
+        c.c2t + c.c2m * n2,  # lane2_slope
     )
-    for name, value in vars(derived).items():
-        require_finite(name, value)
+    derived = DelayCoefficients(*values)
+    if not all(map(math.isfinite, values)):
+        for name, value in vars(derived).items():
+            require_finite(name, value)
     return derived
 
 
@@ -169,7 +182,7 @@ def delays(derived: DelayCoefficients, x_hat_b: float) -> DelayProfile:
     """Travel delays at total bypass share ``x_hat_b`` in [0, 1]."""
     check_share(x_hat_b)
     steadfast, bypass, lane2 = delay_lines(derived, x_hat_b)
-    return DelayProfile(steadfast=steadfast, bypass=bypass, on_ramp=steadfast, lane2=lane2)
+    return DelayProfile(steadfast, bypass, steadfast, lane2)
 
 
 def social_delay(config: OnRampConfig, derived: DelayCoefficients, x_hat_b: float) -> float:

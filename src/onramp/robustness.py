@@ -2,19 +2,24 @@
 
 The price of anarchy takes the supremum of the equilibrium social delay over
 the error interval and over abundant altruistic ratios, normalized by the
-optimum.  Closed-form evaluation reduces both suprema to two endpoint solves;
-a grid oracle re-derives the optimal altruism level by brute force.
+optimum.  Closed-form evaluation reduces both suprema to two endpoint solves,
+made as plain tuples in one private helper: price_of_anarchy builds no record,
+worst_case_social_delay a WorstCasePoint per endpoint reaching the supremum,
+optimal_altruism_level those and its summary.  A grid oracle re-derives the
+optimal altruism level by brute force.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .analysis import (
     AnalysisSummary,
     ErrorInterval,
     Regime,
+    _TRANSITION_LIMITED,
     _crossing,
     require_meaningful,
     worst_case_regime,
@@ -22,6 +27,8 @@ from .analysis import (
 from .equilibrium import _equilibrium_split, inclusive_grid
 from .errors import TransitionUndefinedError, ZeroOptimumError
 from .model import DelayCoefficients, OnRampConfig, check_population, social_delay
+
+_J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 
 
 @dataclass(frozen=True)
@@ -54,18 +61,32 @@ def worst_case_social_delay(
     an interval endpoint: the equilibrium bypass share is monotone in the
     error factor while the social delay is convex in the share, so no interior
     error can dominate both endpoints.  Returns the supremum and the endpoint
-    evaluations achieving it (both, on a tie).  The configuration and beta are
-    checked as solve_equilibrium checks them, whose case analysis gives each share.
+    evaluations achieving it (both, on a tie), building a point for those only.
+    """
+    ends = _endpoints(config, derived, summary, beta, interval)
+    supremum = max(map(_J_SOC, ends))
+    achieving = tuple(
+        WorstCasePoint(error, 1.0, x_hat_b, j_soc)
+        for error, x_hat_b, j_soc in ends
+        if j_soc >= supremum - 1e-12
+    )
+    return supremum, achieving
+
+
+def _endpoints(config, derived, summary, beta, interval) -> list[tuple[float, float, float]]:
+    """(error, x_hat_b, j_soc) at full altruism for each distinct endpoint of the interval.
+
+    The one home of the endpoint rule: the configuration and beta are checked
+    as solve_equilibrium checks them, whose case analysis gives each share.
     """
     require_meaningful(summary)
-    points = []
-    for error in dict.fromkeys((interval.e_lower, interval.e_upper)):
+    ends = []
+    e_lower, e_upper = interval.e_lower, interval.e_upper
+    for error in (e_lower,) if e_lower == e_upper else (e_lower, e_upper):
         check_population(1.0, beta, error)
         _, x_hat_b, _, _ = _equilibrium_split(summary.phi, summary.delta, 1.0, beta * error)
-        points.append(WorstCasePoint(error, 1.0, x_hat_b, social_delay(config, derived, x_hat_b)))
-    supremum = max(point.j_soc for point in points)
-    achieving = tuple(p for p in points if p.j_soc >= supremum - 1e-12)
-    return supremum, achieving
+        ends.append((error, x_hat_b, social_delay(config, derived, x_hat_b)))
+    return ends
 
 
 def require_positive_optimum(summary: AnalysisSummary) -> None:
@@ -83,8 +104,7 @@ def price_of_anarchy(
 ) -> float:
     """Worst-case social delay normalized by the optimum; always >= 1."""
     require_positive_optimum(summary)
-    supremum, _ = worst_case_social_delay(config, derived, summary, beta, interval)
-    return supremum / summary.j_opt
+    return max(map(_J_SOC, _endpoints(config, derived, summary, beta, interval))) / summary.j_opt
 
 
 def transition_beta(alpha: float, phi: float, delta: float) -> float:
@@ -117,7 +137,7 @@ def optimal_altruism_level(
     """
     require_meaningful(summary)
     regime = worst_case_regime(summary.pi, interval)
-    if regime is Regime.TRANSITION_LIMITED:
+    if regime is _TRANSITION_LIMITED:
         beta_star = 1.0 / (interval.e_lower * summary.pi)
     else:
         beta_star = 1.0 / interval.geometric_mean
@@ -126,13 +146,7 @@ def optimal_altruism_level(
     transition = (
         summary.pi if math.isfinite(summary.pi) and summary.pi > 0.0 else None
     )
-    return RobustnessSummary(
-        poa=supremum / summary.j_opt,
-        beta_star=beta_star,
-        branch=regime,
-        transition_level_at_full_altruism=transition,
-        worst_case_points=points,
-    )
+    return RobustnessSummary(supremum / summary.j_opt, beta_star, regime, transition, points)
 
 
 def grid_poa(

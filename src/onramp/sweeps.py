@@ -118,34 +118,39 @@ def sweep_beta_e(
     return [LevelSweepRow(*cell) for cell in cells]
 
 
-def _write_cells(cells: Iterable[tuple], stream: IO[str], columns: Sequence[str]) -> None:
+def _write_cells(cells: Sequence[tuple], stream: IO[str], columns: Sequence[str]) -> None:
     """Header line, then one line per (value, point, x_hat_b, case, j_soc) cell.
 
     Numbers are written in NUMBER_FORMAT, the case as its label.  Each outer value and
-    case label is made once per run, each grid point and tail once per distinct value.
+    case label is made once per run, each grid point and tail once per distinct value;
+    cells holding an unhashable number, such as a 0-d numpy array, are formatted per cell.
     """
     number = "%" + NUMBER_FORMAT
     points, cases = {}, {}  # point -> text; case -> (label, {(x_hat_b, j_soc): tail})
     lines = [",".join(columns) + "\n"]
     value = run_case = object()
-    for v, p, x, case, j in cells:
-        if v is not value:
-            value, head = v, number % v
-        if case is not run_case:
-            run_case, (label, tails) = case, cases.setdefault(case, (case.value, {}))
-        point = points.get(p) if p else None
-        if point is None:
-            point = points[p] = number % p
-        tail = tails.get((x, j)) if x and j else None
-        if tail is None:
-            tail = tails[x, j] = f"{number % x},{label},{number % j}\n"
-        lines.append(f"{head},{point},{tail}")
+    try:
+        for v, p, x, case, j in cells:
+            if v is not value:
+                value, head = v, number % v
+            if case is not run_case:
+                run_case, (label, tails) = case, cases.setdefault(case, (case.value, {}))
+            point = points.get(p) if p else None
+            if point is None:
+                point = points[p] = number % p
+            tail = tails.get((x, j)) if x and j else None
+            if tail is None:
+                tail = tails[x, j] = f"{number % x},{label},{number % j}\n"
+            lines.append(f"{head},{point},{tail}")
+    except TypeError:  # an unhashable number: no caches
+        f = NUMBER_FORMAT
+        lines[1:] = [f"{v:{f}},{p:{f}},{x:{f}},{c.value},{j:{f}}\n" for v, p, x, c, j in cells]
     stream.write("".join(lines))
 
 
 def write_alpha_sweep(rows: Iterable[AlphaSweepRow], stream: IO[str]) -> None:
-    _write_cells(map(attrgetter(*ALPHA_SWEEP_COLUMNS), rows), stream, ALPHA_SWEEP_COLUMNS)
+    _write_cells(list(map(attrgetter(*ALPHA_SWEEP_COLUMNS), rows)), stream, ALPHA_SWEEP_COLUMNS)
 
 
 def write_beta_e_sweep(rows: Iterable[LevelSweepRow], stream: IO[str]) -> None:
-    _write_cells(map(attrgetter(*LEVEL_SWEEP_COLUMNS), rows), stream, LEVEL_SWEEP_COLUMNS)
+    _write_cells(list(map(attrgetter(*LEVEL_SWEEP_COLUMNS), rows)), stream, LEVEL_SWEEP_COLUMNS)

@@ -1,9 +1,15 @@
 """Unit tests for the A/B summary of bench/record.py."""
 
 import importlib.util
+import json
+import random
 from pathlib import Path
 
 import pytest
+
+from onramp.model import CONFIG_KEYS
+
+from conftest import sample_meaningful
 
 _PATH = Path(__file__).resolve().parents[1] / "bench" / "record.py"
 _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
@@ -82,3 +88,31 @@ def test_oracle_table_keeps_runs_best_and_ratio():
     assert row["change"] == {"best_s": 0.1, "runs_s": [0.3, 0.1, 0.6]}
     assert row["change_over_parent"] == 0.5
     assert table["best_response_dynamics"]["change_over_parent"] == pytest.approx(3.0)
+
+
+CLOSED_FORMS = {"from_dict", "derive_coefficients", "analyze", "classify",
+                "optimal_altruism_level", "price_of_anarchy", "solve_equilibrium"}
+
+
+def test_closed_form_times_on_a_synthetic_document(tmp_path, monkeypatch):
+    config, _, _ = sample_meaningful(random.Random(3))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: getattr(config, key) for key in CONFIG_KEYS}))
+    monkeypatch.setattr(record, "CALL_REPEATS", 2)
+    monkeypatch.setattr(record, "CALLS_PER_LOOP", 3)
+    times = record.closed_form_times(path)
+    assert set(times) == CLOSED_FORMS
+    assert all(0.0 < seconds < 0.1 for seconds in times.values())
+
+
+def test_run_fresh_reads_the_last_line_and_names_a_failure():
+    root = _PATH.parents[1]
+    assert record.run_fresh(root, "print('warm-up'); print('{\"x\": 0.5}')") == {"x": 0.5}
+    with pytest.raises(RuntimeError, match="exited 3"):
+        record.run_fresh(root, "raise SystemExit(3)")
+
+
+def test_closed_form_code_times_the_cli_import_first():
+    times = record.run_fresh(_PATH.parents[1], record.CLOSED_FORM_CODE)
+    assert set(times) == CLOSED_FORMS | {"import onramp.cli"}
+    assert all(seconds > 0.0 for seconds in times.values())

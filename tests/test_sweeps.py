@@ -380,6 +380,42 @@ def test_csv_caches_repeat_the_per_cell_format(cells):
         assert buffer.getvalue() == _reference_csv(rows, columns)
 
 
+# library rows may hold numpy numbers: float64 scalars hash, 0-d arrays do not
+NUMPY_NUMBERS = st.tuples(POOL_NUMBERS, st.sampled_from([float, np.float64, np.array])).map(
+    lambda pair: pair[1](pair[0])
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    cells=st.lists(st.tuples(NUMPY_NUMBERS, NUMPY_NUMBERS, NUMPY_NUMBERS,
+                             st.sampled_from(list(EquilibriumCase)), NUMPY_NUMBERS),
+                   min_size=1, max_size=20)
+)
+def test_csv_of_numpy_numbers_matches_per_cell_format(cells):
+    for row_type, columns, write in (
+        (AlphaSweepRow, ALPHA_SWEEP_COLUMNS, write_alpha_sweep),
+        (LevelSweepRow, LEVEL_SWEEP_COLUMNS, write_beta_e_sweep),
+    ):
+        for rows in ([row_type(*cell) for cell in cells], (row_type(*cell) for cell in cells)):
+            buffer = io.StringIO()
+            write(rows, buffer)
+            assert buffer.getvalue() == _reference_csv([row_type(*c) for c in cells], columns)
+
+
+def test_csv_of_zero_dimensional_arrays(demo):
+    rows = sweep_alpha(*demo, betas=[0.5, 1.0], alpha_step=0.1)
+    array_rows = [
+        AlphaSweepRow(np.array(row.beta), np.float64(row.alpha), np.array(row.x_hat_b), row.case,
+                      np.array(row.j_soc))
+        for row in rows
+    ]
+    text, array_text = io.StringIO(), io.StringIO()
+    write_alpha_sweep(rows, text)
+    write_alpha_sweep(array_rows, array_text)
+    assert array_text.getvalue() == text.getvalue() == _reference_csv(rows, ALPHA_SWEEP_COLUMNS)
+
+
 def test_sweeps_evaluate_each_distinct_share_once(demo, monkeypatch):
     config, derived, summary = demo
     shares = []
