@@ -104,7 +104,7 @@ def oracle_times() -> dict[str, float]:
     """
     import numpy  # imported here, so that no timed call pays for its import
     import onramp
-    config = onramp.load_config("demos/onramp.json")
+    config = onramp.load_config(DEMO_CONFIG)
     derived = onramp.derive_coefficients(config)
     summary = onramp.analyze(config, derived)
     narrow, wide = onramp.ErrorInterval(0.5, 2.0), onramp.ErrorInterval(0.25, 4.0)

@@ -148,7 +148,7 @@ def derive_coefficients(config: OnRampConfig) -> DelayCoefficients:
         c.c2t + c.c2m * n2,  # lane2_slope
     )
     derived = DelayCoefficients(*values)
-    if not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, values)):  # only here: vars() slows every later read
         for name, value in vars(derived).items():
             require_finite(name, value)
     return derived
