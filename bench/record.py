@@ -29,7 +29,8 @@ goes first, each checkout runs two fresh interpreters.  One runs
 times the call with ``time.perf_counter``.  The other times ``import
 onramp.cli`` first (L6), then runs ``closed_form_times``, the best per-call
 time of each L0-L3 closed form on the same config.  The file keeps each
-side's runs, its best and the ratio of the bests.  They are not gated:
+side's runs, its best, the ratio of the bests and the spread of the ratios
+of runs made in the same round.  They are not gated:
 perfbench/README.md shows why the oracles are too unsteady on a shared VM to
 gate on, and a single call is far shorter than a benchmark op.
 """
@@ -179,12 +180,21 @@ def run_fresh(checkout: Path, code: str) -> dict[str, float]:
 
 
 def oracle_table(times: dict) -> dict:
-    """Per timed call: each side's runs and best, and the change's best over the parent's."""
+    """Per timed call: each side's runs and best, and the change's best over the parent's.
+
+    Beside that ratio of bests, ``round_ratios`` gives the spread (min, median
+    and max) of the change-over-parent ratios of the runs made in the same round.
+    """
     table = {}
     for name in times["parent"]:
         row = {side: {"best_s": min(times[side][name]), "runs_s": times[side][name]}
                for side in SIDES}
         row["change_over_parent"] = row["change"]["best_s"] / row["parent"]["best_s"]
+        runs = zip(times["parent"][name], times["change"][name])
+        ratios = [change / parent for parent, change in runs]
+        row["round_ratios"] = {
+            "min": min(ratios), "median": statistics.median(ratios), "max": max(ratios)
+        }
         table[name] = row
     return table
 

@@ -52,27 +52,22 @@ class OnRampConfig:
         try:
             object.__setattr__(self, "n2", 1.0 - self.n0)
             values = _fields_of(self)
-            if all(map(math.isfinite, values)) and min(values) >= 0.0 and self.n2 >= 0.0:
-                return  # the common valid case, in one pass
+            if {float}.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+                if min(values) >= 0.0 and self.n2 >= 0.0:
+                    return  # the common valid case, in one pass
         except (TypeError, OverflowError):  # the checks below raise in field order
             pass
-        try:
-            object.__setattr__(self, "n2", 1.0 - self.n0)
-            if not math.isfinite(self.n0):
-                raise ConfigError("neighbor flows must be finite numbers")
-            if self.n0 < 0.0 or self.n2 < 0.0:
-                raise ConfigError(
-                    f"neighbor flows must be nonnegative, got n0={self.n0}, n2={self.n2}"
-                )
-            for name in CONFIG_KEYS[1:]:
-                value = getattr(self, name)
-                if not math.isfinite(value) or value < 0.0:
-                    raise ConfigError(
-                        f"cost coefficient {name} must be finite and >= 0, got {value}"
-                    )
-        except OverflowError as exc:  # a huge int; the checks run in field order
-            name = next(key for key in CONFIG_KEYS if abs(getattr(self, key)) > FLOAT_MAX)
-            raise ConfigError(f"config key {name} is too large for a float") from exc
+        _float_of("n0", self.n0)
+        object.__setattr__(self, "n2", 1.0 - self.n0)
+        if not math.isfinite(self.n0):
+            raise ConfigError("neighbor flows must be finite numbers")
+        if self.n0 < 0.0 or self.n2 < 0.0:
+            raise ConfigError(f"neighbor flows must be nonnegative, got n0={self.n0}, n2={self.n2}")
+        for name in CONFIG_KEYS[1:]:
+            value = getattr(self, name)
+            _float_of(name, value)
+            if not math.isfinite(value) or value < 0.0:
+                raise ConfigError(f"cost coefficient {name} must be finite and >= 0, got {value}")
 
     @classmethod
     def from_dict(cls, data) -> "OnRampConfig":
@@ -84,18 +79,22 @@ class OnRampConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if len(data) == len(CONFIG_KEYS) and {float}.issuperset(map(type, data.values())):
             return cls(*_keys_of(data))  # every key, each a float: the common case in one pass
-        values = {}
+        values = []
         for key in CONFIG_KEYS:
             if key not in data:
                 raise ConfigError(f"missing config key: {key}")
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key} must be a number, got {value!r}")
-            try:
-                values[key] = float(value)
-            except OverflowError as exc:
-                raise ConfigError(f"config key {key} is too large for a float") from exc
-        return cls(**values)
+            values.append(_float_of(key, data[key]))
+        return cls(*values)
+
+
+def _float_of(key: str, value) -> float:
+    """``value`` as a float, or a ConfigError naming ``key``: bools, non-numbers, huge ints."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"config key {key} is too large for a float") from exc
 
 
 def load_config(path) -> OnRampConfig:

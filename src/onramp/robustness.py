@@ -5,8 +5,8 @@ the error interval and over abundant altruistic ratios, normalized by the
 optimum.  Closed-form evaluation reduces both suprema to two endpoint solves,
 made as plain tuples in one private helper: price_of_anarchy builds no record,
 worst_case_social_delay a WorstCasePoint per endpoint reaching the supremum,
-optimal_altruism_level those and its summary.  A grid oracle re-derives the
-optimal altruism level by brute force.
+optimal_altruism_level those and its summary.  The grid oracles sample errors
+at alpha = 1 (the social delay increases on [delta, 1]) and levels in one pass.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .errors import TransitionUndefinedError, ZeroOptimumError
 from .model import DelayCoefficients, OnRampConfig, check_population, social_delay
 
 _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
+# cells of a grid-oracle block, unless one level's errors are more: 10**6 cells took
+# `onramp optimal-beta --verify` on [0.25, 4] to 91 MB peak RSS, this bound to 30 MB
+_CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -157,34 +160,31 @@ def grid_poa(
     interval: ErrorInterval,
     inner_grid_step: float = 1e-2,
 ) -> float:
-    """Grid-sampled price of anarchy: errors and ratios enumerated exhaustively.
+    """Grid-sampled price of anarchy: the worst error on a grid, at full altruism.
 
-    Evaluates the equilibrium share min(alpha, crossing(beta*error)) on the
-    product grid, every error on the grid at once; valid for the
-    abundant-ratio range where alpha > phi.
+    Checks the error supremum at the interval endpoints, and beta* through
+    grid_optimal_beta.  Reuses the altruistic crossing (analysis._crossing)
+    for the share min(1, crossing), so it does not check the equilibrium map.
     """
-    poa = _grid_poa_of_level(config, derived, summary, interval, inner_grid_step)
-    check_population(beta=beta, error=interval.e_upper)
-    return poa(beta)
+    return _grid_poa_at_levels(config, derived, summary, [beta], interval, inner_grid_step)[0]
 
 
-def _grid_poa_of_level(config, derived, summary, interval, inner_grid_step):
-    """grid_poa as a function of an unchecked level, with its two grids built once."""
+def _grid_poa_at_levels(config, derived, summary, levels, interval, inner_grid_step):
+    """grid_poa at each of the increasing ``levels``, evaluated in (level x error) blocks."""
     import numpy as np
     if inner_grid_step <= 0.0:
         raise ValueError(f"inner grid step must be > 0, got {inner_grid_step}")
     require_meaningful(summary)
     require_positive_optimum(summary)
     errors = np.array(inclusive_grid(interval.e_lower, interval.e_upper, inner_grid_step))
-    delta_clamped = min(max(summary.delta, 0.0), 1.0)
-    alphas = np.array(inclusive_grid(delta_clamped, 1.0, inner_grid_step))[None, :]
-
-    def poa(beta: float) -> float:
-        crossings = _crossing(summary.phi, summary.delta, beta * errors)
-        shares = np.minimum(alphas, crossings[:, None])
-        return float(social_delay(config, derived, shares).max()) / summary.j_opt
-
-    return poa
+    check_population(beta=levels[-1], error=interval.e_upper)
+    rows = max(1, _CHUNK_CELLS // len(errors))
+    poas = []
+    for start in range(0, len(levels), rows):
+        block = np.array(levels[start:start + rows], dtype=float)[:, None] * errors
+        shares = np.minimum(1.0, _crossing(summary.phi, summary.delta, block))
+        poas += (social_delay(config, derived, shares).max(axis=1) / summary.j_opt).tolist()
+    return poas
 
 
 def grid_optimal_beta(
@@ -209,6 +209,5 @@ def grid_optimal_beta(
         raise ValueError(
             f"beta search range (0, 2/e_lower] with e_lower = {interval.e_lower}: {exc}"
         ) from exc
-    poa = _grid_poa_of_level(config, derived, summary, interval, inner_grid_step)
-    check_population(beta=levels[-1], error=interval.e_upper)
-    return min(levels, key=poa)
+    poas = _grid_poa_at_levels(config, derived, summary, levels, interval, inner_grid_step)
+    return min(zip(levels, poas), key=itemgetter(1))[0]

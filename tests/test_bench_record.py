@@ -88,6 +88,11 @@ def test_oracle_table_keeps_runs_best_and_ratio():
     assert row["change"] == {"best_s": 0.1, "runs_s": [0.3, 0.1, 0.6]}
     assert row["change_over_parent"] == 0.5
     assert table["best_response_dynamics"]["change_over_parent"] == pytest.approx(3.0)
+    # each round pairs the two sides' runs: 0.3/0.5, 0.1/0.2 and 0.6/0.4
+    assert row["round_ratios"] == pytest.approx({"min": 0.5, "median": 0.6, "max": 1.5})
+    assert table["best_response_dynamics"]["round_ratios"] == pytest.approx(
+        {"min": 2.0, "median": 2.5, "max": 3.0}
+    )
 
 
 CLOSED_FORMS = {"from_dict", "derive_coefficients", "analyze", "classify",

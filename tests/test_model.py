@@ -4,13 +4,15 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp.errors import ConfigError
-from onramp.model import LEVEL_MAX, check_population
+from onramp.model import CONFIG_KEYS, LEVEL_MAX, check_population
 
 from conftest import DEMO_DELTA, DEMO_VALUES
 
@@ -96,6 +98,28 @@ def test_invalid_configs_rejected(kwargs):
 def test_config_reports_the_first_invalid_field(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         onramp.OnRampConfig(**dict(DEMO_VALUES, **kwargs))
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+@pytest.mark.parametrize(
+    "spoil", ["0.37", None, True, False, [1.0], Fraction(1, 2), 10**400, math.nan, -1.0]
+)
+def test_direct_config_names_a_bad_value_as_from_dict_does(key, spoil):
+    doc = dict(DEMO_VALUES, **{key: spoil})
+    with pytest.raises(ConfigError) as parsed:
+        onramp.OnRampConfig.from_dict(doc)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(parsed.value))}$"):
+        onramp.OnRampConfig(**doc)
+
+
+def test_direct_config_names_the_first_non_number_and_keeps_ints():
+    with pytest.raises(ConfigError, match=r"^config key c1t must be a number, got 'x'$"):
+        onramp.OnRampConfig(**dict(DEMO_VALUES, c1t="x", gamma=None))
+    # an earlier field's range fault still comes first, as it always did
+    with pytest.raises(ConfigError, match="^neighbor flows must be nonnegative"):
+        onramp.OnRampConfig(**dict(DEMO_VALUES, n0=-1.0, c1t="x"))
+    config = onramp.OnRampConfig(**dict(DEMO_VALUES, n0=0, c1t=1, mu=np.float64(2.4)))
+    assert (type(config.n0), type(config.c1t), type(config.mu)) == (int, int, np.float64)
 
 
 def test_config_lane2_share_closes_the_flow(demo_config):

@@ -2,15 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import onramp
+from onramp import robustness
+from onramp.equilibrium import inclusive_grid
 from onramp.errors import TransitionUndefinedError, ZeroOptimumError
 
 from conftest import (
     DEMO_J_OPT,
     DEMO_J_SOC_AT_PHI,
     make_transition_limited,
+    meaningful_configs,
     sample_meaningful,
 )
 
@@ -264,7 +269,7 @@ def test_grid_oracle_agrees_on_transition_limited():
     lipschitz_error = (
         lipschitz_delay * (2.0 / interval.e_lower) * 2.0 * (summary.delta - summary.phi)
     )
-    slack = (lipschitz_error * 1e-2 + lipschitz_delay * 1e-2) / summary.j_opt
+    slack = lipschitz_error * 1e-2 / summary.j_opt  # alpha = 1 is evaluated exactly
     assert analytic_poa <= sampled_poa + slack
 
 
@@ -294,7 +299,7 @@ def test_grid_poa_brackets_closed_form(demo):
         reach = max(1.0 - summary.delta, summary.delta - summary.phi)
         lipschitz_delay = 2.0 * slope_sum * reach
         lipschitz_error = lipschitz_delay * beta * 2.0 * (summary.delta - summary.phi)
-        slack = (lipschitz_error * 1e-2 + lipschitz_delay * 1e-2) / summary.j_opt
+        slack = lipschitz_error * 1e-2 / summary.j_opt  # only the error axis is sampled
         assert sampled >= exact - slack
 
 
@@ -314,7 +319,7 @@ def test_analytic_level_optimal_on_random_configs():
         lipschitz_error = (
             lipschitz_delay * (2.0 / interval.e_lower) * 2.0 * (summary.delta - summary.phi)
         )
-        slack = (lipschitz_error * 5e-2 + lipschitz_delay * 5e-2) / summary.j_opt
+        slack = lipschitz_error * 5e-2 / summary.j_opt  # only the error axis is sampled
         # no level on the oracle grid beats the analytic one beyond the grid slack
         assert result.poa <= sampled_minimum + 2.0 * slack
 
@@ -372,3 +377,73 @@ def test_branch_follows_classify_at_the_regime_boundary(seed):
         robust = onramp.optimal_altruism_level(config, derived, summary, interval)
         assert robust.branch is label.regime
     assert robust.branch is onramp.Regime.TRANSITION_LIMITED
+
+
+def _product_grid_poa(config, derived, summary, beta, interval, step):
+    """grid_poa as the (error x alpha) product grid it once evaluated, alpha on [delta, 1]."""
+    errors = np.array(inclusive_grid(interval.e_lower, interval.e_upper, step))
+    alphas = np.array(inclusive_grid(min(max(summary.delta, 0.0), 1.0), 1.0, step))[None, :]
+    level = beta * errors
+    crossings = ((1.0 - level) * summary.phi + 2.0 * level * summary.delta) / (1.0 + level)
+    shares = np.minimum(alphas, crossings[:, None])
+    return float(onramp.social_delay(config, derived, shares).max()) / summary.j_opt
+
+
+@st.composite
+def grid_cases(draw):
+    """A meaningful config, an error interval (sometimes a point) and a grid step."""
+    config, derived, summary = draw(meaningful_configs())
+    e_lower = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.1, 2.0))
+    e_upper = e_lower * draw(st.sampled_from([1.0]) | st.floats(1.0, 6.0))
+    step = draw(st.sampled_from([1e-2, 5e-2, 0.3]))
+    return config, derived, summary, onramp.ErrorInterval(e_lower, e_upper), step
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=grid_cases(), scale=st.floats(0.0, 4.0), past=st.floats(1.0, 20.0))
+def test_grid_poa_equals_the_product_grid(case, scale, past):
+    config, derived, summary, interval, step = case
+    levels = [0.0, scale]
+    if summary.pi > 0.0:  # past pi / e_upper the crossing reaches 1 at the upper error
+        levels += [summary.pi / interval.e_upper, summary.pi / interval.e_upper * past]
+    for beta in levels:
+        assert onramp.grid_poa(config, derived, summary, beta, interval, step) == (
+            _product_grid_poa(config, derived, summary, beta, interval, step)
+        )
+
+
+def _argmin_cases():
+    """Two configs on [0.25, 4], and one transition-limited whose PoA is flat past beta*."""
+    cases = []
+    for seed in range(2):
+        cases.append((*sample_meaningful(random.Random(seed)), onramp.ErrorInterval(0.25, 4.0)))
+    config, derived, summary = make_transition_limited(random.Random(5))
+    cases.append((config, derived, summary, onramp.ErrorInterval(1.0, (summary.pi * 1.5) ** 2)))
+    return cases
+
+
+@pytest.mark.parametrize("chunk_cells", [robustness._CHUNK_CELLS, 7])
+@pytest.mark.parametrize("case", range(3))
+def test_grid_optimal_beta_is_the_first_argmin_of_the_product_grid(case, chunk_cells, monkeypatch):
+    # 7 cells puts one level in each block; the default bound spans several blocks here
+    monkeypatch.setattr(robustness, "_CHUNK_CELLS", chunk_cells)
+    config, derived, summary, interval = _argmin_cases()[case]
+    levels = inclusive_grid(0.0, 2.0 / interval.e_lower, 0.05)[1:]
+    errors = inclusive_grid(interval.e_lower, interval.e_upper, 1e-2)
+    assert len(levels) * len(errors) > robustness._CHUNK_CELLS
+    poas = [_product_grid_poa(config, derived, summary, b, interval, 1e-2) for b in levels]
+    best = onramp.grid_optimal_beta(
+        config, derived, summary, interval, beta_grid_step=0.05, inner_grid_step=1e-2
+    )
+    assert best == levels[poas.index(min(poas))]
+    if case == 2:  # on the flat stage the smallest of the tied levels wins
+        assert poas.count(min(poas)) > 1
+
+
+def test_grid_poa_samples_no_ratio_axis(demo):
+    # a step far below the ratio range's resolution is refused only for the error grid
+    config, derived, summary = demo
+    point = onramp.ErrorInterval(1.0, 1.0)
+    assert onramp.grid_poa(config, derived, summary, 1.0, point, 1e-7) == pytest.approx(
+        onramp.price_of_anarchy(config, derived, summary, 1.0, point), abs=1e-12
+    )
