@@ -441,7 +441,7 @@ def test_grid_optimal_beta_is_the_first_argmin_of_the_product_grid(case, chunk_c
 
 
 def test_grid_poa_samples_no_ratio_axis(demo):
-    # a step far below the ratio range's resolution is refused only for the error grid
+    # no ratio grid is built, so a step too fine for [delta, 1] passes on a point interval
     config, derived, summary = demo
     point = onramp.ErrorInterval(1.0, 1.0)
     assert onramp.grid_poa(config, derived, summary, 1.0, point, 1e-7) == pytest.approx(
