@@ -1,9 +1,11 @@
-"""Golden CLI transcript: every subcommand and error exit, byte for byte.
+"""Golden CLI and demo transcripts: every subcommand, error exit and demo, byte for byte.
 
 Each case runs ``onramp.cli.main`` in-process on fixed configuration files
 and records its exit code, stdout, stderr and any ``--out`` file.  The
-expected transcript is ``golden_cli.txt`` beside this file.  After an
-intended change of output, regenerate it and review the diff:
+expected transcript is ``golden_cli.txt`` beside this file.  The three demos
+run on a copy of ``demos/``; ``golden_demos.txt`` holds their stdout and the
+line count and sha256 of each CSV they write.  After an intended change of
+output, regenerate both and review the diff:
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
@@ -14,6 +16,8 @@ import hashlib
 import io
 import json
 import os
+import runpy
+import shutil
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,6 +26,9 @@ from pathlib import Path
 from onramp.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
+DEMOS_GOLDEN = Path(__file__).with_name("golden_demos.txt")
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DEMO_SCRIPTS = ("run_analysis.py", "run_robustness.py", "run_sweeps.py")
 
 DEMO = {"n0": 0.37, "c1t": 1.0, "c1m": 21.3, "c2t": 1.0, "c2m": 1.0, "mu": 2.4, "gamma": 8.6}
 
@@ -225,10 +232,31 @@ def transcript(workdir: Path) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def demos_transcript(workdir: Path) -> str:
+    """Each demo's stdout, run on a copy of demos/, then each CSV by line count and digest."""
+    shutil.copy(DEMOS / "onramp.json", workdir / "onramp.json")
+    blocks = []
+    for script in DEMO_SCRIPTS:
+        shutil.copy(DEMOS / script, workdir / script)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            runpy.run_path(str(workdir / script), run_name="__main__")
+        blocks.append(f"=== python demos/{script}\n{out.getvalue().rstrip()}")
+    for path in sorted((workdir / "output").glob("*.csv")):
+        data = path.read_bytes()
+        lines, digest = data.count(b"\n"), hashlib.sha256(data).hexdigest()
+        blocks.append(f"=== demos/output/{path.name}: {lines} lines, sha256 {digest}")
+    return "\n\n".join(blocks) + "\n"
+
+
 def test_cli_transcript_matches_golden(tmp_path, monkeypatch):
     # argparse wraps its usage text to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
     assert transcript(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_demos_match_golden(tmp_path):
+    assert demos_transcript(tmp_path) == DEMOS_GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -237,4 +265,6 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(transcript(Path(tmp)), encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    with tempfile.TemporaryDirectory() as tmp:
+        DEMOS_GOLDEN.write_text(demos_transcript(Path(tmp)), encoding="utf-8")
+    print(f"wrote {GOLDEN} and {DEMOS_GOLDEN}")
