@@ -106,18 +106,19 @@ def oracle_times() -> dict[str, float]:
     import numpy  # imported here, so that no timed call pays for its import
     import onramp
     config = onramp.load_config(DEMO_CONFIG)
-    derived = onramp.derive_coefficients(config)
-    summary = onramp.analyze(config, derived)
+    if hasattr(onramp, "OnRamp"):  # the oracles take the one model object
+        lean = grid = (onramp.OnRamp.from_config(config),)
+    else:  # checkouts before it: (config, derived), plus the summary for the grid oracles
+        derived = onramp.derive_coefficients(config)
+        lean, grid = (config, derived), (config, derived, onramp.analyze(config, derived))
     narrow, wide = onramp.ErrorInterval(0.5, 2.0), onramp.ErrorInterval(0.25, 4.0)
     calls = {
-        "grid_optimal_beta[0.5,2]": lambda: onramp.grid_optimal_beta(
-            config, derived, summary, narrow),
-        "grid_optimal_beta[0.25,4]": lambda: onramp.grid_optimal_beta(
-            config, derived, summary, wide),
+        "grid_optimal_beta[0.5,2]": lambda: onramp.grid_optimal_beta(*grid, narrow),
+        "grid_optimal_beta[0.25,4]": lambda: onramp.grid_optimal_beta(*grid, wide),
         "brute_force_equilibrium": lambda: onramp.brute_force_equilibrium(
-            config, derived, 0.8, 1.0, grid_step=1e-3),
-        "best_response_dynamics": lambda: onramp.best_response_dynamics(config, derived, 0.8, 1.0),
-        "grid_poa": lambda: onramp.grid_poa(config, derived, summary, 1.0, narrow),
+            *lean, 0.8, 1.0, grid_step=1e-3),
+        "best_response_dynamics": lambda: onramp.best_response_dynamics(*lean, 0.8, 1.0),
+        "grid_poa": lambda: onramp.grid_poa(*grid, 1.0, narrow),
     }
     times = {}
     for name, call in calls.items():
@@ -132,7 +133,9 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
 
     Each call is timed by timeit, which uses time.perf_counter and turns the
     garbage collector off, as the fastest of CALL_REPEATS loops of
-    CALLS_PER_LOOP calls.  The config must lie in the meaningful set.
+    CALLS_PER_LOOP calls.  ``build`` times the whole model build, on both
+    sides of a comparison: derive_coefficients then analyze, whichever of the
+    two does the work.  The config must lie in the meaningful set.
     """
     import onramp
     data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -144,6 +147,7 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
         "from_dict": lambda: onramp.OnRampConfig.from_dict(data),
         "derive_coefficients": lambda: onramp.derive_coefficients(config),
         "analyze": lambda: onramp.analyze(config, derived),
+        "build": lambda: onramp.analyze(config, onramp.derive_coefficients(config)),
         "classify": lambda: onramp.classify(config, derived, interval),
         "optimal_altruism_level": lambda: onramp.optimal_altruism_level(
             config, derived, summary, interval),

@@ -12,23 +12,21 @@ from pathlib import Path
 
 import onramp
 
-config = onramp.load_config(Path(__file__).with_name("onramp.json"))
-derived = onramp.derive_coefficients(config)
-summary = onramp.analyze(config, derived)
+ramp = onramp.OnRamp.from_config(onramp.load_config(Path(__file__).with_name("onramp.json")))
 interval = onramp.ErrorInterval(0.5, 2.0)
 
 print(f"error interval [{interval.e_lower}, {interval.e_upper}]")
-label = onramp.classify(config, derived, interval)
+label = onramp.classification(ramp, interval)
 print(f"worst-case regime: {label.regime.value}")
 
 # Sample the PoA curve: it falls toward the optimal level and rises past it.
 print(f"\n{'beta':>5} {'poa':>10}")
 for tenths in range(1, 21):
     beta = tenths / 10.0
-    value = onramp.price_of_anarchy(config, derived, summary, beta, interval)
+    value = onramp.poa(ramp, beta, interval)
     print(f"{beta:>5.1f} {value:>10.6f}")
 
-result = onramp.optimal_altruism_level(config, derived, summary, interval)
+result = onramp.optimal_beta(ramp, interval)
 print(f"\noptimal level beta* = {result.beta_star:.6f} ({result.branch.value} branch)")
 print(f"poa at beta*        = {result.poa:.6f}")
 for point in result.worst_case_points:
@@ -38,7 +36,5 @@ for point in result.worst_case_points:
     )
 
 # Cross-check against the brute-force grid minimizer.
-sampled = onramp.grid_optimal_beta(
-    config, derived, summary, interval, beta_grid_step=1e-3, inner_grid_step=1e-2
-)
+sampled = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
 print(f"\ngrid-oracle minimizer: {sampled:.4f} (analytic {result.beta_star:.4f})")

@@ -13,21 +13,12 @@ import sys
 from contextlib import nullcontext
 from dataclasses import fields
 
-from .analysis import ErrorInterval, analyze, require_meaningful, worst_case_regime
-from .equilibrium import (
-    best_response_dynamics,
-    brute_force_equilibrium,
-    solve_equilibrium,
-    verify_wardrop,
-)
+from .analysis import ErrorInterval, require_meaningful, worst_case_regime
+from .equilibrium import best_response_dynamics, brute_force_equilibrium, solve, verify_wardrop
 from .errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
-from .model import check_population, derive_coefficients, load_config
-from .robustness import (
-    grid_optimal_beta,
-    optimal_altruism_level,
-    require_positive_optimum,
-    worst_case_social_delay,
-)
+from .model import _CONSTANTS, OnRamp, check_population, load_config
+from .robustness import grid_optimal_beta, optimal_beta, require_positive_optimum
+from .robustness import worst_case_social_delay
 from .sweeps import (
     ALPHA_SWEEP_COLUMNS,
     LEVEL_SWEEP_COLUMNS,
@@ -44,6 +35,8 @@ EXIT_VERIFY_FAILED = 3
 
 DEFAULT_SWEEP_BETAS = (0.2, 0.5, 1.0)
 DEFAULT_SWEEP_ALPHAS = (0.63, 0.8)
+# the model's fields that analyze prints first, in field order
+_ANALYZE_FIELDS = ("n0", "n2", *_CONSTANTS, "phi", "delta", "pi", "j_opt", "j_soc_at_phi")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,31 +125,29 @@ def _interval(args) -> ErrorInterval:
         raise ConfigError(f"invalid error interval: {exc}") from exc
 
 
-def _cmd_analyze(args, config, derived, summary) -> int:
-    _print_fields(config, names=("n0", "n2"))
-    _print_fields(derived)
-    _print_fields(summary, names=("phi", "delta", "pi", "j_opt", "j_soc_at_phi"))
-    _print("decrease_alpha_above", summary.decrease_interval[0])
-    _print("optimize_alpha_from", summary.optimize_interval[0])
-    _print("meaningful_set", "true" if summary.in_meaningful_set else "false")
-    if not summary.in_meaningful_set:
-        _print("exclusion_reason", summary.exclusion_reason)
+def _cmd_analyze(args, ramp) -> int:
+    _print_fields(ramp, names=_ANALYZE_FIELDS)
+    _print("decrease_alpha_above", ramp.decrease_interval[0])
+    _print("optimize_alpha_from", ramp.optimize_interval[0])
+    _print("meaningful_set", "true" if ramp.in_meaningful_set else "false")
+    if not ramp.in_meaningful_set:
+        _print("exclusion_reason", ramp.exclusion_reason)
         return EXIT_NOT_MEANINGFUL
     if args.e_lower is not None or args.e_upper is not None:
         if args.e_lower is None or args.e_upper is None:
             raise ConfigError("--e-lower and --e-upper must be given together")
-        _print("regime", worst_case_regime(summary.pi, _interval(args)).value)
+        _print("regime", worst_case_regime(ramp.pi, _interval(args)).value)
     return EXIT_OK
 
 
-def _cmd_equilibrium(args, config, derived, summary) -> int:
-    result = solve_equilibrium(config, derived, summary, args.alpha, args.beta, args.error)
+def _cmd_equilibrium(args, ramp) -> int:
+    result = solve(ramp, args.alpha, args.beta, args.error)
     _print("case", result.case.value)
     _print("x_hat_b", result.x_hat_b)
     _print_fields(result.flow)
     _print_fields(result.delays, "delay_")
     _print("j_soc", result.social_delay)
-    report = verify_wardrop(config, derived, result.flow, args.beta, args.error)
+    report = verify_wardrop(ramp, result.flow, args.beta, args.error)
     _print_fields(report, "wardrop_", [field.name for field in fields(result.flow)])
     _print("wardrop_pass", "true" if report.passed else "false")
     return EXIT_OK
@@ -168,21 +159,21 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _cmd_sweep_alpha(args, config, derived, summary) -> int:
+def _cmd_sweep_alpha(args, ramp) -> int:
     betas = args.beta if args.beta else list(DEFAULT_SWEEP_BETAS)
     for beta in betas:  # reported before a bad step
         check_population(beta=beta)
-    cells = _alpha_cells(config, derived, summary, betas, args.step)
+    cells = _alpha_cells(ramp, betas, args.step)
     with _open_out(args.out) as stream:
         _write_cells(cells, stream, ALPHA_SWEEP_COLUMNS)
     return EXIT_OK
 
 
-def _cmd_sweep_beta_e(args, config, derived, summary) -> int:
+def _cmd_sweep_beta_e(args, ramp) -> int:
     alphas = args.alpha if args.alpha else list(DEFAULT_SWEEP_ALPHAS)
     for alpha in alphas:  # reported before a bad level grid
         check_population(alpha=alpha)
-    cells = _level_cells(config, derived, summary, alphas, args.beta_e_max, args.step)
+    cells = _level_cells(ramp, alphas, args.beta_e_max, args.step)
     with _open_out(args.out) as stream:
         _write_cells(cells, stream, LEVEL_SWEEP_COLUMNS)
     return EXIT_OK
@@ -204,10 +195,8 @@ def _print_summary(result) -> None:
         _print("transition_level_at_full_altruism", result.transition_level_at_full_altruism)
 
 
-def _verify_beta_star(config, derived, summary, interval, beta_star) -> int:
-    sampled = grid_optimal_beta(
-        config, derived, summary, interval, beta_grid_step=1e-3, inner_grid_step=1e-2
-    )
+def _verify_beta_star(ramp, interval, beta_star) -> int:
+    sampled = grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
     gap = abs(beta_star - sampled)
     _print("grid_beta_star", sampled)
     _print("grid_beta_star_gap", gap)
@@ -219,39 +208,39 @@ def _verdict(ok: bool) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_poa(args, config, derived, summary) -> int:
+def _cmd_poa(args, ramp) -> int:
     interval = _interval(args)
-    supremum, points = worst_case_social_delay(config, derived, summary, args.beta, interval)
+    supremum, points = worst_case_social_delay(ramp, args.beta, interval)
     _print("beta", args.beta)
     _print_fields(interval)
-    _print("j_opt", summary.j_opt)
+    _print("j_opt", ramp.j_opt)
     _print("worst_case_j_soc", supremum)
-    require_positive_optimum(summary)
-    _print("poa", supremum / summary.j_opt)
+    require_positive_optimum(ramp)
+    _print("poa", supremum / ramp.j_opt)
     _print_worst_case(points)
-    result = optimal_altruism_level(config, derived, summary, interval)
+    result = optimal_beta(ramp, interval)
     _print_summary(result)
     if args.verify:
-        return _verify_beta_star(config, derived, summary, interval, result.beta_star)
+        return _verify_beta_star(ramp, interval, result.beta_star)
     return EXIT_OK
 
 
-def _cmd_optimal_beta(args, config, derived, summary) -> int:
+def _cmd_optimal_beta(args, ramp) -> int:
     interval = _interval(args)
-    result = optimal_altruism_level(config, derived, summary, interval)
+    result = optimal_beta(ramp, interval)
     _print_fields(interval)
-    _print("j_opt", summary.j_opt)
+    _print("j_opt", ramp.j_opt)
     _print_summary(result)
     _print_worst_case(result.worst_case_points)
     if args.verify:
-        return _verify_beta_star(config, derived, summary, interval, result.beta_star)
+        return _verify_beta_star(ramp, interval, result.beta_star)
     return EXIT_OK
 
 
-def _cmd_verify(args, config, derived, summary) -> int:
-    result = solve_equilibrium(config, derived, summary, args.alpha, args.beta, args.error)
+def _cmd_verify(args, ramp) -> int:
+    result = solve(ramp, args.alpha, args.beta, args.error)
     candidates = brute_force_equilibrium(
-        config, derived, args.alpha, args.beta, args.error, grid_step=args.step
+        ramp, args.alpha, args.beta, args.error, grid_step=args.step
     )
     _print("closed_form_x_hat_b", result.x_hat_b)
     _print("case", result.case.value)
@@ -263,7 +252,7 @@ def _cmd_verify(args, config, derived, summary) -> int:
         _print("brute_force_closest", closest.total_bypass)
         _print("brute_force_gap", gap)
         ok = gap <= 2.0 * args.step
-    trace = best_response_dynamics(config, derived, args.alpha, args.beta, args.error, tol=1e-10)
+    trace = best_response_dynamics(ramp, args.alpha, args.beta, args.error, tol=1e-10)
     dynamics_x = trace.flow.total_bypass
     dynamics_gap = abs(dynamics_x - result.x_hat_b)
     _print("dynamics_x_hat_b", dynamics_x)
@@ -271,7 +260,7 @@ def _cmd_verify(args, config, derived, summary) -> int:
     _print("dynamics_iterations", trace.iterations)
     _print("dynamics_converged", "true" if trace.converged else "false")
     ok &= trace.converged and dynamics_gap <= 1e-9
-    report = verify_wardrop(config, derived, result.flow, args.beta, args.error)
+    report = verify_wardrop(ramp, result.flow, args.beta, args.error)
     _print("wardrop_max_product", report.max_product)
     return _verdict(ok and report.passed)
 
@@ -279,14 +268,12 @@ def _cmd_verify(args, config, derived, summary) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        derived = derive_coefficients(config)
-        summary = analyze(config, derived)
-        if args.command != "analyze" and not summary.in_meaningful_set:
+        ramp = OnRamp.from_config(load_config(args.config))
+        if args.command != "analyze" and not ramp.in_meaningful_set:
             print("meaningful_set = false", file=sys.stderr)
-            print(f"exclusion_reason = {summary.exclusion_reason}", file=sys.stderr)
-            require_meaningful(summary)
-        return args.handler(args, config, derived, summary)
+            print(f"exclusion_reason = {ramp.exclusion_reason}", file=sys.stderr)
+            require_meaningful(ramp)
+        return args.handler(args, ramp)
     except (NotInMeaningfulSetError, DegenerateConfigError) as exc:
         print(f"onramp: configuration outside the meaningful set: {exc}", file=sys.stderr)
         return EXIT_NOT_MEANINGFUL

@@ -13,18 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import AnalysisSummary, _crossing, require_meaningful
-from .model import (
-    DelayCoefficients,
-    DelayProfile,
-    FlowDistribution,
-    OnRampConfig,
-    check_population,
-    check_share,
-    cost_gaps,
-    delays,
-    social_delay,
-)
+from .analysis import _crossing, require_meaningful
+from .model import DelayProfile, FlowDistribution, OnRamp, check_population
+from .model import check_share, cost_gaps, delays, social_delay
 
 
 class EquilibriumCase(Enum):
@@ -59,8 +50,8 @@ def _equilibrium_split(
 ) -> tuple[EquilibriumCase, float, float, float]:
     """(case, x_hat_b, altruistic bypass, selfish bypass) of a checked population.
 
-    The case analysis of solve_equilibrium, without its input checks; the
-    sweeps (per grid point) and worst_case_social_delay call it after theirs.
+    The case analysis of solve, without its input checks; the sweeps (per grid
+    point) and worst_case_social_delay call it after theirs.
     """
     if level == 0.0 or alpha == 0.0:
         altruistic_bypass = min(alpha, phi)
@@ -73,14 +64,7 @@ def _equilibrium_split(
     return _CASE_D, crossing, crossing, 0.0
 
 
-def solve_equilibrium(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    summary: AnalysisSummary,
-    alpha: float,
-    beta: float,
-    error: float = 1.0,
-) -> EquilibriumResult:
+def solve(ramp: OnRamp, alpha: float, beta: float, error: float = 1.0) -> EquilibriumResult:
     """Closed-form equilibrium for a meaningful-set configuration.
 
     The total bypass share is phi when the effective level beta*error is zero
@@ -90,17 +74,21 @@ def solve_equilibrium(
     active cases.  Boundary ties resolve to CASE_B at alpha == phi and to
     CASE_D at alpha == crossing; the share is the same either way.
     """
-    require_meaningful(summary)
+    require_meaningful(ramp)
     check_population(alpha, beta, error)
     case, x_hat_b, altruistic_bypass, selfish_bypass = _equilibrium_split(
-        summary.phi, summary.delta, alpha, beta * error
+        ramp.phi, ramp.delta, alpha, beta * error
     )
     flow = FlowDistribution(
         (1.0 - alpha) - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
     )
     return EquilibriumResult(
-        flow, x_hat_b, case, delays(derived, x_hat_b), social_delay(config, derived, x_hat_b)
+        flow, x_hat_b, case, delays(ramp, x_hat_b), social_delay(ramp, x_hat_b)
     )
+
+
+def solve_equilibrium(config, derived, ramp, alpha, beta, error=1.0) -> EquilibriumResult:
+    return solve(ramp, alpha, beta, error)  # perfbench's signature, until ROADMAP item 4
 
 
 @dataclass(frozen=True)
@@ -138,9 +126,9 @@ class WardropReport:
         return self.max_product <= self.tol
 
 
-def _switching_products(config, derived, flow, level):
+def _switching_products(ramp, flow, level):
     """WardropReport's four products, unchecked; the flow's fields may be numpy arrays."""
-    travel_gap, perceived_gap = cost_gaps(config, derived, flow.total_bypass, level)
+    travel_gap, perceived_gap = cost_gaps(ramp, flow.total_bypass, level)
     return (
         flow.selfish_steadfast * travel_gap,
         flow.selfish_bypass * -travel_gap,
@@ -150,17 +138,12 @@ def _switching_products(config, derived, flow, level):
 
 
 def verify_wardrop(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    flow: FlowDistribution,
-    beta: float,
-    error: float = 1.0,
-    tol: float = 1e-9,
+    ramp: OnRamp, flow: FlowDistribution, beta: float, error: float = 1.0, tol: float = 1e-9
 ) -> WardropReport:
     """Evaluate the equilibrium definition at a feasible flow."""
     check_share(flow.total_bypass)
     check_population(beta=beta, error=error)
-    return WardropReport(*_switching_products(config, derived, flow, beta * error), tol=tol)
+    return WardropReport(*_switching_products(ramp, flow, beta * error), tol=tol)
 
 
 # largest grid, or brute-force product grid, that is built; larger ones are refused
@@ -191,12 +174,7 @@ def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
 
 
 def brute_force_equilibrium(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    alpha: float,
-    beta: float,
-    error: float = 1.0,
-    grid_step: float = 1e-3,
+    ramp: OnRamp, alpha: float, beta: float, error: float = 1.0, grid_step: float = 1e-3
 ) -> list[FlowDistribution]:
     """Enumerate feasible decompositions on a grid and keep the verified ones.
 
@@ -211,7 +189,7 @@ def brute_force_equilibrium(
     if not 0.0 < grid_step <= 0.1:
         raise ValueError(f"grid step must lie in (0, 0.1], got {grid_step}")
     check_population(alpha, beta, error)
-    tol = (derived.slope_sum + derived.lane2_slope) * grid_step
+    tol = (ramp.slope_sum + ramp.lane2_slope) * grid_step
 
     xb = inclusive_grid(0.0, 1.0 - alpha, grid_step)
     xtb = inclusive_grid(0.0, alpha, grid_step)
@@ -222,7 +200,7 @@ def brute_force_equilibrium(
     grid = FlowDistribution(
         (1.0 - alpha) - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
     )
-    products = _switching_products(config, derived, grid, beta * error)
+    products = _switching_products(ramp, grid, beta * error)
     ok = np.logical_and.reduce([product <= tol for product in products])
     rows, cols = np.nonzero(ok)
     return [
@@ -252,12 +230,7 @@ def _bypass_range(gap_lo: float, gap_hi: float, mass: float) -> tuple[float, flo
 
 
 def best_response_dynamics(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    alpha: float,
-    beta: float,
-    error: float = 1.0,
-    tol: float = 1e-9,
+    ramp: OnRamp, alpha: float, beta: float, error: float = 1.0, tol: float = 1e-9
 ) -> DynamicsTrace:
     """Equilibrium by bisection on the total bypass share, certified by verify_wardrop.
 
@@ -267,7 +240,7 @@ def best_response_dynamics(
     point; a class that prefers one option across the final bracket takes
     it, and indifferent classes fill the midpoint share, altruists first.
     Only the cost gaps are used, never phi, delta or the crossing, so the
-    oracle is independent of the case analysis in solve_equilibrium.
+    oracle is independent of the case analysis in solve.
     """
     check_population(alpha, beta, error)
     if not tol > 0.0:
@@ -277,7 +250,7 @@ def best_response_dynamics(
     lo, hi, mid = 0.0, 1.0, 0.5
     halvings = 0
     while halvings < MAX_HALVINGS and lo < mid < hi:
-        travel_gap, perceived_gap = cost_gaps(config, derived, mid, level)
+        travel_gap, perceived_gap = cost_gaps(ramp, mid, level)
         asked = selfish_mass * (travel_gap > 0.0) + alpha * (perceived_gap > 0.0)
         if asked > mid:
             lo = mid
@@ -286,8 +259,8 @@ def best_response_dynamics(
         halvings += 1
         mid = 0.5 * (lo + hi)
 
-    travel_lo, perceived_lo = cost_gaps(config, derived, lo, level)
-    travel_hi, perceived_hi = cost_gaps(config, derived, hi, level)
+    travel_lo, perceived_lo = cost_gaps(ramp, lo, level)
+    travel_hi, perceived_hi = cost_gaps(ramp, hi, level)
     selfish_min, selfish_max = _bypass_range(travel_lo, travel_hi, selfish_mass)
     altruistic_min, altruistic_max = _bypass_range(perceived_lo, perceived_hi, alpha)
     altruistic_bypass = min(max(mid - selfish_min, altruistic_min), altruistic_max)
@@ -295,5 +268,5 @@ def best_response_dynamics(
     flow = FlowDistribution(
         selfish_mass - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
     )
-    report = verify_wardrop(config, derived, flow, beta, error, tol)
+    report = verify_wardrop(ramp, flow, beta, error, tol)
     return DynamicsTrace(flow, report.max_product, report.passed, halvings)

@@ -4,7 +4,10 @@ Lane 0 is the on-ramp, lane 1 the outer mainline lane whose drivers choose to
 stay steadfast (merge with the ramp traffic) or bypass it (shift to lane 2),
 and lane 2 the inner mainline lane.  Flows are proportions of the lane-1
 flow.  Once a configuration is fixed, every delay is affine in the total
-bypass share, so the whole model reduces to five derived constants.
+bypass share, so the whole model reduces to five derived constants.  One
+frozen ``OnRamp``, built once from a config, holds them with the neighboring
+flows and the closed-form structure computed from them; every solver, oracle
+and sweep takes it as its one model argument.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateConfigError
 
 # required keys of a JSON config document, in field order; no others are accepted
 CONFIG_KEYS = ("n0", "c1t", "c1m", "c2t", "c2m", "mu", "gamma")
@@ -108,26 +111,6 @@ def load_config(path) -> OnRampConfig:
     return OnRampConfig.from_dict(data)
 
 
-@dataclass(frozen=True)
-class DelayCoefficients:
-    """Affine constants of the four delay curves in the total bypass share x.
-
-    steadfast (and on-ramp) delay: steadfast_slope * (1 - x) + steadfast_intercept
-    bypass delay:                  bypass_slope * x + bypass_intercept
-    lane-2 delay:                  lane2_slope * x + bypass_intercept
-    """
-
-    steadfast_slope: float
-    steadfast_intercept: float
-    bypass_slope: float
-    bypass_intercept: float
-    lane2_slope: float
-
-    @property
-    def slope_sum(self) -> float:
-        return self.steadfast_slope + self.bypass_slope
-
-
 def require_finite(name: str, value: float) -> float:
     """Return ``value``, or raise ConfigError when the config values overflow it."""
     if not math.isfinite(value):
@@ -135,22 +118,116 @@ def require_finite(name: str, value: float) -> float:
     return value
 
 
-def derive_coefficients(config: OnRampConfig) -> DelayCoefficients:
-    """Collapse a validated config into the five affine delay constants, all finite."""
-    c = config
-    n0, n2 = c.n0, c.n2
-    values = (
-        c.c1t * c.mu + c.c1m * n0,  # steadfast_slope
-        c.c1t * c.mu * n0,  # steadfast_intercept
-        c.c2t * c.gamma + c.c2m * n2,  # bypass_slope
-        c.c2t * n2,  # bypass_intercept
-        c.c2t + c.c2m * n2,  # lane2_slope
-    )
-    derived = DelayCoefficients(*values)
-    if not all(map(math.isfinite, values)):  # only here: vars() slows every later read
-        for name, value in vars(derived).items():
-            require_finite(name, value)
-    return derived
+@dataclass(frozen=True)
+class OnRamp:
+    """One configuration's delay model and its analysis; build it with from_config.
+
+    The neighboring flows ``n0`` and ``n2``, then the affine constants of the
+    delay curves in the total bypass share x:
+
+    steadfast (and on-ramp) delay: steadfast_slope * (1 - x) + steadfast_intercept
+    bypass delay:                  bypass_slope * x + bypass_intercept
+    lane-2 delay:                  lane2_slope * x + bypass_intercept
+
+    The analysis is computed from those on construction, all finite: the
+    selfish crossing ``phi``, the social-delay minimizer ``delta``, ``pi_value``,
+    the optimum ``j_opt`` on [0, 1], the all-selfish delay ``j_soc_at_phi`` and
+    meaningful-set membership.  ``decrease_interval`` is open on the left (alpha
+    must strictly exceed phi to help) while ``optimize_interval`` is closed.
+    """
+
+    n0: float
+    n2: float
+    steadfast_slope: float
+    steadfast_intercept: float
+    bypass_slope: float
+    bypass_intercept: float
+    lane2_slope: float
+    phi: float = field(init=False)
+    delta: float = field(init=False)
+    pi: float = field(init=False)
+    j_opt: float = field(init=False)
+    j_soc_at_phi: float = field(init=False)
+    in_meaningful_set: bool = field(init=False)
+    exclusion_reason: str | None = field(init=False)
+    decrease_interval: tuple[float, float] = field(init=False)
+    optimize_interval: tuple[float, float] = field(init=False)
+
+    @classmethod
+    def from_config(cls, config: OnRampConfig) -> "OnRamp":
+        """Collapse a validated config into the delay constants and analyze them."""
+        c = config
+        n0, n2 = c.n0, c.n2
+        return cls(
+            n0, n2,
+            c.c1t * c.mu + c.c1m * n0,  # steadfast_slope
+            c.c1t * c.mu * n0,  # steadfast_intercept
+            c.c2t * c.gamma + c.c2m * n2,  # bypass_slope
+            c.c2t * n2,  # bypass_intercept
+            c.c2t + c.c2m * n2,  # lane2_slope
+        )
+
+    def __post_init__(self):
+        ks, bs = self.steadfast_slope, self.steadfast_intercept
+        kb, bb, k2 = self.bypass_slope, self.bypass_intercept, self.lane2_slope
+        if not all(map(math.isfinite, (ks, bs, kb, bb, k2))):
+            for name in _CONSTANTS:
+                require_finite(name, getattr(self, name))
+        slope_sum = ks + kb
+        if slope_sum <= 0.0:
+            raise DegenerateConfigError("all delay slopes vanish; no interior crossing")
+        phi = require_finite("phi", (ks + bs - bb) / slope_sum)
+        # stationarity of the convex quadratic: its second-order coefficient is
+        # the slope sum, its linear one the intercept gap and neighbor weights
+        delta = require_finite(
+            "delta", (2.0 * ks + bs - bb + self.n0 * ks - self.n2 * k2) / (2.0 * slope_sum)
+        )
+        clamped = min(max(delta, 0.0), 1.0)
+        j_opt = require_finite("j_opt", social_delay(self, clamped))
+        reason = (  # why (phi, delta) is outside the meaningful set 0 < phi < delta < 1
+            "Phi <= 0" if not phi > 0.0
+            else "Phi >= Delta" if not phi < delta
+            else "Delta >= 1" if not delta < 1.0
+            else None
+        )
+        pi = pi_value(phi, delta)
+        j_soc_at_phi = require_finite("j_soc_at_phi", social_delay(self, phi))
+        set_ = object.__setattr__
+        set_(self, "phi", phi)
+        set_(self, "delta", delta)
+        set_(self, "pi", pi)
+        set_(self, "j_opt", j_opt)
+        set_(self, "j_soc_at_phi", j_soc_at_phi)
+        set_(self, "in_meaningful_set", reason is None)
+        set_(self, "exclusion_reason", reason)
+        set_(self, "decrease_interval", (phi, 1.0))
+        set_(self, "optimize_interval", (clamped, 1.0))
+
+    @property
+    def slope_sum(self) -> float:
+        return self.steadfast_slope + self.bypass_slope
+
+
+_CONSTANTS = (
+    "steadfast_slope", "steadfast_intercept", "bypass_slope", "bypass_intercept", "lane2_slope"
+)
+
+
+def derive_coefficients(config: OnRampConfig) -> OnRamp:
+    return OnRamp.from_config(config)  # perfbench's signature, until ROADMAP item 4
+
+
+def pi_value(phi: float, delta: float) -> float:
+    """Regime ratio (1 - phi) / (2*delta - phi - 1).
+
+    Inside the meaningful set the ratio is either negative or greater than 1;
+    it is the effective level at which the altruistic crossing reaches 1.  At a
+    zero denominator it is the limit: +/-inf with the sign of 1 - phi, or NaN.
+    """
+    numerator, denominator = 1.0 - phi, 2.0 * delta - phi - 1.0
+    if denominator == 0.0:
+        return math.copysign(math.inf, numerator) if numerator != 0.0 else math.nan
+    return numerator / denominator
 
 
 @dataclass(frozen=True)
@@ -168,31 +245,31 @@ def check_share(x_hat_b: float) -> None:
         raise ValueError(f"bypass share must lie in [0, 1], got {x_hat_b}")
 
 
-def delay_lines(derived: DelayCoefficients, x_hat_b):
+def delay_lines(ramp: OnRamp, x_hat_b):
     """Steadfast, bypass and lane-2 delays at any share: a float or numpy array, unchecked."""
     return (
-        derived.steadfast_slope * (1.0 - x_hat_b) + derived.steadfast_intercept,
-        derived.bypass_slope * x_hat_b + derived.bypass_intercept,
-        derived.lane2_slope * x_hat_b + derived.bypass_intercept,
+        ramp.steadfast_slope * (1.0 - x_hat_b) + ramp.steadfast_intercept,
+        ramp.bypass_slope * x_hat_b + ramp.bypass_intercept,
+        ramp.lane2_slope * x_hat_b + ramp.bypass_intercept,
     )
 
 
-def delays(derived: DelayCoefficients, x_hat_b: float) -> DelayProfile:
+def delays(ramp: OnRamp, x_hat_b: float) -> DelayProfile:
     """Travel delays at total bypass share ``x_hat_b`` in [0, 1]."""
     check_share(x_hat_b)
-    steadfast, bypass, lane2 = delay_lines(derived, x_hat_b)
+    steadfast, bypass, lane2 = delay_lines(ramp, x_hat_b)
     return DelayProfile(steadfast, bypass, steadfast, lane2)
 
 
-def social_delay(config: OnRampConfig, derived: DelayCoefficients, x_hat_b: float) -> float:
+def social_delay(ramp: OnRamp, x_hat_b: float) -> float:
     """Flow-weighted total delay, a convex quadratic in the bypass share.
 
     The argument is deliberately unrestricted: the unconstrained minimizer may
     fall outside [0, 1] and callers locate it by evaluating the same affine
     extension used here.
     """
-    steadfast, bypass, lane2 = delay_lines(derived, x_hat_b)
-    n0, n2 = config.n0, config.n2
+    steadfast, bypass, lane2 = delay_lines(ramp, x_hat_b)
+    n0, n2 = ramp.n0, ramp.n2
     return (1.0 - x_hat_b) * steadfast + x_hat_b * bypass + n0 * steadfast + n2 * lane2
 
 
@@ -204,33 +281,27 @@ class AltruisticCostPair:
     bypass_cost: float
 
 
-def option_costs(config: OnRampConfig, derived: DelayCoefficients, x_hat_b, level):
+def option_costs(ramp: OnRamp, x_hat_b, level):
     """(steadfast delay, bypass delay, steadfast cost, bypass cost) at ``x_hat_b``.
 
     Each perceived cost is the delay plus the effective level beta*error times
     that option's marginal-delay term.  Unchecked; floats or numpy arrays.
     """
-    steadfast, bypass, _ = delay_lines(derived, x_hat_b)
-    n0, n2 = config.n0, config.n2
-    steadfast_cost = steadfast + level * derived.steadfast_slope * ((1.0 - x_hat_b) + n0)
-    bypass_cost = bypass + level * (derived.bypass_slope * x_hat_b + derived.lane2_slope * n2)
+    steadfast, bypass, _ = delay_lines(ramp, x_hat_b)
+    n0, n2 = ramp.n0, ramp.n2
+    steadfast_cost = steadfast + level * ramp.steadfast_slope * ((1.0 - x_hat_b) + n0)
+    bypass_cost = bypass + level * (ramp.bypass_slope * x_hat_b + ramp.lane2_slope * n2)
     return steadfast, bypass, steadfast_cost, bypass_cost
 
 
-def cost_gaps(config: OnRampConfig, derived: DelayCoefficients, x_hat_b, level):
+def cost_gaps(ramp: OnRamp, x_hat_b, level):
     """Steadfast-minus-bypass (travel delay, perceived cost) gaps; positive favors bypass."""
-    steadfast, bypass, steadfast_cost, bypass_cost = option_costs(
-        config, derived, x_hat_b, level
-    )
+    steadfast, bypass, steadfast_cost, bypass_cost = option_costs(ramp, x_hat_b, level)
     return steadfast - bypass, steadfast_cost - bypass_cost
 
 
 def altruistic_costs(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    x_hat_b: float,
-    beta: float,
-    error: float = 1.0,
+    ramp: OnRamp, x_hat_b: float, beta: float, error: float = 1.0
 ) -> AltruisticCostPair:
     """Perceived costs at level ``beta`` with multiplicative error ``error``.
 
@@ -241,7 +312,7 @@ def altruistic_costs(
     """
     check_population(beta=beta, error=error)
     check_share(x_hat_b)
-    _, _, steadfast_cost, bypass_cost = option_costs(config, derived, x_hat_b, beta * error)
+    _, _, steadfast_cost, bypass_cost = option_costs(ramp, x_hat_b, beta * error)
     return AltruisticCostPair(steadfast_cost=steadfast_cost, bypass_cost=bypass_cost)
 
 

@@ -3,10 +3,9 @@
 The price of anarchy takes the supremum of the equilibrium social delay over
 the error interval and over abundant altruistic ratios, normalized by the
 optimum.  Closed-form evaluation reduces both suprema to two endpoint solves,
-made as plain tuples in one private helper: price_of_anarchy builds no record,
-worst_case_social_delay a WorstCasePoint per endpoint reaching the supremum,
-optimal_altruism_level those and its summary.  The grid oracles sample errors
-at alpha = 1 (the social delay increases on [delta, 1]) and levels in one pass.
+made as plain tuples in one private helper that poa, worst_case_social_delay
+and optimal_beta share.  The grid oracles sample errors at alpha = 1 (the
+social delay increases on [delta, 1]) and levels in one pass.
 """
 
 from __future__ import annotations
@@ -15,18 +14,11 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .analysis import (
-    AnalysisSummary,
-    ErrorInterval,
-    Regime,
-    _TRANSITION_LIMITED,
-    _crossing,
-    require_meaningful,
-    worst_case_regime,
-)
+from .analysis import _TRANSITION_LIMITED, ErrorInterval, Regime, _crossing
+from .analysis import require_meaningful, worst_case_regime
 from .equilibrium import _equilibrium_split, inclusive_grid
 from .errors import TransitionUndefinedError, ZeroOptimumError
-from .model import DelayCoefficients, OnRampConfig, check_population, social_delay
+from .model import OnRamp, check_population, social_delay
 
 _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 # cells of a grid-oracle block, unless one level's errors are more: 10**6 cells took
@@ -52,11 +44,7 @@ class RobustnessSummary:
 
 
 def worst_case_social_delay(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    summary: AnalysisSummary,
-    beta: float,
-    interval: ErrorInterval,
+    ramp: OnRamp, beta: float, interval: ErrorInterval
 ) -> tuple[float, tuple[WorstCasePoint, ...]]:
     """Supremum of the equilibrium social delay over errors and abundant ratios.
 
@@ -66,7 +54,7 @@ def worst_case_social_delay(
     error can dominate both endpoints.  Returns the supremum and the endpoint
     evaluations achieving it (both, on a tie), building a point for those only.
     """
-    ends = _endpoints(config, derived, summary, beta, interval)
+    ends = _endpoints(ramp, beta, interval)
     supremum = max(map(_J_SOC, ends))
     achieving = tuple(
         WorstCasePoint(error, 1.0, x_hat_b, j_soc)
@@ -76,38 +64,36 @@ def worst_case_social_delay(
     return supremum, achieving
 
 
-def _endpoints(config, derived, summary, beta, interval) -> list[tuple[float, float, float]]:
+def _endpoints(ramp, beta, interval) -> list[tuple[float, float, float]]:
     """(error, x_hat_b, j_soc) at full altruism for each distinct endpoint of the interval.
 
     The one home of the endpoint rule: the configuration and beta are checked
-    as solve_equilibrium checks them, whose case analysis gives each share.
+    as solve checks them, whose case analysis gives each share.
     """
-    require_meaningful(summary)
+    require_meaningful(ramp)
     ends = []
     e_lower, e_upper = interval.e_lower, interval.e_upper
     for error in (e_lower,) if e_lower == e_upper else (e_lower, e_upper):
         check_population(1.0, beta, error)
-        _, x_hat_b, _, _ = _equilibrium_split(summary.phi, summary.delta, 1.0, beta * error)
-        ends.append((error, x_hat_b, social_delay(config, derived, x_hat_b)))
+        _, x_hat_b, _, _ = _equilibrium_split(ramp.phi, ramp.delta, 1.0, beta * error)
+        ends.append((error, x_hat_b, social_delay(ramp, x_hat_b)))
     return ends
 
 
-def require_positive_optimum(summary: AnalysisSummary) -> None:
+def require_positive_optimum(ramp: OnRamp) -> None:
     """Raise ZeroOptimumError when the optimum is zero and delay ratios are undefined."""
-    if summary.j_opt <= 0.0:
+    if ramp.j_opt <= 0.0:
         raise ZeroOptimumError("optimal social delay is zero; ratio undefined")
 
 
-def price_of_anarchy(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    summary: AnalysisSummary,
-    beta: float,
-    interval: ErrorInterval,
-) -> float:
+def poa(ramp: OnRamp, beta: float, interval: ErrorInterval) -> float:
     """Worst-case social delay normalized by the optimum; always >= 1."""
-    require_positive_optimum(summary)
-    return max(map(_J_SOC, _endpoints(config, derived, summary, beta, interval))) / summary.j_opt
+    require_positive_optimum(ramp)
+    return max(map(_J_SOC, _endpoints(ramp, beta, interval))) / ramp.j_opt
+
+
+def price_of_anarchy(config, derived, ramp, beta, interval) -> float:
+    return poa(ramp, beta, interval)  # perfbench's signature, until ROADMAP item 4
 
 
 def transition_beta(alpha: float, phi: float, delta: float) -> float:
@@ -124,12 +110,7 @@ def transition_beta(alpha: float, phi: float, delta: float) -> float:
     return (alpha - phi) / denominator
 
 
-def optimal_altruism_level(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    summary: AnalysisSummary,
-    interval: ErrorInterval,
-) -> RobustnessSummary:
+def optimal_beta(ramp: OnRamp, interval: ErrorInterval) -> RobustnessSummary:
     """Altruism level minimizing the price of anarchy, with its achieved value.
 
     In the endpoint-symmetric regime the minimizer is the reciprocal of the
@@ -138,27 +119,24 @@ def optimal_altruism_level(
     equalizing the lower endpoint against the flat stage that starts at
     effective level pi.
     """
-    require_meaningful(summary)
-    regime = worst_case_regime(summary.pi, interval)
+    require_meaningful(ramp)
+    regime = worst_case_regime(ramp.pi, interval)
     if regime is _TRANSITION_LIMITED:
-        beta_star = 1.0 / (interval.e_lower * summary.pi)
+        beta_star = 1.0 / (interval.e_lower * ramp.pi)
     else:
         beta_star = 1.0 / interval.geometric_mean
-    require_positive_optimum(summary)
-    supremum, points = worst_case_social_delay(config, derived, summary, beta_star, interval)
-    transition = (
-        summary.pi if math.isfinite(summary.pi) and summary.pi > 0.0 else None
-    )
-    return RobustnessSummary(supremum / summary.j_opt, beta_star, regime, transition, points)
+    require_positive_optimum(ramp)
+    supremum, points = worst_case_social_delay(ramp, beta_star, interval)
+    transition = ramp.pi if math.isfinite(ramp.pi) and ramp.pi > 0.0 else None
+    return RobustnessSummary(supremum / ramp.j_opt, beta_star, regime, transition, points)
+
+
+def optimal_altruism_level(config, derived, ramp, interval) -> RobustnessSummary:
+    return optimal_beta(ramp, interval)  # perfbench's signature, until ROADMAP item 4
 
 
 def grid_poa(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    summary: AnalysisSummary,
-    beta: float,
-    interval: ErrorInterval,
-    inner_grid_step: float = 1e-2,
+    ramp: OnRamp, beta: float, interval: ErrorInterval, inner_grid_step: float = 1e-2
 ) -> float:
     """Grid-sampled price of anarchy: the worst error on a grid, at full altruism.
 
@@ -166,31 +144,29 @@ def grid_poa(
     grid_optimal_beta.  Reuses the altruistic crossing (analysis._crossing)
     for the share min(1, crossing), so it does not check the equilibrium map.
     """
-    return _grid_poa_at_levels(config, derived, summary, [beta], interval, inner_grid_step)[0]
+    return _grid_poa_at_levels(ramp, [beta], interval, inner_grid_step)[0]
 
 
-def _grid_poa_at_levels(config, derived, summary, levels, interval, inner_grid_step):
+def _grid_poa_at_levels(ramp, levels, interval, inner_grid_step):
     """grid_poa at each of the increasing ``levels``, evaluated in (level x error) blocks."""
     import numpy as np
     if inner_grid_step <= 0.0:
         raise ValueError(f"inner grid step must be > 0, got {inner_grid_step}")
-    require_meaningful(summary)
-    require_positive_optimum(summary)
+    require_meaningful(ramp)
+    require_positive_optimum(ramp)
     errors = np.array(inclusive_grid(interval.e_lower, interval.e_upper, inner_grid_step))
     check_population(beta=levels[-1], error=interval.e_upper)
     rows = max(1, _CHUNK_CELLS // len(errors))
     poas = []
     for start in range(0, len(levels), rows):
         block = np.array(levels[start:start + rows], dtype=float)[:, None] * errors
-        shares = np.minimum(1.0, _crossing(summary.phi, summary.delta, block))
-        poas += (social_delay(config, derived, shares).max(axis=1) / summary.j_opt).tolist()
+        shares = np.minimum(1.0, _crossing(ramp.phi, ramp.delta, block))
+        poas += (social_delay(ramp, shares).max(axis=1) / ramp.j_opt).tolist()
     return poas
 
 
 def grid_optimal_beta(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    summary: AnalysisSummary,
+    ramp: OnRamp,
     interval: ErrorInterval,
     beta_grid_step: float = 1e-3,
     inner_grid_step: float = 1e-2,
@@ -209,5 +185,5 @@ def grid_optimal_beta(
         raise ValueError(
             f"beta search range (0, 2/e_lower] with e_lower = {interval.e_lower}: {exc}"
         ) from exc
-    poas = _grid_poa_at_levels(config, derived, summary, levels, interval, inner_grid_step)
+    poas = _grid_poa_at_levels(ramp, levels, interval, inner_grid_step)
     return min(zip(levels, poas), key=itemgetter(1))[0]

@@ -1,10 +1,10 @@
 """Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
 
-Each row comes from the case analysis that solve_equilibrium uses, with the
-inputs checked once per outer value instead of once per grid point, and each
-distinct share checked and evaluated once.  A row holds exactly the CSV columns;
-the CLI writes the cells without building rows, through a writer that formats
-each distinct number once and never caches zeros (-0.0 == 0.0 but prints "-0").
+Each row comes from the case analysis that solve uses, with the inputs checked
+once per outer value instead of once per grid point, and each distinct share
+checked and evaluated once.  A row holds exactly the CSV columns; the CLI
+writes the cells without building rows, through a writer that formats each
+distinct number once and never caches zeros (-0.0 == 0.0 but prints "-0").
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import IO, Iterable, Sequence
 
-from .analysis import AnalysisSummary, require_meaningful
+from .analysis import require_meaningful
 from .equilibrium import EquilibriumCase, _equilibrium_split, inclusive_grid
-from .model import FLOAT_MAX, LEVEL_MAX, DelayCoefficients, OnRampConfig
+from .model import FLOAT_MAX, LEVEL_MAX, OnRamp
 from .model import check_float, check_population, check_share, social_delay
 
 ALPHA_SWEEP_COLUMNS = ("beta", "alpha", "x_hat_b", "case", "j_soc")
@@ -46,39 +46,39 @@ class LevelSweepRow:
     j_soc: float
 
 
-def _sweep_cells(config, derived, summary, outer, grid, population) -> list[tuple]:
+def _sweep_cells(ramp, outer, grid, population) -> list[tuple]:
     """A (value, point, x_hat_b, case, j_soc) cell per outer value and grid point, in order.
 
     ``population(value, point)`` gives the (alpha, level) of a grid point.
-    Each outer value is checked as solve_equilibrium checks it, paired with
-    the grid's first point 0.0; the grid points are in range by construction.
+    Each outer value is checked as solve checks it, paired with the grid's
+    first point 0.0; the grid points are in range by construction.
     """
-    phi, delta = summary.phi, summary.delta
+    phi, delta = ramp.phi, ramp.delta
     j_socs = {}  # each distinct share is checked and evaluated once
     cells = []
     for value in outer:
-        require_meaningful(summary)
+        require_meaningful(ramp)
         check_population(*population(value, 0.0))
         for point in grid:
             alpha, level = population(value, point)
             case, x_hat_b, _, _ = _equilibrium_split(phi, delta, alpha, level)
             if x_hat_b not in j_socs:
                 check_share(x_hat_b)
-                j_socs[x_hat_b] = social_delay(config, derived, x_hat_b)
+                j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
             cells.append((value, point, x_hat_b, case, j_socs[x_hat_b]))
     return cells
 
 
-def _alpha_cells(config, derived, summary, betas, alpha_step) -> list[tuple]:
-    """The cells of sweep_alpha; the CLI writes them without building rows."""
+def _alpha_cells(ramp, betas, alpha_step) -> list[tuple]:
+    """The cells of alpha_sweep; the CLI writes them without building rows."""
     if not 0.0 < alpha_step <= 0.1:
         raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
     grid = inclusive_grid(0.0, 1.0, alpha_step)
-    return _sweep_cells(config, derived, summary, betas, grid, lambda beta, alpha: (alpha, beta))
+    return _sweep_cells(ramp, betas, grid, lambda beta, alpha: (alpha, beta))
 
 
-def _level_cells(config, derived, summary, alphas, beta_e_max, step) -> list[tuple]:
-    """The cells of sweep_beta_e; the CLI writes them without building rows."""
+def _level_cells(ramp, alphas, beta_e_max, step) -> list[tuple]:
+    """The cells of beta_e_sweep; the CLI writes them without building rows."""
     check_float("beta_e_max", beta_e_max)
     check_float("step", step)
     if beta_e_max <= 0.0:
@@ -86,36 +86,33 @@ def _level_cells(config, derived, summary, alphas, beta_e_max, step) -> list[tup
     if LEVEL_MAX < beta_e_max <= FLOAT_MAX:
         raise ValueError(f"beta_e_max = {beta_e_max} exceeds the level bound {LEVEL_MAX}")
     grid = inclusive_grid(0.0, beta_e_max, step)
-    return _sweep_cells(config, derived, summary, alphas, grid, lambda alpha, level: (alpha, level))
+    return _sweep_cells(ramp, alphas, grid, lambda alpha, level: (alpha, level))
 
 
-def sweep_alpha(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    summary: AnalysisSummary,
-    betas: Sequence[float],
-    alpha_step: float,
-) -> list[AlphaSweepRow]:
+def alpha_sweep(ramp: OnRamp, betas: Sequence[float], alpha_step: float) -> list[AlphaSweepRow]:
     """One row per (beta, alpha) with alpha on a [0, 1] grid, error factor 1."""
-    cells = _alpha_cells(config, derived, summary, betas, alpha_step)
-    return [AlphaSweepRow(*cell) for cell in cells]
+    return [AlphaSweepRow(*cell) for cell in _alpha_cells(ramp, betas, alpha_step)]
 
 
-def sweep_beta_e(
-    config: OnRampConfig,
-    derived: DelayCoefficients,
-    summary: AnalysisSummary,
-    alphas: Sequence[float],
-    beta_e_max: float,
-    step: float,
+def sweep_alpha(config, derived, ramp, betas, alpha_step) -> list[AlphaSweepRow]:
+    return alpha_sweep(ramp, betas, alpha_step)  # perfbench's signature, until ROADMAP item 4
+
+
+def beta_e_sweep(
+    ramp: OnRamp, alphas: Sequence[float], beta_e_max: float, step: float
 ) -> list[LevelSweepRow]:
     """One row per (alpha, beta_e) with the effective level on a [0, max] grid.
 
     The level is applied as the altruism level itself (error factor 1), which
     is equivalent to any (beta, error) pair with the same product.
     """
-    cells = _level_cells(config, derived, summary, alphas, beta_e_max, step)
-    return [LevelSweepRow(*cell) for cell in cells]
+    return [LevelSweepRow(*cell) for cell in _level_cells(ramp, alphas, beta_e_max, step)]
+
+
+def sweep_beta_e(config, derived, ramp, alphas, beta_e_max, step) -> list[LevelSweepRow]:
+    return beta_e_sweep(  # perfbench's signature, until ROADMAP item 4
+        ramp, alphas, beta_e_max, step
+    )
 
 
 def _write_cells(cells: Sequence[tuple], stream: IO[str], columns: Sequence[str]) -> None:

@@ -37,13 +37,8 @@ def demo_config():
 
 
 @pytest.fixture(scope="session")
-def demo_derived(demo_config):
-    return onramp.derive_coefficients(demo_config)
-
-
-@pytest.fixture(scope="session")
-def demo_summary(demo_config, demo_derived):
-    return onramp.analyze(demo_config, demo_derived)
+def demo_ramp(demo_config):
+    return onramp.OnRamp.from_config(demo_config)
 
 
 @pytest.fixture()
@@ -71,10 +66,8 @@ def meaningful_configs(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     while True:
         config = sample_config(rng)
-        derived = onramp.derive_coefficients(config)
-        summary = onramp.analyze(config, derived)
-        if summary.in_meaningful_set:
-            return config, derived, summary
+        if onramp.OnRamp.from_config(config).in_meaningful_set:
+            return config
 
 
 RATIO_GRID = [i * 0.05 for i in range(21)]
@@ -95,20 +88,18 @@ def sample_meaningful(
     grid so that strict-inequality claims are not decided by float dust.
     """
     while True:
-        config = sample_config(rng)
-        derived = onramp.derive_coefficients(config)
-        summary = onramp.analyze(config, derived)
+        ramp = onramp.OnRamp.from_config(sample_config(rng))
         if not (
-            summary.phi > margin
-            and summary.delta - summary.phi > margin
-            and summary.delta < 1.0 - margin
+            ramp.phi > margin
+            and ramp.delta - ramp.phi > margin
+            and ramp.delta < 1.0 - margin
         ):
             continue
         if grid_safe and not (
-            _clear_of_grid(summary.phi, 2e-3) and _clear_of_grid(summary.delta, 2e-3)
+            _clear_of_grid(ramp.phi, 2e-3) and _clear_of_grid(ramp.delta, 2e-3)
         ):
             continue
-        return config, derived, summary
+        return ramp
 
 
 def meaningful_batch(count: int, seed: int, **kwargs):
@@ -149,24 +140,22 @@ def make_transition_limited(rng: random.Random, pi_target: float | None = None):
         c1m = (k_s - mu) / n0
         if min(c2m, gamma, mu, c1m) < 0.0:
             continue
-        config = onramp.OnRampConfig(
-            n0=n0, c1t=1.0, c1m=c1m, c2t=c2t, c2m=c2m, mu=mu, gamma=gamma
+        ramp = onramp.OnRamp.from_config(
+            onramp.OnRampConfig(n0=n0, c1t=1.0, c1m=c1m, c2t=c2t, c2m=c2m, mu=mu, gamma=gamma)
         )
-        derived = onramp.derive_coefficients(config)
-        summary = onramp.analyze(config, derived)
-        assert summary.in_meaningful_set
-        assert abs(summary.phi - phi0) < 1e-9
-        assert abs(summary.pi - pi0) < 1e-6
-        return config, derived, summary
+        assert ramp.in_meaningful_set
+        assert abs(ramp.phi - phi0) < 1e-9
+        assert abs(ramp.pi - pi0) < 1e-6
+        return ramp
     raise AssertionError("failed to construct a positive-ratio configuration")
 
 
-def bisect_selfish_crossing(derived, lo=0.0, hi=1.0, iters=100) -> float:
+def bisect_selfish_crossing(ramp, lo=0.0, hi=1.0, iters=100) -> float:
     """Independent bisection oracle on the travel-delay gap."""
 
     def gap(x):
-        steadfast = derived.steadfast_slope * (1.0 - x) + derived.steadfast_intercept
-        bypass = derived.bypass_slope * x + derived.bypass_intercept
+        steadfast = ramp.steadfast_slope * (1.0 - x) + ramp.steadfast_intercept
+        bypass = ramp.bypass_slope * x + ramp.bypass_intercept
         return steadfast - bypass
 
     gap_lo = gap(lo)
@@ -179,16 +168,16 @@ def bisect_selfish_crossing(derived, lo=0.0, hi=1.0, iters=100) -> float:
     return 0.5 * (lo + hi)
 
 
-def grid_scan_minimizer(config, derived, lo=-1.0, hi=2.0, step=1e-5) -> float:
+def grid_scan_minimizer(ramp, lo=-1.0, hi=2.0, step=1e-5) -> float:
     """Independent grid-scan oracle for the social-delay minimizer."""
     points = lo + np.arange(int(round((hi - lo) / step)) + 1) * step
-    values = onramp.social_delay(config, derived, points)
+    values = onramp.social_delay(ramp, points)
     return float(points[int(np.argmin(values))])
 
 
-def refined_grid_minimizer(config, derived, coarse_step=1e-5, fine_step=1e-8) -> float:
+def refined_grid_minimizer(ramp, coarse_step=1e-5, fine_step=1e-8) -> float:
     """Two-stage grid scan: coarse sweep, then a fine sweep around the winner."""
-    coarse = grid_scan_minimizer(config, derived, step=coarse_step)
+    coarse = grid_scan_minimizer(ramp, step=coarse_step)
     return grid_scan_minimizer(
-        config, derived, lo=coarse - 2.0 * coarse_step, hi=coarse + 2.0 * coarse_step, step=fine_step
+        ramp, lo=coarse - 2.0 * coarse_step, hi=coarse + 2.0 * coarse_step, step=fine_step
     )

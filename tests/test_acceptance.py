@@ -15,7 +15,7 @@ import pytest
 
 import onramp
 from onramp.cli import main as cli_main
-from onramp.sweeps import inclusive_grid, sweep_alpha, sweep_beta_e
+from onramp.sweeps import alpha_sweep, beta_e_sweep, inclusive_grid
 
 from conftest import (
     DEMO_VALUES,
@@ -34,25 +34,25 @@ def _passed(number, message):
 
 
 @pytest.fixture(scope="module")
-def demo(demo_config, demo_derived, demo_summary):
-    return demo_config, demo_derived, demo_summary
+def demo(demo_ramp):
+    return demo_ramp
 
 
 def test_criterion_1_demo_anchors(demo):
-    config, derived, summary = demo
-    assert summary.in_meaningful_set
-    assert summary.pi < 0.0
-    label = onramp.classify(config, derived, onramp.ErrorInterval(0.5, 2.0))
+    ramp = demo
+    assert ramp.in_meaningful_set
+    assert ramp.pi < 0.0
+    label = onramp.classification(ramp, onramp.ErrorInterval(0.5, 2.0))
     assert label.regime is onramp.Regime.ENDPOINT_SYMMETRIC
 
-    bisected = bisect_selfish_crossing(derived)
-    assert abs(summary.phi - bisected) <= 1e-6
-    scanned = refined_grid_minimizer(config, derived)
-    assert abs(summary.delta - scanned) <= 1e-6
+    bisected = bisect_selfish_crossing(ramp)
+    assert abs(ramp.phi - bisected) <= 1e-6
+    scanned = refined_grid_minimizer(ramp)
+    assert abs(ramp.delta - scanned) <= 1e-6
     _passed(
         1,
-        f"demo anchors: phi={summary.phi:.6f} delta={summary.delta:.6f} "
-        f"pi={summary.pi:.4f} inside the meaningful set, endpoint-symmetric regime",
+        f"demo anchors: phi={ramp.phi:.6f} delta={ramp.delta:.6f} "
+        f"pi={ramp.pi:.4f} inside the meaningful set, endpoint-symmetric regime",
     )
 
 
@@ -65,40 +65,40 @@ def improvement_instances(demo):
 
 def test_criterion_2_improvement_conditions(improvement_instances):
     checked = 0
-    for config, derived, summary in improvement_instances:
-        baseline = summary.j_soc_at_phi
+    for ramp in improvement_instances:
+        baseline = ramp.j_soc_at_phi
         for alpha in inclusive_grid(0.0, 1.0, 0.05):
             for beta in BETA_GRID:
-                result = onramp.solve_equilibrium(config, derived, summary, alpha, beta)
-                flags = onramp.improvement_conditions(alpha, beta, summary)
+                result = onramp.solve(ramp, alpha, beta)
+                flags = onramp.improvement_conditions(ramp, alpha, beta)
                 decreased = result.social_delay < baseline - 1e-9
-                assert decreased == flags.decreases, (alpha, beta, summary)
-                optimized = abs(result.social_delay - summary.j_opt) <= 1e-9
-                assert optimized == flags.optimizes, (alpha, beta, summary)
+                assert decreased == flags.decreases, (alpha, beta, ramp)
+                optimized = abs(result.social_delay - ramp.j_opt) <= 1e-9
+                assert optimized == flags.optimizes, (alpha, beta, ramp)
                 checked += 1
     _passed(2, f"improvement iff conditions held at all {checked} grid points")
 
 
 def test_criterion_3_ratio_sweep_shape(demo):
-    config, derived, summary = demo
-    rows = sweep_alpha(config, derived, summary, betas=[0.2, 0.5, 1.0], alpha_step=0.01)
+    ramp = demo
+    rows = alpha_sweep(ramp, betas=[0.2, 0.5, 1.0], alpha_step=0.01)
     by_beta = {beta: [r for r in rows if r.beta == beta] for beta in (0.2, 0.5, 1.0)}
     full = by_beta[1.0]
 
-    flat_left = [r for r in full if r.alpha <= summary.phi]
+    flat_left = [r for r in full if r.alpha <= ramp.phi]
     assert flat_left
     for row in flat_left:
-        assert abs(row.j_soc - summary.j_soc_at_phi) <= 1e-9
+        assert abs(row.j_soc - ramp.j_soc_at_phi) <= 1e-9
 
-    interior = [r for r in full if summary.phi < r.alpha < summary.delta]
+    interior = [r for r in full if ramp.phi < r.alpha < ramp.delta]
     assert interior
     for a, b in zip(interior, interior[1:]):
         assert b.j_soc <= a.j_soc - 1e-9
 
-    flat_right = [r for r in full if r.alpha >= summary.delta]
+    flat_right = [r for r in full if r.alpha >= ramp.delta]
     assert flat_right
     for row in flat_right:
-        assert abs(row.j_soc - summary.j_opt) <= 1e-9
+        assert abs(row.j_soc - ramp.j_opt) <= 1e-9
 
     for beta in (0.2, 0.5):
         for weak, strong in zip(by_beta[beta], full):
@@ -112,16 +112,14 @@ def test_criterion_3_ratio_sweep_shape(demo):
 
 
 def test_criterion_4_level_sweep_shape(demo):
-    config, derived, summary = demo
-    rows = sweep_beta_e(
-        config, derived, summary, alphas=[0.63, 0.8], beta_e_max=4.0, step=0.01
-    )
+    ramp = demo
+    rows = beta_e_sweep(ramp, alphas=[0.63, 0.8], beta_e_max=4.0, step=0.01)
     abundant = [r for r in rows if r.alpha == 0.8]
     scarce = [r for r in rows if r.alpha == 0.63]
 
     at_unit = [r for r in abundant if r.beta_e == 1.0]
     assert len(at_unit) == 1
-    assert abs(at_unit[0].j_soc - summary.j_opt) <= 1e-9
+    assert abs(at_unit[0].j_soc - ramp.j_opt) <= 1e-9
     assert min(r.j_soc for r in abundant) >= at_unit[0].j_soc - 1e-12
     before = [r for r in abundant if r.beta_e <= 1.0]
     after = [r for r in abundant if r.beta_e >= 1.0]
@@ -130,12 +128,12 @@ def test_criterion_4_level_sweep_shape(demo):
     for a, b in zip(after, after[1:]):
         assert b.j_soc >= a.j_soc - 1e-12
 
-    analytic_transition = onramp.transition_beta(0.63, summary.phi, summary.delta)
+    analytic_transition = onramp.transition_beta(0.63, ramp.phi, ramp.delta)
     flat = [r for r in scarce if r.x_hat_b == 0.63]
     assert flat
     first_flat = min(r.beta_e for r in flat)
     assert abs(first_flat - analytic_transition) <= 0.01 + 1e-12
-    level_value = onramp.social_delay(config, derived, 0.63)
+    level_value = onramp.social_delay(ramp, 0.63)
     for row in scarce:
         if row.beta_e >= analytic_transition:
             assert abs(row.j_soc - level_value) <= 1e-9
@@ -147,57 +145,55 @@ def test_criterion_4_level_sweep_shape(demo):
     )
 
 
-def _poa_slack(summary, derived, interval, step_error):
+def _poa_slack(ramp, interval, step_error):
     """Bound on how much a supremum sampled on an error grid can undershoot the true one.
 
     The grid evaluates full altruism exactly, so only the error step counts.
     """
-    reach = max(1.0 - summary.delta, summary.delta - summary.phi)
-    lipschitz_delay = 2.0 * derived.slope_sum * reach
+    reach = max(1.0 - ramp.delta, ramp.delta - ramp.phi)
+    lipschitz_delay = 2.0 * ramp.slope_sum * reach
     lipschitz_error = (
-        lipschitz_delay * (2.0 / interval.e_lower) * 2.0 * (summary.delta - summary.phi)
+        lipschitz_delay * (2.0 / interval.e_lower) * 2.0 * (ramp.delta - ramp.phi)
     )
-    return lipschitz_error * step_error / summary.j_opt
+    return lipschitz_error * step_error / ramp.j_opt
 
 
 def test_criterion_5_optimal_level(demo):
-    config, derived, summary = demo
+    ramp = demo
     interval = onramp.ErrorInterval(0.5, 2.0)
-    analytic = onramp.optimal_altruism_level(config, derived, summary, interval)
+    analytic = onramp.optimal_beta(ramp, interval)
     assert analytic.beta_star == pytest.approx(1.0, abs=1e-12)
-    sampled = onramp.grid_optimal_beta(
-        config, derived, summary, interval, beta_grid_step=1e-3, inner_grid_step=1e-2
-    )
+    sampled = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
     assert abs(sampled - analytic.beta_star) <= 1e-3 + 1e-12
 
     rng = random.Random(515)
     endpoint_cases = []
     while len(endpoint_cases) < 25:
-        cfg, der, summ = sample_meaningful(rng)
+        ramp = sample_meaningful(rng)
         lower = rng.uniform(0.4, 1.2)
         span = onramp.ErrorInterval(lower, lower * rng.uniform(1.2, 4.0))
-        if onramp.classify(cfg, der, span).regime is onramp.Regime.ENDPOINT_SYMMETRIC:
-            endpoint_cases.append((cfg, der, summ, span))
+        if onramp.classification(ramp, span).regime is onramp.Regime.ENDPOINT_SYMMETRIC:
+            endpoint_cases.append((ramp, span))
     limited_cases = []
     while len(limited_cases) < 10:
-        cfg, der, summ = make_transition_limited(rng)
+        ramp = make_transition_limited(rng)
         lower = rng.uniform(0.4, 1.0)
-        span = onramp.ErrorInterval(lower, lower * (summ.pi * rng.uniform(1.2, 1.8)) ** 2)
-        assert onramp.classify(cfg, der, span).regime is onramp.Regime.TRANSITION_LIMITED
-        limited_cases.append((cfg, der, summ, span))
+        span = onramp.ErrorInterval(lower, lower * (ramp.pi * rng.uniform(1.2, 1.8)) ** 2)
+        assert onramp.classification(ramp, span).regime is onramp.Regime.TRANSITION_LIMITED
+        limited_cases.append((ramp, span))
 
-    for cfg, der, summ, span in endpoint_cases + limited_cases:
-        result = onramp.optimal_altruism_level(cfg, der, summ, span)
+    for ramp, span in endpoint_cases + limited_cases:
+        result = onramp.optimal_beta(ramp, span)
         sampled_best = onramp.grid_optimal_beta(
-            cfg, der, summ, span, beta_grid_step=2e-3, inner_grid_step=2e-2
+            ramp, span, beta_grid_step=2e-3, inner_grid_step=2e-2
         )
-        sampled_minimum = onramp.grid_poa(cfg, der, summ, sampled_best, span, 2e-2)
-        slack = _poa_slack(summ, der, span, 2e-2)
+        sampled_minimum = onramp.grid_poa(ramp, sampled_best, span, 2e-2)
+        slack = _poa_slack(ramp, span, 2e-2)
         assert result.poa <= sampled_minimum + slack
 
         def crossing_delay(level):
-            share = onramp.altruistic_intersection(summ.phi, summ.delta, level)
-            return onramp.social_delay(cfg, der, share)
+            share = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+            return onramp.social_delay(ramp, share)
 
         if result.branch is onramp.Regime.ENDPOINT_SYMMETRIC:
             assert crossing_delay(result.beta_star * span.e_lower) == pytest.approx(
@@ -205,7 +201,7 @@ def test_criterion_5_optimal_level(demo):
             )
         else:
             assert crossing_delay(result.beta_star * span.e_lower) == pytest.approx(
-                crossing_delay(summ.pi), abs=1e-9
+                crossing_delay(ramp.pi), abs=1e-9
             )
     _passed(
         5,
@@ -222,13 +218,11 @@ def oracle_instances():
 
 def test_criterion_6a_brute_force_agreement(oracle_instances):
     rng = random.Random(607)
-    for config, derived, summary in oracle_instances:
+    for ramp in oracle_instances:
         alpha = rng.uniform(0.05, 0.95)
         level = rng.uniform(0.25, 1.25)
-        closed = onramp.solve_equilibrium(config, derived, summary, alpha, level)
-        candidates = onramp.brute_force_equilibrium(
-            config, derived, alpha, level, grid_step=1e-3
-        )
+        closed = onramp.solve(ramp, alpha, level)
+        candidates = onramp.brute_force_equilibrium(ramp, alpha, level, grid_step=1e-3)
         assert candidates, (alpha, level)
         gap = min(abs(f.total_bypass - closed.x_hat_b) for f in candidates)
         assert gap <= 2e-3, (alpha, level, gap)
@@ -241,11 +235,11 @@ def test_criterion_6a_brute_force_agreement(oracle_instances):
 
 def test_criterion_6b_dynamics_agreement(oracle_instances):
     rng = random.Random(608)
-    for config, derived, summary in oracle_instances[:50]:
+    for ramp in oracle_instances[:50]:
         alpha = rng.uniform(0.05, 0.95)
         level = rng.uniform(0.25, 1.25)
-        closed = onramp.solve_equilibrium(config, derived, summary, alpha, level)
-        trace = onramp.best_response_dynamics(config, derived, alpha, level, 1.0, tol=1e-12)
+        closed = onramp.solve(ramp, alpha, level)
+        trace = onramp.best_response_dynamics(ramp, alpha, level, 1.0, tol=1e-12)
         assert trace.converged, (alpha, level, trace)
         gap = abs(trace.flow.total_bypass - closed.x_hat_b)
         assert gap <= 1e-9, (alpha, level, gap)
@@ -259,16 +253,12 @@ def test_criterion_6b_dynamics_agreement(oracle_instances):
 def test_criterion_7_wardrop_residuals(demo):
     instances = [demo] + meaningful_batch(20, seed=707)
     checked = 0
-    for config, derived, summary in instances:
+    for ramp in instances:
         for alpha in inclusive_grid(0.0, 1.0, 0.1):
             for beta in BETA_GRID:
                 for error in (0.5, 1.0, 2.0):
-                    result = onramp.solve_equilibrium(
-                        config, derived, summary, alpha, beta, error
-                    )
-                    report = onramp.verify_wardrop(
-                        config, derived, result.flow, beta, error, tol=1e-9
-                    )
+                    result = onramp.solve(ramp, alpha, beta, error)
+                    report = onramp.verify_wardrop(ramp, result.flow, beta, error, tol=1e-9)
                     assert report.passed, (alpha, beta, error, report)
                     checked += 1
     _passed(7, f"all {checked} solver outputs passed the equilibrium definition at 1e-9")

@@ -25,54 +25,48 @@ from conftest import (
 )
 
 
-def test_selfish_crossing_matches_bisection(demo_derived):
-    phi = onramp.selfish_equilibrium_flow(demo_derived)
+def test_selfish_crossing_matches_bisection(demo_ramp):
+    phi = demo_ramp.phi
     assert phi == pytest.approx(DEMO_PHI, abs=1e-12)
-    assert phi == pytest.approx(bisect_selfish_crossing(demo_derived), abs=1e-9)
+    assert phi == pytest.approx(bisect_selfish_crossing(demo_ramp), abs=1e-9)
 
 
 def test_selfish_crossing_symmetric_config():
     config = onramp.OnRampConfig(
         n0=0.5, c1t=1.0, c1m=1.0, c2t=1.0, c2m=1.0, mu=1.0, gamma=1.0
     )
-    derived = onramp.derive_coefficients(config)
-    assert derived.steadfast_slope == derived.bypass_slope
-    assert derived.steadfast_intercept == derived.bypass_intercept
-    assert onramp.selfish_equilibrium_flow(derived) == pytest.approx(0.5, abs=1e-12)
+    ramp = onramp.OnRamp.from_config(config)
+    assert ramp.steadfast_slope == ramp.bypass_slope
+    assert ramp.steadfast_intercept == ramp.bypass_intercept
+    assert ramp.phi == pytest.approx(0.5, abs=1e-12)
 
 
 def test_selfish_crossing_negative_outside_set():
     config = onramp.OnRampConfig(
         n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0
     )
-    derived = onramp.derive_coefficients(config)
-    assert derived.bypass_intercept > derived.steadfast_slope + derived.steadfast_intercept
-    summary = onramp.analyze(config, derived)
-    assert summary.phi < 0.0
-    assert not summary.in_meaningful_set
-    assert summary.exclusion_reason == "Phi <= 0"
+    ramp = onramp.OnRamp.from_config(config)
+    assert ramp.bypass_intercept > ramp.steadfast_slope + ramp.steadfast_intercept
+    assert ramp.phi < 0.0
+    assert not ramp.in_meaningful_set
+    assert ramp.exclusion_reason == "Phi <= 0"
 
 
 def test_degenerate_config_raises():
     config = onramp.OnRampConfig(
         n0=0.4, c1t=0.0, c1m=0.0, c2t=0.0, c2m=0.0, mu=0.0, gamma=0.0
     )
-    derived = onramp.derive_coefficients(config)
     with pytest.raises(DegenerateConfigError):
-        onramp.selfish_equilibrium_flow(derived)
-    with pytest.raises(DegenerateConfigError):
-        onramp.social_optimum(config, derived)
+        onramp.OnRamp.from_config(config)
 
 
-def test_social_optimum_matches_grid_scan(demo_config, demo_derived):
-    minimizer, optimum = onramp.social_optimum(demo_config, demo_derived)
+def test_social_optimum_matches_grid_scan(demo_ramp):
+    minimizer, optimum = demo_ramp.delta, demo_ramp.j_opt
     assert minimizer == pytest.approx(DEMO_DELTA, abs=1e-12)
-    scanned = grid_scan_minimizer(demo_config, demo_derived, step=1e-5)
+    scanned = grid_scan_minimizer(demo_ramp, step=1e-5)
     assert minimizer == pytest.approx(scanned, abs=1e-4)
     # interior minimizer: the optimum is the unclamped vertex value
-    assert optimum == pytest.approx(
-        onramp.social_delay(demo_config, demo_derived, minimizer), abs=0.0
-    )
+    assert optimum == pytest.approx(onramp.social_delay(demo_ramp, minimizer), abs=0.0)
     assert optimum == pytest.approx(DEMO_J_OPT, abs=1e-12)
 
 
@@ -80,14 +74,14 @@ def test_social_optimum_clamps_to_boundary():
     config = onramp.OnRampConfig(
         n0=0.9, c1t=1.0, c1m=10.0, c2t=0.05, c2m=0.0, mu=1.0, gamma=0.0
     )
-    derived = onramp.derive_coefficients(config)
-    minimizer, optimum = onramp.social_optimum(config, derived)
+    ramp = onramp.OnRamp.from_config(config)
+    minimizer, optimum = ramp.delta, ramp.j_opt
     assert minimizer > 1.0
-    assert optimum == onramp.social_delay(config, derived, 1.0)
+    assert optimum == onramp.social_delay(ramp, 1.0)
 
 
-def test_altruistic_intersection_endpoints(demo_summary):
-    phi, delta = demo_summary.phi, demo_summary.delta
+def test_altruistic_intersection_endpoints(demo_ramp):
+    phi, delta = demo_ramp.phi, demo_ramp.delta
     assert onramp.altruistic_intersection(phi, delta, 0.0) == phi
     assert onramp.altruistic_intersection(phi, delta, 1.0) == delta
     limit = 2.0 * delta - phi
@@ -96,8 +90,8 @@ def test_altruistic_intersection_endpoints(demo_summary):
         onramp.altruistic_intersection(phi, delta, -0.1)
 
 
-def test_altruistic_intersection_is_bounded_at_the_level_bound(demo_summary):
-    phi, delta = demo_summary.phi, demo_summary.delta
+def test_altruistic_intersection_is_bounded_at_the_level_bound(demo_ramp):
+    phi, delta = demo_ramp.phi, demo_ramp.delta
     limit = 2.0 * delta - phi
     assert onramp.altruistic_intersection(phi, delta, LEVEL_MAX) == pytest.approx(limit, abs=1e-15)
     assert onramp.altruistic_intersection(phi, delta, -0.0) == phi
@@ -107,8 +101,8 @@ def test_altruistic_intersection_is_bounded_at_the_level_bound(demo_summary):
             onramp.altruistic_intersection(phi, delta, level)
 
 
-def test_altruistic_intersection_monotone(demo_summary):
-    phi, delta = demo_summary.phi, demo_summary.delta
+def test_altruistic_intersection_monotone(demo_ramp):
+    phi, delta = demo_ramp.phi, demo_ramp.delta
     levels = [i * 0.1 for i in range(100)]
     values = [onramp.altruistic_intersection(phi, delta, level) for level in levels]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -116,10 +110,8 @@ def test_altruistic_intersection_monotone(demo_summary):
     assert all(phi <= v <= delta for v in inside)
 
 
-def test_pi_value_examples(demo_summary):
-    assert onramp.pi_value(demo_summary.phi, demo_summary.delta) == pytest.approx(
-        DEMO_PI, abs=1e-12
-    )
+def test_pi_value_examples(demo_ramp):
+    assert onramp.pi_value(demo_ramp.phi, demo_ramp.delta) == pytest.approx(DEMO_PI, abs=1e-12)
     assert onramp.pi_value(0.0, 0.75) == pytest.approx(2.0, abs=1e-12)
     assert onramp.pi_value(0.5, 0.7) == pytest.approx(-5.0, abs=1e-12)
     # zero denominator: the limit, +/-inf with the sign of 1 - phi, or NaN at 0/0
@@ -128,19 +120,19 @@ def test_pi_value_examples(demo_summary):
     assert math.isnan(onramp.pi_value(1.0, 1.0))
 
 
-def test_demo_summary_fields(demo_summary):
-    assert demo_summary.in_meaningful_set
-    assert demo_summary.exclusion_reason is None
-    assert demo_summary.pi == pytest.approx(DEMO_PI, abs=1e-12)
-    assert demo_summary.j_soc_at_phi == pytest.approx(DEMO_J_SOC_AT_PHI, abs=1e-12)
-    assert demo_summary.j_opt <= demo_summary.j_soc_at_phi
-    assert demo_summary.decrease_interval == (demo_summary.phi, 1.0)
-    assert demo_summary.optimize_interval == (demo_summary.delta, 1.0)
+def test_demo_summary_fields(demo_ramp):
+    assert demo_ramp.in_meaningful_set
+    assert demo_ramp.exclusion_reason is None
+    assert demo_ramp.pi == pytest.approx(DEMO_PI, abs=1e-12)
+    assert demo_ramp.j_soc_at_phi == pytest.approx(DEMO_J_SOC_AT_PHI, abs=1e-12)
+    assert demo_ramp.j_opt <= demo_ramp.j_soc_at_phi
+    assert demo_ramp.decrease_interval == (demo_ramp.phi, 1.0)
+    assert demo_ramp.optimize_interval == (demo_ramp.delta, 1.0)
 
 
-def test_classify_demo_config(demo_config, demo_derived):
+def test_classify_demo_config(demo_ramp):
     for bounds in ((0.5, 2.0), (1.0, 1.0), (0.1, 10.0)):
-        label = onramp.classify(demo_config, demo_derived, onramp.ErrorInterval(*bounds))
+        label = onramp.classification(demo_ramp, onramp.ErrorInterval(*bounds))
         assert label.regime is onramp.Regime.ENDPOINT_SYMMETRIC
 
 
@@ -148,24 +140,23 @@ def test_classify_outside_set_reports_reason():
     config = onramp.OnRampConfig(
         n0=0.05, c1t=1.0, c1m=30.0, c2t=0.4, c2m=0.1, mu=5.0, gamma=1.0
     )
-    derived = onramp.derive_coefficients(config)
-    summary = onramp.analyze(config, derived)
-    assert not summary.in_meaningful_set
-    label = onramp.classify(config, derived, onramp.ErrorInterval(0.5, 2.0))
+    ramp = onramp.OnRamp.from_config(config)
+    assert not ramp.in_meaningful_set
+    label = onramp.classification(ramp, onramp.ErrorInterval(0.5, 2.0))
     assert label.regime is onramp.Regime.NOT_IN_MEANINGFUL_SET
-    assert label.reason == summary.exclusion_reason
+    assert label.reason == ramp.exclusion_reason
 
 
 def test_classify_transition_limited_constructed():
     rng = random.Random(11)
-    config, derived, summary = make_transition_limited(rng)
+    ramp = make_transition_limited(rng)
     # interval wide enough that the ratio falls below sqrt(e_upper / e_lower)
-    interval = onramp.ErrorInterval(1.0, (summary.pi * 1.5) ** 2)
-    label = onramp.classify(config, derived, interval)
+    interval = onramp.ErrorInterval(1.0, (ramp.pi * 1.5) ** 2)
+    label = onramp.classification(ramp, interval)
     assert label.regime is onramp.Regime.TRANSITION_LIMITED
     # narrow interval: same configuration classifies as endpoint-symmetric
-    narrow = onramp.ErrorInterval(1.0, min(1.1, (summary.pi * 0.9) ** 2))
-    assert onramp.classify(config, derived, narrow).regime is onramp.Regime.ENDPOINT_SYMMETRIC
+    narrow = onramp.ErrorInterval(1.0, min(1.1, (ramp.pi * 0.9) ** 2))
+    assert onramp.classification(ramp, narrow).regime is onramp.Regime.ENDPOINT_SYMMETRIC
 
 
 def test_error_interval_validation():
@@ -176,20 +167,20 @@ def test_error_interval_validation():
         onramp.ErrorInterval(2.0, 1.0)
 
 
-def test_improvement_conditions(demo_summary):
-    assert onramp.improvement_conditions(0.8, 1.0, demo_summary) == (True, True)
-    assert onramp.improvement_conditions(0.55, 1.0, demo_summary) == (True, False)
-    assert onramp.improvement_conditions(0.8, 0.0, demo_summary) == (False, False)
-    assert onramp.improvement_conditions(0.3, 1.0, demo_summary) == (False, False)
+def test_improvement_conditions(demo_ramp):
+    assert onramp.improvement_conditions(demo_ramp, 0.8, 1.0) == (True, True)
+    assert onramp.improvement_conditions(demo_ramp, 0.55, 1.0) == (True, False)
+    assert onramp.improvement_conditions(demo_ramp, 0.8, 0.0) == (False, False)
+    assert onramp.improvement_conditions(demo_ramp, 0.3, 1.0) == (False, False)
 
 
 def test_improvement_conditions_require_membership():
     config = onramp.OnRampConfig(
         n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0
     )
-    summary = onramp.analyze(config, onramp.derive_coefficients(config))
+    ramp = onramp.OnRamp.from_config(config)
     with pytest.raises(NotInMeaningfulSetError):
-        onramp.improvement_conditions(0.8, 1.0, summary)
+        onramp.improvement_conditions(ramp, 0.8, 1.0)
 
 
 def _ulps(x):
@@ -197,11 +188,11 @@ def _ulps(x):
     return math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)
 
 
-def test_improvement_conditions_tie_rules(demo_summary):
-    phi, delta = demo_summary.phi, demo_summary.delta
+def test_improvement_conditions_tie_rules(demo_ramp):
+    phi, delta = demo_ramp.phi, demo_ramp.delta
 
     def flags(alpha, beta):
-        return onramp.improvement_conditions(alpha, beta, demo_summary)
+        return onramp.improvement_conditions(demo_ramp, alpha, beta)
 
     # alpha == phi: the share must strictly exceed phi to decrease the delay
     assert [flags(a, 1.0).decreases for a in _ulps(phi)] == [False, False, True]
@@ -235,40 +226,38 @@ def test_improvement_conditions_tie_rules(demo_summary):
 )
 def test_overflowing_configs_name_the_cause(kwargs, cause):
     config = onramp.OnRampConfig(**dict(DEMO_VALUES, **kwargs))
-    derived = onramp.derive_coefficients(config)
     with pytest.raises(ConfigError, match=cause):
-        onramp.analyze(config, derived)
+        onramp.OnRamp.from_config(config)
 
 
 def test_classify_overflow_is_a_config_error():
     config = onramp.OnRampConfig(**dict(DEMO_VALUES, mu=1e308))
-    derived = onramp.derive_coefficients(config)
     with pytest.raises(ConfigError, match="delta = nan is not finite"):
-        onramp.classify(config, derived, onramp.ErrorInterval(0.5, 2.0))
+        onramp.classification(onramp.OnRamp.from_config(config), onramp.ErrorInterval(0.5, 2.0))
 
 
 def test_meaningful_set_invariants_on_random_configs():
-    for config, derived, summary in meaningful_batch(60, seed=401):
-        assert 0.0 < summary.phi < summary.delta < 1.0
+    for ramp in meaningful_batch(60, seed=401):
+        assert 0.0 < ramp.phi < ramp.delta < 1.0
         # ratio dichotomy: negative or above 1, never inside (0, 1]
-        assert summary.pi < 0.0 or summary.pi > 1.0
+        assert ramp.pi < 0.0 or ramp.pi > 1.0
         # the crossing stays between the selfish split and the optimum
         for level in (0.1, 0.5, 0.9, 1.0):
-            crossing = onramp.altruistic_intersection(summary.phi, summary.delta, level)
-            assert summary.phi - 1e-12 <= crossing <= summary.delta + 1e-12
+            crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+            assert ramp.phi - 1e-12 <= crossing <= ramp.delta + 1e-12
         # travel delays really do cross at phi
-        profile = onramp.delays(derived, summary.phi)
+        profile = onramp.delays(ramp, ramp.phi)
         assert profile.steadfast == pytest.approx(profile.bypass, abs=1e-9)
         # the optimum dominates a coarse grid
         for i in range(21):
             x = i * 0.05
-            value = onramp.social_delay(config, derived, min(x, 1.0))
-            assert summary.j_opt <= value + 1e-12
+            value = onramp.social_delay(ramp, min(x, 1.0))
+            assert ramp.j_opt <= value + 1e-12
 
 
 def test_analysis_stationarity_matches_grid_on_random_configs():
     rng = random.Random(402)
     for _ in range(10):
-        config, derived, summary = sample_meaningful(rng)
-        scanned = grid_scan_minimizer(config, derived, step=1e-5)
-        assert summary.delta == pytest.approx(scanned, abs=1e-4)
+        ramp = sample_meaningful(rng)
+        scanned = grid_scan_minimizer(ramp, step=1e-5)
+        assert ramp.delta == pytest.approx(scanned, abs=1e-4)

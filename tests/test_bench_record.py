@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from onramp.model import CONFIG_KEYS
+from onramp.model import CONFIG_KEYS, OnRamp
 
-from conftest import sample_meaningful
+from conftest import sample_config
 
 _PATH = Path(__file__).resolve().parents[1] / "bench" / "record.py"
 _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
@@ -95,12 +95,17 @@ def test_oracle_table_keeps_runs_best_and_ratio():
     )
 
 
-CLOSED_FORMS = {"from_dict", "derive_coefficients", "analyze", "classify",
+CLOSED_FORMS = {"from_dict", "derive_coefficients", "analyze", "build", "classify",
                 "optimal_altruism_level", "price_of_anarchy", "solve_equilibrium"}
+ORACLES = {"grid_optimal_beta[0.5,2]", "grid_optimal_beta[0.25,4]", "brute_force_equilibrium",
+           "best_response_dynamics", "grid_poa"}
 
 
 def test_closed_form_times_on_a_synthetic_document(tmp_path, monkeypatch):
-    config, _, _ = sample_meaningful(random.Random(3))
+    rng = random.Random(3)
+    config = sample_config(rng)
+    while not OnRamp.from_config(config).in_meaningful_set:
+        config = sample_config(rng)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({key: getattr(config, key) for key in CONFIG_KEYS}))
     monkeypatch.setattr(record, "CALL_REPEATS", 2)
@@ -108,6 +113,13 @@ def test_closed_form_times_on_a_synthetic_document(tmp_path, monkeypatch):
     times = record.closed_form_times(path)
     assert set(times) == CLOSED_FORMS
     assert all(0.0 < seconds < 0.1 for seconds in times.values())
+
+
+def test_oracle_times_time_each_oracle_once(monkeypatch):
+    monkeypatch.chdir(_PATH.parents[1])
+    times = record.oracle_times()
+    assert set(times) == ORACLES
+    assert all(seconds > 0.0 for seconds in times.values())
 
 
 def test_run_fresh_reads_the_last_line_and_names_a_failure():

@@ -204,7 +204,7 @@ def _library_csv(write, rows):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    pipeline=meaningful_configs(),
+    config=meaningful_configs(),
     betas=st.lists(st.floats(0.0, 10.0), max_size=2),
     alphas=st.lists(st.floats(0.0, 1.0), max_size=2),
     alpha_step=st.sampled_from([0.01, 0.03, 0.1]) | st.floats(0.005, 0.1),
@@ -213,24 +213,24 @@ def _library_csv(write, rows):
     tie_at=st.integers(0, 60),
 )
 def test_cli_sweeps_write_the_library_csv(
-    pipeline, betas, alphas, alpha_step, beta_e_max, steps, tie_at
+    config, betas, alphas, alpha_step, beta_e_max, steps, tie_at
 ):
     """The CLI's sweep bytes, on stdout and in --out, are write_*_sweep(sweep_*(...)).
 
     Level 0 is on every level grid and outer beta 0 is always swept; the
     outer alphas add alpha == phi and alpha == the crossing at a grid level.
     """
-    config, derived, summary = pipeline
+    ramp = onramp.OnRamp.from_config(config)
     step = beta_e_max / steps
     level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
-    crossing = onramp.altruistic_intersection(summary.phi, summary.delta, level)
-    betas = [0.0, *betas] + ([summary.pi] if summary.pi > 0.0 else [])
-    alphas = [summary.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
+    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+    betas = [0.0, *betas] + ([ramp.pi] if ramp.pi > 0.0 else [])
+    alphas = [ramp.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
     expected = {
-        "sweep-alpha": _library_csv(onramp.write_alpha_sweep, onramp.sweep_alpha(
-            config, derived, summary, betas, alpha_step)),
-        "sweep-beta-e": _library_csv(onramp.write_beta_e_sweep, onramp.sweep_beta_e(
-            config, derived, summary, alphas, beta_e_max, step)),
+        "sweep-alpha": _library_csv(onramp.write_alpha_sweep, onramp.alpha_sweep(
+            ramp, betas, alpha_step)),
+        "sweep-beta-e": _library_csv(onramp.write_beta_e_sweep, onramp.beta_e_sweep(
+            ramp, alphas, beta_e_max, step)),
     }
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "config.json"
@@ -375,9 +375,9 @@ def test_poa_evaluates_the_worst_case_once_at_the_given_beta(
     betas = []
     original = onramp.robustness.worst_case_social_delay
 
-    def counting(config, derived, summary, beta, interval):
+    def counting(ramp, beta, interval):
         betas.append(beta)
-        return original(config, derived, summary, beta, interval)
+        return original(ramp, beta, interval)
 
     monkeypatch.setattr(onramp.cli, "worst_case_social_delay", counting)
     monkeypatch.setattr(onramp.robustness, "worst_case_social_delay", counting)

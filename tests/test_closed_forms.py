@@ -110,50 +110,47 @@ def test_closed_forms_match_their_parts_and_raise_the_first_error(
         assert isinstance(error, onramp.ConfigError) and str(error) == expected
         return
     assert error is None and config == onramp.OnRampConfig(**doc)
-    derived = onramp.derive_coefficients(config)
-    summary = onramp.analyze(config, derived)
+    ramp = onramp.OnRamp.from_config(config)
     interval = onramp.ErrorInterval(*bounds)
 
-    poa, error = _outcome(onramp.price_of_anarchy, config, derived, summary, beta, interval)
+    poa, error = _outcome(onramp.poa, ramp, beta, interval)
     expected = _first_error(
-        lambda: require_positive_optimum(summary),
-        lambda: require_meaningful(summary),
+        lambda: require_positive_optimum(ramp),
+        lambda: require_meaningful(ramp),
         *_endpoint_checks(beta, interval),
     )
     assert _same_error(error, expected)
     if expected is None:
-        supremum, _ = onramp.worst_case_social_delay(config, derived, summary, beta, interval)
-        assert poa == supremum / summary.j_opt
+        supremum, _ = onramp.worst_case_social_delay(ramp, beta, interval)
+        assert poa == supremum / ramp.j_opt
 
-    _, error = _outcome(onramp.worst_case_social_delay, config, derived, summary, beta, interval)
-    expected = _first_error(lambda: require_meaningful(summary), *_endpoint_checks(beta, interval))
+    _, error = _outcome(onramp.worst_case_social_delay, ramp, beta, interval)
+    expected = _first_error(lambda: require_meaningful(ramp), *_endpoint_checks(beta, interval))
     assert _same_error(error, expected)
 
-    robust, error = _outcome(onramp.optimal_altruism_level, config, derived, summary, interval)
+    robust, error = _outcome(onramp.optimal_beta, ramp, interval)
     expected = _first_error(
-        lambda: require_meaningful(summary), lambda: require_positive_optimum(summary)
+        lambda: require_meaningful(ramp), lambda: require_positive_optimum(ramp)
     )
     assert _same_error(error, expected)
     if robust is not None:
-        supremum, points = onramp.worst_case_social_delay(
-            config, derived, summary, robust.beta_star, interval
-        )
-        assert (robust.poa, robust.worst_case_points) == (supremum / summary.j_opt, points)
+        supremum, points = onramp.worst_case_social_delay(ramp, robust.beta_star, interval)
+        assert (robust.poa, robust.worst_case_points) == (supremum / ramp.j_opt, points)
 
     if alpha_kind == "phi":
-        alpha = summary.phi
+        alpha = ramp.phi
     elif alpha_kind == "crossing" and beta >= 0.0:
-        alpha = altruistic_intersection(summary.phi, summary.delta, beta)
+        alpha = altruistic_intersection(ramp.phi, ramp.delta, beta)
     else:
         alpha = drawn_alpha
-    result, error = _outcome(onramp.solve_equilibrium, config, derived, summary, alpha, beta)
+    result, error = _outcome(onramp.solve, ramp, alpha, beta)
     expected = _first_error(
-        lambda: require_meaningful(summary), lambda: check_population(alpha, beta, 1.0)
+        lambda: require_meaningful(ramp), lambda: check_population(alpha, beta, 1.0)
     )
     assert _same_error(error, expected)
     if result is not None:
-        assert result.social_delay == onramp.social_delay(config, derived, result.x_hat_b)
-        assert result.delays == onramp.delays(derived, result.x_hat_b)
+        assert result.social_delay == onramp.social_delay(ramp, result.x_hat_b)
+        assert result.delays == onramp.delays(ramp, result.x_hat_b)
 
 
 def test_only_the_returned_worst_case_points_are_built(monkeypatch):
@@ -164,22 +161,22 @@ def test_only_the_returned_worst_case_points_are_built(monkeypatch):
         return onramp.WorstCasePoint(*fields)
 
     monkeypatch.setattr(robustness, "WorstCasePoint", counting_point)
-    config, derived, summary = sample_meaningful(random.Random(11))
+    ramp = sample_meaningful(random.Random(11))
     for bounds in ((0.5, 2.0), (0.25, 4.0), (1.0, 1.0)):
         interval = onramp.ErrorInterval(*bounds)
         for beta in (0.0, 0.5, 1.0, 2.0):
             built.clear()
-            onramp.price_of_anarchy(config, derived, summary, beta, interval)
+            onramp.poa(ramp, beta, interval)
             assert built == []
             j_socs = [
-                onramp.solve_equilibrium(config, derived, summary, 1.0, beta, error).social_delay
+                onramp.solve(ramp, 1.0, beta, error).social_delay
                 for error in dict.fromkeys(bounds)
             ]
             reaching = sum(j_soc >= max(j_socs) - 1e-12 for j_soc in j_socs)
-            _, points = onramp.worst_case_social_delay(config, derived, summary, beta, interval)
+            _, points = onramp.worst_case_social_delay(ramp, beta, interval)
             assert len(built) == len(points) == reaching
             # an inert level puts both endpoints at phi: a tie, so both are built
             assert reaching == len(j_socs) or beta > 0.0
         built.clear()
-        robust = onramp.optimal_altruism_level(config, derived, summary, interval)
+        robust = onramp.optimal_beta(ramp, interval)
         assert len(built) == len(robust.worst_case_points) >= 1

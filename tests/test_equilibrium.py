@@ -1,9 +1,11 @@
 """Unit tests for the closed-form solver and its two oracles."""
 
+import copy
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import onramp
 from onramp import equilibrium
@@ -11,24 +13,30 @@ from onramp.equilibrium import EquilibriumCase
 from onramp.errors import NotInMeaningfulSetError
 from onramp.model import LEVEL_MAX
 
-from conftest import DEMO_DELTA, DEMO_PHI, bisect_selfish_crossing, sample_meaningful
+from conftest import (
+    DEMO_DELTA,
+    DEMO_PHI,
+    bisect_selfish_crossing,
+    meaningful_configs,
+    sample_meaningful,
+)
 
 
 def _solve(demo, alpha, beta, error=1.0):
-    config, derived, summary = demo
-    return onramp.solve_equilibrium(config, derived, summary, alpha, beta, error)
+    ramp = demo
+    return onramp.solve(ramp, alpha, beta, error)
 
 
 @pytest.fixture()
-def demo(demo_config, demo_derived, demo_summary):
-    return demo_config, demo_derived, demo_summary
+def demo(demo_ramp):
+    return demo_ramp
 
 
-def test_all_selfish_baseline(demo, demo_derived):
+def test_all_selfish_baseline(demo, demo_ramp):
     result = _solve(demo, alpha=0.0, beta=1.0)
     assert result.case is EquilibriumCase.BASELINE
     assert result.x_hat_b == pytest.approx(DEMO_PHI, abs=1e-12)
-    assert result.x_hat_b == pytest.approx(bisect_selfish_crossing(demo_derived), abs=1e-9)
+    assert result.x_hat_b == pytest.approx(bisect_selfish_crossing(demo_ramp), abs=1e-9)
     assert result.flow.selfish_bypass == pytest.approx(DEMO_PHI, abs=1e-12)
     assert result.flow.altruistic_bypass == 0.0
 
@@ -44,22 +52,20 @@ def test_inert_level_canonical_decomposition(demo):
     assert scarce.flow.selfish_bypass == pytest.approx(DEMO_PHI - 0.2, abs=1e-12)
 
 
-def test_full_altruism_reaches_optimum(demo, demo_summary):
+def test_full_altruism_reaches_optimum(demo, demo_ramp):
     result = _solve(demo, alpha=1.0, beta=1.0)
     assert result.case is EquilibriumCase.CASE_D
     assert result.x_hat_b == pytest.approx(DEMO_DELTA, abs=1e-12)
-    assert result.social_delay == pytest.approx(demo_summary.j_opt, abs=1e-12)
+    assert result.social_delay == pytest.approx(demo_ramp.j_opt, abs=1e-12)
 
 
-def test_case_c_saturated_altruists(demo, demo_config, demo_derived):
+def test_case_c_saturated_altruists(demo, demo_ramp):
     result = _solve(demo, alpha=0.55, beta=1.0)
     assert result.case is EquilibriumCase.CASE_C
     assert result.x_hat_b == pytest.approx(0.55, abs=1e-12)
     assert result.flow.selfish_bypass == 0.0
     assert result.flow.altruistic_steadfast == 0.0
-    candidates = onramp.brute_force_equilibrium(
-        demo_config, demo_derived, alpha=0.55, beta=1.0, grid_step=1e-3
-    )
+    candidates = onramp.brute_force_equilibrium(demo_ramp, alpha=0.55, beta=1.0, grid_step=1e-3)
     assert min(abs(f.total_bypass - 0.55) for f in candidates) <= 1e-3
 
 
@@ -71,22 +77,20 @@ def test_case_b_scarce_altruists(demo):
     assert result.flow.selfish_bypass == pytest.approx(DEMO_PHI - 0.3, abs=1e-12)
 
 
-def test_boundary_ties(demo, demo_summary):
-    at_phi = _solve(demo, alpha=demo_summary.phi, beta=0.7)
+def test_boundary_ties(demo, demo_ramp):
+    at_phi = _solve(demo, alpha=demo_ramp.phi, beta=0.7)
     assert at_phi.case is EquilibriumCase.CASE_B
-    crossing = onramp.altruistic_intersection(demo_summary.phi, demo_summary.delta, 0.7)
+    crossing = onramp.altruistic_intersection(demo_ramp.phi, demo_ramp.delta, 0.7)
     at_crossing = _solve(demo, alpha=crossing, beta=0.7)
     assert at_crossing.case is EquilibriumCase.CASE_D
     assert at_crossing.x_hat_b == pytest.approx(crossing, abs=1e-12)
 
 
-def test_unified_formula_above_phi(demo, demo_summary):
+def test_unified_formula_above_phi(demo, demo_ramp):
     for alpha in (0.6, 0.75, 0.9, 1.0):
         for level in (0.25, 0.5, 1.0, 2.0):
             result = _solve(demo, alpha=alpha, beta=level)
-            crossing = onramp.altruistic_intersection(
-                demo_summary.phi, demo_summary.delta, level
-            )
+            crossing = onramp.altruistic_intersection(demo_ramp.phi, demo_ramp.delta, level)
             assert result.x_hat_b == min(alpha, crossing)
 
 
@@ -103,46 +107,41 @@ def test_solver_requires_membership():
     config = onramp.OnRampConfig(
         n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0
     )
-    derived = onramp.derive_coefficients(config)
-    summary = onramp.analyze(config, derived)
+    ramp = onramp.OnRamp.from_config(config)
     with pytest.raises(NotInMeaningfulSetError):
-        onramp.solve_equilibrium(config, derived, summary, 0.5, 1.0)
+        onramp.solve(ramp, 0.5, 1.0)
 
 
-def test_solver_outputs_verify(demo, demo_config, demo_derived):
+def test_solver_outputs_verify(demo, demo_ramp):
     for alpha in (0.0, 0.2, 0.55, 0.8, 1.0):
         for beta in (0.0, 0.5, 1.0):
             for error in (0.5, 1.0, 2.0):
                 result = _solve(demo, alpha=alpha, beta=beta, error=error)
                 assert not onramp.validate_flow_distribution(result.flow, alpha)
-                report = onramp.verify_wardrop(
-                    demo_config, demo_derived, result.flow, beta, error
-                )
+                report = onramp.verify_wardrop(demo_ramp, result.flow, beta, error)
                 assert report.passed, report
 
 
-def test_verify_rejects_overshooting_selfish_bypass(demo_config, demo_derived):
+def test_verify_rejects_overshooting_selfish_bypass(demo_ramp):
     # all selfish mass bypassing far above the crossing: bypass is the
     # costlier option there, so the selfish-bypass product must be positive
     flow = onramp.FlowDistribution(0.0, 0.8, 0.05, 0.15)
-    report = onramp.verify_wardrop(demo_config, demo_derived, flow, beta=1.0)
+    report = onramp.verify_wardrop(demo_ramp, flow, beta=1.0)
     assert report.selfish_bypass > 0.0
     assert not report.passed
 
 
-def test_verify_rejects_all_steadfast(demo_config, demo_derived):
+def test_verify_rejects_all_steadfast(demo_ramp):
     # at zero bypass the bypass option is strictly cheaper inside the
     # meaningful set, so an all-steadfast split cannot be an equilibrium
     flow = onramp.FlowDistribution(1.0, 0.0, 0.0, 0.0)
-    report = onramp.verify_wardrop(demo_config, demo_derived, flow, beta=0.0)
+    report = onramp.verify_wardrop(demo_ramp, flow, beta=0.0)
     assert report.selfish_steadfast > 0.0
     assert not report.passed
 
 
-def test_brute_force_covers_closed_form(demo, demo_config, demo_derived, demo_summary):
-    flows = onramp.brute_force_equilibrium(
-        demo_config, demo_derived, alpha=0.8, beta=1.0, grid_step=1e-3
-    )
+def test_brute_force_covers_closed_form(demo, demo_ramp):
+    flows = onramp.brute_force_equilibrium(demo_ramp, alpha=0.8, beta=1.0, grid_step=1e-3)
     assert flows
     shares = [flow.total_bypass for flow in flows]
     closest = min(shares, key=lambda s: abs(s - DEMO_DELTA))
@@ -153,11 +152,9 @@ def test_brute_force_covers_closed_form(demo, demo_config, demo_derived, demo_su
 
 
 def test_brute_force_inert_level_reports_indifference_family(
-    demo_config, demo_derived
+    demo_ramp
 ):
-    flows = onramp.brute_force_equilibrium(
-        demo_config, demo_derived, alpha=0.5, beta=0.0, grid_step=2e-3
-    )
+    flows = onramp.brute_force_equilibrium(demo_ramp, alpha=0.5, beta=0.0, grid_step=2e-3)
     shares = sorted({round(f.total_bypass, 9) for f in flows})
     decompositions = {
         (round(f.selfish_bypass, 9), round(f.altruistic_bypass, 9)) for f in flows
@@ -167,10 +164,8 @@ def test_brute_force_inert_level_reports_indifference_family(
         assert abs(flow.total_bypass - DEMO_PHI) <= 1e-2
 
 
-def test_brute_force_all_selfish(demo_config, demo_derived):
-    flows = onramp.brute_force_equilibrium(
-        demo_config, demo_derived, alpha=0.0, beta=1.0, grid_step=1e-3
-    )
+def test_brute_force_all_selfish(demo_ramp):
+    flows = onramp.brute_force_equilibrium(demo_ramp, alpha=0.0, beta=1.0, grid_step=1e-3)
     assert flows
     shares = [flow.total_bypass for flow in flows]
     assert min(abs(s - DEMO_PHI) for s in shares) <= 1e-3
@@ -180,7 +175,7 @@ def test_brute_force_all_selfish(demo_config, demo_derived):
         assert abs(flow.total_bypass - DEMO_PHI) <= 3e-3
 
 
-def _mass_cap_band(derived, summary, alpha, level, step, side):
+def _mass_cap_band(ramp, alpha, level, step, side):
     """First grid distance at which no decomposition can pass the product caps.
 
     At total share x the class masses on the dispreferred side are capped by
@@ -189,21 +184,21 @@ def _mass_cap_band(derived, summary, alpha, level, step, side):
     shrink with distance, so the first failing multiple of the step bounds
     every verified point on that side.
     """
-    slope_sum = derived.slope_sum
-    tol = (slope_sum + derived.lane2_slope) * step
-    crossing = onramp.altruistic_intersection(summary.phi, summary.delta, level)
+    slope_sum = ramp.slope_sum
+    tol = (slope_sum + ramp.lane2_slope) * step
+    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
     for multiple in range(1, 2000):
         d = multiple * step
         if side == "above":
             x = crossing + d
             if x > 1.0:
                 return d
-            cap_selfish = min(1.0 - alpha, tol / ((x - summary.phi) * slope_sum))
+            cap_selfish = min(1.0 - alpha, tol / ((x - ramp.phi) * slope_sum))
             cap_altruistic = min(alpha, tol / (d * (1.0 + level) * slope_sum))
             if cap_selfish + cap_altruistic < x - 1e-12:
                 return d
         else:
-            x = summary.phi - d
+            x = ramp.phi - d
             if x < 0.0:
                 return d
             cap_selfish = min(1.0 - alpha, tol / (d * slope_sum))
@@ -218,42 +213,40 @@ def _mass_cap_band(derived, summary, alpha, level, step, side):
 def test_brute_force_case_exclusion_random():
     rng = random.Random(77)
     for _ in range(12):
-        config, derived, summary = sample_meaningful(rng)
+        ramp = sample_meaningful(rng)
         alpha = rng.uniform(0.1, 0.95)
         level = rng.uniform(0.25, 1.5)
         step = 2e-3
-        flows = onramp.brute_force_equilibrium(
-            config, derived, alpha=alpha, beta=level, grid_step=step
-        )
+        flows = onramp.brute_force_equilibrium(ramp, alpha=alpha, beta=level, grid_step=step)
         assert flows
-        crossing = onramp.altruistic_intersection(summary.phi, summary.delta, level)
-        band_above = _mass_cap_band(derived, summary, alpha, level, step, "above")
-        band_below = _mass_cap_band(derived, summary, alpha, level, step, "below")
+        crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+        band_above = _mass_cap_band(ramp, alpha, level, step, "above")
+        band_below = _mass_cap_band(ramp, alpha, level, step, "below")
         shares = [flow.total_bypass for flow in flows]
         # the verified set stays inside the provable indifference band around
         # [phi, crossing]; nothing survives near the all-steadfast or
         # all-bypass corners
-        assert min(shares) >= summary.phi - band_below
+        assert min(shares) >= ramp.phi - band_below
         assert max(shares) <= crossing + band_above
         # and it covers the closed-form answer within one grid step
-        target = onramp.solve_equilibrium(config, derived, summary, alpha, level).x_hat_b
+        target = onramp.solve(ramp, alpha, level).x_hat_b
         assert min(abs(s - target) for s in shares) <= step
 
 
-def test_brute_force_grid_step_validated(demo_config, demo_derived):
+def test_brute_force_grid_step_validated(demo_ramp):
     with pytest.raises(ValueError):
-        onramp.brute_force_equilibrium(demo_config, demo_derived, 0.5, 1.0, grid_step=0.5)
+        onramp.brute_force_equilibrium(demo_ramp, 0.5, 1.0, grid_step=0.5)
     with pytest.raises(ValueError):
-        onramp.brute_force_equilibrium(demo_config, demo_derived, 0.5, 1.0, grid_step=0.0)
+        onramp.brute_force_equilibrium(demo_ramp, 0.5, 1.0, grid_step=0.0)
     with pytest.raises(ValueError, match="more than 1000000 decompositions"):
-        onramp.brute_force_equilibrium(demo_config, demo_derived, 0.5, 1.0, grid_step=1e-6)
+        onramp.brute_force_equilibrium(demo_ramp, 0.5, 1.0, grid_step=1e-6)
 
 
-def _corner_band(config, derived, corner, beta, step):
+def _corner_band(ramp, corner, beta, step):
     """Verified-band width at a corner: mass caps from the two cost gaps there."""
-    tol = (derived.slope_sum + derived.lane2_slope) * step
-    profile = onramp.delays(derived, corner)
-    costs = onramp.altruistic_costs(config, derived, corner, beta)
+    tol = (ramp.slope_sum + ramp.lane2_slope) * step
+    profile = onramp.delays(ramp, corner)
+    costs = onramp.altruistic_costs(ramp, corner, beta)
     travel_gap = abs(profile.steadfast - profile.bypass)
     perceived_gap = abs(costs.steadfast_cost - costs.bypass_cost)
     return tol / travel_gap + tol / perceived_gap
@@ -265,12 +258,12 @@ def test_brute_force_corner_all_steadfast_outside_set():
     config = onramp.OnRampConfig(
         n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0
     )
-    derived = onramp.derive_coefficients(config)
-    assert not onramp.analyze(config, derived).in_meaningful_set
+    ramp = onramp.OnRamp.from_config(config)
+    assert not ramp.in_meaningful_set
     step = 2e-3
-    flows = onramp.brute_force_equilibrium(config, derived, alpha=0.4, beta=1.0, grid_step=step)
+    flows = onramp.brute_force_equilibrium(ramp, alpha=0.4, beta=1.0, grid_step=step)
     assert flows
-    band = _corner_band(config, derived, 0.0, 1.0, step)
+    band = _corner_band(ramp, 0.0, 1.0, step)
     assert max(f.total_bypass for f in flows) <= band + step
 
 
@@ -279,38 +272,31 @@ def test_brute_force_corner_all_bypass_outside_set():
     config = onramp.OnRampConfig(
         n0=0.8, c1t=1.0, c1m=1.0, c2t=1.0, c2m=0.0, mu=2.0, gamma=0.0
     )
-    derived = onramp.derive_coefficients(config)
-    summary = onramp.analyze(config, derived)
-    assert summary.phi > 1.0
-    assert not summary.in_meaningful_set
+    ramp = onramp.OnRamp.from_config(config)
+    assert ramp.phi > 1.0
+    assert not ramp.in_meaningful_set
     step = 2e-3
-    flows = onramp.brute_force_equilibrium(config, derived, alpha=0.4, beta=0.5, grid_step=step)
+    flows = onramp.brute_force_equilibrium(ramp, alpha=0.4, beta=0.5, grid_step=step)
     assert flows
     shares = [f.total_bypass for f in flows]
     assert max(shares) == 1.0
-    band = _corner_band(config, derived, 1.0, 0.5, step)
+    band = _corner_band(ramp, 1.0, 0.5, step)
     assert min(shares) >= 1.0 - band - step
 
 
-def test_dynamics_converges_to_optimum(demo_config, demo_derived, demo_summary):
-    trace = onramp.best_response_dynamics(
-        demo_config, demo_derived, alpha=0.8, beta=1.0, error=1.0, tol=1e-12
-    )
+def test_dynamics_converges_to_optimum(demo_ramp):
+    trace = onramp.best_response_dynamics(demo_ramp, alpha=0.8, beta=1.0, error=1.0, tol=1e-12)
     assert trace.converged
     assert trace.max_product <= 1e-12
     assert abs(trace.flow.total_bypass - DEMO_DELTA) <= 1e-12
 
 
-def test_dynamics_fixed_point_at_crossing(demo_config, demo_derived, demo_summary):
-    trace = onramp.best_response_dynamics(
-        demo_config, demo_derived, alpha=0.0, beta=1.0, error=1.0, tol=1e-9
-    )
+def test_dynamics_fixed_point_at_crossing(demo_ramp):
+    trace = onramp.best_response_dynamics(demo_ramp, alpha=0.0, beta=1.0, error=1.0, tol=1e-9)
     assert trace.converged
     assert 0 < trace.iterations <= equilibrium.MAX_HALVINGS
-    assert trace.flow.selfish_bypass == pytest.approx(demo_summary.phi, abs=1e-12)
-    report = onramp.verify_wardrop(
-        demo_config, demo_derived, trace.flow, beta=1.0, tol=1e-9
-    )
+    assert trace.flow.selfish_bypass == pytest.approx(demo_ramp.phi, abs=1e-12)
+    report = onramp.verify_wardrop(demo_ramp, trace.flow, beta=1.0, tol=1e-9)
     assert report.passed
     assert report.max_product == trace.max_product
 
@@ -323,16 +309,16 @@ OUTSIDE_SET = {
 }
 
 
-def _tie_point(tie, summary):
+def _tie_point(tie, ramp):
     """(alpha, beta) at a tie rule of a configuration, or one ulp off it."""
-    phi = summary.phi
+    phi = ramp.phi
     return {
         "level_0": (0.8, 0.0),
         "alpha_0": (0.0, 1.0),
         "alpha_phi": (phi, 1.0),
         "alpha_phi_minus_ulp": (math.nextafter(phi, 0.0), 1.0),
         "alpha_phi_plus_ulp": (math.nextafter(phi, 1.0), 1.0),
-        "alpha_crossing": (onramp.altruistic_intersection(phi, summary.delta, 0.5), 0.5),
+        "alpha_crossing": (onramp.altruistic_intersection(phi, ramp.delta, 0.5), 0.5),
         "alpha_1": (1.0, 1.0),
         "all_bypass": (0.4, 0.5),
         "excluded": (0.8, 1.0),
@@ -355,38 +341,35 @@ def _tie_point(tie, summary):
 def test_dynamics_tie_rules(demo, tie):
     if tie in OUTSIDE_SET:
         config = onramp.OnRampConfig(**OUTSIDE_SET[tie])
-        derived = onramp.derive_coefficients(config)
-        summary = onramp.analyze(config, derived)
-        assert not summary.in_meaningful_set
+        ramp = onramp.OnRamp.from_config(config)
+        assert not ramp.in_meaningful_set
     else:
-        config, derived, summary = demo
-    alpha, beta = _tie_point(tie, summary)
-    trace = onramp.best_response_dynamics(config, derived, alpha, beta, tol=1e-10)
+        ramp = demo
+    alpha, beta = _tie_point(tie, ramp)
+    trace = onramp.best_response_dynamics(ramp, alpha, beta, tol=1e-10)
     assert trace.converged, trace
     assert onramp.validate_flow_distribution(trace.flow, alpha) == []
-    if summary.in_meaningful_set:
+    if ramp.in_meaningful_set:
         closed = _solve(demo, alpha, beta)
         assert abs(trace.flow.total_bypass - closed.x_hat_b) <= 1e-12
 
 
-def test_dynamics_validates_inputs(demo_config, demo_derived):
+def test_dynamics_validates_inputs(demo_ramp):
     with pytest.raises(ValueError, match="alpha must lie in"):
-        onramp.best_response_dynamics(demo_config, demo_derived, 1.5, 1.0)
+        onramp.best_response_dynamics(demo_ramp, 1.5, 1.0)
     for tol in (0.0, -1e-9):
         with pytest.raises(ValueError, match="tolerance must be > 0"):
-            onramp.best_response_dynamics(demo_config, demo_derived, 0.8, 1.0, tol=tol)
+            onramp.best_response_dynamics(demo_ramp, 0.8, 1.0, tol=tol)
 
 
 def test_solver_matches_brute_force_random():
     rng = random.Random(501)
     for _ in range(20):
-        config, derived, summary = sample_meaningful(rng)
+        ramp = sample_meaningful(rng)
         alpha = rng.uniform(0.1, 0.95)
         level = rng.uniform(0.25, 1.25)
-        result = onramp.solve_equilibrium(config, derived, summary, alpha, level)
-        flows = onramp.brute_force_equilibrium(
-            config, derived, alpha, level, grid_step=1e-3
-        )
+        result = onramp.solve(ramp, alpha, level)
+        flows = onramp.brute_force_equilibrium(ramp, alpha, level, grid_step=1e-3)
         assert flows
         closest = min(flows, key=lambda f: abs(f.total_bypass - result.x_hat_b))
         assert abs(closest.total_bypass - result.x_hat_b) <= 2e-3
@@ -402,32 +385,32 @@ def test_solver_matches_brute_force_random():
     ],
 )
 def test_non_finite_level_rejected_with_its_cause(
-    demo, demo_config, demo_derived, beta, error, message
+    demo, demo_ramp, beta, error, message
 ):
     with pytest.raises(ValueError, match=message):
-        onramp.solve_equilibrium(*demo, 0.8, beta, error)
+        onramp.solve(demo, 0.8, beta, error)
     with pytest.raises(ValueError, match=message):
-        onramp.brute_force_equilibrium(demo_config, demo_derived, 0.8, beta, error)
+        onramp.brute_force_equilibrium(demo_ramp, 0.8, beta, error)
     with pytest.raises(ValueError, match=message):
-        onramp.best_response_dynamics(demo_config, demo_derived, 0.8, beta, error)
+        onramp.best_response_dynamics(demo_ramp, 0.8, beta, error)
     flow = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
     with pytest.raises(ValueError, match=message):
-        onramp.verify_wardrop(demo_config, demo_derived, flow, beta, error)
+        onramp.verify_wardrop(demo_ramp, flow, beta, error)
 
 
 def test_closed_form_takes_the_right_case_up_to_the_level_bound(demo):
     # at LEVEL_MAX the crossing is finite, just below its limit 2*delta - phi < 0.8
-    result = onramp.solve_equilibrium(*demo, 0.8, LEVEL_MAX)
+    result = onramp.solve(demo, 0.8, LEVEL_MAX)
     assert result.case is EquilibriumCase.CASE_D
     assert result.x_hat_b == pytest.approx(2.0 * DEMO_DELTA - DEMO_PHI, abs=1e-15)
     with pytest.raises(ValueError, match="exceeds the bound"):
-        onramp.solve_equilibrium(*demo, 0.8, math.nextafter(LEVEL_MAX, math.inf))
+        onramp.solve(demo, 0.8, math.nextafter(LEVEL_MAX, math.inf))
 
 
-def test_wardrop_report_fails_closed_on_nan_products(demo_config, demo_derived):
+def test_wardrop_report_fails_closed_on_nan_products(demo_ramp):
     # at level 5e307 both perceived costs overflow and their gap is inf - inf
     flow = onramp.FlowDistribution(0.2, 0.0, 0.0, 0.8)
-    report = onramp.verify_wardrop(demo_config, demo_derived, flow, 5e307)
+    report = onramp.verify_wardrop(demo_ramp, flow, 5e307)
     assert report.products[0] < 0.0 and report.products[1] == 0.0
     assert all(math.isnan(product) for product in report.products[2:])
     assert math.isnan(report.max_product)
@@ -443,6 +426,47 @@ def test_wardrop_max_product_is_nan_wherever_the_nan_is(position):
     assert not report.passed
 
 
-def test_dynamics_not_converged_on_a_nan_certificate(demo_config, demo_derived):
-    trace = onramp.best_response_dynamics(demo_config, demo_derived, 0.8, 5e307)
+def test_dynamics_not_converged_on_a_nan_certificate(demo_ramp):
+    trace = onramp.best_response_dynamics(demo_ramp, 0.8, 5e307)
     assert trace.converged is False
+
+
+def _blind(ramp):
+    """A copy of ``ramp`` whose analysis reads NaN: phi, delta, pi and j_opt."""
+    blind = copy.copy(ramp)
+    for name in ("phi", "delta", "pi", "j_opt"):
+        object.__setattr__(blind, name, math.nan)
+    return blind
+
+
+def _assert_oracles_ignore_the_analysis(ramp):
+    blind = _blind(ramp)
+    phi, delta = ramp.phi, ramp.delta
+    points = {  # (alpha, beta) per case; at level 1 the crossing is delta
+        EquilibriumCase.BASELINE: (0.5, 0.0),
+        EquilibriumCase.CASE_B: (0.5 * phi, 1.0),
+        EquilibriumCase.CASE_C: (0.5 * (phi + delta), 1.0),
+        EquilibriumCase.CASE_D: (1.0, 1.0),
+    }
+    for case, (alpha, beta) in points.items():
+        result = onramp.solve(ramp, alpha, beta)
+        assert result.case is case
+        assert onramp.verify_wardrop(blind, result.flow, beta) == onramp.verify_wardrop(
+            ramp, result.flow, beta
+        )
+        assert onramp.brute_force_equilibrium(
+            blind, alpha, beta, grid_step=1e-2
+        ) == onramp.brute_force_equilibrium(ramp, alpha, beta, grid_step=1e-2)
+        assert onramp.best_response_dynamics(blind, alpha, beta) == (
+            onramp.best_response_dynamics(ramp, alpha, beta)
+        )
+
+
+def test_oracles_ignore_the_analysis_on_the_demo(demo_ramp):
+    _assert_oracles_ignore_the_analysis(demo_ramp)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(config=meaningful_configs())
+def test_oracles_ignore_the_analysis(config):
+    _assert_oracles_ignore_the_analysis(onramp.OnRamp.from_config(config))

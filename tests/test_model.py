@@ -1,5 +1,6 @@
 """Unit tests for the configuration types and delay evaluations."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -8,48 +9,59 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import onramp
-from onramp.errors import ConfigError
-from onramp.model import CONFIG_KEYS, LEVEL_MAX, check_population
+from onramp.errors import ConfigError, DegenerateConfigError
+from onramp.model import _CONSTANTS, CONFIG_KEYS, LEVEL_MAX, check_population
 
 from conftest import DEMO_DELTA, DEMO_VALUES
 
 
-def test_demo_derived_constants(demo_derived):
-    assert demo_derived.steadfast_slope == pytest.approx(10.281, abs=1e-12)
-    assert demo_derived.steadfast_intercept == pytest.approx(0.888, abs=1e-12)
-    assert demo_derived.bypass_slope == pytest.approx(9.23, abs=1e-12)
-    assert demo_derived.bypass_intercept == pytest.approx(0.63, abs=1e-12)
-    assert demo_derived.lane2_slope == pytest.approx(1.63, abs=1e-12)
+def test_demo_derived_constants(demo_ramp):
+    assert demo_ramp.steadfast_slope == pytest.approx(10.281, abs=1e-12)
+    assert demo_ramp.steadfast_intercept == pytest.approx(0.888, abs=1e-12)
+    assert demo_ramp.bypass_slope == pytest.approx(9.23, abs=1e-12)
+    assert demo_ramp.bypass_intercept == pytest.approx(0.63, abs=1e-12)
+    assert demo_ramp.lane2_slope == pytest.approx(1.63, abs=1e-12)
 
 
 def test_derived_zero_ramp_flow():
     config = onramp.OnRampConfig(
         n0=0.0, c1t=1.3, c1m=7.0, c2t=0.8, c2m=2.0, mu=3.0, gamma=4.0
     )
-    derived = onramp.derive_coefficients(config)
-    assert derived.steadfast_intercept == 0.0
-    assert derived.bypass_slope == pytest.approx(0.8 * 4.0 + 2.0, abs=1e-12)
-    assert derived.bypass_intercept == pytest.approx(0.8, abs=1e-12)
+    ramp = onramp.OnRamp.from_config(config)
+    assert ramp.steadfast_intercept == 0.0
+    assert ramp.bypass_slope == pytest.approx(0.8 * 4.0 + 2.0, abs=1e-12)
+    assert ramp.bypass_intercept == pytest.approx(0.8, abs=1e-12)
 
 
 def test_derived_all_zero_costs():
     config = onramp.OnRampConfig(
         n0=0.4, c1t=0.0, c1m=0.0, c2t=0.0, c2m=0.0, mu=0.0, gamma=0.0
     )
-    derived = onramp.derive_coefficients(config)
-    assert derived == onramp.DelayCoefficients(0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DegenerateConfigError, match="all delay slopes vanish"):
+        onramp.OnRamp.from_config(config)
 
 
 def test_derive_is_deterministic(demo_config):
-    assert onramp.derive_coefficients(demo_config) == onramp.derive_coefficients(
+    assert onramp.OnRamp.from_config(demo_config) == onramp.OnRamp.from_config(
         demo_config
     )
 
 
-def test_raw_and_rewritten_delay_forms_agree(demo_config, demo_derived):
+def test_the_analysis_follows_the_constants(demo_ramp):
+    # the analysis fields are not arguments: a model rebuilt from other constants re-analyzes
+    moved = dataclasses.replace(demo_ramp, bypass_intercept=0.7)
+    k_s, b_s = moved.steadfast_slope, moved.steadfast_intercept
+    assert moved.phi == (k_s + b_s - 0.7) / moved.slope_sum
+    assert moved.phi < demo_ramp.phi
+    assert moved.j_soc_at_phi == onramp.social_delay(moved, moved.phi)
+    with pytest.raises(TypeError):
+        onramp.OnRamp(0.37, 0.63, 10.281, 0.888, 9.23, 0.63, 1.63, phi=0.5)
+
+
+def test_raw_and_rewritten_delay_forms_agree(demo_config, demo_ramp):
     # the affine constants must reproduce the raw coefficient expressions
     c = demo_config
     n0, n2 = c.n0, c.n2
@@ -58,7 +70,7 @@ def test_raw_and_rewritten_delay_forms_agree(demo_config, demo_derived):
         raw_steadfast = c.c1t * c.mu * (steadfast_share + n0) + c.c1m * steadfast_share * n0
         raw_bypass = c.c2t * (c.gamma * x + n2) + c.c2m * x * n2
         raw_lane2 = (c.c2t + c.c2m * n2) * x + c.c2t * n2
-        profile = onramp.delays(demo_derived, x)
+        profile = onramp.delays(demo_ramp, x)
         assert profile.steadfast == pytest.approx(raw_steadfast, abs=1e-12)
         assert profile.bypass == pytest.approx(raw_bypass, abs=1e-12)
         assert profile.lane2 == pytest.approx(raw_lane2, abs=1e-12)
@@ -139,71 +151,71 @@ def test_config_lane2_share_closes_the_flow(demo_config):
 def test_derived_constant_overflow_is_named(kwargs, constant):
     config = onramp.OnRampConfig(**dict(DEMO_VALUES, **kwargs))
     with pytest.raises(ConfigError, match=f"^{constant} = inf is not finite"):
-        onramp.derive_coefficients(config)
+        onramp.OnRamp.from_config(config)
 
 
-def test_delays_at_zero_bypass(demo_derived):
-    profile = onramp.delays(demo_derived, 0.0)
+def test_delays_at_zero_bypass(demo_ramp):
+    profile = onramp.delays(demo_ramp, 0.0)
     assert profile.steadfast == pytest.approx(11.169, abs=1e-12)
     assert profile.bypass == pytest.approx(0.63, abs=1e-12)
     assert profile.on_ramp == profile.steadfast
     assert profile.lane2 == pytest.approx(0.63, abs=1e-12)
 
 
-def test_delays_equal_at_selfish_crossing(demo_derived, demo_summary):
-    profile = onramp.delays(demo_derived, demo_summary.phi)
+def test_delays_equal_at_selfish_crossing(demo_ramp):
+    profile = onramp.delays(demo_ramp, demo_ramp.phi)
     assert profile.steadfast == pytest.approx(profile.bypass, abs=1e-9)
 
 
-def test_delays_domain_checked(demo_derived):
+def test_delays_domain_checked(demo_ramp):
     with pytest.raises(ValueError):
-        onramp.delays(demo_derived, 1.2)
+        onramp.delays(demo_ramp, 1.2)
     with pytest.raises(ValueError):
-        onramp.delays(demo_derived, -0.01)
+        onramp.delays(demo_ramp, -0.01)
 
 
-def test_social_delay_zero_config():
-    config = onramp.OnRampConfig(
-        n0=0.4, c1t=0.0, c1m=0.0, c2t=0.0, c2m=0.0, mu=0.0, gamma=0.0
-    )
-    derived = onramp.derive_coefficients(config)
+def test_social_delay_zero_config(demo_ramp):
+    # all-zero costs build no model (test_derived_all_zero_costs): zero the constants of a copy
+    ramp = copy.copy(demo_ramp)
+    for name in _CONSTANTS:
+        object.__setattr__(ramp, name, 0.0)
     for x in (-0.5, 0.0, 0.3, 1.0, 1.5):
-        assert onramp.social_delay(config, derived, x) == 0.0
+        assert onramp.social_delay(ramp, x) == 0.0
 
 
-def test_social_delay_above_minimum(demo_config, demo_derived):
-    at_minimum = onramp.social_delay(demo_config, demo_derived, DEMO_DELTA)
-    assert onramp.social_delay(demo_config, demo_derived, 0.5) > at_minimum
-    assert onramp.social_delay(demo_config, demo_derived, 0.7) > at_minimum
+def test_social_delay_above_minimum(demo_ramp):
+    at_minimum = onramp.social_delay(demo_ramp, DEMO_DELTA)
+    assert onramp.social_delay(demo_ramp, 0.5) > at_minimum
+    assert onramp.social_delay(demo_ramp, 0.7) > at_minimum
 
 
-def test_altruistic_costs_reduce_to_delays(demo_config, demo_derived):
+def test_altruistic_costs_reduce_to_delays(demo_ramp):
     for x in (0.0, 0.3, 1.0):
-        profile = onramp.delays(demo_derived, x)
-        pair = onramp.altruistic_costs(demo_config, demo_derived, x, beta=0.0, error=3.0)
+        profile = onramp.delays(demo_ramp, x)
+        pair = onramp.altruistic_costs(demo_ramp, x, beta=0.0, error=3.0)
         assert pair.steadfast_cost == profile.steadfast
         assert pair.bypass_cost == profile.bypass
 
 
-def test_altruistic_costs_depend_on_product_only(demo_config, demo_derived):
-    a = onramp.altruistic_costs(demo_config, demo_derived, 0.4, beta=0.5, error=2.0)
-    b = onramp.altruistic_costs(demo_config, demo_derived, 0.4, beta=1.0, error=1.0)
+def test_altruistic_costs_depend_on_product_only(demo_ramp):
+    a = onramp.altruistic_costs(demo_ramp, 0.4, beta=0.5, error=2.0)
+    b = onramp.altruistic_costs(demo_ramp, 0.4, beta=1.0, error=1.0)
     assert a == b
-    c = onramp.altruistic_costs(demo_config, demo_derived, 0.4, beta=0.5 * 2.0, error=1.0)
+    c = onramp.altruistic_costs(demo_ramp, 0.4, beta=0.5 * 2.0, error=1.0)
     assert a == c
 
 
-def test_altruistic_costs_cross_at_intersection(demo_config, demo_derived, demo_summary):
-    crossing = onramp.altruistic_intersection(demo_summary.phi, demo_summary.delta, 1.0)
-    pair = onramp.altruistic_costs(demo_config, demo_derived, crossing, beta=1.0, error=1.0)
+def test_altruistic_costs_cross_at_intersection(demo_ramp):
+    crossing = onramp.altruistic_intersection(demo_ramp.phi, demo_ramp.delta, 1.0)
+    pair = onramp.altruistic_costs(demo_ramp, crossing, beta=1.0, error=1.0)
     assert pair.steadfast_cost == pytest.approx(pair.bypass_cost, abs=1e-9)
 
 
-def test_altruistic_costs_domain_checks(demo_config, demo_derived):
+def test_altruistic_costs_domain_checks(demo_ramp):
     with pytest.raises(ValueError):
-        onramp.altruistic_costs(demo_config, demo_derived, 0.4, beta=1.0, error=0.0)
+        onramp.altruistic_costs(demo_ramp, 0.4, beta=1.0, error=0.0)
     with pytest.raises(ValueError):
-        onramp.altruistic_costs(demo_config, demo_derived, 0.4, beta=-0.2)
+        onramp.altruistic_costs(demo_ramp, 0.4, beta=-0.2)
 
 
 def test_validate_flow_distribution_examples():
@@ -285,18 +297,18 @@ NON_FINITE = (math.nan, math.inf)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-def test_population_rejects_non_finite_beta_and_error(demo_config, demo_derived, value):
+def test_population_rejects_non_finite_beta_and_error(demo_ramp, value):
     with pytest.raises(ValueError, match="beta must be finite"):
         check_population(alpha=0.5, beta=value)
     with pytest.raises(ValueError, match="beta must be finite"):
-        onramp.altruistic_costs(demo_config, demo_derived, 0.5, beta=value)
+        onramp.altruistic_costs(demo_ramp, 0.5, beta=value)
     with pytest.raises(ValueError, match="error factor must be finite"):
-        onramp.altruistic_costs(demo_config, demo_derived, 0.5, beta=1.0, error=value)
+        onramp.altruistic_costs(demo_ramp, 0.5, beta=1.0, error=value)
     with pytest.raises(ValueError, match="alpha must lie in"):
         check_population(alpha=value, beta=1.0)
 
 
-def test_population_rejects_an_overflowing_level(demo_config, demo_derived, demo_summary):
+def test_population_rejects_an_overflowing_level(demo_ramp):
     # above LEVEL_MAX the crossing's 2*level*delta overflows; the bound is exact
     check_population(alpha=0.8, beta=LEVEL_MAX, error=1.0)
     check_population(alpha=0.8, beta=LEVEL_MAX / 8, error=8.0)
@@ -310,13 +322,11 @@ def test_population_rejects_an_overflowing_level(demo_config, demo_derived, demo
         check_population(alpha=0.8, beta=1e308, error=10.0)
     flow = onramp.FlowDistribution(0.2, 0.0, 0.2, 0.6)
     for evaluate in (
-        lambda: onramp.altruistic_costs(demo_config, demo_derived, 0.5, 1e308, 10.0),
-        lambda: onramp.solve_equilibrium(
-            demo_config, demo_derived, demo_summary, 0.8, 1e308, 10.0
-        ),
-        lambda: onramp.verify_wardrop(demo_config, demo_derived, flow, 1e308, 10.0),
-        lambda: onramp.brute_force_equilibrium(demo_config, demo_derived, 0.8, 1e308, 10.0),
-        lambda: onramp.best_response_dynamics(demo_config, demo_derived, 0.8, 1e308, 10.0),
+        lambda: onramp.altruistic_costs(demo_ramp, 0.5, 1e308, 10.0),
+        lambda: onramp.solve(demo_ramp, 0.8, 1e308, 10.0),
+        lambda: onramp.verify_wardrop(demo_ramp, flow, 1e308, 10.0),
+        lambda: onramp.brute_force_equilibrium(demo_ramp, 0.8, 1e308, 10.0),
+        lambda: onramp.best_response_dynamics(demo_ramp, 0.8, 1e308, 10.0),
     ):
         with pytest.raises(ValueError, match=overflow):
             evaluate()
@@ -325,8 +335,7 @@ def test_population_rejects_an_overflowing_level(demo_config, demo_derived, demo
 HUGE = 10**400
 
 
-def test_api_rejects_integers_too_large_for_a_float(demo_config, demo_derived, demo_summary):
-    demo = (demo_config, demo_derived, demo_summary)
+def test_api_rejects_integers_too_large_for_a_float(demo_ramp):
     for evaluate, name in (
         (lambda: check_population(beta=HUGE), "beta"),
         (lambda: check_population(beta=-HUGE), "beta"),
@@ -335,9 +344,9 @@ def test_api_rejects_integers_too_large_for_a_float(demo_config, demo_derived, d
         (lambda: check_population(alpha=0.5, beta=1, error=HUGE), "error factor"),
         (lambda: onramp.ErrorInterval(HUGE, 10 * HUGE), "e_lower"),
         (lambda: onramp.ErrorInterval(1, HUGE), "e_upper"),
-        (lambda: onramp.solve_equilibrium(*demo, 0.8, HUGE), "beta"),
-        (lambda: onramp.sweep_beta_e(*demo, [0.8], HUGE, 0.01), "beta_e_max"),
-        (lambda: onramp.sweep_beta_e(*demo, [0.8], 4.0, HUGE), "step"),
+        (lambda: onramp.solve(demo_ramp, 0.8, HUGE), "beta"),
+        (lambda: onramp.beta_e_sweep(demo_ramp, [0.8], HUGE, 0.01), "beta_e_max"),
+        (lambda: onramp.beta_e_sweep(demo_ramp, [0.8], 4.0, HUGE), "step"),
     ):
         with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
             evaluate()
@@ -359,21 +368,27 @@ config_values = st.fixed_dictionaries(
 )
 
 
+def _ramp_or_reject(values):
+    """The model of a drawn config; a draw that builds no model (no delay slope) is rejected."""
+    try:
+        return onramp.OnRamp.from_config(onramp.OnRampConfig(**values))
+    except onramp.OnRampError:
+        reject()
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(values=config_values, x=st.floats(0.05, 0.95), h=st.floats(1e-6, 0.05))
 def test_social_delay_convexity(values, x, h):
-    config = onramp.OnRampConfig(**values)
-    derived = onramp.derive_coefficients(config)
-    j = lambda point: onramp.social_delay(config, derived, point)
+    ramp = _ramp_or_reject(values)
+    j = lambda point: onramp.social_delay(ramp, point)
     assert j(x - h) + j(x + h) - 2.0 * j(x) >= -1e-12
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(values=config_values, x=st.floats(0.0, 1.0))
 def test_on_ramp_delay_mirrors_steadfast(values, x):
-    config = onramp.OnRampConfig(**values)
-    derived = onramp.derive_coefficients(config)
-    profile = onramp.delays(derived, x)
+    ramp = _ramp_or_reject(values)
+    profile = onramp.delays(ramp, x)
     assert profile.on_ramp == profile.steadfast
 
 
@@ -385,11 +400,10 @@ def test_on_ramp_delay_mirrors_steadfast(values, x):
     error=st.floats(0.1, 5.0),
 )
 def test_altruistic_cost_product_sufficiency(values, x, beta, error):
-    config = onramp.OnRampConfig(**values)
-    derived = onramp.derive_coefficients(config)
-    direct = onramp.altruistic_costs(config, derived, x, beta, error)
-    folded = onramp.altruistic_costs(config, derived, x, beta * error, 1.0)
+    ramp = _ramp_or_reject(values)
+    direct = onramp.altruistic_costs(ramp, x, beta, error)
+    folded = onramp.altruistic_costs(ramp, x, beta * error, 1.0)
     assert direct == folded
     if beta == 0.0:
-        profile = onramp.delays(derived, x)
+        profile = onramp.delays(ramp, x)
         assert direct == onramp.AltruisticCostPair(profile.steadfast, profile.bypass)

@@ -21,6 +21,10 @@ REMOVED = (
     "FLOW_CLOSURE_TOL",
     "PopulationParams",
     "SingularPiError",
+    "DelayCoefficients",
+    "AnalysisSummary",
+    "selfish_equilibrium_flow",
+    "social_optimum",
 )
 
 
@@ -36,6 +40,30 @@ def test_removed_names_are_gone():
         for module in (onramp, onramp.model, onramp.analysis, onramp.errors):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(onramp.OnRampConfig, "from_values")
+
+
+def test_perfbench_signatures_forward_to_the_one_model_forms():
+    config = onramp.OnRampConfig(n0=0.37, c1t=1.0, c1m=21.3, c2t=1.0, c2m=1.0, mu=2.4, gamma=8.6)
+    ramp = onramp.derive_coefficients(config)
+    assert ramp == onramp.OnRamp.from_config(config)
+    assert onramp.analyze(config, ramp) is ramp
+    interval = onramp.ErrorInterval(0.5, 2.0)
+    assert onramp.classify(config, ramp, interval) == onramp.classification(ramp, interval)
+    assert onramp.solve_equilibrium(config, ramp, ramp, 0.8, 1.0, 0.5) == onramp.solve(
+        ramp, 0.8, 1.0, 0.5
+    )
+    assert onramp.price_of_anarchy(config, ramp, ramp, 1.0, interval) == onramp.poa(
+        ramp, 1.0, interval
+    )
+    assert onramp.optimal_altruism_level(config, ramp, ramp, interval) == onramp.optimal_beta(
+        ramp, interval
+    )
+    assert onramp.sweep_alpha(config, ramp, ramp, [0.5], 0.1) == onramp.alpha_sweep(
+        ramp, [0.5], 0.1
+    )
+    assert onramp.sweep_beta_e(config, ramp, ramp, [0.8], 2.0, 0.5) == onramp.beta_e_sweep(
+        ramp, [0.8], 2.0, 0.5
+    )
 
 
 @pytest.mark.parametrize("script", ["run_analysis.py", "run_sweeps.py", "run_robustness.py"])

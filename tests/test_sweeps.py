@@ -20,10 +20,10 @@ from onramp.sweeps import (
     NUMBER_FORMAT,
     AlphaSweepRow,
     LevelSweepRow,
+    alpha_sweep,
+    beta_e_sweep,
     format_number,
     inclusive_grid,
-    sweep_alpha,
-    sweep_beta_e,
     write_alpha_sweep,
     write_beta_e_sweep,
 )
@@ -32,8 +32,8 @@ from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI, meaningful_configs
 
 
 @pytest.fixture()
-def demo(demo_config, demo_derived, demo_summary):
-    return demo_config, demo_derived, demo_summary
+def demo(demo_ramp):
+    return demo_ramp
 
 
 def test_inclusive_grid_hits_endpoints():
@@ -91,7 +91,7 @@ def test_inclusive_grid_rejects_bad_bounds_and_steps(lower, upper, step):
 
 
 def test_alpha_sweep_row_count_and_order(demo):
-    rows = sweep_alpha(*demo, betas=[0.2, 0.5, 1.0], alpha_step=0.01)
+    rows = alpha_sweep(demo, betas=[0.2, 0.5, 1.0], alpha_step=0.01)
     assert len(rows) == 303
     for offset in range(0, 303, 101):
         block = rows[offset : offset + 101]
@@ -100,19 +100,19 @@ def test_alpha_sweep_row_count_and_order(demo):
 
 
 def test_alpha_sweep_inert_level_flat(demo):
-    rows = [row for row in sweep_alpha(*demo, betas=[0.0], alpha_step=0.05)]
+    rows = [row for row in alpha_sweep(demo, betas=[0.0], alpha_step=0.05)]
     assert all(row.j_soc == rows[0].j_soc for row in rows)
     assert rows[0].j_soc == pytest.approx(DEMO_J_SOC_AT_PHI, abs=1e-12)
 
 
 def test_alpha_sweep_full_level_reaches_optimum(demo):
-    rows = sweep_alpha(*demo, betas=[1.0], alpha_step=0.01)
+    rows = alpha_sweep(demo, betas=[1.0], alpha_step=0.01)
     assert rows[-1].alpha == 1.0
     assert rows[-1].j_soc == pytest.approx(DEMO_J_OPT, abs=1e-12)
 
 
 def test_beta_e_sweep_includes_inert_row(demo):
-    rows = sweep_beta_e(*demo, alphas=[0.63, 0.8], beta_e_max=4.0, step=0.01)
+    rows = beta_e_sweep(demo, alphas=[0.63, 0.8], beta_e_max=4.0, step=0.01)
     assert len(rows) == 2 * 401
     first = rows[0]
     assert first.beta_e == 0.0
@@ -122,7 +122,7 @@ def test_beta_e_sweep_includes_inert_row(demo):
 
 
 def test_beta_e_sweep_optimum_at_unit_level(demo):
-    rows = sweep_beta_e(*demo, alphas=[0.8], beta_e_max=4.0, step=0.01)
+    rows = beta_e_sweep(demo, alphas=[0.8], beta_e_max=4.0, step=0.01)
     at_one = [row for row in rows if row.beta_e == 1.0]
     assert len(at_one) == 1
     assert at_one[0].j_soc == pytest.approx(DEMO_J_OPT, abs=1e-9)
@@ -130,21 +130,21 @@ def test_beta_e_sweep_optimum_at_unit_level(demo):
 
 def test_alpha_sweep_nonincreasing_in_ratio(demo):
     for beta in (0.2, 0.5, 1.0):
-        rows = sweep_alpha(*demo, betas=[beta], alpha_step=0.01)
+        rows = alpha_sweep(demo, betas=[beta], alpha_step=0.01)
         for a, b in zip(rows, rows[1:]):
             assert b.j_soc <= a.j_soc + 1e-12
 
 
 def test_beta_e_sweep_inert_rows_all_ratios(demo):
-    rows = sweep_beta_e(*demo, alphas=[0.63, 0.8], beta_e_max=1.0, step=0.25)
+    rows = beta_e_sweep(demo, alphas=[0.63, 0.8], beta_e_max=1.0, step=0.25)
     inert = [row for row in rows if row.beta_e == 0.0]
     assert len(inert) == 2
     for row in inert:
         assert row.j_soc == pytest.approx(DEMO_J_SOC_AT_PHI, abs=1e-12)
 
 
-def test_alpha_sweep_csv_schema_and_roundtrip(demo, demo_config, demo_derived):
-    rows = sweep_alpha(*demo, betas=[0.5, 1.0], alpha_step=0.05)
+def test_alpha_sweep_csv_schema_and_roundtrip(demo, demo_ramp):
+    rows = alpha_sweep(demo, betas=[0.5, 1.0], alpha_step=0.05)
     buffer = io.StringIO()
     write_alpha_sweep(rows, buffer)
     text = buffer.getvalue()
@@ -160,13 +160,11 @@ def test_alpha_sweep_csv_schema_and_roundtrip(demo, demo_config, demo_derived):
         # re-evaluating the social delay from the stored share reproduces j_soc
         share = float(fields[2])
         stored = float(fields[4])
-        assert onramp.social_delay(demo_config, demo_derived, share) == pytest.approx(
-            stored, abs=1e-9
-        )
+        assert onramp.social_delay(demo_ramp, share) == pytest.approx(stored, abs=1e-9)
 
 
 def test_beta_e_sweep_csv_schema(demo):
-    rows = sweep_beta_e(*demo, alphas=[0.8], beta_e_max=0.5, step=0.05)
+    rows = beta_e_sweep(demo, alphas=[0.8], beta_e_max=0.5, step=0.05)
     buffer = io.StringIO()
     write_beta_e_sweep(rows, buffer)
     lines = buffer.getvalue().split("\n")
@@ -183,19 +181,19 @@ def test_number_format_is_twelve_significant_digits():
 
 def test_sweep_validates_step(demo):
     with pytest.raises(ValueError):
-        sweep_alpha(*demo, betas=[1.0], alpha_step=0.5)
+        alpha_sweep(demo, betas=[1.0], alpha_step=0.5)
     with pytest.raises(ValueError):
-        sweep_beta_e(*demo, alphas=[0.8], beta_e_max=-1.0, step=0.01)
+        beta_e_sweep(demo, alphas=[0.8], beta_e_max=-1.0, step=0.01)
 
 
-def _assert_row_solves(pipeline, row, alpha, beta):
-    result = onramp.solve_equilibrium(*pipeline, alpha, beta)
+def _assert_row_solves(ramp, row, alpha, beta):
+    result = onramp.solve(ramp, alpha, beta)
     assert (row.x_hat_b, row.case, row.j_soc) == (result.x_hat_b, result.case, result.social_delay)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    pipeline=meaningful_configs(),
+    config=meaningful_configs(),
     betas=st.lists(st.floats(0.0, 10.0) | st.integers(0, 4), max_size=3),
     alphas=st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), max_size=3),
     alpha_step=st.sampled_from([0.01, 0.03, 0.1]),
@@ -204,39 +202,39 @@ def _assert_row_solves(pipeline, row, alpha, beta):
     tie_at=st.integers(0, 60),
 )
 def test_sweep_rows_equal_the_solver(
-    pipeline, betas, alphas, alpha_step, beta_e_max, steps, tie_at
+    config, betas, alphas, alpha_step, beta_e_max, steps, tie_at
 ):
-    """Every row is solve_equilibrium at its point, exactly, ties included.
+    """Every row is solve at its point, exactly, ties included.
 
     Level 0 and alpha 0 are on every grid; the outer values add beta == pi
     (when positive), alpha == phi and alpha == the crossing at a grid level.
     """
-    summary = pipeline[2]
+    ramp = onramp.OnRamp.from_config(config)
     step = beta_e_max / steps
     level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
-    crossing = onramp.altruistic_intersection(summary.phi, summary.delta, level)
-    betas = [0.0, *betas] + ([summary.pi] if summary.pi > 0.0 else [])
-    alphas = [0.0, summary.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
-    for row in sweep_alpha(*pipeline, betas, alpha_step):
-        _assert_row_solves(pipeline, row, row.alpha, row.beta)
-    for row in sweep_beta_e(*pipeline, alphas, beta_e_max, step):
-        _assert_row_solves(pipeline, row, row.alpha, row.beta_e)
+    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+    betas = [0.0, *betas] + ([ramp.pi] if ramp.pi > 0.0 else [])
+    alphas = [0.0, ramp.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
+    for row in alpha_sweep(ramp, betas, alpha_step):
+        _assert_row_solves(ramp, row, row.alpha, row.beta)
+    for row in beta_e_sweep(ramp, alphas, beta_e_max, step):
+        _assert_row_solves(ramp, row, row.alpha, row.beta_e)
 
 
 def test_level_sweep_stops_at_the_level_bound(demo):
-    rows = sweep_beta_e(*demo, alphas=[0.8], beta_e_max=LEVEL_MAX, step=LEVEL_MAX / 4)
+    rows = beta_e_sweep(demo, alphas=[0.8], beta_e_max=LEVEL_MAX, step=LEVEL_MAX / 4)
     assert (rows[-1].beta_e, rows[-1].case) == (LEVEL_MAX, EquilibriumCase.CASE_D)
     above = math.nextafter(LEVEL_MAX, math.inf)
     message = f"beta_e_max = {above} exceeds the level bound {LEVEL_MAX}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sweep_beta_e(*demo, alphas=[0.8], beta_e_max=above, step=above / 4)
+        beta_e_sweep(demo, alphas=[0.8], beta_e_max=above, step=above / 4)
 
 
 def test_level_sweep_resolves_the_ties(demo):
-    phi, delta = demo[2].phi, demo[2].delta
+    phi, delta = demo.phi, demo.delta
     level = inclusive_grid(0.0, 2.0, 0.25)[3]
     crossing = onramp.altruistic_intersection(phi, delta, level)
-    rows = sweep_beta_e(*demo, alphas=[phi, crossing], beta_e_max=2.0, step=0.25)
+    rows = beta_e_sweep(demo, alphas=[phi, crossing], beta_e_max=2.0, step=0.25)
     at_phi, at_crossing = rows[:9], rows[9:]
     assert at_phi[0].case is EquilibriumCase.BASELINE
     assert {row.case for row in at_phi[1:]} == {EquilibriumCase.CASE_B}
@@ -249,21 +247,19 @@ def test_level_sweep_resolves_the_ties(demo):
 EXCLUDED_VALUES = dict(n0=0.1, c1t=1.0, c1m=1.0, c2t=50.0, c2m=0.1, mu=1.0, gamma=1.0)
 
 
-def _pipeline(values):
-    config = onramp.OnRampConfig(**values)
-    derived = onramp.derive_coefficients(config)
-    return config, derived, onramp.analyze(config, derived)
+def _ramp(values):
+    return onramp.OnRamp.from_config(onramp.OnRampConfig(**values))
 
 
 def test_sweeps_check_membership_before_the_outer_values():
-    excluded = _pipeline(EXCLUDED_VALUES)
+    excluded = _ramp(EXCLUDED_VALUES)
     with pytest.raises(NotInMeaningfulSetError):
-        sweep_alpha(*excluded, betas=[math.nan], alpha_step=0.1)
+        alpha_sweep(excluded, betas=[math.nan], alpha_step=0.1)
     with pytest.raises(NotInMeaningfulSetError):
-        sweep_beta_e(*excluded, alphas=[1.5], beta_e_max=1.0, step=0.1)
+        beta_e_sweep(excluded, alphas=[1.5], beta_e_max=1.0, step=0.1)
     degenerate = dict(n0=0.4, c1t=0.0, c1m=0.0, c2t=0.0, c2m=0.0, mu=0.0, gamma=0.0)
     with pytest.raises(DegenerateConfigError):
-        sweep_alpha(*_pipeline(degenerate), betas=[math.nan], alpha_step=0.1)
+        alpha_sweep(_ramp(degenerate), betas=[math.nan], alpha_step=0.1)
 
 
 @pytest.mark.parametrize(
@@ -276,22 +272,22 @@ def test_sweeps_check_membership_before_the_outer_values():
 )
 def test_alpha_sweep_names_a_bad_beta(demo, beta, message):
     with pytest.raises(ValueError) as info:
-        sweep_alpha(*demo, betas=[0.5, beta], alpha_step=0.1)
+        alpha_sweep(demo, betas=[0.5, beta], alpha_step=0.1)
     assert str(info.value) == message
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, math.inf])
 def test_level_sweep_names_a_bad_alpha(demo, alpha):
     with pytest.raises(ValueError) as info:
-        sweep_beta_e(*demo, alphas=[0.8, alpha], beta_e_max=1.0, step=0.1)
+        beta_e_sweep(demo, alphas=[0.8, alpha], beta_e_max=1.0, step=0.1)
     assert str(info.value) == f"alpha must lie in [0, 1], got {alpha}"
 
 
 def test_empty_outer_list_gives_no_rows(demo):
-    excluded = _pipeline(EXCLUDED_VALUES)
+    excluded = _ramp(EXCLUDED_VALUES)
     for case in (demo, excluded):
-        assert sweep_alpha(*case, betas=[], alpha_step=0.1) == []
-        assert sweep_beta_e(*case, alphas=[], beta_e_max=1.0, step=0.1) == []
+        assert alpha_sweep(case, betas=[], alpha_step=0.1) == []
+        assert beta_e_sweep(case, alphas=[], beta_e_max=1.0, step=0.1) == []
 
 
 def _reference_csv(rows, columns):
@@ -341,9 +337,9 @@ def test_csv_lines_match_per_cell_format(cells):
 
 def test_csv_of_integer_inputs_matches_per_cell_format(demo):
     for sweep, outer, write, columns in (
-        (lambda values: sweep_alpha(*demo, values, 0.05), [0, 1, 3], write_alpha_sweep,
+        (lambda values: alpha_sweep(demo, values, 0.05), [0, 1, 3], write_alpha_sweep,
          ALPHA_SWEEP_COLUMNS),
-        (lambda values: sweep_beta_e(*demo, values, 2, 0.25), [0, 1], write_beta_e_sweep,
+        (lambda values: beta_e_sweep(demo, values, 2, 0.25), [0, 1], write_beta_e_sweep,
          LEVEL_SWEEP_COLUMNS),
     ):
         rows, float_rows = sweep(outer), sweep([float(value) for value in outer])
@@ -404,7 +400,7 @@ def test_csv_of_numpy_numbers_matches_per_cell_format(cells):
 
 
 def test_csv_of_zero_dimensional_arrays(demo):
-    rows = sweep_alpha(*demo, betas=[0.5, 1.0], alpha_step=0.1)
+    rows = alpha_sweep(demo, betas=[0.5, 1.0], alpha_step=0.1)
     array_rows = [
         AlphaSweepRow(np.array(row.beta), np.float64(row.alpha), np.array(row.x_hat_b), row.case,
                       np.array(row.j_soc))
@@ -417,19 +413,19 @@ def test_csv_of_zero_dimensional_arrays(demo):
 
 
 def test_sweeps_evaluate_each_distinct_share_once(demo, monkeypatch):
-    config, derived, summary = demo
+    ramp = demo
     shares = []
 
-    def counting_social_delay(config, derived, x_hat_b):
+    def counting_social_delay(ramp, x_hat_b):
         shares.append(x_hat_b)
-        return onramp.social_delay(config, derived, x_hat_b)
+        return onramp.social_delay(ramp, x_hat_b)
 
     monkeypatch.setattr(sweeps, "social_delay", counting_social_delay)
-    rows = sweep_beta_e(*demo, alphas=[0.0, 0.3, summary.phi], beta_e_max=4.0, step=0.01)
+    rows = beta_e_sweep(demo, alphas=[0.0, 0.3, ramp.phi], beta_e_max=4.0, step=0.01)
     assert len(rows) == 3 * 401 and len(shares) <= 2
     shares.clear()
-    rows = sweep_alpha(*demo, betas=[0.0, 0.2, 0.5, 1.0], alpha_step=0.01)
+    rows = alpha_sweep(demo, betas=[0.0, 0.2, 0.5, 1.0], alpha_step=0.01)
     assert len(rows) == 4 * 101
     assert sorted(shares) == sorted({row.x_hat_b for row in rows})
     for row in rows:
-        assert row.j_soc == onramp.social_delay(config, derived, row.x_hat_b)
+        assert row.j_soc == onramp.social_delay(ramp, row.x_hat_b)
