@@ -129,11 +129,11 @@ class OnRamp:
     bypass delay:                  bypass_slope * x + bypass_intercept
     lane-2 delay:                  lane2_slope * x + bypass_intercept
 
-    The analysis is computed from those on construction, all finite: the
-    selfish crossing ``phi``, the social-delay minimizer ``delta``, ``pi_value``,
-    the optimum ``j_opt`` on [0, 1], the all-selfish delay ``j_soc_at_phi`` and
-    meaningful-set membership.  ``decrease_interval`` is open on the left (alpha
-    must strictly exceed phi to help) while ``optimize_interval`` is closed.
+    The analysis is computed from those on construction: the selfish crossing
+    ``phi``, the social-delay minimizer ``delta``, the optimum ``j_opt`` on
+    [0, 1] and the all-selfish delay ``j_soc_at_phi``, all finite; ``pi`` by
+    pi_value; meaningful-set membership.  ``decrease_interval`` is open on the
+    left (alpha must exceed phi to help) while ``optimize_interval`` is closed.
     """
 
     n0: float

@@ -33,13 +33,8 @@ def _passed(number, message):
     print(f"ACCEPTANCE {number} PASS - {message}")
 
 
-@pytest.fixture(scope="module")
-def demo(demo_ramp):
-    return demo_ramp
-
-
-def test_criterion_1_demo_anchors(demo):
-    ramp = demo
+def test_criterion_1_demo_anchors(demo_ramp):
+    ramp = demo_ramp
     assert ramp.in_meaningful_set
     assert ramp.pi < 0.0
     label = onramp.classification(ramp, onramp.ErrorInterval(0.5, 2.0))
@@ -57,8 +52,8 @@ def test_criterion_1_demo_anchors(demo):
 
 
 @pytest.fixture(scope="module")
-def improvement_instances(demo):
-    instances = [demo]
+def improvement_instances(demo_ramp):
+    instances = [demo_ramp]
     instances += meaningful_batch(100, seed=20260810, grid_safe=True)
     return instances
 
@@ -79,8 +74,8 @@ def test_criterion_2_improvement_conditions(improvement_instances):
     _passed(2, f"improvement iff conditions held at all {checked} grid points")
 
 
-def test_criterion_3_ratio_sweep_shape(demo):
-    ramp = demo
+def test_criterion_3_ratio_sweep_shape(demo_ramp):
+    ramp = demo_ramp
     rows = alpha_sweep(ramp, betas=[0.2, 0.5, 1.0], alpha_step=0.01)
     by_beta = {beta: [r for r in rows if r.beta == beta] for beta in (0.2, 0.5, 1.0)}
     full = by_beta[1.0]
@@ -111,8 +106,8 @@ def test_criterion_3_ratio_sweep_shape(demo):
     )
 
 
-def test_criterion_4_level_sweep_shape(demo):
-    ramp = demo
+def test_criterion_4_level_sweep_shape(demo_ramp):
+    ramp = demo_ramp
     rows = beta_e_sweep(ramp, alphas=[0.63, 0.8], beta_e_max=4.0, step=0.01)
     abundant = [r for r in rows if r.alpha == 0.8]
     scarce = [r for r in rows if r.alpha == 0.63]
@@ -158,8 +153,8 @@ def _poa_slack(ramp, interval, step_error):
     return lipschitz_error * step_error / ramp.j_opt
 
 
-def test_criterion_5_optimal_level(demo):
-    ramp = demo
+def test_criterion_5_optimal_level(demo_ramp):
+    ramp = demo_ramp
     interval = onramp.ErrorInterval(0.5, 2.0)
     analytic = onramp.optimal_beta(ramp, interval)
     assert analytic.beta_star == pytest.approx(1.0, abs=1e-12)
@@ -250,8 +245,8 @@ def test_criterion_6b_dynamics_agreement(oracle_instances):
     )
 
 
-def test_criterion_7_wardrop_residuals(demo):
-    instances = [demo] + meaningful_batch(20, seed=707)
+def test_criterion_7_wardrop_residuals(demo_ramp):
+    instances = [demo_ramp] + meaningful_batch(20, seed=707)
     checked = 0
     for ramp in instances:
         for alpha in inclusive_grid(0.0, 1.0, 0.1):

@@ -22,18 +22,8 @@ from conftest import (
 )
 
 
-def _solve(demo, alpha, beta, error=1.0):
-    ramp = demo
-    return onramp.solve(ramp, alpha, beta, error)
-
-
-@pytest.fixture()
-def demo(demo_ramp):
-    return demo_ramp
-
-
-def test_all_selfish_baseline(demo, demo_ramp):
-    result = _solve(demo, alpha=0.0, beta=1.0)
+def test_all_selfish_baseline(demo_ramp):
+    result = onramp.solve(demo_ramp, alpha=0.0, beta=1.0)
     assert result.case is EquilibriumCase.BASELINE
     assert result.x_hat_b == pytest.approx(DEMO_PHI, abs=1e-12)
     assert result.x_hat_b == pytest.approx(bisect_selfish_crossing(demo_ramp), abs=1e-9)
@@ -41,26 +31,26 @@ def test_all_selfish_baseline(demo, demo_ramp):
     assert result.flow.altruistic_bypass == 0.0
 
 
-def test_inert_level_canonical_decomposition(demo):
-    result = _solve(demo, alpha=0.7, beta=0.0)
+def test_inert_level_canonical_decomposition(demo_ramp):
+    result = onramp.solve(demo_ramp, alpha=0.7, beta=0.0)
     assert result.case is EquilibriumCase.BASELINE
     assert result.x_hat_b == pytest.approx(DEMO_PHI, abs=1e-12)
     assert result.flow.altruistic_bypass == pytest.approx(DEMO_PHI, abs=1e-12)
     assert result.flow.selfish_bypass == 0.0
-    scarce = _solve(demo, alpha=0.2, beta=0.0)
+    scarce = onramp.solve(demo_ramp, alpha=0.2, beta=0.0)
     assert scarce.flow.altruistic_bypass == pytest.approx(0.2, abs=1e-12)
     assert scarce.flow.selfish_bypass == pytest.approx(DEMO_PHI - 0.2, abs=1e-12)
 
 
-def test_full_altruism_reaches_optimum(demo, demo_ramp):
-    result = _solve(demo, alpha=1.0, beta=1.0)
+def test_full_altruism_reaches_optimum(demo_ramp):
+    result = onramp.solve(demo_ramp, alpha=1.0, beta=1.0)
     assert result.case is EquilibriumCase.CASE_D
     assert result.x_hat_b == pytest.approx(DEMO_DELTA, abs=1e-12)
     assert result.social_delay == pytest.approx(demo_ramp.j_opt, abs=1e-12)
 
 
-def test_case_c_saturated_altruists(demo, demo_ramp):
-    result = _solve(demo, alpha=0.55, beta=1.0)
+def test_case_c_saturated_altruists(demo_ramp):
+    result = onramp.solve(demo_ramp, alpha=0.55, beta=1.0)
     assert result.case is EquilibriumCase.CASE_C
     assert result.x_hat_b == pytest.approx(0.55, abs=1e-12)
     assert result.flow.selfish_bypass == 0.0
@@ -69,38 +59,38 @@ def test_case_c_saturated_altruists(demo, demo_ramp):
     assert min(abs(f.total_bypass - 0.55) for f in candidates) <= 1e-3
 
 
-def test_case_b_scarce_altruists(demo):
-    result = _solve(demo, alpha=0.3, beta=1.0)
+def test_case_b_scarce_altruists(demo_ramp):
+    result = onramp.solve(demo_ramp, alpha=0.3, beta=1.0)
     assert result.case is EquilibriumCase.CASE_B
     assert result.x_hat_b == pytest.approx(DEMO_PHI, abs=1e-12)
     assert result.flow.altruistic_bypass == pytest.approx(0.3, abs=1e-12)
     assert result.flow.selfish_bypass == pytest.approx(DEMO_PHI - 0.3, abs=1e-12)
 
 
-def test_boundary_ties(demo, demo_ramp):
-    at_phi = _solve(demo, alpha=demo_ramp.phi, beta=0.7)
+def test_boundary_ties(demo_ramp):
+    at_phi = onramp.solve(demo_ramp, alpha=demo_ramp.phi, beta=0.7)
     assert at_phi.case is EquilibriumCase.CASE_B
     crossing = onramp.altruistic_intersection(demo_ramp.phi, demo_ramp.delta, 0.7)
-    at_crossing = _solve(demo, alpha=crossing, beta=0.7)
+    at_crossing = onramp.solve(demo_ramp, alpha=crossing, beta=0.7)
     assert at_crossing.case is EquilibriumCase.CASE_D
     assert at_crossing.x_hat_b == pytest.approx(crossing, abs=1e-12)
 
 
-def test_unified_formula_above_phi(demo, demo_ramp):
+def test_unified_formula_above_phi(demo_ramp):
     for alpha in (0.6, 0.75, 0.9, 1.0):
         for level in (0.25, 0.5, 1.0, 2.0):
-            result = _solve(demo, alpha=alpha, beta=level)
+            result = onramp.solve(demo_ramp, alpha=alpha, beta=level)
             crossing = onramp.altruistic_intersection(demo_ramp.phi, demo_ramp.delta, level)
             assert result.x_hat_b == min(alpha, crossing)
 
 
-def test_population_validation(demo):
+def test_population_validation(demo_ramp):
     with pytest.raises(ValueError):
-        _solve(demo, alpha=1.5, beta=1.0)
+        onramp.solve(demo_ramp, alpha=1.5, beta=1.0)
     with pytest.raises(ValueError):
-        _solve(demo, alpha=0.5, beta=-0.1)
+        onramp.solve(demo_ramp, alpha=0.5, beta=-0.1)
     with pytest.raises(ValueError):
-        _solve(demo, alpha=0.5, beta=1.0, error=0.0)
+        onramp.solve(demo_ramp, alpha=0.5, beta=1.0, error=0.0)
 
 
 def test_solver_requires_membership():
@@ -112,11 +102,11 @@ def test_solver_requires_membership():
         onramp.solve(ramp, 0.5, 1.0)
 
 
-def test_solver_outputs_verify(demo, demo_ramp):
+def test_solver_outputs_verify(demo_ramp):
     for alpha in (0.0, 0.2, 0.55, 0.8, 1.0):
         for beta in (0.0, 0.5, 1.0):
             for error in (0.5, 1.0, 2.0):
-                result = _solve(demo, alpha=alpha, beta=beta, error=error)
+                result = onramp.solve(demo_ramp, alpha=alpha, beta=beta, error=error)
                 assert not onramp.validate_flow_distribution(result.flow, alpha)
                 report = onramp.verify_wardrop(demo_ramp, result.flow, beta, error)
                 assert report.passed, report
@@ -140,7 +130,7 @@ def test_verify_rejects_all_steadfast(demo_ramp):
     assert not report.passed
 
 
-def test_brute_force_covers_closed_form(demo, demo_ramp):
+def test_brute_force_covers_closed_form(demo_ramp):
     flows = onramp.brute_force_equilibrium(demo_ramp, alpha=0.8, beta=1.0, grid_step=1e-3)
     assert flows
     shares = [flow.total_bypass for flow in flows]
@@ -338,19 +328,19 @@ def _tie_point(tie, ramp):
         *OUTSIDE_SET,
     ],
 )
-def test_dynamics_tie_rules(demo, tie):
+def test_dynamics_tie_rules(demo_ramp, tie):
     if tie in OUTSIDE_SET:
         config = onramp.OnRampConfig(**OUTSIDE_SET[tie])
         ramp = onramp.OnRamp.from_config(config)
         assert not ramp.in_meaningful_set
     else:
-        ramp = demo
+        ramp = demo_ramp
     alpha, beta = _tie_point(tie, ramp)
     trace = onramp.best_response_dynamics(ramp, alpha, beta, tol=1e-10)
     assert trace.converged, trace
     assert onramp.validate_flow_distribution(trace.flow, alpha) == []
     if ramp.in_meaningful_set:
-        closed = _solve(demo, alpha, beta)
+        closed = onramp.solve(demo_ramp, alpha, beta)
         assert abs(trace.flow.total_bypass - closed.x_hat_b) <= 1e-12
 
 
@@ -385,10 +375,10 @@ def test_solver_matches_brute_force_random():
     ],
 )
 def test_non_finite_level_rejected_with_its_cause(
-    demo, demo_ramp, beta, error, message
+    demo_ramp, beta, error, message
 ):
     with pytest.raises(ValueError, match=message):
-        onramp.solve(demo, 0.8, beta, error)
+        onramp.solve(demo_ramp, 0.8, beta, error)
     with pytest.raises(ValueError, match=message):
         onramp.brute_force_equilibrium(demo_ramp, 0.8, beta, error)
     with pytest.raises(ValueError, match=message):
@@ -398,13 +388,13 @@ def test_non_finite_level_rejected_with_its_cause(
         onramp.verify_wardrop(demo_ramp, flow, beta, error)
 
 
-def test_closed_form_takes_the_right_case_up_to_the_level_bound(demo):
+def test_closed_form_takes_the_right_case_up_to_the_level_bound(demo_ramp):
     # at LEVEL_MAX the crossing is finite, just below its limit 2*delta - phi < 0.8
-    result = onramp.solve(demo, 0.8, LEVEL_MAX)
+    result = onramp.solve(demo_ramp, 0.8, LEVEL_MAX)
     assert result.case is EquilibriumCase.CASE_D
     assert result.x_hat_b == pytest.approx(2.0 * DEMO_DELTA - DEMO_PHI, abs=1e-15)
     with pytest.raises(ValueError, match="exceeds the bound"):
-        onramp.solve(demo, 0.8, math.nextafter(LEVEL_MAX, math.inf))
+        onramp.solve(demo_ramp, 0.8, math.nextafter(LEVEL_MAX, math.inf))
 
 
 def test_wardrop_report_fails_closed_on_nan_products(demo_ramp):

@@ -21,13 +21,8 @@ from conftest import (
 )
 
 
-@pytest.fixture()
-def demo(demo_ramp):
-    return demo_ramp
-
-
-def test_worst_case_degenerate_interval_at_level_one(demo):
-    ramp = demo
+def test_worst_case_degenerate_interval_at_level_one(demo_ramp):
+    ramp = demo_ramp
     supremum, points = onramp.worst_case_social_delay(
         ramp, beta=1.0, interval=onramp.ErrorInterval(1.0, 1.0)
     )
@@ -37,16 +32,16 @@ def test_worst_case_degenerate_interval_at_level_one(demo):
     assert points[0].alpha == 1.0
 
 
-def test_worst_case_inert_level(demo):
-    ramp = demo
+def test_worst_case_inert_level(demo_ramp):
+    ramp = demo_ramp
     supremum, _ = onramp.worst_case_social_delay(
         ramp, beta=0.0, interval=onramp.ErrorInterval(0.5, 2.0)
     )
     assert supremum == pytest.approx(DEMO_J_SOC_AT_PHI, abs=1e-12)
 
 
-def test_worst_case_endpoint_evaluation(demo):
-    ramp = demo
+def test_worst_case_endpoint_evaluation(demo_ramp):
+    ramp = demo_ramp
     interval = onramp.ErrorInterval(0.5, 2.0)
     supremum, points = onramp.worst_case_social_delay(ramp, beta=1.0, interval=interval)
     endpoint_values = []
@@ -58,8 +53,8 @@ def test_worst_case_endpoint_evaluation(demo):
     assert len(points) == 2
 
 
-def test_worst_case_dominates_error_grid(demo):
-    ramp = demo
+def test_worst_case_dominates_error_grid(demo_ramp):
+    ramp = demo_ramp
     interval = onramp.ErrorInterval(0.5, 2.0)
     for beta in (0.3, 1.0, 1.7):
         supremum, _ = onramp.worst_case_social_delay(ramp, beta, interval)
@@ -98,23 +93,23 @@ def test_worst_case_checks_membership_before_the_level():
         onramp.worst_case_social_delay(ramp, float("nan"), onramp.ErrorInterval(0.5, 2.0))
 
 
-def test_price_of_anarchy_values(demo):
-    ramp = demo
+def test_price_of_anarchy_values(demo_ramp):
+    ramp = demo_ramp
     assert onramp.poa(ramp, 1.0, onramp.ErrorInterval(1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
     inert = onramp.poa(ramp, 0.0, onramp.ErrorInterval(0.5, 2.0))
     assert inert == pytest.approx(DEMO_J_SOC_AT_PHI / DEMO_J_OPT, abs=1e-12)
     assert inert > 1.0
 
 
-def test_price_of_anarchy_zero_optimum_guarded(demo):
-    broke = copy.copy(demo)
+def test_price_of_anarchy_zero_optimum_guarded(demo_ramp):
+    broke = copy.copy(demo_ramp)
     object.__setattr__(broke, "j_opt", 0.0)
     with pytest.raises(ZeroOptimumError):
         onramp.poa(broke, 1.0, onramp.ErrorInterval(0.5, 2.0))
 
 
-def test_endpoint_equalization_at_geometric_mean(demo):
-    ramp = demo
+def test_endpoint_equalization_at_geometric_mean(demo_ramp):
+    ramp = demo_ramp
     interval = onramp.ErrorInterval(0.5, 2.0)
     beta_star = 1.0 / interval.geometric_mean
     assert beta_star == pytest.approx(1.0, abs=1e-12)
@@ -144,8 +139,8 @@ def test_transition_beta_at_full_altruism_equals_ratio():
     assert value == pytest.approx(ramp.pi, abs=1e-12)
 
 
-def test_optimal_level_demo_interval(demo):
-    ramp = demo
+def test_optimal_level_demo_interval(demo_ramp):
+    ramp = demo_ramp
     result = onramp.optimal_beta(ramp, onramp.ErrorInterval(0.5, 2.0))
     assert result.beta_star == pytest.approx(1.0, abs=1e-12)
     assert result.branch is onramp.Regime.ENDPOINT_SYMMETRIC
@@ -157,8 +152,8 @@ def test_optimal_level_demo_interval(demo):
     )
 
 
-def test_optimal_level_degenerate_interval(demo):
-    ramp = demo
+def test_optimal_level_degenerate_interval(demo_ramp):
+    ramp = demo_ramp
     result = onramp.optimal_beta(ramp, onramp.ErrorInterval(1.0, 1.0))
     assert result.beta_star == pytest.approx(1.0, abs=1e-12)
     assert result.poa == pytest.approx(1.0, abs=1e-12)
@@ -178,8 +173,8 @@ def test_optimal_level_pinned_ratio():
     assert abs(sampled - result.beta_star) <= 2e-3
 
 
-def test_grid_oracle_degenerate_interval(demo):
-    ramp = demo
+def test_grid_oracle_degenerate_interval(demo_ramp):
+    ramp = demo_ramp
     sampled = onramp.grid_optimal_beta(
         ramp, onramp.ErrorInterval(1.0, 1.0),
         beta_grid_step=1e-3, inner_grid_step=1e-2,
@@ -187,8 +182,8 @@ def test_grid_oracle_degenerate_interval(demo):
     assert abs(sampled - 1.0) <= 1e-3
 
 
-def test_grid_oracle_rejects_unusable_level_grids(demo):
-    ramp = demo
+def test_grid_oracle_rejects_unusable_level_grids(demo_ramp):
+    ramp = demo_ramp
     interval = onramp.ErrorInterval(0.5, 2.0)
     with pytest.raises(ValueError, match="larger than the search range"):
         onramp.grid_optimal_beta(ramp, interval, beta_grid_step=4.5)
@@ -216,8 +211,8 @@ def test_optimal_level_transition_limited_branch():
     )
 
 
-def test_grid_oracle_agrees_on_demo_interval(demo):
-    ramp = demo
+def test_grid_oracle_agrees_on_demo_interval(demo_ramp):
+    ramp = demo_ramp
     sampled = onramp.grid_optimal_beta(
         ramp, onramp.ErrorInterval(0.5, 2.0),
         beta_grid_step=1e-3, inner_grid_step=1e-2,
@@ -256,8 +251,8 @@ def test_poa_at_least_one_random_configs():
             )
 
 
-def test_grid_poa_brackets_closed_form(demo):
-    ramp = demo
+def test_grid_poa_brackets_closed_form(demo_ramp):
+    ramp = demo_ramp
     interval = onramp.ErrorInterval(0.5, 2.0)
     for beta in (0.2, 0.7, 1.0, 1.6):
         exact = onramp.poa(ramp, beta, interval)
@@ -292,8 +287,8 @@ def test_analytic_level_optimal_on_random_configs():
         assert result.poa <= sampled_minimum + 2.0 * slack
 
 
-def test_effective_level_equivalence(demo):
-    ramp = demo
+def test_effective_level_equivalence(demo_ramp):
+    ramp = demo_ramp
     base = onramp.poa(ramp, 0.8, onramp.ErrorInterval(0.5, 2.0))
     for scale in (0.25, 2.0, 5.0):
         scaled = onramp.poa(
@@ -305,7 +300,7 @@ def test_effective_level_equivalence(demo):
 
 
 @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
-def test_non_finite_beta_rejected_with_its_cause(demo, beta):
+def test_non_finite_beta_rejected_with_its_cause(demo_ramp, beta):
     interval = onramp.ErrorInterval(0.5, 2.0)
     for evaluate in (
         onramp.worst_case_social_delay,
@@ -313,10 +308,10 @@ def test_non_finite_beta_rejected_with_its_cause(demo, beta):
         onramp.grid_poa,
     ):
         with pytest.raises(ValueError, match="beta must be finite"):
-            evaluate(demo, beta, interval)
+            evaluate(demo_ramp, beta, interval)
 
 
-def test_overflowing_level_rejected_at_the_upper_error(demo):
+def test_overflowing_level_rejected_at_the_upper_error(demo_ramp):
     interval = onramp.ErrorInterval(0.5, 2.0)
     for evaluate in (
         onramp.worst_case_social_delay,
@@ -324,11 +319,11 @@ def test_overflowing_level_rejected_at_the_upper_error(demo):
         onramp.grid_poa,
     ):
         with pytest.raises(ValueError, match=r"beta\*error = 1e\+308 \* 2.0 is not finite"):
-            evaluate(demo, 1e308, interval)
+            evaluate(demo_ramp, 1e308, interval)
     # the largest searched level, 2/e_lower, times e_upper overflows
     with pytest.raises(ValueError, match=r"beta\*error = 200.0 \* 1e\+307 is not finite"):
         onramp.grid_optimal_beta(
-            demo, onramp.ErrorInterval(0.01, 1e307), beta_grid_step=1.0, inner_grid_step=1e306
+            demo_ramp, onramp.ErrorInterval(0.01, 1e307), beta_grid_step=1.0, inner_grid_step=1e306
         )
 
 
@@ -402,9 +397,9 @@ def test_grid_optimal_beta_is_the_first_argmin_of_the_product_grid(case, chunk_c
         assert poas.count(min(poas)) > 1
 
 
-def test_grid_poa_samples_no_ratio_axis(demo):
+def test_grid_poa_samples_no_ratio_axis(demo_ramp):
     # no ratio grid is built, so a step too fine for [delta, 1] passes on a point interval
-    ramp = demo
+    ramp = demo_ramp
     point = onramp.ErrorInterval(1.0, 1.0)
     assert onramp.grid_poa(ramp, 1.0, point, 1e-7) == pytest.approx(
         onramp.poa(ramp, 1.0, point), abs=1e-12

@@ -31,11 +31,6 @@ from onramp.sweeps import (
 from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI, meaningful_configs
 
 
-@pytest.fixture()
-def demo(demo_ramp):
-    return demo_ramp
-
-
 def test_inclusive_grid_hits_endpoints():
     grid = inclusive_grid(0.0, 1.0, 0.01)
     assert len(grid) == 101
@@ -90,8 +85,8 @@ def test_inclusive_grid_rejects_bad_bounds_and_steps(lower, upper, step):
         inclusive_grid(lower, upper, step)
 
 
-def test_alpha_sweep_row_count_and_order(demo):
-    rows = alpha_sweep(demo, betas=[0.2, 0.5, 1.0], alpha_step=0.01)
+def test_alpha_sweep_row_count_and_order(demo_ramp):
+    rows = alpha_sweep(demo_ramp, betas=[0.2, 0.5, 1.0], alpha_step=0.01)
     assert len(rows) == 303
     for offset in range(0, 303, 101):
         block = rows[offset : offset + 101]
@@ -99,20 +94,20 @@ def test_alpha_sweep_row_count_and_order(demo):
         assert len({row.beta for row in block}) == 1
 
 
-def test_alpha_sweep_inert_level_flat(demo):
-    rows = [row for row in alpha_sweep(demo, betas=[0.0], alpha_step=0.05)]
+def test_alpha_sweep_inert_level_flat(demo_ramp):
+    rows = [row for row in alpha_sweep(demo_ramp, betas=[0.0], alpha_step=0.05)]
     assert all(row.j_soc == rows[0].j_soc for row in rows)
     assert rows[0].j_soc == pytest.approx(DEMO_J_SOC_AT_PHI, abs=1e-12)
 
 
-def test_alpha_sweep_full_level_reaches_optimum(demo):
-    rows = alpha_sweep(demo, betas=[1.0], alpha_step=0.01)
+def test_alpha_sweep_full_level_reaches_optimum(demo_ramp):
+    rows = alpha_sweep(demo_ramp, betas=[1.0], alpha_step=0.01)
     assert rows[-1].alpha == 1.0
     assert rows[-1].j_soc == pytest.approx(DEMO_J_OPT, abs=1e-12)
 
 
-def test_beta_e_sweep_includes_inert_row(demo):
-    rows = beta_e_sweep(demo, alphas=[0.63, 0.8], beta_e_max=4.0, step=0.01)
+def test_beta_e_sweep_includes_inert_row(demo_ramp):
+    rows = beta_e_sweep(demo_ramp, alphas=[0.63, 0.8], beta_e_max=4.0, step=0.01)
     assert len(rows) == 2 * 401
     first = rows[0]
     assert first.beta_e == 0.0
@@ -121,30 +116,30 @@ def test_beta_e_sweep_includes_inert_row(demo):
     assert all(b.beta_e > a.beta_e for a, b in zip(per_alpha, per_alpha[1:]))
 
 
-def test_beta_e_sweep_optimum_at_unit_level(demo):
-    rows = beta_e_sweep(demo, alphas=[0.8], beta_e_max=4.0, step=0.01)
+def test_beta_e_sweep_optimum_at_unit_level(demo_ramp):
+    rows = beta_e_sweep(demo_ramp, alphas=[0.8], beta_e_max=4.0, step=0.01)
     at_one = [row for row in rows if row.beta_e == 1.0]
     assert len(at_one) == 1
     assert at_one[0].j_soc == pytest.approx(DEMO_J_OPT, abs=1e-9)
 
 
-def test_alpha_sweep_nonincreasing_in_ratio(demo):
+def test_alpha_sweep_nonincreasing_in_ratio(demo_ramp):
     for beta in (0.2, 0.5, 1.0):
-        rows = alpha_sweep(demo, betas=[beta], alpha_step=0.01)
+        rows = alpha_sweep(demo_ramp, betas=[beta], alpha_step=0.01)
         for a, b in zip(rows, rows[1:]):
             assert b.j_soc <= a.j_soc + 1e-12
 
 
-def test_beta_e_sweep_inert_rows_all_ratios(demo):
-    rows = beta_e_sweep(demo, alphas=[0.63, 0.8], beta_e_max=1.0, step=0.25)
+def test_beta_e_sweep_inert_rows_all_ratios(demo_ramp):
+    rows = beta_e_sweep(demo_ramp, alphas=[0.63, 0.8], beta_e_max=1.0, step=0.25)
     inert = [row for row in rows if row.beta_e == 0.0]
     assert len(inert) == 2
     for row in inert:
         assert row.j_soc == pytest.approx(DEMO_J_SOC_AT_PHI, abs=1e-12)
 
 
-def test_alpha_sweep_csv_schema_and_roundtrip(demo, demo_ramp):
-    rows = alpha_sweep(demo, betas=[0.5, 1.0], alpha_step=0.05)
+def test_alpha_sweep_csv_schema_and_roundtrip(demo_ramp):
+    rows = alpha_sweep(demo_ramp, betas=[0.5, 1.0], alpha_step=0.05)
     buffer = io.StringIO()
     write_alpha_sweep(rows, buffer)
     text = buffer.getvalue()
@@ -163,8 +158,8 @@ def test_alpha_sweep_csv_schema_and_roundtrip(demo, demo_ramp):
         assert onramp.social_delay(demo_ramp, share) == pytest.approx(stored, abs=1e-9)
 
 
-def test_beta_e_sweep_csv_schema(demo):
-    rows = beta_e_sweep(demo, alphas=[0.8], beta_e_max=0.5, step=0.05)
+def test_beta_e_sweep_csv_schema(demo_ramp):
+    rows = beta_e_sweep(demo_ramp, alphas=[0.8], beta_e_max=0.5, step=0.05)
     buffer = io.StringIO()
     write_beta_e_sweep(rows, buffer)
     lines = buffer.getvalue().split("\n")
@@ -179,11 +174,11 @@ def test_number_format_is_twelve_significant_digits():
     assert format_number(8.563714806200348) == "8.5637148062"
 
 
-def test_sweep_validates_step(demo):
+def test_sweep_validates_step(demo_ramp):
     with pytest.raises(ValueError):
-        alpha_sweep(demo, betas=[1.0], alpha_step=0.5)
+        alpha_sweep(demo_ramp, betas=[1.0], alpha_step=0.5)
     with pytest.raises(ValueError):
-        beta_e_sweep(demo, alphas=[0.8], beta_e_max=-1.0, step=0.01)
+        beta_e_sweep(demo_ramp, alphas=[0.8], beta_e_max=-1.0, step=0.01)
 
 
 def _assert_row_solves(ramp, row, alpha, beta):
@@ -221,20 +216,20 @@ def test_sweep_rows_equal_the_solver(
         _assert_row_solves(ramp, row, row.alpha, row.beta_e)
 
 
-def test_level_sweep_stops_at_the_level_bound(demo):
-    rows = beta_e_sweep(demo, alphas=[0.8], beta_e_max=LEVEL_MAX, step=LEVEL_MAX / 4)
+def test_level_sweep_stops_at_the_level_bound(demo_ramp):
+    rows = beta_e_sweep(demo_ramp, alphas=[0.8], beta_e_max=LEVEL_MAX, step=LEVEL_MAX / 4)
     assert (rows[-1].beta_e, rows[-1].case) == (LEVEL_MAX, EquilibriumCase.CASE_D)
     above = math.nextafter(LEVEL_MAX, math.inf)
     message = f"beta_e_max = {above} exceeds the level bound {LEVEL_MAX}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        beta_e_sweep(demo, alphas=[0.8], beta_e_max=above, step=above / 4)
+        beta_e_sweep(demo_ramp, alphas=[0.8], beta_e_max=above, step=above / 4)
 
 
-def test_level_sweep_resolves_the_ties(demo):
-    phi, delta = demo.phi, demo.delta
+def test_level_sweep_resolves_the_ties(demo_ramp):
+    phi, delta = demo_ramp.phi, demo_ramp.delta
     level = inclusive_grid(0.0, 2.0, 0.25)[3]
     crossing = onramp.altruistic_intersection(phi, delta, level)
-    rows = beta_e_sweep(demo, alphas=[phi, crossing], beta_e_max=2.0, step=0.25)
+    rows = beta_e_sweep(demo_ramp, alphas=[phi, crossing], beta_e_max=2.0, step=0.25)
     at_phi, at_crossing = rows[:9], rows[9:]
     assert at_phi[0].case is EquilibriumCase.BASELINE
     assert {row.case for row in at_phi[1:]} == {EquilibriumCase.CASE_B}
@@ -270,22 +265,22 @@ def test_sweeps_check_membership_before_the_outer_values():
         (-0.5, "beta must be >= 0, got -0.5"),
     ],
 )
-def test_alpha_sweep_names_a_bad_beta(demo, beta, message):
+def test_alpha_sweep_names_a_bad_beta(demo_ramp, beta, message):
     with pytest.raises(ValueError) as info:
-        alpha_sweep(demo, betas=[0.5, beta], alpha_step=0.1)
+        alpha_sweep(demo_ramp, betas=[0.5, beta], alpha_step=0.1)
     assert str(info.value) == message
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, math.inf])
-def test_level_sweep_names_a_bad_alpha(demo, alpha):
+def test_level_sweep_names_a_bad_alpha(demo_ramp, alpha):
     with pytest.raises(ValueError) as info:
-        beta_e_sweep(demo, alphas=[0.8, alpha], beta_e_max=1.0, step=0.1)
+        beta_e_sweep(demo_ramp, alphas=[0.8, alpha], beta_e_max=1.0, step=0.1)
     assert str(info.value) == f"alpha must lie in [0, 1], got {alpha}"
 
 
-def test_empty_outer_list_gives_no_rows(demo):
+def test_empty_outer_list_gives_no_rows(demo_ramp):
     excluded = _ramp(EXCLUDED_VALUES)
-    for case in (demo, excluded):
+    for case in (demo_ramp, excluded):
         assert alpha_sweep(case, betas=[], alpha_step=0.1) == []
         assert beta_e_sweep(case, alphas=[], beta_e_max=1.0, step=0.1) == []
 
@@ -335,11 +330,11 @@ def test_csv_lines_match_per_cell_format(cells):
         assert buffer.getvalue() == _reference_csv(rows, columns)
 
 
-def test_csv_of_integer_inputs_matches_per_cell_format(demo):
+def test_csv_of_integer_inputs_matches_per_cell_format(demo_ramp):
     for sweep, outer, write, columns in (
-        (lambda values: alpha_sweep(demo, values, 0.05), [0, 1, 3], write_alpha_sweep,
+        (lambda values: alpha_sweep(demo_ramp, values, 0.05), [0, 1, 3], write_alpha_sweep,
          ALPHA_SWEEP_COLUMNS),
-        (lambda values: beta_e_sweep(demo, values, 2, 0.25), [0, 1], write_beta_e_sweep,
+        (lambda values: beta_e_sweep(demo_ramp, values, 2, 0.25), [0, 1], write_beta_e_sweep,
          LEVEL_SWEEP_COLUMNS),
     ):
         rows, float_rows = sweep(outer), sweep([float(value) for value in outer])
@@ -399,8 +394,8 @@ def test_csv_of_numpy_numbers_matches_per_cell_format(cells):
             assert buffer.getvalue() == _reference_csv([row_type(*c) for c in cells], columns)
 
 
-def test_csv_of_zero_dimensional_arrays(demo):
-    rows = alpha_sweep(demo, betas=[0.5, 1.0], alpha_step=0.1)
+def test_csv_of_zero_dimensional_arrays(demo_ramp):
+    rows = alpha_sweep(demo_ramp, betas=[0.5, 1.0], alpha_step=0.1)
     array_rows = [
         AlphaSweepRow(np.array(row.beta), np.float64(row.alpha), np.array(row.x_hat_b), row.case,
                       np.array(row.j_soc))
@@ -412,8 +407,8 @@ def test_csv_of_zero_dimensional_arrays(demo):
     assert array_text.getvalue() == text.getvalue() == _reference_csv(rows, ALPHA_SWEEP_COLUMNS)
 
 
-def test_sweeps_evaluate_each_distinct_share_once(demo, monkeypatch):
-    ramp = demo
+def test_sweeps_evaluate_each_distinct_share_once(demo_ramp, monkeypatch):
+    ramp = demo_ramp
     shares = []
 
     def counting_social_delay(ramp, x_hat_b):
@@ -421,10 +416,10 @@ def test_sweeps_evaluate_each_distinct_share_once(demo, monkeypatch):
         return onramp.social_delay(ramp, x_hat_b)
 
     monkeypatch.setattr(sweeps, "social_delay", counting_social_delay)
-    rows = beta_e_sweep(demo, alphas=[0.0, 0.3, ramp.phi], beta_e_max=4.0, step=0.01)
+    rows = beta_e_sweep(demo_ramp, alphas=[0.0, 0.3, ramp.phi], beta_e_max=4.0, step=0.01)
     assert len(rows) == 3 * 401 and len(shares) <= 2
     shares.clear()
-    rows = alpha_sweep(demo, betas=[0.0, 0.2, 0.5, 1.0], alpha_step=0.01)
+    rows = alpha_sweep(demo_ramp, betas=[0.0, 0.2, 0.5, 1.0], alpha_step=0.01)
     assert len(rows) == 4 * 101
     assert sorted(shares) == sorted({row.x_hat_b for row in rows})
     for row in rows:
