@@ -369,7 +369,7 @@ config_values = st.fixed_dictionaries(
 
 
 def _ramp_or_reject(values):
-    """The model of a drawn config; a draw that builds no model (no delay slope) is rejected."""
+    """The model of a drawn config; a draw that builds none (no slope, overflow) is rejected."""
     try:
         return onramp.OnRamp.from_config(onramp.OnRampConfig(**values))
     except onramp.OnRampError:
