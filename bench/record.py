@@ -105,20 +105,15 @@ def oracle_times() -> dict[str, float]:
     """
     import numpy  # imported here, so that no timed call pays for its import
     import onramp
-    config = onramp.load_config(DEMO_CONFIG)
-    if hasattr(onramp, "OnRamp"):  # the oracles take the one model object
-        lean = grid = (onramp.OnRamp.from_config(config),)
-    else:  # checkouts before it: (config, derived), plus the summary for the grid oracles
-        derived = onramp.derive_coefficients(config)
-        lean, grid = (config, derived), (config, derived, onramp.analyze(config, derived))
+    ramp = onramp.OnRamp.from_config(onramp.load_config(DEMO_CONFIG))
     narrow, wide = onramp.ErrorInterval(0.5, 2.0), onramp.ErrorInterval(0.25, 4.0)
     calls = {
-        "grid_optimal_beta[0.5,2]": lambda: onramp.grid_optimal_beta(*grid, narrow),
-        "grid_optimal_beta[0.25,4]": lambda: onramp.grid_optimal_beta(*grid, wide),
+        "grid_optimal_beta[0.5,2]": lambda: onramp.grid_optimal_beta(ramp, narrow),
+        "grid_optimal_beta[0.25,4]": lambda: onramp.grid_optimal_beta(ramp, wide),
         "brute_force_equilibrium": lambda: onramp.brute_force_equilibrium(
-            *lean, 0.8, 1.0, grid_step=1e-3),
-        "best_response_dynamics": lambda: onramp.best_response_dynamics(*lean, 0.8, 1.0),
-        "grid_poa": lambda: onramp.grid_poa(*grid, 1.0, narrow),
+            ramp, 0.8, 1.0, grid_step=1e-3),
+        "best_response_dynamics": lambda: onramp.best_response_dynamics(ramp, 0.8, 1.0),
+        "grid_poa": lambda: onramp.grid_poa(ramp, 1.0, narrow),
     }
     times = {}
     for name, call in calls.items():

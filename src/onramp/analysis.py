@@ -80,8 +80,7 @@ class Regime(Enum):
 _TRANSITION_LIMITED, _ENDPOINT_SYMMETRIC, _NOT_IN_MEANINGFUL_SET = Regime
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     regime: Regime
     reason: str | None = None
 

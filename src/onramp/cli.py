@@ -11,7 +11,6 @@ import argparse
 import functools
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
 
 from .analysis import ErrorInterval, require_meaningful, worst_case_regime
 from .equilibrium import best_response_dynamics, brute_force_equilibrium, solve, verify_wardrop
@@ -113,8 +112,8 @@ def _print(key, value):
 
 
 def _print_fields(record, prefix="", names=None):
-    """Print a dataclass's fields, all of them in declaration order unless named."""
-    for name in names or [field.name for field in fields(record)]:
+    """Print a record's fields, all of a NamedTuple's in field order unless named."""
+    for name in names or record._fields:
         _print(prefix + name, getattr(record, name))
 
 
@@ -148,7 +147,7 @@ def _cmd_equilibrium(args, ramp) -> int:
     _print_fields(result.delays, "delay_")
     _print("j_soc", result.social_delay)
     report = verify_wardrop(ramp, result.flow, args.beta, args.error)
-    _print_fields(report, "wardrop_", [field.name for field in fields(result.flow)])
+    _print_fields(report, "wardrop_", result.flow._fields)
     _print("wardrop_pass", "true" if report.passed else "false")
     return EXIT_OK
 
@@ -212,7 +211,7 @@ def _cmd_poa(args, ramp) -> int:
     interval = _interval(args)
     supremum, points = worst_case_social_delay(ramp, args.beta, interval)
     _print("beta", args.beta)
-    _print_fields(interval)
+    _print_fields(interval, names=("e_lower", "e_upper"))
     _print("j_opt", ramp.j_opt)
     _print("worst_case_j_soc", supremum)
     require_positive_optimum(ramp)
@@ -228,7 +227,7 @@ def _cmd_poa(args, ramp) -> int:
 def _cmd_optimal_beta(args, ramp) -> int:
     interval = _interval(args)
     result = optimal_beta(ramp, interval)
-    _print_fields(interval)
+    _print_fields(interval, names=("e_lower", "e_upper"))
     _print("j_opt", ramp.j_opt)
     _print_summary(result)
     _print_worst_case(result.worst_case_points)

@@ -10,8 +10,8 @@ switching products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .analysis import _crossing, require_meaningful
 from .model import DelayProfile, FlowDistribution, OnRamp, check_population
@@ -36,8 +36,7 @@ class EquilibriumCase(Enum):
 _BASELINE, _CASE_B, _CASE_C, _CASE_D = EquilibriumCase  # read once, not via the metaclass
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     flow: FlowDistribution
     x_hat_b: float
     case: EquilibriumCase
@@ -91,8 +90,7 @@ def solve_equilibrium(config, derived, ramp, alpha, beta, error=1.0) -> Equilibr
     return solve(ramp, alpha, beta, error)  # perfbench's signature, until ROADMAP item 4
 
 
-@dataclass(frozen=True)
-class WardropReport:
+class WardropReport(NamedTuple):
     """The four switching products of the equilibrium definition.
 
     Each product pairs a class mass with the cost advantage of the option it
@@ -108,12 +106,7 @@ class WardropReport:
 
     @property
     def products(self) -> tuple[float, float, float, float]:
-        return (
-            self.selfish_steadfast,
-            self.selfish_bypass,
-            self.altruistic_steadfast,
-            self.altruistic_bypass,
-        )
+        return self[:4]
 
     @property
     def max_product(self) -> float:
@@ -214,8 +207,7 @@ def brute_force_equilibrium(
 MAX_HALVINGS = 64
 
 
-@dataclass(frozen=True)
-class DynamicsTrace:
+class DynamicsTrace(NamedTuple):
     """Oracle flow with its certificate, the largest Wardrop switching product."""
 
     flow: FlowDistribution

@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateConfigError
 
@@ -35,8 +36,7 @@ class OnRampConfig:
     """One on-ramp: the normalized on-ramp flow and six calibrated cost coefficients.
 
     ``n0`` is the on-ramp share of the flow neighboring lane 1; lane 2 carries
-    the rest, ``n2 = 1 - n0``, stored on construction because the delay
-    formulas read it on every call.  ``c1t``/``c1m`` weight the lane-1 through
+    the rest, ``n2 = 1 - n0``.  ``c1t``/``c1m`` weight the lane-1 through
     and merge terms, ``c2t``/``c2m`` the lane-2 terms; ``mu`` amplifies the
     merge interaction and ``gamma`` the lane-change interaction.  The
     coefficients are treated as opaque nonnegative constants.
@@ -49,19 +49,16 @@ class OnRampConfig:
     c2m: float
     mu: float
     gamma: float
-    n2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "n2", 1.0 - self.n0)
             values = _fields_of(self)
             if {float}.issuperset(map(type, values)) and all(map(math.isfinite, values)):
-                if min(values) >= 0.0 and self.n2 >= 0.0:
+                if min(values) >= 0.0 and 1.0 - self.n0 >= 0.0:
                     return  # the common valid case, in one pass
         except (TypeError, OverflowError):  # the checks below raise in field order
             pass
         _float_of("n0", self.n0)
-        object.__setattr__(self, "n2", 1.0 - self.n0)
         if not math.isfinite(self.n0):
             raise ConfigError("neighbor flows must be finite numbers")
         if self.n0 < 0.0 or self.n2 < 0.0:
@@ -71,6 +68,10 @@ class OnRampConfig:
             _float_of(name, value)
             if not math.isfinite(value) or value < 0.0:
                 raise ConfigError(f"cost coefficient {name} must be finite and >= 0, got {value}")
+
+    @property
+    def n2(self) -> float:
+        return 1.0 - self.n0
 
     @classmethod
     def from_dict(cls, data) -> "OnRampConfig":
@@ -230,8 +231,7 @@ def pi_value(phi: float, delta: float) -> float:
     return numerator / denominator
 
 
-@dataclass(frozen=True)
-class DelayProfile:
+class DelayProfile(NamedTuple):
     """Travel delays by option/lane; on_ramp always equals steadfast."""
 
     steadfast: float
@@ -273,8 +273,7 @@ def social_delay(ramp: OnRamp, x_hat_b: float) -> float:
     return (1.0 - x_hat_b) * steadfast + x_hat_b * bypass + n0 * steadfast + n2 * lane2
 
 
-@dataclass(frozen=True)
-class AltruisticCostPair:
+class AltruisticCostPair(NamedTuple):
     """Costs perceived by altruistic drivers for the two options."""
 
     steadfast_cost: float
@@ -316,8 +315,7 @@ def altruistic_costs(
     return AltruisticCostPair(steadfast_cost=steadfast_cost, bypass_cost=bypass_cost)
 
 
-@dataclass(frozen=True)
-class FlowDistribution:
+class FlowDistribution(NamedTuple):
     """Split of the lane-1 flow by driver class and option.
 
     Deliberately unvalidated so that infeasible candidates can be constructed
@@ -334,8 +332,7 @@ class FlowDistribution:
         return self.selfish_bypass + self.altruistic_bypass
 
 
-@dataclass(frozen=True)
-class ConstraintViolation:
+class ConstraintViolation(NamedTuple):
     constraint: str
     residual: float
 
@@ -359,10 +356,9 @@ def validate_flow_distribution(
         violations.append(
             ConstraintViolation("altruistic_mass_balance", altruistic_residual)
         )
-    for component in fields(flow):
-        value = getattr(flow, component.name)
+    for name, value in zip(flow._fields, flow):
         if value < -tol:
-            violations.append(ConstraintViolation(f"nonnegative_{component.name}", -value))
+            violations.append(ConstraintViolation(f"nonnegative_{name}", -value))
     return violations
 
 

@@ -11,8 +11,8 @@ social delay increases on [delta, 1]) and levels in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .analysis import _TRANSITION_LIMITED, ErrorInterval, Regime, _crossing
 from .analysis import require_meaningful, worst_case_regime
@@ -26,16 +26,14 @@ _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 _CHUNK_CELLS = 2**14
 
 
-@dataclass(frozen=True)
-class WorstCasePoint:
+class WorstCasePoint(NamedTuple):
     error: float
     alpha: float
     x_hat_b: float
     j_soc: float
 
 
-@dataclass(frozen=True)
-class RobustnessSummary:
+class RobustnessSummary(NamedTuple):
     poa: float
     beta_star: float
     branch: Regime

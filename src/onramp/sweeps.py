@@ -9,9 +9,7 @@ distinct number once and never caches zeros (-0.0 == 0.0 but prints "-0").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .analysis import require_meaningful
 from .equilibrium import EquilibriumCase, _equilibrium_split, inclusive_grid
@@ -28,8 +26,7 @@ def format_number(value: float) -> str:
     return format(value, NUMBER_FORMAT)
 
 
-@dataclass(frozen=True)
-class AlphaSweepRow:
+class AlphaSweepRow(NamedTuple):
     beta: float
     alpha: float
     x_hat_b: float
@@ -37,8 +34,7 @@ class AlphaSweepRow:
     j_soc: float
 
 
-@dataclass(frozen=True)
-class LevelSweepRow:
+class LevelSweepRow(NamedTuple):
     alpha: float
     beta_e: float
     x_hat_b: float
@@ -146,8 +142,8 @@ def _write_cells(cells: Sequence[tuple], stream: IO[str], columns: Sequence[str]
 
 
 def write_alpha_sweep(rows: Iterable[AlphaSweepRow], stream: IO[str]) -> None:
-    _write_cells(list(map(attrgetter(*ALPHA_SWEEP_COLUMNS), rows)), stream, ALPHA_SWEEP_COLUMNS)
+    _write_cells(list(rows), stream, ALPHA_SWEEP_COLUMNS)
 
 
 def write_beta_e_sweep(rows: Iterable[LevelSweepRow], stream: IO[str]) -> None:
-    _write_cells(list(map(attrgetter(*LEVEL_SWEEP_COLUMNS), rows)), stream, LEVEL_SWEEP_COLUMNS)
+    _write_cells(list(rows), stream, LEVEL_SWEEP_COLUMNS)

@@ -1,16 +1,19 @@
 """The package surface: the public names in ``__all__``, the demo scripts and the imports."""
 
+import dataclasses
 import json
 import os
 import runpy
 import shutil
 import subprocess
 import sys
+from enum import Enum
 from pathlib import Path
 
 import pytest
 
 import onramp
+import onramp.cli
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -64,6 +67,30 @@ def test_perfbench_signatures_forward_to_the_one_model_forms():
     assert onramp.sweep_beta_e(config, ramp, ramp, [0.8], 2.0, 0.5) == onramp.beta_e_sweep(
         ramp, [0.8], 2.0, 0.5
     )
+
+
+# the classes whose construction validates or derives; every other record is a NamedTuple
+DATACLASSES = (onramp.OnRampConfig, onramp.ErrorInterval, onramp.OnRamp)
+
+
+def test_public_classes_are_enums_errors_validating_dataclasses_or_named_tuples():
+    for name in onramp.__all__:
+        value = getattr(onramp, name)
+        if not isinstance(value, type) or issubclass(value, (Enum, onramp.OnRampError)):
+            continue
+        if value in DATACLASSES:
+            assert dataclasses.is_dataclass(value), name
+        else:
+            assert issubclass(value, tuple) and hasattr(value, "_fields"), name
+
+
+def test_result_modules_bind_nothing_from_dataclasses():
+    for module in (onramp.equilibrium, onramp.robustness, onramp.sweeps, onramp.cli):
+        bound = [
+            name for name, value in vars(module).items()
+            if getattr(value, "__module__", None) == "dataclasses"
+        ]
+        assert bound == [], (module.__name__, bound)
 
 
 @pytest.mark.parametrize("script", ["run_analysis.py", "run_sweeps.py", "run_robustness.py"])
