@@ -36,6 +36,7 @@ DEFAULT_SWEEP_BETAS = (0.2, 0.5, 1.0)
 DEFAULT_SWEEP_ALPHAS = (0.63, 0.8)
 # the model's fields that analyze prints first, in field order
 _ANALYZE_FIELDS = ("n0", "n2", *_CONSTANTS, "phi", "delta", "pi", "j_opt", "j_soc_at_phi")
+_INTERVAL_FIELDS = ("e_lower", "e_upper")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,7 +212,7 @@ def _cmd_poa(args, ramp) -> int:
     interval = _interval(args)
     supremum, points = worst_case_social_delay(ramp, args.beta, interval)
     _print("beta", args.beta)
-    _print_fields(interval, names=("e_lower", "e_upper"))
+    _print_fields(interval, names=_INTERVAL_FIELDS)
     _print("j_opt", ramp.j_opt)
     _print("worst_case_j_soc", supremum)
     require_positive_optimum(ramp)
@@ -227,7 +228,7 @@ def _cmd_poa(args, ramp) -> int:
 def _cmd_optimal_beta(args, ramp) -> int:
     interval = _interval(args)
     result = optimal_beta(ramp, interval)
-    _print_fields(interval, names=("e_lower", "e_upper"))
+    _print_fields(interval, names=_INTERVAL_FIELDS)
     _print("j_opt", ramp.j_opt)
     _print_summary(result)
     _print_worst_case(result.worst_case_points)

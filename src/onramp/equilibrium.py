@@ -10,6 +10,7 @@ switching products.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -36,7 +37,10 @@ class EquilibriumCase(Enum):
 _BASELINE, _CASE_B, _CASE_C, _CASE_D = EquilibriumCase  # read once, not via the metaclass
 
 
-class EquilibriumResult(NamedTuple):
+# a dataclass, not a NamedTuple, while perfbench's self-test copies it with
+# dataclasses.replace (ROADMAP item 4)
+@dataclass(frozen=True)
+class EquilibriumResult:
     flow: FlowDistribution
     x_hat_b: float
     case: EquilibriumCase

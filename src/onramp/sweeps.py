@@ -141,9 +141,21 @@ def _write_cells(cells: Sequence[tuple], stream: IO[str], columns: Sequence[str]
     stream.write("".join(lines))
 
 
+def _write_rows(rows: Iterable[tuple], stream: IO[str], row_type: type) -> None:
+    """The rows' cells under row_type's columns.
+
+    The first row must be a row_type: the other sweep's rows, or plain tuples,
+    would otherwise be written under this header.
+    """
+    rows = list(rows)
+    if rows and not isinstance(rows[0], row_type):
+        raise TypeError(f"expected {row_type.__name__} rows, got {type(rows[0]).__name__}")
+    _write_cells(rows, stream, row_type._fields)
+
+
 def write_alpha_sweep(rows: Iterable[AlphaSweepRow], stream: IO[str]) -> None:
-    _write_cells(list(rows), stream, ALPHA_SWEEP_COLUMNS)
+    _write_rows(rows, stream, AlphaSweepRow)
 
 
 def write_beta_e_sweep(rows: Iterable[LevelSweepRow], stream: IO[str]) -> None:
-    _write_cells(list(rows), stream, LEVEL_SWEEP_COLUMNS)
+    _write_rows(rows, stream, LevelSweepRow)

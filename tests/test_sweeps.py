@@ -312,6 +312,20 @@ def test_row_fields_are_the_csv_columns():
         assert row_type._fields == columns
 
 
+def test_writers_refuse_rows_of_another_sweep(demo_ramp):
+    alpha_rows = alpha_sweep(demo_ramp, betas=[0.5], alpha_step=0.1)
+    level_rows = beta_e_sweep(demo_ramp, [0.8], 2, 1)
+    for write, rows in (
+        (write_alpha_sweep, level_rows),
+        (write_beta_e_sweep, alpha_rows),
+        (write_alpha_sweep, [tuple(alpha_rows[0])]),
+    ):
+        buffer = io.StringIO()
+        with pytest.raises(TypeError, match="expected"):
+            write(rows, buffer)
+        assert buffer.getvalue() == ""
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     cells=st.lists(st.tuples(CSV_NUMBERS, CSV_NUMBERS, CSV_NUMBERS,
