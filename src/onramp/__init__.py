@@ -1,129 +1,19 @@
 """Lane-choice equilibria and robust altruism design for two-lane highway on-ramps."""
 
-from .analysis import (
-    Classification,
-    ErrorInterval,
-    ImprovementFlags,
-    Regime,
-    altruistic_intersection,
-    analyze,
-    classification,
-    classify,
-    improvement_conditions,
-)
-from .equilibrium import (
-    DynamicsTrace,
-    EquilibriumCase,
-    EquilibriumResult,
-    WardropReport,
-    best_response_dynamics,
-    brute_force_equilibrium,
-    solve,
-    solve_equilibrium,
-    verify_wardrop,
-)
-from .errors import (
-    ConfigError,
-    DegenerateConfigError,
-    NotInMeaningfulSetError,
-    OnRampError,
-    TransitionUndefinedError,
-    ZeroOptimumError,
-)
-from .model import (
-    AltruisticCostPair,
-    ConstraintViolation,
-    DelayProfile,
-    FlowDistribution,
-    OnRamp,
-    OnRampConfig,
-    altruistic_costs,
-    delays,
-    derive_coefficients,
-    load_config,
-    pi_value,
-    social_delay,
-    validate_flow_distribution,
-)
-from .robustness import (
-    RobustnessSummary,
-    WorstCasePoint,
-    grid_optimal_beta,
-    grid_poa,
-    optimal_altruism_level,
-    optimal_beta,
-    poa,
-    price_of_anarchy,
-    transition_beta,
-    worst_case_social_delay,
-)
-from .sweeps import (
-    AlphaSweepRow,
-    LevelSweepRow,
-    alpha_sweep,
-    beta_e_sweep,
-    sweep_alpha,
-    sweep_beta_e,
-    write_alpha_sweep,
-    write_beta_e_sweep,
-)
+from .analysis import *
+from .equilibrium import *
+from .errors import *
+from .model import *
+from .robustness import *
+from .sweeps import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AltruisticCostPair",
-    "AlphaSweepRow",
-    "Classification",
-    "ConfigError",
-    "ConstraintViolation",
-    "DegenerateConfigError",
-    "DelayProfile",
-    "DynamicsTrace",
-    "EquilibriumCase",
-    "EquilibriumResult",
-    "ErrorInterval",
-    "FlowDistribution",
-    "ImprovementFlags",
-    "LevelSweepRow",
-    "NotInMeaningfulSetError",
-    "OnRamp",
-    "OnRampConfig",
-    "OnRampError",
-    "Regime",
-    "RobustnessSummary",
-    "TransitionUndefinedError",
-    "WardropReport",
-    "WorstCasePoint",
-    "ZeroOptimumError",
-    "alpha_sweep",
-    "altruistic_costs",
-    "altruistic_intersection",
-    "analyze",
-    "best_response_dynamics",
-    "beta_e_sweep",
-    "brute_force_equilibrium",
-    "classification",
-    "classify",
-    "delays",
-    "derive_coefficients",
-    "grid_optimal_beta",
-    "grid_poa",
-    "improvement_conditions",
-    "load_config",
-    "optimal_altruism_level",
-    "optimal_beta",
-    "pi_value",
-    "poa",
-    "price_of_anarchy",
-    "social_delay",
-    "solve",
-    "solve_equilibrium",
-    "sweep_alpha",
-    "sweep_beta_e",
-    "transition_beta",
-    "validate_flow_distribution",
-    "verify_wardrop",
-    "worst_case_social_delay",
-    "write_alpha_sweep",
-    "write_beta_e_sweep",
+    *analysis.__all__,
+    *equilibrium.__all__,
+    *errors.__all__,
+    *model.__all__,
+    *robustness.__all__,
+    *sweeps.__all__,
 ]

@@ -16,6 +16,11 @@ from typing import NamedTuple
 from .errors import NotInMeaningfulSetError
 from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_float, check_population
 
+__all__ = [
+    "Classification", "ErrorInterval", "ImprovementFlags", "Regime", "altruistic_intersection",
+    "analyze", "classification", "classify", "improvement_conditions",
+]
+
 
 @dataclass(frozen=True)
 class ErrorInterval:
@@ -28,6 +33,9 @@ class ErrorInterval:
     e_upper: float
 
     def __post_init__(self):
+        if type(self.e_lower) is not float or type(self.e_upper) is not float:
+            _require_real("e_lower", self.e_lower)
+            _require_real("e_upper", self.e_upper)
         if not 0.0 < self.e_lower <= self.e_upper <= FLOAT_MAX:
             check_float("e_lower", self.e_lower)
             check_float("e_upper", self.e_upper)
@@ -42,6 +50,14 @@ class ErrorInterval:
     @property
     def geometric_mean(self) -> float:
         return math.sqrt(self.e_lower * self.e_upper)
+
+
+def _require_real(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number other than a bool."""
+    from numbers import Real  # off the start-up path: float bounds never get here
+
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def altruistic_intersection(phi: float, delta: float, beta_e: float) -> float:

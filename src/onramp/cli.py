@@ -15,17 +15,10 @@ from contextlib import nullcontext
 from .analysis import ErrorInterval, require_meaningful, worst_case_regime
 from .equilibrium import best_response_dynamics, brute_force_equilibrium, solve, verify_wardrop
 from .errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
-from .model import _CONSTANTS, OnRamp, check_population, load_config
-from .robustness import grid_optimal_beta, optimal_beta, require_positive_optimum
-from .robustness import worst_case_social_delay
-from .sweeps import (
-    ALPHA_SWEEP_COLUMNS,
-    LEVEL_SWEEP_COLUMNS,
-    _alpha_cells,
-    _level_cells,
-    _write_cells,
-    format_number as fmt,
-)
+from .model import _CONSTANTS, OnRamp, load_config
+from .robustness import grid_optimal_beta, optimal_beta, poa, worst_case_social_delay
+from .sweeps import ALPHA_SWEEP_COLUMNS, LEVEL_SWEEP_COLUMNS, _alpha_cells, _level_cells
+from .sweeps import _write_cells, format_number as fmt
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -160,20 +153,14 @@ def _open_out(path):
 
 
 def _cmd_sweep_alpha(args, ramp) -> int:
-    betas = args.beta if args.beta else list(DEFAULT_SWEEP_BETAS)
-    for beta in betas:  # reported before a bad step
-        check_population(beta=beta)
-    cells = _alpha_cells(ramp, betas, args.step)
+    cells = _alpha_cells(ramp, args.beta or DEFAULT_SWEEP_BETAS, args.step)
     with _open_out(args.out) as stream:
         _write_cells(cells, stream, ALPHA_SWEEP_COLUMNS)
     return EXIT_OK
 
 
 def _cmd_sweep_beta_e(args, ramp) -> int:
-    alphas = args.alpha if args.alpha else list(DEFAULT_SWEEP_ALPHAS)
-    for alpha in alphas:  # reported before a bad level grid
-        check_population(alpha=alpha)
-    cells = _level_cells(ramp, alphas, args.beta_e_max, args.step)
+    cells = _level_cells(ramp, args.alpha or DEFAULT_SWEEP_ALPHAS, args.beta_e_max, args.step)
     with _open_out(args.out) as stream:
         _write_cells(cells, stream, LEVEL_SWEEP_COLUMNS)
     return EXIT_OK
@@ -215,8 +202,7 @@ def _cmd_poa(args, ramp) -> int:
     _print_fields(interval, names=_INTERVAL_FIELDS)
     _print("j_opt", ramp.j_opt)
     _print("worst_case_j_soc", supremum)
-    require_positive_optimum(ramp)
-    _print("poa", supremum / ramp.j_opt)
+    _print("poa", poa(ramp, args.beta, interval))
     _print_worst_case(points)
     result = optimal_beta(ramp, interval)
     _print_summary(result)

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConfigError", "DegenerateConfigError", "NotInMeaningfulSetError", "OnRampError",
+    "TransitionUndefinedError", "ZeroOptimumError",
+]
+
 
 class OnRampError(Exception):
     """Base class for all library-specific errors."""

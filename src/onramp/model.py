@@ -17,10 +17,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateConfigError
+
+__all__ = [
+    "AltruisticCostPair", "ConstraintViolation", "DelayProfile", "FlowDistribution", "OnRamp",
+    "OnRampConfig", "altruistic_costs", "delays", "derive_coefficients", "load_config",
+    "pi_value", "social_delay", "validate_flow_distribution",
+]
 
 # required keys of a JSON config document, in field order; no others are accepted
 CONFIG_KEYS = ("n0", "c1t", "c1m", "c2t", "c2m", "mu", "gamma")
@@ -104,7 +109,8 @@ def _float_of(key: str, value) -> float:
 def load_config(path) -> OnRampConfig:
     """Parse a JSON config file into an OnRampConfig."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as stream:
+            data = json.load(stream)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -20,6 +20,12 @@ from .equilibrium import _equilibrium_split, inclusive_grid
 from .errors import TransitionUndefinedError, ZeroOptimumError
 from .model import OnRamp, check_population, social_delay
 
+__all__ = [
+    "RobustnessSummary", "WorstCasePoint", "grid_optimal_beta", "grid_poa",
+    "optimal_altruism_level", "optimal_beta", "poa", "price_of_anarchy", "transition_beta",
+    "worst_case_social_delay",
+]
+
 _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 # cells of a grid-oracle block, unless one level's errors are more: 10**6 cells took
 # `onramp optimal-beta --verify` on [0.25, 4] to 91 MB peak RSS, this bound to 30 MB

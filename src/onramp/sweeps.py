@@ -1,8 +1,8 @@
 """Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
 
 Each row comes from the case analysis that solve uses, with the inputs checked
-once per outer value instead of once per grid point, and each distinct share
-checked and evaluated once.  A row holds exactly the CSV columns; the CLI
+once, before any work: every outer value, then the grid arguments.  Each
+distinct share is evaluated once.  A row holds exactly the CSV columns; the CLI
 writes the cells without building rows, through a writer that formats each
 distinct number once and never caches zeros (-0.0 == 0.0 but prints "-0").
 """
@@ -14,10 +14,13 @@ from typing import IO, Iterable, NamedTuple, Sequence
 from .analysis import require_meaningful
 from .equilibrium import EquilibriumCase, _equilibrium_split, inclusive_grid
 from .model import FLOAT_MAX, LEVEL_MAX, OnRamp
-from .model import check_float, check_population, check_share, social_delay
+from .model import check_float, check_population, social_delay
 
-ALPHA_SWEEP_COLUMNS = ("beta", "alpha", "x_hat_b", "case", "j_soc")
-LEVEL_SWEEP_COLUMNS = ("alpha", "beta_e", "x_hat_b", "case", "j_soc")
+__all__ = [
+    "AlphaSweepRow", "LevelSweepRow", "alpha_sweep", "beta_e_sweep", "sweep_alpha",
+    "sweep_beta_e", "write_alpha_sweep", "write_beta_e_sweep",
+]
+
 NUMBER_FORMAT = ".12g"
 
 
@@ -42,24 +45,45 @@ class LevelSweepRow(NamedTuple):
     j_soc: float
 
 
-def _sweep_cells(ramp, outer, grid, population) -> list[tuple]:
-    """A (value, point, x_hat_b, case, j_soc) cell per outer value and grid point, in order.
+ALPHA_SWEEP_COLUMNS = AlphaSweepRow._fields
+LEVEL_SWEEP_COLUMNS = LevelSweepRow._fields
 
-    ``population(value, point)`` gives the (alpha, level) of a grid point.
-    Each outer value is checked as solve checks it, paired with the grid's
-    first point 0.0; the grid points are in range by construction.
+
+def _by_beta(beta, alpha):
+    return alpha, beta
+
+
+def _by_alpha(alpha, level):
+    return alpha, level
+
+
+def _checked_outer(ramp, outer, population) -> list:
+    """The outer values as a list, each checked as solve checks it at the grid's first point.
+
+    ``population(value, point)`` gives the (alpha, level) of a grid point; the
+    grid points are in range by construction.  No values, no membership check.
+    """
+    values = list(outer)
+    if values:
+        require_meaningful(ramp)
+    for value in values:
+        check_population(*population(value, 0.0))
+    return values
+
+
+def _sweep_cells(ramp, values, grid, population) -> list[tuple]:
+    """A (value, point, x_hat_b, case, j_soc) cell per checked value and grid point, in order.
+
+    Each share is phi, alpha or a crossing no larger than alpha, so in [0, 1].
     """
     phi, delta = ramp.phi, ramp.delta
-    j_socs = {}  # each distinct share is checked and evaluated once
+    j_socs = {}  # each distinct share is evaluated once
     cells = []
-    for value in outer:
-        require_meaningful(ramp)
-        check_population(*population(value, 0.0))
+    for value in values:
         for point in grid:
             alpha, level = population(value, point)
             case, x_hat_b, _, _ = _equilibrium_split(phi, delta, alpha, level)
             if x_hat_b not in j_socs:
-                check_share(x_hat_b)
                 j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
             cells.append((value, point, x_hat_b, case, j_socs[x_hat_b]))
     return cells
@@ -67,22 +91,22 @@ def _sweep_cells(ramp, outer, grid, population) -> list[tuple]:
 
 def _alpha_cells(ramp, betas, alpha_step) -> list[tuple]:
     """The cells of alpha_sweep; the CLI writes them without building rows."""
+    betas = _checked_outer(ramp, betas, _by_beta)
     if not 0.0 < alpha_step <= 0.1:
         raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
-    grid = inclusive_grid(0.0, 1.0, alpha_step)
-    return _sweep_cells(ramp, betas, grid, lambda beta, alpha: (alpha, beta))
+    return _sweep_cells(ramp, betas, inclusive_grid(0.0, 1.0, alpha_step), _by_beta)
 
 
 def _level_cells(ramp, alphas, beta_e_max, step) -> list[tuple]:
     """The cells of beta_e_sweep; the CLI writes them without building rows."""
+    alphas = _checked_outer(ramp, alphas, _by_alpha)
     check_float("beta_e_max", beta_e_max)
     check_float("step", step)
     if beta_e_max <= 0.0:
         raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
     if LEVEL_MAX < beta_e_max <= FLOAT_MAX:
         raise ValueError(f"beta_e_max = {beta_e_max} exceeds the level bound {LEVEL_MAX}")
-    grid = inclusive_grid(0.0, beta_e_max, step)
-    return _sweep_cells(ramp, alphas, grid, lambda alpha, level: (alpha, level))
+    return _sweep_cells(ramp, alphas, inclusive_grid(0.0, beta_e_max, step), _by_alpha)
 
 
 def alpha_sweep(ramp: OnRamp, betas: Sequence[float], alpha_step: float) -> list[AlphaSweepRow]:

@@ -4,6 +4,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 import onramp
@@ -165,6 +166,21 @@ def test_error_interval_validation():
         onramp.ErrorInterval(0.0, 1.0)
     with pytest.raises(ValueError):
         onramp.ErrorInterval(2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "bounds, name",
+    [((True, 2.0), "e_lower"), ((0.5, False), "e_upper"), (("a", "b"), "e_lower"),
+     ((None, 2.0), "e_lower"), ((0.5, "2"), "e_upper"), ((np.bool_(True), 2.0), "e_lower")],
+)
+def test_error_interval_names_a_bound_that_is_not_a_number(bounds, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        onramp.ErrorInterval(*bounds)
+
+
+def test_error_interval_accepts_ints_and_numpy_scalars():
+    for bounds in [(1, 2), (np.int64(1), 2.0), (np.float32(0.5), np.float64(2.0))]:
+        assert onramp.ErrorInterval(*bounds).geometric_mean == math.sqrt(bounds[0] * bounds[1])
 
 
 def test_improvement_conditions(demo_ramp):

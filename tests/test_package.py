@@ -141,3 +141,23 @@ def test_numpy_is_loaded_only_by_the_grid_oracles(tmp_path):
     after_import, *after_commands = json.loads(probe.stdout)
     assert after_import is False
     assert after_commands == [[0, False]] * 6 + [[0, True]]
+
+
+# in a fresh interpreter without site, which itself imports pathlib on some installs
+PATHLIB_PROBE = """
+import contextlib, io, sys
+import onramp.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = onramp.cli.main(["analyze", "--config", sys.argv[1]])
+print(code, "pathlib" in sys.modules)
+"""
+
+
+def test_cli_start_up_does_not_load_pathlib():
+    src = str(Path(onramp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", PATHLIB_PROBE, str(DEMOS / "onramp.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.split() == ["0", "False"]

@@ -277,6 +277,16 @@ def test_level_sweep_names_a_bad_alpha(demo_ramp, alpha):
     assert str(info.value) == f"alpha must lie in [0, 1], got {alpha}"
 
 
+def test_sweeps_check_every_outer_value_before_the_grid(demo_ramp):
+    with pytest.raises(ValueError, match="^beta must be >= 0, got -1.0$"):
+        alpha_sweep(demo_ramp, betas=[-1.0], alpha_step=0.5)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
+        beta_e_sweep(demo_ramp, alphas=[1.5], beta_e_max=-1.0, step=0.01)
+    with pytest.raises(ValueError, match="^alpha step"):  # an iterator is read once
+        alpha_sweep(demo_ramp, betas=iter([0.5, 1.0]), alpha_step=0.5)
+    assert alpha_sweep(demo_ramp, iter([0.5]), 0.1) == alpha_sweep(demo_ramp, [0.5], 0.1)
+
+
 def test_empty_outer_list_gives_no_rows(demo_ramp):
     excluded = _ramp(EXCLUDED_VALUES)
     for case in (demo_ramp, excluded):
