@@ -20,7 +20,13 @@ When a BENCH_<n>.json with n below the number in ``--out`` sits beside it,
 the newest such file is the previous one: per workload and end-to-end
 metric, the new file also holds that file's change-side median and this
 run's change median minus it.  The two were run at different times, so
-that difference carries the machine's drift as well as the code's.
+that difference carries the machine's drift as well as the code's.  When
+that file's change commit and this run's parent commit hold the same
+``src`` and ``perfbench`` trees, the code did not move between them, and
+``since_previous`` says so with ``"drift": true``.  The file also records,
+per side, the ``PYTHONDONTWRITEBYTECODE`` that the runs inherit and the
+``sys.flags.dont_write_bytecode`` that a fresh interpreter reports under it:
+with it set, every fresh process compiles the package from source.
 
 Apart from the gated end-to-end table, the file also holds ungated timings
 of single calls.  In each of ORACLE_REPEATS rounds, alternating which side
@@ -61,11 +67,26 @@ CALL_REPEATS, CALLS_PER_LOOP = 20, 500
 DEMO_CONFIG = "demos/onramp.json"
 
 
+# the trees whose identity makes two commits the same code to the benchmark
+CODE_TREES = ("src", "perfbench")
+
+
 def resolve(ref: str) -> str:
     return subprocess.run(
         ["git", "rev-parse", "--verify", ref + "^{commit}"],
         cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout.strip()
+
+
+def same_code(first: str, second: str) -> bool:
+    """Whether the two commits hold the same CODE_TREES; False if git cannot tell."""
+    def trees(commit: str) -> list[str] | None:
+        done = subprocess.run(["git", "rev-parse", *(f"{commit}:{path}" for path in CODE_TREES)],
+                              cwd=ROOT, capture_output=True, text=True, check=False)
+        return done.stdout.split() if done.returncode == 0 else None
+
+    first_trees = trees(first)
+    return first_trees is not None and first_trees == trees(second)
 
 
 def export(commit: str, workdir: Path) -> Path:
@@ -178,6 +199,11 @@ def run_fresh(checkout: Path, code: str) -> dict[str, float]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+BYTECODE_CODE = ("import json, os, sys; print(json.dumps({'PYTHONDONTWRITEBYTECODE': "
+                 "os.environ.get('PYTHONDONTWRITEBYTECODE'), "
+                 "'dont_write_bytecode': bool(sys.flags.dont_write_bytecode)}))")
+
+
 def oracle_table(times: dict) -> dict:
     """Per timed call: each side's runs and best, and the change's best over the parent's.
 
@@ -254,6 +280,19 @@ def since_previous(previous: dict, table: dict) -> dict:
     return moves
 
 
+def since_previous_section(previous: Path, earlier: dict, parent: str, table: dict) -> dict:
+    """The since_previous entry: the previous file, its change commit, the moves, and drift.
+
+    ``drift`` is true when that change commit and this run's ``parent`` hold the same code.
+    """
+    return {
+        "file": previous.name,
+        "commit": earlier["commits"]["change"],
+        "drift": same_code(earlier["commits"]["change"], parent),
+        "end_to_end": since_previous(earlier, table),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit measured as the baseline")
@@ -294,6 +333,7 @@ def main(argv=None) -> int:
             side: {name: result["provenance"] for name, result in runs[side][0].items()}
             for side in SIDES
         },
+        "bytecode": {side: run_fresh(trees[side], BYTECODE_CODE) for side in SIDES},
         "correct": {
             side: all(result["correct"] for run in runs[side] for result in run.values())
             for side in SIDES
@@ -336,11 +376,9 @@ def main(argv=None) -> int:
         "timings": oracle_table(closed_form_runs),
     }
     if previous is not None:
-        document["since_previous"] = {
-            "file": previous.name,
-            "commit": earlier["commits"]["change"],
-            "end_to_end": since_previous(earlier, document["end_to_end"]),
-        }
+        document["since_previous"] = since_previous_section(
+            previous, earlier, commits["parent"], document["end_to_end"]
+        )
     args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -122,11 +122,11 @@ def classification(ramp: OnRamp, interval: ErrorInterval) -> Classification:
 
 
 def classify(config, ramp, interval) -> Classification:
-    return classification(ramp, interval)  # perfbench's signature, until ROADMAP item 4
+    return classification(ramp, interval)  # until perfbench calls the one-object forms
 
 
 def analyze(config, ramp) -> OnRamp:
-    return ramp  # perfbench's signature, until ROADMAP item 4
+    return ramp  # until perfbench calls the one-object forms
 
 
 def require_meaningful(ramp: OnRamp) -> None:

@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import nullcontext
 
 from .analysis import ErrorInterval, require_meaningful, worst_case_regime
 from .equilibrium import best_response_dynamics, brute_force_equilibrium, solve, verify_wardrop
 from .errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
 from .model import _CONSTANTS, OnRamp, load_config
 from .robustness import grid_optimal_beta, optimal_beta, poa, worst_case_social_delay
-from .sweeps import ALPHA_SWEEP_COLUMNS, LEVEL_SWEEP_COLUMNS, _alpha_cells, _level_cells
-from .sweeps import _write_cells, format_number as fmt
+from .sweeps import ALPHA_SWEEP_COLUMNS, LEVEL_SWEEP_COLUMNS, NUMBER_FORMAT, _alpha_columns
+from .sweeps import _level_columns, format_number as fmt
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -146,24 +145,32 @@ def _cmd_equilibrium(args, ramp) -> int:
     return EXIT_OK
 
 
-def _open_out(path):
+def _write_sweep(path, header, values, grid, tails, columns) -> int:
+    """A sweep's CSV: grid points and tails formatted once (labels by ``_value_``), joined."""
+    number = "%" + NUMBER_FORMAT
+    points = [f",{number % point}," for point in grid]
+    tail = f"{number},%s,{number}\n"
+    texts = [tail % (x, case._value_, j) for x, case, j in tails]
+    lines = [",".join(header) + "\n"]
+    for value, column in zip(values, columns):
+        head = number % value
+        lines += [head + point + texts[k] for point, k in zip(points, column)]
     if path is None:
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+        sys.stdout.write("".join(lines))
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            stream.write("".join(lines))
+    return EXIT_OK
 
 
 def _cmd_sweep_alpha(args, ramp) -> int:
-    cells = _alpha_cells(ramp, args.beta or DEFAULT_SWEEP_BETAS, args.step)
-    with _open_out(args.out) as stream:
-        _write_cells(cells, stream, ALPHA_SWEEP_COLUMNS)
-    return EXIT_OK
+    sweep = _alpha_columns(ramp, args.beta or DEFAULT_SWEEP_BETAS, args.step)
+    return _write_sweep(args.out, ALPHA_SWEEP_COLUMNS, *sweep)
 
 
 def _cmd_sweep_beta_e(args, ramp) -> int:
-    cells = _level_cells(ramp, args.alpha or DEFAULT_SWEEP_ALPHAS, args.beta_e_max, args.step)
-    with _open_out(args.out) as stream:
-        _write_cells(cells, stream, LEVEL_SWEEP_COLUMNS)
-    return EXIT_OK
+    sweep = _level_columns(ramp, args.alpha or DEFAULT_SWEEP_ALPHAS, args.beta_e_max, args.step)
+    return _write_sweep(args.out, LEVEL_SWEEP_COLUMNS, *sweep)
 
 
 def _print_worst_case(points):

@@ -44,7 +44,7 @@ _BASELINE, _CASE_B, _CASE_C, _CASE_D = EquilibriumCase  # read once, not via the
 
 
 # a dataclass, not a NamedTuple, while perfbench's self-test copies it with
-# dataclasses.replace (ROADMAP item 4)
+# dataclasses.replace
 @dataclass(frozen=True)
 class EquilibriumResult:
     flow: FlowDistribution
@@ -59,8 +59,8 @@ def _equilibrium_split(
 ) -> tuple[EquilibriumCase, float, float, float]:
     """(case, x_hat_b, altruistic bypass, selfish bypass) of a checked population.
 
-    The case analysis of solve, without its input checks; the sweeps (per grid
-    point) and worst_case_social_delay call it after theirs.
+    The case analysis of solve, without its input checks; worst_case_social_delay
+    calls it after its own, and the sweeps' column kernel must equal it.
     """
     if level == 0.0 or alpha == 0.0:
         altruistic_bypass = min(alpha, phi)
@@ -97,7 +97,7 @@ def solve(ramp: OnRamp, alpha: float, beta: float, error: float = 1.0) -> Equili
 
 
 def solve_equilibrium(config, derived, ramp, alpha, beta, error=1.0) -> EquilibriumResult:
-    return solve(ramp, alpha, beta, error)  # perfbench's signature, until ROADMAP item 4
+    return solve(ramp, alpha, beta, error)  # until perfbench calls the one-object forms
 
 
 class WardropReport(NamedTuple):

@@ -221,7 +221,7 @@ _CONSTANTS = (
 
 
 def derive_coefficients(config: OnRampConfig) -> OnRamp:
-    return OnRamp.from_config(config)  # perfbench's signature, until ROADMAP item 4
+    return OnRamp.from_config(config)  # until perfbench calls the one-object forms
 
 
 def pi_value(phi: float, delta: float) -> float:

@@ -97,7 +97,7 @@ def poa(ramp: OnRamp, beta: float, interval: ErrorInterval) -> float:
 
 
 def price_of_anarchy(config, derived, ramp, beta, interval) -> float:
-    return poa(ramp, beta, interval)  # perfbench's signature, until ROADMAP item 4
+    return poa(ramp, beta, interval)  # until perfbench calls the one-object forms
 
 
 def transition_beta(alpha: float, phi: float, delta: float) -> float:
@@ -136,7 +136,7 @@ def optimal_beta(ramp: OnRamp, interval: ErrorInterval) -> RobustnessSummary:
 
 
 def optimal_altruism_level(config, derived, ramp, interval) -> RobustnessSummary:
-    return optimal_beta(ramp, interval)  # perfbench's signature, until ROADMAP item 4
+    return optimal_beta(ramp, interval)  # until perfbench calls the one-object forms
 
 
 def grid_poa(

@@ -1,18 +1,19 @@
 """Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
 
-Each row comes from the case analysis that solve uses, with the inputs checked
-once, before any work: every outer value, then the grid arguments.  Each
-distinct share is evaluated once.  A row holds exactly the CSV columns; the CLI
-writes the cells without building rows, through a writer that formats each
-distinct number once and never caches zeros (-0.0 == 0.0 but prints "-0").
+Every input is checked once, before any work.  One column kernel takes the case analysis
+per run of cells: the distinct (x_hat_b, case, j_soc) tails, and per outer value a tail
+index per grid point.  alpha_sweep / beta_e_sweep build rows from it, the CLI its CSV text.
+Only the library writers cache each distinct number's text (never a zero: -0.0 == 0.0 but
+prints "-0") and format cells that hold an unhashable number one at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .analysis import require_meaningful
-from .equilibrium import EquilibriumCase, _equilibrium_split, inclusive_grid
+from .analysis import _crossing, require_meaningful
+from .equilibrium import _BASELINE, _CASE_B, _CASE_C, _CASE_D, EquilibriumCase, inclusive_grid
 from .model import FLOAT_MAX, LEVEL_MAX, OnRamp
 from .model import check_float, check_population, social_delay
 
@@ -49,73 +50,96 @@ ALPHA_SWEEP_COLUMNS = AlphaSweepRow._fields
 LEVEL_SWEEP_COLUMNS = LevelSweepRow._fields
 
 
-def _by_beta(beta, alpha):
-    return alpha, beta
-
-
-def _by_alpha(alpha, level):
-    return alpha, level
-
-
-def _checked_outer(ramp, outer, population) -> list:
-    """The outer values as a list, each checked as solve checks it at the grid's first point.
-
-    ``population(value, point)`` gives the (alpha, level) of a grid point; the
-    grid points are in range by construction.  No values, no membership check.
-    """
+def _checked_outer(ramp, outer, name: str) -> list:
+    """The outer values as a list, each checked as solve checks ``name``; none, no membership."""
     values = list(outer)
     if values:
         require_meaningful(ramp)
     for value in values:
-        check_population(*population(value, 0.0))
+        check_population(**{name: value})
     return values
 
 
-def _sweep_cells(ramp, values, grid, population) -> list[tuple]:
-    """A (value, point, x_hat_b, case, j_soc) cell per checked value and grid point, in order.
+def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, list]:
+    """The distinct (x_hat_b, case, j_soc) tails, and per value a tail index per grid point.
 
-    Each share is phi, alpha or a crossing no larger than alpha, so in [0, 1].
+    It must equal _equilibrium_split, whose tie rules it restates per run of cells on a grid
+    (of levels or alphas) ascending from 0.0: BASELINE at value 0.0 or -0.0 and grid index 0,
+    CASE_B where alpha <= phi, CASE_C where alpha < crossing(level), else CASE_D.  Made once,
+    and only where a cell uses it: each crossing and CASE_D tail per level, each CASE_C tail
+    per alpha, each j_soc per share.
     """
     phi, delta = ramp.phi, ramp.delta
-    j_socs = {}  # each distinct share is evaluated once
-    cells = []
-    for value in values:
-        for point in grid:
-            alpha, level = population(value, point)
-            case, x_hat_b, _, _ = _equilibrium_split(phi, delta, alpha, level)
-            if x_hat_b not in j_socs:
-                j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
-            cells.append((value, point, x_hat_b, case, j_socs[x_hat_b]))
-    return cells
+    tails, j_socs, columns = [], {}, []
+
+    def tail(x_hat_b, case) -> int:
+        j_soc = j_socs.get(x_hat_b)
+        if j_soc is None:
+            j_soc = j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
+        tails.append((x_hat_b, case, j_soc))
+        return len(tails) - 1
+
+    if not values:
+        return tails, columns
+    base, case_b, size = tail(phi, _BASELINE), tail(phi, _CASE_B), len(grid)
+    if levels_on_grid:
+        active = [alpha for alpha in values if alpha > phi]
+        if active:
+            crossings = [_crossing(phi, delta, level) for level in grid[1:]]
+            top, peak = max(active), max(crossings)
+            d_tails = [tail(x, _CASE_D) if x <= top else None for x in crossings]
+        for alpha in values:
+            if alpha <= phi:  # alpha 0.0 too, as phi > 0
+                column = [base if alpha == 0.0 else case_b] * (size - 1)
+            else:
+                c = tail(alpha, _CASE_C) if alpha < peak else None
+                column = [c if alpha < x else d for x, d in zip(crossings, d_tails)]
+            columns.append([base, *column])
+        return tails, columns
+    b_end, c_tails = bisect_right(grid, phi, 1), []  # c_tails[i] is grid[b_end + i]'s
+    for level in values:
+        if level == 0.0:
+            columns.append([base] * size)
+            continue
+        crossing = _crossing(phi, delta, level)
+        c_end = bisect_left(grid, crossing, b_end)
+        c_tails += [tail(alpha, _CASE_C) for alpha in grid[b_end + len(c_tails):c_end]]
+        d = tail(crossing, _CASE_D) if c_end < size else None
+        columns.append([base] + [case_b] * (b_end - 1) + c_tails[:c_end - b_end]
+                       + [d] * (size - c_end))
+    return tails, columns
 
 
-def _alpha_cells(ramp, betas, alpha_step) -> list[tuple]:
-    """The cells of alpha_sweep; the CLI writes them without building rows."""
-    betas = _checked_outer(ramp, betas, _by_beta)
+def _alpha_columns(ramp, betas, alpha_step) -> tuple:
+    """(betas, alpha grid, tails, columns) of alpha_sweep, for its rows and the CLI."""
+    betas = _checked_outer(ramp, betas, "beta")
     if not 0.0 < alpha_step <= 0.1:
         raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
-    return _sweep_cells(ramp, betas, inclusive_grid(0.0, 1.0, alpha_step), _by_beta)
+    grid = inclusive_grid(0.0, 1.0, alpha_step)
+    return betas, grid, *_sweep_columns(ramp, betas, grid, levels_on_grid=False)
 
 
-def _level_cells(ramp, alphas, beta_e_max, step) -> list[tuple]:
-    """The cells of beta_e_sweep; the CLI writes them without building rows."""
-    alphas = _checked_outer(ramp, alphas, _by_alpha)
+def _level_columns(ramp, alphas, beta_e_max, step) -> tuple:
+    """(alphas, level grid, tails, columns) of beta_e_sweep, for its rows and the CLI."""
+    alphas = _checked_outer(ramp, alphas, "alpha")
     check_float("beta_e_max", beta_e_max)
     check_float("step", step)
     if beta_e_max <= 0.0:
         raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
     if LEVEL_MAX < beta_e_max <= FLOAT_MAX:
         raise ValueError(f"beta_e_max = {beta_e_max} exceeds the level bound {LEVEL_MAX}")
-    return _sweep_cells(ramp, alphas, inclusive_grid(0.0, beta_e_max, step), _by_alpha)
+    grid = inclusive_grid(0.0, beta_e_max, step)
+    return alphas, grid, *_sweep_columns(ramp, alphas, grid, levels_on_grid=True)
+
+
+def _rows(row_type, values, grid, tails, columns) -> list:
+    return [row_type(value, point, *tails[k])
+            for value, column in zip(values, columns) for point, k in zip(grid, column)]
 
 
 def alpha_sweep(ramp: OnRamp, betas: Sequence[float], alpha_step: float) -> list[AlphaSweepRow]:
     """One row per (beta, alpha) with alpha on a [0, 1] grid, error factor 1."""
-    return [AlphaSweepRow(*cell) for cell in _alpha_cells(ramp, betas, alpha_step)]
-
-
-def sweep_alpha(config, derived, ramp, betas, alpha_step) -> list[AlphaSweepRow]:
-    return alpha_sweep(ramp, betas, alpha_step)  # perfbench's signature, until ROADMAP item 4
+    return _rows(AlphaSweepRow, *_alpha_columns(ramp, betas, alpha_step))
 
 
 def beta_e_sweep(
@@ -126,13 +150,16 @@ def beta_e_sweep(
     The level is applied as the altruism level itself (error factor 1), which
     is equivalent to any (beta, error) pair with the same product.
     """
-    return [LevelSweepRow(*cell) for cell in _level_cells(ramp, alphas, beta_e_max, step)]
+    return _rows(LevelSweepRow, *_level_columns(ramp, alphas, beta_e_max, step))
+
+
+# perfbench's signatures, until perfbench calls the one-object forms
+def sweep_alpha(config, derived, ramp, betas, alpha_step) -> list[AlphaSweepRow]:
+    return alpha_sweep(ramp, betas, alpha_step)
 
 
 def sweep_beta_e(config, derived, ramp, alphas, beta_e_max, step) -> list[LevelSweepRow]:
-    return beta_e_sweep(  # perfbench's signature, until ROADMAP item 4
-        ramp, alphas, beta_e_max, step
-    )
+    return beta_e_sweep(ramp, alphas, beta_e_max, step)
 
 
 def _write_cells(cells: Sequence[tuple], stream: IO[str], columns: Sequence[str]) -> None:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import random
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,66 @@ def test_closed_form_code_times_the_cli_import_first():
     times = record.run_fresh(_PATH.parents[1], record.CLOSED_FORM_CODE)
     assert set(times) == CLOSED_FORMS | {"import onramp.cli"}
     assert all(seconds > 0.0 for seconds in times.values())
+
+
+def _git(root, *args):
+    argv = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+            "-c", "commit.gpgsign=false", *args]
+    return subprocess.run(argv, cwd=root, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _commit(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "commit")
+    return _git(root, "rev-parse", "HEAD")
+
+
+@pytest.fixture
+def history(tmp_path, monkeypatch):
+    """Four commits of a scratch repository, which record's git calls then read."""
+    _git(tmp_path, "init", "-q")
+    commits = {
+        "base": _commit(tmp_path, {"src/a.py": "1", "perfbench/run.py": "1", "README.md": "1"}),
+        "docs": _commit(tmp_path, {"README.md": "2", "BENCH_2.json": "{}"}),
+        "src": _commit(tmp_path, {"src/a.py": "2"}),
+        "perfbench": _commit(tmp_path, {"src/a.py": "1", "perfbench/run.py": "2"}),
+    }
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    return commits
+
+
+def test_same_code_compares_the_src_and_perfbench_trees(history):
+    assert record.same_code(history["base"], history["docs"])
+    assert not record.same_code(history["docs"], history["src"])
+    assert not record.same_code(history["base"], history["perfbench"])
+    assert not record.same_code(history["base"], "0" * 40)
+    assert not record.same_code("0" * 40, "0" * 40)
+
+
+@pytest.mark.parametrize("parent, drift", [("docs", True), ("src", False), ("perfbench", False)])
+def test_since_previous_is_drift_only_between_the_same_code(history, tmp_path, parent, drift):
+    earlier = {"commits": {"change": history["base"]}, **_document({"w": {"ops_per_s": 1000.0}})}
+    table = _document({"w": {"ops_per_s": 1100.0}})["end_to_end"]
+    section = record.since_previous_section(
+        tmp_path / "BENCH_2.json", earlier, history[parent], table
+    )
+    assert section == {
+        "file": "BENCH_2.json",
+        "commit": history["base"],
+        "drift": drift,
+        "end_to_end": {"w": {"ops_per_s": {"previous_median": 1000.0, "change_since": 100.0}}},
+    }
+
+
+@pytest.mark.parametrize("value, flag", [("1", True), (None, False)])
+def test_bytecode_code_reports_the_inherited_setting(monkeypatch, value, flag):
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    setting = record.run_fresh(_PATH.parents[1], record.BYTECODE_CODE)
+    assert setting == {"PYTHONDONTWRITEBYTECODE": value, "dont_write_bytecode": flag}
