@@ -199,6 +199,7 @@ def run_fresh(checkout: Path, code: str) -> dict[str, float]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# printed by a fresh interpreter: the bytecode setting that the runs inherit
 BYTECODE_CODE = ("import json, os, sys; print(json.dumps({'PYTHONDONTWRITEBYTECODE': "
                  "os.environ.get('PYTHONDONTWRITEBYTECODE'), "
                  "'dont_write_bytecode': bool(sys.flags.dont_write_bytecode)}))")

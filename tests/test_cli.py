@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onramp
-from onramp.cli import main
-from onramp.equilibrium import inclusive_grid
+from onramp import sweeps
+from onramp.cli import DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_BETAS, main
+from onramp.equilibrium import EquilibriumCase, inclusive_grid
 from onramp.model import CONFIG_KEYS
 
 from conftest import DEMO_VALUES, meaningful_configs
@@ -247,6 +248,103 @@ def test_cli_sweeps_write_the_library_csv(
             assert _cli_bytes(argv, None) == (0, expected[kind], None)
             out_path = Path(scratch) / f"{kind}.csv"
             assert _cli_bytes(argv, out_path) == (0, "", expected[kind].encode())
+
+
+def _solver_csv(ramp, header, cells):
+    """The CSV of (outer, point, alpha, level) cells, each line from solve and format()."""
+    lines = [header]
+    for outer, point, alpha, level in cells:
+        result = onramp.solve(ramp, alpha, level)
+        lines.append(",".join([
+            format(outer, ".12g"), format(point, ".12g"), format(result.x_hat_b, ".12g"),
+            result.case.value, format(result.social_delay, ".12g"),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    config=meaningful_configs(),
+    beta=st.floats(0.0, 10.0),
+    alpha=st.floats(0.0, 1.0),
+    alpha_step=st.sampled_from([0.05, 0.1]) | st.floats(0.03, 0.1),
+    beta_e_max=st.floats(0.1, 5.0),
+    steps=st.integers(1, 40),
+    tie_at=st.integers(0, 40),
+)
+def test_cli_sweeps_write_the_solver_cell_by_cell(
+    config, beta, alpha, alpha_step, beta_e_max, steps, tie_at
+):
+    """The CLI's sweep bytes, on stdout and in --out, are solve and format() at every cell.
+
+    The outer values hold -0.0, 0.0 and 1.0, beta == pi (when positive),
+    alpha == phi and alpha == the crossing at a grid level.
+    """
+    ramp = onramp.OnRamp.from_config(config)
+    step = beta_e_max / steps
+    levels = inclusive_grid(0.0, beta_e_max, step)
+    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, levels[min(tie_at, steps)])
+    betas = [-0.0, 0.0, 1.0, beta] + ([ramp.pi] if ramp.pi > 0.0 else [])
+    alphas = [-0.0, 0.0, 1.0, ramp.phi, alpha] + ([crossing] if crossing <= 1.0 else [])
+    expected = {
+        "sweep-alpha": _solver_csv(ramp, "beta,alpha,x_hat_b,case,j_soc", [
+            (b, a, a, b) for b in betas for a in inclusive_grid(0.0, 1.0, alpha_step)
+        ]),
+        "sweep-beta-e": _solver_csv(ramp, "alpha,beta_e,x_hat_b,case,j_soc", [
+            (a, level, a, level) for a in alphas for level in levels
+        ]),
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "config.json"
+        path.write_text(json.dumps({name: getattr(config, name) for name in CONFIG_KEYS}))
+        argvs = {
+            "sweep-alpha": ["sweep-alpha", "--config", str(path), "--step", repr(alpha_step)]
+            + [arg for b in betas for arg in ("--beta", repr(b))],
+            "sweep-beta-e": ["sweep-beta-e", "--config", str(path), "--step", repr(step),
+                             "--beta-e-max", repr(beta_e_max)]
+            + [arg for a in alphas for arg in ("--alpha", repr(a))],
+        }
+        for kind, argv in argvs.items():
+            assert _cli_bytes(argv, None) == (0, expected[kind], None)
+            out_path = Path(scratch) / f"{kind}.csv"
+            assert _cli_bytes(argv, out_path) == (0, "", expected[kind].encode())
+
+
+# every level of the default level grid is case D for both default alphas
+ALL_CASE_D = dict(n0=0.33, c1t=1.11, c1m=17.71, c2t=1.84, c2m=2.07, mu=2.13, gamma=9.31)
+
+
+@pytest.mark.parametrize("values", [DEMO_VALUES, ALL_CASE_D])
+def test_cli_sweeps_evaluate_each_distinct_share_once(tmp_path, monkeypatch, values):
+    path = write_config(tmp_path, values)
+    ramp = onramp.OnRamp.from_config(onramp.OnRampConfig(**values))
+    rows = {
+        "sweep-alpha": onramp.alpha_sweep(ramp, DEFAULT_SWEEP_BETAS, 0.01),
+        "sweep-beta-e": onramp.beta_e_sweep(
+            ramp, DEFAULT_SWEEP_ALPHAS, 4.0, 0.01),
+    }
+    shares, kernels = [], []
+    kernel = sweeps._sweep_columns
+
+    def counting_social_delay(ramp, x_hat_b):
+        shares.append(x_hat_b)
+        return onramp.social_delay(ramp, x_hat_b)
+
+    def recording_kernel(*args, **kwargs):
+        kernels.append(kernel(*args, **kwargs))
+        return kernels[-1]
+
+    monkeypatch.setattr(sweeps, "social_delay", counting_social_delay)
+    monkeypatch.setattr(sweeps, "_sweep_columns", recording_kernel)
+    for kind, kind_rows in rows.items():
+        shares.clear()
+        assert _cli_bytes([kind, "--config", path], None)[0] == 0
+        assert sorted(shares) == sorted({row.x_hat_b for row in kind_rows})
+    tails, (first, second) = kernels[-1]
+    if values is ALL_CASE_D:
+        assert {tails[k][1] for k in first[1:] + second[1:]} == {EquilibriumCase.CASE_D}
+        assert first[1:] == second[1:]  # one case-D tail per level, shared by both alphas
+        assert len(tails) == 2 + 400
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,36 @@ def test_sweep_rows_equal_the_solver(
         _assert_row_solves(ramp, row, row.alpha, row.beta_e)
 
 
+def _assert_columns_solve(ramp, outer, grid, levels_on_grid):
+    tails, columns = sweeps._sweep_columns(ramp, outer, grid, levels_on_grid)
+    for value, column in zip(outer, columns):
+        for point, k in zip(grid, column):
+            alpha, level = (value, point) if levels_on_grid else (point, value)
+            result = onramp.solve(ramp, alpha, level)
+            assert tails[k] == (result.x_hat_b, result.case, result.social_delay)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=meaningful_configs(), level=st.floats(1e-3, 10.0), ulps=st.integers(-1, 1))
+def test_column_kernel_resolves_ties_on_the_grid(config, level, ulps):
+    """Grid alphas at phi and at the crossing, and grid levels at an alpha's crossing.
+
+    The public grids hold such points only by chance; the kernel gets them
+    directly, each exact or one ulp off.
+    """
+    ramp = onramp.OnRamp.from_config(config)
+    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+
+    def near(x):
+        return math.nextafter(x, ulps * math.inf) if ulps else x
+
+    alphas = sorted({0.0, near(ramp.phi), ramp.phi, min(near(crossing), 1.0), 1.0})
+    _assert_columns_solve(ramp, [0.0, level, near(level)], alphas, False)
+    levels = sorted({0.0, near(level), level, 2.0 * level})
+    outer = [ramp.phi, near(ramp.phi), min(crossing, 1.0), min(near(crossing), 1.0)]
+    _assert_columns_solve(ramp, outer, levels, True)
+
+
 def test_level_sweep_stops_at_the_level_bound(demo_ramp):
     rows = beta_e_sweep(demo_ramp, alphas=[0.8], beta_e_max=LEVEL_MAX, step=LEVEL_MAX / 4)
     assert (rows[-1].beta_e, rows[-1].case) == (LEVEL_MAX, EquilibriumCase.CASE_D)
