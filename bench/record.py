@@ -11,11 +11,12 @@ Both commits are exported with ``git archive`` into fresh directories under
 
 once in each checkout, with S the ``run_seconds`` of BENCHMARK.json and
 i = 0 .. PAIRS-1; the parent runs first in even pairs, the change in odd
-ones.  One more pair on HELD_OUT_SEED is reported apart, and last, each
-checkout gets one ``--trace 1`` run for the per-layer metrics.  The file
-written holds the provenance that run.py prints, and for every end-to-end
-metric and workload both sides' values, medians and quartiles and the
-number of pairs the change won, by the direction BENCHMARK.json gives.
+ones.  One more pair on HELD_OUT_SEED is reported apart.  Then PAIRS more
+pairs, in the same order, run with ``--trace 1`` for the per-layer metrics.
+The file written holds the provenance that run.py prints, and for every
+end-to-end metric and workload both sides' values, medians and quartiles and
+the number of pairs the change won, by the direction BENCHMARK.json gives;
+the ``traced`` table gives the same for every per-layer metric.
 When a BENCH_<n>.json with n below the number in ``--out`` sits beside it,
 the newest such file is the previous one: per workload and end-to-end
 metric, the new file also holds that file's change-side median and this
@@ -149,27 +150,21 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
 
     Each call is timed by timeit, which uses time.perf_counter and turns the
     garbage collector off, as the fastest of CALL_REPEATS loops of
-    CALLS_PER_LOOP calls.  ``build`` times the whole model build, on both
-    sides of a comparison: derive_coefficients then analyze, whichever of the
-    two does the work.  The config must lie in the meaningful set.
+    CALLS_PER_LOOP calls.  ``from_config`` is the whole model build.  The
+    config must lie in the meaningful set.
     """
     import onramp
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     config = onramp.OnRampConfig.from_dict(data)
-    derived = onramp.derive_coefficients(config)
-    summary = onramp.analyze(config, derived)
+    ramp = onramp.OnRamp.from_config(config)
     interval = onramp.ErrorInterval(0.5, 2.0)
     calls = {
         "from_dict": lambda: onramp.OnRampConfig.from_dict(data),
-        "derive_coefficients": lambda: onramp.derive_coefficients(config),
-        "analyze": lambda: onramp.analyze(config, derived),
-        "build": lambda: onramp.analyze(config, onramp.derive_coefficients(config)),
-        "classify": lambda: onramp.classify(config, derived, interval),
-        "optimal_altruism_level": lambda: onramp.optimal_altruism_level(
-            config, derived, summary, interval),
-        "price_of_anarchy": lambda: onramp.price_of_anarchy(
-            config, derived, summary, 1.0, interval),
-        "solve_equilibrium": lambda: onramp.solve_equilibrium(config, derived, summary, 0.8, 1.0),
+        "from_config": lambda: onramp.OnRamp.from_config(config),
+        "classification": lambda: onramp.classification(ramp, interval),
+        "optimal_beta": lambda: onramp.optimal_beta(ramp, interval),
+        "poa": lambda: onramp.poa(ramp, 1.0, interval),
+        "solve": lambda: onramp.solve(ramp, 0.8, 1.0),
     }
     return {
         name: min(timeit.repeat(call, repeat=CALL_REPEATS, number=CALLS_PER_LOOP)) / CALLS_PER_LOOP
@@ -254,6 +249,20 @@ def compare(runs: dict, spec: dict) -> dict:
     return table
 
 
+def all_correct(runs: dict) -> dict[str, bool]:
+    """Per side, whether every workload of every run checked its outputs as correct."""
+    return {side: all(result["correct"] for run in runs[side] for result in run.values())
+            for side in SIDES}
+
+
+def traced_table(runs: dict, spec: dict) -> dict:
+    """The traced pairs: per side whether all were correct, and compare's table per layer."""
+    return {
+        "correct": all_correct(runs),
+        "per_layer": compare(runs, {"end_to_end": spec["per_layer"]}),
+    }
+
+
 def previous_file(out: Path) -> Path | None:
     """The BENCH_<n>.json beside ``out`` with the largest n below out's own."""
     def number(path: Path) -> int | None:
@@ -311,20 +320,26 @@ def main(argv=None) -> int:
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
 
-    def pair(seed: int, parent_first: bool) -> dict:
+    def pair(seed: int, parent_first: bool, trace: int = 0) -> dict:
         order = SIDES if parent_first else SIDES[::-1]
         results = {}
         for side in order:
             started = time.monotonic()
-            results[side] = run_bench(trees[side], seed, seconds, trace=0)
-            print(f"seed {seed} {side}: {time.monotonic() - started:.0f} s", file=sys.stderr)
+            results[side] = run_bench(trees[side], seed, seconds, trace)
+            print(f"seed {seed} {side} trace {trace}: {time.monotonic() - started:.0f} s",
+                  file=sys.stderr)
         return results
 
-    runs = {side: [] for side in SIDES}
-    for seed in range(PAIRS):
-        results = pair(seed, parent_first=seed % 2 == 0)
-        for side in SIDES:
-            runs[side].append(results[side])
+    def pairs(trace: int) -> dict:
+        """PAIRS pairs on seeds 0 .. PAIRS-1, parent first in even pairs: per side its runs."""
+        runs = {side: [] for side in SIDES}
+        for seed in range(PAIRS):
+            results = pair(seed, seed % 2 == 0, trace)
+            for side in SIDES:
+                runs[side].append(results[side])
+        return runs
+
+    runs = pairs(trace=0)
     document = {
         "commits": commits,
         "command": f"python3 perfbench/run.py --workload all --seed i --seconds {seconds:g}",
@@ -335,10 +350,7 @@ def main(argv=None) -> int:
             for side in SIDES
         },
         "bytecode": {side: run_fresh(trees[side], BYTECODE_CODE) for side in SIDES},
-        "correct": {
-            side: all(result["correct"] for run in runs[side] for result in run.values())
-            for side in SIDES
-        },
+        "correct": all_correct(runs),
         "failed_ops": {
             side: sum(result["failed"] for run in runs[side] for result in run.values())
             for side in SIDES
@@ -348,12 +360,7 @@ def main(argv=None) -> int:
     results = pair(HELD_OUT_SEED, parent_first=True)
     held = compare({side: [results[side]] for side in SIDES}, spec)
     document["held_out"] = {"seed": HELD_OUT_SEED, "end_to_end": held}
-    document["traced"] = {}
-    for side in SIDES:
-        for name, result in run_bench(trees[side], 0, seconds, trace=1).items():
-            layer = {key: value["value"] for key, value in result["metrics"].items()}
-            entry = document["traced"].setdefault(name, {})
-            entry[side] = {"correct": result["correct"], "metrics": layer}
+    document["traced"] = traced_table(pairs(trace=1), spec)
     oracle_runs, closed_form_runs = {side: {} for side in SIDES}, {side: {} for side in SIDES}
     for round_ in range(ORACLE_REPEATS):
         for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:

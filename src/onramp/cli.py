@@ -16,7 +16,7 @@ from .equilibrium import best_response_dynamics, brute_force_equilibrium, solve,
 from .errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
 from .model import _CONSTANTS, OnRamp, load_config
 from .robustness import grid_optimal_beta, optimal_beta, poa, worst_case_social_delay
-from .sweeps import ALPHA_SWEEP_COLUMNS, LEVEL_SWEEP_COLUMNS, NUMBER_FORMAT, _alpha_columns
+from .sweeps import ALPHA_SWEEP_COLUMNS, LEVEL_SWEEP_COLUMNS, _alpha_columns, _columns_csv
 from .sweeps import _level_columns, format_number as fmt
 
 EXIT_OK = 0
@@ -145,32 +145,23 @@ def _cmd_equilibrium(args, ramp) -> int:
     return EXIT_OK
 
 
-def _write_sweep(path, header, values, grid, tails, columns) -> int:
-    """A sweep's CSV: grid points and tails formatted once (labels by ``_value_``), joined."""
-    number = "%" + NUMBER_FORMAT
-    points = [f",{number % point}," for point in grid]
-    tail = f"{number},%s,{number}\n"
-    texts = [tail % (x, case._value_, j) for x, case, j in tails]
-    lines = [",".join(header) + "\n"]
-    for value, column in zip(values, columns):
-        head = number % value
-        lines += [head + point + texts[k] for point, k in zip(points, column)]
+def _write_sweep(path, text: str) -> int:
     if path is None:
-        sys.stdout.write("".join(lines))
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as stream:
-            stream.write("".join(lines))
+            stream.write(text)
     return EXIT_OK
 
 
 def _cmd_sweep_alpha(args, ramp) -> int:
     sweep = _alpha_columns(ramp, args.beta or DEFAULT_SWEEP_BETAS, args.step)
-    return _write_sweep(args.out, ALPHA_SWEEP_COLUMNS, *sweep)
+    return _write_sweep(args.out, _columns_csv(ALPHA_SWEEP_COLUMNS, *sweep))
 
 
 def _cmd_sweep_beta_e(args, ramp) -> int:
     sweep = _level_columns(ramp, args.alpha or DEFAULT_SWEEP_ALPHAS, args.beta_e_max, args.step)
-    return _write_sweep(args.out, LEVEL_SWEEP_COLUMNS, *sweep)
+    return _write_sweep(args.out, _columns_csv(LEVEL_SWEEP_COLUMNS, *sweep))
 
 
 def _print_worst_case(points):

@@ -2,9 +2,9 @@
 
 Every input is checked once, before any work.  One column kernel takes the case analysis
 per run of cells: the distinct (x_hat_b, case, j_soc) tails, and per outer value a tail
-index per grid point.  alpha_sweep / beta_e_sweep build rows from it, the CLI its CSV text.
-Only the library writers cache each distinct number's text (never a zero: -0.0 == 0.0 but
-prints "-0") and format cells that hold an unhashable number one at a time.
+index per grid point.  alpha_sweep / beta_e_sweep build rows from it, and _columns_csv the
+CLI's CSV text, each grid point and tail formatted once.  The library writers format the
+rows they are given one cell at a time.
 """
 
 from __future__ import annotations
@@ -132,6 +132,19 @@ def _level_columns(ramp, alphas, beta_e_max, step) -> tuple:
     return alphas, grid, *_sweep_columns(ramp, alphas, grid, levels_on_grid=True)
 
 
+def _columns_csv(header, values, grid, tails, columns) -> str:
+    """A sweep's CSV: grid points and tails formatted once (labels by ``_value_``), joined."""
+    number = "%" + NUMBER_FORMAT
+    points = [f",{number % point}," for point in grid]
+    tail = f"{number},%s,{number}\n"
+    texts = [tail % (x, case._value_, j) for x, case, j in tails]
+    lines = [",".join(header) + "\n"]
+    for value, column in zip(values, columns):
+        head = number % value
+        lines += [head + point + texts[k] for point, k in zip(points, column)]
+    return "".join(lines)
+
+
 def _rows(row_type, values, grid, tails, columns) -> list:
     return [row_type(value, point, *tails[k])
             for value, column in zip(values, columns) for point, k in zip(grid, column)]
@@ -162,38 +175,8 @@ def sweep_beta_e(config, derived, ramp, alphas, beta_e_max, step) -> list[LevelS
     return beta_e_sweep(ramp, alphas, beta_e_max, step)
 
 
-def _write_cells(cells: Sequence[tuple], stream: IO[str], columns: Sequence[str]) -> None:
-    """Header line, then one line per (value, point, x_hat_b, case, j_soc) cell.
-
-    Numbers are written in NUMBER_FORMAT, the case as its label.  Each outer value and
-    case label is made once per run, each grid point and tail once per distinct value;
-    cells holding an unhashable number, such as a 0-d numpy array, are formatted per cell.
-    """
-    number = "%" + NUMBER_FORMAT
-    points, cases = {}, {}  # point -> text; case -> (label, {(x_hat_b, j_soc): tail})
-    lines = [",".join(columns) + "\n"]
-    value = run_case = object()
-    try:
-        for v, p, x, case, j in cells:
-            if v is not value:
-                value, head = v, number % v
-            if case is not run_case:
-                run_case, (label, tails) = case, cases.setdefault(case, (case.value, {}))
-            point = points.get(p) if p else None
-            if point is None:
-                point = points[p] = number % p
-            tail = tails.get((x, j)) if x and j else None
-            if tail is None:
-                tail = tails[x, j] = f"{number % x},{label},{number % j}\n"
-            lines.append(f"{head},{point},{tail}")
-    except TypeError:  # an unhashable number: no caches
-        f = NUMBER_FORMAT
-        lines[1:] = [f"{v:{f}},{p:{f}},{x:{f}},{c.value},{j:{f}}\n" for v, p, x, c, j in cells]
-    stream.write("".join(lines))
-
-
 def _write_rows(rows: Iterable[tuple], stream: IO[str], row_type: type) -> None:
-    """The rows' cells under row_type's columns.
+    """Header line, then one line per row: numbers in NUMBER_FORMAT, the case as its label.
 
     The first row must be a row_type: the other sweep's rows, or plain tuples,
     would otherwise be written under this header.
@@ -201,7 +184,10 @@ def _write_rows(rows: Iterable[tuple], stream: IO[str], row_type: type) -> None:
     rows = list(rows)
     if rows and not isinstance(rows[0], row_type):
         raise TypeError(f"expected {row_type.__name__} rows, got {type(rows[0]).__name__}")
-    _write_cells(rows, stream, row_type._fields)
+    f = NUMBER_FORMAT
+    lines = [",".join(row_type._fields) + "\n"]
+    lines += [f"{v:{f}},{p:{f}},{x:{f}},{c.value},{j:{f}}\n" for v, p, x, c, j in rows]
+    stream.write("".join(lines))
 
 
 def write_alpha_sweep(rows: Iterable[AlphaSweepRow], stream: IO[str]) -> None:

@@ -50,6 +50,31 @@ def test_compare_quartiles_of_ten_runs():
     assert row["pairs_won"] == 0
 
 
+def _traced_run(seconds, rows, correct=True):
+    metrics = {"w.self_s": {"value": seconds}, "rows": {"value": rows}}
+    return {"w": {"correct": correct, "metrics": metrics}}
+
+
+def test_traced_table_compares_every_per_layer_metric():
+    spec = {"per_layer": [{"name": "w.self_s", "unit": "s", "better": "lower"},
+                          {"name": "rows", "unit": "count", "better": "lower"}]}
+    runs = {
+        "parent": [_traced_run(s, 10.0) for s in (4e-4, 1e-4, 3e-4, 2e-4)],
+        "change": [_traced_run(s, 10.0) for s in (2e-4, 3e-4, 1e-4, 1e-4)],
+    }
+    table = record.traced_table(runs, spec)
+    assert table["correct"] == {"parent": True, "change": True}
+    row = table["per_layer"]["w"]["w.self_s"]
+    assert (row["unit"], row["better"], row["pairs_won"]) == ("s", "lower", 3)
+    assert row["parent"]["median"] == pytest.approx(2.5e-4)
+    assert row["change"]["median"] == pytest.approx(1.5e-4)
+    assert row["change"]["values"] == [2e-4, 3e-4, 1e-4, 1e-4]
+    assert row["median_change"] == pytest.approx(-1e-4)
+    assert table["per_layer"]["w"]["rows"]["pairs_won"] == 0  # equal counts win no pair
+    runs["change"][2] = _traced_run(1e-4, 10.0, correct=False)
+    assert record.traced_table(runs, spec)["correct"] == {"parent": True, "change": False}
+
+
 def _document(medians):
     """A BENCH document with only the change-side medians of its end-to-end table."""
     return {"end_to_end": {
@@ -96,8 +121,7 @@ def test_oracle_table_keeps_runs_best_and_ratio():
     )
 
 
-CLOSED_FORMS = {"from_dict", "derive_coefficients", "analyze", "build", "classify",
-                "optimal_altruism_level", "price_of_anarchy", "solve_equilibrium"}
+CLOSED_FORMS = {"from_dict", "from_config", "classification", "optimal_beta", "poa", "solve"}
 ORACLES = {"grid_optimal_beta[0.5,2]", "grid_optimal_beta[0.25,4]", "brute_force_equilibrium",
            "best_response_dynamics", "grid_poa"}
 

@@ -397,9 +397,9 @@ def test_csv_of_integer_inputs_matches_per_cell_format(demo_ramp):
         assert text.getvalue() == _reference_csv(rows, columns) == float_text.getvalue()
 
 
-# every cache key of the writer repeats: equal numbers that print differently
-# (0.0 and -0.0), NaN objects, ints equal to floats, and one share that comes
-# with two cases and two social delays
+# numbers that repeat across cells, among them equal numbers that print
+# differently (0.0 and -0.0), NaN objects, ints equal to floats, and one share
+# that comes with two cases and two social delays
 POOL_NUMBERS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1, 1.0,
                                 0.25, 0.1 + 0.2, 0.3])
 POOL_TAILS = st.sampled_from([
@@ -424,7 +424,7 @@ def test_csv_caches_repeat_the_per_cell_format(cells):
         assert buffer.getvalue() == _reference_csv(rows, columns)
 
 
-# library rows may hold numpy numbers: float64 scalars hash, 0-d arrays do not
+# library rows may hold numpy numbers: float64 scalars and 0-d arrays
 NUMPY_NUMBERS = st.tuples(POOL_NUMBERS, st.sampled_from([float, np.float64, np.array])).map(
     lambda pair: pair[1](pair[0])
 )
@@ -458,6 +458,41 @@ def test_csv_of_zero_dimensional_arrays(demo_ramp):
     write_alpha_sweep(rows, text)
     write_alpha_sweep(array_rows, array_text)
     assert array_text.getvalue() == text.getvalue() == _reference_csv(rows, ALPHA_SWEEP_COLUMNS)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    config=meaningful_configs(),
+    betas=st.lists(st.floats(0.0, 10.0) | st.integers(0, 10**20), max_size=3),
+    alphas=st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), max_size=3),
+    alpha_step=st.sampled_from([0.01, 0.03, 0.1]),
+    beta_e_max=st.floats(0.1, 5.0) | st.integers(1, 5),
+    steps=st.integers(1, 60),
+    tie_at=st.integers(0, 60),
+)
+def test_column_csv_is_the_library_writers_csv(
+    config, betas, alphas, alpha_step, beta_e_max, steps, tie_at
+):
+    """The column formatter writes write_*_sweep's bytes for the same library inputs.
+
+    The CLI passes only floats; library outer values may also be ints, 0 and
+    -0.0, alpha == phi and alpha == the crossing at a grid level.
+    """
+    ramp = onramp.OnRamp.from_config(config)
+    step = beta_e_max / steps
+    level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
+    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+    betas = [0, -0.0, *betas] + ([ramp.pi] if ramp.pi > 0.0 else [])
+    alphas = [0, -0.0, ramp.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
+    for header, columns, rows, write in (
+        (ALPHA_SWEEP_COLUMNS, sweeps._alpha_columns(ramp, betas, alpha_step),
+         alpha_sweep(ramp, betas, alpha_step), write_alpha_sweep),
+        (LEVEL_SWEEP_COLUMNS, sweeps._level_columns(ramp, alphas, beta_e_max, step),
+         beta_e_sweep(ramp, alphas, beta_e_max, step), write_beta_e_sweep),
+    ):
+        buffer = io.StringIO()
+        write(rows, buffer)
+        assert sweeps._columns_csv(header, *columns) == buffer.getvalue()
 
 
 def test_sweeps_evaluate_each_distinct_share_once(demo_ramp, monkeypatch):
