@@ -35,16 +35,18 @@ goes first, each checkout runs two fresh interpreters.  One runs
 ``oracle_times``, which calls each L5 oracle once on demos/onramp.json and
 times the call with ``time.perf_counter``.  The other times ``import
 onramp.cli`` first (L6), then runs ``closed_form_times``, the best per-call
-time of each L0-L3 closed form on the same config.  The file keeps each
-side's runs, its best, the ratio of the bests and the spread of the ratios
-of runs made in the same round.  They are not gated:
-perfbench/README.md shows why the oracles are too unsteady on a shared VM to
-gate on, and a single call is far shorter than a benchmark op.
+time of each L0-L3 closed form and of two CLI commands, in process, on the
+same config.  The file keeps each side's runs, its best, the ratio of the
+bests and the spread of the ratios of runs made in the same round.  They
+are not gated: perfbench/README.md shows why the oracles are too unsteady on
+a shared VM to gate on, and a single call is far shorter than a benchmark op.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -150,10 +152,12 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
 
     Each call is timed by timeit, which uses time.perf_counter and turns the
     garbage collector off, as the fastest of CALL_REPEATS loops of
-    CALLS_PER_LOOP calls.  ``from_config`` is the whole model build.  The
-    config must lie in the meaningful set.
+    CALLS_PER_LOOP calls.  ``from_config`` is the whole model build.  The two
+    ``cli.main[...]`` keys time the CLI's ``main`` on the config with the
+    flags of perfbench's cli_session, its stdout sent to a fresh StringIO.
+    The config must lie in the meaningful set.
     """
-    import onramp
+    import onramp.cli
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     config = onramp.OnRampConfig.from_dict(data)
     ramp = onramp.OnRamp.from_config(config)
@@ -166,6 +170,17 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
         "poa": lambda: onramp.poa(ramp, 1.0, interval),
         "solve": lambda: onramp.solve(ramp, 0.8, 1.0),
     }
+    for args in (["equilibrium", "--alpha", "0.8", "--beta", "1"],
+                 ["optimal-beta", "--e-lower", "0.25", "--e-upper", "4"]):
+        argv = [args[0], "--config", str(path), *args[1:]]
+
+        def command(argv=argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return onramp.cli.main(argv)
+
+        if command() != 0:
+            raise RuntimeError(f"onramp {' '.join(argv)} failed")
+        calls[f"cli.main[{args[0]}]"] = command
     return {
         name: min(timeit.repeat(call, repeat=CALL_REPEATS, number=CALLS_PER_LOOP)) / CALLS_PER_LOOP
         for name, call in calls.items()

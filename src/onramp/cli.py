@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 input error (flags or config file), 2 configuration
 outside the meaningful set where membership is required, 3 oracle
 verification mismatch.
+
+`main` sends a known command straight to its own parser.  `onramp -h`, a
+missing or unknown command and options before the command go through the
+top-level parser, which also reports arguments that the command's parser
+leaves unrecognized.
 """
 
 from __future__ import annotations
@@ -39,14 +44,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="onramp", description=__doc__)
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subparsers action's map of command to parser."""
+    # `onramp -h` shows the docstring without its last paragraph, which is on parsing
+    parser = _Parser(prog="onramp", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config file")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(command=name, handler=handler)
         return cmd
 
     analyze_cmd = add("analyze", _cmd_analyze, "derived coefficients and structural quantities")
@@ -95,13 +102,29 @@ def _build_parser() -> _Parser:
     ver_cmd.add_argument("--beta", type=float, default=1.0)
     ver_cmd.add_argument("--error", type=float, default=1.0)
     ver_cmd.add_argument("--step", type=float, default=1e-3, help="oracle grid step")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """What ``parse_args`` gives, without the top-level pass for a known command."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    if argv and not argv[0].startswith("-"):
+        # argparse's own wording of this message varies across Python releases
+        parser.error(f"argument command: invalid choice: {argv[0]!r}"
+                     f" (choose from {', '.join(map(repr, commands))})")
+    return parser.parse_args(argv)
 
 
 def _print(key, value):
     if isinstance(value, float):
         value = fmt(value)
-    print(f"{key} = {value}")
+    sys.stdout.write(f"{key} = {value}\n")
 
 
 def _print_fields(record, prefix="", names=None):
@@ -166,9 +189,9 @@ def _cmd_sweep_beta_e(args, ramp) -> int:
 
 def _print_worst_case(points):
     for index, point in enumerate(points):
-        print(
+        sys.stdout.write(
             f"worst_case[{index}] = error={fmt(point.error)}"
-            f" alpha={fmt(point.alpha)} x_hat_b={fmt(point.x_hat_b)} j_soc={fmt(point.j_soc)}"
+            f" alpha={fmt(point.alpha)} x_hat_b={fmt(point.x_hat_b)} j_soc={fmt(point.j_soc)}\n"
         )
 
 
@@ -250,7 +273,7 @@ def _cmd_verify(args, ramp) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         ramp = OnRamp.from_config(load_config(args.config))
         if args.command != "analyze" and not ramp.in_meaningful_set:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp import sweeps
-from onramp.cli import DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_BETAS, main
+from onramp.cli import DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_BETAS, _build_parser, _parse, main
 from onramp.equilibrium import EquilibriumCase, inclusive_grid
 from onramp.model import CONFIG_KEYS
 
@@ -103,6 +103,54 @@ def test_unknown_flag_exits_one(capsys, demo_config_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["analyze", "--config", str(demo_config_file), "--bogus"])
     assert excinfo.value.code == 1
+
+
+def _parsed(capsys, parse, argv):
+    """The namespace's fields, or the exit code, and what the parse printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--config", "c.json"],
+    ["analyze", "--config", "c.json", "--e-lower", "0.5", "--e-upper", "2"],
+    ["equilibrium", "--config", "c.json", "--alpha", "0.8", "--beta", "1", "--error", "0.5"],
+    ["sweep-alpha", "--config", "c.json", "--step", "0.1", "--out", "a.csv"],
+    ["sweep-beta-e", "--config", "c.json", "--alpha", "0.9", "--beta-e-max", "2", "--step", "0.1"],
+    ["poa", "--config", "c.json", "--beta", "1", "--e-lower", "0.5", "--e-upper", "2"],
+    ["optimal-beta", "--config", "c.json", "--e-lower", "0.25", "--e-upper", "4"],
+    ["verify", "--config", "c.json", "--alpha", "0.4", "--beta", "0.6", "--step", "0.002"],
+    ["equilibrium", "--config", "c.json", "--alpha=0.8", "--beta", "1"],
+    ["equilibrium", "--config", "c.json", "--alp", "0.8", "--beta", "1"],
+    ["equilibrium", "--config", "c.json", "--alpha", "0.8", "--beta", "-1"],
+    ["sweep-alpha", "--config", "c.json", "--beta", "0.5", "--beta", "2"],
+    ["optimal-beta", "--config", "c.json", "--e-lower", "0.5", "--e-upper", "2", "--verify"],
+    ["equilibrium", "-h"],
+    ["analyze", "--config", "c.json", "--bogus"],
+    ["analyze", "--config", "c.json", "one", "two"],
+    ["equilibrium", "--config", "c.json", "--alpha", "0.8"],
+    ["equilibrium", "--config", "c.json", "--alpha", "x", "--beta", "1"],
+    [],
+    ["-h"],
+    ["--config", "c.json", "analyze"],
+])
+def test_parse_matches_the_top_level_parser(capsys, argv):
+    reference = _parsed(capsys, _build_parser()[0].parse_args, argv)
+    assert _parsed(capsys, _parse, argv) == reference
+
+
+def test_unknown_command_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        _parse(["frobnicate", "--config", "c.json"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err == (
+        "onramp: error: argument command: invalid choice: 'frobnicate' (choose from 'analyze',"
+        " 'equilibrium', 'sweep-alpha', 'sweep-beta-e', 'poa', 'optimal-beta', 'verify')\n"
+    )
 
 
 def test_equilibrium_full_altruism(capsys, demo_config_file):
