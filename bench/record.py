@@ -5,7 +5,8 @@ Usage, from the root of the repository:
     python3 bench/record.py --parent REF --change REF --out BENCH_<pr>.json
 
 Both commits are exported with ``git archive`` into fresh directories under
-``--workdir``.  Each of the PAIRS pairs runs
+``--workdir``, and each tree's ``src`` is byte-compiled with ``compileall``.
+Each of the PAIRS pairs runs
 
     python3 perfbench/run.py --workload all --seed i --seconds S
 
@@ -26,8 +27,9 @@ that file's change commit and this run's parent commit hold the same
 ``src`` and ``perfbench`` trees, the code did not move between them, and
 ``since_previous`` says so with ``"drift": true``.  The file also records,
 per side, the ``PYTHONDONTWRITEBYTECODE`` that the runs inherit and the
-``sys.flags.dont_write_bytecode`` that a fresh interpreter reports under it:
-with it set, every fresh process compiles the package from source.
+``sys.flags.dont_write_bytecode`` that a fresh interpreter reports under it,
+with ``compiled: true`` for the compiled ``src``: compileall writes the cache
+even with that variable set, so that no fresh process times the compiler.
 
 Apart from the gated end-to-end table, the file also holds ungated timings
 of single calls.  In each of ORACLE_REPEATS rounds, alternating which side
@@ -93,15 +95,16 @@ def same_code(first: str, second: str) -> bool:
 
 
 def export(commit: str, workdir: Path) -> Path:
-    """A fresh tree of ``commit``, made with git archive."""
+    """A fresh tree of ``commit``, made with git archive, with its ``src`` byte-compiled."""
     target = workdir / commit
     shutil.rmtree(target, ignore_errors=True)
     target.mkdir(parents=True)
-    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
-    with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
-        tar.extractall(target, filter="data")
-    if archive.wait() != 0:
+    with subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE) as archive:
+        with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+            tar.extractall(target, filter="data")
+    if archive.returncode != 0:
         raise RuntimeError(f"git archive {commit} failed")
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=target, check=True)
     return target
 
 
@@ -364,7 +367,9 @@ def main(argv=None) -> int:
             side: {name: result["provenance"] for name, result in runs[side][0].items()}
             for side in SIDES
         },
-        "bytecode": {side: run_fresh(trees[side], BYTECODE_CODE) for side in SIDES},
+        "bytecode": {
+            side: {**run_fresh(trees[side], BYTECODE_CODE), "compiled": True} for side in SIDES
+        },
         "correct": all_correct(runs),
         "failed_ops": {
             side: sum(result["failed"] for run in runs[side] for result in run.values())

@@ -14,11 +14,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NotInMeaningfulSetError
-from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_float, check_population
+from .model import FLOAT_MAX, OnRamp, as_float64, check_float, check_population
 
 __all__ = [
-    "Classification", "ErrorInterval", "ImprovementFlags", "Regime", "altruistic_intersection",
-    "analyze", "classification", "classify", "improvement_conditions",
+    "Classification", "ErrorInterval", "ImprovementFlags", "Regime", "analyze",
+    "classification", "classify", "improvement_conditions",
 ]
 
 
@@ -33,10 +33,10 @@ class ErrorInterval:
     e_upper: float
 
     def __post_init__(self):
-        if type(self.e_lower) is not float or type(self.e_upper) is not float:
-            _require_real("e_lower", self.e_lower)
-            _require_real("e_upper", self.e_upper)
-        if not 0.0 < self.e_lower <= self.e_upper <= FLOAT_MAX:
+        lower, upper = self.e_lower, self.e_upper
+        if type(lower) is not float or type(upper) is not float:
+            lower, upper = _real("e_lower", lower), _real("e_upper", upper)
+        if not 0.0 < lower <= upper <= FLOAT_MAX:
             check_float("e_lower", self.e_lower)
             check_float("e_upper", self.e_upper)
             raise ValueError(
@@ -52,29 +52,24 @@ class ErrorInterval:
         return math.sqrt(self.e_lower * self.e_upper)
 
 
-def _require_real(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a real number other than a bool."""
+def _real(name: str, value):
+    """``value`` as compared in float64 (see as_float64); ValueError unless a real non-bool."""
     from numbers import Real  # off the start-up path: float bounds never get here
 
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def altruistic_intersection(phi: float, delta: float, beta_e: float) -> float:
-    """Bypass share where the two altruistic costs cross at effective level beta_e.
-
-    A weighted average of phi (weight (1-beta_e)/(1+beta_e)) and delta (weight
-    2*beta_e/(1+beta_e)); it equals phi at level 0, delta at level 1, and
-    increases toward 2*delta - phi as the level grows.  The level must lie in
-    [0, LEVEL_MAX], where 2*beta_e*delta is still finite.
-    """
-    if not 0.0 <= beta_e <= LEVEL_MAX:
-        raise ValueError(f"effective altruism level must lie in [0, {LEVEL_MAX}], got {beta_e}")
-    return _crossing(phi, delta, beta_e)
+    return as_float64(value)
 
 
 def _crossing(phi, delta, level):
-    """altruistic_intersection unchecked; ``level`` may be a numpy array of levels."""
+    """Bypass share where the two altruistic costs cross at effective level ``level``.
+
+    A weighted average of phi (weight (1-level)/(1+level)) and delta (weight
+    2*level/(1+level)); it equals phi at level 0, delta at level 1, and
+    increases toward 2*delta - phi as the level grows.  Unchecked: the level
+    must lie in [0, LEVEL_MAX], where 2*level*delta is still finite, and may be
+    a numpy array of levels.
+    """
     return ((1.0 - level) * phi + 2.0 * level * delta) / (1.0 + level)
 
 

@@ -72,30 +72,24 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "--beta", type=float, action="append", default=None,
         help=f"repeatable; default {list(DEFAULT_SWEEP_BETAS)}",
     )
-    sa_cmd.add_argument("--step", type=float, default=0.01)
-    sa_cmd.add_argument("--out", default=None, help="output path (default: stdout)")
-
     sb_cmd = add("sweep-beta-e", _cmd_sweep_beta_e, "CSV sweep of the effective level per ratio")
     sb_cmd.add_argument(
         "--alpha", type=float, action="append", default=None,
         help=f"repeatable; default {list(DEFAULT_SWEEP_ALPHAS)}",
     )
     sb_cmd.add_argument("--beta-e-max", type=float, default=4.0)
-    sb_cmd.add_argument("--step", type=float, default=0.01)
-    sb_cmd.add_argument("--out", default=None, help="output path (default: stdout)")
+    for cmd in (sa_cmd, sb_cmd):
+        cmd.add_argument("--step", type=float, default=0.01)
+        cmd.add_argument("--out", default=None, help="output path (default: stdout)")
 
     poa_cmd = add("poa", _cmd_poa, "price of anarchy at a given level")
     poa_cmd.add_argument("--beta", type=float, required=True)
-    poa_cmd.add_argument("--e-lower", type=float, required=True)
-    poa_cmd.add_argument("--e-upper", type=float, required=True)
-    poa_cmd.add_argument("--verify", action="store_true",
-                         help="cross-check the closed form against the grid minimizer")
-
     ob_cmd = add("optimal-beta", _cmd_optimal_beta, "worst-case-optimal altruism level")
-    ob_cmd.add_argument("--e-lower", type=float, required=True)
-    ob_cmd.add_argument("--e-upper", type=float, required=True)
-    ob_cmd.add_argument("--verify", action="store_true",
-                        help="cross-check the closed form against the grid minimizer")
+    for cmd in (poa_cmd, ob_cmd):
+        cmd.add_argument("--e-lower", type=float, required=True)
+        cmd.add_argument("--e-upper", type=float, required=True)
+        cmd.add_argument("--verify", action="store_true",
+                         help="cross-check the closed form against the grid minimizer")
 
     ver_cmd = add("verify", _cmd_verify, "closed form vs. grid and dynamics oracles at one point")
     ver_cmd.add_argument("--alpha", type=float, default=0.8)

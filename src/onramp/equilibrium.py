@@ -84,9 +84,9 @@ def solve(ramp: OnRamp, alpha: float, beta: float, error: float = 1.0) -> Equili
     CASE_D at alpha == crossing; the share is the same either way.
     """
     require_meaningful(ramp)
-    check_population(alpha, beta, error)
+    level = check_population(alpha, beta, error)
     case, x_hat_b, altruistic_bypass, selfish_bypass = _equilibrium_split(
-        ramp.phi, ramp.delta, alpha, beta * error
+        ramp.phi, ramp.delta, alpha, level
     )
     flow = FlowDistribution(
         (1.0 - alpha) - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
@@ -145,8 +145,8 @@ def verify_wardrop(
 ) -> WardropReport:
     """Evaluate the equilibrium definition at a feasible flow."""
     check_share(flow.total_bypass)
-    check_population(beta=beta, error=error)
-    return WardropReport(*_switching_products(ramp, flow, beta * error), tol=tol)
+    level = check_population(beta=beta, error=error)
+    return WardropReport(*_switching_products(ramp, flow, level), tol=tol)
 
 
 # largest grid, or brute-force product grid, that is built; larger ones are refused
@@ -191,7 +191,7 @@ def brute_force_equilibrium(
     import numpy as np
     if not 0.0 < grid_step <= 0.1:
         raise ValueError(f"grid step must lie in (0, 0.1], got {grid_step}")
-    check_population(alpha, beta, error)
+    level = check_population(alpha, beta, error)
     tol = (ramp.slope_sum + ramp.lane2_slope) * grid_step
 
     xb = inclusive_grid(0.0, 1.0 - alpha, grid_step)
@@ -203,7 +203,7 @@ def brute_force_equilibrium(
     grid = FlowDistribution(
         (1.0 - alpha) - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
     )
-    products = _switching_products(ramp, grid, beta * error)
+    products = _switching_products(ramp, grid, level)
     ok = np.logical_and.reduce([product <= tol for product in products])
     rows, cols = np.nonzero(ok)
     return [
@@ -244,10 +244,9 @@ def best_response_dynamics(
     Only the cost gaps are used, never phi, delta or the crossing, so the
     oracle is independent of the case analysis in solve.
     """
-    check_population(alpha, beta, error)
+    level = check_population(alpha, beta, error)
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    level = beta * error
     selfish_mass = 1.0 - alpha
     lo, hi, mid = 0.0, 1.0, 0.5
     halvings = 0

@@ -22,9 +22,8 @@ from typing import NamedTuple
 from .errors import ConfigError, DegenerateConfigError
 
 __all__ = [
-    "AltruisticCostPair", "ConstraintViolation", "DelayProfile", "FlowDistribution", "OnRamp",
-    "OnRampConfig", "altruistic_costs", "delays", "derive_coefficients", "load_config",
-    "pi_value", "social_delay", "validate_flow_distribution",
+    "DelayProfile", "FlowDistribution", "OnRamp", "OnRampConfig", "delays",
+    "derive_coefficients", "load_config", "social_delay",
 ]
 
 # required keys of a JSON config document, in field order; no others are accepted
@@ -139,7 +138,7 @@ class OnRamp:
     The analysis is computed from those on construction: the selfish crossing
     ``phi``, the social-delay minimizer ``delta``, the optimum ``j_opt`` on
     [0, 1] and the all-selfish delay ``j_soc_at_phi``, all finite; ``pi`` by
-    pi_value; meaningful-set membership.  ``decrease_interval`` is open on the
+    _pi_value; meaningful-set membership.  ``decrease_interval`` is open on the
     left (alpha must exceed phi to help) while ``optimize_interval`` is closed.
     """
 
@@ -197,7 +196,7 @@ class OnRamp:
             else "Delta >= 1" if not delta < 1.0
             else None
         )
-        pi = pi_value(phi, delta)
+        pi = _pi_value(phi, delta)
         j_soc_at_phi = require_finite("j_soc_at_phi", social_delay(self, phi))
         set_ = object.__setattr__
         set_(self, "phi", phi)
@@ -224,7 +223,7 @@ def derive_coefficients(config: OnRampConfig) -> OnRamp:
     return OnRamp.from_config(config)  # until perfbench calls the one-object forms
 
 
-def pi_value(phi: float, delta: float) -> float:
+def _pi_value(phi: float, delta: float) -> float:
     """Regime ratio (1 - phi) / (2*delta - phi - 1).
 
     Inside the meaningful set the ratio is either negative or greater than 1;
@@ -279,53 +278,23 @@ def social_delay(ramp: OnRamp, x_hat_b: float) -> float:
     return (1.0 - x_hat_b) * steadfast + x_hat_b * bypass + n0 * steadfast + n2 * lane2
 
 
-class AltruisticCostPair(NamedTuple):
-    """Costs perceived by altruistic drivers for the two options."""
-
-    steadfast_cost: float
-    bypass_cost: float
-
-
-def option_costs(ramp: OnRamp, x_hat_b, level):
-    """(steadfast delay, bypass delay, steadfast cost, bypass cost) at ``x_hat_b``.
+def cost_gaps(ramp: OnRamp, x_hat_b, level):
+    """Steadfast-minus-bypass (travel delay, perceived cost) gaps; positive favors bypass.
 
     Each perceived cost is the delay plus the effective level beta*error times
     that option's marginal-delay term.  Unchecked; floats or numpy arrays.
     """
     steadfast, bypass, _ = delay_lines(ramp, x_hat_b)
-    n0, n2 = ramp.n0, ramp.n2
-    steadfast_cost = steadfast + level * ramp.steadfast_slope * ((1.0 - x_hat_b) + n0)
-    bypass_cost = bypass + level * (ramp.bypass_slope * x_hat_b + ramp.lane2_slope * n2)
-    return steadfast, bypass, steadfast_cost, bypass_cost
-
-
-def cost_gaps(ramp: OnRamp, x_hat_b, level):
-    """Steadfast-minus-bypass (travel delay, perceived cost) gaps; positive favors bypass."""
-    steadfast, bypass, steadfast_cost, bypass_cost = option_costs(ramp, x_hat_b, level)
+    steadfast_cost = steadfast + level * ramp.steadfast_slope * ((1.0 - x_hat_b) + ramp.n0)
+    bypass_cost = bypass + level * (ramp.bypass_slope * x_hat_b + ramp.lane2_slope * ramp.n2)
     return steadfast - bypass, steadfast_cost - bypass_cost
-
-
-def altruistic_costs(
-    ramp: OnRamp, x_hat_b: float, beta: float, error: float = 1.0
-) -> AltruisticCostPair:
-    """Perceived costs at level ``beta`` with multiplicative error ``error``.
-
-    Each cost is the travel delay plus beta*error times the marginal-delay
-    term of that option; the costs depend on beta and error only through
-    their product, which is computed first so scaling one against the other
-    is exactly neutral.
-    """
-    check_population(beta=beta, error=error)
-    check_share(x_hat_b)
-    _, _, steadfast_cost, bypass_cost = option_costs(ramp, x_hat_b, beta * error)
-    return AltruisticCostPair(steadfast_cost=steadfast_cost, bypass_cost=bypass_cost)
 
 
 class FlowDistribution(NamedTuple):
     """Split of the lane-1 flow by driver class and option.
 
-    Deliberately unvalidated so that infeasible candidates can be constructed
-    and reported on; use validate_flow_distribution for feasibility checks.
+    Deliberately unvalidated, so that infeasible candidates (class masses
+    other than 1 - alpha and alpha) can be constructed and reported on.
     """
 
     selfish_steadfast: float
@@ -338,55 +307,36 @@ class FlowDistribution(NamedTuple):
         return self.selfish_bypass + self.altruistic_bypass
 
 
-class ConstraintViolation(NamedTuple):
-    constraint: str
-    residual: float
-
-
-def validate_flow_distribution(
-    flow: FlowDistribution, alpha: float, tol: float = 1e-9
-) -> list[ConstraintViolation]:
-    """Report every feasibility constraint violated beyond ``tol``.
-
-    An empty list means the flow is a feasible split for altruistic ratio
-    ``alpha``: class masses balance and all components are nonnegative.
-    """
-    violations = []
-    selfish_residual = abs(flow.selfish_steadfast + flow.selfish_bypass - (1.0 - alpha))
-    if selfish_residual > tol:
-        violations.append(ConstraintViolation("selfish_mass_balance", selfish_residual))
-    altruistic_residual = abs(
-        flow.altruistic_steadfast + flow.altruistic_bypass - alpha
-    )
-    if altruistic_residual > tol:
-        violations.append(
-            ConstraintViolation("altruistic_mass_balance", altruistic_residual)
-        )
-    for name, value in zip(flow._fields, flow):
-        if value < -tol:
-            violations.append(ConstraintViolation(f"nonnegative_{name}", -value))
-    return violations
-
-
 def check_float(name: str, value) -> None:
     """Raise ValueError naming ``name`` when ``value`` is an int too large for a float."""
     if isinstance(value, int) and abs(value) > FLOAT_MAX:
         raise ValueError(f"{name} is too large for a float")
 
 
-def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) -> None:
-    """Require alpha in [0, 1], beta >= 0, error > 0 and beta*error <= LEVEL_MAX; defaults pass."""
+def as_float64(value):
+    """A real non-int, such as a numpy float32 (FLOAT_MAX overflows there), as a float."""
+    from numbers import Real  # off the start-up path: floats never get here
+
+    return value if isinstance(value, int) or not isinstance(value, Real) else float(value)
+
+
+def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) -> float:
+    """Require alpha in [0, 1], beta >= 0, error > 0, beta*error <= LEVEL_MAX; return beta*error."""
     if not 0.0 <= alpha <= 1.0:
         check_float("alpha", alpha)
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not 0.0 <= beta <= FLOAT_MAX:
+    b = beta if type(beta) is float else as_float64(beta)  # compared and multiplied in float64
+    e = error if type(error) is float else as_float64(error)
+    if not 0.0 <= b <= FLOAT_MAX:
         check_float("beta", beta)
-        reason = "must be >= 0" if beta < 0.0 else "must be finite"
+        reason = "must be >= 0" if b < 0.0 else "must be finite"
         raise ValueError(f"beta {reason}, got {beta}")
-    if not 0.0 < error <= FLOAT_MAX:
+    if not 0.0 < e <= FLOAT_MAX:
         check_float("error factor", error)
-        reason = "must be > 0" if error <= 0.0 else "must be finite"
+        reason = "must be > 0" if e <= 0.0 else "must be finite"
         raise ValueError(f"error factor {reason}, got {error}")
-    if not beta * error <= LEVEL_MAX:
-        cause = "is not finite" if beta * error > FLOAT_MAX else f"exceeds the bound {LEVEL_MAX}"
+    level = b * e
+    if not level <= LEVEL_MAX:
+        cause = "is not finite" if level > FLOAT_MAX else f"exceeds the bound {LEVEL_MAX}"
         raise ValueError(f"effective level beta*error = {beta} * {error} {cause}")
+    return level

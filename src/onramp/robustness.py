@@ -78,8 +78,8 @@ def _endpoints(ramp, beta, interval) -> list[tuple[float, float, float]]:
     ends = []
     e_lower, e_upper = interval.e_lower, interval.e_upper
     for error in (e_lower,) if e_lower == e_upper else (e_lower, e_upper):
-        check_population(1.0, beta, error)
-        _, x_hat_b, _, _ = _equilibrium_split(ramp.phi, ramp.delta, 1.0, beta * error)
+        level = check_population(1.0, beta, error)
+        _, x_hat_b, _, _ = _equilibrium_split(ramp.phi, ramp.delta, 1.0, level)
         ends.append((error, x_hat_b, social_delay(ramp, x_hat_b)))
     return ends
 

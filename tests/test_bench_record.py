@@ -222,3 +222,10 @@ def test_bytecode_code_reports_the_inherited_setting(monkeypatch, value, flag):
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
     setting = record.run_fresh(_PATH.parents[1], record.BYTECODE_CODE)
     assert setting == {"PYTHONDONTWRITEBYTECODE": value, "dont_write_bytecode": flag}
+
+
+def test_export_byte_compiles_the_src_modules(history, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    tree = record.export(history["base"], tmp_path / "work")
+    assert (tree / "src" / "a.py").read_text() == "1"
+    assert list((tree / "src" / "__pycache__").glob("a.*.pyc"))

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp import sweeps
+from onramp.analysis import _crossing
 from onramp.cli import DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_BETAS, _build_parser, _parse, main
 from onramp.equilibrium import EquilibriumCase, inclusive_grid
 from onramp.model import CONFIG_KEYS
 
-from conftest import DEMO_VALUES, meaningful_configs
+from conftest import DEMO_VALUES, assert_same_text, meaningful_configs
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +246,17 @@ def _cli_bytes(argv, out_path):
     return code, stdout.getvalue(), written
 
 
+def _assert_cli_writes(argvs, expected, scratch):
+    """Each command writes its expected text to stdout, and with --out to the file only."""
+    for kind, argv in argvs.items():
+        code, out, written = _cli_bytes(argv, None)
+        assert (code, written) == (0, None)
+        assert_same_text(out, expected[kind])
+        code, out, written = _cli_bytes(argv, scratch / f"{kind}.csv")
+        assert (code, out) == (0, "")
+        assert_same_text(written.decode(), expected[kind])
+
+
 def _library_csv(write, rows):
     buffer = io.StringIO()
     write(rows, buffer)
@@ -272,7 +284,7 @@ def test_cli_sweeps_write_the_library_csv(
     ramp = onramp.OnRamp.from_config(config)
     step = beta_e_max / steps
     level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
-    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+    crossing = _crossing(ramp.phi, ramp.delta, level)
     betas = [0.0, *betas] + ([ramp.pi] if ramp.pi > 0.0 else [])
     alphas = [ramp.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
     expected = {
@@ -292,10 +304,7 @@ def test_cli_sweeps_write_the_library_csv(
                              "--beta-e-max", repr(beta_e_max)]
             + [arg for alpha in alphas for arg in ("--alpha", repr(alpha))],
         }
-        for kind, argv in argvs.items():
-            assert _cli_bytes(argv, None) == (0, expected[kind], None)
-            out_path = Path(scratch) / f"{kind}.csv"
-            assert _cli_bytes(argv, out_path) == (0, "", expected[kind].encode())
+        _assert_cli_writes(argvs, expected, Path(scratch))
 
 
 def _solver_csv(ramp, header, cells):
@@ -331,7 +340,7 @@ def test_cli_sweeps_write_the_solver_cell_by_cell(
     ramp = onramp.OnRamp.from_config(config)
     step = beta_e_max / steps
     levels = inclusive_grid(0.0, beta_e_max, step)
-    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, levels[min(tie_at, steps)])
+    crossing = _crossing(ramp.phi, ramp.delta, levels[min(tie_at, steps)])
     betas = [-0.0, 0.0, 1.0, beta] + ([ramp.pi] if ramp.pi > 0.0 else [])
     alphas = [-0.0, 0.0, 1.0, ramp.phi, alpha] + ([crossing] if crossing <= 1.0 else [])
     expected = {
@@ -352,10 +361,7 @@ def test_cli_sweeps_write_the_solver_cell_by_cell(
                              "--beta-e-max", repr(beta_e_max)]
             + [arg for a in alphas for arg in ("--alpha", repr(a))],
         }
-        for kind, argv in argvs.items():
-            assert _cli_bytes(argv, None) == (0, expected[kind], None)
-            out_path = Path(scratch) / f"{kind}.csv"
-            assert _cli_bytes(argv, out_path) == (0, "", expected[kind].encode())
+        _assert_cli_writes(argvs, expected, Path(scratch))
 
 
 # every level of the default level grid is case D for both default alphas

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp import robustness
-from onramp.analysis import altruistic_intersection, require_meaningful
+from onramp.analysis import _crossing, require_meaningful
 from onramp.model import CONFIG_KEYS, check_population
 from onramp.robustness import require_positive_optimum
 
@@ -140,7 +140,7 @@ def test_closed_forms_match_their_parts_and_raise_the_first_error(
     if alpha_kind == "phi":
         alpha = ramp.phi
     elif alpha_kind == "crossing" and beta >= 0.0:
-        alpha = altruistic_intersection(ramp.phi, ramp.delta, beta)
+        alpha = _crossing(ramp.phi, ramp.delta, beta)
     else:
         alpha = drawn_alpha
     result, error = _outcome(onramp.solve, ramp, alpha, beta)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 
 import onramp
 from onramp import equilibrium
+from onramp.analysis import _crossing
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import NotInMeaningfulSetError
-from onramp.model import LEVEL_MAX
+from onramp.model import LEVEL_MAX, cost_gaps
 
 from conftest import (
     DEMO_DELTA,
@@ -70,7 +71,7 @@ def test_case_b_scarce_altruists(demo_ramp):
 def test_boundary_ties(demo_ramp):
     at_phi = onramp.solve(demo_ramp, alpha=demo_ramp.phi, beta=0.7)
     assert at_phi.case is EquilibriumCase.CASE_B
-    crossing = onramp.altruistic_intersection(demo_ramp.phi, demo_ramp.delta, 0.7)
+    crossing = _crossing(demo_ramp.phi, demo_ramp.delta, 0.7)
     at_crossing = onramp.solve(demo_ramp, alpha=crossing, beta=0.7)
     assert at_crossing.case is EquilibriumCase.CASE_D
     assert at_crossing.x_hat_b == pytest.approx(crossing, abs=1e-12)
@@ -80,7 +81,7 @@ def test_unified_formula_above_phi(demo_ramp):
     for alpha in (0.6, 0.75, 0.9, 1.0):
         for level in (0.25, 0.5, 1.0, 2.0):
             result = onramp.solve(demo_ramp, alpha=alpha, beta=level)
-            crossing = onramp.altruistic_intersection(demo_ramp.phi, demo_ramp.delta, level)
+            crossing = _crossing(demo_ramp.phi, demo_ramp.delta, level)
             assert result.x_hat_b == min(alpha, crossing)
 
 
@@ -102,12 +103,19 @@ def test_solver_requires_membership():
         onramp.solve(ramp, 0.5, 1.0)
 
 
+def _assert_feasible(flow, alpha, tol=1e-9):
+    """Both class masses balance and no component is negative, within ``tol``."""
+    assert abs(flow.selfish_steadfast + flow.selfish_bypass - (1.0 - alpha)) <= tol, flow
+    assert abs(flow.altruistic_steadfast + flow.altruistic_bypass - alpha) <= tol, flow
+    assert min(flow) >= -tol, flow
+
+
 def test_solver_outputs_verify(demo_ramp):
     for alpha in (0.0, 0.2, 0.55, 0.8, 1.0):
         for beta in (0.0, 0.5, 1.0):
             for error in (0.5, 1.0, 2.0):
                 result = onramp.solve(demo_ramp, alpha=alpha, beta=beta, error=error)
-                assert not onramp.validate_flow_distribution(result.flow, alpha)
+                _assert_feasible(result.flow, alpha)
                 report = onramp.verify_wardrop(demo_ramp, result.flow, beta, error)
                 assert report.passed, report
 
@@ -176,7 +184,7 @@ def _mass_cap_band(ramp, alpha, level, step, side):
     """
     slope_sum = ramp.slope_sum
     tol = (slope_sum + ramp.lane2_slope) * step
-    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+    crossing = _crossing(ramp.phi, ramp.delta, level)
     for multiple in range(1, 2000):
         d = multiple * step
         if side == "above":
@@ -209,7 +217,7 @@ def test_brute_force_case_exclusion_random():
         step = 2e-3
         flows = onramp.brute_force_equilibrium(ramp, alpha=alpha, beta=level, grid_step=step)
         assert flows
-        crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+        crossing = _crossing(ramp.phi, ramp.delta, level)
         band_above = _mass_cap_band(ramp, alpha, level, step, "above")
         band_below = _mass_cap_band(ramp, alpha, level, step, "below")
         shares = [flow.total_bypass for flow in flows]
@@ -235,11 +243,8 @@ def test_brute_force_grid_step_validated(demo_ramp):
 def _corner_band(ramp, corner, beta, step):
     """Verified-band width at a corner: mass caps from the two cost gaps there."""
     tol = (ramp.slope_sum + ramp.lane2_slope) * step
-    profile = onramp.delays(ramp, corner)
-    costs = onramp.altruistic_costs(ramp, corner, beta)
-    travel_gap = abs(profile.steadfast - profile.bypass)
-    perceived_gap = abs(costs.steadfast_cost - costs.bypass_cost)
-    return tol / travel_gap + tol / perceived_gap
+    travel_gap, perceived_gap = cost_gaps(ramp, corner, beta)
+    return tol / abs(travel_gap) + tol / abs(perceived_gap)
 
 
 def test_brute_force_corner_all_steadfast_outside_set():
@@ -308,7 +313,7 @@ def _tie_point(tie, ramp):
         "alpha_phi": (phi, 1.0),
         "alpha_phi_minus_ulp": (math.nextafter(phi, 0.0), 1.0),
         "alpha_phi_plus_ulp": (math.nextafter(phi, 1.0), 1.0),
-        "alpha_crossing": (onramp.altruistic_intersection(phi, ramp.delta, 0.5), 0.5),
+        "alpha_crossing": (_crossing(phi, ramp.delta, 0.5), 0.5),
         "alpha_1": (1.0, 1.0),
         "all_bypass": (0.4, 0.5),
         "excluded": (0.8, 1.0),
@@ -338,7 +343,7 @@ def test_dynamics_tie_rules(demo_ramp, tie):
     alpha, beta = _tie_point(tie, ramp)
     trace = onramp.best_response_dynamics(ramp, alpha, beta, tol=1e-10)
     assert trace.converged, trace
-    assert onramp.validate_flow_distribution(trace.flow, alpha) == []
+    _assert_feasible(trace.flow, alpha)
     if ramp.in_meaningful_set:
         closed = onramp.solve(demo_ramp, alpha, beta)
         assert abs(trace.flow.total_bypass - closed.x_hat_b) <= 1e-12

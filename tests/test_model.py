@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import onramp
+from onramp.analysis import _crossing
 from onramp.errors import ConfigError, DegenerateConfigError
-from onramp.model import _CONSTANTS, CONFIG_KEYS, LEVEL_MAX, check_population
+from onramp.model import _CONSTANTS, CONFIG_KEYS, LEVEL_MAX, check_population, cost_gaps
 
 from conftest import DEMO_DELTA, DEMO_VALUES
 
@@ -190,52 +191,25 @@ def test_social_delay_above_minimum(demo_ramp):
 
 
 def test_altruistic_costs_reduce_to_delays(demo_ramp):
+    # at level 0 an altruist perceives the travel delays: the two gaps are one
     for x in (0.0, 0.3, 1.0):
         profile = onramp.delays(demo_ramp, x)
-        pair = onramp.altruistic_costs(demo_ramp, x, beta=0.0, error=3.0)
-        assert pair.steadfast_cost == profile.steadfast
-        assert pair.bypass_cost == profile.bypass
+        travel_gap, perceived_gap = cost_gaps(demo_ramp, x, 0.0)
+        assert travel_gap == perceived_gap == profile.steadfast - profile.bypass
 
 
 def test_altruistic_costs_depend_on_product_only(demo_ramp):
-    a = onramp.altruistic_costs(demo_ramp, 0.4, beta=0.5, error=2.0)
-    b = onramp.altruistic_costs(demo_ramp, 0.4, beta=1.0, error=1.0)
+    flow = onramp.FlowDistribution(0.3, 0.1, 0.3, 0.3)
+    a = onramp.verify_wardrop(demo_ramp, flow, beta=0.5, error=2.0)
+    b = onramp.verify_wardrop(demo_ramp, flow, beta=1.0, error=1.0)
     assert a == b
-    c = onramp.altruistic_costs(demo_ramp, 0.4, beta=0.5 * 2.0, error=1.0)
-    assert a == c
 
 
 def test_altruistic_costs_cross_at_intersection(demo_ramp):
-    crossing = onramp.altruistic_intersection(demo_ramp.phi, demo_ramp.delta, 1.0)
-    pair = onramp.altruistic_costs(demo_ramp, crossing, beta=1.0, error=1.0)
-    assert pair.steadfast_cost == pytest.approx(pair.bypass_cost, abs=1e-9)
-
-
-def test_altruistic_costs_domain_checks(demo_ramp):
-    with pytest.raises(ValueError):
-        onramp.altruistic_costs(demo_ramp, 0.4, beta=1.0, error=0.0)
-    with pytest.raises(ValueError):
-        onramp.altruistic_costs(demo_ramp, 0.4, beta=-0.2)
-
-
-def test_validate_flow_distribution_examples():
-    feasible = onramp.FlowDistribution(0.3, 0.2, 0.1, 0.4)
-    assert onramp.validate_flow_distribution(feasible, alpha=0.5) == []
-
-    unbalanced = onramp.FlowDistribution(0.6, 0.2, 0.1, 0.4)
-    violations = onramp.validate_flow_distribution(unbalanced, alpha=0.5)
-    assert [v.constraint for v in violations] == ["selfish_mass_balance"]
-    assert violations[0].residual == pytest.approx(0.3, abs=1e-12)
-
-    negative = onramp.FlowDistribution(0.3, -0.1, 0.4, 0.4)
-    violations = onramp.validate_flow_distribution(negative, alpha=0.8)
-    assert [v.constraint for v in violations] == ["nonnegative_selfish_bypass"]
-    assert violations[0].residual == pytest.approx(0.1, abs=1e-12)
-
-    altruists_short = onramp.FlowDistribution(0.2, 0.0, 0.5, 0.1)
-    violations = onramp.validate_flow_distribution(altruists_short, alpha=0.8)
-    assert [v.constraint for v in violations] == ["altruistic_mass_balance"]
-    assert violations[0].residual == pytest.approx(0.2, abs=1e-12)
+    for level in (0.0, 0.5, 1.0, 2.0):
+        crossing = _crossing(demo_ramp.phi, demo_ramp.delta, level)
+        _, perceived_gap = cost_gaps(demo_ramp, crossing, level)
+        assert perceived_gap == pytest.approx(0.0, abs=1e-9)
 
 
 def test_config_roundtrip_from_file(demo_config_file, demo_config):
@@ -297,13 +271,11 @@ NON_FINITE = (math.nan, math.inf)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-def test_population_rejects_non_finite_beta_and_error(demo_ramp, value):
+def test_population_rejects_non_finite_beta_and_error(value):
     with pytest.raises(ValueError, match="beta must be finite"):
         check_population(alpha=0.5, beta=value)
-    with pytest.raises(ValueError, match="beta must be finite"):
-        onramp.altruistic_costs(demo_ramp, 0.5, beta=value)
     with pytest.raises(ValueError, match="error factor must be finite"):
-        onramp.altruistic_costs(demo_ramp, 0.5, beta=1.0, error=value)
+        check_population(alpha=0.5, beta=1.0, error=value)
     with pytest.raises(ValueError, match="alpha must lie in"):
         check_population(alpha=value, beta=1.0)
 
@@ -322,7 +294,6 @@ def test_population_rejects_an_overflowing_level(demo_ramp):
         check_population(alpha=0.8, beta=1e308, error=10.0)
     flow = onramp.FlowDistribution(0.2, 0.0, 0.2, 0.6)
     for evaluate in (
-        lambda: onramp.altruistic_costs(demo_ramp, 0.5, 1e308, 10.0),
         lambda: onramp.solve(demo_ramp, 0.8, 1e308, 10.0),
         lambda: onramp.verify_wardrop(demo_ramp, flow, 1e308, 10.0),
         lambda: onramp.brute_force_equilibrium(demo_ramp, 0.8, 1e308, 10.0),
@@ -353,6 +324,32 @@ def test_api_rejects_integers_too_large_for_a_float(demo_ramp):
     with pytest.raises(ValueError, match=r"effective level beta\*error = .* is not finite"):
         check_population(beta=10**200, error=10**200)
     check_population(alpha=1, beta=8 * 10**307, error=1)
+
+
+@pytest.mark.parametrize("narrow", [np.float32, np.float16])
+def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
+    # numpy compares a float32 or float16 with FLOAT_MAX in its own type, where the bound
+    # overflows and warns; the checks compare, and form the level, in float64
+    ramp, interval = demo_ramp, onramp.ErrorInterval(0.5, 2.0)
+    narrow_interval = onramp.ErrorInterval(narrow(0.5), narrow(2.0))
+    assert narrow_interval == interval
+    for beta, error in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.25)):
+        result = onramp.solve(ramp, 0.8, narrow(beta), narrow(error))
+        assert result == onramp.solve(ramp, 0.8, beta, error)
+        report = onramp.verify_wardrop(ramp, result.flow, narrow(beta), narrow(error))
+        assert report == onramp.verify_wardrop(ramp, result.flow, beta, error)
+    assert onramp.poa(ramp, narrow(1.0), narrow_interval) == onramp.poa(ramp, 1.0, interval)
+    assert onramp.optimal_beta(ramp, narrow_interval) == onramp.optimal_beta(ramp, interval)
+    for build, values in (
+        (lambda beta, error: onramp.solve(ramp, 0.8, beta, error),
+         [(-1.0, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, math.nan)]),
+        (onramp.ErrorInterval, [(2.0, 1.0), (0.5, math.inf), (-0.5, 2.0)]),
+    ):
+        for first, second in values:
+            with pytest.raises(ValueError) as wide:
+                build(first, second)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(wide.value))}$"):
+                build(narrow(first), narrow(second))
 
 
 config_values = st.fixed_dictionaries(
@@ -401,9 +398,11 @@ def test_on_ramp_delay_mirrors_steadfast(values, x):
 )
 def test_altruistic_cost_product_sufficiency(values, x, beta, error):
     ramp = _ramp_or_reject(values)
-    direct = onramp.altruistic_costs(ramp, x, beta, error)
-    folded = onramp.altruistic_costs(ramp, x, beta * error, 1.0)
+    # each class splits its half of the flow alike, so the classes differ only in their gaps
+    bypass, steadfast = 0.5 * x, 0.5 * (1.0 - x)
+    flow = onramp.FlowDistribution(steadfast, bypass, steadfast, bypass)
+    direct = onramp.verify_wardrop(ramp, flow, beta, error)
+    folded = onramp.verify_wardrop(ramp, flow, beta * error, 1.0)
     assert direct == folded
     if beta == 0.0:
-        profile = onramp.delays(ramp, x)
-        assert direct == onramp.AltruisticCostPair(profile.steadfast, profile.bypass)
+        assert direct.products[2:] == direct.products[:2]

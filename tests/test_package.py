@@ -17,7 +17,7 @@ import onramp.cli
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
-# names of model types, knobs and errors that were folded away
+# names of model types, knobs, errors and helpers that were folded away
 REMOVED = (
     "NeighborFlows",
     "CostCoefficients",
@@ -28,6 +28,12 @@ REMOVED = (
     "AnalysisSummary",
     "selfish_equilibrium_flow",
     "social_optimum",
+    "AltruisticCostPair",
+    "altruistic_costs",
+    "ConstraintViolation",
+    "validate_flow_distribution",
+    "altruistic_intersection",
+    "pi_value",
 )
 
 

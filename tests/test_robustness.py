@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp import robustness
+from onramp.analysis import _crossing
 from onramp.equilibrium import inclusive_grid
 from onramp.errors import TransitionUndefinedError, ZeroOptimumError
 
@@ -46,7 +47,7 @@ def test_worst_case_endpoint_evaluation(demo_ramp):
     supremum, points = onramp.worst_case_social_delay(ramp, beta=1.0, interval=interval)
     endpoint_values = []
     for error in (0.5, 2.0):
-        crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, error)
+        crossing = _crossing(ramp.phi, ramp.delta, error)
         endpoint_values.append(onramp.social_delay(ramp, crossing))
     assert supremum == pytest.approx(max(endpoint_values), abs=1e-12)
     # geometric-mean level: both endpoints tie, so both are reported
@@ -113,8 +114,8 @@ def test_endpoint_equalization_at_geometric_mean(demo_ramp):
     interval = onramp.ErrorInterval(0.5, 2.0)
     beta_star = 1.0 / interval.geometric_mean
     assert beta_star == pytest.approx(1.0, abs=1e-12)
-    low = onramp.altruistic_intersection(ramp.phi, ramp.delta, beta_star * 0.5)
-    high = onramp.altruistic_intersection(ramp.phi, ramp.delta, beta_star * 2.0)
+    low = _crossing(ramp.phi, ramp.delta, beta_star * 0.5)
+    high = _crossing(ramp.phi, ramp.delta, beta_star * 2.0)
     assert onramp.social_delay(ramp, low) == pytest.approx(
         onramp.social_delay(ramp, high), abs=1e-9
     )
@@ -125,7 +126,7 @@ def test_transition_beta_properties(demo_ramp):
     assert onramp.transition_beta(delta, phi, delta) == pytest.approx(1.0, abs=1e-12)
     value = onramp.transition_beta(0.63, phi, delta)
     assert value == pytest.approx(2.28800219281071, abs=1e-9)
-    crossing = onramp.altruistic_intersection(phi, delta, value)
+    crossing = _crossing(phi, delta, value)
     assert crossing == pytest.approx(0.63, abs=1e-9)
     # out of regime once 2*delta - phi - alpha <= 0
     with pytest.raises(TransitionUndefinedError):
@@ -203,8 +204,8 @@ def test_optimal_level_transition_limited_branch():
     assert result.beta_star == pytest.approx(1.0 / (interval.e_lower * ramp.pi), abs=1e-12)
     assert result.transition_level_at_full_altruism == pytest.approx(ramp.pi, abs=1e-12)
     # equalization: the lower endpoint matches the flat stage that starts at the ratio
-    low = onramp.altruistic_intersection(ramp.phi, ramp.delta, result.beta_star * interval.e_lower)
-    flat = onramp.altruistic_intersection(ramp.phi, ramp.delta, ramp.pi)
+    low = _crossing(ramp.phi, ramp.delta, result.beta_star * interval.e_lower)
+    flat = _crossing(ramp.phi, ramp.delta, ramp.pi)
     assert flat == pytest.approx(1.0, abs=1e-9)
     assert onramp.social_delay(ramp, low) == pytest.approx(
         onramp.social_delay(ramp, flat), abs=1e-9

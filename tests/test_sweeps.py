@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp import sweeps
+from onramp.analysis import _crossing
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import DegenerateConfigError, NotInMeaningfulSetError
 from onramp.model import LEVEL_MAX
@@ -27,7 +28,7 @@ from onramp.sweeps import (
     write_beta_e_sweep,
 )
 
-from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI, meaningful_configs
+from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI, assert_same_text, meaningful_configs
 
 
 def test_inclusive_grid_hits_endpoints():
@@ -206,7 +207,7 @@ def test_sweep_rows_equal_the_solver(
     ramp = onramp.OnRamp.from_config(config)
     step = beta_e_max / steps
     level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
-    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+    crossing = _crossing(ramp.phi, ramp.delta, level)
     betas = [0.0, *betas] + ([ramp.pi] if ramp.pi > 0.0 else [])
     alphas = [0.0, ramp.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
     for row in alpha_sweep(ramp, betas, alpha_step):
@@ -233,7 +234,7 @@ def test_column_kernel_resolves_ties_on_the_grid(config, level, ulps):
     directly, each exact or one ulp off.
     """
     ramp = onramp.OnRamp.from_config(config)
-    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+    crossing = _crossing(ramp.phi, ramp.delta, level)
 
     def near(x):
         return math.nextafter(x, ulps * math.inf) if ulps else x
@@ -257,7 +258,7 @@ def test_level_sweep_stops_at_the_level_bound(demo_ramp):
 def test_level_sweep_resolves_the_ties(demo_ramp):
     phi, delta = demo_ramp.phi, demo_ramp.delta
     level = inclusive_grid(0.0, 2.0, 0.25)[3]
-    crossing = onramp.altruistic_intersection(phi, delta, level)
+    crossing = _crossing(phi, delta, level)
     rows = beta_e_sweep(demo_ramp, alphas=[phi, crossing], beta_e_max=2.0, step=0.25)
     at_phi, at_crossing = rows[:9], rows[9:]
     assert at_phi[0].case is EquilibriumCase.BASELINE
@@ -481,7 +482,7 @@ def test_column_csv_is_the_library_writers_csv(
     ramp = onramp.OnRamp.from_config(config)
     step = beta_e_max / steps
     level = inclusive_grid(0.0, beta_e_max, step)[min(tie_at, steps)]
-    crossing = onramp.altruistic_intersection(ramp.phi, ramp.delta, level)
+    crossing = _crossing(ramp.phi, ramp.delta, level)
     betas = [0, -0.0, *betas] + ([ramp.pi] if ramp.pi > 0.0 else [])
     alphas = [0, -0.0, ramp.phi, *alphas] + ([crossing] if crossing <= 1.0 else [])
     for header, columns, rows, write in (
@@ -492,7 +493,7 @@ def test_column_csv_is_the_library_writers_csv(
     ):
         buffer = io.StringIO()
         write(rows, buffer)
-        assert sweeps._columns_csv(header, *columns) == buffer.getvalue()
+        assert_same_text(sweeps._columns_csv(header, *columns), buffer.getvalue())
 
 
 def test_sweeps_evaluate_each_distinct_share_once(demo_ramp, monkeypatch):
