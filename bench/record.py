@@ -38,9 +38,12 @@ goes first, each checkout runs two fresh interpreters.  One runs
 times the call with ``time.perf_counter``.  The other times ``import
 onramp.cli`` first (L6), then runs ``closed_form_times``, the best per-call
 time of each L0-L3 closed form and of two CLI commands, in process, on the
-same config.  The file keeps each side's runs, its best, the ratio of the
-bests and the spread of the ratios of runs made in the same round.  They
-are not gated: perfbench/README.md shows why the oracles are too unsteady on
+same config.  Each round also times one whole ``python -m onramp analyze
+--config demos/onramp.json`` process per side from outside, as the
+``process[analyze]`` row beside them: the start-up and imports that a user
+waits for, which no in-process timing sees.  The file keeps each side's runs,
+its best, the ratio of the bests and the spread of the ratios of runs made in
+the same round.  They are not gated: perfbench/README.md shows why the oracles are too unsteady on
 a shared VM to gate on, and a single call is far shorter than a benchmark op.
 """
 
@@ -212,6 +215,46 @@ def run_fresh(checkout: Path, code: str) -> dict[str, float]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# the CLI command whose whole process is timed, and its row in the closed-form table
+PROCESS_ARGV = ("analyze", "--config", DEMO_CONFIG)
+PROCESS_KEY = f"process[{PROCESS_ARGV[0]}]"
+
+
+def process_seconds(checkout: Path) -> float:
+    """Wall seconds of one fresh ``python -m onramp`` process on PROCESS_ARGV in ``checkout``.
+
+    The exported trees are byte-compiled, so the process loads cached bytecode.
+    """
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [sys.executable, "-m", "onramp", *PROCESS_ARGV]
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
+    seconds = time.perf_counter() - start
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv[1:])} in {checkout} exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    return seconds
+
+
+def fresh_rounds(trees: dict) -> tuple[dict, dict]:
+    """ORACLE_REPEATS rounds, parent first in even ones: the oracle and closed-form runs.
+
+    Per side and timed name, its runs: each round runs ORACLE_CODE and
+    CLOSED_FORM_CODE in fresh interpreters, then times one whole CLI process
+    as PROCESS_KEY among the closed forms.
+    """
+    oracle_runs, closed_form_runs = {side: {} for side in SIDES}, {side: {} for side in SIDES}
+    for round_ in range(ORACLE_REPEATS):
+        for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
+            for code, runs in ((ORACLE_CODE, oracle_runs), (CLOSED_FORM_CODE, closed_form_runs)):
+                for name, seconds in run_fresh(trees[side], code).items():
+                    runs[side].setdefault(name, []).append(seconds)
+            closed_form_runs[side].setdefault(PROCESS_KEY, []).append(
+                process_seconds(trees[side]))
+    return oracle_runs, closed_form_runs
+
+
 # printed by a fresh interpreter: the bytecode setting that the runs inherit
 BYTECODE_CODE = ("import json, os, sys; print(json.dumps({'PYTHONDONTWRITEBYTECODE': "
                  "os.environ.get('PYTHONDONTWRITEBYTECODE'), "
@@ -381,12 +424,7 @@ def main(argv=None) -> int:
     held = compare({side: [results[side]] for side in SIDES}, spec)
     document["held_out"] = {"seed": HELD_OUT_SEED, "end_to_end": held}
     document["traced"] = traced_table(pairs(trace=1), spec)
-    oracle_runs, closed_form_runs = {side: {} for side in SIDES}, {side: {} for side in SIDES}
-    for round_ in range(ORACLE_REPEATS):
-        for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
-            for code, runs in ((ORACLE_CODE, oracle_runs), (CLOSED_FORM_CODE, closed_form_runs)):
-                for name, seconds in run_fresh(trees[side], code).items():
-                    runs[side].setdefault(name, []).append(seconds)
+    oracle_runs, closed_form_runs = fresh_rounds(trees)
     document["oracles"] = {
         "gated": False,
         "config": DEMO_CONFIG,
@@ -398,6 +436,8 @@ def main(argv=None) -> int:
         "gated": False,
         "config": DEMO_CONFIG,
         "timer": f"'import onramp.cli': time.perf_counter around the first import of onramp;"
+                 f" {PROCESS_KEY!r}: time.perf_counter around one whole"
+                 f" 'python -m onramp {' '.join(PROCESS_ARGV)}' process;"
                  f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
                  f" {CALLS_PER_LOOP} calls; each run one fresh process, best of"
                  f" {ORACLE_REPEATS}, the sides alternating",

@@ -42,6 +42,8 @@ class ErrorInterval:
             raise ValueError(
                 f"need 0 < e_lower <= e_upper, got ({self.e_lower}, {self.e_upper})"
             )
+        object.__setattr__(self, "e_lower", lower)  # a numpy bound is kept as the float64 compared
+        object.__setattr__(self, "e_upper", upper)
 
     @property
     def ratio_sqrt(self) -> float:
@@ -147,6 +149,7 @@ def improvement_conditions(ramp: OnRamp, alpha: float, beta: float) -> Improveme
     """
     require_meaningful(ramp)
     check_population(alpha, beta)
+    alpha, beta = as_float64(alpha), as_float64(beta)  # so numpy floats give bools
     decreases = beta > 0.0 and alpha > ramp.phi
     optimizes = beta == 1.0 and alpha >= ramp.delta
     return ImprovementFlags(decreases=decreases, optimizes=optimizes)

@@ -4,17 +4,19 @@ Exit codes: 0 success, 1 input error (flags or config file), 2 configuration
 outside the meaningful set where membership is required, 3 oracle
 verification mismatch.
 
-`main` sends a known command straight to its own parser.  `onramp -h`, a
-missing or unknown command and options before the command go through the
-top-level parser, which also reports arguments that the command's parser
-leaves unrecognized.
+Each command's flags are declared once, in `_COMMANDS`.  `main` reads
+`<command> (--flag value | --switch)*` in one plain pass over that table, with
+each flag exact and once, each value of its flag's type and not starting with
+`-`, and every required flag.  Other argv, such as `-h`, `--flag=value` or
+`--alp`, goes to argparse, which is imported and built from it only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .analysis import ErrorInterval, require_meaningful, worst_case_regime
 from .equilibrium import best_response_dynamics, brute_force_equilibrium, solve, verify_wardrop
@@ -36,83 +38,15 @@ _ANALYZE_FIELDS = ("n0", "n2", *_CONSTANTS, "phi", "delta", "pi", "j_opt", "j_so
 _INTERVAL_FIELDS = ("e_lower", "e_upper")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage problems with exit code 1."""
+class _Flag(NamedTuple):
+    """A command's flag, as argparse's add_argument takes it; its dest is the option's."""
 
-    def error(self, message):
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-@functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and its subparsers action's map of command to parser."""
-    # `onramp -h` shows the docstring without its last paragraph, which is on parsing
-    parser = _Parser(prog="onramp", description=__doc__.rsplit("\n\n", 1)[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to a JSON config file")
-        cmd.set_defaults(command=name, handler=handler)
-        return cmd
-
-    analyze_cmd = add("analyze", _cmd_analyze, "derived coefficients and structural quantities")
-    analyze_cmd.add_argument("--e-lower", type=float, default=None)
-    analyze_cmd.add_argument("--e-upper", type=float, default=None)
-
-    eq_cmd = add(
-        "equilibrium", _cmd_equilibrium, "closed-form equilibrium at one population point"
-    )
-    eq_cmd.add_argument("--alpha", type=float, required=True)
-    eq_cmd.add_argument("--beta", type=float, required=True)
-    eq_cmd.add_argument("--error", type=float, default=1.0)
-
-    sa_cmd = add("sweep-alpha", _cmd_sweep_alpha, "CSV sweep of the altruistic ratio per level")
-    sa_cmd.add_argument(
-        "--beta", type=float, action="append", default=None,
-        help=f"repeatable; default {list(DEFAULT_SWEEP_BETAS)}",
-    )
-    sb_cmd = add("sweep-beta-e", _cmd_sweep_beta_e, "CSV sweep of the effective level per ratio")
-    sb_cmd.add_argument(
-        "--alpha", type=float, action="append", default=None,
-        help=f"repeatable; default {list(DEFAULT_SWEEP_ALPHAS)}",
-    )
-    sb_cmd.add_argument("--beta-e-max", type=float, default=4.0)
-    for cmd in (sa_cmd, sb_cmd):
-        cmd.add_argument("--step", type=float, default=0.01)
-        cmd.add_argument("--out", default=None, help="output path (default: stdout)")
-
-    poa_cmd = add("poa", _cmd_poa, "price of anarchy at a given level")
-    poa_cmd.add_argument("--beta", type=float, required=True)
-    ob_cmd = add("optimal-beta", _cmd_optimal_beta, "worst-case-optimal altruism level")
-    for cmd in (poa_cmd, ob_cmd):
-        cmd.add_argument("--e-lower", type=float, required=True)
-        cmd.add_argument("--e-upper", type=float, required=True)
-        cmd.add_argument("--verify", action="store_true",
-                         help="cross-check the closed form against the grid minimizer")
-
-    ver_cmd = add("verify", _cmd_verify, "closed form vs. grid and dynamics oracles at one point")
-    ver_cmd.add_argument("--alpha", type=float, default=0.8)
-    ver_cmd.add_argument("--beta", type=float, default=1.0)
-    ver_cmd.add_argument("--error", type=float, default=1.0)
-    ver_cmd.add_argument("--step", type=float, default=1e-3, help="oracle grid step")
-    return parser, sub.choices
-
-
-def _parse(argv) -> argparse.Namespace:
-    """What ``parse_args`` gives, without the top-level pass for a known command."""
-    parser, commands = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        return args
-    if argv and not argv[0].startswith("-"):
-        # argparse's own wording of this message varies across Python releases
-        parser.error(f"argument command: invalid choice: {argv[0]!r}"
-                     f" (choose from {', '.join(map(repr, commands))})")
-    return parser.parse_args(argv)
+    option: str
+    type: type | None = float
+    default: object = None
+    required: bool = False
+    action: str = "store"  # or "append", or "store_true" (whose type is None)
+    help: str | None = None
 
 
 def _print(key, value):
@@ -264,6 +198,98 @@ def _cmd_verify(args, ramp) -> int:
     report = verify_wardrop(ramp, result.flow, args.beta, args.error)
     _print("wardrop_max_product", report.max_product)
     return _verdict(ok and report.passed)
+
+
+_CONFIG = _Flag("--config", str, required=True, help="path to a JSON config file")
+_SWEEP = (_Flag("--step", default=0.01), _Flag("--out", str, help="output path (default: stdout)"))
+_VERIFY = _Flag("--verify", None, False, action="store_true",
+                help="cross-check the closed form against the grid minimizer")
+_INTERVAL = (_Flag("--e-lower", required=True), _Flag("--e-upper", required=True), _VERIFY)
+# per command, in the order of `onramp -h`: its handler, its help and its flags in usage order
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "derived coefficients and structural quantities",
+                (_CONFIG, _Flag("--e-lower"), _Flag("--e-upper"))),
+    "equilibrium": (_cmd_equilibrium, "closed-form equilibrium at one population point", (
+        _CONFIG, _Flag("--alpha", required=True), _Flag("--beta", required=True),
+        _Flag("--error", default=1.0))),
+    "sweep-alpha": (_cmd_sweep_alpha, "CSV sweep of the altruistic ratio per level", (
+        _CONFIG, _Flag("--beta", action="append",
+                       help=f"repeatable; default {list(DEFAULT_SWEEP_BETAS)}"), *_SWEEP)),
+    "sweep-beta-e": (_cmd_sweep_beta_e, "CSV sweep of the effective level per ratio", (
+        _CONFIG, _Flag("--alpha", action="append",
+                       help=f"repeatable; default {list(DEFAULT_SWEEP_ALPHAS)}"),
+        _Flag("--beta-e-max", default=4.0), *_SWEEP)),
+    "poa": (_cmd_poa, "price of anarchy at a given level",
+            (_CONFIG, _Flag("--beta", required=True), *_INTERVAL)),
+    "optimal-beta": (_cmd_optimal_beta, "worst-case-optimal altruism level", (_CONFIG, *_INTERVAL)),
+    "verify": (_cmd_verify, "closed form vs. grid and dynamics oracles at one point", (
+        _CONFIG, _Flag("--alpha", default=0.8), _Flag("--beta", default=1.0),
+        _Flag("--error", default=1.0), _Flag("--step", default=1e-3, help="oracle grid step"))),
+}
+
+
+@functools.cache
+def _build_parser():
+    """The top-level parser, with one subparser per command."""
+    import argparse  # only -h and malformed argv need it: see the module docstring
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser that reports usage problems with exit code 1."""
+
+        def error(self, message):
+            self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+    # `onramp -h` shows the docstring without its last paragraph, which is on parsing
+    parser = _Parser(prog="onramp", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        for flag in flags:  # a None is add_argument's own default, and store_true takes no type
+            kwargs = {key: value for key, value in flag._asdict().items() if value is not None}
+            cmd.add_argument(kwargs.pop("option"), **kwargs)
+        cmd.set_defaults(command=name, handler=handler)
+    return parser
+
+
+def _plain(argv):
+    """``parse_args``' namespace for a well-formed ``argv`` (see the module docstring), or None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[argv[0]]
+    known = {flag.option: flag for flag in flags}
+    given, tokens = {}, iter(argv[1:])
+    for option in tokens:
+        flag = known.get(option)
+        if flag is None or option in given:
+            return None
+        if flag.action == "store_true":
+            given[option] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            given[option] = [flag.type(value)] if flag.action == "append" else flag.type(value)
+        except ValueError:
+            return None
+    if any(flag.required and flag.option not in given for flag in flags):
+        return None
+    return SimpleNamespace(command=argv[0], handler=handler, **{
+        flag.option[2:].replace("-", "_"): given.get(flag.option, flag.default) for flag in flags})
+
+
+def _parse(argv):
+    """What ``parse_args`` gives, from the plain pass when ``argv`` is well formed."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(argv)
+    if args is not None:
+        return args
+    parser = _build_parser()
+    if argv and argv[0] not in _COMMANDS and not argv[0].startswith("-"):
+        # argparse's own wording of this message varies across Python releases
+        parser.error(f"argument command: invalid choice: {argv[0]!r}"
+                     f" (choose from {', '.join(map(repr, _COMMANDS))})")
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 from .analysis import _crossing, require_meaningful
 from .equilibrium import _BASELINE, _CASE_B, _CASE_C, _CASE_D, EquilibriumCase, inclusive_grid
 from .model import FLOAT_MAX, LEVEL_MAX, OnRamp
-from .model import check_float, check_population, social_delay
+from .model import as_float64, check_float, check_population, social_delay
 
 __all__ = [
     "AlphaSweepRow", "LevelSweepRow", "alpha_sweep", "beta_e_sweep", "sweep_alpha",
@@ -124,6 +124,7 @@ def _level_columns(ramp, alphas, beta_e_max, step) -> tuple:
     alphas = _checked_outer(ramp, alphas, "alpha")
     check_float("beta_e_max", beta_e_max)
     check_float("step", step)
+    beta_e_max = beta_e_max if type(beta_e_max) is float else as_float64(beta_e_max)  # in float64
     if beta_e_max <= 0.0:
         raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
     if LEVEL_MAX < beta_e_max <= FLOAT_MAX:

@@ -9,12 +9,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import onramp
 from onramp import sweeps
 from onramp.analysis import _crossing
-from onramp.cli import DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_BETAS, _build_parser, _parse, main
+from onramp.cli import DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_BETAS, _COMMANDS, _build_parser, _parse
+from onramp.cli import main
 from onramp.equilibrium import EquilibriumCase, inclusive_grid
 from onramp.model import CONFIG_KEYS
 
@@ -140,8 +141,54 @@ def _parsed(capsys, parse, argv):
     ["--config", "c.json", "analyze"],
 ])
 def test_parse_matches_the_top_level_parser(capsys, argv):
-    reference = _parsed(capsys, _build_parser()[0].parse_args, argv)
+    reference = _parsed(capsys, _build_parser().parse_args, argv)
     assert _parsed(capsys, _parse, argv) == reference
+
+
+def _outcome(parse, argv):
+    """``_parsed`` without capsys, which a hypothesis test cannot take; values by repr (nan)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {name: repr(value) for name, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+COMMANDS = list(_COMMANDS)
+FLAGS = sorted({flag.option for _, _, flags in _COMMANDS.values() for flag in flags})
+ODD_FLAGS = ["--alp", "--conf", "--e-l", "--b", "--ver", "--alpha=0.8", "--config=c.json",
+             "--verify=1", "-h", "--help", "--", "-"]
+# well-formed values by the flag's type
+VALUES = {float: ["0.5", "2", "1e-3", "1e400", "nan"], str: ["c.json", "a b.csv", ""]}
+ODD_VALUES = ["-1", "-.5", "-inf", "-", "--", "-h", "--beta", "inf", "x"]
+TOKENS = COMMANDS + FLAGS + ODD_FLAGS + VALUES[float] + VALUES[str] + ODD_VALUES
+
+
+@st.composite
+def argvs(draw):
+    """A command and most of its flags, each value most often well formed, then up to
+    two tokens of any kind put in anywhere."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    for flag in draw(st.permutations(_COMMANDS[command][2])):
+        if draw(st.integers(0, 7)) < 7:
+            argv.append(flag.option)
+            if flag.action != "store_true":
+                odd = draw(st.integers(0, 3)) == 3
+                argv.append(draw(st.sampled_from(ODD_VALUES if odd else VALUES[flag.type])))
+    for _ in range(draw(st.integers(1, 2)) if draw(st.integers(0, 2)) == 2 else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argvs())
+def test_parse_matches_the_top_level_parser_on_drawn_argv(argv):
+    # argparse words an unknown command differently across Python releases; _parse does not
+    assume(argv[0] in COMMANDS or argv[0].startswith("-"))
+    assert _outcome(_parse, argv) == _outcome(_build_parser().parse_args, argv)
 
 
 def test_unknown_command_lists_every_command(capsys):

@@ -17,6 +17,7 @@ from onramp.errors import ConfigError, DegenerateConfigError
 from onramp.model import _CONSTANTS, CONFIG_KEYS, LEVEL_MAX, check_population, cost_gaps
 
 from conftest import DEMO_DELTA, DEMO_VALUES
+from test_golden import SEEDED
 
 
 def test_demo_derived_constants(demo_ramp):
@@ -340,6 +341,13 @@ def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
         assert report == onramp.verify_wardrop(ramp, result.flow, beta, error)
     assert onramp.poa(ramp, narrow(1.0), narrow_interval) == onramp.poa(ramp, 1.0, interval)
     assert onramp.optimal_beta(ramp, narrow_interval) == onramp.optimal_beta(ramp, interval)
+    assert type(narrow_interval.e_lower) is type(narrow_interval.e_upper) is float
+    rows = onramp.beta_e_sweep(ramp, [0.8], narrow(2.0), 0.5)
+    assert rows == onramp.beta_e_sweep(ramp, [0.8], 2.0, 0.5)
+    assert {type(row.beta_e) for row in rows} == {float}
+    flags = onramp.improvement_conditions(ramp, narrow(0.8), narrow(1.0))
+    assert flags == onramp.improvement_conditions(ramp, 0.8, 1.0)
+    assert [type(flag) for flag in flags] == [bool, bool]
     for build, values in (
         (lambda beta, error: onramp.solve(ramp, 0.8, beta, error),
          [(-1.0, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, math.nan)]),
@@ -350,6 +358,14 @@ def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
                 build(first, second)
             with pytest.raises(ValueError, match=f"^{re.escape(str(wide.value))}$"):
                 build(narrow(first), narrow(second))
+
+
+def test_a_narrow_interval_gives_a_float_beta_star():
+    # transition-limited on [0.25, 4]: beta* = 1 / (e_lower * pi), formed from the stored bound
+    ramp = onramp.OnRamp.from_config(onramp.OnRampConfig(**SEEDED["limited"]))
+    interval = onramp.ErrorInterval(np.float32(0.25), np.float32(4.0))
+    beta_star = onramp.optimal_beta(ramp, interval).beta_star
+    assert type(beta_star) is float and beta_star == 1.7362966917396074
 
 
 config_values = st.fixed_dictionaries(

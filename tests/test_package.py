@@ -149,6 +149,51 @@ def test_numpy_is_loaded_only_by_the_grid_oracles(tmp_path):
     assert after_commands == [[0, False]] * 6 + [[0, True]]
 
 
+# run in a fresh interpreter: whether argparse is loaded after the import and after each
+# argv; each argv starts without it
+ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+import onramp.cli
+loaded = ["argparse" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = onramp.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded.append([code, "argparse" in set(sys.modules) - before])
+    sys.modules.pop("argparse", None)
+    onramp.cli._build_parser.cache_clear()
+print(json.dumps(loaded))
+"""
+
+
+def test_argparse_is_loaded_only_for_help_and_malformed_argv(tmp_path):
+    config = ["--config", str(DEMOS / "onramp.json")]
+    interval = ["--e-lower", "0.5", "--e-upper", "2"]
+    well_formed = [
+        ["analyze", *config, *interval],
+        ["equilibrium", *config, "--alpha", "0.8", "--beta", "1", "--error", "0.5"],
+        ["poa", *config, "--beta", "1", *interval],
+        ["optimal-beta", *config, *interval],
+        ["sweep-alpha", *config, "--beta", "0.5", "--step", "0.1", "--out", str(tmp_path / "a")],
+        ["sweep-beta-e", *config, "--alpha", "0.8", "--out", str(tmp_path / "b")],
+        ["verify", *config, "--step", "0.01"],
+    ]
+    malformed = [["-h"], ["analyze", "--bogus"], ["analyze", "--config=x"]]
+    src = str(Path(onramp.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    probe = subprocess.run(
+        [sys.executable, "-c", ARGPARSE_PROBE, json.dumps(well_formed + malformed)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    after_import, *after_argv = json.loads(probe.stdout)
+    assert after_import is False
+    assert after_argv == [[0, False]] * 7 + [[0, True], [1, True], [1, True]]
+
+
 # in a fresh interpreter without site, which itself imports pathlib on some installs
 PATHLIB_PROBE = """
 import contextlib, io, sys
