@@ -43,8 +43,9 @@ same config.  Each round also times one whole ``python -m onramp analyze
 ``process[analyze]`` row beside them: the start-up and imports that a user
 waits for, which no in-process timing sees.  The file keeps each side's runs,
 its best, the ratio of the bests and the spread of the ratios of runs made in
-the same round.  They are not gated: perfbench/README.md shows why the oracles are too unsteady on
-a shared VM to gate on, and a single call is far shorter than a benchmark op.
+the same round.  They are not gated: perfbench/README.md shows why the
+oracles are too unsteady on a shared VM to gate on, and a single call is far
+shorter than a benchmark op.
 """
 
 from __future__ import annotations

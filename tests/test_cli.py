@@ -107,14 +107,15 @@ def test_unknown_flag_exits_one(capsys, demo_config_file):
     assert excinfo.value.code == 1
 
 
-def _parsed(capsys, parse, argv):
-    """The namespace's fields, or the exit code, and what the parse printed."""
-    try:
-        result = vars(parse(argv))
-    except SystemExit as exc:
-        result = exc.code
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+def _parsed(parse, argv):
+    """The namespace's fields by repr (a nan equals itself), or the exit code; what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {name: repr(value) for name, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [
@@ -140,20 +141,8 @@ def _parsed(capsys, parse, argv):
     ["-h"],
     ["--config", "c.json", "analyze"],
 ])
-def test_parse_matches_the_top_level_parser(capsys, argv):
-    reference = _parsed(capsys, _build_parser().parse_args, argv)
-    assert _parsed(capsys, _parse, argv) == reference
-
-
-def _outcome(parse, argv):
-    """``_parsed`` without capsys, which a hypothesis test cannot take; values by repr (nan)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = {name: repr(value) for name, value in vars(parse(argv)).items()}
-        except SystemExit as exc:
-            result = exc.code
-    return result, out.getvalue(), err.getvalue()
+def test_parse_matches_the_top_level_parser(argv):
+    assert _parsed(_parse, argv) == _parsed(_build_parser().parse_args, argv)
 
 
 COMMANDS = list(_COMMANDS)
@@ -188,7 +177,7 @@ def argvs(draw):
 def test_parse_matches_the_top_level_parser_on_drawn_argv(argv):
     # argparse words an unknown command differently across Python releases; _parse does not
     assume(argv[0] in COMMANDS or argv[0].startswith("-"))
-    assert _outcome(_parse, argv) == _outcome(_build_parser().parse_args, argv)
+    assert _parsed(_parse, argv) == _parsed(_build_parser().parse_args, argv)
 
 
 def test_unknown_command_lists_every_command(capsys):

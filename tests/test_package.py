@@ -137,16 +137,21 @@ def test_numpy_is_loaded_only_by_the_grid_oracles(tmp_path):
         ["sweep-beta-e", *config, "--out", str(tmp_path / "level.csv")],
         ["verify", *config],
     ]
+    after_import, *after_commands = _probe(NUMPY_PROBE, commands)
+    assert after_import is False
+    assert after_commands == [[0, False]] * 6 + [[0, True]]
+
+
+def _probe(code, argvs):
+    """What ``code`` prints as JSON, run on ``argvs`` in a fresh interpreter importing this src."""
     src = str(Path(onramp.__file__).resolve().parents[1])
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     probe = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", code, json.dumps(argvs)],
         env=env, capture_output=True, text=True, check=True,
     )
-    after_import, *after_commands = json.loads(probe.stdout)
-    assert after_import is False
-    assert after_commands == [[0, False]] * 6 + [[0, True]]
+    return json.loads(probe.stdout)
 
 
 # run in a fresh interpreter: whether argparse is loaded after the import and after each
@@ -182,14 +187,7 @@ def test_argparse_is_loaded_only_for_help_and_malformed_argv(tmp_path):
         ["verify", *config, "--step", "0.01"],
     ]
     malformed = [["-h"], ["analyze", "--bogus"], ["analyze", "--config=x"]]
-    src = str(Path(onramp.__file__).resolve().parents[1])
-    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    probe = subprocess.run(
-        [sys.executable, "-c", ARGPARSE_PROBE, json.dumps(well_formed + malformed)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    after_import, *after_argv = json.loads(probe.stdout)
+    after_import, *after_argv = _probe(ARGPARSE_PROBE, well_formed + malformed)
     assert after_import is False
     assert after_argv == [[0, False]] * 7 + [[0, True], [1, True], [1, True]]
 
