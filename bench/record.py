@@ -37,8 +37,8 @@ goes first, each checkout runs two fresh interpreters.  One runs
 ``oracle_times``, which calls each L5 oracle once on demos/onramp.json and
 times the call with ``time.perf_counter``.  The other times ``import
 onramp.cli`` first (L6), then runs ``closed_form_times``, the best per-call
-time of each L0-L3 closed form and of two CLI commands, in process, on the
-same config.  Each round also times one whole ``python -m onramp analyze
+time of reading the config, of each L0-L3 closed form and of three CLI
+commands, in process, on the same config.  Each round also times one whole ``python -m onramp analyze
 --config demos/onramp.json`` process per side from outside, as the
 ``process[analyze]`` row beside them: the start-up and imports that a user
 waits for, which no in-process timing sees.  The file keeps each side's runs,
@@ -159,10 +159,11 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
 
     Each call is timed by timeit, which uses time.perf_counter and turns the
     garbage collector off, as the fastest of CALL_REPEATS loops of
-    CALLS_PER_LOOP calls.  ``from_config`` is the whole model build.  The two
-    ``cli.main[...]`` keys time the CLI's ``main`` on the config with the
-    flags of perfbench's cli_session, its stdout sent to a fresh StringIO.
-    The config must lie in the meaningful set.
+    CALLS_PER_LOOP calls.  ``load_config`` reads and parses the file, and
+    ``from_config`` is the whole model build.  The ``cli.main[...]`` keys time
+    the CLI's ``main`` on the config with the flags of perfbench's
+    cli_session, its stdout sent to a fresh StringIO.  The config must lie in
+    the meaningful set.
     """
     import onramp.cli
     data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -170,6 +171,7 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
     ramp = onramp.OnRamp.from_config(config)
     interval = onramp.ErrorInterval(0.5, 2.0)
     calls = {
+        "load_config": lambda: onramp.load_config(path),
         "from_dict": lambda: onramp.OnRampConfig.from_dict(data),
         "from_config": lambda: onramp.OnRamp.from_config(config),
         "classification": lambda: onramp.classification(ramp, interval),
@@ -177,7 +179,8 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
         "poa": lambda: onramp.poa(ramp, 1.0, interval),
         "solve": lambda: onramp.solve(ramp, 0.8, 1.0),
     }
-    for args in (["equilibrium", "--alpha", "0.8", "--beta", "1"],
+    for args in (["analyze", "--e-lower", "0.5", "--e-upper", "2"],
+                 ["equilibrium", "--alpha", "0.8", "--beta", "1"],
                  ["optimal-beta", "--e-lower", "0.25", "--e-upper", "4"]):
         argv = [args[0], "--config", str(path), *args[1:]]
 

@@ -24,7 +24,7 @@ from .errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
 from .model import _CONSTANTS, OnRamp, load_config
 from .robustness import grid_optimal_beta, optimal_beta, poa, worst_case_social_delay
 from .sweeps import ALPHA_SWEEP_COLUMNS, LEVEL_SWEEP_COLUMNS, _alpha_columns, _columns_csv
-from .sweeps import _level_columns, format_number as fmt
+from .sweeps import NUMBER_FORMAT, _level_columns, format_number as fmt
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,8 +51,9 @@ class _Flag(NamedTuple):
 
 def _print(key, value):
     if isinstance(value, float):
-        value = fmt(value)
-    sys.stdout.write(f"{key} = {value}\n")
+        sys.stdout.write(f"{key} = {value:{NUMBER_FORMAT}}\n")
+    else:
+        sys.stdout.write(f"{key} = {value}\n")
 
 
 def _print_fields(record, prefix="", names=None):
@@ -226,6 +227,11 @@ _COMMANDS = {
         _CONFIG, _Flag("--alpha", default=0.8), _Flag("--beta", default=1.0),
         _Flag("--error", default=1.0), _Flag("--step", default=1e-3, help="oracle grid step"))),
 }
+# per command, its handler and each flag by option with the dest argparse derives from it
+_LOOKUP = {
+    name: (handler, {flag.option: (flag, flag.option[2:].replace("-", "_")) for flag in flags})
+    for name, (handler, _, flags) in _COMMANDS.items()
+}
 
 
 @functools.cache
@@ -253,29 +259,31 @@ def _build_parser():
 
 def _plain(argv):
     """``parse_args``' namespace for a well-formed ``argv`` (see the module docstring), or None."""
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _LOOKUP:
         return None
-    handler, _, flags = _COMMANDS[argv[0]]
-    known = {flag.option: flag for flag in flags}
+    handler, known = _LOOKUP[argv[0]]
     given, tokens = {}, iter(argv[1:])
     for option in tokens:
-        flag = known.get(option)
-        if flag is None or option in given:
+        entry = known.get(option)
+        if entry is None:
+            return None
+        flag, dest = entry
+        if dest in given:
             return None
         if flag.action == "store_true":
-            given[option] = True
+            given[dest] = True
             continue
         value = next(tokens, "-")
         if value.startswith("-"):
             return None
         try:
-            given[option] = [flag.type(value)] if flag.action == "append" else flag.type(value)
+            given[dest] = [flag.type(value)] if flag.action == "append" else flag.type(value)
         except ValueError:
             return None
-    if any(flag.required and flag.option not in given for flag in flags):
+    if any(flag.required and dest not in given for flag, dest in known.values()):
         return None
     return SimpleNamespace(command=argv[0], handler=handler, **{
-        flag.option[2:].replace("-", "_"): given.get(flag.option, flag.default) for flag in flags})
+        dest: given.get(dest, flag.default) for flag, dest in known.values()})
 
 
 def _parse(argv):

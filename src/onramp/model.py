@@ -28,6 +28,7 @@ __all__ = [
 
 # required keys of a JSON config document, in field order; no others are accepted
 CONFIG_KEYS = ("n0", "c1t", "c1m", "c2t", "c2m", "mu", "gamma")
+_KEY_SET = frozenset(CONFIG_KEYS)
 _fields_of, _keys_of = attrgetter(*CONFIG_KEYS), itemgetter(*CONFIG_KEYS)
 # the largest finite float; an int above it compares below inf but has no float
 FLOAT_MAX = sys.float_info.max
@@ -80,13 +81,14 @@ class OnRampConfig:
     @classmethod
     def from_dict(cls, data) -> "OnRampConfig":
         """Build a config from a flat mapping with exactly the keys in CONFIG_KEYS."""
+        if (isinstance(data, dict) and data.keys() == _KEY_SET
+                and {float}.issuperset(map(type, data.values()))):
+            return cls(*_keys_of(data))  # every key, each a float: the common case in one pass
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
         unknown = sorted(data.keys() - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        if len(data) == len(CONFIG_KEYS) and {float}.issuperset(map(type, data.values())):
-            return cls(*_keys_of(data))  # every key, each a float: the common case in one pass
         values = []
         for key in CONFIG_KEYS:
             if key not in data:
@@ -106,10 +108,19 @@ def _float_of(key: str, value) -> float:
 
 
 def load_config(path) -> OnRampConfig:
-    """Parse a JSON config file into an OnRampConfig."""
+    """Parse a JSON config file into an OnRampConfig.
+
+    The file is read as bytes in one call, then decoded and its newlines translated as
+    text mode does, so that a BOM or a UTF-16 file stays an error and JSON error
+    positions count the same characters.
+    """
+    with open(path, "rb", buffering=0) as stream:
+        raw = stream.read()
     try:
-        with open(path, encoding="utf-8") as stream:
-            data = json.load(stream)
+        text = raw.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)  # a str: json.loads would sniff the encoding of bytes
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -198,16 +209,11 @@ class OnRamp:
         )
         pi = _pi_value(phi, delta)
         j_soc_at_phi = require_finite("j_soc_at_phi", social_delay(self, phi))
-        set_ = object.__setattr__
-        set_(self, "phi", phi)
-        set_(self, "delta", delta)
-        set_(self, "pi", pi)
-        set_(self, "j_opt", j_opt)
-        set_(self, "j_soc_at_phi", j_soc_at_phi)
-        set_(self, "in_meaningful_set", reason is None)
-        set_(self, "exclusion_reason", reason)
-        set_(self, "decrease_interval", (phi, 1.0))
-        set_(self, "optimize_interval", (clamped, 1.0))
+        self.__dict__.update(  # the derived fields, past the frozen __setattr__
+            phi=phi, delta=delta, pi=pi, j_opt=j_opt, j_soc_at_phi=j_soc_at_phi,
+            in_meaningful_set=reason is None, exclusion_reason=reason,
+            decrease_interval=(phi, 1.0), optimize_interval=(clamped, 1.0),
+        )
 
     @property
     def slope_sum(self) -> float:

@@ -113,6 +113,7 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, list
 def _alpha_columns(ramp, betas, alpha_step) -> tuple:
     """(betas, alpha grid, tails, columns) of alpha_sweep, for its rows and the CLI."""
     betas = _checked_outer(ramp, betas, "beta")
+    alpha_step = alpha_step if type(alpha_step) is float else as_float64(alpha_step)  # in float64
     if not 0.0 < alpha_step <= 0.1:
         raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
     grid = inclusive_grid(0.0, 1.0, alpha_step)

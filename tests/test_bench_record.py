@@ -121,8 +121,8 @@ def test_oracle_table_keeps_runs_best_and_ratio():
     )
 
 
-CLOSED_FORMS = {"from_dict", "from_config", "classification", "optimal_beta", "poa", "solve",
-                "cli.main[equilibrium]", "cli.main[optimal-beta]"}
+CLOSED_FORMS = {"load_config", "from_dict", "from_config", "classification", "optimal_beta", "poa",
+                "solve", "cli.main[analyze]", "cli.main[equilibrium]", "cli.main[optimal-beta]"}
 ORACLES = {"grid_optimal_beta[0.5,2]", "grid_optimal_beta[0.25,4]", "brute_force_equilibrium",
            "best_response_dynamics", "grid_poa"}
 

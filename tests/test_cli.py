@@ -101,6 +101,14 @@ def test_missing_file_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_unreadable_config_paths_name_the_path(capsys, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    for path, reason in ((str(tmp_path), "[Errno 21] Is a directory"),
+                         (missing, "[Errno 2] No such file or directory")):
+        assert run_cli(capsys, "analyze", "--config", path) == (
+            1, "", f"onramp: error: {reason}: {path!r}\n")
+
+
 def test_unknown_flag_exits_one(capsys, demo_config_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["analyze", "--config", str(demo_config_file), "--bogus"])

@@ -63,6 +63,13 @@ def test_the_analysis_follows_the_constants(demo_ramp):
         onramp.OnRamp(0.37, 0.63, 10.281, 0.888, 9.23, 0.63, 1.63, phi=0.5)
 
 
+def test_the_model_stays_frozen(demo_ramp):
+    # the derived fields are written past the frozen __setattr__, and only those
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        demo_ramp.phi = 0.0
+    assert vars(demo_ramp).keys() == {f.name for f in dataclasses.fields(onramp.OnRamp)}
+
+
 def test_raw_and_rewritten_delay_forms_agree(demo_config, demo_ramp):
     # the affine constants must reproduce the raw coefficient expressions
     c = demo_config
@@ -261,6 +268,38 @@ def test_config_not_utf8_is_config_error(tmp_path):
         onramp.load_config(path)
 
 
+_VALID = json.dumps(DEMO_VALUES, indent=2)
+
+
+@pytest.mark.parametrize("raw", [
+    _VALID.replace("\n", "\r\n").encode(),
+    _VALID.replace("\n", "\r").encode(),
+    b'{\r\n  "n0": x\r\n}',  # text mode reports char 10, the raw text char 11
+    b'{\r  "n0": 0.37,\r  "mu": x\r}',
+    b"\xef\xbb\xbf" + _VALID.encode(),
+    _VALID.encode()[:20] + b"\xe9" + _VALID.encode()[20:],
+    _VALID.encode() + b"\xe2\x82",  # a multibyte character cut short at the end
+    b"",
+    _VALID.encode("utf-16"),
+], ids=["crlf", "cr", "json-error-after-crlf", "json-error-after-cr", "utf8-bom",
+        "invalid-utf8", "truncated-utf8", "empty", "utf16-bom"])
+def test_config_bytes_read_as_text_mode_reads_them(tmp_path, raw):
+    path = tmp_path / "c.json"
+    path.write_bytes(raw)
+    try:
+        expected = onramp.OnRampConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except UnicodeDecodeError as exc:
+        expected = f"config file is not valid UTF-8: {exc}"
+    except json.JSONDecodeError as exc:
+        expected = f"config file is not valid JSON: {exc}"
+    except ConfigError as exc:
+        expected = str(exc)
+    try:
+        assert onramp.load_config(path) == expected
+    except ConfigError as exc:
+        assert str(exc) == expected
+
+
 def test_config_integer_too_large_for_float_is_config_error(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(DEMO_VALUES).replace("21.3", "1" + "0" * 400))
@@ -342,6 +381,16 @@ def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
     assert onramp.poa(ramp, narrow(1.0), narrow_interval) == onramp.poa(ramp, 1.0, interval)
     assert onramp.optimal_beta(ramp, narrow_interval) == onramp.optimal_beta(ramp, interval)
     assert type(narrow_interval.e_lower) is type(narrow_interval.e_upper) is float
+    # float32 rounds 0.1 up, out of the step's range; float16 rounds it down
+    for step in (narrow(0.1), narrow(0.05)):
+        wide = float(step)
+        if wide <= 0.1:
+            assert onramp.alpha_sweep(ramp, [1.0], step) == onramp.alpha_sweep(ramp, [1.0], wide)
+            continue
+        message = f"alpha step must lie in (0, 0.1], got {wide}"
+        for given in (step, wide):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                onramp.alpha_sweep(ramp, [1.0], given)
     rows = onramp.beta_e_sweep(ramp, [0.8], narrow(2.0), 0.5)
     assert rows == onramp.beta_e_sweep(ramp, [0.8], 2.0, 0.5)
     assert {type(row.beta_e) for row in rows} == {float}
