@@ -209,11 +209,18 @@ class OnRamp:
         )
         pi = _pi_value(phi, delta)
         j_soc_at_phi = require_finite("j_soc_at_phi", social_delay(self, phi))
-        self.__dict__.update(  # the derived fields, past the frozen __setattr__
-            phi=phi, delta=delta, pi=pi, j_opt=j_opt, j_soc_at_phi=j_soc_at_phi,
-            in_meaningful_set=reason is None, exclusion_reason=reason,
-            decrease_interval=(phi, 1.0), optimize_interval=(clamped, 1.0),
-        )
+        # one field at a time: reading self.__dict__ would build the instance's dict, and
+        # every later field read of this model would take about 1.5x as long (CPython 3.11)
+        set_ = object.__setattr__
+        set_(self, "phi", phi)
+        set_(self, "delta", delta)
+        set_(self, "pi", pi)
+        set_(self, "j_opt", j_opt)
+        set_(self, "j_soc_at_phi", j_soc_at_phi)
+        set_(self, "in_meaningful_set", reason is None)
+        set_(self, "exclusion_reason", reason)
+        set_(self, "decrease_interval", (phi, 1.0))
+        set_(self, "optimize_interval", (clamped, 1.0))
 
     @property
     def slope_sum(self) -> float:
