@@ -38,14 +38,14 @@ goes first, each checkout runs two fresh interpreters.  One runs
 times the call with ``time.perf_counter``.  The other times ``import
 onramp.cli`` first (L6), then runs ``closed_form_times``, the best per-call
 time of reading the config, of each L0-L3 closed form and of three CLI
-commands, in process, on the same config.  Each round also times one whole ``python -m onramp analyze
---config demos/onramp.json`` process per side from outside, as the
-``process[analyze]`` row beside them: the start-up and imports that a user
-waits for, which no in-process timing sees.  The file keeps each side's runs,
-its best, the ratio of the bests and the spread of the ratios of runs made in
-the same round.  They are not gated: perfbench/README.md shows why the
-oracles are too unsteady on a shared VM to gate on, and a single call is far
-shorter than a benchmark op.
+commands, in process, on the same config.  Each round also times one whole
+``python -m onramp analyze --config demos/onramp.json`` process per side
+from outside, as the ``process[analyze]`` row beside them: the start-up
+and imports that a user waits for, which no in-process timing sees.  The
+file keeps each side's runs, its best, the ratio of the bests and the
+spread of the ratios of runs made in the same round.  They are not gated:
+perfbench/README.md shows why the oracles are too unsteady on a shared VM
+to gate on, and a single call is far shorter than a benchmark op.
 """
 
 from __future__ import annotations
