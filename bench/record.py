@@ -41,9 +41,12 @@ time of reading the config, of each L0-L3 closed form and of three CLI
 commands, in process, on the same config.  Each round also times one whole
 ``python -m onramp analyze --config demos/onramp.json`` process per side
 from outside, as the ``process[analyze]`` row beside them: the start-up
-and imports that a user waits for, which no in-process timing sees.  The
-file keeps each side's runs, its best, the ratio of the bests and the
-spread of the ratios of runs made in the same round.  They are not gated:
+and imports that a user waits for, which no in-process timing sees.  Beside
+it, ``process[python -c pass]`` and ``process[python -S -c pass]`` time the
+bare interpreter, with and without the site module, in the same rounds: the
+part of that start-up that no change to onramp can move.  The file keeps
+each side's runs, its best, the ratio of the bests and the spread of the
+ratios of runs made in the same round.  They are not gated:
 perfbench/README.md shows why the oracles are too unsteady on a shared VM
 to gate on, and a single call is far shorter than a benchmark op.
 """
@@ -222,15 +225,22 @@ def run_fresh(checkout: Path, code: str) -> dict[str, float]:
 # the CLI command whose whole process is timed, and its row in the closed-form table
 PROCESS_ARGV = ("analyze", "--config", DEMO_CONFIG)
 PROCESS_KEY = f"process[{PROCESS_ARGV[0]}]"
+# per row, the interpreter arguments of a timed process: the CLI command, then the bare
+# interpreter with and without the site module, the start-up that any command pays first
+PROCESSES = {
+    PROCESS_KEY: ("-m", "onramp", *PROCESS_ARGV),
+    "process[python -c pass]": ("-c", "pass"),
+    "process[python -S -c pass]": ("-S", "-c", "pass"),
+}
 
 
-def process_seconds(checkout: Path) -> float:
-    """Wall seconds of one fresh ``python -m onramp`` process on PROCESS_ARGV in ``checkout``.
+def process_seconds(checkout: Path, args: tuple[str, ...]) -> float:
+    """Wall seconds of one fresh ``python`` process on ``args`` in ``checkout``.
 
     The exported trees are byte-compiled, so the process loads cached bytecode.
     """
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    argv = [sys.executable, "-m", "onramp", *PROCESS_ARGV]
+    argv = [sys.executable, *args]
     start = time.perf_counter()
     done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
                           check=False)
@@ -245,8 +255,8 @@ def fresh_rounds(trees: dict) -> tuple[dict, dict]:
     """ORACLE_REPEATS rounds, parent first in even ones: the oracle and closed-form runs.
 
     Per side and timed name, its runs: each round runs ORACLE_CODE and
-    CLOSED_FORM_CODE in fresh interpreters, then times one whole CLI process
-    as PROCESS_KEY among the closed forms.
+    CLOSED_FORM_CODE in fresh interpreters, then times each of PROCESSES once
+    as a whole process, by its key among the closed forms.
     """
     oracle_runs, closed_form_runs = {side: {} for side in SIDES}, {side: {} for side in SIDES}
     for round_ in range(ORACLE_REPEATS):
@@ -254,8 +264,9 @@ def fresh_rounds(trees: dict) -> tuple[dict, dict]:
             for code, runs in ((ORACLE_CODE, oracle_runs), (CLOSED_FORM_CODE, closed_form_runs)):
                 for name, seconds in run_fresh(trees[side], code).items():
                     runs[side].setdefault(name, []).append(seconds)
-            closed_form_runs[side].setdefault(PROCESS_KEY, []).append(
-                process_seconds(trees[side]))
+            for key, args in PROCESSES.items():
+                closed_form_runs[side].setdefault(key, []).append(
+                    process_seconds(trees[side], args))
     return oracle_runs, closed_form_runs
 
 
@@ -440,8 +451,8 @@ def main(argv=None) -> int:
         "gated": False,
         "config": DEMO_CONFIG,
         "timer": f"'import onramp.cli': time.perf_counter around the first import of onramp;"
-                 f" {PROCESS_KEY!r}: time.perf_counter around one whole"
-                 f" 'python -m onramp {' '.join(PROCESS_ARGV)}' process;"
+                 " each 'process[...]': time.perf_counter around one whole process,"
+                 f" {PROCESS_KEY!r} being 'python -m onramp {' '.join(PROCESS_ARGV)}';"
                  f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
                  f" {CALLS_PER_LOOP} calls; each run one fresh process, best of"
                  f" {ORACLE_REPEATS}, the sides alternating",

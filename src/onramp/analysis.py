@@ -9,6 +9,7 @@ regime for an error interval, and the improvement conditions of a population.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -51,7 +52,10 @@ class ErrorInterval:
 
     @property
     def geometric_mean(self) -> float:
-        return math.sqrt(self.e_lower * self.e_upper)
+        product = self.e_lower * self.e_upper
+        if sys.float_info.min <= product <= FLOAT_MAX:
+            return math.sqrt(product)
+        return math.sqrt(self.e_lower) * math.sqrt(self.e_upper)  # the product under- or overflows
 
 
 def _real(name: str, value):

@@ -56,22 +56,19 @@ class OnRampConfig:
     gamma: float
 
     def __post_init__(self):
-        try:
-            values = _fields_of(self)
-            if {float}.issuperset(map(type, values)) and all(map(math.isfinite, values)):
-                if min(values) >= 0.0 and 1.0 - self.n0 >= 0.0:
-                    return  # the common valid case, in one pass
-        except (TypeError, OverflowError):  # the checks below raise in field order
-            pass
-        _float_of("n0", self.n0)
-        if not math.isfinite(self.n0):
-            raise ConfigError("neighbor flows must be finite numbers")
-        if self.n0 < 0.0 or self.n2 < 0.0:
-            raise ConfigError(f"neighbor flows must be nonnegative, got n0={self.n0}, n2={self.n2}")
-        for name in CONFIG_KEYS[1:]:
-            value = getattr(self, name)
-            _float_of(name, value)
-            if not math.isfinite(value) or value < 0.0:
+        values = _fields_of(self)
+        if ({float}.issuperset(map(type, values)) and all(map(math.isfinite, values))
+                and min(values) >= 0.0 and 1.0 - self.n0 >= 0.0):
+            return  # the common valid case, in one pass
+        for name, value in zip(CONFIG_KEYS, values):  # else field by field, each stored as a float
+            value = _float_of(name, value)
+            object.__setattr__(self, name, value)
+            if name == "n0" and not math.isfinite(value):
+                raise ConfigError("neighbor flows must be finite numbers")
+            if name == "n0" and (value < 0.0 or self.n2 < 0.0):
+                raise ConfigError(
+                    f"neighbor flows must be nonnegative, got n0={value}, n2={self.n2}")
+            if not math.isfinite(value) or value < 0.0:  # a cost coefficient: n0 passed above
                 raise ConfigError(f"cost coefficient {name} must be finite and >= 0, got {value}")
 
     @property
@@ -80,21 +77,16 @@ class OnRampConfig:
 
     @classmethod
     def from_dict(cls, data) -> "OnRampConfig":
-        """Build a config from a flat mapping with exactly the keys in CONFIG_KEYS."""
-        if (isinstance(data, dict) and data.keys() == _KEY_SET
-                and {float}.issuperset(map(type, data.values()))):
-            return cls(*_keys_of(data))  # every key, each a float: the common case in one pass
+        """A config from a JSON object of exactly CONFIG_KEYS; the constructor checks each value."""
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
-        unknown = sorted(data.keys() - CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values = []
-        for key in CONFIG_KEYS:
-            if key not in data:
-                raise ConfigError(f"missing config key: {key}")
-            values.append(_float_of(key, data[key]))
-        return cls(*values)
+        if data.keys() != _KEY_SET:
+            unknown = sorted(data.keys() - _KEY_SET)
+            if unknown:
+                raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            missing = next(key for key in CONFIG_KEYS if key not in data)
+            raise ConfigError(f"missing config key: {missing}")
+        return cls(*_keys_of(data))
 
 
 def _float_of(key: str, value) -> float:

@@ -177,6 +177,17 @@ def test_error_interval_accepts_ints_and_numpy_scalars():
         assert onramp.ErrorInterval(*bounds).geometric_mean == math.sqrt(bounds[0] * bounds[1])
 
 
+
+@pytest.mark.parametrize(
+    "bounds, mean",
+    [((1e-300, 1e-300), 1e-300), ((1e-200, 1e-170), 1e-185), ((1e300, 1e300), 1e300),
+     ((1e-320, 1e-320), math.sqrt(1e-320) ** 2), ((10**200, 10**300), 1e250)],
+)
+def test_geometric_mean_of_bounds_whose_product_is_not_a_normal_float(bounds, mean):
+    # the product underflows to zero or a subnormal, or overflows: each bound's root is taken
+    assert onramp.ErrorInterval(*bounds).geometric_mean == pytest.approx(mean, rel=1e-15, abs=0.0)
+
+
 def test_improvement_conditions(demo_ramp):
     assert onramp.improvement_conditions(demo_ramp, 0.8, 1.0) == (True, True)
     assert onramp.improvement_conditions(demo_ramp, 0.55, 1.0) == (True, False)

@@ -233,13 +233,21 @@ def test_export_byte_compiles_the_src_modules(history, tmp_path, monkeypatch):
 
 def test_process_seconds_times_a_whole_cli_process(tmp_path):
     assert record.PROCESS_KEY == "process[analyze]"
-    assert 0.0 < record.process_seconds(_PATH.parents[1]) < 30.0
+    cli = record.PROCESSES[record.PROCESS_KEY]
+    assert 0.0 < record.process_seconds(_PATH.parents[1], cli) < 30.0
     fake = tmp_path / "src" / "onramp"
     fake.mkdir(parents=True)
     (fake / "__init__.py").write_text("")
     (fake / "__main__.py").write_text("import sys\nsys.exit('no config')")
     with pytest.raises(RuntimeError, match="exited 1:\nno config"):
-        record.process_seconds(tmp_path)
+        record.process_seconds(tmp_path, cli)
+
+
+@pytest.mark.parametrize("key, args", [("process[python -c pass]", ("-c", "pass")),
+                                       ("process[python -S -c pass]", ("-S", "-c", "pass"))])
+def test_process_seconds_times_the_bare_interpreter(tmp_path, key, args):
+    assert record.PROCESSES[key] == args
+    assert 0.0 < record.process_seconds(tmp_path, args) < 30.0
 
 
 def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
@@ -249,18 +257,20 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
         calls.append((checkout.name, "oracles" if code == record.ORACLE_CODE else "closed"))
         return {"oracle": 1.0} if code == record.ORACLE_CODE else {"solve": 2.0}
 
-    def process_seconds(checkout):
-        calls.append((checkout.name, "process"))
-        return 3.0
+    def process_seconds(checkout, args):
+        calls.append((checkout.name, " ".join(args)))
+        return 3.0 if args[-1] == "pass" else 4.0
 
     monkeypatch.setattr(record, "run_fresh", run_fresh)
     monkeypatch.setattr(record, "process_seconds", process_seconds)
     monkeypatch.setattr(record, "ORACLE_REPEATS", 2)
     oracle_runs, closed_form_runs = record.fresh_rounds({side: Path(side) for side in record.SIDES})
+    kinds = ("oracles", "closed", "-m onramp analyze --config demos/onramp.json", "-c pass",
+             "-S -c pass")
     assert calls == [(side, kind) for side in ("parent", "change", "change", "parent")
-                     for kind in ("oracles", "closed", "process")]
+                     for kind in kinds]
     assert oracle_runs == {side: {"oracle": [1.0, 1.0]} for side in record.SIDES}
-    assert closed_form_runs == {
-        side: {"solve": [2.0, 2.0], "process[analyze]": [3.0, 3.0]} for side in record.SIDES
-    }
-    assert set(record.oracle_table(closed_form_runs)) == {"solve", "process[analyze]"}
+    rows = {"solve": [2.0, 2.0], "process[analyze]": [4.0, 4.0],
+            "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0]}
+    assert closed_form_runs == {side: rows for side in record.SIDES}
+    assert set(record.oracle_table(closed_form_runs)) == set(rows)

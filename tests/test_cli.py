@@ -497,6 +497,30 @@ def test_optimal_beta_command(capsys, demo_config_file):
     assert values["verify_pass"] == "true"
 
 
+
+@pytest.mark.parametrize(
+    "bounds, beta_star",
+    [(("1e-300", "1e-300"), "1e+300"), (("1e-200", "1e-170"), "1e+185"),
+     (("1e300", "1e300"), "1e-300")],
+)
+def test_optimal_beta_on_bounds_whose_product_is_not_a_normal_float(
+    capsys, demo_config_file, bounds, beta_star
+):
+    code, out, err = run_cli(
+        capsys, "optimal-beta", "--config", str(demo_config_file),
+        "--e-lower", bounds[0], "--e-upper", bounds[1],
+    )
+    assert (code, err, parse_kv(out)["beta_star"]) == (0, "", beta_star)
+
+
+def test_optimal_beta_on_bounds_too_small_to_invert_exits_one(capsys, demo_config_file):
+    code, out, err = run_cli(
+        capsys, "optimal-beta", "--config", str(demo_config_file),
+        "--e-lower", "1e-320", "--e-upper", "1e-320",
+    )
+    assert (code, out, err) == (1, "", "onramp: error: beta must be finite, got inf\n")
+
+
 def test_verify_command(capsys, demo_config_file):
     code, out, _ = run_cli(
         capsys, "verify", "--config", str(demo_config_file),

@@ -28,29 +28,26 @@ BETAS = st.sampled_from([0.0, 1.0, 1e300, math.nan, -1.0]) | st.floats(0.0, 4.0)
 
 
 def _config_error(doc) -> str | None:
-    """The message of the first field-by-field rule ``doc`` breaks, or None."""
-    unknown = sorted(set(doc) - set(CONFIG_KEYS))
-    if unknown:
-        return f"unknown config keys: {', '.join(unknown)}"
+    """The message of the first rule ``doc`` breaks: its keys, then each field's type and range."""
+    if set(doc) != set(CONFIG_KEYS):
+        unknown = sorted(set(doc) - set(CONFIG_KEYS))
+        if unknown:
+            return f"unknown config keys: {', '.join(unknown)}"
+        return f"missing config key: {next(key for key in CONFIG_KEYS if key not in doc)}"
     for key in CONFIG_KEYS:
-        if key not in doc:
-            return f"missing config key: {key}"
         value = doc[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return f"config key {key} must be a number, got {value!r}"
         try:
-            float(value)
+            value = float(value)
         except OverflowError:
             return f"config key {key} is too large for a float"
-    values = {key: float(doc[key]) for key in CONFIG_KEYS}
-    n0 = values["n0"]
-    if not math.isfinite(n0):
-        return "neighbor flows must be finite numbers"
-    if n0 < 0.0 or 1.0 - n0 < 0.0:
-        return f"neighbor flows must be nonnegative, got n0={n0}, n2={1.0 - n0}"
-    for key in CONFIG_KEYS[1:]:
-        if not math.isfinite(values[key]) or values[key] < 0.0:
-            return f"cost coefficient {key} must be finite and >= 0, got {values[key]}"
+        if key == "n0" and not math.isfinite(value):
+            return "neighbor flows must be finite numbers"
+        if key == "n0" and (value < 0.0 or 1.0 - value < 0.0):
+            return f"neighbor flows must be nonnegative, got n0={value}, n2={1.0 - value}"
+        if key != "n0" and (not math.isfinite(value) or value < 0.0):
+            return f"cost coefficient {key} must be finite and >= 0, got {value}"
     return None
 
 
@@ -85,31 +82,33 @@ def _endpoint_checks(beta, interval):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    spoil=st.none() | st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(SPOILS))
-    | st.sampled_from(["unknown", "missing"]),
+    spoils=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(SPOILS)), max_size=2),
+    shape=st.sampled_from([None, "unknown", "missing"]),
     bounds=INTERVALS,
     beta=BETAS,
     alpha_kind=st.sampled_from(["phi", "crossing", "drawn"]),
     drawn_alpha=st.floats(0.0, 1.0) | st.sampled_from([-0.5, 1.5, math.nan]),
 )
 def test_closed_forms_match_their_parts_and_raise_the_first_error(
-    seed, spoil, bounds, beta, alpha_kind, drawn_alpha
+    seed, spoils, shape, bounds, beta, alpha_kind, drawn_alpha
 ):
     config = sample_config(random.Random(seed))
     doc = {key: getattr(config, key) for key in CONFIG_KEYS}
-    if spoil == "unknown":
+    doc.update(spoils)
+    if shape == "unknown":
         doc["lanes"] = 3.0
-    elif spoil == "missing":
+    elif shape == "missing":  # often with a spoiled field before the missing key
         del doc[CONFIG_KEYS[seed % len(CONFIG_KEYS)]]
-    elif spoil is not None:
-        doc[spoil[0]] = spoil[1]
 
     config, error = _outcome(onramp.OnRampConfig.from_dict, doc)
+    if shape is None:  # the constructor names the same first fault, or builds the same config
+        direct, direct_error = _outcome(lambda: onramp.OnRampConfig(**doc))
+        assert direct == config and _same_error(direct_error, error)
     expected = _config_error(doc)
     if expected is not None:
         assert isinstance(error, onramp.ConfigError) and str(error) == expected
         return
-    assert error is None and config == onramp.OnRampConfig(**doc)
+    assert error is None and {type(getattr(config, key)) for key in CONFIG_KEYS} == {float}
     ramp = onramp.OnRamp.from_config(config)
     interval = onramp.ErrorInterval(*bounds)
 

@@ -109,16 +109,26 @@ def test_invalid_configs_rejected(kwargs):
         ({"n0": 1.2, "c1m": -1.0}, "nonnegative, got n0=1.2, n2=-0.1999"),
         ({"c1m": -1.0, "gamma": math.inf}, "cost coefficient c1m must be"),
         ({"gamma": math.inf}, "cost coefficient gamma must be finite and >= 0, got inf"),
-        # ints too large for a float, named as from_dict names them
+        # ints too large for a float
         ({"n0": 10**400}, "^config key n0 is too large for a float$"),
         ({"n0": -(10**400)}, "^config key n0 is too large for a float$"),
         ({"c1t": 10**400, "gamma": 10**400}, "^config key c1t is too large for a float$"),
         ({"c1m": -1.0, "c2t": 10**400}, "cost coefficient c1m must be"),
+        # each field's type and range come before the next field's
+        ({"n0": -1.0, "c1t": "x"}, "^neighbor flows must be nonnegative, got n0=-1.0, n2=2.0$"),
+        ({"n0": 2.0, "c1t": "x"}, "^neighbor flows must be nonnegative, got n0=2.0, n2=-1.0$"),
+        ({"c1m": -1, "c2t": "x"}, "^cost coefficient c1m must be finite and >= 0, got -1.0$"),
     ],
 )
 def test_config_reports_the_first_invalid_field(kwargs, message):
-    with pytest.raises(ConfigError, match=message):
-        onramp.OnRampConfig(**dict(DEMO_VALUES, **kwargs))
+    doc = dict(DEMO_VALUES, **kwargs)
+    for build in (onramp.OnRampConfig.from_dict, lambda doc: onramp.OnRampConfig(**doc)):
+        with pytest.raises(ConfigError, match=message):
+            build(doc)
+
+
+# a second spoil, put on each other field in turn: for n0 only, 2.0 is out of range
+SECOND_SPOILS = ("x", None, 10**400, math.inf, -1.0, 2.0)
 
 
 @pytest.mark.parametrize("key", CONFIG_KEYS)
@@ -127,20 +137,39 @@ def test_config_reports_the_first_invalid_field(kwargs, message):
 )
 def test_direct_config_names_a_bad_value_as_from_dict_does(key, spoil):
     doc = dict(DEMO_VALUES, **{key: spoil})
-    with pytest.raises(ConfigError) as parsed:
-        onramp.OnRampConfig.from_dict(doc)
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(parsed.value))}$"):
-        onramp.OnRampConfig(**doc)
+    pairs = [dict(doc, **{other: second}) for other in CONFIG_KEYS if other != key
+             for second in SECOND_SPOILS]
+    for spoiled in [doc, *pairs]:
+        with pytest.raises(ConfigError) as parsed:
+            onramp.OnRampConfig.from_dict(spoiled)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(parsed.value))}$"):
+            onramp.OnRampConfig(**spoiled)
 
 
-def test_direct_config_names_the_first_non_number_and_keeps_ints():
+def test_direct_config_names_the_first_non_number_and_stores_floats():
     with pytest.raises(ConfigError, match=r"^config key c1t must be a number, got 'x'$"):
         onramp.OnRampConfig(**dict(DEMO_VALUES, c1t="x", gamma=None))
-    # an earlier field's range fault still comes first, as it always did
-    with pytest.raises(ConfigError, match="^neighbor flows must be nonnegative"):
-        onramp.OnRampConfig(**dict(DEMO_VALUES, n0=-1.0, c1t="x"))
+    # a kept int reached the model's arithmetic, where a huge one overflowed the float conversion
     config = onramp.OnRampConfig(**dict(DEMO_VALUES, n0=0, c1t=1, mu=np.float64(2.4)))
-    assert (type(config.n0), type(config.c1t), type(config.mu)) == (int, int, np.float64)
+    assert (type(config.n0), type(config.c1t), type(config.mu)) == (float, float, float)
+    assert (config.n0, config.c1t, config.mu) == (0.0, 1.0, 2.4)
+
+
+def test_huge_int_coefficients_overflow_as_from_dict_names_it():
+    doc = dict(DEMO_VALUES, c1t=10**200, mu=10**200)
+    message = "^steadfast_slope = inf is not finite; the config values are too large$"
+    for config in (onramp.OnRampConfig.from_dict(doc), onramp.OnRampConfig(**doc)):
+        with pytest.raises(ConfigError, match=message):
+            onramp.OnRamp.from_config(config)
+
+
+def test_an_all_int_config_builds_a_model_of_floats():
+    ramp = onramp.OnRamp.from_config(
+        onramp.OnRampConfig(n0=0, c1t=1, c1m=21, c2t=1, c2m=1, mu=9, gamma=8)
+    )
+    floats = [field.name for field in dataclasses.fields(ramp) if field.type == "float"]
+    assert len(floats) == 12
+    assert [name for name in floats if type(getattr(ramp, name)) is not float] == []
 
 
 def test_config_lane2_share_closes_the_flow(demo_config):
