@@ -46,7 +46,11 @@ it, ``process[python -c pass]`` and ``process[python -S -c pass]`` time the
 bare interpreter, with and without the site module, in the same rounds: the
 part of that start-up that no change to onramp can move.  The file keeps
 each side's runs, its best, the ratio of the bests and the spread of the
-ratios of runs made in the same round.  They are not gated:
+ratios of runs made in the same round.  Each round also runs that analyze
+process once per side under ``python -X importtime``: the ``import_times``
+table holds each module's median self time per side, null on a side that
+does not import the module, so it shows which modules a change took off
+start-up or put on it.  None of these timings is gated:
 perfbench/README.md shows why the oracles are too unsteady on a shared VM
 to gate on, and a single call is far shorter than a benchmark op.
 """
@@ -211,15 +215,24 @@ CLOSED_FORM_CODE = ("import time; start = time.perf_counter(); import onramp.cli
                     "**record.closed_form_times()}))")
 
 
+def run_python(checkout: Path, args: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """One fresh ``python`` process on ``args`` in ``checkout``, which must exit 0.
+
+    The exported trees are byte-compiled, so the process loads cached bytecode.
+    """
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [sys.executable, *args]
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv[1:])} in {checkout} exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    return done
+
+
 def run_fresh(checkout: Path, code: str) -> dict[str, float]:
     """The timings ``code`` prints, run in a fresh interpreter importing the checkout's src/."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    done = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
-                          capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise RuntimeError(f"timing in {checkout} exited {done.returncode}:\n"
-                           f"{done.stderr[-2000:]}")
-    return json.loads(done.stdout.splitlines()[-1])
+    return json.loads(run_python(checkout, ("-c", code)).stdout.splitlines()[-1])
 
 
 # the CLI command whose whole process is timed, and its row in the closed-form table
@@ -234,31 +247,41 @@ PROCESSES = {
 }
 
 
+# the same CLI process, with each module's import timed by the interpreter
+IMPORTTIME_ARGS = ("-X", "importtime", *PROCESSES[PROCESS_KEY])
+
+
 def process_seconds(checkout: Path, args: tuple[str, ...]) -> float:
-    """Wall seconds of one fresh ``python`` process on ``args`` in ``checkout``.
-
-    The exported trees are byte-compiled, so the process loads cached bytecode.
-    """
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    argv = [sys.executable, *args]
+    """Wall seconds of one fresh ``python`` process on ``args`` in ``checkout``."""
     start = time.perf_counter()
-    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
-                          check=False)
-    seconds = time.perf_counter() - start
-    if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv[1:])} in {checkout} exited {done.returncode}:\n"
-                           f"{done.stderr[-2000:]}")
-    return seconds
+    run_python(checkout, args)
+    return time.perf_counter() - start
 
 
-def fresh_rounds(trees: dict) -> tuple[dict, dict]:
-    """ORACLE_REPEATS rounds, parent first in even ones: the oracle and closed-form runs.
+def import_self_times(stderr: str) -> dict[str, float]:
+    """Per module, in import order, the self seconds that ``-X importtime`` wrote to ``stderr``."""
+    times = {}
+    for line in stderr.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if line.startswith("import time:") and len(fields) == 3 and fields[0].strip().isdigit():
+            times[fields[2].strip()] = int(fields[0]) / 1e6
+    return times
+
+
+def import_times(checkout: Path) -> dict[str, float]:
+    """Per module, its self seconds in one IMPORTTIME_ARGS process in ``checkout``."""
+    return import_self_times(run_python(checkout, IMPORTTIME_ARGS).stderr)
+
+
+def fresh_rounds(trees: dict) -> tuple[dict, dict, dict]:
+    """ORACLE_REPEATS rounds, parent first in even ones: the oracle, closed-form and import runs.
 
     Per side and timed name, its runs: each round runs ORACLE_CODE and
     CLOSED_FORM_CODE in fresh interpreters, then times each of PROCESSES once
-    as a whole process, by its key among the closed forms.
+    as a whole process, by its key among the closed forms, then runs
+    IMPORTTIME_ARGS once for each module's self time.
     """
-    oracle_runs, closed_form_runs = {side: {} for side in SIDES}, {side: {} for side in SIDES}
+    oracle_runs, closed_form_runs, import_runs = ({side: {} for side in SIDES} for _ in range(3))
     for round_ in range(ORACLE_REPEATS):
         for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
             for code, runs in ((ORACLE_CODE, oracle_runs), (CLOSED_FORM_CODE, closed_form_runs)):
@@ -267,7 +290,9 @@ def fresh_rounds(trees: dict) -> tuple[dict, dict]:
             for key, args in PROCESSES.items():
                 closed_form_runs[side].setdefault(key, []).append(
                     process_seconds(trees[side], args))
-    return oracle_runs, closed_form_runs
+            for name, seconds in import_times(trees[side]).items():
+                import_runs[side].setdefault(name, []).append(seconds)
+    return oracle_runs, closed_form_runs, import_runs
 
 
 # printed by a fresh interpreter: the bytecode setting that the runs inherit
@@ -294,6 +319,13 @@ def oracle_table(times: dict) -> dict:
         }
         table[name] = row
     return table
+
+
+def import_table(runs: dict) -> dict:
+    """Per module that either side imports, by name: each side's median self seconds, or None."""
+    names = sorted({*runs["parent"], *runs["change"]})
+    return {name: {side: statistics.median(runs[side][name]) if name in runs[side] else None
+                   for side in SIDES} for name in names}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -439,7 +471,7 @@ def main(argv=None) -> int:
     held = compare({side: [results[side]] for side in SIDES}, spec)
     document["held_out"] = {"seed": HELD_OUT_SEED, "end_to_end": held}
     document["traced"] = traced_table(pairs(trace=1), spec)
-    oracle_runs, closed_form_runs = fresh_rounds(trees)
+    oracle_runs, closed_form_runs, import_runs = fresh_rounds(trees)
     document["oracles"] = {
         "gated": False,
         "config": DEMO_CONFIG,
@@ -457,6 +489,14 @@ def main(argv=None) -> int:
                  f" {CALLS_PER_LOOP} calls; each run one fresh process, best of"
                  f" {ORACLE_REPEATS}, the sides alternating",
         "timings": oracle_table(closed_form_runs),
+    }
+    document["import_times"] = {
+        "gated": False,
+        "command": f"python {' '.join(IMPORTTIME_ARGS)}",
+        "timer": "each module's self time as -X importtime prints it, median of"
+                 f" {ORACLE_REPEATS} processes, one per side in each of the rounds above;"
+                 " null where the side does not import the module",
+        "self_s": import_table(import_runs),
     }
     if previous is not None:
         document["since_previous"] = since_previous_section(

@@ -10,39 +10,29 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import NotInMeaningfulSetError
-from .model import FLOAT_MAX, OnRamp, as_float64, check_float, check_population
-
-__all__ = [
-    "Classification", "ErrorInterval", "ImprovementFlags", "Regime", "analyze",
-    "classification", "classify", "improvement_conditions",
-]
+from .model import FLOAT_MAX, Frozen, OnRamp, as_float64, check_float, check_population
 
 
-@dataclass(frozen=True)
-class ErrorInterval:
+class ErrorInterval(Frozen):
     """Multiplicative bounds on the marginal-cost measurement error.
 
     A degenerate interval (equal bounds) is allowed and means no uncertainty.
     """
 
-    e_lower: float
-    e_upper: float
+    __slots__ = ("e_lower", "e_upper")
 
-    def __post_init__(self):
-        lower, upper = self.e_lower, self.e_upper
+    def __init__(self, e_lower, e_upper):
+        lower, upper = e_lower, e_upper
         if type(lower) is not float or type(upper) is not float:
             lower, upper = _real("e_lower", lower), _real("e_upper", upper)
         if not 0.0 < lower <= upper <= FLOAT_MAX:
-            check_float("e_lower", self.e_lower)
-            check_float("e_upper", self.e_upper)
-            raise ValueError(
-                f"need 0 < e_lower <= e_upper, got ({self.e_lower}, {self.e_upper})"
-            )
+            check_float("e_lower", e_lower)
+            check_float("e_upper", e_upper)
+            raise ValueError(f"need 0 < e_lower <= e_upper, got ({e_lower}, {e_upper})")
         object.__setattr__(self, "e_lower", lower)  # a numpy bound is kept as the float64 compared
         object.__setattr__(self, "e_upper", upper)
 

@@ -9,6 +9,8 @@ Each command's flags are declared once, in `_COMMANDS`.  `main` reads
 each flag exact and once, each value of its flag's type and not starting with
 `-`, and every required flag.  Other argv, such as `-h`, `--flag=value` or
 `--alp`, goes to argparse, which is imported and built from it only then.
+The handlers reach `equilibrium`, `robustness` and `sweeps` through the
+package, which imports each on first use, so a command loads only those it runs.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ import sys
 from types import SimpleNamespace
 from typing import NamedTuple
 
+import onramp
+
 from .analysis import ErrorInterval, require_meaningful, worst_case_regime
-from .equilibrium import best_response_dynamics, brute_force_equilibrium, solve, verify_wardrop
 from .errors import ConfigError, DegenerateConfigError, NotInMeaningfulSetError
-from .model import _CONSTANTS, OnRamp, load_config
-from .robustness import grid_optimal_beta, optimal_beta, poa, worst_case_social_delay
-from .sweeps import ALPHA_SWEEP_COLUMNS, LEVEL_SWEEP_COLUMNS, _alpha_columns, _columns_csv
-from .sweeps import NUMBER_FORMAT, _level_columns, format_number as fmt
+from .model import _CONSTANTS, NUMBER_FORMAT, OnRamp, format_number as fmt, load_config
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -35,7 +35,6 @@ DEFAULT_SWEEP_BETAS = (0.2, 0.5, 1.0)
 DEFAULT_SWEEP_ALPHAS = (0.63, 0.8)
 # the model's fields that analyze prints first, in field order
 _ANALYZE_FIELDS = ("n0", "n2", *_CONSTANTS, "phi", "delta", "pi", "j_opt", "j_soc_at_phi")
-_INTERVAL_FIELDS = ("e_lower", "e_upper")
 
 
 class _Flag(NamedTuple):
@@ -85,13 +84,13 @@ def _cmd_analyze(args, ramp) -> int:
 
 
 def _cmd_equilibrium(args, ramp) -> int:
-    result = solve(ramp, args.alpha, args.beta, args.error)
+    result = onramp.equilibrium.solve(ramp, args.alpha, args.beta, args.error)
     _print("case", result.case.value)
     _print("x_hat_b", result.x_hat_b)
     _print_fields(result.flow)
     _print_fields(result.delays, "delay_")
     _print("j_soc", result.social_delay)
-    report = verify_wardrop(ramp, result.flow, args.beta, args.error)
+    report = onramp.equilibrium.verify_wardrop(ramp, result.flow, args.beta, args.error)
     _print_fields(report, "wardrop_", result.flow._fields)
     _print("wardrop_pass", "true" if report.passed else "false")
     return EXIT_OK
@@ -107,13 +106,16 @@ def _write_sweep(path, text: str) -> int:
 
 
 def _cmd_sweep_alpha(args, ramp) -> int:
-    sweep = _alpha_columns(ramp, args.beta or DEFAULT_SWEEP_BETAS, args.step)
-    return _write_sweep(args.out, _columns_csv(ALPHA_SWEEP_COLUMNS, *sweep))
+    sweeps = onramp.sweeps
+    sweep = sweeps._alpha_columns(ramp, args.beta or DEFAULT_SWEEP_BETAS, args.step)
+    return _write_sweep(args.out, sweeps._columns_csv(sweeps.ALPHA_SWEEP_COLUMNS, *sweep))
 
 
 def _cmd_sweep_beta_e(args, ramp) -> int:
-    sweep = _level_columns(ramp, args.alpha or DEFAULT_SWEEP_ALPHAS, args.beta_e_max, args.step)
-    return _write_sweep(args.out, _columns_csv(LEVEL_SWEEP_COLUMNS, *sweep))
+    sweeps = onramp.sweeps
+    sweep = sweeps._level_columns(
+        ramp, args.alpha or DEFAULT_SWEEP_ALPHAS, args.beta_e_max, args.step)
+    return _write_sweep(args.out, sweeps._columns_csv(sweeps.LEVEL_SWEEP_COLUMNS, *sweep))
 
 
 def _print_worst_case(points):
@@ -133,7 +135,8 @@ def _print_summary(result) -> None:
 
 
 def _verify_beta_star(ramp, interval, beta_star) -> int:
-    sampled = grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
+    sampled = onramp.robustness.grid_optimal_beta(
+        ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
     gap = abs(beta_star - sampled)
     _print("grid_beta_star", sampled)
     _print("grid_beta_star_gap", gap)
@@ -146,15 +149,16 @@ def _verdict(ok: bool) -> int:
 
 
 def _cmd_poa(args, ramp) -> int:
+    robustness = onramp.robustness
     interval = _interval(args)
-    supremum, points = worst_case_social_delay(ramp, args.beta, interval)
+    supremum, points = robustness.worst_case_social_delay(ramp, args.beta, interval)
     _print("beta", args.beta)
-    _print_fields(interval, names=_INTERVAL_FIELDS)
+    _print_fields(interval, names=interval.__slots__)
     _print("j_opt", ramp.j_opt)
     _print("worst_case_j_soc", supremum)
-    _print("poa", poa(ramp, args.beta, interval))
+    _print("poa", robustness.poa(ramp, args.beta, interval))
     _print_worst_case(points)
-    result = optimal_beta(ramp, interval)
+    result = robustness.optimal_beta(ramp, interval)
     _print_summary(result)
     if args.verify:
         return _verify_beta_star(ramp, interval, result.beta_star)
@@ -163,8 +167,8 @@ def _cmd_poa(args, ramp) -> int:
 
 def _cmd_optimal_beta(args, ramp) -> int:
     interval = _interval(args)
-    result = optimal_beta(ramp, interval)
-    _print_fields(interval, names=_INTERVAL_FIELDS)
+    result = onramp.robustness.optimal_beta(ramp, interval)
+    _print_fields(interval, names=interval.__slots__)
     _print("j_opt", ramp.j_opt)
     _print_summary(result)
     _print_worst_case(result.worst_case_points)
@@ -174,8 +178,9 @@ def _cmd_optimal_beta(args, ramp) -> int:
 
 
 def _cmd_verify(args, ramp) -> int:
-    result = solve(ramp, args.alpha, args.beta, args.error)
-    candidates = brute_force_equilibrium(
+    equilibrium = onramp.equilibrium
+    result = equilibrium.solve(ramp, args.alpha, args.beta, args.error)
+    candidates = equilibrium.brute_force_equilibrium(
         ramp, args.alpha, args.beta, args.error, grid_step=args.step
     )
     _print("closed_form_x_hat_b", result.x_hat_b)
@@ -188,7 +193,7 @@ def _cmd_verify(args, ramp) -> int:
         _print("brute_force_closest", closest.total_bypass)
         _print("brute_force_gap", gap)
         ok = gap <= 2.0 * args.step
-    trace = best_response_dynamics(ramp, args.alpha, args.beta, args.error, tol=1e-10)
+    trace = equilibrium.best_response_dynamics(ramp, args.alpha, args.beta, args.error, tol=1e-10)
     dynamics_x = trace.flow.total_bypass
     dynamics_gap = abs(dynamics_x - result.x_hat_b)
     _print("dynamics_x_hat_b", dynamics_x)
@@ -196,7 +201,7 @@ def _cmd_verify(args, ramp) -> int:
     _print("dynamics_iterations", trace.iterations)
     _print("dynamics_converged", "true" if trace.converged else "false")
     ok &= trace.converged and dynamics_gap <= 1e-9
-    report = verify_wardrop(ramp, result.flow, args.beta, args.error)
+    report = equilibrium.verify_wardrop(ramp, result.flow, args.beta, args.error)
     _print("wardrop_max_product", report.max_product)
     return _verdict(ok and report.passed)
 

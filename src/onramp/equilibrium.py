@@ -18,12 +18,6 @@ from .analysis import _crossing, require_meaningful
 from .model import DelayProfile, FlowDistribution, OnRamp, check_population
 from .model import check_share, cost_gaps, delays, social_delay
 
-__all__ = [
-    "DynamicsTrace", "EquilibriumCase", "EquilibriumResult", "WardropReport",
-    "best_response_dynamics", "brute_force_equilibrium", "solve", "solve_equilibrium",
-    "verify_wardrop",
-]
-
 
 class EquilibriumCase(Enum):
     """Which branch of the equilibrium map produced the result.

@@ -1,10 +1,5 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "ConfigError", "DegenerateConfigError", "NotInMeaningfulSetError", "OnRampError",
-    "TransitionUndefinedError", "ZeroOptimumError",
-]
-
 
 class OnRampError(Exception):
     """Base class for all library-specific errors."""

@@ -15,29 +15,68 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateConfigError
 
-__all__ = [
-    "DelayProfile", "FlowDistribution", "OnRamp", "OnRampConfig", "delays",
-    "derive_coefficients", "load_config", "social_delay",
-]
-
 # required keys of a JSON config document, in field order; no others are accepted
 CONFIG_KEYS = ("n0", "c1t", "c1m", "c2t", "c2m", "mu", "gamma")
 _KEY_SET = frozenset(CONFIG_KEYS)
-_fields_of, _keys_of = attrgetter(*CONFIG_KEYS), itemgetter(*CONFIG_KEYS)
+_keys_of = itemgetter(*CONFIG_KEYS)
 # the largest finite float; an int above it compares below inf but has no float
 FLOAT_MAX = sys.float_info.max
 # the largest effective level: above it the altruistic crossing's 2*level*delta overflows
 LEVEL_MAX = FLOAT_MAX / 2
+# the number format of the CLI's output and of the CSV sweeps: 12 significant digits,
+# below every tolerance in use
+NUMBER_FORMAT = ".12g"
 
 
-@dataclass(frozen=True)
-class OnRampConfig:
+def format_number(value: float) -> str:
+    return format(value, NUMBER_FORMAT)
+
+
+class Frozen:
+    """Base of the validating records: the frozen dataclass protocol, written out.
+
+    A record lists its fields in ``__slots__``, and its own ``__init__`` stores them
+    with ``object.__setattr__``; after that, assigning or deleting a field raises
+    AttributeError.  Equality, hash and repr take every field in slot order, as a
+    frozen dataclass of those fields does, and copy and pickle restore the fields
+    without calling the constructor.  No decorator runs at import, and no instance
+    has a ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self):
+        return hash(self.__getstate__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class OnRampConfig(Frozen):
     """One on-ramp: the normalized on-ramp flow and six calibrated cost coefficients.
 
     ``n0`` is the on-ramp share of the flow neighboring lane 1; lane 2 carries
@@ -47,29 +86,22 @@ class OnRampConfig:
     coefficients are treated as opaque nonnegative constants.
     """
 
-    n0: float
-    c1t: float
-    c1m: float
-    c2t: float
-    c2m: float
-    mu: float
-    gamma: float
+    __slots__ = CONFIG_KEYS
 
-    def __post_init__(self):
-        values = _fields_of(self)
-        if ({float}.issuperset(map(type, values)) and all(map(math.isfinite, values))
-                and min(values) >= 0.0 and 1.0 - self.n0 >= 0.0):
-            return  # the common valid case, in one pass
-        for name, value in zip(CONFIG_KEYS, values):  # else field by field, each stored as a float
-            value = _float_of(name, value)
-            object.__setattr__(self, name, value)
-            if name == "n0" and not math.isfinite(value):
-                raise ConfigError("neighbor flows must be finite numbers")
-            if name == "n0" and (value < 0.0 or self.n2 < 0.0):
-                raise ConfigError(
-                    f"neighbor flows must be nonnegative, got n0={value}, n2={self.n2}")
-            if not math.isfinite(value) or value < 0.0:  # a cost coefficient: n0 passed above
-                raise ConfigError(f"cost coefficient {name} must be finite and >= 0, got {value}")
+    def __init__(self, n0, c1t, c1m, c2t, c2m, mu, gamma):
+        values = (n0, c1t, c1m, c2t, c2m, mu, gamma)
+        # the common valid case in one pass, else each field in order
+        if not ({float}.issuperset(map(type, values)) and all(map(math.isfinite, values))
+                and min(values) >= 0.0 and 1.0 - n0 >= 0.0):
+            n0, c1t, c1m, c2t, c2m, mu, gamma = map(_checked_field, CONFIG_KEYS, values)
+        set_ = object.__setattr__
+        set_(self, "n0", n0)
+        set_(self, "c1t", c1t)
+        set_(self, "c1m", c1m)
+        set_(self, "c2t", c2t)
+        set_(self, "c2m", c2m)
+        set_(self, "mu", mu)
+        set_(self, "gamma", gamma)
 
     @property
     def n2(self) -> float:
@@ -89,10 +121,25 @@ class OnRampConfig:
         return cls(*_keys_of(data))
 
 
+def _checked_field(name: str, value) -> float:
+    """A config field as a float: checked as a number by _float_of, then its range."""
+    value = _float_of(name, value)
+    if name == "n0" and not math.isfinite(value):
+        raise ConfigError("neighbor flows must be finite numbers")
+    if name == "n0" and (value < 0.0 or 1.0 - value < 0.0):
+        raise ConfigError(f"neighbor flows must be nonnegative, got n0={value}, n2={1.0 - value}")
+    if not math.isfinite(value) or value < 0.0:  # a cost coefficient: n0 passed above
+        raise ConfigError(f"cost coefficient {name} must be finite and >= 0, got {value}")
+    return value
+
+
 def _float_of(key: str, value) -> float:
     """``value`` as a float, or a ConfigError naming ``key``: bools, non-numbers, huge ints."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key} must be a number, got {value!r}")
+        from numbers import Real  # off the start-up path: a JSON number is an int or a float
+
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ConfigError(f"config key {key} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:
@@ -127,8 +174,12 @@ def require_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class OnRamp:
+_CONSTANTS = (
+    "steadfast_slope", "steadfast_intercept", "bypass_slope", "bypass_intercept", "lane2_slope"
+)
+
+
+class OnRamp(Frozen):
     """One configuration's delay model and its analysis; build it with from_config.
 
     The neighboring flows ``n0`` and ``n2``, then the affine constants of the
@@ -145,22 +196,10 @@ class OnRamp:
     left (alpha must exceed phi to help) while ``optimize_interval`` is closed.
     """
 
-    n0: float
-    n2: float
-    steadfast_slope: float
-    steadfast_intercept: float
-    bypass_slope: float
-    bypass_intercept: float
-    lane2_slope: float
-    phi: float = field(init=False)
-    delta: float = field(init=False)
-    pi: float = field(init=False)
-    j_opt: float = field(init=False)
-    j_soc_at_phi: float = field(init=False)
-    in_meaningful_set: bool = field(init=False)
-    exclusion_reason: str | None = field(init=False)
-    decrease_interval: tuple[float, float] = field(init=False)
-    optimize_interval: tuple[float, float] = field(init=False)
+    __slots__ = (
+        "n0", "n2", *_CONSTANTS, "phi", "delta", "pi", "j_opt", "j_soc_at_phi",
+        "in_meaningful_set", "exclusion_reason", "decrease_interval", "optimize_interval",
+    )
 
     @classmethod
     def from_config(cls, config: OnRampConfig) -> "OnRamp":
@@ -176,12 +215,21 @@ class OnRamp:
             c.c2t + c.c2m * n2,  # lane2_slope
         )
 
-    def __post_init__(self):
-        ks, bs = self.steadfast_slope, self.steadfast_intercept
-        kb, bb, k2 = self.bypass_slope, self.bypass_intercept, self.lane2_slope
-        if not all(map(math.isfinite, (ks, bs, kb, bb, k2))):
-            for name in _CONSTANTS:
-                require_finite(name, getattr(self, name))
+    def __init__(self, n0, n2, steadfast_slope, steadfast_intercept, bypass_slope,
+                 bypass_intercept, lane2_slope):
+        set_ = object.__setattr__
+        set_(self, "n0", n0)
+        set_(self, "n2", n2)
+        set_(self, "steadfast_slope", steadfast_slope)
+        set_(self, "steadfast_intercept", steadfast_intercept)
+        set_(self, "bypass_slope", bypass_slope)
+        set_(self, "bypass_intercept", bypass_intercept)
+        set_(self, "lane2_slope", lane2_slope)
+        ks, bs, kb, bb, k2 = constants = (
+            steadfast_slope, steadfast_intercept, bypass_slope, bypass_intercept, lane2_slope)
+        if not all(map(math.isfinite, constants)):
+            for name, value in zip(_CONSTANTS, constants):
+                require_finite(name, value)
         slope_sum = ks + kb
         if slope_sum <= 0.0:
             raise DegenerateConfigError("all delay slopes vanish; no interior crossing")
@@ -189,7 +237,7 @@ class OnRamp:
         # stationarity of the convex quadratic: its second-order coefficient is
         # the slope sum, its linear one the intercept gap and neighbor weights
         delta = require_finite(
-            "delta", (2.0 * ks + bs - bb + self.n0 * ks - self.n2 * k2) / (2.0 * slope_sum)
+            "delta", (2.0 * ks + bs - bb + n0 * ks - n2 * k2) / (2.0 * slope_sum)
         )
         clamped = min(max(delta, 0.0), 1.0)
         j_opt = require_finite("j_opt", social_delay(self, clamped))
@@ -201,9 +249,6 @@ class OnRamp:
         )
         pi = _pi_value(phi, delta)
         j_soc_at_phi = require_finite("j_soc_at_phi", social_delay(self, phi))
-        # one field at a time: reading self.__dict__ would build the instance's dict, and
-        # every later field read of this model would take about 1.5x as long (CPython 3.11)
-        set_ = object.__setattr__
         set_(self, "phi", phi)
         set_(self, "delta", delta)
         set_(self, "pi", pi)
@@ -217,11 +262,6 @@ class OnRamp:
     @property
     def slope_sum(self) -> float:
         return self.steadfast_slope + self.bypass_slope
-
-
-_CONSTANTS = (
-    "steadfast_slope", "steadfast_intercept", "bypass_slope", "bypass_intercept", "lane2_slope"
-)
 
 
 def derive_coefficients(config: OnRampConfig) -> OnRamp:

@@ -18,13 +18,7 @@ from .analysis import _TRANSITION_LIMITED, ErrorInterval, Regime, _crossing
 from .analysis import require_meaningful, worst_case_regime
 from .equilibrium import _equilibrium_split, inclusive_grid
 from .errors import TransitionUndefinedError, ZeroOptimumError
-from .model import OnRamp, check_population, social_delay
-
-__all__ = [
-    "RobustnessSummary", "WorstCasePoint", "grid_optimal_beta", "grid_poa",
-    "optimal_altruism_level", "optimal_beta", "poa", "price_of_anarchy", "transition_beta",
-    "worst_case_social_delay",
-]
+from .model import FLOAT_MAX, OnRamp, check_population, social_delay
 
 _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 # cells of a grid-oracle block, unless one level's errors are more: 10**6 cells took
@@ -126,9 +120,13 @@ def optimal_beta(ramp: OnRamp, interval: ErrorInterval) -> RobustnessSummary:
     require_meaningful(ramp)
     regime = worst_case_regime(ramp.pi, interval)
     if regime is _TRANSITION_LIMITED:
-        beta_star = 1.0 / (interval.e_lower * ramp.pi)
+        denominator = interval.e_lower * ramp.pi
     else:
-        beta_star = 1.0 / interval.geometric_mean
+        denominator = interval.geometric_mean
+    beta_star = 1.0 / denominator  # not 0: e_lower > 0, and a positive pi here exceeds 1
+    if beta_star > FLOAT_MAX:
+        raise ValueError(f"beta_star = 1/{denominator} overflows on the error interval"
+                         f" ({interval.e_lower}, {interval.e_upper})")
     require_positive_optimum(ramp)
     supremum, points = worst_case_social_delay(ramp, beta_star, interval)
     transition = ramp.pi if math.isfinite(ramp.pi) and ramp.pi > 0.0 else None

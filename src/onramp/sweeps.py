@@ -14,20 +14,8 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 from .analysis import _crossing, require_meaningful
 from .equilibrium import _BASELINE, _CASE_B, _CASE_C, _CASE_D, EquilibriumCase, inclusive_grid
-from .model import FLOAT_MAX, LEVEL_MAX, OnRamp
+from .model import FLOAT_MAX, LEVEL_MAX, NUMBER_FORMAT, OnRamp
 from .model import as_float64, check_float, check_population, social_delay
-
-__all__ = [
-    "AlphaSweepRow", "LevelSweepRow", "alpha_sweep", "beta_e_sweep", "sweep_alpha",
-    "sweep_beta_e", "write_alpha_sweep", "write_beta_e_sweep",
-]
-
-NUMBER_FORMAT = ".12g"
-
-
-def format_number(value: float) -> str:
-    """CSV number format: 12 significant digits, below every tolerance in use."""
-    return format(value, NUMBER_FORMAT)
 
 
 class AlphaSweepRow(NamedTuple):

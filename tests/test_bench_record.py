@@ -261,12 +261,18 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
         calls.append((checkout.name, " ".join(args)))
         return 3.0 if args[-1] == "pass" else 4.0
 
+    def import_times(checkout):
+        calls.append((checkout.name, "importtime"))
+        return {"onramp": 5.0, checkout.name: 6.0}
+
     monkeypatch.setattr(record, "run_fresh", run_fresh)
     monkeypatch.setattr(record, "process_seconds", process_seconds)
+    monkeypatch.setattr(record, "import_times", import_times)
     monkeypatch.setattr(record, "ORACLE_REPEATS", 2)
-    oracle_runs, closed_form_runs = record.fresh_rounds({side: Path(side) for side in record.SIDES})
+    oracle_runs, closed_form_runs, import_runs = record.fresh_rounds(
+        {side: Path(side) for side in record.SIDES})
     kinds = ("oracles", "closed", "-m onramp analyze --config demos/onramp.json", "-c pass",
-             "-S -c pass")
+             "-S -c pass", "importtime")
     assert calls == [(side, kind) for side in ("parent", "change", "change", "parent")
                      for kind in kinds]
     assert oracle_runs == {side: {"oracle": [1.0, 1.0]} for side in record.SIDES}
@@ -274,3 +280,33 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
             "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0]}
     assert closed_form_runs == {side: rows for side in record.SIDES}
     assert set(record.oracle_table(closed_form_runs)) == set(rows)
+    assert import_runs == {side: {"onramp": [5.0, 5.0], side: [6.0, 6.0]} for side in record.SIDES}
+    assert record.import_table(import_runs) == {
+        "change": {"parent": None, "change": 6.0},
+        "onramp": {"parent": 5.0, "change": 5.0},
+        "parent": {"parent": 6.0, "change": None},
+    }
+
+
+IMPORTTIME_STDERR = """\
+import time: self [us] | cumulative | imported package
+import time:       412 |        412 |   _io
+import time:      1034 |       1500 | onramp
+import time:        20 |         20 |     onramp.errors
+a line that some other module wrote
+import time:      2500 |       2520 |   onramp.model
+"""
+
+
+def test_import_self_times_reads_each_module_line():
+    assert record.import_self_times(IMPORTTIME_STDERR) == {
+        "_io": 412e-6, "onramp": 1034e-6, "onramp.errors": 20e-6, "onramp.model": 2500e-6,
+    }
+
+
+def test_import_times_of_the_cli_process_leave_out_what_analyze_does_not_run():
+    assert record.IMPORTTIME_ARGS == ("-X", "importtime", *record.PROCESSES[record.PROCESS_KEY])
+    times = record.import_times(_PATH.parents[1])
+    assert {"onramp", "onramp.cli", "onramp.model", "onramp.analysis"} <= times.keys()
+    assert not {"onramp.equilibrium", "onramp.sweeps", "dataclasses"} & times.keys()
+    assert all(seconds >= 0.0 for seconds in times.values())

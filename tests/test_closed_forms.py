@@ -154,10 +154,11 @@ def test_closed_forms_match_their_parts_and_raise_the_first_error(
 
 def test_only_the_returned_worst_case_points_are_built(monkeypatch):
     built = []
+    point = onramp.WorstCasePoint  # read before the patch, which onramp.<name> would then see
 
     def counting_point(*fields):
         built.append(fields)
-        return onramp.WorstCasePoint(*fields)
+        return point(*fields)
 
     monkeypatch.setattr(robustness, "WorstCasePoint", counting_point)
     ramp = sample_meaningful(random.Random(11))

@@ -185,6 +185,8 @@ def cases():
         ["optimal-beta", "--e-lower", "1e-6", "--e-upper", "1", "--verify"],
     ):
         yield "demo.json", argv
+    # an error interval so small that beta_star, the reciprocal of its mean, overflows
+    yield "demo.json", ["optimal-beta", "--e-lower", "1e-320", "--e-upper", "1e-320"]
     # no subcommand, an unknown one, no --config
     yield None, []
     yield None, ["frobnicate"]

@@ -1,15 +1,19 @@
 """The package surface: the public names in ``__all__``, the demo scripts and the imports."""
 
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import runpy
 import shutil
 import subprocess
 import sys
 from enum import Enum
+from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import onramp
@@ -41,6 +45,18 @@ def test_public_names_resolve_once():
     for name in onramp.__all__:
         assert getattr(onramp, name) is not None, name
     assert len(set(onramp.__all__)) == len(onramp.__all__)
+
+
+def test_star_import_binds_exactly_all_each_from_its_module():
+    namespace = {}
+    exec("from onramp import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(onramp.__all__)
+    for module, names in onramp._PUBLIC.items():
+        for name in names:
+            assert namespace[name] is vars(import_module(f"onramp.{module}"))[name], name
+    assert {*onramp.__all__, *onramp._PUBLIC} <= set(dir(onramp))
+    with pytest.raises(AttributeError, match="^module 'onramp' has no attribute 'nothing'$"):
+        onramp.nothing
 
 
 def test_removed_names_are_gone():
@@ -75,9 +91,10 @@ def test_perfbench_signatures_forward_to_the_one_model_forms():
     )
 
 
-# the classes whose construction validates or derives, and EquilibriumResult, which
-# perfbench's self-test copies with dataclasses.replace; every other record is a NamedTuple
-DATACLASSES = (onramp.OnRampConfig, onramp.ErrorInterval, onramp.OnRamp, onramp.EquilibriumResult)
+# the classes whose construction validates or derives, on the frozen slotted base
+RECORDS = (onramp.OnRampConfig, onramp.ErrorInterval, onramp.OnRamp)
+# perfbench's self-test copies EquilibriumResult with dataclasses.replace
+DATACLASSES = (onramp.EquilibriumResult,)
 # what a result module binds from dataclasses: the decorator of EquilibriumResult
 FROM_DATACLASSES = {"onramp.equilibrium": ["dataclass"]}
 
@@ -87,7 +104,10 @@ def test_public_classes_are_enums_errors_validating_dataclasses_or_named_tuples(
         value = getattr(onramp, name)
         if not isinstance(value, type) or issubclass(value, (Enum, onramp.OnRampError)):
             continue
-        if value in DATACLASSES:
+        if value in RECORDS:
+            assert issubclass(value, onramp.model.Frozen) and "__slots__" in vars(value), name
+            assert not dataclasses.is_dataclass(value), name
+        elif value in DATACLASSES:
             assert dataclasses.is_dataclass(value), name
         else:
             assert issubclass(value, tuple) and hasattr(value, "_fields"), name
@@ -100,6 +120,32 @@ def test_result_modules_bind_nothing_from_dataclasses():
             if getattr(value, "__module__", None) == "dataclasses"
         ]
         assert bound == FROM_DATACLASSES.get(module.__name__, []), (module.__name__, bound)
+
+
+def _as_dataclass(record):
+    """``record`` as an instance of the frozen dataclass of its fields, as the package had."""
+    fields = type(record).__slots__
+    old = dataclasses.make_dataclass(type(record).__qualname__, fields, frozen=True)
+    return old(*(getattr(record, name) for name in fields))
+
+
+def test_records_compare_hash_repr_copy_and_pickle_as_the_frozen_dataclasses():
+    config = onramp.load_config(DEMOS / "onramp.json")
+    intervals = [onramp.ErrorInterval(0.5, 2), onramp.ErrorInterval(np.float32(0.5), 1.0)]
+    records = [config, onramp.OnRamp.from_config(config), *intervals]
+    for record in records:
+        old = _as_dataclass(record)
+        assert repr(record) == repr(old)
+        assert hash(record) == hash(old)
+        assert record.__eq__(old) is NotImplemented and record != old
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [copy.copy(record), copy.deepcopy(record),
+                  *(pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols)]
+        for copied in copies:
+            assert type(copied) is type(record) and copied is not record
+            assert copied == record and hash(copied) == hash(record)
+            assert repr(copied) == repr(record)
+    assert onramp.OnRampConfig(**dict(vars(_as_dataclass(config)), n0=0.25)) != config
 
 
 @pytest.mark.parametrize("script", ["run_analysis.py", "run_sweeps.py", "run_robustness.py"])
@@ -190,6 +236,40 @@ def test_argparse_is_loaded_only_for_help_and_malformed_argv(tmp_path):
     after_import, *after_argv = _probe(ARGPARSE_PROBE, well_formed + malformed)
     assert after_import is False
     assert after_argv == [[0, False]] * 7 + [[0, True], [1, True], [1, True]]
+
+
+# run in a fresh interpreter: the package modules after `import onramp.cli`, whether
+# dataclasses and inspect are loaded then, and the package modules that one command adds
+MODULES_PROBE = """
+import contextlib, io, json, sys
+import onramp.cli
+def package():
+    return {name for name in sys.modules if name.partition(".")[0] == "onramp"}
+before = package()
+loaded = [sorted(before), "dataclasses" in sys.modules, "inspect" in sys.modules]
+(argv,) = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    loaded.append(onramp.cli.main(argv))
+print(json.dumps([*loaded, sorted(package() - before)]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    config = ["--config", str(DEMOS / "onramp.json")]
+    interval = ["--e-lower", "0.5", "--e-upper", "2"]
+    added = {
+        ("analyze", *config): [],
+        ("equilibrium", *config, "--alpha", "0.8", "--beta", "1"): ["equilibrium"],
+        ("poa", *config, "--beta", "1", *interval): ["equilibrium", "robustness"],
+        ("optimal-beta", *config, *interval): ["equilibrium", "robustness"],
+        ("sweep-alpha", *config, "--out", str(tmp_path / "a.csv")): ["equilibrium", "sweeps"],
+        ("sweep-beta-e", *config, "--out", str(tmp_path / "b.csv")): ["equilibrium", "sweeps"],
+        ("verify", *config): ["equilibrium"],
+    }
+    start = ["onramp", "onramp.analysis", "onramp.cli", "onramp.errors", "onramp.model"]
+    for argv, modules in added.items():
+        expected = [start, False, False, 0, [f"onramp.{module}" for module in modules]]
+        assert _probe(MODULES_PROBE, [argv]) == expected, argv
 
 
 # in a fresh interpreter without site, which itself imports pathlib on some installs

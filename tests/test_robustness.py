@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ def test_optimal_level_pinned_ratio():
     assert result.beta_star == pytest.approx(1.0 / 1.5, abs=1e-9)
     sampled = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
     assert abs(sampled - result.beta_star) <= 2e-3
+
+
+def test_optimal_beta_names_the_interval_when_beta_star_overflows(demo_ramp):
+    limited = make_transition_limited(random.Random(44), pi_target=1.5)
+    for ramp, bounds, regime in (
+        (demo_ramp, (1e-320, 1e-320), onramp.Regime.ENDPOINT_SYMMETRIC),
+        (limited, (5e-324, 1e-300), onramp.Regime.TRANSITION_LIMITED),
+    ):
+        interval = onramp.ErrorInterval(*bounds)
+        assert onramp.classification(ramp, interval).regime is regime
+        shown = re.escape(f"on the error interval ({interval.e_lower}, {interval.e_upper})")
+        with pytest.raises(ValueError, match=rf"^beta_star = 1/\S+ overflows {shown}$"):
+            onramp.optimal_beta(ramp, interval)
+    interval = onramp.ErrorInterval(1e-300, 1e-300)
+    assert onramp.optimal_beta(demo_ramp, interval).beta_star == pytest.approx(1e300)
 
 
 def test_grid_oracle_degenerate_interval(demo_ramp):

@@ -13,16 +13,14 @@ from onramp import sweeps
 from onramp.analysis import _crossing
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import DegenerateConfigError, NotInMeaningfulSetError
-from onramp.model import LEVEL_MAX
+from onramp.model import LEVEL_MAX, NUMBER_FORMAT, format_number
 from onramp.sweeps import (
     ALPHA_SWEEP_COLUMNS,
     LEVEL_SWEEP_COLUMNS,
-    NUMBER_FORMAT,
     AlphaSweepRow,
     LevelSweepRow,
     alpha_sweep,
     beta_e_sweep,
-    format_number,
     inclusive_grid,
     write_alpha_sweep,
     write_beta_e_sweep,
