@@ -41,8 +41,10 @@ time of reading the config, of each L0-L3 closed form and of three CLI
 commands, in process, on the same config.  Each round also times one whole
 ``python -m onramp analyze --config demos/onramp.json`` process per side
 from outside, as the ``process[analyze]`` row beside them: the start-up
-and imports that a user waits for, which no in-process timing sees.  Beside
-it, ``process[python -c pass]`` and ``process[python -S -c pass]`` time the
+and imports that a user waits for, which no in-process timing sees.
+``process[verify]`` times a whole ``python -m onramp verify`` process on the
+same config the same way, the command that imports numpy.  Beside them,
+``process[python -c pass]`` and ``process[python -S -c pass]`` time the
 bare interpreter, with and without the site module, in the same rounds: the
 part of that start-up that no change to onramp can move.  The file keeps
 each side's runs, its best, the ratio of the bests and the spread of the
@@ -238,10 +240,12 @@ def run_fresh(checkout: Path, code: str) -> dict[str, float]:
 # the CLI command whose whole process is timed, and its row in the closed-form table
 PROCESS_ARGV = ("analyze", "--config", DEMO_CONFIG)
 PROCESS_KEY = f"process[{PROCESS_ARGV[0]}]"
-# per row, the interpreter arguments of a timed process: the CLI command, then the bare
-# interpreter with and without the site module, the start-up that any command pays first
+# per row, the interpreter arguments of a timed process: the CLI command, the verify command
+# (the path that imports numpy), then the bare interpreter with and without the site module,
+# the start-up that any command pays first
 PROCESSES = {
     PROCESS_KEY: ("-m", "onramp", *PROCESS_ARGV),
+    "process[verify]": ("-m", "onramp", "verify", "--config", DEMO_CONFIG),
     "process[python -c pass]": ("-c", "pass"),
     "process[python -S -c pass]": ("-S", "-c", "pass"),
 }
@@ -484,7 +488,8 @@ def main(argv=None) -> int:
         "config": DEMO_CONFIG,
         "timer": f"'import onramp.cli': time.perf_counter around the first import of onramp;"
                  " each 'process[...]': time.perf_counter around one whole process,"
-                 f" {PROCESS_KEY!r} being 'python -m onramp {' '.join(PROCESS_ARGV)}';"
+                 f" {PROCESS_KEY!r} being 'python -m onramp {' '.join(PROCESS_ARGV)}',"
+                 f" 'process[verify]' 'python {' '.join(PROCESSES['process[verify]'])}';"
                  f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
                  f" {CALLS_PER_LOOP} calls; each run one fresh process, best of"
                  f" {ORACLE_REPEATS}, the sides alternating",

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NotInMeaningfulSetError
-from .model import FLOAT_MAX, Frozen, OnRamp, as_float64, check_float, check_population
+from .model import FLOAT_MAX, Frozen, OnRamp, check_population, real
 
 
 class ErrorInterval(Frozen):
@@ -28,12 +28,10 @@ class ErrorInterval(Frozen):
     def __init__(self, e_lower, e_upper):
         lower, upper = e_lower, e_upper
         if type(lower) is not float or type(upper) is not float:
-            lower, upper = _real("e_lower", lower), _real("e_upper", upper)
+            lower, upper = real("e_lower", lower), real("e_upper", upper)
         if not 0.0 < lower <= upper <= FLOAT_MAX:
-            check_float("e_lower", e_lower)
-            check_float("e_upper", e_upper)
             raise ValueError(f"need 0 < e_lower <= e_upper, got ({e_lower}, {e_upper})")
-        object.__setattr__(self, "e_lower", lower)  # a numpy bound is kept as the float64 compared
+        object.__setattr__(self, "e_lower", lower)  # each bound as the float it equals
         object.__setattr__(self, "e_upper", upper)
 
     @property
@@ -46,15 +44,6 @@ class ErrorInterval(Frozen):
         if sys.float_info.min <= product <= FLOAT_MAX:
             return math.sqrt(product)
         return math.sqrt(self.e_lower) * math.sqrt(self.e_upper)  # the product under- or overflows
-
-
-def _real(name: str, value):
-    """``value`` as compared in float64 (see as_float64); ValueError unless a real non-bool."""
-    from numbers import Real  # off the start-up path: float bounds never get here
-
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return as_float64(value)
 
 
 def _crossing(phi, delta, level):
@@ -143,7 +132,7 @@ def improvement_conditions(ramp: OnRamp, alpha: float, beta: float) -> Improveme
     """
     require_meaningful(ramp)
     check_population(alpha, beta)
-    alpha, beta = as_float64(alpha), as_float64(beta)  # so numpy floats give bools
+    alpha, beta = float(alpha), float(beta)  # so numpy floats give bools
     decreases = beta > 0.0 and alpha > ramp.phi
     optimizes = beta == 1.0 and alpha >= ramp.delta
     return ImprovementFlags(decreases=decreases, optimizes=optimizes)

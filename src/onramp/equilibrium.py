@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .analysis import _crossing, require_meaningful
 from .model import DelayProfile, FlowDistribution, OnRamp, check_population
-from .model import check_share, cost_gaps, delays, social_delay
+from .model import check_share, cost_gaps, delays, real, social_delay
 
 
 class EquilibriumCase(Enum):
@@ -140,7 +140,7 @@ def verify_wardrop(
     """Evaluate the equilibrium definition at a feasible flow."""
     check_share(flow.total_bypass)
     level = check_population(beta=beta, error=error)
-    return WardropReport(*_switching_products(ramp, flow, level), tol=tol)
+    return WardropReport(*_switching_products(ramp, flow, level), tol=real("tolerance", tol))
 
 
 # largest grid, or brute-force product grid, that is built; larger ones are refused
@@ -183,6 +183,7 @@ def brute_force_equilibrium(
     share; the band tightens as the level grows.
     """
     import numpy as np
+    grid_step = real("grid step", grid_step)
     if not 0.0 < grid_step <= 0.1:
         raise ValueError(f"grid step must lie in (0, 0.1], got {grid_step}")
     level = check_population(alpha, beta, error)
@@ -239,6 +240,7 @@ def best_response_dynamics(
     oracle is independent of the case analysis in solve.
     """
     level = check_population(alpha, beta, error)
+    tol = real("tolerance", tol)
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     selfish_mass = 1.0 - alpha

@@ -122,8 +122,8 @@ class OnRampConfig(Frozen):
 
 
 def _checked_field(name: str, value) -> float:
-    """A config field as a float: checked as a number by _float_of, then its range."""
-    value = _float_of(name, value)
+    """A config field as a float: checked as a number by real, then its range."""
+    value = real(f"config key {name}", value, ConfigError)
     if name == "n0" and not math.isfinite(value):
         raise ConfigError("neighbor flows must be finite numbers")
     if name == "n0" and (value < 0.0 or 1.0 - value < 0.0):
@@ -133,17 +133,22 @@ def _checked_field(name: str, value) -> float:
     return value
 
 
-def _float_of(key: str, value) -> float:
-    """``value`` as a float, or a ConfigError naming ``key``: bools, non-numbers, huge ints."""
+def real(name: str, value, error: type[Exception] = ValueError) -> float:
+    """The one number rule of every numeric input: ``value`` as the float it equals.
+
+    Any real number but a bool is taken: an int, a float, a Fraction or a numpy
+    scalar.  A bool or a non-number raises ``error`` naming ``name`` as not a
+    number, and an int beyond the float range names it as too large.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        from numbers import Real  # off the start-up path: a JSON number is an int or a float
+        from numbers import Real  # off the start-up path: a plain int or float never gets here
 
         if isinstance(value, bool) or not isinstance(value, Real):
-            raise ConfigError(f"config key {key} must be a number, got {value!r}")
+            raise error(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise ConfigError(f"config key {key} is too large for a float") from exc
+        raise error(f"{name} is too large for a float") from exc
 
 
 def load_config(path) -> OnRampConfig:
@@ -352,32 +357,21 @@ class FlowDistribution(NamedTuple):
         return self.selfish_bypass + self.altruistic_bypass
 
 
-def check_float(name: str, value) -> None:
-    """Raise ValueError naming ``name`` when ``value`` is an int too large for a float."""
-    if isinstance(value, int) and abs(value) > FLOAT_MAX:
-        raise ValueError(f"{name} is too large for a float")
-
-
-def as_float64(value):
-    """A real non-int, such as a numpy float32 (FLOAT_MAX overflows there), as a float."""
-    from numbers import Real  # off the start-up path: floats never get here
-
-    return value if isinstance(value, int) or not isinstance(value, Real) else float(value)
-
-
 def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) -> float:
     """Require alpha in [0, 1], beta >= 0, error > 0, beta*error <= LEVEL_MAX; return beta*error."""
-    if not 0.0 <= alpha <= 1.0:
-        check_float("alpha", alpha)
+    # the common valid case in one test (a level in bounds has finite factors), else each
+    # argument in order
+    if (type(alpha) is type(beta) is type(error) is float and 0.0 <= alpha <= 1.0
+            and beta >= 0.0 and error > 0.0 and (level := beta * error) <= LEVEL_MAX):
+        return level
+    if not 0.0 <= real("alpha", alpha) <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    b = beta if type(beta) is float else as_float64(beta)  # compared and multiplied in float64
-    e = error if type(error) is float else as_float64(error)
+    b = real("beta", beta)
     if not 0.0 <= b <= FLOAT_MAX:
-        check_float("beta", beta)
         reason = "must be >= 0" if b < 0.0 else "must be finite"
         raise ValueError(f"beta {reason}, got {beta}")
+    e = real("error factor", error)
     if not 0.0 < e <= FLOAT_MAX:
-        check_float("error factor", error)
         reason = "must be > 0" if e <= 0.0 else "must be finite"
         raise ValueError(f"error factor {reason}, got {error}")
     level = b * e

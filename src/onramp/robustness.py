@@ -18,7 +18,7 @@ from .analysis import _TRANSITION_LIMITED, ErrorInterval, Regime, _crossing
 from .analysis import require_meaningful, worst_case_regime
 from .equilibrium import _equilibrium_split, inclusive_grid
 from .errors import TransitionUndefinedError, ZeroOptimumError
-from .model import FLOAT_MAX, OnRamp, check_population, social_delay
+from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_population, real, social_delay
 
 _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 # cells of a grid-oracle block, unless one level's errors are more: 10**6 cells took
@@ -124,9 +124,11 @@ def optimal_beta(ramp: OnRamp, interval: ErrorInterval) -> RobustnessSummary:
     else:
         denominator = interval.geometric_mean
     beta_star = 1.0 / denominator  # not 0: e_lower > 0, and a positive pi here exceeds 1
-    if beta_star > FLOAT_MAX:
-        raise ValueError(f"beta_star = 1/{denominator} overflows on the error interval"
-                         f" ({interval.e_lower}, {interval.e_upper})")
+    if not beta_star * interval.e_upper <= LEVEL_MAX:  # the level at the upper bound
+        shown = f"error interval ({interval.e_lower}, {interval.e_upper})"
+        if beta_star > FLOAT_MAX:
+            raise ValueError(f"beta_star = 1/{denominator} overflows on the {shown}")
+        raise ValueError(f"{shown} is too wide: beta_star * e_upper > {LEVEL_MAX}")
     require_positive_optimum(ramp)
     supremum, points = worst_case_social_delay(ramp, beta_star, interval)
     transition = ramp.pi if math.isfinite(ramp.pi) and ramp.pi > 0.0 else None
@@ -152,6 +154,7 @@ def grid_poa(
 def _grid_poa_at_levels(ramp, levels, interval, inner_grid_step):
     """grid_poa at each of the increasing ``levels``, evaluated in (level x error) blocks."""
     import numpy as np
+    inner_grid_step = real("inner grid step", inner_grid_step)
     if inner_grid_step <= 0.0:
         raise ValueError(f"inner grid step must be > 0, got {inner_grid_step}")
     require_meaningful(ramp)
@@ -178,6 +181,7 @@ def grid_optimal_beta(
     Searches levels on (0, 2/e_lower], a range that provably contains both
     closed-form minimizers; ties resolve to the smallest level.
     """
+    beta_grid_step = real("beta grid step", beta_grid_step)
     beta_max = 2.0 / interval.e_lower
     if beta_grid_step > beta_max:
         raise ValueError("beta grid step larger than the search range")

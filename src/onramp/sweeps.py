@@ -15,7 +15,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 from .analysis import _crossing, require_meaningful
 from .equilibrium import _BASELINE, _CASE_B, _CASE_C, _CASE_D, EquilibriumCase, inclusive_grid
 from .model import FLOAT_MAX, LEVEL_MAX, NUMBER_FORMAT, OnRamp
-from .model import as_float64, check_float, check_population, social_delay
+from .model import check_population, real, social_delay
 
 
 class AlphaSweepRow(NamedTuple):
@@ -101,7 +101,7 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, list
 def _alpha_columns(ramp, betas, alpha_step) -> tuple:
     """(betas, alpha grid, tails, columns) of alpha_sweep, for its rows and the CLI."""
     betas = _checked_outer(ramp, betas, "beta")
-    alpha_step = alpha_step if type(alpha_step) is float else as_float64(alpha_step)  # in float64
+    alpha_step = real("alpha step", alpha_step)
     if not 0.0 < alpha_step <= 0.1:
         raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
     grid = inclusive_grid(0.0, 1.0, alpha_step)
@@ -111,9 +111,7 @@ def _alpha_columns(ramp, betas, alpha_step) -> tuple:
 def _level_columns(ramp, alphas, beta_e_max, step) -> tuple:
     """(alphas, level grid, tails, columns) of beta_e_sweep, for its rows and the CLI."""
     alphas = _checked_outer(ramp, alphas, "alpha")
-    check_float("beta_e_max", beta_e_max)
-    check_float("step", step)
-    beta_e_max = beta_e_max if type(beta_e_max) is float else as_float64(beta_e_max)  # in float64
+    beta_e_max, step = real("beta_e_max", beta_e_max), real("step", step)
     if beta_e_max <= 0.0:
         raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
     if LEVEL_MAX < beta_e_max <= FLOAT_MAX:

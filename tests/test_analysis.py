@@ -168,7 +168,7 @@ def test_error_interval_validation():
      ((None, 2.0), "e_lower"), ((0.5, "2"), "e_upper"), ((np.bool_(True), 2.0), "e_lower")],
 )
 def test_error_interval_names_a_bound_that_is_not_a_number(bounds, name):
-    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
         onramp.ErrorInterval(*bounds)
 
 

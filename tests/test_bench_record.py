@@ -243,6 +243,14 @@ def test_process_seconds_times_a_whole_cli_process(tmp_path):
         record.process_seconds(tmp_path, cli)
 
 
+def test_process_seconds_times_a_whole_verify_process():
+    # the command that imports numpy, on the config of the analyze row
+    args = record.PROCESSES["process[verify]"]
+    assert args == ("-m", "onramp", "verify", "--config", record.DEMO_CONFIG)
+    assert record.DEMO_CONFIG == record.PROCESS_ARGV[-1]
+    assert 0.0 < record.process_seconds(_PATH.parents[1], args) < 30.0
+
+
 @pytest.mark.parametrize("key, args", [("process[python -c pass]", ("-c", "pass")),
                                        ("process[python -S -c pass]", ("-S", "-c", "pass"))])
 def test_process_seconds_times_the_bare_interpreter(tmp_path, key, args):
@@ -271,12 +279,12 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
     monkeypatch.setattr(record, "ORACLE_REPEATS", 2)
     oracle_runs, closed_form_runs, import_runs = record.fresh_rounds(
         {side: Path(side) for side in record.SIDES})
-    kinds = ("oracles", "closed", "-m onramp analyze --config demos/onramp.json", "-c pass",
-             "-S -c pass", "importtime")
+    kinds = ("oracles", "closed", "-m onramp analyze --config demos/onramp.json",
+             "-m onramp verify --config demos/onramp.json", "-c pass", "-S -c pass", "importtime")
     assert calls == [(side, kind) for side in ("parent", "change", "change", "parent")
                      for kind in kinds]
     assert oracle_runs == {side: {"oracle": [1.0, 1.0]} for side in record.SIDES}
-    rows = {"solve": [2.0, 2.0], "process[analyze]": [4.0, 4.0],
+    rows = {"solve": [2.0, 2.0], "process[analyze]": [4.0, 4.0], "process[verify]": [4.0, 4.0],
             "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0]}
     assert closed_form_runs == {side: rows for side in record.SIDES}
     assert set(record.oracle_table(closed_form_runs)) == set(rows)

@@ -187,6 +187,8 @@ def cases():
         yield "demo.json", argv
     # an error interval so small that beta_star, the reciprocal of its mean, overflows
     yield "demo.json", ["optimal-beta", "--e-lower", "1e-320", "--e-upper", "1e-320"]
+    # an error interval so wide that the level at its upper bound, beta_star * e_upper, overflows
+    yield "demo.json", ["optimal-beta", "--e-lower", "5e-324", "--e-upper", "1.7e308"]
     # no subcommand, an unknown one, no --config
     yield None, []
     yield None, ["frobnicate"]

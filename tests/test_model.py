@@ -161,9 +161,9 @@ def test_direct_config_names_the_first_non_number_and_stores_floats():
     assert (config.n0, config.c1t, config.mu) == (0.0, 1.0, 2.4)
 
 
-@pytest.mark.parametrize("real", [np.int64, np.float32, Fraction])
-def test_a_config_of_other_reals_equals_the_one_of_python_floats(real):
-    # any real but a bool is taken, as solve and ErrorInterval take it, and stored as a float
+@pytest.mark.parametrize("real", [int, np.int64, np.float32, Fraction])
+def test_a_config_of_other_reals_equals_the_one_of_python_floats(demo_ramp, real):
+    # any real but a bool is taken, as every other numeric input is, and stored as a float
     given = {key: real(value) for key, value in DEMO_VALUES.items()}
     expected = onramp.OnRampConfig(**{key: float(value) for key, value in given.items()})
     for config in (onramp.OnRampConfig(**given), onramp.OnRampConfig.from_dict(given)):
@@ -172,6 +172,23 @@ def test_a_config_of_other_reals_equals_the_one_of_python_floats(real):
     message = f"^config key c1t must be a number, got {re.escape(repr(np.True_))}$"
     with pytest.raises(ConfigError, match=message):
         onramp.OnRampConfig(**dict(DEMO_VALUES, c1t=np.True_))
+    # the API's numeric inputs, given as whole numbers of the same type, give the float's results
+    ramp, wide = demo_ramp, onramp.ErrorInterval(1.0, 4.0)
+    interval = onramp.ErrorInterval(real(1), real(4))
+    assert interval == wide and type(interval.e_lower) is type(interval.e_upper) is float
+    for call in (
+        lambda number: onramp.solve(ramp, 0.8, number(2), number(1)),
+        lambda number: onramp.verify_wardrop(ramp, FLOW, number(2), number(1), number(1)),
+        lambda number: onramp.improvement_conditions(ramp, 0.8, number(1)),
+        lambda number: onramp.poa(ramp, number(1), wide),
+        lambda number: onramp.beta_e_sweep(ramp, [0.8], number(4), number(1)),
+        lambda number: onramp.best_response_dynamics(ramp, 0.8, number(1), tol=number(1)),
+        lambda number: onramp.grid_poa(ramp, number(1), wide, number(1)),
+        lambda number: onramp.grid_optimal_beta(ramp, wide, number(1), number(1)),
+    ):
+        result = call(real)
+        assert result == call(float)
+        assert type(result) is not onramp.WardropReport or type(result.tol) is float
 
 
 def test_huge_int_coefficients_overflow_as_from_dict_names_it():
@@ -391,20 +408,79 @@ def test_population_rejects_an_overflowing_level(demo_ramp):
 
 
 HUGE = 10**400
+INTERVAL = onramp.ErrorInterval(0.5, 2.0)
+FLOW = onramp.FlowDistribution(0.2, 0.0, 0.2, 0.6)
+# each public numeric input of the API, by the name its messages give it: (name, call)
+NUMBER_SITES = {
+    "solve alpha": ("alpha", lambda ramp, v: onramp.solve(ramp, v, 1.0)),
+    "solve beta": ("beta", lambda ramp, v: onramp.solve(ramp, 0.8, v)),
+    "solve error": ("error factor", lambda ramp, v: onramp.solve(ramp, 0.8, 1.0, v)),
+    "verify_wardrop beta": ("beta", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, v)),
+    "verify_wardrop error": (
+        "error factor", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, 1.0, v)),
+    "verify_wardrop tol": (
+        "tolerance", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, 1.0, tol=v)),
+    "improvement alpha": ("alpha", lambda ramp, v: onramp.improvement_conditions(ramp, v, 1.0)),
+    "improvement beta": ("beta", lambda ramp, v: onramp.improvement_conditions(ramp, 0.8, v)),
+    "e_lower": ("e_lower", lambda ramp, v: onramp.ErrorInterval(v, 2.0)),
+    "e_upper": ("e_upper", lambda ramp, v: onramp.ErrorInterval(0.5, v)),
+    "poa beta": ("beta", lambda ramp, v: onramp.poa(ramp, v, INTERVAL)),
+    "alpha_sweep beta": ("beta", lambda ramp, v: onramp.alpha_sweep(ramp, [v], 0.1)),
+    "alpha_sweep step": ("alpha step", lambda ramp, v: onramp.alpha_sweep(ramp, [1.0], v)),
+    "beta_e_sweep alpha": ("alpha", lambda ramp, v: onramp.beta_e_sweep(ramp, [v], 2.0, 0.5)),
+    "beta_e_sweep max": (
+        "beta_e_max", lambda ramp, v: onramp.beta_e_sweep(ramp, [0.8], v, 0.5)),
+    "beta_e_sweep step": ("step", lambda ramp, v: onramp.beta_e_sweep(ramp, [0.8], 2.0, v)),
+    "brute_force grid_step": (
+        "grid step", lambda ramp, v: onramp.brute_force_equilibrium(ramp, 0.8, 1.0, grid_step=v)),
+    "dynamics tol": (
+        "tolerance", lambda ramp, v: onramp.best_response_dynamics(ramp, 0.8, 1.0, tol=v)),
+    "grid_poa inner_grid_step": (
+        "inner grid step", lambda ramp, v: onramp.grid_poa(ramp, 1.0, INTERVAL, v)),
+    "grid_optimal_beta beta_grid_step": (
+        "beta grid step", lambda ramp, v: onramp.grid_optimal_beta(ramp, INTERVAL, v)),
+    "grid_optimal_beta inner_grid_step": (
+        "inner grid step", lambda ramp, v: onramp.grid_optimal_beta(ramp, INTERVAL, 0.5, v)),
+}
+NOT_NUMBERS = {"True": True, "np.True_": np.True_, "str": "1", "None": None,
+               "Decimal": Decimal("1"), "huge int": HUGE}
+
+
+def _number_message(name: str, value) -> str:
+    """The exact message of the one number rule for ``value`` given as ``name``."""
+    if value is HUGE:
+        return f"^{re.escape(name)} is too large for a float$"
+    return f"^{re.escape(name)} must be a number, got {re.escape(repr(value))}$"
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+@pytest.mark.parametrize("site", ["config field", *NUMBER_SITES])
+def test_every_numeric_input_takes_only_a_number(demo_ramp, site, value):
+    # a bool, a non-number or an int beyond the float range, wherever a number is taken
+    if site == "config field":
+        for key in CONFIG_KEYS:
+            doc = dict(DEMO_VALUES, **{key: value})
+            for build in (onramp.OnRampConfig.from_dict, lambda doc: onramp.OnRampConfig(**doc)):
+                with pytest.raises(ConfigError, match=_number_message(f"config key {key}", value)):
+                    build(doc)
+        return
+    name, call = NUMBER_SITES[site]
+    with pytest.raises(ValueError, match=_number_message(name, value)) as raised:
+        call(demo_ramp, value)
+    assert raised.type is ValueError
 
 
 def test_api_rejects_integers_too_large_for_a_float(demo_ramp):
+    # -HUGE at every site; HUGE is one case of test_every_numeric_input_takes_only_a_number
+    for name, call in NUMBER_SITES.values():
+        with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+            call(demo_ramp, -HUGE)
     for evaluate, name in (
-        (lambda: check_population(beta=HUGE), "beta"),
-        (lambda: check_population(beta=-HUGE), "beta"),
         (lambda: check_population(alpha=10**5000), "alpha"),
         # an int product compares below inf, so this one used to pass
         (lambda: check_population(alpha=0.5, beta=1, error=HUGE), "error factor"),
         (lambda: onramp.ErrorInterval(HUGE, 10 * HUGE), "e_lower"),
         (lambda: onramp.ErrorInterval(1, HUGE), "e_upper"),
-        (lambda: onramp.solve(demo_ramp, 0.8, HUGE), "beta"),
-        (lambda: onramp.beta_e_sweep(demo_ramp, [0.8], HUGE, 0.01), "beta_e_max"),
-        (lambda: onramp.beta_e_sweep(demo_ramp, [0.8], 4.0, HUGE), "step"),
     ):
         with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
             evaluate()
@@ -444,6 +520,15 @@ def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
     flags = onramp.improvement_conditions(ramp, narrow(0.8), narrow(1.0))
     assert flags == onramp.improvement_conditions(ramp, 0.8, 1.0)
     assert [type(flag) for flag in flags] == [bool, bool]
+    # the oracles' steps and tolerances, at values that both widths hold exactly
+    for call in (
+        lambda number: onramp.brute_force_equilibrium(ramp, 0.8, 1.0, grid_step=number(0.0625)),
+        lambda number: onramp.best_response_dynamics(ramp, 0.8, 1.0, tol=number(0.5)),
+        lambda number: onramp.verify_wardrop(ramp, FLOW, 1.0, tol=number(0.5)),
+        lambda number: onramp.grid_poa(ramp, 1.0, interval, number(0.25)),
+        lambda number: onramp.grid_optimal_beta(ramp, interval, number(0.5), number(0.25)),
+    ):
+        assert call(narrow) == call(float)
     for build, values in (
         (lambda beta, error: onramp.solve(ramp, 0.8, beta, error),
          [(-1.0, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, math.nan)]),

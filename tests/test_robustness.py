@@ -13,6 +13,7 @@ from onramp import robustness
 from onramp.analysis import _crossing
 from onramp.equilibrium import inclusive_grid
 from onramp.errors import TransitionUndefinedError, ZeroOptimumError
+from onramp.model import LEVEL_MAX
 
 from conftest import (
     DEMO_J_OPT,
@@ -21,6 +22,7 @@ from conftest import (
     meaningful_configs,
     sample_meaningful,
 )
+from test_golden import SEEDED
 
 
 def test_worst_case_degenerate_interval_at_level_one(demo_ramp):
@@ -188,6 +190,27 @@ def test_optimal_beta_names_the_interval_when_beta_star_overflows(demo_ramp):
             onramp.optimal_beta(ramp, interval)
     interval = onramp.ErrorInterval(1e-300, 1e-300)
     assert onramp.optimal_beta(demo_ramp, interval).beta_star == pytest.approx(1e300)
+
+
+def test_optimal_beta_names_the_interval_when_it_is_too_wide(demo_ramp):
+    # beta_star is finite, but the level at the upper bound, beta_star * e_upper, is not
+    limited = onramp.OnRamp.from_config(onramp.OnRampConfig(**SEEDED["limited"]))
+    for ramp, bounds, regime in (
+        (demo_ramp, (5e-324, 1.7e308), onramp.Regime.ENDPOINT_SYMMETRIC),
+        (limited, (1e-160, 1e160), onramp.Regime.TRANSITION_LIMITED),
+    ):
+        interval = onramp.ErrorInterval(*bounds)
+        assert onramp.classification(ramp, interval).regime is regime
+        message = (f"error interval ({interval.e_lower}, {interval.e_upper}) is too wide:"
+                   f" beta_star * e_upper > {LEVEL_MAX}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            onramp.optimal_beta(ramp, interval)
+    # the widest intervals of each regime tried here that keep the upper level in bounds
+    for ramp, bounds in ((demo_ramp, (1e-300, 1e300)), (limited, (1e-150, 1e150))):
+        interval = onramp.ErrorInterval(*bounds)
+        result = onramp.optimal_beta(ramp, interval)
+        assert result.beta_star * interval.e_upper <= LEVEL_MAX
+        assert result.poa == onramp.poa(ramp, result.beta_star, interval) >= 1.0
 
 
 def test_grid_oracle_degenerate_interval(demo_ramp):
