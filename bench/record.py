@@ -46,7 +46,9 @@ and imports that a user waits for, which no in-process timing sees.
 same config the same way, the command that imports numpy.  Beside them,
 ``process[python -c pass]`` and ``process[python -S -c pass]`` time the
 bare interpreter, with and without the site module, in the same rounds: the
-part of that start-up that no change to onramp can move.  The file keeps
+part of that start-up that no change to onramp can move.  The analyze and
+verify rows are also kept net of the same round's ``python -c pass``: the
+part that onramp's own imports and work take.  The file keeps
 each side's runs, its best, the ratio of the bests and the spread of the
 ratios of runs made in the same round.  Each round also runs that analyze
 process once per side under ``python -X importtime``: the ``import_times``
@@ -251,6 +253,11 @@ PROCESSES = {
 }
 
 
+# the rows also kept net of the same round's bare interpreter: onramp's own start-up and work
+BASELINE_KEY = "process[python -c pass]"
+NET_KEYS = {f"{key} net of {BASELINE_KEY}": key for key in (PROCESS_KEY, "process[verify]")}
+
+
 # the same CLI process, with each module's import timed by the interpreter
 IMPORTTIME_ARGS = ("-X", "importtime", *PROCESSES[PROCESS_KEY])
 
@@ -282,8 +289,9 @@ def fresh_rounds(trees: dict) -> tuple[dict, dict, dict]:
 
     Per side and timed name, its runs: each round runs ORACLE_CODE and
     CLOSED_FORM_CODE in fresh interpreters, then times each of PROCESSES once
-    as a whole process, by its key among the closed forms, then runs
-    IMPORTTIME_ARGS once for each module's self time.
+    as a whole process, by its key among the closed forms, with each NET_KEYS
+    row its process minus that round's BASELINE_KEY, then runs IMPORTTIME_ARGS
+    once for each module's self time.
     """
     oracle_runs, closed_form_runs, import_runs = ({side: {} for side in SIDES} for _ in range(3))
     for round_ in range(ORACLE_REPEATS):
@@ -291,9 +299,11 @@ def fresh_rounds(trees: dict) -> tuple[dict, dict, dict]:
             for code, runs in ((ORACLE_CODE, oracle_runs), (CLOSED_FORM_CODE, closed_form_runs)):
                 for name, seconds in run_fresh(trees[side], code).items():
                     runs[side].setdefault(name, []).append(seconds)
-            for key, args in PROCESSES.items():
-                closed_form_runs[side].setdefault(key, []).append(
-                    process_seconds(trees[side], args))
+            seconds = {key: process_seconds(trees[side], args) for key, args in PROCESSES.items()}
+            for net, key in NET_KEYS.items():
+                seconds[net] = seconds[key] - seconds[BASELINE_KEY]
+            for key, value in seconds.items():
+                closed_form_runs[side].setdefault(key, []).append(value)
             for name, seconds in import_times(trees[side]).items():
                 import_runs[side].setdefault(name, []).append(seconds)
     return oracle_runs, closed_form_runs, import_runs
@@ -489,7 +499,8 @@ def main(argv=None) -> int:
         "timer": f"'import onramp.cli': time.perf_counter around the first import of onramp;"
                  " each 'process[...]': time.perf_counter around one whole process,"
                  f" {PROCESS_KEY!r} being 'python -m onramp {' '.join(PROCESS_ARGV)}',"
-                 f" 'process[verify]' 'python {' '.join(PROCESSES['process[verify]'])}';"
+                 f" 'process[verify]' 'python {' '.join(PROCESSES['process[verify]'])}',"
+                 f" each '... net of {BASELINE_KEY}' that process minus the same round's;"
                  f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
                  f" {CALLS_PER_LOOP} calls; each run one fresh process, best of"
                  f" {ORACLE_REPEATS}, the sides alternating",

@@ -26,9 +26,7 @@ class ErrorInterval(Frozen):
     __slots__ = ("e_lower", "e_upper")
 
     def __init__(self, e_lower, e_upper):
-        lower, upper = e_lower, e_upper
-        if type(lower) is not float or type(upper) is not float:
-            lower, upper = real("e_lower", lower), real("e_upper", upper)
+        lower, upper = real("e_lower", e_lower), real("e_upper", e_upper)
         if not 0.0 < lower <= upper <= FLOAT_MAX:
             raise ValueError(f"need 0 < e_lower <= e_upper, got ({e_lower}, {e_upper})")
         object.__setattr__(self, "e_lower", lower)  # each bound as the float it equals
@@ -131,8 +129,7 @@ def improvement_conditions(ramp: OnRamp, alpha: float, beta: float) -> Improveme
     delta.
     """
     require_meaningful(ramp)
-    check_population(alpha, beta)
-    alpha, beta = float(alpha), float(beta)  # so numpy floats give bools
+    alpha, beta = check_population(alpha, beta)  # at error factor 1 the level is beta
     decreases = beta > 0.0 and alpha > ramp.phi
     optimizes = beta == 1.0 and alpha >= ramp.delta
     return ImprovementFlags(decreases=decreases, optimizes=optimizes)

@@ -156,7 +156,8 @@ def _cmd_poa(args, ramp) -> int:
     _print_fields(interval, names=interval.__slots__)
     _print("j_opt", ramp.j_opt)
     _print("worst_case_j_soc", supremum)
-    _print("poa", robustness.poa(ramp, args.beta, interval))
+    robustness.require_positive_optimum(ramp)
+    _print("poa", supremum / ramp.j_opt)
     _print_worst_case(points)
     result = robustness.optimal_beta(ramp, interval)
     _print_summary(result)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .analysis import _crossing, require_meaningful
 from .model import DelayProfile, FlowDistribution, OnRamp, check_population
-from .model import check_share, cost_gaps, delays, real, social_delay
+from .model import check_share, cost_gaps, delays, positive, social_delay
 
 
 class EquilibriumCase(Enum):
@@ -78,7 +78,7 @@ def solve(ramp: OnRamp, alpha: float, beta: float, error: float = 1.0) -> Equili
     CASE_D at alpha == crossing; the share is the same either way.
     """
     require_meaningful(ramp)
-    level = check_population(alpha, beta, error)
+    alpha, level = check_population(alpha, beta, error)
     case, x_hat_b, altruistic_bypass, selfish_bypass = _equilibrium_split(
         ramp.phi, ramp.delta, alpha, level
     )
@@ -139,8 +139,8 @@ def verify_wardrop(
 ) -> WardropReport:
     """Evaluate the equilibrium definition at a feasible flow."""
     check_share(flow.total_bypass)
-    level = check_population(beta=beta, error=error)
-    return WardropReport(*_switching_products(ramp, flow, level), tol=real("tolerance", tol))
+    _, level = check_population(beta=beta, error=error)
+    return WardropReport(*_switching_products(ramp, flow, level), positive("tolerance", tol))
 
 
 # largest grid, or brute-force product grid, that is built; larger ones are refused
@@ -161,7 +161,6 @@ def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
         raise ValueError(
             f"grid [{lower}, {upper}] with step {step} has more than {MAX_GRID_POINTS} points"
         )
-    step, upper = float(step), float(upper)  # a grid of floats, also for integer arguments
     grid = [lower + i * step for i in range(count + 1)]
     if grid[-1] > upper:
         grid[-1] = upper
@@ -183,10 +182,8 @@ def brute_force_equilibrium(
     share; the band tightens as the level grows.
     """
     import numpy as np
-    grid_step = real("grid step", grid_step)
-    if not 0.0 < grid_step <= 0.1:
-        raise ValueError(f"grid step must lie in (0, 0.1], got {grid_step}")
-    level = check_population(alpha, beta, error)
+    grid_step = positive("grid step", grid_step, most=0.1)
+    alpha, level = check_population(alpha, beta, error)
     tol = (ramp.slope_sum + ramp.lane2_slope) * grid_step
 
     xb = inclusive_grid(0.0, 1.0 - alpha, grid_step)
@@ -229,7 +226,7 @@ def _bypass_range(gap_lo: float, gap_hi: float, mass: float) -> tuple[float, flo
 def best_response_dynamics(
     ramp: OnRamp, alpha: float, beta: float, error: float = 1.0, tol: float = 1e-9
 ) -> DynamicsTrace:
-    """Equilibrium by bisection on the total bypass share, certified by verify_wardrop.
+    """Equilibrium by bisection on the total bypass share, certified by its Wardrop products.
 
     Both class gaps decrease in the total share x, so the share that best
     responses ask for at x, the mass of every class whose gap favors bypass,
@@ -239,10 +236,8 @@ def best_response_dynamics(
     Only the cost gaps are used, never phi, delta or the crossing, so the
     oracle is independent of the case analysis in solve.
     """
-    level = check_population(alpha, beta, error)
-    tol = real("tolerance", tol)
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+    alpha, level = check_population(alpha, beta, error)
+    tol = positive("tolerance", tol)
     selfish_mass = 1.0 - alpha
     lo, hi, mid = 0.0, 1.0, 0.5
     halvings = 0
@@ -265,5 +260,5 @@ def best_response_dynamics(
     flow = FlowDistribution(
         selfish_mass - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
     )
-    report = verify_wardrop(ramp, flow, beta, error, tol)
+    report = WardropReport(*_switching_products(ramp, flow, level), tol)
     return DynamicsTrace(flow, report.max_product, report.passed, halvings)

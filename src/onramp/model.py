@@ -151,6 +151,15 @@ def real(name: str, value, error: type[Exception] = ValueError) -> float:
         raise error(f"{name} is too large for a float") from exc
 
 
+def positive(name: str, value, most: float = math.inf) -> float:
+    """``value`` taken by real and required to lie in (0, most]: each step, bound and tolerance."""
+    value = real(name, value)
+    if not 0.0 < value <= most:
+        bound = "be > 0" if most == math.inf else f"lie in (0, {most}]"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
+
+
 def load_config(path) -> OnRampConfig:
     """Parse a JSON config file into an OnRampConfig.
 
@@ -357,14 +366,15 @@ class FlowDistribution(NamedTuple):
         return self.selfish_bypass + self.altruistic_bypass
 
 
-def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) -> float:
-    """Require alpha in [0, 1], beta >= 0, error > 0, beta*error <= LEVEL_MAX; return beta*error."""
+def check_population(alpha=0.0, beta=0.0, error=1.0) -> tuple[float, float]:
+    """(alpha, beta*error) as floats: alpha in [0, 1], beta >= 0, error > 0, level <= LEVEL_MAX."""
     # the common valid case in one test (a level in bounds has finite factors), else each
     # argument in order
     if (type(alpha) is type(beta) is type(error) is float and 0.0 <= alpha <= 1.0
             and beta >= 0.0 and error > 0.0 and (level := beta * error) <= LEVEL_MAX):
-        return level
-    if not 0.0 <= real("alpha", alpha) <= 1.0:
+        return alpha, level
+    a = real("alpha", alpha)
+    if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     b = real("beta", beta)
     if not 0.0 <= b <= FLOAT_MAX:
@@ -378,4 +388,4 @@ def check_population(alpha: float = 0.0, beta: float = 0.0, error: float = 1.0) 
     if not level <= LEVEL_MAX:
         cause = "is not finite" if level > FLOAT_MAX else f"exceeds the bound {LEVEL_MAX}"
         raise ValueError(f"effective level beta*error = {beta} * {error} {cause}")
-    return level
+    return a, level

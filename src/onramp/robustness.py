@@ -18,7 +18,7 @@ from .analysis import _TRANSITION_LIMITED, ErrorInterval, Regime, _crossing
 from .analysis import require_meaningful, worst_case_regime
 from .equilibrium import _equilibrium_split, inclusive_grid
 from .errors import TransitionUndefinedError, ZeroOptimumError
-from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_population, real, social_delay
+from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_population, positive, social_delay
 
 _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 # cells of a grid-oracle block, unless one level's errors are more: 10**6 cells took
@@ -72,7 +72,7 @@ def _endpoints(ramp, beta, interval) -> list[tuple[float, float, float]]:
     ends = []
     e_lower, e_upper = interval.e_lower, interval.e_upper
     for error in (e_lower,) if e_lower == e_upper else (e_lower, e_upper):
-        level = check_population(1.0, beta, error)
+        _, level = check_population(1.0, beta, error)
         _, x_hat_b, _, _ = _equilibrium_split(ramp.phi, ramp.delta, 1.0, level)
         ends.append((error, x_hat_b, social_delay(ramp, x_hat_b)))
     return ends
@@ -154,9 +154,7 @@ def grid_poa(
 def _grid_poa_at_levels(ramp, levels, interval, inner_grid_step):
     """grid_poa at each of the increasing ``levels``, evaluated in (level x error) blocks."""
     import numpy as np
-    inner_grid_step = real("inner grid step", inner_grid_step)
-    if inner_grid_step <= 0.0:
-        raise ValueError(f"inner grid step must be > 0, got {inner_grid_step}")
+    inner_grid_step = positive("inner grid step", inner_grid_step)
     require_meaningful(ramp)
     require_positive_optimum(ramp)
     errors = np.array(inclusive_grid(interval.e_lower, interval.e_upper, inner_grid_step))
@@ -181,7 +179,7 @@ def grid_optimal_beta(
     Searches levels on (0, 2/e_lower], a range that provably contains both
     closed-form minimizers; ties resolve to the smallest level.
     """
-    beta_grid_step = real("beta grid step", beta_grid_step)
+    beta_grid_step = positive("beta grid step", beta_grid_step)
     beta_max = 2.0 / interval.e_lower
     if beta_grid_step > beta_max:
         raise ValueError("beta grid step larger than the search range")

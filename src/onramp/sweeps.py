@@ -15,7 +15,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 from .analysis import _crossing, require_meaningful
 from .equilibrium import _BASELINE, _CASE_B, _CASE_C, _CASE_D, EquilibriumCase, inclusive_grid
 from .model import FLOAT_MAX, LEVEL_MAX, NUMBER_FORMAT, OnRamp
-from .model import check_population, real, social_delay
+from .model import check_population, positive, social_delay
 
 
 class AlphaSweepRow(NamedTuple):
@@ -39,13 +39,12 @@ LEVEL_SWEEP_COLUMNS = LevelSweepRow._fields
 
 
 def _checked_outer(ramp, outer, name: str) -> list:
-    """The outer values as a list, each checked as solve checks ``name``; none, no membership."""
+    """The outer values as floats, each checked as solve checks ``name``; none, no membership."""
     values = list(outer)
     if values:
         require_meaningful(ramp)
-    for value in values:
-        check_population(**{name: value})
-    return values
+    taken = 0 if name == "alpha" else 1  # a beta at error factor 1 is its own level
+    return [check_population(**{name: value})[taken] for value in values]
 
 
 def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, list]:
@@ -101,9 +100,7 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, list
 def _alpha_columns(ramp, betas, alpha_step) -> tuple:
     """(betas, alpha grid, tails, columns) of alpha_sweep, for its rows and the CLI."""
     betas = _checked_outer(ramp, betas, "beta")
-    alpha_step = real("alpha step", alpha_step)
-    if not 0.0 < alpha_step <= 0.1:
-        raise ValueError(f"alpha step must lie in (0, 0.1], got {alpha_step}")
+    alpha_step = positive("alpha step", alpha_step, most=0.1)
     grid = inclusive_grid(0.0, 1.0, alpha_step)
     return betas, grid, *_sweep_columns(ramp, betas, grid, levels_on_grid=False)
 
@@ -111,12 +108,10 @@ def _alpha_columns(ramp, betas, alpha_step) -> tuple:
 def _level_columns(ramp, alphas, beta_e_max, step) -> tuple:
     """(alphas, level grid, tails, columns) of beta_e_sweep, for its rows and the CLI."""
     alphas = _checked_outer(ramp, alphas, "alpha")
-    beta_e_max, step = real("beta_e_max", beta_e_max), real("step", step)
-    if beta_e_max <= 0.0:
-        raise ValueError(f"beta_e_max must be > 0, got {beta_e_max}")
+    beta_e_max = positive("beta_e_max", beta_e_max)
     if LEVEL_MAX < beta_e_max <= FLOAT_MAX:
         raise ValueError(f"beta_e_max = {beta_e_max} exceeds the level bound {LEVEL_MAX}")
-    grid = inclusive_grid(0.0, beta_e_max, step)
+    grid = inclusive_grid(0.0, beta_e_max, positive("step", step))
     return alphas, grid, *_sweep_columns(ramp, alphas, grid, levels_on_grid=True)
 
 

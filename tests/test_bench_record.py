@@ -285,7 +285,9 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
                      for kind in kinds]
     assert oracle_runs == {side: {"oracle": [1.0, 1.0]} for side in record.SIDES}
     rows = {"solve": [2.0, 2.0], "process[analyze]": [4.0, 4.0], "process[verify]": [4.0, 4.0],
-            "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0]}
+            "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0],
+            "process[analyze] net of process[python -c pass]": [1.0, 1.0],
+            "process[verify] net of process[python -c pass]": [1.0, 1.0]}
     assert closed_form_runs == {side: rows for side in record.SIDES}
     assert set(record.oracle_table(closed_form_runs)) == set(rows)
     assert import_runs == {side: {"onramp": [5.0, 5.0], side: [6.0, 6.0]} for side in record.SIDES}
@@ -294,6 +296,34 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
         "onramp": {"parent": 5.0, "change": 5.0},
         "parent": {"parent": 6.0, "change": None},
     }
+
+
+def test_fresh_rounds_take_each_net_row_against_the_same_rounds_baseline(monkeypatch):
+    # each process's seconds move by round and side, so only the same round's baseline
+    # leaves the fixed cost of the command
+    rounds = {side: 0 for side in record.SIDES}
+    cost = {"analyze": 0.25, "verify": 2.0}
+
+    def process_seconds(checkout, args):
+        side = checkout.name
+        drift = 1.0 + 10.0 * rounds[side] + (0.5 if side == "change" else 0.0)
+        if args == record.PROCESSES["process[python -S -c pass]"]:
+            rounds[side] += 1  # the last process of a side's round
+        return drift + (cost[args[2]] if args[:2] == ("-m", "onramp") else 0.0)
+
+    monkeypatch.setattr(record, "run_fresh", lambda checkout, code: {})
+    monkeypatch.setattr(record, "process_seconds", process_seconds)
+    monkeypatch.setattr(record, "import_times", lambda checkout: {})
+    monkeypatch.setattr(record, "ORACLE_REPEATS", 3)
+    _, runs, _ = record.fresh_rounds({side: Path(side) for side in record.SIDES})
+    for side in record.SIDES:
+        assert runs[side]["process[verify]"] == [
+            3.0 + 10.0 * i + (0.5 if side == "change" else 0.0) for i in range(3)]
+        assert runs[side]["process[analyze] net of process[python -c pass]"] == [0.25] * 3
+        assert runs[side]["process[verify] net of process[python -c pass]"] == [2.0] * 3
+    table = record.oracle_table(runs)
+    assert table["process[verify] net of process[python -c pass]"]["change_over_parent"] == 1.0
+    assert table["process[verify]"]["change_over_parent"] == 3.5 / 3.0
 
 
 IMPORTTIME_STDERR = """\

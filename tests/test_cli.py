@@ -596,12 +596,22 @@ def test_poa_evaluates_the_worst_case_once_at_the_given_beta(
 
     # the CLI and optimal_beta both call it through the module
     monkeypatch.setattr(onramp.robustness, "worst_case_social_delay", counting)
+    endpoint_betas = []
+    endpoints = onramp.robustness._endpoints
+
+    def counting_endpoints(ramp, beta, interval):
+        endpoint_betas.append(beta)
+        return endpoints(ramp, beta, interval)
+
+    # the printed poa divides that supremum, with no second evaluation at the given beta
+    monkeypatch.setattr(onramp.robustness, "_endpoints", counting_endpoints)
     code, out, _ = run_cli(
         capsys, "poa", "--config", str(demo_config_file),
         "--beta", "0.3", "--e-lower", "0.5", "--e-upper", "2",
     )
     assert code == 0
     assert betas.count(0.3) == 1
+    assert endpoint_betas.count(0.3) == 1 and len(endpoint_betas) == 2
     values = parse_kv(out)
     assert float(values["poa"]) == pytest.approx(
         float(values["worst_case_j_soc"]) / float(values["j_opt"]), rel=1e-10

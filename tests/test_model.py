@@ -189,6 +189,34 @@ def test_a_config_of_other_reals_equals_the_one_of_python_floats(demo_ramp, real
         result = call(real)
         assert result == call(float)
         assert type(result) is not onramp.WardropReport or type(result.tol) is float
+    # and every number of a result is a Python float: == alone would pass a leaked np.float32,
+    # since numpy compares it in float32
+    for numbers in RESULT_NUMBERS:
+        given = numbers(ramp, real(0), real(1), real(2))
+        assert given == numbers(ramp, 0.0, 1.0, 2.0)
+        assert {type(number) for number in given} == {float}
+
+
+def _solve_numbers(result) -> list:
+    """The numbers of an EquilibriumResult: its flow, share, delays and social delay."""
+    return [*result.flow, result.x_hat_b, *result.delays, result.social_delay]
+
+
+def _row_numbers(rows) -> list:
+    """The numbers of sweep rows: every field but the case."""
+    return [number for row in rows for number in (*row[:3], row[4])]
+
+
+# per call on (ramp, zero, one, two) of one type: the numbers of its results
+RESULT_NUMBERS = (
+    lambda ramp, zero, one, two: _solve_numbers(onramp.solve(ramp, zero, two)),
+    lambda ramp, zero, one, two: _solve_numbers(onramp.solve(ramp, one, two, one)),
+    lambda ramp, zero, one, two: [
+        number for flow in onramp.brute_force_equilibrium(ramp, one, two, grid_step=0.0625)
+        for number in flow],
+    lambda ramp, zero, one, two: _row_numbers(onramp.alpha_sweep(ramp, [zero, two], 0.0625)),
+    lambda ramp, zero, one, two: _row_numbers(onramp.beta_e_sweep(ramp, [zero, one], two, 0.5)),
+)
 
 
 def test_huge_int_coefficients_overflow_as_from_dict_names_it():
@@ -470,6 +498,30 @@ def test_every_numeric_input_takes_only_a_number(demo_ramp, site, value):
     assert raised.type is ValueError
 
 
+# the NUMBER_SITES that take only a positive number, each with the largest value it takes
+POSITIVE_SITES = {
+    "verify_wardrop tol": math.inf,
+    "dynamics tol": math.inf,
+    "alpha_sweep step": 0.1,
+    "brute_force grid_step": 0.1,
+    "beta_e_sweep max": math.inf,
+    "beta_e_sweep step": math.inf,
+    "grid_poa inner_grid_step": math.inf,
+    "grid_optimal_beta beta_grid_step": math.inf,
+    "grid_optimal_beta inner_grid_step": math.inf,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("site", POSITIVE_SITES)
+def test_every_positive_input_names_itself_at_nan_zero_and_below(demo_ramp, site, value):
+    name, call = NUMBER_SITES[site]
+    most = POSITIVE_SITES[site]
+    bound = "be > 0" if most == math.inf else f"lie in (0, {most}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must {bound}, got {value}')}$"):
+        call(demo_ramp, value)
+
+
 def test_api_rejects_integers_too_large_for_a_float(demo_ramp):
     # -HUGE at every site; HUGE is one case of test_every_numeric_input_takes_only_a_number
     for name, call in NUMBER_SITES.values():
@@ -517,6 +569,11 @@ def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
     rows = onramp.beta_e_sweep(ramp, [0.8], narrow(2.0), 0.5)
     assert rows == onramp.beta_e_sweep(ramp, [0.8], 2.0, 0.5)
     assert {type(row.beta_e) for row in rows} == {float}
+    # an alpha too, and every number of a result is a Python float
+    for numbers in RESULT_NUMBERS:
+        given = numbers(ramp, narrow(0.0), narrow(0.75), narrow(2.0))
+        assert given == numbers(ramp, 0.0, 0.75, 2.0)
+        assert {type(number) for number in given} == {float}
     flags = onramp.improvement_conditions(ramp, narrow(0.8), narrow(1.0))
     assert flags == onramp.improvement_conditions(ramp, 0.8, 1.0)
     assert [type(flag) for flag in flags] == [bool, bool]
