@@ -207,15 +207,16 @@ def _row_numbers(rows) -> list:
     return [number for row in rows for number in (*row[:3], row[4])]
 
 
-# per call on (ramp, zero, one, two) of one type: the numbers of its results
+# per call on (ramp, zero, alpha, beta), all of one type: the numbers of its results
 RESULT_NUMBERS = (
-    lambda ramp, zero, one, two: _solve_numbers(onramp.solve(ramp, zero, two)),
-    lambda ramp, zero, one, two: _solve_numbers(onramp.solve(ramp, one, two, one)),
-    lambda ramp, zero, one, two: [
-        number for flow in onramp.brute_force_equilibrium(ramp, one, two, grid_step=0.0625)
+    lambda ramp, zero, alpha, beta: _solve_numbers(onramp.solve(ramp, zero, beta)),
+    lambda ramp, zero, alpha, beta: _solve_numbers(onramp.solve(ramp, alpha, beta)),
+    lambda ramp, zero, alpha, beta: [
+        number for flow in onramp.brute_force_equilibrium(ramp, alpha, beta, grid_step=0.0625)
         for number in flow],
-    lambda ramp, zero, one, two: _row_numbers(onramp.alpha_sweep(ramp, [zero, two], 0.0625)),
-    lambda ramp, zero, one, two: _row_numbers(onramp.beta_e_sweep(ramp, [zero, one], two, 0.5)),
+    lambda ramp, zero, alpha, beta: _row_numbers(onramp.alpha_sweep(ramp, [zero, beta], 0.0625)),
+    lambda ramp, zero, alpha, beta: _row_numbers(
+        onramp.beta_e_sweep(ramp, [zero, alpha], beta, 0.5)),
 )
 
 
