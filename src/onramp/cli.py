@@ -16,6 +16,8 @@ package, which imports each on first use, so a command loads only those it runs.
 from __future__ import annotations
 
 import functools
+import os
+import stat
 import sys
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -97,11 +99,20 @@ def _cmd_equilibrium(args, ramp) -> int:
 
 
 def _write_sweep(path, text: str) -> int:
+    """Write ``text`` to stdout, or over the file at ``path`` and then cut it to length.
+
+    The file is not truncated to zero first: on ext4, closing a file that was truncated to
+    zero, or renaming a new file over it, starts its writeback, which cost a third of an
+    in-process ``sweep-alpha``.  /dev/null or a pipe is written and not cut.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            stream.write(text)
+        return EXIT_OK
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as stream:
+        stream.write(text.encode())
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            stream.truncate()
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .analysis import _crossing, require_meaningful
-from .model import DelayProfile, FlowDistribution, OnRamp, check_population
+from .model import FLOAT_MAX, DelayProfile, FlowDistribution, OnRamp, check_population
 from .model import check_share, cost_gaps, delays, positive, social_delay
 
 
@@ -140,7 +140,8 @@ def verify_wardrop(
     """Evaluate the equilibrium definition at a feasible flow."""
     check_share(flow.total_bypass)
     _, level = check_population(beta=beta, error=error)
-    return WardropReport(*_switching_products(ramp, flow, level), positive("tolerance", tol))
+    tol = positive("tolerance", tol, most=FLOAT_MAX)
+    return WardropReport(*_switching_products(ramp, flow, level), tol)
 
 
 # largest grid, or brute-force product grid, that is built; larger ones are refused
@@ -237,7 +238,7 @@ def best_response_dynamics(
     oracle is independent of the case analysis in solve.
     """
     alpha, level = check_population(alpha, beta, error)
-    tol = positive("tolerance", tol)
+    tol = positive("tolerance", tol, most=FLOAT_MAX)
     selfish_mass = 1.0 - alpha
     lo, hi, mid = 0.0, 1.0, 0.5
     halvings = 0

@@ -18,7 +18,7 @@ from .analysis import _TRANSITION_LIMITED, ErrorInterval, Regime, _crossing
 from .analysis import require_meaningful, worst_case_regime
 from .equilibrium import _equilibrium_split, inclusive_grid
 from .errors import TransitionUndefinedError, ZeroOptimumError
-from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_population, positive, social_delay
+from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_population, positive, real, social_delay
 
 _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 # cells of a grid-oracle block, unless one level's errors are more: 10**6 cells took
@@ -100,6 +100,7 @@ def transition_beta(alpha: float, phi: float, delta: float) -> float:
     Defined only while 2*delta - phi - alpha > 0; at alpha == delta it equals
     1, and at alpha == 1 (when defined) it equals the regime ratio.
     """
+    alpha = real("alpha", alpha)
     denominator = 2.0 * delta - phi - alpha
     if denominator <= 0.0:
         raise TransitionUndefinedError(

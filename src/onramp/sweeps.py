@@ -10,6 +10,8 @@ rows they are given one cell at a time.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import count, repeat
+from operator import add, lt
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .analysis import _crossing, require_meaningful
@@ -54,7 +56,10 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, list
     (of levels or alphas) ascending from 0.0: BASELINE at value 0.0 or -0.0 and grid index 0,
     CASE_B where alpha <= phi, CASE_C where alpha < crossing(level), else CASE_D.  Made once,
     and only where a cell uses it: each crossing and CASE_D tail per level, each CASE_C tail
-    per alpha, each j_soc per share.
+    per alpha, each j_soc per share.  A level grid's CASE_D tails are made in one pass, with
+    no cache lookup, when sorting their shares with phi and the alphas finds no two equal;
+    otherwise each share goes through the cache.  An alpha at or above every crossing takes
+    the CASE_D tail at every level, with no comparison.
     """
     phi, delta = ramp.phi, ramp.delta
     tails, j_socs, columns = [], {}, []
@@ -74,12 +79,21 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, list
         if active:
             crossings = [_crossing(phi, delta, level) for level in grid[1:]]
             top, peak = max(active), max(crossings)
-            d_tails = [tail(x, _CASE_D) if x <= top else None for x in crossings]
+            shares = [x for x in crossings if x <= top]  # each level's CASE_D share, if used
+            known = sorted([*shares, *{phi, *active}])
+            if all(map(lt, known, known[1:])):  # no share is another's, phi or an alpha's
+                index = count(len(tails))
+                tails += zip(shares, repeat(_CASE_D), [social_delay(ramp, x) for x in shares])
+                d_tails = [next(index) if x <= top else None for x in crossings]
+            else:
+                d_tails = [tail(x, _CASE_D) if x <= top else None for x in crossings]
         for alpha in values:
             if alpha <= phi:  # alpha 0.0 too, as phi > 0
                 column = [base if alpha == 0.0 else case_b] * (size - 1)
+            elif alpha >= peak:  # CASE_D at every level
+                column = d_tails
             else:
-                c = tail(alpha, _CASE_C) if alpha < peak else None
+                c = tail(alpha, _CASE_C)
                 column = [c if alpha < x else d for x, d in zip(crossings, d_tails)]
             columns.append([base, *column])
         return tails, columns
@@ -123,8 +137,8 @@ def _columns_csv(header, values, grid, tails, columns) -> str:
     texts = [tail % (x, case._value_, j) for x, case, j in tails]
     lines = [",".join(header) + "\n"]
     for value, column in zip(values, columns):
-        head = number % value
-        lines += [head + point + texts[k] for point, k in zip(points, column)]
+        head = number % value  # starts each line: the first, and after each other's newline
+        lines += [head, head.join(map(add, points, map(texts.__getitem__, column)))]
     return "".join(lines)
 
 

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -274,6 +276,43 @@ def test_sweep_beta_e_schema_and_rows(capsys, demo_config_file, tmp_path):
     lines = out_path.read_text().split("\n")
     assert lines[0] == "alpha,beta_e,x_hat_b,case,j_soc"
     assert len([line for line in lines[1:] if line]) == 2 * 401
+
+
+def test_out_is_written_over_a_longer_file_and_cut_to_length(demo_config_file, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    argvs = [[kind, "--config", str(demo_config_file)] for kind in ("sweep-beta-e", "sweep-alpha")]
+    assert _cli_bytes(argvs[0], out_path)[:2] == (0, "")
+    longer = out_path.read_bytes()
+    code, stdout, _ = _cli_bytes(argvs[1], None)
+    assert code == 0 and len(stdout) < len(longer)
+    assert _cli_bytes(argvs[1], out_path) == (0, "", stdout.encode())
+
+
+def test_out_to_a_device_is_written_and_left_untruncated(capsys, demo_config_file):
+    for kind in ("sweep-alpha", "sweep-beta-e"):
+        assert run_cli(
+            capsys, kind, "--config", str(demo_config_file), "--out", os.devnull) == (0, "", "")
+
+
+def test_out_to_a_directory_or_a_missing_one_exits_one(capsys, demo_config_file, tmp_path):
+    # os.open names the path, as open() did
+    for path, reason in ((str(tmp_path), "[Errno 21] Is a directory"),
+                         (str(tmp_path / "absent" / "sweep.csv"),
+                          "[Errno 2] No such file or directory")):
+        assert run_cli(capsys, "sweep-alpha", "--config", str(demo_config_file), "--out", path) == (
+            1, "", f"onramp: error: {reason}: {path!r}\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_a_new_out_file_takes_its_mode_from_the_umask(demo_config_file, tmp_path, umask):
+    out_path = tmp_path / "sweep.csv"
+    previous = os.umask(umask)
+    try:
+        code = _cli_bytes(["sweep-alpha", "--config", str(demo_config_file)], out_path)[0]
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
 
 
 def _cli_bytes(argv, out_path):

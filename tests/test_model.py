@@ -14,7 +14,7 @@ from hypothesis import given, reject, settings, strategies as st
 import onramp
 from onramp.analysis import _crossing
 from onramp.errors import ConfigError, DegenerateConfigError
-from onramp.model import _CONSTANTS, CONFIG_KEYS, LEVEL_MAX, check_population, cost_gaps
+from onramp.model import _CONSTANTS, CONFIG_KEYS, FLOAT_MAX, LEVEL_MAX, check_population, cost_gaps
 
 from conftest import DEMO_DELTA, DEMO_PHI, DEMO_VALUES
 from test_golden import SEEDED
@@ -470,6 +470,8 @@ NUMBER_SITES = {
         "beta grid step", lambda ramp, v: onramp.grid_optimal_beta(ramp, INTERVAL, v)),
     "grid_optimal_beta inner_grid_step": (
         "inner grid step", lambda ramp, v: onramp.grid_optimal_beta(ramp, INTERVAL, 0.5, v)),
+    "transition_beta alpha": (
+        "alpha", lambda ramp, v: onramp.transition_beta(v, ramp.phi, ramp.delta)),
 }
 NOT_NUMBERS = {"True": True, "np.True_": np.True_, "str": "1", "None": None,
                "Decimal": Decimal("1"), "huge int": HUGE}
@@ -501,8 +503,8 @@ def test_every_numeric_input_takes_only_a_number(demo_ramp, site, value):
 
 # the NUMBER_SITES that take only a positive number, each with the largest value it takes
 POSITIVE_SITES = {
-    "verify_wardrop tol": math.inf,
-    "dynamics tol": math.inf,
+    "verify_wardrop tol": FLOAT_MAX,
+    "dynamics tol": FLOAT_MAX,
     "alpha_sweep step": 0.1,
     "brute_force grid_step": 0.1,
     "beta_e_sweep max": math.inf,
@@ -513,8 +515,12 @@ POSITIVE_SITES = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
-@pytest.mark.parametrize("site", POSITIVE_SITES)
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{label}")
+    for site, most in POSITIVE_SITES.items()
+    for label, value in (("nan", math.nan), ("zero", 0.0), ("negative", -1.0), ("inf", math.inf))
+    if label != "inf" or most == FLOAT_MAX  # a tolerance: an infinite one would pass any flow
+])
 def test_every_positive_input_names_itself_at_nan_zero_and_below(demo_ramp, site, value):
     name, call = NUMBER_SITES[site]
     most = POSITIVE_SITES[site]

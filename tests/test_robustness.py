@@ -136,6 +136,17 @@ def test_transition_beta_properties(demo_ramp):
         onramp.transition_beta(2.0 * delta - phi, phi, delta)
 
 
+def test_transition_beta_takes_alpha_by_the_number_rule(demo_ramp):
+    phi, delta = demo_ramp.phi, demo_ramp.delta
+    value = onramp.transition_beta(np.float32(0.6), phi, delta)
+    assert type(value) is float
+    assert value == onramp.transition_beta(float(np.float32(0.6)), phi, delta)
+    for alpha in ("x", True):
+        with pytest.raises(ValueError, match=f"^alpha must be a number, got {alpha!r}$") as raised:
+            onramp.transition_beta(alpha, phi, delta)
+        assert raised.type is ValueError
+
+
 def test_transition_beta_at_full_altruism_equals_ratio():
     rng = random.Random(21)
     ramp = make_transition_limited(rng)

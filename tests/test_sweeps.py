@@ -26,7 +26,7 @@ from onramp.sweeps import (
     write_beta_e_sweep,
 )
 
-from conftest import DEMO_J_OPT, DEMO_J_SOC_AT_PHI, assert_same_text, meaningful_configs
+from conftest import DEMO_DELTA, DEMO_J_OPT, DEMO_J_SOC_AT_PHI, assert_same_text, meaningful_configs
 
 
 def test_inclusive_grid_hits_endpoints():
@@ -242,6 +242,31 @@ def test_column_kernel_resolves_ties_on_the_grid(config, level, ulps):
     levels = sorted({0.0, near(level), level, 2.0 * level})
     outer = [ramp.phi, near(ramp.phi), min(crossing, 1.0), min(near(crossing), 1.0)]
     _assert_columns_solve(ramp, outer, levels, True)
+
+
+@pytest.mark.parametrize("alphas", [[1.0], [1.0, 0.8], [1.0, DEMO_DELTA]], ids=str)
+@pytest.mark.parametrize("grid", [
+    [0.0, 1e-300, 0.5], [0.0, 0.5, 1e17, 1e20, 4e20], [0.0, 0.5, 1.0, 2.0]])
+def test_level_kernel_evaluates_each_share_once_where_shares_repeat(
+    demo_ramp, monkeypatch, grid, alphas
+):
+    """Levels whose crossings equal phi, equal each other, or equal an alpha, and none do.
+
+    At level 1e-300 the crossing rounds to phi, past 1e17 all crossings round to
+    2*delta - phi, and at level 1 it is delta; [0.0, 0.5, 1.0, 2.0] with alphas 1.0
+    and 0.8 repeats none.
+    """
+    shares = []
+
+    def counting_social_delay(ramp, x_hat_b):
+        shares.append(x_hat_b)
+        return onramp.social_delay(ramp, x_hat_b)
+
+    monkeypatch.setattr(sweeps, "social_delay", counting_social_delay)
+    tails, columns = sweeps._sweep_columns(demo_ramp, alphas, grid, True)
+    assert sorted(shares) == sorted({tails[k][0] for column in columns for k in column})
+    monkeypatch.undo()
+    _assert_columns_solve(demo_ramp, alphas, grid, True)
 
 
 def test_level_sweep_stops_at_the_level_bound(demo_ramp):
