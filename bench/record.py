@@ -15,8 +15,9 @@ i = 0 .. PAIRS-1; the parent runs first in even pairs, the change in odd
 ones.  One more pair on HELD_OUT_SEED is reported apart.  Then PAIRS more
 pairs, in the same order, run with ``--trace 1`` for the per-layer metrics.
 The file written holds the provenance that run.py prints, and for every
-end-to-end metric and workload both sides' values, medians and quartiles and
-the number of pairs the change won, by the direction BENCHMARK.json gives;
+end-to-end metric and workload both sides' values, medians and quartiles,
+the same for each pair's change/parent ratio, and the number of pairs the
+change won, by the direction BENCHMARK.json gives;
 the ``traced`` table gives the same for every per-layer metric.
 When a BENCH_<n>.json with n below the number in ``--out`` sits beside it,
 the newest such file is the previous one: per workload and end-to-end
@@ -346,8 +347,18 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
+def spread(values: list[float]) -> dict:
+    """The values with their median and quartiles."""
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
 def compare(runs: dict, spec: dict) -> dict:
-    """Per workload and end-to-end metric: both sides' values, quartiles and pairs won."""
+    """Per workload and end-to-end metric: both sides' values, quartiles and pairs won.
+
+    ``ratio`` holds each pair's change/parent value with its quartiles, so that a claim
+    can be read against the pairs' own spread; it is null where a parent value is zero.
+    """
     table = {}
     for workload in runs["parent"][0]:
         table[workload] = {}
@@ -364,8 +375,10 @@ def compare(runs: dict, spec: dict) -> dict:
             )
             row = {"unit": entry["unit"], "better": entry["better"], "pairs_won": won}
             for side in SIDES:
-                q1, median, q3 = quartiles(values[side])
-                row[side] = {"median": median, "q1": q1, "q3": q3, "values": values[side]}
+                row[side] = spread(values[side])
+            row["ratio"] = spread([
+                change / parent for parent, change in zip(values["parent"], values["change"])
+            ]) if all(values["parent"]) else None
             row["median_change"] = row["change"]["median"] - row["parent"]["median"]
             table[workload][name] = row
     return table

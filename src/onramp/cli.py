@@ -71,6 +71,11 @@ def _interval(args) -> ErrorInterval:
 
 
 def _cmd_analyze(args, ramp) -> int:
+    interval = None  # checked before anything is printed, as every other command's flags
+    if args.e_lower is not None or args.e_upper is not None:
+        if args.e_lower is None or args.e_upper is None:
+            raise ConfigError("--e-lower and --e-upper must be given together")
+        interval = _interval(args)
     _print_fields(ramp, names=_ANALYZE_FIELDS)
     _print("decrease_alpha_above", ramp.decrease_interval[0])
     _print("optimize_alpha_from", ramp.optimize_interval[0])
@@ -78,10 +83,8 @@ def _cmd_analyze(args, ramp) -> int:
     if not ramp.in_meaningful_set:
         _print("exclusion_reason", ramp.exclusion_reason)
         return EXIT_NOT_MEANINGFUL
-    if args.e_lower is not None or args.e_upper is not None:
-        if args.e_lower is None or args.e_upper is None:
-            raise ConfigError("--e-lower and --e-upper must be given together")
-        _print("regime", worst_case_regime(ramp.pi, _interval(args)).value)
+    if interval is not None:
+        _print("regime", worst_case_regime(ramp.pi, interval).value)
     return EXIT_OK
 
 

@@ -31,6 +31,8 @@ LEVEL_MAX = FLOAT_MAX / 2
 # the number format of the CLI's output and of the CSV sweeps: 12 significant digits,
 # below every tolerance in use
 NUMBER_FORMAT = ".12g"
+# builds a NamedTuple from a tuple of its fields, skipping the generated __new__'s call
+_new = tuple.__new__
 
 
 def format_number(value: float) -> str:
@@ -322,7 +324,7 @@ def delays(ramp: OnRamp, x_hat_b: float) -> DelayProfile:
     """Travel delays at total bypass share ``x_hat_b`` in [0, 1]."""
     check_share(x_hat_b)
     steadfast, bypass, lane2 = delay_lines(ramp, x_hat_b)
-    return DelayProfile(steadfast, bypass, steadfast, lane2)
+    return _new(DelayProfile, (steadfast, bypass, steadfast, lane2))
 
 
 def social_delay(ramp: OnRamp, x_hat_b: float) -> float:

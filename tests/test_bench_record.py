@@ -50,6 +50,26 @@ def test_compare_quartiles_of_ten_runs():
     assert row["pairs_won"] == 0
 
 
+def test_compare_keeps_each_pairs_ratio_and_its_quartiles():
+    parent = [100.0, 110.0, 120.0, 130.0, 140.0]
+    change = [90.0, 121.0, 108.0, 143.0, 140.0]
+    runs = {"parent": [_run(v, 0.1) for v in parent], "change": [_run(v, 0.0) for v in change]}
+    table = record.compare(runs, SPEC)["w"]
+    ratio = table["ops_per_s"]["ratio"]
+    assert ratio["values"] == pytest.approx([0.9, 1.1, 0.9, 1.1, 1.0])
+    # statistics.quantiles' exclusive method on the sorted 0.9, 0.9, 1.0, 1.1, 1.1
+    assert (ratio["q1"], ratio["median"], ratio["q3"]) == pytest.approx((0.9, 1.0, 1.1))
+    assert table["setup_s"]["ratio"]["values"] == [0.0] * 5
+    # the median ratio is not the ratio of the medians: the pairs are read one by one
+    assert table["ops_per_s"]["change"]["median"] / table["ops_per_s"]["parent"]["median"] \
+        == pytest.approx(121.0 / 120.0)
+    zero = {"parent": [_run(1.0, 0.0), _run(2.0, 0.1)], "change": [_run(1.0, 0.1)] * 2}
+    assert record.compare(zero, SPEC)["w"]["setup_s"]["ratio"] is None
+    one = {"parent": [_run(100.0, 0.1)], "change": [_run(80.0, 0.1)]}
+    row = record.compare(one, SPEC)["w"]["ops_per_s"]["ratio"]
+    assert (row["q1"], row["median"], row["q3"]) == (0.8, 0.8, 0.8)
+
+
 def _traced_run(seconds, rows, correct=True):
     metrics = {"w.self_s": {"value": seconds}, "rows": {"value": rows}}
     return {"w": {"correct": correct, "metrics": metrics}}

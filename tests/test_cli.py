@@ -75,11 +75,29 @@ def test_analyze_outside_set_exits_two(capsys, tmp_path):
 
 
 def test_analyze_partial_interval_exits_one(capsys, demo_config_file):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "analyze", "--config", str(demo_config_file), "--e-lower", "0.5"
     )
     assert code == 1
+    assert out == ""
     assert "together" in err
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (("--e-lower", "0.5"), "--e-lower and --e-upper must be given together"),
+    (("--e-lower", "2", "--e-upper", "0.5"),
+     "invalid error interval: need 0 < e_lower <= e_upper, got (2.0, 0.5)"),
+])
+def test_analyze_checks_its_interval_before_the_meaningful_set(capsys, tmp_path, bounds, message):
+    """An excluded config with a bad interval exits 1, the input error, with nothing printed:
+    the flags are checked before any output, and before the exit 2 of an excluded config."""
+    config = write_config(tmp_path, dict(DEMO_VALUES, n0=1.0, gamma=0.0))
+    code, out, err = run_cli(capsys, "analyze", "--config", config, *bounds)
+    assert (code, out, err) == (1, "", f"onramp: error: {message}\n")
+    code, out, _ = run_cli(capsys, "analyze", "--config", config, "--e-lower", "0.5",
+                           "--e-upper", "2")
+    assert code == 2
+    assert "regime" not in parse_kv(out)
 
 
 def test_analyze_missing_key_exits_one(capsys, tmp_path):
