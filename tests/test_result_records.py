@@ -82,15 +82,15 @@ def assert_same_named_tuple(built, fields: tuple[str, ...]) -> None:
     assert type(moved) is type(built) and moved == twin._replace(**{fields[-1]: 0.5})
 
 
+def fields_of(record) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(record))
+
+
 def twin_of(result: EquilibriumResult) -> EquilibriumResult:
     """An EquilibriumResult of the same fields, set by the generated frozen __init__."""
     twin = object.__new__(EquilibriumResult)
     GENERATED.__init__(twin, *(getattr(result, name) for name in fields_of(GENERATED)))
     return twin
-
-
-def fields_of(record) -> tuple[str, ...]:
-    return tuple(field.name for field in dataclasses.fields(record))
 
 
 def test_equilibrium_results_behave_as_the_generated_dataclass():
