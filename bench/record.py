@@ -14,11 +14,9 @@ once in each checkout, with S the ``run_seconds`` of BENCHMARK.json and
 i = 0 .. PAIRS-1; the parent runs first in even pairs, the change in odd
 ones.  One more pair on HELD_OUT_SEED is reported apart.  Then PAIRS more
 pairs, in the same order, run with ``--trace 1`` for the per-layer metrics.
-The file written holds the provenance that run.py prints, and for every
-end-to-end metric and workload both sides' values, medians and quartiles,
-the same for each pair's change/parent ratio, and the number of pairs the
-change won, by the direction BENCHMARK.json gives;
-the ``traced`` table gives the same for every per-layer metric.
+The file written holds the provenance that run.py prints, and per workload
+the summary row (below) of every end-to-end metric, in the direction
+BENCHMARK.json gives; the ``traced`` table holds one per per-layer metric.
 When a BENCH_<n>.json with n below the number in ``--out`` sits beside it,
 the newest such file is the previous one: per workload and end-to-end
 metric, the new file also holds that file's change-side median and this
@@ -34,30 +32,30 @@ even with that variable set, so that no fresh process times the compiler.
 
 Apart from the gated end-to-end table, the file also holds ungated timings
 of single calls.  In each of ORACLE_REPEATS rounds, alternating which side
-goes first, each checkout runs two fresh interpreters.  One runs
-``oracle_times``, which calls each L5 oracle once on demos/onramp.json and
-times the call with ``time.perf_counter``.  The other times ``import
-onramp.cli`` first (L6), then runs ``closed_form_times``, the best per-call
-time of reading the config, of each L0-L3 closed form and of three CLI
-commands, in process, on the same config.  Each round also times one whole
-``python -m onramp analyze --config demos/onramp.json`` process per side
-from outside, as the ``process[analyze]`` row beside them: the start-up
-and imports that a user waits for, which no in-process timing sees.
-``process[verify]`` times a whole ``python -m onramp verify`` process on the
-same config the same way, the command that imports numpy.  Beside them,
-``process[python -c pass]`` and ``process[python -S -c pass]`` time the
-bare interpreter, with and without the site module, in the same rounds: the
-part of that start-up that no change to onramp can move.  The analyze and
-verify rows are also kept net of the same round's ``python -c pass``: the
-part that onramp's own imports and work take.  The file keeps
-each side's runs, its best, the ratio of the bests and the spread of the
-ratios of runs made in the same round.  Each round also runs that analyze
-process once per side under ``python -X importtime``: the ``import_times``
-table holds each module's median self time per side, null on a side that
-does not import the module, so it shows which modules a change took off
-start-up or put on it.  None of these timings is gated:
-perfbench/README.md shows why the oracles are too unsteady on a shared VM
-to gate on, and a single call is far shorter than a benchmark op.
+goes first, each checkout runs FRESH_CODE in one fresh interpreter.  It times
+``import onramp.cli`` first (L6), then, each call through ``best_time``,
+``closed_form_times`` (reading demos/onramp.json, each L0-L3 closed form and
+three CLI commands) and ``oracle_times`` (each L5 oracle on that config;
+only these import numpy).  Each round also times, from outside, one whole
+process per side of ``python -m onramp analyze --config demos/onramp.json``
+(``process[analyze]``: the start-up and imports that a user waits for), of
+``onramp verify`` (the command that imports numpy) and of the bare
+interpreter with and without the site module (``process[python -c pass]``
+and ``process[python -S -c pass]``: the start-up that no change to onramp
+can move).  The analyze and verify rows are also kept net of the same round's
+``python -c pass``.  Each round also runs the analyze process under ``python
+-X importtime``: the ``import_times`` table holds each module's self time,
+so it shows which modules a change took off start-up or put on it.  None of
+these timings is gated: perfbench/README.md shows why the oracles are too
+unsteady on a shared VM to gate on, and a single call is far shorter than a
+benchmark op.
+
+Every row of every table is the one ``summary`` row: its unit and better
+direction; each side's values, one per pair or round, with their median and
+quartiles (a side's best is the least of its values); each pair's or round's
+change/parent ratio with its quartiles, null unless every parent value is
+positive; the pairs or rounds the change won; and the change of the medians.
+A module that only one side imports is null on the other side, with no ratio.
 """
 
 from __future__ import annotations
@@ -110,9 +108,10 @@ def same_code(first: str, second: str) -> bool:
     return first_trees is not None and first_trees == trees(second)
 
 
-def export(commit: str, workdir: Path) -> Path:
-    """A fresh tree of ``commit``, made with git archive, with its ``src`` byte-compiled."""
-    target = workdir / commit
+def export(commit: str, workdir: Path, side: str) -> Path:
+    """A fresh tree of ``commit`` in ``workdir / side``, made with git archive, its ``src``
+    byte-compiled: one tree per side, so that a commit measured against itself runs in two."""
+    target = workdir / side
     shutil.rmtree(target, ignore_errors=True)
     target.mkdir(parents=True)
     with subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE) as archive:
@@ -141,6 +140,12 @@ def run_bench(checkout: Path, seed: int, seconds: float, trace: int) -> dict:
     return results
 
 
+def best_time(call, repeat: int, number: int) -> float:
+    """Seconds per call: the best of ``repeat`` timeit loops (perf_counter, garbage collector
+    off) of ``number`` calls of ``call``."""
+    return min(timeit.repeat(call, repeat=repeat, number=number)) / number
+
+
 def oracle_times() -> dict[str, float]:
     """Seconds of one call of each L5 oracle on the demo config, as `onramp verify` makes it.
 
@@ -158,24 +163,17 @@ def oracle_times() -> dict[str, float]:
         "best_response_dynamics": lambda: onramp.best_response_dynamics(ramp, 0.8, 1.0),
         "grid_poa": lambda: onramp.grid_poa(ramp, 1.0, narrow),
     }
-    times = {}
-    for name, call in calls.items():
-        start = time.perf_counter()
-        call()
-        times[name] = time.perf_counter() - start
-    return times
+    return {name: best_time(call, 1, 1) for name, call in calls.items()}
 
 
 def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
     """Best seconds per call of each L0-L3 closed form on the config at ``path``.
 
-    Each call is timed by timeit, which uses time.perf_counter and turns the
-    garbage collector off, as the fastest of CALL_REPEATS loops of
-    CALLS_PER_LOOP calls.  ``load_config`` reads and parses the file, and
-    ``from_config`` is the whole model build.  The ``cli.main[...]`` keys time
-    the CLI's ``main`` on the config with the flags of perfbench's
-    cli_session, its stdout sent to a fresh StringIO.  The config must lie in
-    the meaningful set.
+    Each call is timed by best_time over CALL_REPEATS loops of CALLS_PER_LOOP calls.
+    ``load_config`` reads and parses the file, and ``from_config`` is the whole model
+    build.  The ``cli.main[...]`` keys time the CLI's ``main`` on the config with the
+    flags of perfbench's cli_session, its stdout sent to a fresh StringIO.  The config
+    must lie in the meaningful set.
     """
     import onramp.cli
     data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -203,21 +201,20 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
         if command() != 0:
             raise RuntimeError(f"onramp {' '.join(argv)} failed")
         calls[f"cli.main[{args[0]}]"] = command
-    return {
-        name: min(timeit.repeat(call, repeat=CALL_REPEATS, number=CALLS_PER_LOOP)) / CALLS_PER_LOOP
-        for name, call in calls.items()
-    }
+    return {name: best_time(call, CALL_REPEATS, CALLS_PER_LOOP) for name, call in calls.items()}
 
 
-# code run in a fresh interpreter: each prints one JSON object of seconds on its last line
+# code run in a fresh interpreter, which prints on its last line one JSON object: the
+# seconds of the closed forms, the first import of onramp.cli timed before anything else,
+# then those of the oracles, run after the closed forms so that they alone load numpy
 BENCH = str(ROOT / "bench")
-ORACLE_CODE = (f"import json, sys; sys.path.insert(0, {BENCH!r}); import record; "
-               "print(json.dumps(record.oracle_times()))")
-CLOSED_FORM_CODE = ("import time; start = time.perf_counter(); import onramp.cli; "
-                    "seconds = time.perf_counter() - start; "
-                    f"import json, sys; sys.path.insert(0, {BENCH!r}); import record; "
-                    "print(json.dumps({'import onramp.cli': seconds, "
-                    "**record.closed_form_times()}))")
+FRESH_TABLES = ("oracles", "closed_forms", "import_times")
+FRESH_CODE = ("import time; start = time.perf_counter(); import onramp.cli; "
+              "seconds = time.perf_counter() - start; "
+              f"import json, sys; sys.path.insert(0, {BENCH!r}); import record; "
+              "closed_forms = {'import onramp.cli': seconds, **record.closed_form_times()}; "
+              "print(json.dumps({'closed_forms': closed_forms, "
+              "'oracles': record.oracle_times()}))")
 
 
 def run_python(checkout: Path, args: tuple[str, ...]) -> subprocess.CompletedProcess:
@@ -235,8 +232,8 @@ def run_python(checkout: Path, args: tuple[str, ...]) -> subprocess.CompletedPro
     return done
 
 
-def run_fresh(checkout: Path, code: str) -> dict[str, float]:
-    """The timings ``code`` prints, run in a fresh interpreter importing the checkout's src/."""
+def run_fresh(checkout: Path, code: str) -> dict:
+    """The JSON object ``code`` prints last, run fresh on the checkout's src/."""
     return json.loads(run_python(checkout, ("-c", code)).stdout.splitlines()[-1])
 
 
@@ -285,29 +282,27 @@ def import_times(checkout: Path) -> dict[str, float]:
     return import_self_times(run_python(checkout, IMPORTTIME_ARGS).stderr)
 
 
-def fresh_rounds(trees: dict) -> tuple[dict, dict, dict]:
-    """ORACLE_REPEATS rounds, parent first in even ones: the oracle, closed-form and import runs.
+def fresh_rounds(trees: dict) -> dict:
+    """ORACLE_REPEATS rounds, parent first in even ones: per table, side and name, its runs.
 
-    Per side and timed name, its runs: each round runs ORACLE_CODE and
-    CLOSED_FORM_CODE in fresh interpreters, then times each of PROCESSES once
-    as a whole process, by its key among the closed forms, with each NET_KEYS
-    row its process minus that round's BASELINE_KEY, then runs IMPORTTIME_ARGS
-    once for each module's self time.
+    Each round runs FRESH_CODE once, for the ``oracles`` and ``closed_forms``
+    tables; then times each of PROCESSES as a whole process, by its key among
+    the closed forms, with each NET_KEYS row its process minus that round's
+    BASELINE_KEY; then runs IMPORTTIME_ARGS once for ``import_times``.
     """
-    oracle_runs, closed_form_runs, import_runs = ({side: {} for side in SIDES} for _ in range(3))
+    runs = {table: {side: {} for side in SIDES} for table in FRESH_TABLES}
     for round_ in range(ORACLE_REPEATS):
         for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
-            for code, runs in ((ORACLE_CODE, oracle_runs), (CLOSED_FORM_CODE, closed_form_runs)):
-                for name, seconds in run_fresh(trees[side], code).items():
-                    runs[side].setdefault(name, []).append(seconds)
+            times = run_fresh(trees[side], FRESH_CODE)
             seconds = {key: process_seconds(trees[side], args) for key, args in PROCESSES.items()}
             for net, key in NET_KEYS.items():
                 seconds[net] = seconds[key] - seconds[BASELINE_KEY]
-            for key, value in seconds.items():
-                closed_form_runs[side].setdefault(key, []).append(value)
-            for name, seconds in import_times(trees[side]).items():
-                import_runs[side].setdefault(name, []).append(seconds)
-    return oracle_runs, closed_form_runs, import_runs
+            times["closed_forms"].update(seconds)
+            times["import_times"] = import_times(trees[side])
+            for table in FRESH_TABLES:
+                for name, value in times[table].items():
+                    runs[table][side].setdefault(name, []).append(value)
+    return runs
 
 
 # printed by a fresh interpreter: the bytecode setting that the runs inherit
@@ -316,72 +311,53 @@ BYTECODE_CODE = ("import json, os, sys; print(json.dumps({'PYTHONDONTWRITEBYTECO
                  "'dont_write_bytecode': bool(sys.flags.dont_write_bytecode)}))")
 
 
-def oracle_table(times: dict) -> dict:
-    """Per timed call: each side's runs and best, and the change's best over the parent's.
-
-    Beside that ratio of bests, ``round_ratios`` gives the spread (min, median
-    and max) of the change-over-parent ratios of the runs made in the same round.
-    """
-    table = {}
-    for name in times["parent"]:
-        row = {side: {"best_s": min(times[side][name]), "runs_s": times[side][name]}
-               for side in SIDES}
-        row["change_over_parent"] = row["change"]["best_s"] / row["parent"]["best_s"]
-        runs = zip(times["parent"][name], times["change"][name])
-        ratios = [change / parent for parent, change in runs]
-        row["round_ratios"] = {
-            "min": min(ratios), "median": statistics.median(ratios), "max": max(ratios)
-        }
-        table[name] = row
-    return table
-
-
-def import_table(runs: dict) -> dict:
-    """Per module that either side imports, by name: each side's median self seconds, or None."""
-    names = sorted({*runs["parent"], *runs["change"]})
-    return {name: {side: statistics.median(runs[side][name]) if name in runs[side] else None
-                   for side in SIDES} for name in names}
-
-
-def quartiles(values: list[float]) -> list[float]:
-    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-
-
 def spread(values: list[float]) -> dict:
     """The values with their median and quartiles."""
-    q1, median, q3 = quartiles(values)
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(runs: dict, spec: dict) -> dict:
-    """Per workload and end-to-end metric: both sides' values, quartiles and pairs won.
+def summary(parent: list[float] | None, change: list[float] | None, better: str,
+            unit: str) -> dict:
+    """The one row of every table, from each side's values in pair or round order.
 
-    ``ratio`` holds each pair's change/parent value with its quartiles, so that a claim
-    can be read against the pairs' own spread; it is null where a parent value is zero.
+    ``pairs_won`` counts the pairs the change won in the ``better`` direction.  ``ratio``
+    holds each pair's change/parent value with its quartiles, so that a claim can be read
+    against the pairs' own spread; it is null unless every parent value is positive.  A
+    side given None, which never made the timed call, is null, and so are ``ratio`` and
+    ``median_change``.
     """
-    table = {}
-    for workload in runs["parent"][0]:
-        table[workload] = {}
-        for entry in spec["end_to_end"]:
-            name = entry["name"]
-            values = {
-                side: [run[workload]["metrics"][name]["value"] for run in runs[side]]
+    pairs = list(zip(parent or (), change or ()))  # empty unless both sides have values
+    sign = 1.0 if better == "higher" else -1.0
+    row = {"unit": unit, "better": better,
+           "pairs_won": sum(sign * (after - before) > 0.0 for before, after in pairs),
+           "parent": spread(parent) if parent else None,
+           "change": spread(change) if change else None}
+    positive = pairs and all(before > 0.0 for before, _ in pairs)
+    row["ratio"] = spread([after / before for before, after in pairs]) if positive else None
+    row["median_change"] = row["change"]["median"] - row["parent"]["median"] if pairs else None
+    return row
+
+
+def compare(runs: dict, spec: dict) -> dict:
+    """Per workload and end-to-end metric: the summary row of both sides' values."""
+    return {
+        workload: {
+            entry["name"]: summary(*(
+                [run[workload]["metrics"][entry["name"]]["value"] for run in runs[side]]
                 for side in SIDES
-            }
-            sign = 1.0 if entry["better"] == "higher" else -1.0
-            won = sum(
-                sign * (change - parent) > 0.0
-                for parent, change in zip(values["parent"], values["change"])
-            )
-            row = {"unit": entry["unit"], "better": entry["better"], "pairs_won": won}
-            for side in SIDES:
-                row[side] = spread(values[side])
-            row["ratio"] = spread([
-                change / parent for parent, change in zip(values["parent"], values["change"])
-            ]) if all(values["parent"]) else None
-            row["median_change"] = row["change"]["median"] - row["parent"]["median"]
-            table[workload][name] = row
-    return table
+            ), entry["better"], entry["unit"])
+            for entry in spec["end_to_end"]
+        }
+        for workload in runs["parent"][0]
+    }
+
+
+def timings(runs: dict) -> dict:
+    """Per name that either side timed, in seconds: the summary row of both sides' runs."""
+    names = dict.fromkeys([*runs["parent"], *runs["change"]])
+    return {name: summary(runs["parent"].get(name), runs["change"].get(name), "lower", "s")
+            for name in names}
 
 
 def all_correct(runs: dict) -> dict[str, bool]:
@@ -451,7 +427,7 @@ def main(argv=None) -> int:
     previous = previous_file(args.out.resolve())
     if previous is not None:  # read before the runs, so a bad file costs no run
         earlier = json.loads(previous.read_text(encoding="utf-8"))
-    trees = {side: export(commits[side], args.workdir) for side in SIDES}
+    trees = {side: export(commits[side], args.workdir, side) for side in SIDES}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
 
@@ -498,13 +474,14 @@ def main(argv=None) -> int:
     held = compare({side: [results[side]] for side in SIDES}, spec)
     document["held_out"] = {"seed": HELD_OUT_SEED, "end_to_end": held}
     document["traced"] = traced_table(pairs(trace=1), spec)
-    oracle_runs, closed_form_runs, import_runs = fresh_rounds(trees)
+    tables = {table: timings(side_runs) for table, side_runs in fresh_rounds(trees).items()}
+    rounds = f"one run per side in each of {ORACLE_REPEATS} rounds, the sides alternating"
     document["oracles"] = {
         "gated": False,
         "config": DEMO_CONFIG,
-        "timer": f"time.perf_counter, best of {ORACLE_REPEATS} calls, one per fresh process,"
-                 " the sides alternating",
-        "timings": oracle_table(oracle_runs),
+        "timer": f"per call, the best of 1 timeit loop of 1 call, after the closed forms in the"
+                 f" same fresh process; {rounds}",
+        "timings": tables["oracles"],
     }
     document["closed_forms"] = {
         "gated": False,
@@ -515,17 +492,15 @@ def main(argv=None) -> int:
                  f" 'process[verify]' 'python {' '.join(PROCESSES['process[verify]'])}',"
                  f" each '... net of {BASELINE_KEY}' that process minus the same round's;"
                  f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
-                 f" {CALLS_PER_LOOP} calls; each run one fresh process, best of"
-                 f" {ORACLE_REPEATS}, the sides alternating",
-        "timings": oracle_table(closed_form_runs),
+                 f" {CALLS_PER_LOOP} calls, in one fresh process; {rounds}",
+        "timings": tables["closed_forms"],
     }
     document["import_times"] = {
         "gated": False,
         "command": f"python {' '.join(IMPORTTIME_ARGS)}",
-        "timer": "each module's self time as -X importtime prints it, median of"
-                 f" {ORACLE_REPEATS} processes, one per side in each of the rounds above;"
+        "timer": f"each module's self time as -X importtime prints it; {rounds};"
                  " null where the side does not import the module",
-        "self_s": import_table(import_runs),
+        "self_s": tables["import_times"],
     }
     if previous is not None:
         document["since_previous"] = since_previous_section(

@@ -70,6 +70,83 @@ def test_compare_keeps_each_pairs_ratio_and_its_quartiles():
     assert (row["q1"], row["median"], row["q3"]) == (0.8, 0.8, 0.8)
 
 
+def _pairs(values):
+    """Faked runs, one per pair of (ops_per_s, setup_s) of workload a, then of workload b."""
+    return [{workload: {"correct": True, "metrics": {"ops_per_s": {"value": ops},
+                                                     "setup_s": {"value": setup}}}
+             for workload, ops, setup in (("a", *run[:2]), ("b", *run[2:]))} for run in values]
+
+
+PINNED_RUNS = {
+    "parent": _pairs([(100.0, 0.25, 8.0, 0.0), (125.0, 0.5, 10.0, 0.5), (80.0, 0.5, 4.0, 0.25)]),
+    "change": _pairs([(125.0, 0.25, 6.0, 0.25), (100.0, 0.25, 12.0, 0.5), (100.0, 1.0, 5.0, 0.0)]),
+}
+
+
+def _row(unit, better, won, parent, change, ratio, median_change):
+    """A summary row written out: each spread as (median, q1, q3, values)."""
+    def spread(median, q1, q3, values):
+        return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+    return {"unit": unit, "better": better, "pairs_won": won, "parent": spread(*parent),
+            "change": spread(*change), "ratio": ratio and spread(*ratio),
+            "median_change": median_change}
+
+
+# every key and value of compare's table on PINNED_RUNS: the end-to-end, held-out and traced
+# tables are built by it
+PINNED_TABLE = {
+    "a": {
+        "ops_per_s": _row("1/s", "higher", 2, (100.0, 80.0, 125.0, [100.0, 125.0, 80.0]),
+                          (100.0, 100.0, 125.0, [125.0, 100.0, 100.0]),
+                          (1.25, 0.8, 1.25, [1.25, 0.8, 1.25]), 0.0),
+        "setup_s": _row("s", "lower", 1, (0.5, 0.25, 0.5, [0.25, 0.5, 0.5]),
+                        (0.25, 0.25, 1.0, [0.25, 0.25, 1.0]), (1.0, 0.5, 2.0, [1.0, 0.5, 2.0]),
+                        -0.25),
+    },
+    "b": {
+        "ops_per_s": _row("1/s", "higher", 2, (8.0, 4.0, 10.0, [8.0, 10.0, 4.0]),
+                          (6.0, 5.0, 12.0, [6.0, 12.0, 5.0]),
+                          (1.2, 0.75, 1.25, [0.75, 1.2, 1.25]), -2.0),
+        # a zero parent value: no ratio
+        "setup_s": _row("s", "lower", 1, (0.25, 0.0, 0.5, [0.0, 0.5, 0.25]),
+                        (0.25, 0.0, 0.5, [0.25, 0.5, 0.0]), None, 0.0),
+    },
+}
+
+
+def test_compare_keeps_every_key_and_value_of_the_gated_tables():
+    assert record.compare(PINNED_RUNS, SPEC) == PINNED_TABLE
+    held = record.compare({side: PINNED_RUNS[side][:1] for side in record.SIDES}, SPEC)
+    assert held["a"]["ops_per_s"] == _row("1/s", "higher", 1, (100.0, 100.0, 100.0, [100.0]),
+                                          (125.0, 125.0, 125.0, [125.0]),
+                                          (1.25, 1.25, 1.25, [1.25]), 25.0)
+    assert held["b"]["setup_s"]["ratio"] is None
+    traced = record.traced_table(PINNED_RUNS, {"per_layer": SPEC["end_to_end"]})
+    assert traced == {"correct": {"parent": True, "change": True}, "per_layer": PINNED_TABLE}
+
+
+def test_every_table_has_the_one_summary_row():
+    keys = set(PINNED_TABLE["a"]["ops_per_s"])
+    assert keys == {"unit", "better", "pairs_won", "parent", "change", "ratio", "median_change"}
+    held = record.compare({side: PINNED_RUNS[side][:1] for side in record.SIDES}, SPEC)
+    traced = record.traced_table(PINNED_RUNS, {"per_layer": SPEC["end_to_end"]})["per_layer"]
+    fresh = {"oracles": {side: {"grid_poa": [0.2, 0.3]} for side in record.SIDES},
+             "closed_forms": {side: {"solve": [2e-6, 3e-6], "process[analyze] net of "
+                                     "process[python -c pass]": [-1e-3, 2e-3]}
+                              for side in record.SIDES},
+             "import_times": {"parent": {"onramp": [1e-3, 2e-3], "dataclasses": [4e-4, 5e-4]},
+                              "change": {"onramp": [2e-3, 1e-3]}}}
+    rows = [row for table in (record.compare(PINNED_RUNS, SPEC), held, traced)
+            for metrics in table.values() for row in metrics.values()]
+    rows += [row for runs in fresh.values() for row in record.timings(runs).values()]
+    assert len(rows) == 4 + 4 + 4 + 1 + 2 + 2
+    assert all(set(row) == keys for row in rows)
+    for row in rows:
+        for side in record.SIDES:
+            assert row[side] is None or set(row[side]) == {"median", "q1", "q3", "values"}
+
+
 def _traced_run(seconds, rows, correct=True):
     metrics = {"w.self_s": {"value": seconds}, "rows": {"value": rows}}
     return {"w": {"correct": correct, "metrics": metrics}}
@@ -122,27 +199,76 @@ def test_previous_file_is_the_newest_below_the_out_number(tmp_path):
     assert record.previous_file(tmp_path / "out.json") is None
 
 
-def test_oracle_table_keeps_runs_best_and_ratio():
+def test_timings_keep_each_sides_runs_best_and_round_ratios():
     times = {
         "parent": {"grid_poa": [0.5, 0.2, 0.4], "best_response_dynamics": [1e-4, 2e-4]},
         "change": {"grid_poa": [0.3, 0.1, 0.6], "best_response_dynamics": [3e-4, 4e-4]},
     }
-    table = record.oracle_table(times)
-    assert set(table) == {"grid_poa", "best_response_dynamics"}
+    table = record.timings(times)
+    assert list(table) == ["grid_poa", "best_response_dynamics"]
     row = table["grid_poa"]
-    assert row["parent"] == {"best_s": 0.2, "runs_s": [0.5, 0.2, 0.4]}
-    assert row["change"] == {"best_s": 0.1, "runs_s": [0.3, 0.1, 0.6]}
-    assert row["change_over_parent"] == 0.5
-    assert table["best_response_dynamics"]["change_over_parent"] == pytest.approx(3.0)
+    assert (row["unit"], row["better"], row["pairs_won"]) == ("s", "lower", 2)
+    assert row["parent"] == {"median": 0.4, "q1": 0.2, "q3": 0.5, "values": [0.5, 0.2, 0.4]}
+    assert row["change"]["values"] == [0.3, 0.1, 0.6]
+    # each side's best stays readable as the least of its runs
+    assert (min(row["parent"]["values"]), min(row["change"]["values"])) == (0.2, 0.1)
     # each round pairs the two sides' runs: 0.3/0.5, 0.1/0.2 and 0.6/0.4
-    assert row["round_ratios"] == pytest.approx({"min": 0.5, "median": 0.6, "max": 1.5})
-    assert table["best_response_dynamics"]["round_ratios"] == pytest.approx(
-        {"min": 2.0, "median": 2.5, "max": 3.0}
-    )
+    assert row["ratio"]["values"] == pytest.approx([0.6, 0.5, 1.5])
+    assert (row["ratio"]["q1"], row["ratio"]["median"], row["ratio"]["q3"]) == pytest.approx(
+        (0.5, 0.6, 1.5))
+    assert row["median_change"] == pytest.approx(-0.1)
+    other = table["best_response_dynamics"]
+    assert other["ratio"]["values"] == pytest.approx([3.0, 2.0])
+    assert other["ratio"]["median"] == pytest.approx(2.5)
+    assert other["pairs_won"] == 0
 
 
-CLOSED_FORMS = {"load_config", "from_dict", "from_config", "classification", "optimal_beta", "poa",
-                "solve", "cli.main[analyze]", "cli.main[equilibrium]", "cli.main[optimal-beta]"}
+def test_timings_of_a_net_row_with_a_non_positive_parent_value_have_no_ratio():
+    # a net row is a difference of two processes, so it can read zero or below
+    times = {"parent": {"net": [2e-3, -1e-3, 3e-3], "zero": [0.0, 1.0]},
+             "change": {"net": [1e-3, 2e-3, 4e-3], "zero": [1.0, 1.0]}}
+    table = record.timings(times)
+    row = table["net"]
+    assert row["ratio"] is None
+    # the median and quartiles are those of the per-round differences themselves
+    assert row["parent"] == {"median": 2e-3, "q1": -1e-3, "q3": 3e-3,
+                             "values": [2e-3, -1e-3, 3e-3]}
+    assert row["median_change"] == pytest.approx(0.0)
+    assert row["pairs_won"] == 1
+    assert table["zero"]["ratio"] is None
+
+
+def test_timings_of_a_module_only_one_side_imports_are_null_on_the_other():
+    runs = {"parent": {"onramp": [1e-3, 2e-3], "dataclasses": [4e-4, 5e-4]},
+            "change": {"onramp": [2e-3, 2e-3], "onramp.lazy": [1e-4, 3e-4]}}
+    table = record.timings(runs)
+    assert list(table) == ["onramp", "dataclasses", "onramp.lazy"]
+    for name, missing in (("dataclasses", "change"), ("onramp.lazy", "parent")):
+        row = table[name]
+        assert row[missing] is None
+        assert row["ratio"] is None and row["median_change"] is None and row["pairs_won"] == 0
+    assert table["dataclasses"]["parent"]["values"] == [4e-4, 5e-4]
+    assert table["onramp.lazy"]["change"]["median"] == pytest.approx(2e-4)
+    assert table["onramp"]["ratio"]["values"] == [2.0, 1.0]
+
+
+def test_best_time_is_the_best_timeit_loop_per_call(monkeypatch):
+    seen = []
+
+    def repeat(call, repeat, number):
+        seen.append((call, repeat, number))
+        return [0.5, 0.25, 0.75]
+
+    monkeypatch.setattr(record.timeit, "repeat", repeat)
+    call = object()
+    assert record.best_time(call, 3, 10) == 0.025
+    assert seen == [(call, 3, 10)]
+
+
+CLOSED_FORM_ORDER = ["load_config", "from_dict", "from_config", "classification", "optimal_beta",
+                     "poa", "solve", "cli.main[analyze]", "cli.main[equilibrium]",
+                     "cli.main[optimal-beta]"]
+CLOSED_FORMS = set(CLOSED_FORM_ORDER)
 ORACLES = {"grid_optimal_beta[0.5,2]", "grid_optimal_beta[0.25,4]", "brute_force_equilibrium",
            "best_response_dynamics", "grid_poa"}
 
@@ -175,10 +301,23 @@ def test_run_fresh_reads_the_last_line_and_names_a_failure():
         record.run_fresh(root, "raise SystemExit(3)")
 
 
-def test_closed_form_code_times_the_cli_import_first():
-    times = record.run_fresh(_PATH.parents[1], record.CLOSED_FORM_CODE)
-    assert set(times) == CLOSED_FORMS | {"import onramp.cli"}
-    assert all(seconds > 0.0 for seconds in times.values())
+def test_fresh_code_times_the_cli_import_first_then_the_closed_forms_then_the_oracles():
+    times = record.run_fresh(_PATH.parents[1], record.FRESH_CODE)
+    assert list(times) == ["closed_forms", "oracles"]
+    assert list(times["closed_forms"]) == ["import onramp.cli", *CLOSED_FORM_ORDER]
+    assert set(times["oracles"]) == ORACLES
+    assert all(seconds > 0.0 for table in times.values() for seconds in table.values())
+    # the import is timed before the recorder loads any module of its own
+    code = record.FRESH_CODE
+    assert code.index("import onramp.cli") < code.index("import json") < code.index(
+        "closed_form_times()") < code.index("oracle_times()")
+
+
+def test_closed_form_times_leave_numpy_to_the_oracles():
+    code = (f"import json, sys; sys.path.insert(0, {record.BENCH!r}); import record; "
+            "record.CALL_REPEATS = record.CALLS_PER_LOOP = 1; record.closed_form_times(); "
+            "print(json.dumps('numpy' in sys.modules))")
+    assert record.run_fresh(_PATH.parents[1], code) is False
 
 
 def _git(root, *args):
@@ -246,9 +385,26 @@ def test_bytecode_code_reports_the_inherited_setting(monkeypatch, value, flag):
 
 def test_export_byte_compiles_the_src_modules(history, tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    tree = record.export(history["base"], tmp_path / "work")
+    tree = record.export(history["base"], tmp_path / "work", "parent")
+    assert tree == tmp_path / "work" / "parent"
     assert (tree / "src" / "a.py").read_text() == "1"
     assert list((tree / "src" / "__pycache__").glob("a.*.pyc"))
+
+
+def test_export_gives_each_side_its_own_tree_of_the_same_commit(history, tmp_path):
+    # a commit measured against itself runs in two copies, not twice in one
+    work = tmp_path / "work"
+    trees = {side: record.export(history["docs"], work, side) for side in record.SIDES}
+    assert trees["parent"] != trees["change"]
+    for tree in trees.values():
+        assert (tree / "README.md").read_text() == "2"
+        assert (tree / "src" / "a.py").read_text() == "1"
+    (trees["parent"] / "README.md").write_text("edited")
+    assert (trees["change"] / "README.md").read_text() == "2"
+    # a later export of one side starts its tree afresh and leaves the other's
+    record.export(history["src"], work, "change")
+    assert (trees["change"] / "src" / "a.py").read_text() == "2"
+    assert (trees["parent"] / "README.md").read_text() == "edited"
 
 
 def test_process_seconds_times_a_whole_cli_process(tmp_path):
@@ -282,8 +438,9 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
     calls = []
 
     def run_fresh(checkout, code):
-        calls.append((checkout.name, "oracles" if code == record.ORACLE_CODE else "closed"))
-        return {"oracle": 1.0} if code == record.ORACLE_CODE else {"solve": 2.0}
+        assert code == record.FRESH_CODE
+        calls.append((checkout.name, "fresh"))
+        return {"closed_forms": {"solve": 2.0}, "oracles": {"oracle": 1.0}}
 
     def process_seconds(checkout, args):
         calls.append((checkout.name, " ".join(args)))
@@ -297,25 +454,26 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
     monkeypatch.setattr(record, "process_seconds", process_seconds)
     monkeypatch.setattr(record, "import_times", import_times)
     monkeypatch.setattr(record, "ORACLE_REPEATS", 2)
-    oracle_runs, closed_form_runs, import_runs = record.fresh_rounds(
-        {side: Path(side) for side in record.SIDES})
-    kinds = ("oracles", "closed", "-m onramp analyze --config demos/onramp.json",
+    runs = record.fresh_rounds({side: Path(side) for side in record.SIDES})
+    assert list(runs) == ["oracles", "closed_forms", "import_times"]
+    kinds = ("fresh", "-m onramp analyze --config demos/onramp.json",
              "-m onramp verify --config demos/onramp.json", "-c pass", "-S -c pass", "importtime")
     assert calls == [(side, kind) for side in ("parent", "change", "change", "parent")
                      for kind in kinds]
-    assert oracle_runs == {side: {"oracle": [1.0, 1.0]} for side in record.SIDES}
+    assert runs["oracles"] == {side: {"oracle": [1.0, 1.0]} for side in record.SIDES}
     rows = {"solve": [2.0, 2.0], "process[analyze]": [4.0, 4.0], "process[verify]": [4.0, 4.0],
             "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0],
             "process[analyze] net of process[python -c pass]": [1.0, 1.0],
             "process[verify] net of process[python -c pass]": [1.0, 1.0]}
-    assert closed_form_runs == {side: rows for side in record.SIDES}
-    assert set(record.oracle_table(closed_form_runs)) == set(rows)
-    assert import_runs == {side: {"onramp": [5.0, 5.0], side: [6.0, 6.0]} for side in record.SIDES}
-    assert record.import_table(import_runs) == {
-        "change": {"parent": None, "change": 6.0},
-        "onramp": {"parent": 5.0, "change": 5.0},
-        "parent": {"parent": 6.0, "change": None},
-    }
+    assert runs["closed_forms"] == {side: rows for side in record.SIDES}
+    assert set(record.timings(runs["closed_forms"])) == set(rows)
+    assert runs["import_times"] == {side: {"onramp": [5.0, 5.0], side: [6.0, 6.0]}
+                                    for side in record.SIDES}
+    table = record.timings(runs["import_times"])
+    assert list(table) == ["onramp", "parent", "change"]
+    assert table["onramp"]["parent"]["median"] == table["onramp"]["change"]["median"] == 5.0
+    assert table["parent"]["change"] is None and table["parent"]["parent"]["median"] == 6.0
+    assert table["change"]["parent"] is None and table["change"]["change"]["median"] == 6.0
 
 
 def test_fresh_rounds_take_each_net_row_against_the_same_rounds_baseline(monkeypatch):
@@ -331,19 +489,23 @@ def test_fresh_rounds_take_each_net_row_against_the_same_rounds_baseline(monkeyp
             rounds[side] += 1  # the last process of a side's round
         return drift + (cost[args[2]] if args[:2] == ("-m", "onramp") else 0.0)
 
-    monkeypatch.setattr(record, "run_fresh", lambda checkout, code: {})
+    monkeypatch.setattr(record, "run_fresh",
+                        lambda checkout, code: {"closed_forms": {}, "oracles": {}})
     monkeypatch.setattr(record, "process_seconds", process_seconds)
     monkeypatch.setattr(record, "import_times", lambda checkout: {})
     monkeypatch.setattr(record, "ORACLE_REPEATS", 3)
-    _, runs, _ = record.fresh_rounds({side: Path(side) for side in record.SIDES})
+    runs = record.fresh_rounds({side: Path(side) for side in record.SIDES})["closed_forms"]
     for side in record.SIDES:
         assert runs[side]["process[verify]"] == [
             3.0 + 10.0 * i + (0.5 if side == "change" else 0.0) for i in range(3)]
         assert runs[side]["process[analyze] net of process[python -c pass]"] == [0.25] * 3
         assert runs[side]["process[verify] net of process[python -c pass]"] == [2.0] * 3
-    table = record.oracle_table(runs)
-    assert table["process[verify] net of process[python -c pass]"]["change_over_parent"] == 1.0
-    assert table["process[verify]"]["change_over_parent"] == 3.5 / 3.0
+    table = record.timings(runs)
+    net = table["process[verify] net of process[python -c pass]"]
+    assert net["ratio"]["values"] == [1.0] * 3 and net["median_change"] == 0.0
+    # the round ratios of the whole process carry each round's drift
+    assert table["process[verify]"]["ratio"]["values"] == [3.5 / 3.0, 13.5 / 13.0, 23.5 / 23.0]
+    assert table["process[verify]"]["median_change"] == 0.5
 
 
 IMPORTTIME_STDERR = """\
