@@ -50,14 +50,16 @@ def worst_case_social_delay(
     an interval endpoint: the equilibrium bypass share is monotone in the
     error factor while the social delay is convex in the share, so no interior
     error can dominate both endpoints.  Returns the supremum and the endpoint
-    evaluations achieving it (both, on a tie), building a point for those only.
+    evaluations achieving it (both, on a tie: within 1e-12 of the supremum, relative to
+    it, so that the rule does not depend on the unit of delay), building a point for
+    those only.
     """
     ends = _endpoints(ramp, beta, interval)
     supremum = max(map(_J_SOC, ends))
     achieving = tuple(
         WorstCasePoint(error, 1.0, x_hat_b, j_soc)
         for error, x_hat_b, j_soc in ends
-        if j_soc >= supremum - 1e-12
+        if j_soc >= supremum - 1e-12 * supremum
     )
     return supremum, achieving
 
@@ -98,9 +100,13 @@ def transition_beta(alpha: float, phi: float, delta: float) -> float:
     """Effective level beyond which the equilibrium sticks at the share alpha.
 
     Defined only while 2*delta - phi - alpha > 0; at alpha == delta it equals
-    1, and at alpha == 1 (when defined) it equals the regime ratio.
+    1, and at alpha == 1 (when defined) it equals the regime ratio.  Each input is
+    taken by the number rule and must be finite.
     """
-    alpha = real("alpha", alpha)
+    alpha, phi, delta = real("alpha", alpha), real("phi", phi), real("delta", delta)
+    for name, value in (("alpha", alpha), ("phi", phi), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     denominator = 2.0 * delta - phi - alpha
     if denominator <= 0.0:
         raise TransitionUndefinedError(

@@ -472,6 +472,8 @@ NUMBER_SITES = {
         "inner grid step", lambda ramp, v: onramp.grid_optimal_beta(ramp, INTERVAL, 0.5, v)),
     "transition_beta alpha": (
         "alpha", lambda ramp, v: onramp.transition_beta(v, ramp.phi, ramp.delta)),
+    "transition_beta phi": ("phi", lambda ramp, v: onramp.transition_beta(0.5, v, ramp.delta)),
+    "transition_beta delta": ("delta", lambda ramp, v: onramp.transition_beta(0.5, ramp.phi, v)),
 }
 NOT_NUMBERS = {"True": True, "np.True_": np.True_, "str": "1", "None": None,
                "Decimal": Decimal("1"), "huge int": HUGE}

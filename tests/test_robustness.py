@@ -1,6 +1,7 @@
 """Unit tests for the worst-case analysis and the optimal altruism level."""
 
 import copy
+import math
 import random
 import re
 
@@ -18,6 +19,7 @@ from onramp.model import LEVEL_MAX
 from conftest import (
     DEMO_J_OPT,
     DEMO_J_SOC_AT_PHI,
+    DEMO_VALUES,
     make_transition_limited,
     meaningful_configs,
     sample_meaningful,
@@ -147,11 +149,53 @@ def test_transition_beta_takes_alpha_by_the_number_rule(demo_ramp):
         assert raised.type is ValueError
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "phi", "delta"])
+def test_transition_beta_refuses_a_non_finite_input(demo_ramp, name, value):
+    # the finite inputs give a finite level, so only the one non-finite input is refused
+    inputs = {"alpha": 0.6, "phi": demo_ramp.phi, "delta": demo_ramp.delta}
+    assert math.isfinite(onramp.transition_beta(**inputs))
+    inputs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$") as raised:
+        onramp.transition_beta(**inputs)
+    assert raised.type is ValueError
+
+
 def test_transition_beta_at_full_altruism_equals_ratio():
     rng = random.Random(21)
     ramp = make_transition_limited(rng)
     value = onramp.transition_beta(1.0, ramp.phi, ramp.delta)
     assert value == pytest.approx(ramp.pi, abs=1e-12)
+
+
+# the scales of the demo's four cost coefficients at which the tie rule is read
+DELAY_SCALES = (1e-13, 1.0, 1e6, 1e12)
+
+
+def test_worst_case_tie_rule_is_free_of_the_unit_of_delay():
+    # scaling c1t, c1m, c2t and c2m scales every delay and leaves phi, delta and every PoA as
+    # they are, so the endpoints that achieve the supremum must be the same at every scale;
+    # an absolute tie bound would keep a 0.34% lower endpoint at 1e-13 and drop a tie at 1e6
+    counts = {}
+    for scale in DELAY_SCALES:
+        values = dict(DEMO_VALUES, **{key: DEMO_VALUES[key] * scale
+                                      for key in ("c1t", "c1m", "c2t", "c2m")})
+        ramp = onramp.OnRamp.from_config(onramp.OnRampConfig(**values))
+        for bounds in ((0.5, 2.0), (0.25, 4.0)):
+            interval = onramp.ErrorInterval(*bounds)
+            summary = onramp.optimal_beta(ramp, interval)
+            for beta in (0.5, 3.0, summary.beta_star):
+                _, points = onramp.worst_case_social_delay(ramp, beta, interval)
+                counts.setdefault((bounds, beta if beta != summary.beta_star else "beta*"),
+                                  []).append(len(points))
+            counts.setdefault((bounds, "optimal_beta"), []).append(
+                len(summary.worst_case_points))
+    # one endpoint at 0.5 and 3; both at beta*, where they tie by construction
+    assert counts == {
+        (bounds, beta): [2 if beta in ("beta*", "optimal_beta") else 1] * len(DELAY_SCALES)
+        for bounds in ((0.5, 2.0), (0.25, 4.0))
+        for beta in (0.5, 3.0, "beta*", "optimal_beta")
+    }
 
 
 def test_optimal_level_demo_interval(demo_ramp):
