@@ -4,8 +4,8 @@ Usage, from the root of the repository:
 
     python3 bench/record.py --parent REF --change REF --out BENCH_<pr>.json
 
-Both commits are exported with ``git archive`` into fresh directories under
-``--workdir``, and each tree's ``src`` is byte-compiled with ``compileall``.
+Each side is exported with ``git archive`` into a fresh directory of its own
+under ``--workdir``, and each tree's ``src`` is byte-compiled with ``compileall``.
 Each of the PAIRS pairs runs
 
     python3 perfbench/run.py --workload all --seed i --seconds S
