@@ -36,14 +36,13 @@ goes first, each checkout runs FRESH_CODE in one fresh interpreter.  It times
 ``import onramp.cli`` first (L6), then, each call through ``best_time``,
 ``closed_form_times`` (reading demos/onramp.json, each L0-L3 closed form and
 three CLI commands) and ``oracle_times`` (each L5 oracle on that config;
-only these import numpy).  Each round also times, from outside, one whole
-process per side of ``python -m onramp analyze --config demos/onramp.json``
-(``process[analyze]``: the start-up and imports that a user waits for), of
-``onramp verify`` (the command that imports numpy) and of the bare
-interpreter with and without the site module (``process[python -c pass]``
-and ``process[python -S -c pass]``: the start-up that no change to onramp
-can move).  The analyze and verify rows are also kept net of the same round's
-``python -c pass``.  Each round also runs the analyze process under ``python
+only the grid oracles import numpy).  Each round also times, from outside,
+one whole process per side of ``python -m onramp analyze --config
+demos/onramp.json`` (``process[analyze]``: the start-up and imports that a
+user waits for), of ``onramp verify`` (the exact and dynamics oracles) and of
+the bare interpreter with and without the site module (``process[python -c
+pass]`` and ``process[python -S -c pass]``: the start-up that no change to
+onramp can move).  Each round also runs the analyze process under ``python
 -X importtime``: the ``import_times`` table holds each module's self time,
 so it shows which modules a change took off start-up or put on it.  None of
 these timings is gated: perfbench/README.md shows why the oracles are too
@@ -147,9 +146,10 @@ def best_time(call, repeat: int, number: int) -> float:
 
 
 def oracle_times() -> dict[str, float]:
-    """Seconds of one call of each L5 oracle on the demo config, as `onramp verify` makes it.
+    """Seconds of one call of each L5 oracle on the demo config, as the CLI makes it.
 
-    Imports onramp from sys.path, so run it where the checkout's src/ is first.
+    Imports onramp from sys.path, so run it where the checkout's src/ is first.  An
+    oracle that the checkout's onramp does not have, on one side of an A/B, is left out.
     """
     import numpy  # imported here, so that no timed call pays for its import
     import onramp
@@ -158,12 +158,12 @@ def oracle_times() -> dict[str, float]:
     calls = {
         "grid_optimal_beta[0.5,2]": lambda: onramp.grid_optimal_beta(ramp, narrow),
         "grid_optimal_beta[0.25,4]": lambda: onramp.grid_optimal_beta(ramp, wide),
-        "brute_force_equilibrium": lambda: onramp.brute_force_equilibrium(
-            ramp, 0.8, 1.0, grid_step=1e-3),
+        "exact_equilibria": lambda: onramp.exact_equilibria(ramp, 0.8, 1.0),
         "best_response_dynamics": lambda: onramp.best_response_dynamics(ramp, 0.8, 1.0),
         "grid_poa": lambda: onramp.grid_poa(ramp, 1.0, narrow),
     }
-    return {name: best_time(call, 1, 1) for name, call in calls.items()}
+    return {name: best_time(call, 1, 1) for name, call in calls.items()
+            if hasattr(onramp, name.partition("[")[0])}
 
 
 def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
@@ -241,19 +241,14 @@ def run_fresh(checkout: Path, code: str) -> dict:
 PROCESS_ARGV = ("analyze", "--config", DEMO_CONFIG)
 PROCESS_KEY = f"process[{PROCESS_ARGV[0]}]"
 # per row, the interpreter arguments of a timed process: the CLI command, the verify command
-# (the path that imports numpy), then the bare interpreter with and without the site module,
-# the start-up that any command pays first
+# (the exact and dynamics oracles), then the bare interpreter with and without the site
+# module, the start-up that any command pays first
 PROCESSES = {
     PROCESS_KEY: ("-m", "onramp", *PROCESS_ARGV),
     "process[verify]": ("-m", "onramp", "verify", "--config", DEMO_CONFIG),
     "process[python -c pass]": ("-c", "pass"),
     "process[python -S -c pass]": ("-S", "-c", "pass"),
 }
-
-
-# the rows also kept net of the same round's bare interpreter: onramp's own start-up and work
-BASELINE_KEY = "process[python -c pass]"
-NET_KEYS = {f"{key} net of {BASELINE_KEY}": key for key in (PROCESS_KEY, "process[verify]")}
 
 
 # the same CLI process, with each module's import timed by the interpreter
@@ -287,17 +282,14 @@ def fresh_rounds(trees: dict) -> dict:
 
     Each round runs FRESH_CODE once, for the ``oracles`` and ``closed_forms``
     tables; then times each of PROCESSES as a whole process, by its key among
-    the closed forms, with each NET_KEYS row its process minus that round's
-    BASELINE_KEY; then runs IMPORTTIME_ARGS once for ``import_times``.
+    the closed forms; then runs IMPORTTIME_ARGS once for ``import_times``.
     """
     runs = {table: {side: {} for side in SIDES} for table in FRESH_TABLES}
     for round_ in range(ORACLE_REPEATS):
         for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
             times = run_fresh(trees[side], FRESH_CODE)
-            seconds = {key: process_seconds(trees[side], args) for key, args in PROCESSES.items()}
-            for net, key in NET_KEYS.items():
-                seconds[net] = seconds[key] - seconds[BASELINE_KEY]
-            times["closed_forms"].update(seconds)
+            times["closed_forms"].update(
+                (key, process_seconds(trees[side], args)) for key, args in PROCESSES.items())
             times["import_times"] = import_times(trees[side])
             for table in FRESH_TABLES:
                 for name, value in times[table].items():
@@ -489,8 +481,7 @@ def main(argv=None) -> int:
         "timer": f"'import onramp.cli': time.perf_counter around the first import of onramp;"
                  " each 'process[...]': time.perf_counter around one whole process,"
                  f" {PROCESS_KEY!r} being 'python -m onramp {' '.join(PROCESS_ARGV)}',"
-                 f" 'process[verify]' 'python {' '.join(PROCESSES['process[verify]'])}',"
-                 f" each '... net of {BASELINE_KEY}' that process minus the same round's;"
+                 f" 'process[verify]' 'python {' '.join(PROCESSES['process[verify]'])}';"
                  f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
                  f" {CALLS_PER_LOOP} calls, in one fresh process; {rounds}",
         "timings": tables["closed_forms"],

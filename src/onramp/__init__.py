@@ -13,7 +13,7 @@ _PUBLIC = {
     "analysis": ("Classification", "ErrorInterval", "ImprovementFlags", "Regime", "analyze",
                  "classification", "classify", "improvement_conditions"),
     "equilibrium": ("DynamicsTrace", "EquilibriumCase", "EquilibriumResult", "WardropReport",
-                    "best_response_dynamics", "brute_force_equilibrium", "solve",
+                    "best_response_dynamics", "exact_equilibria", "solve",
                     "solve_equilibrium", "verify_wardrop"),
     "errors": ("ConfigError", "DegenerateConfigError", "NotInMeaningfulSetError", "OnRampError",
                "TransitionUndefinedError", "ZeroOptimumError"),

@@ -195,19 +195,17 @@ def _cmd_optimal_beta(args, ramp) -> int:
 def _cmd_verify(args, ramp) -> int:
     equilibrium = onramp.equilibrium
     result = equilibrium.solve(ramp, args.alpha, args.beta, args.error)
-    candidates = equilibrium.brute_force_equilibrium(
-        ramp, args.alpha, args.beta, args.error, grid_step=args.step
-    )
+    shares = equilibrium.exact_equilibria(ramp, args.alpha, args.beta, args.error)
     _print("closed_form_x_hat_b", result.x_hat_b)
     _print("case", result.case.value)
-    _print("brute_force_count", len(candidates))
-    ok = bool(candidates)
-    if candidates:
-        closest = min(candidates, key=lambda flow: abs(flow.total_bypass - result.x_hat_b))
-        gap = abs(closest.total_bypass - result.x_hat_b)
-        _print("brute_force_closest", closest.total_bypass)
-        _print("brute_force_gap", gap)
-        ok = gap <= 2.0 * args.step
+    _print("exact_count", len(shares))
+    ok = len(shares) == 1
+    if shares:
+        closest = min(shares, key=lambda share: abs(share - result.x_hat_b))
+        gap = abs(closest - result.x_hat_b)
+        _print("exact_x_hat_b", closest)
+        _print("exact_gap", gap)
+        ok &= gap <= 1e-9
     trace = equilibrium.best_response_dynamics(ramp, args.alpha, args.beta, args.error, tol=1e-10)
     dynamics_x = trace.flow.total_bypass
     dynamics_gap = abs(dynamics_x - result.x_hat_b)
@@ -243,9 +241,9 @@ _COMMANDS = {
     "poa": (_cmd_poa, "price of anarchy at a given level",
             (_CONFIG, _Flag("--beta", required=True), *_INTERVAL)),
     "optimal-beta": (_cmd_optimal_beta, "worst-case-optimal altruism level", (_CONFIG, *_INTERVAL)),
-    "verify": (_cmd_verify, "closed form vs. grid and dynamics oracles at one point", (
+    "verify": (_cmd_verify, "closed form vs. exact and dynamics oracles at one point", (
         _CONFIG, _Flag("--alpha", default=0.8), _Flag("--beta", default=1.0),
-        _Flag("--error", default=1.0), _Flag("--step", default=1e-3, help="oracle grid step"))),
+        _Flag("--error", default=1.0))),
 }
 # per command, its handler and each flag by option with the dest argparse derives from it
 _LOOKUP = {

@@ -2,9 +2,9 @@
 
 The closed-form solver maps a population (alpha, beta*error) to the unique
 equilibrium bypass share of a meaningful-set configuration; two independent
-oracles cross-check it: exhaustive verification on a feasibility grid, and a
-bisection on the share that best responses ask for, certified by the Wardrop
-switching products.
+oracles cross-check it: an exact check of the candidate shares in rational
+arithmetic, and a bisection on the share that best responses ask for,
+certified by the Wardrop switching products.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class WardropReport(NamedTuple):
 
 
 def _switching_products(ramp, flow, level):
-    """WardropReport's four products, unchecked; the flow's fields may be numpy arrays."""
+    """WardropReport's four products, unchecked."""
     travel_gap, perceived_gap = cost_gaps(ramp, flow.total_bypass, level)
     return (
         flow.selfish_steadfast * travel_gap,
@@ -154,7 +154,7 @@ def verify_wardrop(
     return WardropReport(*_switching_products(ramp, flow, level), tol)
 
 
-# largest grid, or brute-force product grid, that is built; larger ones are refused
+# largest grid that is built; larger ones are refused
 MAX_GRID_POINTS = 10**6
 
 
@@ -180,39 +180,35 @@ def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
     return grid
 
 
-def brute_force_equilibrium(
-    ramp: OnRamp, alpha: float, beta: float, error: float = 1.0, grid_step: float = 1e-3
-) -> list[FlowDistribution]:
-    """Enumerate feasible decompositions on a grid and keep the verified ones.
+def exact_equilibria(ramp: OnRamp, alpha: float, beta: float, error: float = 1.0) -> list[float]:
+    """Every equilibrium share, found in exact rational arithmetic, each as its nearest float.
 
-    The verification tolerance scales with the grid step times the summed
-    slope magnitudes, so the affine cost gaps cannot jump past it between
-    neighboring grid points and the true equilibrium share is always covered
-    within one step.  At small effective levels the altruists' near
-    indifference widens the verified band to a few steps around the true
-    share; the band tightens as the level grows.
+    Each class's gap (steadfast minus bypass cost; positive favors bypass) is
+    affine in the total bypass share x, p - q*x, with p and q formed here from
+    the ramp's seven numbers as Fractions; no float code is shared with solve.
+    A share can be an equilibrium only at 0, 1, alpha, 1 - alpha or a gap's
+    zero.  A candidate x in [0, 1] is kept when the classes whose gap is
+    positive fit in x and those whose gap is not negative fill it.  No
+    tolerance and no grid.
     """
-    import numpy as np
-    grid_step = positive("grid step", grid_step, most=0.1)
-    alpha, level = check_population(alpha, beta, error)
-    tol = (ramp.slope_sum + ramp.lane2_slope) * grid_step
+    from fractions import Fraction
 
-    xb = inclusive_grid(0.0, 1.0 - alpha, grid_step)
-    xtb = inclusive_grid(0.0, alpha, grid_step)
-    if len(xb) * len(xtb) > MAX_GRID_POINTS:
-        raise ValueError(f"grid step {grid_step} gives more than {MAX_GRID_POINTS} decompositions")
-    selfish_bypass = np.array(xb)[:, None]
-    altruistic_bypass = np.array(xtb)[None, :]
-    grid = FlowDistribution(
-        (1.0 - alpha) - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
-    )
-    products = _switching_products(ramp, grid, level)
-    ok = np.logical_and.reduce([product <= tol for product in products])
-    rows, cols = np.nonzero(ok)
-    return [
-        FlowDistribution((1.0 - alpha) - xb[i], xb[i], alpha - xtb[j], xtb[j])
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ]
+    alpha, level = check_population(alpha, beta, error)
+    n0, n2, ks, bs, kb, bb, k2 = map(Fraction, (
+        ramp.n0, ramp.n2, ramp.steadfast_slope, ramp.steadfast_intercept, ramp.bypass_slope,
+        ramp.bypass_intercept, ramp.lane2_slope))
+    alpha, level = Fraction(alpha), Fraction(level)
+    travel = (ks + bs - bb, ks + kb)
+    perceived = (travel[0] + level * (ks * (1 + n0) - k2 * n2), travel[1] * (1 + level))
+    classes = ((1 - alpha, travel), (alpha, perceived))
+    candidates = {Fraction(0), Fraction(1), alpha, 1 - alpha}
+    candidates.update(p / q for _, (p, q) in classes if q)
+    return sorted({
+        float(x) for x in candidates
+        if 0 <= x <= 1
+        and sum(mass for mass, (p, q) in classes if p - q * x > 0) <= x
+        <= sum(mass for mass, (p, q) in classes if p - q * x >= 0)
+    })
 
 
 # bisection steps on the share bracket [0, 1]: enough to reach adjacent doubles

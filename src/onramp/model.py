@@ -321,7 +321,9 @@ def delay_lines(ramp: OnRamp, x_hat_b):
 
 
 def delays(ramp: OnRamp, x_hat_b: float) -> DelayProfile:
-    """Travel delays at total bypass share ``x_hat_b`` in [0, 1]."""
+    """Travel delays at total bypass share ``x_hat_b`` in [0, 1], taken by real."""
+    if type(x_hat_b) is not float:  # solve passes the float share it computed
+        x_hat_b = real("bypass share", x_hat_b)
     check_share(x_hat_b)
     steadfast, bypass, lane2 = delay_lines(ramp, x_hat_b)
     return _new(DelayProfile, (steadfast, bypass, steadfast, lane2))
@@ -343,7 +345,7 @@ def cost_gaps(ramp: OnRamp, x_hat_b, level):
     """Steadfast-minus-bypass (travel delay, perceived cost) gaps; positive favors bypass.
 
     Each perceived cost is the delay plus the effective level beta*error times
-    that option's marginal-delay term.  Unchecked; floats or numpy arrays.
+    that option's marginal-delay term.  Unchecked.
     """
     steadfast, bypass, _ = delay_lines(ramp, x_hat_b)
     steadfast_cost = steadfast + level * ramp.steadfast_slope * ((1.0 - x_hat_b) + ramp.n0)

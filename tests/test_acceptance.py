@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every expected value is either pinned arithmetic or re-derived by an
-independent oracle (bisection, grid scan, exhaustive grid, dynamics) inside
+independent oracle (bisection, grid scan, exact candidate shares, dynamics) inside
 the test.
 """
 
@@ -20,11 +20,13 @@ from onramp.sweeps import alpha_sweep, beta_e_sweep, inclusive_grid
 
 from conftest import (
     DEMO_VALUES,
+    SOLVE_ULPS,
     bisect_selfish_crossing,
     make_transition_limited,
     meaningful_batch,
     refined_grid_minimizer,
     sample_meaningful,
+    ulps_apart,
 )
 
 BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -212,20 +214,19 @@ def oracle_instances():
     return meaningful_batch(200, seed=606)
 
 
-def test_criterion_6a_brute_force_agreement(oracle_instances):
+def test_criterion_6a_exact_agreement(oracle_instances):
     rng = random.Random(607)
     for ramp in oracle_instances:
         alpha = rng.uniform(0.05, 0.95)
         level = rng.uniform(0.25, 1.25)
         closed = onramp.solve(ramp, alpha, level)
-        candidates = onramp.brute_force_equilibrium(ramp, alpha, level, grid_step=1e-3)
-        assert candidates, (alpha, level)
-        gap = min(abs(f.total_bypass - closed.x_hat_b) for f in candidates)
-        assert gap <= 2e-3, (alpha, level, gap)
+        shares = onramp.exact_equilibria(ramp, alpha, level)
+        assert len(shares) == 1, (alpha, level, shares)
+        assert ulps_apart(closed.x_hat_b, shares[0]) <= SOLVE_ULPS, (alpha, level, shares)
     _passed(
         6,
-        "oracle agreement (grid): 200 random instances covered the closed form "
-        "within 2e-3",
+        f"oracle agreement (exact): 200 random instances each had one equilibrium share, "
+        f"within {SOLVE_ULPS} ulps of the closed form",
     )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import onramp
 from onramp.model import CONFIG_KEYS, OnRamp
 
 from conftest import sample_config
@@ -132,8 +133,7 @@ def test_every_table_has_the_one_summary_row():
     held = record.compare({side: PINNED_RUNS[side][:1] for side in record.SIDES}, SPEC)
     traced = record.traced_table(PINNED_RUNS, {"per_layer": SPEC["end_to_end"]})["per_layer"]
     fresh = {"oracles": {side: {"grid_poa": [0.2, 0.3]} for side in record.SIDES},
-             "closed_forms": {side: {"solve": [2e-6, 3e-6], "process[analyze] net of "
-                                     "process[python -c pass]": [-1e-3, 2e-3]}
+             "closed_forms": {side: {"solve": [2e-6, 3e-6], "process[analyze]": [0.05, 0.06]}
                               for side in record.SIDES},
              "import_times": {"parent": {"onramp": [1e-3, 2e-3], "dataclasses": [4e-4, 5e-4]},
                               "change": {"onramp": [2e-3, 1e-3]}}}
@@ -223,14 +223,14 @@ def test_timings_keep_each_sides_runs_best_and_round_ratios():
     assert other["pairs_won"] == 0
 
 
-def test_timings_of_a_net_row_with_a_non_positive_parent_value_have_no_ratio():
-    # a net row is a difference of two processes, so it can read zero or below
-    times = {"parent": {"net": [2e-3, -1e-3, 3e-3], "zero": [0.0, 1.0]},
-             "change": {"net": [1e-3, 2e-3, 4e-3], "zero": [1.0, 1.0]}}
+def test_timings_of_a_row_with_a_non_positive_parent_value_have_no_ratio():
+    # -X importtime prints whole microseconds, so a module's self time can read zero
+    times = {"parent": {"row": [2e-3, -1e-3, 3e-3], "zero": [0.0, 1.0]},
+             "change": {"row": [1e-3, 2e-3, 4e-3], "zero": [1.0, 1.0]}}
     table = record.timings(times)
-    row = table["net"]
+    row = table["row"]
     assert row["ratio"] is None
-    # the median and quartiles are those of the per-round differences themselves
+    # the median and quartiles are those of the values themselves
     assert row["parent"] == {"median": 2e-3, "q1": -1e-3, "q3": 3e-3,
                              "values": [2e-3, -1e-3, 3e-3]}
     assert row["median_change"] == pytest.approx(0.0)
@@ -269,7 +269,7 @@ CLOSED_FORM_ORDER = ["load_config", "from_dict", "from_config", "classification"
                      "poa", "solve", "cli.main[analyze]", "cli.main[equilibrium]",
                      "cli.main[optimal-beta]"]
 CLOSED_FORMS = set(CLOSED_FORM_ORDER)
-ORACLES = {"grid_optimal_beta[0.5,2]", "grid_optimal_beta[0.25,4]", "brute_force_equilibrium",
+ORACLES = {"grid_optimal_beta[0.5,2]", "grid_optimal_beta[0.25,4]", "exact_equilibria",
            "best_response_dynamics", "grid_poa"}
 
 
@@ -292,6 +292,14 @@ def test_oracle_times_time_each_oracle_once(monkeypatch):
     times = record.oracle_times()
     assert set(times) == ORACLES
     assert all(seconds > 0.0 for seconds in times.values())
+
+
+def test_oracle_times_leave_out_an_oracle_the_checkout_lacks(monkeypatch):
+    # as on the side of an A/B that predates or outlives the oracle
+    monkeypatch.chdir(_PATH.parents[1])
+    monkeypatch.delitem(onramp._HOME, "exact_equilibria")
+    monkeypatch.delattr(onramp, "exact_equilibria", raising=False)
+    assert set(record.oracle_times()) == ORACLES - {"exact_equilibria"}
 
 
 def test_run_fresh_reads_the_last_line_and_names_a_failure():
@@ -420,7 +428,7 @@ def test_process_seconds_times_a_whole_cli_process(tmp_path):
 
 
 def test_process_seconds_times_a_whole_verify_process():
-    # the command that imports numpy, on the config of the analyze row
+    # the exact and dynamics oracles, on the config of the analyze row
     args = record.PROCESSES["process[verify]"]
     assert args == ("-m", "onramp", "verify", "--config", record.DEMO_CONFIG)
     assert record.DEMO_CONFIG == record.PROCESS_ARGV[-1]
@@ -462,9 +470,7 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
                      for kind in kinds]
     assert runs["oracles"] == {side: {"oracle": [1.0, 1.0]} for side in record.SIDES}
     rows = {"solve": [2.0, 2.0], "process[analyze]": [4.0, 4.0], "process[verify]": [4.0, 4.0],
-            "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0],
-            "process[analyze] net of process[python -c pass]": [1.0, 1.0],
-            "process[verify] net of process[python -c pass]": [1.0, 1.0]}
+            "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0]}
     assert runs["closed_forms"] == {side: rows for side in record.SIDES}
     assert set(record.timings(runs["closed_forms"])) == set(rows)
     assert runs["import_times"] == {side: {"onramp": [5.0, 5.0], side: [6.0, 6.0]}
@@ -474,38 +480,6 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
     assert table["onramp"]["parent"]["median"] == table["onramp"]["change"]["median"] == 5.0
     assert table["parent"]["change"] is None and table["parent"]["parent"]["median"] == 6.0
     assert table["change"]["parent"] is None and table["change"]["change"]["median"] == 6.0
-
-
-def test_fresh_rounds_take_each_net_row_against_the_same_rounds_baseline(monkeypatch):
-    # each process's seconds move by round and side, so only the same round's baseline
-    # leaves the fixed cost of the command
-    rounds = {side: 0 for side in record.SIDES}
-    cost = {"analyze": 0.25, "verify": 2.0}
-
-    def process_seconds(checkout, args):
-        side = checkout.name
-        drift = 1.0 + 10.0 * rounds[side] + (0.5 if side == "change" else 0.0)
-        if args == record.PROCESSES["process[python -S -c pass]"]:
-            rounds[side] += 1  # the last process of a side's round
-        return drift + (cost[args[2]] if args[:2] == ("-m", "onramp") else 0.0)
-
-    monkeypatch.setattr(record, "run_fresh",
-                        lambda checkout, code: {"closed_forms": {}, "oracles": {}})
-    monkeypatch.setattr(record, "process_seconds", process_seconds)
-    monkeypatch.setattr(record, "import_times", lambda checkout: {})
-    monkeypatch.setattr(record, "ORACLE_REPEATS", 3)
-    runs = record.fresh_rounds({side: Path(side) for side in record.SIDES})["closed_forms"]
-    for side in record.SIDES:
-        assert runs[side]["process[verify]"] == [
-            3.0 + 10.0 * i + (0.5 if side == "change" else 0.0) for i in range(3)]
-        assert runs[side]["process[analyze] net of process[python -c pass]"] == [0.25] * 3
-        assert runs[side]["process[verify] net of process[python -c pass]"] == [2.0] * 3
-    table = record.timings(runs)
-    net = table["process[verify] net of process[python -c pass]"]
-    assert net["ratio"]["values"] == [1.0] * 3 and net["median_change"] == 0.0
-    # the round ratios of the whole process carry each round's drift
-    assert table["process[verify]"]["ratio"]["values"] == [3.5 / 3.0, 13.5 / 13.0, 23.5 / 23.0]
-    assert table["process[verify]"]["median_change"] == 0.5
 
 
 IMPORTTIME_STDERR = """\

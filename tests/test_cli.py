@@ -149,7 +149,8 @@ def _parsed(parse, argv):
     ["sweep-beta-e", "--config", "c.json", "--alpha", "0.9", "--beta-e-max", "2", "--step", "0.1"],
     ["poa", "--config", "c.json", "--beta", "1", "--e-lower", "0.5", "--e-upper", "2"],
     ["optimal-beta", "--config", "c.json", "--e-lower", "0.25", "--e-upper", "4"],
-    ["verify", "--config", "c.json", "--alpha", "0.4", "--beta", "0.6", "--step", "0.002"],
+    ["verify", "--config", "c.json", "--alpha", "0.4", "--beta", "0.6", "--error", "1.5"],
+    ["verify", "--config", "c.json", "--step", "0.002"],
     ["equilibrium", "--config", "c.json", "--alpha=0.8", "--beta", "1"],
     ["equilibrium", "--config", "c.json", "--alp", "0.8", "--beta", "1"],
     ["equilibrium", "--config", "c.json", "--alpha", "0.8", "--beta", "-1"],
@@ -587,9 +588,21 @@ def test_verify_command(capsys, demo_config_file):
     assert code == 0
     values = parse_kv(out)
     assert values["verify_pass"] == "true"
-    assert float(values["brute_force_gap"]) <= 2e-3
+    assert values["exact_count"] == "1"
+    assert float(values["exact_gap"]) <= 1e-9
     assert float(values["dynamics_gap"]) <= 1e-9
     assert values["dynamics_converged"] == "true"
+
+
+# at 1e6 and above the dynamics' tolerance, which does not scale with the level, fails
+@pytest.mark.parametrize("beta, code", [("1", 0), ("1000", 0), ("1e6", 3), ("5e307", 3)])
+def test_verify_finds_one_exact_share_at_every_level(capsys, demo_config_file, beta, code):
+    got, out, err = run_cli(
+        capsys, "verify", "--config", str(demo_config_file), "--alpha", "0.8", "--beta", beta
+    )
+    values = parse_kv(out)
+    assert (got, err, values["exact_count"], values["exact_gap"]) == (code, "", "1", "0")
+    assert values["exact_x_hat_b"] == values["closed_form_x_hat_b"]
 
 
 def test_console_entrypoint_subprocess(demo_config_file):
@@ -627,13 +640,13 @@ def test_equilibrium_with_a_nan_certificate_fails_wardrop(capsys, demo_config_fi
     assert values["wardrop_pass"] == "false"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_with_a_nan_certificate_is_not_converged(capsys, demo_config_file):
     code, out, _ = run_cli(
         capsys, "verify", "--config", str(demo_config_file), "--alpha", "0.8", "--beta", "5e307"
     )
     assert code == 3
     values = parse_kv(out)
+    assert (values["exact_count"], values["exact_gap"]) == ("1", "0")
     assert values["dynamics_converged"] == "false"
     assert values["wardrop_max_product"] == "nan"
     assert values["verify_pass"] == "false"

@@ -5,21 +5,23 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import onramp
 from onramp import equilibrium
 from onramp.analysis import _crossing
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import NotInMeaningfulSetError
-from onramp.model import LEVEL_MAX, cost_gaps
+from onramp.model import LEVEL_MAX
 
 from conftest import (
     DEMO_DELTA,
     DEMO_PHI,
+    SOLVE_ULPS,
     bisect_selfish_crossing,
     meaningful_configs,
     sample_meaningful,
+    ulps_apart,
 )
 
 
@@ -56,8 +58,7 @@ def test_case_c_saturated_altruists(demo_ramp):
     assert result.x_hat_b == pytest.approx(0.55, abs=1e-12)
     assert result.flow.selfish_bypass == 0.0
     assert result.flow.altruistic_steadfast == 0.0
-    candidates = onramp.brute_force_equilibrium(demo_ramp, alpha=0.55, beta=1.0, grid_step=1e-3)
-    assert min(abs(f.total_bypass - 0.55) for f in candidates) <= 1e-3
+    assert onramp.exact_equilibria(demo_ramp, alpha=0.55, beta=1.0) == [0.55]
 
 
 def test_case_b_scarce_altruists(demo_ramp):
@@ -138,116 +139,27 @@ def test_verify_rejects_all_steadfast(demo_ramp):
     assert not report.passed
 
 
-def test_brute_force_covers_closed_form(demo_ramp):
-    flows = onramp.brute_force_equilibrium(demo_ramp, alpha=0.8, beta=1.0, grid_step=1e-3)
-    assert flows
-    shares = [flow.total_bypass for flow in flows]
-    closest = min(shares, key=lambda s: abs(s - DEMO_DELTA))
-    assert abs(closest - DEMO_DELTA) <= 1e-3
-    # one contiguous cluster around the optimum, a few steps wide
-    assert min(shares) >= DEMO_DELTA - 5e-3
-    assert max(shares) <= DEMO_DELTA + 1e-3
+def _assert_one_share_near(shares, x, ulps=SOLVE_ULPS):
+    """The exact oracle found exactly one share, and ``x`` is within ``ulps`` of it."""
+    assert len(shares) == 1, shares
+    assert ulps_apart(x, shares[0]) <= ulps, (x, shares)
 
 
-def test_brute_force_inert_level_reports_indifference_family(
-    demo_ramp
-):
-    flows = onramp.brute_force_equilibrium(demo_ramp, alpha=0.5, beta=0.0, grid_step=2e-3)
-    shares = sorted({round(f.total_bypass, 9) for f in flows})
-    decompositions = {
-        (round(f.selfish_bypass, 9), round(f.altruistic_bypass, 9)) for f in flows
-    }
-    assert len(decompositions) > len(shares)
-    for flow in flows:
-        assert abs(flow.total_bypass - DEMO_PHI) <= 1e-2
+def test_exact_oracle_finds_the_closed_form(demo_ramp):
+    shares = onramp.exact_equilibria(demo_ramp, alpha=0.8, beta=1.0)
+    _assert_one_share_near(shares, onramp.solve(demo_ramp, 0.8, 1.0).x_hat_b)
+    assert shares[0] == pytest.approx(DEMO_DELTA, abs=1e-15)
 
 
-def test_brute_force_all_selfish(demo_ramp):
-    flows = onramp.brute_force_equilibrium(demo_ramp, alpha=0.0, beta=1.0, grid_step=1e-3)
-    assert flows
-    shares = [flow.total_bypass for flow in flows]
-    assert min(abs(s - DEMO_PHI) for s in shares) <= 1e-3
-    # single-class band: |x - phi| <= tol / (mass * slope_sum), about two steps here
-    for flow in flows:
-        assert flow.altruistic_bypass == 0.0
-        assert abs(flow.total_bypass - DEMO_PHI) <= 3e-3
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.5, 0.0)], ids=["all_selfish", "inert"])
+def test_exact_oracle_at_the_selfish_crossing(demo_ramp, alpha, beta):
+    shares = onramp.exact_equilibria(demo_ramp, alpha, beta)
+    _assert_one_share_near(shares, onramp.solve(demo_ramp, alpha, beta).x_hat_b)
+    assert shares[0] == pytest.approx(DEMO_PHI, abs=1e-15)
+    assert shares[0] == pytest.approx(bisect_selfish_crossing(demo_ramp), abs=1e-12)
 
 
-def _mass_cap_band(ramp, alpha, level, step, side):
-    """First grid distance at which no decomposition can pass the product caps.
-
-    At total share x the class masses on the dispreferred side are capped by
-    tol / gap; when the caps cannot add up to x (above the crossing) or to
-    1 - x (below the selfish split) the point is provably excluded.  The caps
-    shrink with distance, so the first failing multiple of the step bounds
-    every verified point on that side.
-    """
-    slope_sum = ramp.slope_sum
-    tol = (slope_sum + ramp.lane2_slope) * step
-    crossing = _crossing(ramp.phi, ramp.delta, level)
-    for multiple in range(1, 2000):
-        d = multiple * step
-        if side == "above":
-            x = crossing + d
-            if x > 1.0:
-                return d
-            cap_selfish = min(1.0 - alpha, tol / ((x - ramp.phi) * slope_sum))
-            cap_altruistic = min(alpha, tol / (d * (1.0 + level) * slope_sum))
-            if cap_selfish + cap_altruistic < x - 1e-12:
-                return d
-        else:
-            x = ramp.phi - d
-            if x < 0.0:
-                return d
-            cap_selfish = min(1.0 - alpha, tol / (d * slope_sum))
-            cap_altruistic = min(
-                alpha, tol / ((crossing - x) * (1.0 + level) * slope_sum)
-            )
-            if cap_selfish + cap_altruistic < (1.0 - x) - 1e-12:
-                return d
-    return 2000 * step
-
-
-def test_brute_force_case_exclusion_random():
-    rng = random.Random(77)
-    for _ in range(12):
-        ramp = sample_meaningful(rng)
-        alpha = rng.uniform(0.1, 0.95)
-        level = rng.uniform(0.25, 1.5)
-        step = 2e-3
-        flows = onramp.brute_force_equilibrium(ramp, alpha=alpha, beta=level, grid_step=step)
-        assert flows
-        crossing = _crossing(ramp.phi, ramp.delta, level)
-        band_above = _mass_cap_band(ramp, alpha, level, step, "above")
-        band_below = _mass_cap_band(ramp, alpha, level, step, "below")
-        shares = [flow.total_bypass for flow in flows]
-        # the verified set stays inside the provable indifference band around
-        # [phi, crossing]; nothing survives near the all-steadfast or
-        # all-bypass corners
-        assert min(shares) >= ramp.phi - band_below
-        assert max(shares) <= crossing + band_above
-        # and it covers the closed-form answer within one grid step
-        target = onramp.solve(ramp, alpha, level).x_hat_b
-        assert min(abs(s - target) for s in shares) <= step
-
-
-def test_brute_force_grid_step_validated(demo_ramp):
-    with pytest.raises(ValueError):
-        onramp.brute_force_equilibrium(demo_ramp, 0.5, 1.0, grid_step=0.5)
-    with pytest.raises(ValueError):
-        onramp.brute_force_equilibrium(demo_ramp, 0.5, 1.0, grid_step=0.0)
-    with pytest.raises(ValueError, match="more than 1000000 decompositions"):
-        onramp.brute_force_equilibrium(demo_ramp, 0.5, 1.0, grid_step=1e-6)
-
-
-def _corner_band(ramp, corner, beta, step):
-    """Verified-band width at a corner: mass caps from the two cost gaps there."""
-    tol = (ramp.slope_sum + ramp.lane2_slope) * step
-    travel_gap, perceived_gap = cost_gaps(ramp, corner, beta)
-    return tol / abs(travel_gap) + tol / abs(perceived_gap)
-
-
-def test_brute_force_corner_all_steadfast_outside_set():
+def test_exact_oracle_corner_all_steadfast_outside_set():
     # bypass intercept dominates everywhere: the only equilibrium is the
     # all-steadfast corner, which the oracle finds without membership checks
     config = onramp.OnRampConfig(
@@ -255,14 +167,10 @@ def test_brute_force_corner_all_steadfast_outside_set():
     )
     ramp = onramp.OnRamp.from_config(config)
     assert not ramp.in_meaningful_set
-    step = 2e-3
-    flows = onramp.brute_force_equilibrium(ramp, alpha=0.4, beta=1.0, grid_step=step)
-    assert flows
-    band = _corner_band(ramp, 0.0, 1.0, step)
-    assert max(f.total_bypass for f in flows) <= band + step
+    assert onramp.exact_equilibria(ramp, alpha=0.4, beta=1.0) == [0.0]
 
 
-def test_brute_force_corner_all_bypass_outside_set():
+def test_exact_oracle_corner_all_bypass_outside_set():
     # steadfast is the costlier option over the whole range: all-bypass corner
     config = onramp.OnRampConfig(
         n0=0.8, c1t=1.0, c1m=1.0, c2t=1.0, c2m=0.0, mu=2.0, gamma=0.0
@@ -270,13 +178,7 @@ def test_brute_force_corner_all_bypass_outside_set():
     ramp = onramp.OnRamp.from_config(config)
     assert ramp.phi > 1.0
     assert not ramp.in_meaningful_set
-    step = 2e-3
-    flows = onramp.brute_force_equilibrium(ramp, alpha=0.4, beta=0.5, grid_step=step)
-    assert flows
-    shares = [f.total_bypass for f in flows]
-    assert max(shares) == 1.0
-    band = _corner_band(ramp, 1.0, 0.5, step)
-    assert min(shares) >= 1.0 - band - step
+    assert onramp.exact_equilibria(ramp, alpha=0.4, beta=0.5) == [1.0]
 
 
 def test_dynamics_converges_to_optimum(demo_ramp):
@@ -297,7 +199,7 @@ def test_dynamics_fixed_point_at_crossing(demo_ramp):
 
 
 # configurations outside the meaningful set: the all-bypass corner of
-# test_brute_force_corner_all_bypass_outside_set and the golden excluded.json
+# test_exact_oracle_corner_all_bypass_outside_set and the golden excluded.json
 OUTSIDE_SET = {
     "all_bypass": dict(n0=0.8, c1t=1.0, c1m=1.0, c2t=1.0, c2m=0.0, mu=2.0, gamma=0.0),
     "excluded": dict(n0=1.0, c1t=1.0, c1m=21.3, c2t=1.0, c2m=1.0, mu=2.4, gamma=0.0),
@@ -358,17 +260,43 @@ def test_dynamics_validates_inputs(demo_ramp):
             onramp.best_response_dynamics(demo_ramp, 0.8, 1.0, tol=tol)
 
 
-def test_solver_matches_brute_force_random():
-    rng = random.Random(501)
-    for _ in range(20):
+@pytest.mark.parametrize("seed, draws, top", [(77, 12, 1.5), (501, 20, 1.25)])
+def test_solver_matches_exact_oracle_random(seed, draws, top):
+    rng = random.Random(seed)
+    for _ in range(draws):
         ramp = sample_meaningful(rng)
         alpha = rng.uniform(0.1, 0.95)
-        level = rng.uniform(0.25, 1.25)
-        result = onramp.solve(ramp, alpha, level)
-        flows = onramp.brute_force_equilibrium(ramp, alpha, level, grid_step=1e-3)
-        assert flows
-        closest = min(flows, key=lambda f: abs(f.total_bypass - result.x_hat_b))
-        assert abs(closest.total_bypass - result.x_hat_b) <= 2e-3
+        level = rng.uniform(0.25, top)
+        shares = onramp.exact_equilibria(ramp, alpha, level)
+        _assert_one_share_near(shares, onramp.solve(ramp, alpha, level).x_hat_b)
+
+
+def _population(ramp, level, pick, draw):
+    """alpha for one pick: a draw, a corner, or phi or the crossing, exact or one ulp off."""
+    if pick == "draw":
+        return draw
+    if pick in ("zero", "one"):
+        return float(pick == "one")
+    name, _, side = pick.partition(" ")
+    tie = ramp.phi if name == "phi" else _crossing(ramp.phi, ramp.delta, level)
+    tie = {"": tie, "-": math.nextafter(tie, 0.0), "+": math.nextafter(tie, 1.0)}[side]
+    return min(tie, 1.0)
+
+
+PICKS = ("draw", "zero", "one", "phi", "phi -", "phi +", "crossing", "crossing -", "crossing +")
+LEVELS = st.one_of(
+    st.just(0.0), st.floats(0.0, 5.0), st.floats(-300.0, 300.0).map(lambda power: 10.0**power)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=meaningful_configs(), level=LEVELS, draw=st.floats(0.0, 1.0))
+def test_solve_is_within_ulps_of_the_one_exact_share(config, level, draw):
+    ramp = onramp.OnRamp.from_config(config)
+    for pick in PICKS:
+        alpha = _population(ramp, level, pick, draw)
+        shares = onramp.exact_equilibria(ramp, alpha, level)
+        _assert_one_share_near(shares, onramp.solve(ramp, alpha, level).x_hat_b)
 
 
 @pytest.mark.parametrize(
@@ -386,7 +314,7 @@ def test_non_finite_level_rejected_with_its_cause(
     with pytest.raises(ValueError, match=message):
         onramp.solve(demo_ramp, 0.8, beta, error)
     with pytest.raises(ValueError, match=message):
-        onramp.brute_force_equilibrium(demo_ramp, 0.8, beta, error)
+        onramp.exact_equilibria(demo_ramp, 0.8, beta, error)
     with pytest.raises(ValueError, match=message):
         onramp.best_response_dynamics(demo_ramp, 0.8, beta, error)
     flow = onramp.FlowDistribution(0.2, 0.0, 0.8, 0.0)
@@ -450,9 +378,9 @@ def _assert_oracles_ignore_the_analysis(ramp):
         assert onramp.verify_wardrop(blind, result.flow, beta) == onramp.verify_wardrop(
             ramp, result.flow, beta
         )
-        assert onramp.brute_force_equilibrium(
-            blind, alpha, beta, grid_step=1e-2
-        ) == onramp.brute_force_equilibrium(ramp, alpha, beta, grid_step=1e-2)
+        assert onramp.exact_equilibria(blind, alpha, beta) == (
+            onramp.exact_equilibria(ramp, alpha, beta)
+        )
         assert onramp.best_response_dynamics(blind, alpha, beta) == (
             onramp.best_response_dynamics(ramp, alpha, beta)
         )

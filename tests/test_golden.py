@@ -93,13 +93,14 @@ def _model_cases(name: str, verify: bool):
     yield config, ["optimal-beta", *WIDE, *(["--verify"] if verify else [])]
     yield config, ["optimal-beta", *INTERVAL]
     yield config, ["verify"]
-    yield config, ["verify", "--alpha", "0.4", "--beta", "0.6", "--error", "1.5",
-                   "--step", "0.002"]
+    yield config, ["verify", "--alpha", "0.4", "--beta", "0.6", "--error", "1.5"]
 
 
 def cases():
     """(config file, argv after the config) pairs, in transcript order."""
     yield from _model_cases("demo", verify=True)
+    # a large level, where the perceived-cost gap is steep
+    yield "demo.json", ["verify", "--alpha", "0.8", "--beta", "1000"]
     for name in SEEDED:
         yield from _model_cases(name, verify=name == "limited")
     # full default grids, recorded by digest
@@ -143,7 +144,6 @@ def cases():
         ["optimal-beta", "--e-lower", "2", "--e-upper", "0.5"],
         ["analyze", "--e-lower", "0.5"],
         ["analyze", "--e-lower", "2", "--e-upper", "0.5"],
-        ["verify", "--step", "0.5"],
         ["verify", "--alpha", "1.5"],
         ["analyze", "--bogus"],
         ["poa", "--beta", "1"],
@@ -168,7 +168,6 @@ def cases():
         ["sweep-beta-e", "--beta-e-max", "inf"],
         ["verify", "--beta", "nan"],
         ["verify", "--error", "inf"],
-        ["verify", "--step", "nan"],
         # finite flags whose effective level beta*error overflows
         ["equilibrium", "--alpha", "0.8", "--beta", "1e308", "--error", "10"],
         ["verify", "--alpha", "0.8", "--beta", "1e308", "--error", "10"],
@@ -181,7 +180,6 @@ def cases():
     # grids too large to build
     for argv in (
         ["sweep-beta-e", "--beta-e-max", "1e13"],
-        ["verify", "--step", "1e-6"],
         ["optimal-beta", "--e-lower", "1e-6", "--e-upper", "1", "--verify"],
     ):
         yield "demo.json", argv

@@ -211,9 +211,8 @@ def _row_numbers(rows) -> list:
 RESULT_NUMBERS = (
     lambda ramp, zero, alpha, beta: _solve_numbers(onramp.solve(ramp, zero, beta)),
     lambda ramp, zero, alpha, beta: _solve_numbers(onramp.solve(ramp, alpha, beta)),
-    lambda ramp, zero, alpha, beta: [
-        number for flow in onramp.brute_force_equilibrium(ramp, alpha, beta, grid_step=0.0625)
-        for number in flow],
+    lambda ramp, zero, alpha, beta: onramp.exact_equilibria(ramp, alpha, beta),
+    lambda ramp, zero, alpha, beta: list(onramp.delays(ramp, alpha)),
     lambda ramp, zero, alpha, beta: _row_numbers(onramp.alpha_sweep(ramp, [zero, beta], 0.0625)),
     lambda ramp, zero, alpha, beta: _row_numbers(
         onramp.beta_e_sweep(ramp, [zero, alpha], beta, 0.5)),
@@ -429,7 +428,7 @@ def test_population_rejects_an_overflowing_level(demo_ramp):
     for evaluate in (
         lambda: onramp.solve(demo_ramp, 0.8, 1e308, 10.0),
         lambda: onramp.verify_wardrop(demo_ramp, flow, 1e308, 10.0),
-        lambda: onramp.brute_force_equilibrium(demo_ramp, 0.8, 1e308, 10.0),
+        lambda: onramp.exact_equilibria(demo_ramp, 0.8, 1e308, 10.0),
         lambda: onramp.best_response_dynamics(demo_ramp, 0.8, 1e308, 10.0),
     ):
         with pytest.raises(ValueError, match=overflow):
@@ -444,6 +443,7 @@ NUMBER_SITES = {
     "solve alpha": ("alpha", lambda ramp, v: onramp.solve(ramp, v, 1.0)),
     "solve beta": ("beta", lambda ramp, v: onramp.solve(ramp, 0.8, v)),
     "solve error": ("error factor", lambda ramp, v: onramp.solve(ramp, 0.8, 1.0, v)),
+    "delays share": ("bypass share", lambda ramp, v: onramp.delays(ramp, v)),
     "verify_wardrop beta": ("beta", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, v)),
     "verify_wardrop error": (
         "error factor", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, 1.0, v)),
@@ -460,8 +460,6 @@ NUMBER_SITES = {
     "beta_e_sweep max": (
         "beta_e_max", lambda ramp, v: onramp.beta_e_sweep(ramp, [0.8], v, 0.5)),
     "beta_e_sweep step": ("step", lambda ramp, v: onramp.beta_e_sweep(ramp, [0.8], 2.0, v)),
-    "brute_force grid_step": (
-        "grid step", lambda ramp, v: onramp.brute_force_equilibrium(ramp, 0.8, 1.0, grid_step=v)),
     "dynamics tol": (
         "tolerance", lambda ramp, v: onramp.best_response_dynamics(ramp, 0.8, 1.0, tol=v)),
     "grid_poa inner_grid_step": (
@@ -508,7 +506,6 @@ POSITIVE_SITES = {
     "verify_wardrop tol": FLOAT_MAX,
     "dynamics tol": FLOAT_MAX,
     "alpha_sweep step": 0.1,
-    "brute_force grid_step": 0.1,
     "beta_e_sweep max": math.inf,
     "beta_e_sweep step": math.inf,
     "grid_poa inner_grid_step": math.inf,
@@ -588,7 +585,6 @@ def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
     assert [type(flag) for flag in flags] == [bool, bool]
     # the oracles' steps and tolerances, at values that both widths hold exactly
     for call in (
-        lambda number: onramp.brute_force_equilibrium(ramp, 0.8, 1.0, grid_step=number(0.0625)),
         lambda number: onramp.best_response_dynamics(ramp, 0.8, 1.0, tol=number(0.5)),
         lambda number: onramp.verify_wardrop(ramp, FLOW, 1.0, tol=number(0.5)),
         lambda number: onramp.grid_poa(ramp, 1.0, interval, number(0.25)),

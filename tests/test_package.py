@@ -182,10 +182,16 @@ def test_numpy_is_loaded_only_by_the_grid_oracles(tmp_path):
         ["sweep-alpha", *config, "--out", str(tmp_path / "alpha.csv")],
         ["sweep-beta-e", *config, "--out", str(tmp_path / "level.csv")],
         ["verify", *config],
+        ["verify", *config, "--beta", "1000"],
+        ["verify", *config, "--beta", "5e307"],
     ]
-    after_import, *after_commands = _probe(NUMPY_PROBE, commands)
+    grid_oracles = [["poa", *config, "--beta", "1", *interval, "--verify"],
+                    ["optimal-beta", *config, *interval, "--verify"]]
+    # a loaded numpy stays loaded, so the second grid oracle runs in an interpreter of its own
+    after_import, *after_commands = _probe(NUMPY_PROBE, [*commands, grid_oracles[0]])
     assert after_import is False
-    assert after_commands == [[0, False]] * 6 + [[0, True]]
+    assert after_commands == [[0, False]] * 8 + [[3, False], [0, True]]
+    assert _probe(NUMPY_PROBE, grid_oracles[1:]) == [False, [0, True]]
 
 
 def _probe(code, argvs):
@@ -230,12 +236,13 @@ def test_argparse_is_loaded_only_for_help_and_malformed_argv(tmp_path):
         ["optimal-beta", *config, *interval],
         ["sweep-alpha", *config, "--beta", "0.5", "--step", "0.1", "--out", str(tmp_path / "a")],
         ["sweep-beta-e", *config, "--alpha", "0.8", "--out", str(tmp_path / "b")],
-        ["verify", *config, "--step", "0.01"],
+        ["verify", *config, "--beta", "1000"],
     ]
-    malformed = [["-h"], ["analyze", "--bogus"], ["analyze", "--config=x"]]
+    malformed = [["-h"], ["analyze", "--bogus"], ["analyze", "--config=x"],
+                 ["verify", *config, "--step", "0.01"]]
     after_import, *after_argv = _probe(ARGPARSE_PROBE, well_formed + malformed)
     assert after_import is False
-    assert after_argv == [[0, False]] * 7 + [[0, True], [1, True], [1, True]]
+    assert after_argv == [[0, False]] * 7 + [[0, True], [1, True], [1, True], [1, True]]
 
 
 # run in a fresh interpreter: the package modules after `import onramp.cli`, whether
