@@ -35,16 +35,17 @@ of single calls.  In each of ORACLE_REPEATS rounds, alternating which side
 goes first, each checkout runs FRESH_CODE in one fresh interpreter.  It times
 ``import onramp.cli`` first (L6), then, each call through ``best_time``,
 ``closed_form_times`` (reading demos/onramp.json, each L0-L3 closed form and
-three CLI commands) and ``oracle_times`` (each L5 oracle on that config;
-only the grid oracles import numpy).  Each round also times, from outside,
-one whole process per side of ``python -m onramp analyze --config
-demos/onramp.json`` (``process[analyze]``: the start-up and imports that a
-user waits for), of ``onramp verify`` (the exact and dynamics oracles) and of
-the bare interpreter with and without the site module (``process[python -c
-pass]`` and ``process[python -S -c pass]``: the start-up that no change to
-onramp can move).  Each round also runs the analyze process under ``python
--X importtime``: the ``import_times`` table holds each module's self time,
-so it shows which modules a change took off start-up or put on it.  None of
+three CLI commands) and ``oracle_times`` (each L5 oracle on that config).
+Each round also times, from outside, one whole process per side of ``python
+-m onramp analyze --config demos/onramp.json`` (``process[analyze]``: the
+start-up and imports that a user waits for), of ``onramp verify`` (the exact
+and dynamics oracles), of ``onramp optimal-beta`` on [0.25, 4] with
+``--verify`` (the beta* oracle) and of the bare interpreter with and without
+the site module (``process[python -c pass]`` and ``process[python -S -c
+pass]``: the start-up that no change to onramp can move).  Each round also
+runs the analyze process under ``python -X importtime``: the ``import_times``
+table holds each module's self time, so it shows which modules a change took
+off start-up or put on it.  None of
 these timings is gated: perfbench/README.md shows why the oracles are too
 unsteady on a shared VM to gate on, and a single call is far shorter than a
 benchmark op.
@@ -151,7 +152,9 @@ def oracle_times() -> dict[str, float]:
     Imports onramp from sys.path, so run it where the checkout's src/ is first.  An
     oracle that the checkout's onramp does not have, on one side of an A/B, is left out.
     """
-    import numpy  # imported here, so that no timed call pays for its import
+    # a side from before the golden-section oracle imports numpy in its grid oracles' first
+    # call; imported here while such a side is compared, so that no timed call pays for it
+    import numpy
     import onramp
     ramp = onramp.OnRamp.from_config(onramp.load_config(DEMO_CONFIG))
     narrow, wide = onramp.ErrorInterval(0.5, 2.0), onramp.ErrorInterval(0.25, 4.0)
@@ -206,7 +209,7 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
 
 # code run in a fresh interpreter, which prints on its last line one JSON object: the
 # seconds of the closed forms, the first import of onramp.cli timed before anything else,
-# then those of the oracles, run after the closed forms so that they alone load numpy
+# then those of the oracles, run after the closed forms so that no closed form loads numpy
 BENCH = str(ROOT / "bench")
 FRESH_TABLES = ("oracles", "closed_forms", "import_times")
 FRESH_CODE = ("import time; start = time.perf_counter(); import onramp.cli; "
@@ -241,11 +244,13 @@ def run_fresh(checkout: Path, code: str) -> dict:
 PROCESS_ARGV = ("analyze", "--config", DEMO_CONFIG)
 PROCESS_KEY = f"process[{PROCESS_ARGV[0]}]"
 # per row, the interpreter arguments of a timed process: the CLI command, the verify command
-# (the exact and dynamics oracles), then the bare interpreter with and without the site
-# module, the start-up that any command pays first
+# (the exact and dynamics oracles), the beta* oracle on the wider demo interval, then the
+# bare interpreter with and without the site module, the start-up that any command pays first
 PROCESSES = {
     PROCESS_KEY: ("-m", "onramp", *PROCESS_ARGV),
     "process[verify]": ("-m", "onramp", "verify", "--config", DEMO_CONFIG),
+    "process[optimal-beta --verify]": ("-m", "onramp", "optimal-beta", "--config", DEMO_CONFIG,
+                                       "--e-lower", "0.25", "--e-upper", "4", "--verify"),
     "process[python -c pass]": ("-c", "pass"),
     "process[python -S -c pass]": ("-S", "-c", "pass"),
 }
@@ -481,7 +486,9 @@ def main(argv=None) -> int:
         "timer": f"'import onramp.cli': time.perf_counter around the first import of onramp;"
                  " each 'process[...]': time.perf_counter around one whole process,"
                  f" {PROCESS_KEY!r} being 'python -m onramp {' '.join(PROCESS_ARGV)}',"
-                 f" 'process[verify]' 'python {' '.join(PROCESSES['process[verify]'])}';"
+                 f" 'process[verify]' 'python {' '.join(PROCESSES['process[verify]'])}',"
+                 " 'process[optimal-beta --verify]'"
+                 f" 'python {' '.join(PROCESSES['process[optimal-beta --verify]'])}';"
                  f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
                  f" {CALLS_PER_LOOP} calls, in one fresh process; {rounds}",
         "timings": tables["closed_forms"],

@@ -35,6 +35,6 @@ for point in result.worst_case_points:
         f" share={point.x_hat_b:.5f} delay={point.j_soc:.6f}"
     )
 
-# Cross-check against the brute-force grid minimizer.
-sampled = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
+# Cross-check against the oracle: a golden-section search on sampled errors.
+sampled = onramp.grid_optimal_beta(ramp, interval)
 print(f"\ngrid-oracle minimizer: {sampled:.4f} (analytic {result.beta_star:.4f})")

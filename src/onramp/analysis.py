@@ -50,8 +50,7 @@ def _crossing(phi, delta, level):
     A weighted average of phi (weight (1-level)/(1+level)) and delta (weight
     2*level/(1+level)); it equals phi at level 0, delta at level 1, and
     increases toward 2*delta - phi as the level grows.  Unchecked: the level
-    must lie in [0, LEVEL_MAX], where 2*level*delta is still finite, and may be
-    a numpy array of levels.
+    must lie in [0, LEVEL_MAX], where 2*level*delta is still finite.
     """
     return ((1.0 - level) * phi + 2.0 * level * delta) / (1.0 + level)
 

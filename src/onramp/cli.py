@@ -149,12 +149,11 @@ def _print_summary(result) -> None:
 
 
 def _verify_beta_star(ramp, interval, beta_star) -> int:
-    sampled = onramp.robustness.grid_optimal_beta(
-        ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
+    sampled = onramp.robustness.grid_optimal_beta(ramp, interval)
     gap = abs(beta_star - sampled)
     _print("grid_beta_star", sampled)
     _print("grid_beta_star_gap", gap)
-    return _verdict(gap <= 2e-3)
+    return _verdict(gap <= 1e-5 * beta_star)
 
 
 def _verdict(ok: bool) -> int:

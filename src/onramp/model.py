@@ -312,7 +312,7 @@ def check_share(x_hat_b: float) -> None:
 
 
 def delay_lines(ramp: OnRamp, x_hat_b):
-    """Steadfast, bypass and lane-2 delays at any share: a float or numpy array, unchecked."""
+    """Steadfast, bypass and lane-2 delays at any share, unchecked."""
     return (
         ramp.steadfast_slope * (1.0 - x_hat_b) + ramp.steadfast_intercept,
         ramp.bypass_slope * x_hat_b + ramp.bypass_intercept,
@@ -330,12 +330,14 @@ def delays(ramp: OnRamp, x_hat_b: float) -> DelayProfile:
 
 
 def social_delay(ramp: OnRamp, x_hat_b: float) -> float:
-    """Flow-weighted total delay, a convex quadratic in the bypass share.
+    """Flow-weighted total delay, a convex quadratic in the bypass share, taken by real.
 
-    The argument is deliberately unrestricted: the unconstrained minimizer may
-    fall outside [0, 1] and callers locate it by evaluating the same affine
+    The share's range is deliberately unrestricted: the unconstrained minimizer
+    may fall outside [0, 1] and callers locate it by evaluating the same affine
     extension used here.
     """
+    if type(x_hat_b) is not float:  # the library passes the float shares it computed
+        x_hat_b = real("bypass share", x_hat_b)
     steadfast, bypass, lane2 = delay_lines(ramp, x_hat_b)
     n0, n2 = ramp.n0, ramp.n2
     return (1.0 - x_hat_b) * steadfast + x_hat_b * bypass + n0 * steadfast + n2 * lane2

@@ -4,8 +4,9 @@ The price of anarchy takes the supremum of the equilibrium social delay over
 the error interval and over abundant altruistic ratios, normalized by the
 optimum.  Closed-form evaluation reduces both suprema to two endpoint solves,
 made as plain tuples in one private helper that poa, worst_case_social_delay
-and optimal_beta share.  The grid oracles sample errors at alpha = 1 (the
-social delay increases on [delta, 1]) and levels in one pass.
+and optimal_beta share.  The grid oracles sample log-spaced errors at alpha = 1
+(the social delay increases on [delta, 1]) in plain floats, and search the
+level by golden section.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from typing import NamedTuple
 
 from .analysis import _TRANSITION_LIMITED, ErrorInterval, Regime, _crossing
 from .analysis import require_meaningful, worst_case_regime
-from .equilibrium import _equilibrium_split, inclusive_grid
+from .equilibrium import _equilibrium_split
 from .errors import TransitionUndefinedError, ZeroOptimumError
-from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_population, positive, real, social_delay
+from .model import FLOAT_MAX, LEVEL_MAX, OnRamp, check_population, real, social_delay
 
 _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
-# cells of a grid-oracle block, unless one level's errors are more: 10**6 cells took
-# `onramp optimal-beta --verify` on [0.25, 4] to 91 MB peak RSS, this bound to 30 MB
-_CHUNK_CELLS = 2**14
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the share of a golden-section bracket kept
+GRID_ERRORS = 129  # the errors that the grid oracles sample
+MAX_ERROR_RATIO = 1e12  # the widest e_upper/e_lower on which grid_optimal_beta places beta*
 
 
 class WorstCasePoint(NamedTuple):
@@ -146,55 +147,53 @@ def optimal_altruism_level(config, derived, ramp, interval) -> RobustnessSummary
     return optimal_beta(ramp, interval)  # until perfbench calls the one-object forms
 
 
-def grid_poa(
-    ramp: OnRamp, beta: float, interval: ErrorInterval, inner_grid_step: float = 1e-2
-) -> float:
-    """Grid-sampled price of anarchy: the worst error on a grid, at full altruism.
-
-    Checks the error supremum at the interval endpoints, and beta* through
-    grid_optimal_beta.  Reuses the altruistic crossing (analysis._crossing)
-    for the share min(1, crossing), so it does not check the equilibrium map.
-    """
-    return _grid_poa_at_levels(ramp, [beta], interval, inner_grid_step)[0]
+def grid_poa(ramp: OnRamp, beta: float, interval: ErrorInterval) -> float:
+    """Sampled price of anarchy, at full altruism; shares by analysis._crossing, not solve."""
+    sampled_poa = _sampler(ramp, interval)
+    check_population(beta=beta, error=interval.e_upper)
+    return sampled_poa(float(beta))
 
 
-def _grid_poa_at_levels(ramp, levels, interval, inner_grid_step):
-    """grid_poa at each of the increasing ``levels``, evaluated in (level x error) blocks."""
-    import numpy as np
-    inner_grid_step = positive("inner grid step", inner_grid_step)
+def _sampler(ramp, interval):
+    """The PoA at a level, worst of GRID_ERRORS log-spaced errors: both bounds, or the point."""
     require_meaningful(ramp)
     require_positive_optimum(ramp)
-    errors = np.array(inclusive_grid(interval.e_lower, interval.e_upper, inner_grid_step))
-    check_population(beta=levels[-1], error=interval.e_upper)
-    rows = max(1, _CHUNK_CELLS // len(errors))
-    poas = []
-    for start in range(0, len(levels), rows):
-        block = np.array(levels[start:start + rows], dtype=float)[:, None] * errors
-        shares = np.minimum(1.0, _crossing(ramp.phi, ramp.delta, block))
-        poas += (social_delay(ramp, shares).max(axis=1) / ramp.j_opt).tolist()
-    return poas
+    lower, upper, phi, delta = interval.e_lower, interval.e_upper, ramp.phi, ramp.delta
+    start, step = math.log(lower), (math.log(upper) - math.log(lower)) / (GRID_ERRORS - 1)
+    interior = range(1, GRID_ERRORS - 1 if lower < upper else 0)  # exp(log x) may miss x
+    errors = [min(max(math.exp(start + k * step), lower), upper) for k in interior]
+    errors += {lower, upper}
+    return lambda beta: max(
+        social_delay(ramp, min(1.0, _crossing(phi, delta, beta * e))) for e in errors) / ramp.j_opt
 
 
-def grid_optimal_beta(
-    ramp: OnRamp,
-    interval: ErrorInterval,
-    beta_grid_step: float = 1e-3,
-    inner_grid_step: float = 1e-2,
-) -> float:
-    """Brute-force minimizer of the grid-sampled price of anarchy.
+def grid_optimal_beta(ramp: OnRamp, interval: ErrorInterval) -> float:
+    """Golden-section minimizer of the sampled price of anarchy over log beta.
 
-    Searches levels on (0, 2/e_lower], a range that provably contains both
-    closed-form minimizers; ties resolve to the smallest level.
+    At each error the share min(1, crossing(beta*error)) is nondecreasing in beta and the
+    social delay is convex in the share, so their worst case is quasi-convex in beta: a
+    golden-section search (Kiefer 1953) on log beta over [1/(2*e_upper), 2/e_lower], a range
+    holding both closed forms, finds its least minimizer to 1e-12 relative (ties go left),
+    or to about sqrt(eps)/(delta - phi) at a quadratic minimum (a point interval).  Past an
+    error ratio of 1e16 the sampled worst case is flat in floats; past MAX_ERROR_RATIO, refused.
     """
-    beta_grid_step = positive("beta grid step", beta_grid_step)
-    beta_max = 2.0 / interval.e_lower
-    if beta_grid_step > beta_max:
-        raise ValueError("beta grid step larger than the search range")
-    try:
-        levels = inclusive_grid(0.0, beta_max, beta_grid_step)[1:]
-    except ValueError as exc:
-        raise ValueError(
-            f"beta search range (0, 2/e_lower] with e_lower = {interval.e_lower}: {exc}"
-        ) from exc
-    poas = _grid_poa_at_levels(ramp, levels, interval, inner_grid_step)
-    return min(zip(levels, poas), key=itemgetter(1))[0]
+    sampled_poa = _sampler(ramp, interval)
+    lower, upper = interval.e_lower, interval.e_upper
+    if not upper / lower <= MAX_ERROR_RATIO:
+        raise ValueError(f"error ratio e_upper/e_lower = {upper / lower} exceeds"
+                         f" {MAX_ERROR_RATIO:g}, too wide to place beta_star")
+    lowest = 0.5 / upper  # the largest level searched, 2/e_lower * e_upper, is at most 2e12
+    check_population(beta=lowest, error=upper)  # 1/(2*e_upper) overflows at a subnormal e_upper
+
+    def probe(log_beta):  # (log beta, sampled PoA)
+        return log_beta, sampled_poa(math.exp(log_beta))
+    left, right = math.log(lowest), math.log(min(2.0 / lower, FLOAT_MAX))
+    inner, outer = probe(right - _GOLDEN * (right - left)), probe(left + _GOLDEN * (right - left))
+    while right - left > 1e-12:
+        if inner[1] <= outer[1]:  # a tie moves left, toward the least minimizer
+            right, outer = outer[0], inner
+            inner = probe(right - _GOLDEN * (right - left))
+        else:
+            left, inner = inner[0], outer
+            outer = probe(left + _GOLDEN * (right - left))
+    return math.exp((inner if inner[1] <= outer[1] else outer)[0])

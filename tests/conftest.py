@@ -165,6 +165,12 @@ def make_transition_limited(rng: random.Random, pi_target: float | None = None):
     raise AssertionError("failed to construct a positive-ratio configuration")
 
 
+def sampled_error_gap(interval) -> float:
+    """The widest gap between the grid oracles' log-spaced errors: the last, below e_upper."""
+    ratio = interval.e_upper / interval.e_lower
+    return interval.e_upper * (1.0 - ratio ** (-1.0 / (onramp.robustness.GRID_ERRORS - 1)))
+
+
 # the most ulps between solve's share and the exact oracle's: 8 in 36,000 draws of a
 # meaningful config from sample_config, a level of 0, up to 5 or 10**U(-300, 300), and alpha
 # random, 0, 1, phi or the crossing, each exact and one ulp off
@@ -195,10 +201,17 @@ def bisect_selfish_crossing(ramp, lo=0.0, hi=1.0, iters=100) -> float:
 
 
 def grid_scan_minimizer(ramp, lo=-1.0, hi=2.0, step=1e-5) -> float:
-    """Independent grid-scan oracle for the social-delay minimizer."""
-    points = lo + np.arange(int(round((hi - lo) / step)) + 1) * step
-    values = onramp.social_delay(ramp, points)
-    return float(points[int(np.argmin(values))])
+    """Independent grid-scan oracle for the social-delay minimizer.
+
+    Evaluates the flow-weighted delay itself from the ramp's constants, as
+    bisect_selfish_crossing does, so no library formula is shared.
+    """
+    x = lo + np.arange(int(round((hi - lo) / step)) + 1) * step
+    steadfast = ramp.steadfast_slope * (1.0 - x) + ramp.steadfast_intercept
+    bypass = ramp.bypass_slope * x + ramp.bypass_intercept
+    lane2 = ramp.lane2_slope * x + ramp.bypass_intercept
+    values = (1.0 - x + ramp.n0) * steadfast + x * bypass + ramp.n2 * lane2
+    return float(x[int(np.argmin(values))])
 
 
 def refined_grid_minimizer(ramp, coarse_step=1e-5, fine_step=1e-8) -> float:

@@ -26,6 +26,7 @@ from conftest import (
     meaningful_batch,
     refined_grid_minimizer,
     sample_meaningful,
+    sampled_error_gap,
     ulps_apart,
 )
 
@@ -143,17 +144,17 @@ def test_criterion_4_level_sweep_shape(demo_ramp):
     )
 
 
-def _poa_slack(ramp, interval, step_error):
-    """Bound on how much a supremum sampled on an error grid can undershoot the true one.
+def _poa_slack(ramp, interval):
+    """Bound on how much a supremum sampled on the oracles' errors can undershoot the true one.
 
-    The grid evaluates full altruism exactly, so only the error step counts.
+    The oracle evaluates full altruism exactly, so only the widest gap between errors counts.
     """
     reach = max(1.0 - ramp.delta, ramp.delta - ramp.phi)
     lipschitz_delay = 2.0 * ramp.slope_sum * reach
     lipschitz_error = (
         lipschitz_delay * (2.0 / interval.e_lower) * 2.0 * (ramp.delta - ramp.phi)
     )
-    return lipschitz_error * step_error / ramp.j_opt
+    return lipschitz_error * sampled_error_gap(interval) / ramp.j_opt
 
 
 def test_criterion_5_optimal_level(demo_ramp):
@@ -161,8 +162,8 @@ def test_criterion_5_optimal_level(demo_ramp):
     interval = onramp.ErrorInterval(0.5, 2.0)
     analytic = onramp.optimal_beta(ramp, interval)
     assert analytic.beta_star == pytest.approx(1.0, abs=1e-12)
-    sampled = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
-    assert abs(sampled - analytic.beta_star) <= 1e-3 + 1e-12
+    sampled = onramp.grid_optimal_beta(ramp, interval)
+    assert abs(sampled - analytic.beta_star) <= 1e-5 * analytic.beta_star
 
     rng = random.Random(515)
     endpoint_cases = []
@@ -182,12 +183,10 @@ def test_criterion_5_optimal_level(demo_ramp):
 
     for ramp, span in endpoint_cases + limited_cases:
         result = onramp.optimal_beta(ramp, span)
-        sampled_best = onramp.grid_optimal_beta(
-            ramp, span, beta_grid_step=2e-3, inner_grid_step=2e-2
-        )
-        sampled_minimum = onramp.grid_poa(ramp, sampled_best, span, 2e-2)
-        slack = _poa_slack(ramp, span, 2e-2)
-        assert result.poa <= sampled_minimum + slack
+        sampled_best = onramp.grid_optimal_beta(ramp, span)
+        assert abs(sampled_best - result.beta_star) <= 1e-5 * result.beta_star
+        sampled_minimum = onramp.grid_poa(ramp, sampled_best, span)
+        assert result.poa <= sampled_minimum + _poa_slack(ramp, span)
 
         def crossing_delay(level):
             share = _crossing(ramp.phi, ramp.delta, level)

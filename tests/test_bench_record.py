@@ -435,6 +435,14 @@ def test_process_seconds_times_a_whole_verify_process():
     assert 0.0 < record.process_seconds(_PATH.parents[1], args) < 30.0
 
 
+def test_process_seconds_times_a_whole_beta_star_oracle_process():
+    # optimal-beta --verify on the wider demo interval, which that oracle once took longest on
+    args = record.PROCESSES["process[optimal-beta --verify]"]
+    assert args == ("-m", "onramp", "optimal-beta", "--config", record.DEMO_CONFIG,
+                    "--e-lower", "0.25", "--e-upper", "4", "--verify")
+    assert 0.0 < record.process_seconds(_PATH.parents[1], args) < 30.0
+
+
 @pytest.mark.parametrize("key, args", [("process[python -c pass]", ("-c", "pass")),
                                        ("process[python -S -c pass]", ("-S", "-c", "pass"))])
 def test_process_seconds_times_the_bare_interpreter(tmp_path, key, args):
@@ -465,11 +473,14 @@ def test_fresh_rounds_alternate_the_sides_and_add_the_process_row(monkeypatch):
     runs = record.fresh_rounds({side: Path(side) for side in record.SIDES})
     assert list(runs) == ["oracles", "closed_forms", "import_times"]
     kinds = ("fresh", "-m onramp analyze --config demos/onramp.json",
-             "-m onramp verify --config demos/onramp.json", "-c pass", "-S -c pass", "importtime")
+             "-m onramp verify --config demos/onramp.json",
+             "-m onramp optimal-beta --config demos/onramp.json --e-lower 0.25 --e-upper 4"
+             " --verify", "-c pass", "-S -c pass", "importtime")
     assert calls == [(side, kind) for side in ("parent", "change", "change", "parent")
                      for kind in kinds]
     assert runs["oracles"] == {side: {"oracle": [1.0, 1.0]} for side in record.SIDES}
     rows = {"solve": [2.0, 2.0], "process[analyze]": [4.0, 4.0], "process[verify]": [4.0, 4.0],
+            "process[optimal-beta --verify]": [4.0, 4.0],
             "process[python -c pass]": [3.0, 3.0], "process[python -S -c pass]": [3.0, 3.0]}
     assert runs["closed_forms"] == {side: rows for side in record.SIDES}
     assert set(record.timings(runs["closed_forms"])) == set(rows)

@@ -528,7 +528,7 @@ def test_poa_command(capsys, demo_config_file):
     assert float(values["poa"]) >= 1.0
     assert float(values["beta_star"]) == pytest.approx(1.0, abs=1e-12)
     assert values["branch"] == "endpoint_symmetric"
-    assert float(values["grid_beta_star_gap"]) <= 1e-3
+    assert float(values["grid_beta_star_gap"]) <= 1e-5 * float(values["beta_star"])
     assert values["verify_pass"] == "true"
     assert "worst_case[0]" in out
 
@@ -551,7 +551,7 @@ def test_optimal_beta_command(capsys, demo_config_file):
     assert float(values["beta_star"]) == pytest.approx(1.0, abs=1e-12)
     assert values["branch"] == "endpoint_symmetric"
     assert float(values["poa_at_beta_star"]) >= 1.0
-    assert float(values["grid_beta_star_gap"]) <= 1e-3
+    assert float(values["grid_beta_star_gap"]) <= 1e-5 * float(values["beta_star"])
     assert values["verify_pass"] == "true"
 
 
@@ -569,6 +569,30 @@ def test_optimal_beta_on_bounds_whose_product_is_not_a_normal_float(
         "--e-lower", bounds[0], "--e-upper", bounds[1],
     )
     assert (code, err, parse_kv(out)["beta_star"]) == (0, "", beta_star)
+
+
+# the oracle places beta* in any unit, up to an error ratio of 1e12, and names a wider one
+@pytest.mark.parametrize("bounds, code", [
+    (("0.5", "2"), 0), (("0.25", "4"), 0), (("0.001", "0.01"), 0), (("1e-6", "1"), 0),
+    (("1e-300", "2e-300"), 0), (("0.3", "0.3"), 0), (("1e-10", "1e10"), 1),
+])
+def test_optimal_beta_verify_passes_on_every_interval_it_serves(
+    capsys, demo_config_file, bounds, code
+):
+    got, out, err = run_cli(
+        capsys, "optimal-beta", "--config", str(demo_config_file),
+        "--e-lower", bounds[0], "--e-upper", bounds[1], "--verify",
+    )
+    values = parse_kv(out)
+    assert got == code
+    if code == 0:
+        assert values["verify_pass"] == "true" and err == ""
+        gap, beta_star = float(values["grid_beta_star_gap"]), float(values["beta_star"])
+        assert gap <= 1e-5 * beta_star
+    else:
+        assert "verify_pass" not in values
+        assert err == ("onramp: error: error ratio e_upper/e_lower = 1e+20 exceeds 1e+12,"
+                       " too wide to place beta_star\n")
 
 
 def test_optimal_beta_on_bounds_too_small_to_invert_exits_one(capsys, demo_config_file):

@@ -177,12 +177,11 @@ def cases():
         ["sweep-beta-e", "--alpha", "0.8", "--beta-e-max", "1.7e308", "--step", "1.7e303"],
     ):
         yield "demo.json", argv
-    # grids too large to build
-    for argv in (
-        ["sweep-beta-e", "--beta-e-max", "1e13"],
-        ["optimal-beta", "--e-lower", "1e-6", "--e-upper", "1", "--verify"],
-    ):
-        yield "demo.json", argv
+    # a grid too large to build
+    yield "demo.json", ["sweep-beta-e", "--beta-e-max", "1e13"]
+    # the beta* oracle in any unit, and past the widest error ratio it places beta* on
+    for lower, upper in (("1e-6", "1"), ("0.001", "0.01"), ("1e-10", "1e10")):
+        yield "demo.json", ["optimal-beta", "--e-lower", lower, "--e-upper", upper, "--verify"]
     # an error interval so small that beta_star, the reciprocal of its mean, overflows
     yield "demo.json", ["optimal-beta", "--e-lower", "1e-320", "--e-upper", "1e-320"]
     # an error interval so wide that the level at its upper bound, beta_star * e_upper, overflows

@@ -183,8 +183,9 @@ def test_a_config_of_other_reals_equals_the_one_of_python_floats(demo_ramp, real
         lambda number: onramp.poa(ramp, number(1), wide),
         lambda number: onramp.beta_e_sweep(ramp, [0.8], number(4), number(1)),
         lambda number: onramp.best_response_dynamics(ramp, 0.8, number(1), tol=number(1)),
-        lambda number: onramp.grid_poa(ramp, number(1), wide, number(1)),
-        lambda number: onramp.grid_optimal_beta(ramp, wide, number(1), number(1)),
+        lambda number: onramp.grid_poa(ramp, number(1), wide),
+        lambda number: onramp.grid_optimal_beta(ramp, onramp.ErrorInterval(number(1), number(4))),
+        lambda number: onramp.social_delay(ramp, number(1)),
     ):
         result = call(real)
         assert result == call(float)
@@ -213,6 +214,7 @@ RESULT_NUMBERS = (
     lambda ramp, zero, alpha, beta: _solve_numbers(onramp.solve(ramp, alpha, beta)),
     lambda ramp, zero, alpha, beta: onramp.exact_equilibria(ramp, alpha, beta),
     lambda ramp, zero, alpha, beta: list(onramp.delays(ramp, alpha)),
+    lambda ramp, zero, alpha, beta: [onramp.social_delay(ramp, alpha)],
     lambda ramp, zero, alpha, beta: _row_numbers(onramp.alpha_sweep(ramp, [zero, beta], 0.0625)),
     lambda ramp, zero, alpha, beta: _row_numbers(
         onramp.beta_e_sweep(ramp, [zero, alpha], beta, 0.5)),
@@ -444,6 +446,7 @@ NUMBER_SITES = {
     "solve beta": ("beta", lambda ramp, v: onramp.solve(ramp, 0.8, v)),
     "solve error": ("error factor", lambda ramp, v: onramp.solve(ramp, 0.8, 1.0, v)),
     "delays share": ("bypass share", lambda ramp, v: onramp.delays(ramp, v)),
+    "social_delay share": ("bypass share", lambda ramp, v: onramp.social_delay(ramp, v)),
     "verify_wardrop beta": ("beta", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, v)),
     "verify_wardrop error": (
         "error factor", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, 1.0, v)),
@@ -462,12 +465,7 @@ NUMBER_SITES = {
     "beta_e_sweep step": ("step", lambda ramp, v: onramp.beta_e_sweep(ramp, [0.8], 2.0, v)),
     "dynamics tol": (
         "tolerance", lambda ramp, v: onramp.best_response_dynamics(ramp, 0.8, 1.0, tol=v)),
-    "grid_poa inner_grid_step": (
-        "inner grid step", lambda ramp, v: onramp.grid_poa(ramp, 1.0, INTERVAL, v)),
-    "grid_optimal_beta beta_grid_step": (
-        "beta grid step", lambda ramp, v: onramp.grid_optimal_beta(ramp, INTERVAL, v)),
-    "grid_optimal_beta inner_grid_step": (
-        "inner grid step", lambda ramp, v: onramp.grid_optimal_beta(ramp, INTERVAL, 0.5, v)),
+    "grid_poa beta": ("beta", lambda ramp, v: onramp.grid_poa(ramp, v, INTERVAL)),
     "transition_beta alpha": (
         "alpha", lambda ramp, v: onramp.transition_beta(v, ramp.phi, ramp.delta)),
     "transition_beta phi": ("phi", lambda ramp, v: onramp.transition_beta(0.5, v, ramp.delta)),
@@ -508,9 +506,6 @@ POSITIVE_SITES = {
     "alpha_sweep step": 0.1,
     "beta_e_sweep max": math.inf,
     "beta_e_sweep step": math.inf,
-    "grid_poa inner_grid_step": math.inf,
-    "grid_optimal_beta beta_grid_step": math.inf,
-    "grid_optimal_beta inner_grid_step": math.inf,
 }
 
 
@@ -583,12 +578,13 @@ def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
     flags = onramp.improvement_conditions(ramp, narrow(0.8), narrow(1.0))
     assert flags == onramp.improvement_conditions(ramp, 0.8, 1.0)
     assert [type(flag) for flag in flags] == [bool, bool]
-    # the oracles' steps and tolerances, at values that both widths hold exactly
+    # the oracles' levels, bounds and tolerances, at values that both widths hold exactly
     for call in (
         lambda number: onramp.best_response_dynamics(ramp, 0.8, 1.0, tol=number(0.5)),
         lambda number: onramp.verify_wardrop(ramp, FLOW, 1.0, tol=number(0.5)),
-        lambda number: onramp.grid_poa(ramp, 1.0, interval, number(0.25)),
-        lambda number: onramp.grid_optimal_beta(ramp, interval, number(0.5), number(0.25)),
+        lambda number: onramp.grid_poa(ramp, number(0.5), interval),
+        lambda number: onramp.grid_optimal_beta(
+            ramp, onramp.ErrorInterval(number(0.5), number(2.0))),
     ):
         assert call(narrow) == call(float)
     for build, values in (

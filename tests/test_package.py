@@ -159,19 +159,22 @@ def test_demo_runs_on_a_copy(script, tmp_path, capsys):
             assert (tmp_path / "output" / name).read_text(encoding="utf-8").count("\n") > 1
 
 
-# run in a fresh interpreter: whether numpy is loaded after the import and after each command
+# run in a fresh interpreter: whether numpy is loaded after the import and after each command;
+# given a second argument "hide", numpy is hidden first, so that importing it fails
 NUMPY_PROBE = """
 import contextlib, io, json, sys
+if sys.argv[2:] == ["hide"]:
+    sys.modules["numpy"] = None
 import onramp, onramp.cli
-loaded = ["numpy" in sys.modules]
+loaded = [sys.modules.get("numpy") is not None]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        loaded.append([onramp.cli.main(argv), "numpy" in sys.modules])
+        loaded.append([onramp.cli.main(argv), sys.modules.get("numpy") is not None])
 print(json.dumps(loaded))
 """
 
 
-def test_numpy_is_loaded_only_by_the_grid_oracles(tmp_path):
+def test_no_command_loads_numpy(tmp_path):
     config = ["--config", str(DEMOS / "onramp.json")]
     interval = ["--e-lower", "0.5", "--e-upper", "2"]
     commands = [
@@ -183,24 +186,26 @@ def test_numpy_is_loaded_only_by_the_grid_oracles(tmp_path):
         ["sweep-beta-e", *config, "--out", str(tmp_path / "level.csv")],
         ["verify", *config],
         ["verify", *config, "--beta", "1000"],
+        ["poa", *config, "--beta", "1", *interval, "--verify"],
+        ["optimal-beta", *config, *interval, "--verify"],
+        ["optimal-beta", *config, "--e-lower", "1e-6", "--e-upper", "1", "--verify"],
         ["verify", *config, "--beta", "5e307"],
+        ["optimal-beta", *config, "--e-lower", "1e-10", "--e-upper", "1e10", "--verify"],
     ]
-    grid_oracles = [["poa", *config, "--beta", "1", *interval, "--verify"],
-                    ["optimal-beta", *config, *interval, "--verify"]]
-    # a loaded numpy stays loaded, so the second grid oracle runs in an interpreter of its own
-    after_import, *after_commands = _probe(NUMPY_PROBE, [*commands, grid_oracles[0]])
-    assert after_import is False
-    assert after_commands == [[0, False]] * 8 + [[3, False], [0, True]]
-    assert _probe(NUMPY_PROBE, grid_oracles[1:]) == [False, [0, True]]
+    expected = [False] + [[0, False]] * 11 + [[3, False], [1, False]]
+    assert _probe(NUMPY_PROBE, commands) == expected
+    # and each command exits as it does with numpy when numpy cannot be imported
+    assert _probe(NUMPY_PROBE, commands, "hide") == expected
 
 
-def _probe(code, argvs):
-    """What ``code`` prints as JSON, run on ``argvs`` in a fresh interpreter importing this src."""
+def _probe(code, argvs, *extra):
+    """What ``code`` prints as JSON, run on ``argvs`` (and ``extra`` arguments) in a fresh
+    interpreter importing this src."""
     src = str(Path(onramp.__file__).resolve().parents[1])
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     probe = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(argvs)],
+        [sys.executable, "-c", code, json.dumps(argvs), *extra],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(probe.stdout)

@@ -23,6 +23,7 @@ from conftest import (
     make_transition_limited,
     meaningful_configs,
     sample_meaningful,
+    sampled_error_gap,
 )
 from test_golden import SEEDED
 
@@ -228,8 +229,8 @@ def test_optimal_level_pinned_ratio():
     assert onramp.classification(ramp, interval).regime is onramp.Regime.TRANSITION_LIMITED
     result = onramp.optimal_beta(ramp, interval)
     assert result.beta_star == pytest.approx(1.0 / 1.5, abs=1e-9)
-    sampled = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
-    assert abs(sampled - result.beta_star) <= 2e-3
+    sampled = onramp.grid_optimal_beta(ramp, interval)
+    assert abs(sampled - result.beta_star) <= 1e-5 * result.beta_star
 
 
 def test_optimal_beta_names_the_interval_when_beta_star_overflows(demo_ramp):
@@ -269,24 +270,25 @@ def test_optimal_beta_names_the_interval_when_it_is_too_wide(demo_ramp):
 
 
 def test_grid_oracle_degenerate_interval(demo_ramp):
-    ramp = demo_ramp
-    sampled = onramp.grid_optimal_beta(
-        ramp, onramp.ErrorInterval(1.0, 1.0),
-        beta_grid_step=1e-3, inner_grid_step=1e-2,
-    )
-    assert abs(sampled - 1.0) <= 1e-3
+    sampled = onramp.grid_optimal_beta(demo_ramp, onramp.ErrorInterval(1.0, 1.0))
+    assert abs(sampled - 1.0) <= 1e-5
 
 
-def test_grid_oracle_rejects_unusable_level_grids(demo_ramp):
+def test_grid_oracle_refuses_only_too_wide_a_ratio(demo_ramp):
     ramp = demo_ramp
-    interval = onramp.ErrorInterval(0.5, 2.0)
-    with pytest.raises(ValueError, match="larger than the search range"):
-        onramp.grid_optimal_beta(ramp, interval, beta_grid_step=4.5)
-    # the limit names the search range (0, 2/e_lower] that the interval produced
-    with pytest.raises(ValueError, match=r"\(0, 2/e_lower\] with e_lower = 1e-06: .* more than"):
-        onramp.grid_optimal_beta(ramp, onramp.ErrorInterval(1e-6, 1.0))
-    with pytest.raises(ValueError, match=r"^inner grid step must be > 0, got 0.0$"):
-        onramp.grid_poa(ramp, 1.0, interval, inner_grid_step=0.0)
+    # served up to the bound, in any unit: the level grid of old refused every e_lower <= 0.002
+    for bounds in ((1e-6, 1.0), (0.001, 0.01), (1.0, 1e12), (1e-300, 2e-300), (1e-308, 1e-297)):
+        interval = onramp.ErrorInterval(*bounds)
+        beta_star = onramp.optimal_beta(ramp, interval).beta_star
+        assert abs(onramp.grid_optimal_beta(ramp, interval) - beta_star) <= 1e-5 * beta_star
+    for bounds in ((1.0, math.nextafter(1e12, math.inf)), (1e-10, 1e10), (1e-300, 1e300)):
+        interval = onramp.ErrorInterval(*bounds)
+        ratio = re.escape(f"{interval.e_upper / interval.e_lower}")
+        with pytest.raises(ValueError, match=f"^error ratio e_upper/e_lower = {ratio} exceeds"):
+            onramp.grid_optimal_beta(ramp, interval)
+    # below a subnormal e_upper the least searched level, 1/(2*e_upper), is no float
+    with pytest.raises(ValueError, match=r"^beta must be finite, got inf$"):
+        onramp.grid_optimal_beta(ramp, onramp.ErrorInterval(1e-310, 1e-309))
 
 
 def test_optimal_level_transition_limited_branch():
@@ -308,11 +310,8 @@ def test_optimal_level_transition_limited_branch():
 
 def test_grid_oracle_agrees_on_demo_interval(demo_ramp):
     ramp = demo_ramp
-    sampled = onramp.grid_optimal_beta(
-        ramp, onramp.ErrorInterval(0.5, 2.0),
-        beta_grid_step=1e-3, inner_grid_step=1e-2,
-    )
-    assert abs(sampled - 1.0) <= 1e-3
+    sampled = onramp.grid_optimal_beta(ramp, onramp.ErrorInterval(0.5, 2.0))
+    assert abs(sampled - 1.0) <= 1e-5
 
 
 def test_grid_oracle_agrees_on_transition_limited():
@@ -320,16 +319,17 @@ def test_grid_oracle_agrees_on_transition_limited():
     ramp = make_transition_limited(rng)
     interval = onramp.ErrorInterval(1.0, (ramp.pi * 1.5) ** 2)
     analytic = onramp.optimal_beta(ramp, interval)
-    sampled = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=1e-3, inner_grid_step=1e-2)
+    sampled = onramp.grid_optimal_beta(ramp, interval)
+    assert abs(sampled - analytic.beta_star) <= 1e-5 * analytic.beta_star
     analytic_poa = analytic.poa
-    sampled_poa = onramp.grid_poa(ramp, sampled, interval, 1e-2)
+    sampled_poa = onramp.grid_poa(ramp, sampled, interval)
     # the sampled sup can undershoot the true one; bound its slack explicitly
     slope_sum = ramp.slope_sum
     lipschitz_delay = 2.0 * slope_sum * max(1.0 - ramp.delta, ramp.delta - ramp.phi)
     lipschitz_error = (
         lipschitz_delay * (2.0 / interval.e_lower) * 2.0 * (ramp.delta - ramp.phi)
     )
-    slack = lipschitz_error * 1e-2 / ramp.j_opt  # alpha = 1 is evaluated exactly
+    slack = lipschitz_error * sampled_error_gap(interval) / ramp.j_opt  # alpha = 1 is exact
     assert analytic_poa <= sampled_poa + slack
 
 
@@ -351,15 +351,15 @@ def test_grid_poa_brackets_closed_form(demo_ramp):
     interval = onramp.ErrorInterval(0.5, 2.0)
     for beta in (0.2, 0.7, 1.0, 1.6):
         exact = onramp.poa(ramp, beta, interval)
-        sampled = onramp.grid_poa(ramp, beta, interval, 1e-2)
-        # the grid includes both interval endpoints and the full-altruism ratio,
+        sampled = onramp.grid_poa(ramp, beta, interval)
+        # the samples include both interval endpoints and the full-altruism ratio,
         # so it can only undersample the supremum, never exceed it
         assert sampled <= exact + 1e-12
         slope_sum = ramp.slope_sum
         reach = max(1.0 - ramp.delta, ramp.delta - ramp.phi)
         lipschitz_delay = 2.0 * slope_sum * reach
         lipschitz_error = lipschitz_delay * beta * 2.0 * (ramp.delta - ramp.phi)
-        slack = lipschitz_error * 1e-2 / ramp.j_opt  # only the error axis is sampled
+        slack = lipschitz_error * sampled_error_gap(interval) / ramp.j_opt  # errors only
         assert sampled >= exact - slack
 
 
@@ -370,15 +370,16 @@ def test_analytic_level_optimal_on_random_configs():
         lower = rng.uniform(0.4, 1.2)
         interval = onramp.ErrorInterval(lower, lower * rng.uniform(1.1, 3.5))
         result = onramp.optimal_beta(ramp, interval)
-        best = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=5e-3, inner_grid_step=5e-2)
-        sampled_minimum = onramp.grid_poa(ramp, best, interval, 5e-2)
+        best = onramp.grid_optimal_beta(ramp, interval)
+        assert abs(best - result.beta_star) <= 1e-5 * result.beta_star
+        sampled_minimum = onramp.grid_poa(ramp, best, interval)
         reach = max(1.0 - ramp.delta, ramp.delta - ramp.phi)
         lipschitz_delay = 2.0 * ramp.slope_sum * reach
         lipschitz_error = (
             lipschitz_delay * (2.0 / interval.e_lower) * 2.0 * (ramp.delta - ramp.phi)
         )
-        slack = lipschitz_error * 5e-2 / ramp.j_opt  # only the error axis is sampled
-        # no level on the oracle grid beats the analytic one beyond the grid slack
+        slack = lipschitz_error * sampled_error_gap(interval) / ramp.j_opt  # errors only
+        # the oracle's level does not beat the analytic one beyond the sampling slack
         assert result.poa <= sampled_minimum + 2.0 * slack
 
 
@@ -415,11 +416,10 @@ def test_overflowing_level_rejected_at_the_upper_error(demo_ramp):
     ):
         with pytest.raises(ValueError, match=r"beta\*error = 1e\+308 \* 2.0 is not finite"):
             evaluate(demo_ramp, 1e308, interval)
-    # the largest searched level, 2/e_lower, times e_upper overflows
-    with pytest.raises(ValueError, match=r"beta\*error = 200.0 \* 1e\+307 is not finite"):
-        onramp.grid_optimal_beta(
-            demo_ramp, onramp.ErrorInterval(0.01, 1e307), beta_grid_step=1.0, inner_grid_step=1e306
-        )
+    # the largest searched level, 2/e_lower, times e_upper stays finite at the top of the range
+    interval = onramp.ErrorInterval(1e296, 1e307)
+    beta_star = onramp.optimal_beta(demo_ramp, interval).beta_star
+    assert abs(onramp.grid_optimal_beta(demo_ramp, interval) - beta_star) <= 1e-5 * beta_star
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -434,18 +434,22 @@ def test_branch_follows_classify_at_the_regime_boundary(seed):
 
 
 def _product_grid_poa(ramp, beta, interval, step):
-    """grid_poa as the (error x alpha) product grid it once evaluated, alpha on [delta, 1]."""
-    errors = np.array(inclusive_grid(interval.e_lower, interval.e_upper, step))
+    """grid_poa as an (error x alpha) product grid, alpha on [delta, 1] at ``step``."""
+    errors = np.geomspace(interval.e_lower, interval.e_upper, robustness.GRID_ERRORS)
     alphas = np.array(inclusive_grid(min(max(ramp.delta, 0.0), 1.0), 1.0, step))[None, :]
     level = beta * errors
     crossings = ((1.0 - level) * ramp.phi + 2.0 * level * ramp.delta) / (1.0 + level)
-    shares = np.minimum(alphas, crossings[:, None])
-    return float(onramp.social_delay(ramp, shares).max()) / ramp.j_opt
+    x = np.minimum(alphas, crossings[:, None])
+    steadfast = ramp.steadfast_slope * (1.0 - x) + ramp.steadfast_intercept
+    bypass = ramp.bypass_slope * x + ramp.bypass_intercept
+    lane2 = ramp.lane2_slope * x + ramp.bypass_intercept
+    delay = (1.0 - x + ramp.n0) * steadfast + x * bypass + ramp.n2 * lane2
+    return float(delay.max()) / ramp.j_opt
 
 
 @st.composite
 def grid_cases(draw):
-    """A meaningful config, an error interval (sometimes a point) and a grid step."""
+    """A meaningful config, an error interval (sometimes a point) and a ratio grid step."""
     ramp = onramp.OnRamp.from_config(draw(meaningful_configs()))
     e_lower = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.1, 2.0))
     e_upper = e_lower * draw(st.sampled_from([1.0]) | st.floats(1.0, 6.0))
@@ -456,14 +460,14 @@ def grid_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=grid_cases(), scale=st.floats(0.0, 4.0), past=st.floats(1.0, 20.0))
 def test_grid_poa_equals_the_product_grid(case, scale, past):
+    # the worst ratio is full altruism: a product grid over the ratios samples no worse case
     ramp, interval, step = case
     levels = [0.0, scale]
     if ramp.pi > 0.0:  # past pi / e_upper the crossing reaches 1 at the upper error
         levels += [ramp.pi / interval.e_upper, ramp.pi / interval.e_upper * past]
     for beta in levels:
-        assert onramp.grid_poa(ramp, beta, interval, step) == (
-            _product_grid_poa(ramp, beta, interval, step)
-        )
+        assert onramp.grid_poa(ramp, beta, interval) == pytest.approx(
+            _product_grid_poa(ramp, beta, interval, step), rel=1e-13)
 
 
 def _argmin_cases():
@@ -476,26 +480,50 @@ def _argmin_cases():
     return cases
 
 
-@pytest.mark.parametrize("chunk_cells", [robustness._CHUNK_CELLS, 7])
 @pytest.mark.parametrize("case", range(3))
-def test_grid_optimal_beta_is_the_first_argmin_of_the_product_grid(case, chunk_cells, monkeypatch):
-    # 7 cells puts one level in each block; the default bound spans several blocks here
-    monkeypatch.setattr(robustness, "_CHUNK_CELLS", chunk_cells)
+def test_grid_optimal_beta_is_the_least_minimizer(case):
     ramp, interval = _argmin_cases()[case]
-    levels = inclusive_grid(0.0, 2.0 / interval.e_lower, 0.05)[1:]
-    errors = inclusive_grid(interval.e_lower, interval.e_upper, 1e-2)
-    assert len(levels) * len(errors) > robustness._CHUNK_CELLS
-    poas = [_product_grid_poa(ramp, b, interval, 1e-2) for b in levels]
-    best = onramp.grid_optimal_beta(ramp, interval, beta_grid_step=0.05, inner_grid_step=1e-2)
-    assert best == levels[poas.index(min(poas))]
-    if case == 2:  # on the flat stage the smallest of the tied levels wins
-        assert poas.count(min(poas)) > 1
+    best = onramp.grid_optimal_beta(ramp, interval)
+    analytic = onramp.optimal_beta(ramp, interval)
+    assert abs(best - analytic.beta_star) <= 1e-5 * analytic.beta_star
+    at_best = onramp.grid_poa(ramp, best, interval)
+    assert at_best == pytest.approx(onramp.grid_poa(ramp, analytic.beta_star, interval), rel=1e-12)
+    assert onramp.grid_poa(ramp, best * (1.0 - 1e-3), interval) > at_best
+    if case == 2:  # the sampled PoA is flat past beta*: the least of the tied levels wins
+        assert abs(best - 1.0 / (interval.e_lower * ramp.pi)) <= 1e-5 * best
+        flat = onramp.grid_poa(ramp, 2.0 * best, interval)
+        assert flat == onramp.grid_poa(ramp, 4.0 * best, interval) <= at_best
+    else:
+        assert onramp.grid_poa(ramp, best * (1.0 + 1e-3), interval) > at_best
+
+
+@st.composite
+def wide_cases(draw):
+    """A meaningful config, half of them transition-limited, and an interval whose bounds
+    range over 600 decades, log-uniformly, with a ratio up to 1e12 (a point one time in 8).
+
+    The configs keep sample_meaningful's margins: as delta - phi shrinks, the quadratic
+    minimum on a point interval flattens below float precision (see grid_optimal_beta).
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ramp = make_transition_limited(rng) if draw(st.booleans()) else sample_meaningful(rng)
+    e_lower = 10.0 ** draw(st.floats(-300.0, 288.0))
+    ratio = 1.0 if draw(st.integers(0, 7)) == 0 else 10.0 ** draw(st.floats(0.0, 11.99))
+    return ramp, onramp.ErrorInterval(e_lower, e_lower * ratio)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=wide_cases())
+def test_grid_optimal_beta_places_beta_star_at_any_scale(case):
+    ramp, interval = case
+    beta_star = onramp.optimal_beta(ramp, interval).beta_star
+    assert abs(onramp.grid_optimal_beta(ramp, interval) - beta_star) <= 1e-5 * beta_star
 
 
 def test_grid_poa_samples_no_ratio_axis(demo_ramp):
-    # no ratio grid is built, so a step too fine for [delta, 1] passes on a point interval
+    # no ratio grid is built: on a point interval the one error is the closed form's endpoint
     ramp = demo_ramp
     point = onramp.ErrorInterval(1.0, 1.0)
-    assert onramp.grid_poa(ramp, 1.0, point, 1e-7) == pytest.approx(
+    assert onramp.grid_poa(ramp, 1.0, point) == pytest.approx(
         onramp.poa(ramp, 1.0, point), abs=1e-12
     )
