@@ -276,7 +276,7 @@ def test_grid_oracle_degenerate_interval(demo_ramp):
 
 def test_grid_oracle_refuses_only_too_wide_a_ratio(demo_ramp):
     ramp = demo_ramp
-    # served up to the bound, in any unit: the level grid of old refused every e_lower <= 0.002
+    # served in any unit, up to the ratio bound
     for bounds in ((1e-6, 1.0), (0.001, 0.01), (1.0, 1e12), (1e-300, 2e-300), (1e-308, 1e-297)):
         interval = onramp.ErrorInterval(*bounds)
         beta_star = onramp.optimal_beta(ramp, interval).beta_star
