@@ -38,6 +38,19 @@ DEMO_J_OPT = 8.563714806200348
 DEMO_J_SOC_AT_PHI = 8.645024242734868
 
 
+# a meaningful configuration whose delta exceeds phi by only 4.2e-4: on a point interval
+# its sampled PoA is flat in floats over 3.7e-5 of the level around beta* = 1/error
+FLAT_MINIMUM_VALUES = {
+    "n0": 0.253,
+    "c1t": 0.711,
+    "c1m": 12.897,
+    "c2t": 1.483,
+    "c2m": 1.445,
+    "mu": 3.515,
+    "gamma": 10.679,
+}
+
+
 def assert_same_text(actual: str, expected: str) -> None:
     """Fail with the first differing line of two texts, not pytest's diff of the whole texts."""
     if actual != expected:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,11 +18,11 @@ import onramp
 from onramp import sweeps
 from onramp.analysis import _crossing
 from onramp.cli import DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_BETAS, _COMMANDS, _build_parser, _parse
-from onramp.cli import main
+from onramp.cli import _verify_beta_star, main
 from onramp.equilibrium import EquilibriumCase, inclusive_grid
 from onramp.model import CONFIG_KEYS
 
-from conftest import DEMO_VALUES, assert_same_text, meaningful_configs
+from conftest import DEMO_VALUES, FLAT_MINIMUM_VALUES, assert_same_text, meaningful_configs
 
 
 def run_cli(capsys, *argv):
@@ -593,6 +594,27 @@ def test_optimal_beta_verify_passes_on_every_interval_it_serves(
         assert "verify_pass" not in values
         assert err == ("onramp: error: error ratio e_upper/e_lower = 1e+20 exceeds 1e+12,"
                        " too wide to place beta_star\n")
+
+
+@pytest.mark.parametrize("command", [("optimal-beta",), ("poa", "--beta", "1")])
+def test_verify_passes_on_a_minimum_flat_in_floats(capsys, tmp_path, command):
+    # the oracle's level misses beta* = 1 by more than 1e-5, at the same sampled PoA
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(FLAT_MINIMUM_VALUES), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, *command, "--config", str(path), "--e-lower", "1", "--e-upper", "1", "--verify")
+    values = parse_kv(out)
+    assert (code, err, values["beta_star"], values["verify_pass"]) == (0, "", "1", "true")
+    assert float(values["grid_beta_star_gap"]) > 1e-5
+
+
+@pytest.mark.parametrize("beta_star, code", [(1.0, 0), (1.0 + 1e-6, 0), (1.01, 3), (0.99, 3)])
+def test_verify_on_a_flat_minimum_still_fails_a_level_of_worse_poa(capsys, beta_star, code):
+    # the sampled PoA decides where the level gap cannot: 1% off beta* is worse by > 1e-12
+    ramp = onramp.OnRamp.from_config(onramp.OnRampConfig(**FLAT_MINIMUM_VALUES))
+    args = SimpleNamespace(verify=True)
+    assert _verify_beta_star(args, ramp, onramp.ErrorInterval(1.0, 1.0), beta_star) == code
+    assert parse_kv(capsys.readouterr().out)["verify_pass"] == ("true" if code == 0 else "false")
 
 
 def test_optimal_beta_on_bounds_too_small_to_invert_exits_one(capsys, demo_config_file):
