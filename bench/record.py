@@ -152,9 +152,6 @@ def oracle_times() -> dict[str, float]:
     Imports onramp from sys.path, so run it where the checkout's src/ is first.  An
     oracle that the checkout's onramp does not have, on one side of an A/B, is left out.
     """
-    # a side from before the golden-section oracle imports numpy in its grid oracles' first
-    # call; imported here while such a side is compared, so that no timed call pays for it
-    import numpy
     import onramp
     ramp = onramp.OnRamp.from_config(onramp.load_config(DEMO_CONFIG))
     narrow, wide = onramp.ErrorInterval(0.5, 2.0), onramp.ErrorInterval(0.25, 4.0)
@@ -209,7 +206,7 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
 
 # code run in a fresh interpreter, which prints on its last line one JSON object: the
 # seconds of the closed forms, the first import of onramp.cli timed before anything else,
-# then those of the oracles, run after the closed forms so that no closed form loads numpy
+# then those of the oracles, run after the closed forms
 BENCH = str(ROOT / "bench")
 FRESH_TABLES = ("oracles", "closed_forms", "import_times")
 FRESH_CODE = ("import time; start = time.perf_counter(); import onramp.cli; "

@@ -151,13 +151,15 @@ def _print_summary(result) -> None:
 def _verify_beta_star(args, ramp, interval, beta_star) -> int:
     if not args.verify:
         return EXIT_OK
-    sampled = onramp.robustness.grid_optimal_beta(ramp, interval)
+    robustness = onramp.robustness
+    sampled = robustness.grid_optimal_beta(ramp, interval)
     gap = abs(beta_star - sampled)
     _print("grid_beta_star", sampled)
     _print("grid_beta_star_gap", gap)
     # a minimum flat in floats (delta near phi) places no level: the sampled PoA decides there
-    poa_at = functools.partial(onramp.robustness.grid_poa, ramp, interval=interval)
-    return _verdict(gap <= 1e-5 * beta_star or poa_at(beta_star) <= poa_at(sampled) * (1 + 1e-12))
+    poa_at = functools.partial(robustness.grid_poa, ramp, interval=interval)
+    return _verdict(
+        gap <= 1e-5 * beta_star or poa_at(beta_star) <= poa_at(sampled) * (1 + robustness.TIE_RTOL))
 
 
 def _verdict(ok: bool) -> int:
@@ -205,7 +207,7 @@ def _cmd_verify(args, ramp) -> int:
         _print("exact_x_hat_b", closest)
         _print("exact_gap", gap)
         ok &= gap <= 1e-9
-    trace = equilibrium.best_response_dynamics(ramp, args.alpha, args.beta, args.error, tol=1e-10)
+    trace = equilibrium.best_response_dynamics(ramp, args.alpha, args.beta, args.error)
     dynamics_x = trace.flow.total_bypass
     dynamics_gap = abs(dynamics_x - result.x_hat_b)
     _print("dynamics_x_hat_b", dynamics_x)

@@ -15,8 +15,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .analysis import _crossing, require_meaningful
-from .model import FLOAT_MAX, DelayProfile, FlowDistribution, OnRamp, check_population
-from .model import _new, check_share, cost_gaps, delays, positive, social_delay
+from .model import DelayProfile, FlowDistribution, OnRamp, check_population
+from .model import _new, check_share, cost_gaps, delays, social_delay
 
 
 class EquilibriumCase(Enum):
@@ -104,12 +104,14 @@ def solve_equilibrium(config, derived, ramp, alpha, beta, error=1.0) -> Equilibr
     return solve(ramp, alpha, beta, error)  # until perfbench calls the one-object forms
 
 
+WARDROP_RTOL = 1e-12  # per unit of slope_sum, both gaps' slope: a mass times a share distance
+
+
 class WardropReport(NamedTuple):
     """The four switching products of the equilibrium definition.
 
-    Each product pairs a class mass with the cost advantage of the option it
-    occupies; the flow is an equilibrium at tolerance ``tol`` exactly when no
-    product exceeds it.
+    Each product pairs a class mass with the cost advantage (cost_gaps) of the option it
+    occupies; the flow passes when none exceeds ``tol``, WARDROP_RTOL * slope_sum.
     """
 
     selfish_steadfast: float
@@ -133,51 +135,25 @@ class WardropReport(NamedTuple):
         return self.max_product <= self.tol
 
 
-def _switching_products(ramp, flow, level):
-    """WardropReport's four products, unchecked."""
+def _wardrop_report(ramp, flow, level) -> WardropReport:
+    """The WardropReport of a flow at a checked level, unchecked."""
     travel_gap, perceived_gap = cost_gaps(ramp, flow.total_bypass, level)
-    return (
+    return WardropReport(
         flow.selfish_steadfast * travel_gap,
         flow.selfish_bypass * -travel_gap,
         flow.altruistic_steadfast * perceived_gap,
         flow.altruistic_bypass * -perceived_gap,
+        WARDROP_RTOL * ramp.slope_sum,
     )
 
 
 def verify_wardrop(
-    ramp: OnRamp, flow: FlowDistribution, beta: float, error: float = 1.0, tol: float = 1e-9
+    ramp: OnRamp, flow: FlowDistribution, beta: float, error: float = 1.0
 ) -> WardropReport:
     """Evaluate the equilibrium definition at a feasible flow."""
     check_share(flow.total_bypass)
     _, level = check_population(beta=beta, error=error)
-    tol = positive("tolerance", tol, most=FLOAT_MAX)
-    return WardropReport(*_switching_products(ramp, flow, level), tol)
-
-
-# largest grid that is built; larger ones are refused
-MAX_GRID_POINTS = 10**6
-
-
-def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
-    """Multiples of ``step`` from ``lower``, with ``upper`` always included, as a list."""
-    if not step > 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if upper < lower:
-        raise ValueError(f"empty grid: [{lower}, {upper}]")
-    span = (upper - lower) / step
-    if not (math.isfinite(span) and math.isfinite(step)):
-        raise ValueError(f"grid [{lower}, {upper}] with step {step} is not finite")
-    count = int(math.floor(span + 1e-9))
-    if count >= MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid [{lower}, {upper}] with step {step} has more than {MAX_GRID_POINTS} points"
-        )
-    grid = [lower + i * step for i in range(count + 1)]
-    if grid[-1] > upper:
-        grid[-1] = upper
-    elif upper - grid[-1] > 1e-12:
-        grid.append(upper)
-    return grid
+    return _wardrop_report(ramp, flow, level)
 
 
 def exact_equilibria(ramp: OnRamp, alpha: float, beta: float, error: float = 1.0) -> list[float]:
@@ -231,7 +207,7 @@ def _bypass_range(gap_lo: float, gap_hi: float, mass: float) -> tuple[float, flo
 
 
 def best_response_dynamics(
-    ramp: OnRamp, alpha: float, beta: float, error: float = 1.0, tol: float = 1e-9
+    ramp: OnRamp, alpha: float, beta: float, error: float = 1.0
 ) -> DynamicsTrace:
     """Equilibrium by bisection on the total bypass share, certified by its Wardrop products.
 
@@ -244,7 +220,6 @@ def best_response_dynamics(
     oracle is independent of the case analysis in solve.
     """
     alpha, level = check_population(alpha, beta, error)
-    tol = positive("tolerance", tol, most=FLOAT_MAX)
     selfish_mass = 1.0 - alpha
     lo, hi, mid = 0.0, 1.0, 0.5
     halvings = 0
@@ -267,5 +242,5 @@ def best_response_dynamics(
     flow = FlowDistribution(
         selfish_mass - selfish_bypass, selfish_bypass, alpha - altruistic_bypass, altruistic_bypass
     )
-    report = WardropReport(*_switching_products(ramp, flow, level), tol)
+    report = _wardrop_report(ramp, flow, level)
     return DynamicsTrace(flow, report.max_product, report.passed, halvings)

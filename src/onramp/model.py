@@ -28,8 +28,7 @@ _keys_of = itemgetter(*CONFIG_KEYS)
 FLOAT_MAX = sys.float_info.max
 # the largest effective level: above it the altruistic crossing's 2*level*delta overflows
 LEVEL_MAX = FLOAT_MAX / 2
-# the number format of the CLI's output and of the CSV sweeps: 12 significant digits,
-# below every tolerance in use
+# the number format of the CLI's output and of the CSV sweeps: 12 significant digits
 NUMBER_FORMAT = ".12g"
 # builds a NamedTuple from a tuple of its fields, skipping the generated __new__'s call
 _new = tuple.__new__
@@ -154,7 +153,7 @@ def real(name: str, value, error: type[Exception] = ValueError) -> float:
 
 
 def positive(name: str, value, most: float = math.inf) -> float:
-    """``value`` taken by real and required to lie in (0, most]: each step, bound and tolerance."""
+    """``value`` taken by real and required to lie in (0, most]: each step and bound."""
     value = real(name, value)
     if not 0.0 < value <= most:
         bound = "be > 0" if most == math.inf else f"lie in (0, {most}]"
@@ -346,13 +345,15 @@ def social_delay(ramp: OnRamp, x_hat_b: float) -> float:
 def cost_gaps(ramp: OnRamp, x_hat_b, level):
     """Steadfast-minus-bypass (travel delay, perceived cost) gaps; positive favors bypass.
 
-    Each perceived cost is the delay plus the effective level beta*error times
-    that option's marginal-delay term.  Unchecked.
+    The perceived gap is travel + level * marginal over 1 + level, (1 - w) * travel + w *
+    marginal with w = level/(1 + level) (Chen, de Keijzer, Kempe & Schaefer 2014): finite at
+    every level, and like travel it falls with slope ``slope_sum`` in the share.  Unchecked.
     """
     steadfast, bypass, _ = delay_lines(ramp, x_hat_b)
-    steadfast_cost = steadfast + level * ramp.steadfast_slope * ((1.0 - x_hat_b) + ramp.n0)
-    bypass_cost = bypass + level * (ramp.bypass_slope * x_hat_b + ramp.lane2_slope * ramp.n2)
-    return steadfast - bypass, steadfast_cost - bypass_cost
+    travel, w = steadfast - bypass, level / (1.0 + level)
+    marginal = ramp.steadfast_slope * ((1.0 - x_hat_b) + ramp.n0) - (
+        ramp.bypass_slope * x_hat_b + ramp.lane2_slope * ramp.n2)
+    return travel, (1.0 - w) * travel + w * marginal
 
 
 class FlowDistribution(NamedTuple):

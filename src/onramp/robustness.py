@@ -25,6 +25,7 @@ _J_SOC = itemgetter(2)  # of an (error, x_hat_b, j_soc) endpoint
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the share of a golden-section bracket kept
 GRID_ERRORS = 129  # the errors that the grid oracles sample
 MAX_ERROR_RATIO = 1e12  # the widest e_upper/e_lower on which grid_optimal_beta places beta*
+TIE_RTOL = 1e-12  # worst-case delays this close to the larger one, relative to it, tie
 
 
 class WorstCasePoint(NamedTuple):
@@ -51,8 +52,8 @@ def worst_case_social_delay(
     an interval endpoint: the equilibrium bypass share is monotone in the
     error factor while the social delay is convex in the share, so no interior
     error can dominate both endpoints.  Returns the supremum and the endpoint
-    evaluations achieving it (both, on a tie: within 1e-12 of the supremum, relative to
-    it, so that the rule does not depend on the unit of delay), building a point for
+    evaluations achieving it (both, on a tie: within TIE_RTOL of the supremum, relative
+    to it, so that the rule does not depend on the unit of delay), building a point for
     those only.
     """
     ends = _endpoints(ramp, beta, interval)
@@ -60,7 +61,7 @@ def worst_case_social_delay(
     achieving = tuple(
         WorstCasePoint(error, 1.0, x_hat_b, j_soc)
         for error, x_hat_b, j_soc in ends
-        if j_soc >= supremum - 1e-12 * supremum
+        if j_soc >= supremum - TIE_RTOL * supremum
     )
     return supremum, achieving
 

@@ -9,13 +9,14 @@ rows they are given one cell at a time.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from itertools import count, repeat
 from operator import add, lt
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .analysis import _crossing, require_meaningful
-from .equilibrium import _BASELINE, _CASE_B, _CASE_C, _CASE_D, EquilibriumCase, inclusive_grid
+from .equilibrium import _BASELINE, _CASE_B, _CASE_C, _CASE_D, EquilibriumCase
 from .model import FLOAT_MAX, LEVEL_MAX, NUMBER_FORMAT, OnRamp
 from .model import check_population, positive, social_delay
 
@@ -38,6 +39,26 @@ class LevelSweepRow(NamedTuple):
 
 ALPHA_SWEEP_COLUMNS = AlphaSweepRow._fields
 LEVEL_SWEEP_COLUMNS = LevelSweepRow._fields
+MAX_GRID_POINTS = 10**6  # largest grid that is built; larger ones are refused
+
+
+def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
+    """Multiples of ``step`` from ``lower``, with ``upper`` always included, as a list."""
+    if not (step > 0.0 and lower <= upper):
+        raise ValueError(f"grid [{lower}, {upper}] with step {step} needs lower <= upper, step > 0")
+    span = (upper - lower) / step
+    if not (math.isfinite(span) and math.isfinite(step)):
+        raise ValueError(f"grid [{lower}, {upper}] with step {step} is not finite")
+    steps = int(math.floor(span + 1e-9))
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(f"grid [{lower}, {upper}] with step {step} has more than"
+                         f" {MAX_GRID_POINTS} points")
+    grid = [lower + i * step for i in range(steps + 1)]
+    if grid[-1] > upper:
+        grid[-1] = upper
+    elif upper - grid[-1] > 1e-12:
+        grid.append(upper)
+    return grid
 
 
 def _checked_outer(ramp, outer, name: str) -> list:

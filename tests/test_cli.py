@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -19,8 +20,9 @@ from onramp import sweeps
 from onramp.analysis import _crossing
 from onramp.cli import DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_BETAS, _COMMANDS, _build_parser, _parse
 from onramp.cli import _verify_beta_star, main
-from onramp.equilibrium import EquilibriumCase, inclusive_grid
-from onramp.model import CONFIG_KEYS
+from onramp.equilibrium import EquilibriumCase
+from onramp.sweeps import inclusive_grid
+from onramp.model import CONFIG_KEYS, cost_gaps
 
 from conftest import DEMO_VALUES, FLAT_MINIMUM_VALUES, assert_same_text, meaningful_configs
 
@@ -640,8 +642,9 @@ def test_verify_command(capsys, demo_config_file):
     assert values["dynamics_converged"] == "true"
 
 
-# at 1e6 and above the dynamics' tolerance, which does not scale with the level, fails
-@pytest.mark.parametrize("beta, code", [("1", 0), ("1000", 0), ("1e6", 3), ("5e307", 3)])
+# the certificate's threshold is in units of slope_sum and the altruists' gap is divided by
+# 1 + level, so the dynamics converge at every level
+@pytest.mark.parametrize("beta, code", [("1", 0), ("1000", 0), ("1e6", 0), ("5e307", 0)])
 def test_verify_finds_one_exact_share_at_every_level(capsys, demo_config_file, beta, code):
     got, out, err = run_cli(
         capsys, "verify", "--config", str(demo_config_file), "--alpha", "0.8", "--beta", beta
@@ -649,6 +652,8 @@ def test_verify_finds_one_exact_share_at_every_level(capsys, demo_config_file, b
     values = parse_kv(out)
     assert (got, err, values["exact_count"], values["exact_gap"]) == (code, "", "1", "0")
     assert values["exact_x_hat_b"] == values["closed_form_x_hat_b"]
+    assert values["dynamics_converged"] == values["verify_pass"] == "true"
+    assert 0.0 <= float(values["wardrop_max_product"]) <= 1e-12
 
 
 def test_console_entrypoint_subprocess(demo_config_file):
@@ -675,7 +680,30 @@ def test_nan_beta_exits_one_naming_beta(capsys, demo_config_file, argv):
     assert err == "onramp: error: beta must be finite, got nan\n"
 
 
-def test_equilibrium_with_a_nan_certificate_fails_wardrop(capsys, demo_config_file):
+def test_equilibrium_certificate_is_finite_and_passes_near_the_level_bound(
+        capsys, demo_config_file):
+    code, out, _ = run_cli(
+        capsys, "equilibrium", "--config", str(demo_config_file), "--alpha", "0.8",
+        "--beta", "5e307",
+    )
+    assert code == 0
+    values = parse_kv(out)
+    products = [float(values[f"wardrop_{name}"]) for name in onramp.FlowDistribution._fields]
+    assert all(map(math.isfinite, products)) and max(products) <= 1e-12
+    assert values["wardrop_pass"] == "true"
+
+
+def _nan_perceived_gap(monkeypatch):
+    """Make the altruists' cost gap read NaN in the certificate and the dynamics."""
+    from onramp import equilibrium
+
+    def gaps(ramp, x_hat_b, level):
+        return cost_gaps(ramp, x_hat_b, level)[0], math.nan
+    monkeypatch.setattr(equilibrium, "cost_gaps", gaps)
+
+
+def test_equilibrium_with_a_nan_certificate_fails_wardrop(capsys, demo_config_file, monkeypatch):
+    _nan_perceived_gap(monkeypatch)
     code, out, _ = run_cli(
         capsys, "equilibrium", "--config", str(demo_config_file), "--alpha", "0.8",
         "--beta", "5e307",
@@ -686,7 +714,8 @@ def test_equilibrium_with_a_nan_certificate_fails_wardrop(capsys, demo_config_fi
     assert values["wardrop_pass"] == "false"
 
 
-def test_verify_with_a_nan_certificate_is_not_converged(capsys, demo_config_file):
+def test_verify_with_a_nan_certificate_is_not_converged(capsys, demo_config_file, monkeypatch):
+    _nan_perceived_gap(monkeypatch)
     code, out, _ = run_cli(
         capsys, "verify", "--config", str(demo_config_file), "--alpha", "0.8", "--beta", "5e307"
     )

@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from onramp import equilibrium
 from onramp.analysis import _crossing
 from onramp.equilibrium import EquilibriumCase
 from onramp.errors import NotInMeaningfulSetError
-from onramp.model import LEVEL_MAX
+from onramp.model import LEVEL_MAX, cost_gaps
 
 from conftest import (
     DEMO_DELTA,
@@ -182,18 +183,18 @@ def test_exact_oracle_corner_all_bypass_outside_set():
 
 
 def test_dynamics_converges_to_optimum(demo_ramp):
-    trace = onramp.best_response_dynamics(demo_ramp, alpha=0.8, beta=1.0, error=1.0, tol=1e-12)
+    trace = onramp.best_response_dynamics(demo_ramp, alpha=0.8, beta=1.0, error=1.0)
     assert trace.converged
     assert trace.max_product <= 1e-12
     assert abs(trace.flow.total_bypass - DEMO_DELTA) <= 1e-12
 
 
 def test_dynamics_fixed_point_at_crossing(demo_ramp):
-    trace = onramp.best_response_dynamics(demo_ramp, alpha=0.0, beta=1.0, error=1.0, tol=1e-9)
+    trace = onramp.best_response_dynamics(demo_ramp, alpha=0.0, beta=1.0, error=1.0)
     assert trace.converged
     assert 0 < trace.iterations <= equilibrium.MAX_HALVINGS
     assert trace.flow.selfish_bypass == pytest.approx(demo_ramp.phi, abs=1e-12)
-    report = onramp.verify_wardrop(demo_ramp, trace.flow, beta=1.0, tol=1e-9)
+    report = onramp.verify_wardrop(demo_ramp, trace.flow, beta=1.0)
     assert report.passed
     assert report.max_product == trace.max_product
 
@@ -243,8 +244,9 @@ def test_dynamics_tie_rules(demo_ramp, tie):
     else:
         ramp = demo_ramp
     alpha, beta = _tie_point(tie, ramp)
-    trace = onramp.best_response_dynamics(ramp, alpha, beta, tol=1e-10)
+    trace = onramp.best_response_dynamics(ramp, alpha, beta)
     assert trace.converged, trace
+    assert trace.max_product <= 1e-10
     _assert_feasible(trace.flow, alpha)
     if ramp.in_meaningful_set:
         closed = onramp.solve(demo_ramp, alpha, beta)
@@ -254,10 +256,6 @@ def test_dynamics_tie_rules(demo_ramp, tie):
 def test_dynamics_validates_inputs(demo_ramp):
     with pytest.raises(ValueError, match="alpha must lie in"):
         onramp.best_response_dynamics(demo_ramp, 1.5, 1.0)
-    bound = r"tolerance must lie in \(0, 1.7976931348623157e\+308\]"  # a finite tolerance
-    for tol in (0.0, -1e-9):
-        with pytest.raises(ValueError, match=bound):
-            onramp.best_response_dynamics(demo_ramp, 0.8, 1.0, tol=tol)
 
 
 @pytest.mark.parametrize("seed, draws, top", [(77, 12, 1.5), (501, 20, 1.25)])
@@ -331,8 +329,26 @@ def test_closed_form_takes_the_right_case_up_to_the_level_bound(demo_ramp):
         onramp.solve(demo_ramp, 0.8, math.nextafter(LEVEL_MAX, math.inf))
 
 
-def test_wardrop_report_fails_closed_on_nan_products(demo_ramp):
-    # at level 5e307 both perceived costs overflow and their gap is inf - inf
+def _nan_perceived_gap(monkeypatch):
+    """Make the altruists' cost gap read NaN in the certificate and the dynamics."""
+    def gaps(ramp, x_hat_b, level):
+        return cost_gaps(ramp, x_hat_b, level)[0], math.nan
+    monkeypatch.setattr(equilibrium, "cost_gaps", gaps)
+
+
+def test_wardrop_report_is_finite_and_passes_up_to_the_level_bound(demo_ramp):
+    # the altruists' gap is divided by 1 + level, so it stays finite where level * marginal
+    # overflows, and one threshold in units of slope_sum serves every level
+    for level in (1.0, 1e6, 5e307, LEVEL_MAX):
+        result = onramp.solve(demo_ramp, 0.8, level)
+        report = onramp.verify_wardrop(demo_ramp, result.flow, level)
+        assert all(map(math.isfinite, report.products)), report
+        assert report.passed and report.tol == equilibrium.WARDROP_RTOL * demo_ramp.slope_sum
+        assert onramp.best_response_dynamics(demo_ramp, 0.8, level).converged
+
+
+def test_wardrop_report_fails_closed_on_nan_products(demo_ramp, monkeypatch):
+    _nan_perceived_gap(monkeypatch)
     flow = onramp.FlowDistribution(0.2, 0.0, 0.0, 0.8)
     report = onramp.verify_wardrop(demo_ramp, flow, 5e307)
     assert report.products[0] < 0.0 and report.products[1] == 0.0
@@ -350,8 +366,10 @@ def test_wardrop_max_product_is_nan_wherever_the_nan_is(position):
     assert not report.passed
 
 
-def test_dynamics_not_converged_on_a_nan_certificate(demo_ramp):
+def test_dynamics_not_converged_on_a_nan_certificate(demo_ramp, monkeypatch):
+    _nan_perceived_gap(monkeypatch)
     trace = onramp.best_response_dynamics(demo_ramp, 0.8, 5e307)
+    assert math.isnan(trace.max_product)
     assert trace.converged is False
 
 
@@ -394,3 +412,96 @@ def test_oracles_ignore_the_analysis_on_the_demo(demo_ramp):
 @given(config=meaningful_configs())
 def test_oracles_ignore_the_analysis(config):
     _assert_oracles_ignore_the_analysis(onramp.OnRamp.from_config(config))
+
+
+@st.composite
+def singular_ramps(draw):
+    """A meaningful ramp whose 2*delta - phi - 1 is zero or within ulps of it (pi near inf).
+
+    2*delta - phi - 1 = (n0*ks - n2*k2 - kb) / (ks + kb), so kb = n0*ks - n2*k2 puts it at
+    zero; delta is then (1 + phi) / 2, inside the meaningful set for any phi in (0, 1).  phi
+    stays above 0.25, where its numerator ks + bs - bb does not cancel beyond SOLVE_ULPS.
+    """
+    n0 = draw(st.floats(0.4, 0.9))
+    ks, k2 = draw(st.floats(2.0, 20.0)), draw(st.floats(0.1, 1.0))
+    kb, shift = n0 * ks - (1.0 - n0) * k2, draw(st.integers(-3, 3))
+    for _ in range(abs(shift)):  # up to 3 ulps off the singular kb, either side
+        kb = math.nextafter(kb, math.copysign(math.inf, shift))
+    bs, phi = draw(st.floats(0.0, 0.1)) * ks, draw(st.floats(0.25, 0.9))
+    ramp = onramp.OnRamp(n0, 1.0 - n0, ks, bs, kb, ks + bs - phi * (ks + kb), k2)
+    assert ramp.in_meaningful_set and abs(2.0 * ramp.delta - ramp.phi - 1.0) < 1e-14
+    return ramp
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+           1e-300, 0.5, 2.0, 5e307, LEVEL_MAX, math.nextafter(LEVEL_MAX, math.inf), 1e308]
+ULPS = st.sampled_from([-math.inf, 0.0, math.inf])  # one ulp down, the tie, one ulp up
+REJECTED = r"^(alpha|beta|error factor|effective level beta\*error) "
+
+
+def _ulp(value: float, step: float) -> float:
+    return math.nextafter(value, step) if step else value
+
+
+# (beta, error) pairs: beta == 1, level 0 (also from beta > 0, as 5e-324 * 0.5 rounds to 0),
+# levels up to the bound, ordinary levels, and pairs of boundary values
+LEVELS = st.one_of(
+    ULPS.map(lambda step: (_ulp(1.0, step), 1.0)),
+    st.sampled_from([(0.0, 1.0), (-0.0, 2.0), (5e-324, 0.5), (5e-324, 1.0)]),
+    st.tuples(st.sampled_from([1e6, 1e300, 5e307, LEVEL_MAX]), st.sampled_from([1.0, 0.5])),
+    st.tuples(st.floats(0.0, 10.0) | st.floats(-300, 300).map(lambda e: 10.0 ** e),
+              st.just(1.0) | st.floats(0.01, 100.0)),
+    st.tuples(st.sampled_from(SPECIAL), st.sampled_from(SPECIAL)),
+)
+
+
+@st.composite
+def populations(draw):
+    """(ramp, alpha, beta, error) around every tie rule and float boundary of solve."""
+    ramp = draw(st.one_of(meaningful_configs().map(onramp.OnRamp.from_config), singular_ramps()))
+    beta, error = draw(LEVELS)
+    level = beta * error
+    tie = draw(st.sampled_from(["phi", "crossing", "zero", "one", "random", "special"]))
+    if tie == "crossing" and 0.0 <= level <= LEVEL_MAX:
+        alpha = _crossing(ramp.phi, ramp.delta, level)
+    elif tie in ("phi", "crossing"):
+        alpha = ramp.phi
+    else:
+        alpha = {"zero": 0.0, "one": 1.0}.get(tie) or draw(
+            st.floats(0.0, 1.0) if tie == "random" else st.sampled_from(SPECIAL))
+    return ramp, _ulp(alpha, draw(ULPS)), beta, error
+
+
+def _rejection(call):
+    """The message of the ValueError that ``call`` raises, or None with its result."""
+    try:
+        return None, call()
+    except ValueError as exc:
+        assert type(exc) is ValueError and re.match(REJECTED, str(exc)), exc
+        return str(exc), None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(point=populations())
+def test_every_population_is_refused_by_name_or_certified_by_every_oracle(point):
+    # beta < 0, NaN and inf are refused, naming the input; anything else gets one share that
+    # solve, the exact oracle, the bisection and the Wardrop certificate agree on
+    ramp, alpha, beta, error = point
+    message, result = _rejection(lambda: onramp.solve(ramp, alpha, beta, error))
+    exact_message, shares = _rejection(lambda: onramp.exact_equilibria(ramp, alpha, beta, error))
+    dynamics_message, trace = _rejection(
+        lambda: onramp.best_response_dynamics(ramp, alpha, beta, error))
+    assert exact_message == dynamics_message == message
+    flow = onramp.FlowDistribution(0.5, 0.0, 0.0, 0.5)  # the certificate takes no alpha
+    certified, _ = _rejection(lambda: onramp.verify_wardrop(ramp, flow, beta, error))
+    if message is None or not message.startswith("alpha"):
+        assert certified == message
+    if beta < 0.0:  # no spite: this model's altruists do not seek the others' delay
+        assert certified.startswith("beta must be >= 0")
+    if message is not None:
+        return
+    _assert_one_share_near(shares, result.x_hat_b)
+    assert trace.converged, trace  # its largest product is finite and within the threshold
+    assert abs(trace.flow.total_bypass - result.x_hat_b) <= 1e-12, (trace, result)
+    report = onramp.verify_wardrop(ramp, result.flow, beta, error)
+    assert all(map(math.isfinite, report.products)) and report.passed, report

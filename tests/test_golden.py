@@ -99,8 +99,9 @@ def _model_cases(name: str, verify: bool):
 def cases():
     """(config file, argv after the config) pairs, in transcript order."""
     yield from _model_cases("demo", verify=True)
-    # a large level, where the perceived-cost gap is steep
-    yield "demo.json", ["verify", "--alpha", "0.8", "--beta", "1000"]
+    # large levels, up to near the level bound: the certificate holds at each
+    for beta in ("1000", "1e6", "5e307"):
+        yield "demo.json", ["verify", "--alpha", "0.8", "--beta", beta]
     for name in SEEDED:
         yield from _model_cases(name, verify=name == "limited")
     # full default grids, recorded by digest

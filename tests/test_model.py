@@ -14,7 +14,7 @@ from hypothesis import given, reject, settings, strategies as st
 import onramp
 from onramp.analysis import _crossing
 from onramp.errors import ConfigError, DegenerateConfigError
-from onramp.model import _CONSTANTS, CONFIG_KEYS, FLOAT_MAX, LEVEL_MAX, check_population, cost_gaps
+from onramp.model import _CONSTANTS, CONFIG_KEYS, LEVEL_MAX, check_population, cost_gaps
 
 from conftest import DEMO_DELTA, DEMO_PHI, DEMO_VALUES
 from test_golden import SEEDED
@@ -178,11 +178,11 @@ def test_a_config_of_other_reals_equals_the_one_of_python_floats(demo_ramp, real
     assert interval == wide and type(interval.e_lower) is type(interval.e_upper) is float
     for call in (
         lambda number: onramp.solve(ramp, 0.8, number(2), number(1)),
-        lambda number: onramp.verify_wardrop(ramp, FLOW, number(2), number(1), number(1)),
+        lambda number: onramp.verify_wardrop(ramp, FLOW, number(2), number(1)),
         lambda number: onramp.improvement_conditions(ramp, 0.8, number(1)),
         lambda number: onramp.poa(ramp, number(1), wide),
         lambda number: onramp.beta_e_sweep(ramp, [0.8], number(4), number(1)),
-        lambda number: onramp.best_response_dynamics(ramp, 0.8, number(1), tol=number(1)),
+        lambda number: onramp.best_response_dynamics(ramp, 0.8, number(1), number(1)),
         lambda number: onramp.grid_poa(ramp, number(1), wide),
         lambda number: onramp.grid_optimal_beta(ramp, onramp.ErrorInterval(number(1), number(4))),
         lambda number: onramp.social_delay(ramp, number(1)),
@@ -300,6 +300,23 @@ def test_altruistic_costs_reduce_to_delays(demo_ramp):
         profile = onramp.delays(demo_ramp, x)
         travel_gap, perceived_gap = cost_gaps(demo_ramp, x, 0.0)
         assert travel_gap == perceived_gap == profile.steadfast - profile.bypass
+
+
+def test_perceived_gap_is_the_perceived_cost_gap_over_one_plus_level(demo_ramp):
+    # (1 - w) * travel + w * marginal, w = level / (1 + level): the steadfast-minus-bypass
+    # perceived-cost gap over 1 + level, falling by slope_sum per unit of share like travel
+    ramp = demo_ramp
+    ks, kb, k2 = ramp.steadfast_slope, ramp.bypass_slope, ramp.lane2_slope
+    for level in (0.5, 3.0, 1e6):
+        for x in (0.0, 0.3, 1.0):
+            profile = onramp.delays(ramp, x)
+            steadfast_cost = profile.steadfast + level * ks * ((1.0 - x) + ramp.n0)
+            bypass_cost = profile.bypass + level * (kb * x + k2 * ramp.n2)
+            expected = (steadfast_cost - bypass_cost) / (1.0 + level)
+            assert cost_gaps(ramp, x, level)[1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        for gap in (0, 1):
+            fall = cost_gaps(ramp, 0.0, level)[gap] - cost_gaps(ramp, 1.0, level)[gap]
+            assert fall == pytest.approx(ramp.slope_sum, rel=1e-12)
 
 
 def test_altruistic_costs_depend_on_product_only(demo_ramp):
@@ -450,8 +467,6 @@ NUMBER_SITES = {
     "verify_wardrop beta": ("beta", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, v)),
     "verify_wardrop error": (
         "error factor", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, 1.0, v)),
-    "verify_wardrop tol": (
-        "tolerance", lambda ramp, v: onramp.verify_wardrop(ramp, FLOW, 1.0, tol=v)),
     "improvement alpha": ("alpha", lambda ramp, v: onramp.improvement_conditions(ramp, v, 1.0)),
     "improvement beta": ("beta", lambda ramp, v: onramp.improvement_conditions(ramp, 0.8, v)),
     "e_lower": ("e_lower", lambda ramp, v: onramp.ErrorInterval(v, 2.0)),
@@ -463,8 +478,6 @@ NUMBER_SITES = {
     "beta_e_sweep max": (
         "beta_e_max", lambda ramp, v: onramp.beta_e_sweep(ramp, [0.8], v, 0.5)),
     "beta_e_sweep step": ("step", lambda ramp, v: onramp.beta_e_sweep(ramp, [0.8], 2.0, v)),
-    "dynamics tol": (
-        "tolerance", lambda ramp, v: onramp.best_response_dynamics(ramp, 0.8, 1.0, tol=v)),
     "grid_poa beta": ("beta", lambda ramp, v: onramp.grid_poa(ramp, v, INTERVAL)),
     "transition_beta alpha": (
         "alpha", lambda ramp, v: onramp.transition_beta(v, ramp.phi, ramp.delta)),
@@ -501,8 +514,6 @@ def test_every_numeric_input_takes_only_a_number(demo_ramp, site, value):
 
 # the NUMBER_SITES that take only a positive number, each with the largest value it takes
 POSITIVE_SITES = {
-    "verify_wardrop tol": FLOAT_MAX,
-    "dynamics tol": FLOAT_MAX,
     "alpha_sweep step": 0.1,
     "beta_e_sweep max": math.inf,
     "beta_e_sweep step": math.inf,
@@ -513,7 +524,7 @@ POSITIVE_SITES = {
     pytest.param(site, value, id=f"{site}-{label}")
     for site, most in POSITIVE_SITES.items()
     for label, value in (("nan", math.nan), ("zero", 0.0), ("negative", -1.0), ("inf", math.inf))
-    if label != "inf" or most == FLOAT_MAX  # a tolerance: an infinite one would pass any flow
+    if label != "inf" or most < math.inf  # inf passes a bound that is itself infinite
 ])
 def test_every_positive_input_names_itself_at_nan_zero_and_below(demo_ramp, site, value):
     name, call = NUMBER_SITES[site]
@@ -578,10 +589,10 @@ def test_narrow_numpy_floats_give_the_results_of_floats(demo_ramp, narrow):
     flags = onramp.improvement_conditions(ramp, narrow(0.8), narrow(1.0))
     assert flags == onramp.improvement_conditions(ramp, 0.8, 1.0)
     assert [type(flag) for flag in flags] == [bool, bool]
-    # the oracles' levels, bounds and tolerances, at values that both widths hold exactly
+    # the oracles' levels and bounds, at values that both widths hold exactly
     for call in (
-        lambda number: onramp.best_response_dynamics(ramp, 0.8, 1.0, tol=number(0.5)),
-        lambda number: onramp.verify_wardrop(ramp, FLOW, 1.0, tol=number(0.5)),
+        lambda number: onramp.best_response_dynamics(ramp, 0.8, number(0.5)),
+        lambda number: onramp.verify_wardrop(ramp, FLOW, number(0.5)),
         lambda number: onramp.grid_poa(ramp, number(0.5), interval),
         lambda number: onramp.grid_optimal_beta(
             ramp, onramp.ErrorInterval(number(0.5), number(2.0))),

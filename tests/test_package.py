@@ -192,7 +192,7 @@ def test_no_command_loads_numpy(tmp_path):
         ["verify", *config, "--beta", "5e307"],
         ["optimal-beta", *config, "--e-lower", "1e-10", "--e-upper", "1e10", "--verify"],
     ]
-    expected = [False] + [[0, False]] * 11 + [[3, False], [1, False]]
+    expected = [False] + [[0, False]] * 12 + [[1, False]]
     assert _probe(NUMPY_PROBE, commands) == expected
     # and each command exits as it does with numpy when numpy cannot be imported
     assert _probe(NUMPY_PROBE, commands, "hide") == expected

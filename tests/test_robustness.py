@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import onramp
 from onramp import robustness
 from onramp.analysis import _crossing
-from onramp.equilibrium import inclusive_grid
+from onramp.sweeps import inclusive_grid
 from onramp.errors import TransitionUndefinedError, ZeroOptimumError
 from onramp.model import LEVEL_MAX
 
