@@ -136,7 +136,7 @@ class WardropReport(NamedTuple):
 
 
 def _wardrop_report(ramp, flow, level) -> WardropReport:
-    """The WardropReport of a flow at a checked level, unchecked."""
+    """The WardropReport of a flow, unchecked, at a level that the caller checked."""
     travel_gap, perceived_gap = cost_gaps(ramp, flow.total_bypass, level)
     return WardropReport(
         flow.selfish_steadfast * travel_gap,

@@ -44,7 +44,7 @@ MAX_GRID_POINTS = 10**6  # largest grid that is built; larger ones are refused
 
 def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
     """Multiples of ``step`` from ``lower``, with ``upper`` always included, as a list."""
-    if not (step > 0.0 and lower <= upper):
+    if not step > 0.0 or upper < lower:  # a NaN bound is left to the finiteness check
         raise ValueError(f"grid [{lower}, {upper}] with step {step} needs lower <= upper, step > 0")
     span = (upper - lower) / step
     if not (math.isfinite(span) and math.isfinite(step)):
