@@ -34,8 +34,8 @@ Apart from the gated end-to-end table, the file also holds ungated timings
 of single calls.  In each of ORACLE_REPEATS rounds, alternating which side
 goes first, each checkout runs FRESH_CODE in one fresh interpreter.  It times
 ``import onramp.cli`` first (L6), then, each call through ``best_time``,
-``closed_form_times`` (reading demos/onramp.json, each L0-L3 closed form and
-three CLI commands) and ``oracle_times`` (each L5 oracle on that config).
+``closed_form_times`` (reading demos/onramp.json, each L0-L3 closed form, both
+L4 sweeps and five CLI commands, the two sweeps among them) and ``oracle_times`` (each L5 oracle on that config).
 Each round also times, from outside, one whole process per side of ``python
 -m onramp analyze --config demos/onramp.json`` (``process[analyze]``: the
 start-up and imports that a user waits for), of ``onramp verify`` (the exact
@@ -71,6 +71,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 import time
 import timeit
 from pathlib import Path
@@ -81,8 +82,9 @@ SIDES = ("parent", "change")
 PAIRS = 10
 HELD_OUT_SEED = 1000
 ORACLE_REPEATS = 5
-# each closed form is timed over CALL_REPEATS loops of CALLS_PER_LOOP calls
-CALL_REPEATS, CALLS_PER_LOOP = 20, 500
+# each closed form is timed over CALL_REPEATS loops of CALLS_PER_LOOP calls, and each
+# sweep, some ten times slower, over as many loops of SWEEP_CALLS_PER_LOOP calls
+CALL_REPEATS, CALLS_PER_LOOP, SWEEP_CALLS_PER_LOOP = 20, 500, 50
 DEMO_CONFIG = "demos/onramp.json"
 
 
@@ -167,19 +169,22 @@ def oracle_times() -> dict[str, float]:
 
 
 def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
-    """Best seconds per call of each L0-L3 closed form on the config at ``path``.
+    """Best seconds per call of each L0-L3 closed form and each L4 sweep on the config at ``path``.
 
-    Each call is timed by best_time over CALL_REPEATS loops of CALLS_PER_LOOP calls.
-    ``load_config`` reads and parses the file, and ``from_config`` is the whole model
-    build.  The ``cli.main[...]`` keys time the CLI's ``main`` on the config with the
-    flags of perfbench's cli_session, its stdout sent to a fresh StringIO.  The config
-    must lie in the meaningful set.
+    Each call is timed by best_time over CALL_REPEATS loops of CALLS_PER_LOOP calls, or of
+    SWEEP_CALLS_PER_LOOP calls for a sweep.  ``load_config``
+    reads and parses the file, and ``from_config`` is the whole model build; ``alpha_sweep``
+    and ``beta_e_sweep`` build the rows of the CLI's default sweeps.  The ``cli.main[...]``
+    keys time the CLI's ``main`` on the config with the flags of perfbench's cli_session, its
+    stdout sent to a fresh StringIO, each sweep's ``--out`` a file in a temporary directory.
+    The config must lie in the meaningful set.
     """
     import onramp.cli
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     config = onramp.OnRampConfig.from_dict(data)
     ramp = onramp.OnRamp.from_config(config)
     interval = onramp.ErrorInterval(0.5, 2.0)
+    betas, alphas = onramp.cli.DEFAULT_SWEEP_BETAS, onramp.cli.DEFAULT_SWEEP_ALPHAS
     calls = {
         "load_config": lambda: onramp.load_config(path),
         "from_dict": lambda: onramp.OnRampConfig.from_dict(data),
@@ -188,20 +193,28 @@ def closed_form_times(path=DEMO_CONFIG) -> dict[str, float]:
         "optimal_beta": lambda: onramp.optimal_beta(ramp, interval),
         "poa": lambda: onramp.poa(ramp, 1.0, interval),
         "solve": lambda: onramp.solve(ramp, 0.8, 1.0),
+        "alpha_sweep": lambda: onramp.alpha_sweep(ramp, betas, 0.01),
+        "beta_e_sweep": lambda: onramp.beta_e_sweep(ramp, alphas, 4.0, 0.01),
     }
-    for args in (["analyze", "--e-lower", "0.5", "--e-upper", "2"],
-                 ["equilibrium", "--alpha", "0.8", "--beta", "1"],
-                 ["optimal-beta", "--e-lower", "0.25", "--e-upper", "4"]):
-        argv = [args[0], "--config", str(path), *args[1:]]
+    with tempfile.TemporaryDirectory() as scratch:
+        out = str(Path(scratch) / "sweep.csv")
+        for args in (["analyze", "--e-lower", "0.5", "--e-upper", "2"],
+                     ["equilibrium", "--alpha", "0.8", "--beta", "1"],
+                     ["optimal-beta", "--e-lower", "0.25", "--e-upper", "4"],
+                     ["sweep-alpha", "--out", out],
+                     ["sweep-beta-e", "--out", out]):
+            argv = [args[0], "--config", str(path), *args[1:]]
 
-        def command(argv=argv):
-            with contextlib.redirect_stdout(io.StringIO()):
-                return onramp.cli.main(argv)
+            def command(argv=argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return onramp.cli.main(argv)
 
-        if command() != 0:
-            raise RuntimeError(f"onramp {' '.join(argv)} failed")
-        calls[f"cli.main[{args[0]}]"] = command
-    return {name: best_time(call, CALL_REPEATS, CALLS_PER_LOOP) for name, call in calls.items()}
+            if command() != 0:
+                raise RuntimeError(f"onramp {' '.join(argv)} failed")
+            calls[f"cli.main[{args[0]}]"] = command
+        return {name: best_time(call, CALL_REPEATS,
+                                SWEEP_CALLS_PER_LOOP if "sweep" in name else CALLS_PER_LOOP)
+                for name, call in calls.items()}
 
 
 # code run in a fresh interpreter, which prints on its last line one JSON object: the
@@ -487,7 +500,8 @@ def main(argv=None) -> int:
                  " 'process[optimal-beta --verify]'"
                  f" 'python {' '.join(PROCESSES['process[optimal-beta --verify]'])}';"
                  f" the others: per call, the best of {CALL_REPEATS} timeit loops of"
-                 f" {CALLS_PER_LOOP} calls, in one fresh process; {rounds}",
+                 f" {CALLS_PER_LOOP} calls ({SWEEP_CALLS_PER_LOOP} for a sweep), in one fresh"
+                 f" process; {rounds}",
         "timings": tables["closed_forms"],
     }
     document["import_times"] = {

@@ -51,8 +51,8 @@ class _Flag(NamedTuple):
 
 
 def _print(key, value):
-    if isinstance(value, float):
-        sys.stdout.write(f"{key} = {value:{NUMBER_FORMAT}}\n")
+    if isinstance(value, float):  # + 0.0 prints a negative zero as 0
+        sys.stdout.write(f"{key} = {value + 0.0:{NUMBER_FORMAT}}\n")
     else:
         sys.stdout.write(f"{key} = {value}\n")
 

@@ -1,23 +1,24 @@
 """Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
 
 Every input is checked once, before any work.  One column kernel takes the case analysis
-per run of cells: the distinct (x_hat_b, case, j_soc) tails, and per outer value a tail
-index per grid point.  alpha_sweep / beta_e_sweep build rows from it, and _columns_csv the
-CLI's CSV text, each grid point and tail formatted once.  The library writers format the
-rows they are given one cell at a time.
+per run of cells: per outer value, a few runs of grid points that share one (x_hat_b,
+case, j_soc) tail or take the tail of their own grid point, whose edges bisect or a scan
+finds.  alpha_sweep / beta_e_sweep expand the runs into rows, and _columns_csv into the
+CLI's CSV text, each grid point and tail formatted once and each run joined whole.  The
+library writers format the rows they are given one cell at a time.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import count, repeat
-from operator import add, lt
+from itertools import chain, groupby, repeat
+from operator import add, le, lt
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .analysis import _crossing, require_meaningful
 from .equilibrium import _BASELINE, _CASE_B, _CASE_C, _CASE_D, EquilibriumCase
-from .model import FLOAT_MAX, LEVEL_MAX, NUMBER_FORMAT, OnRamp
+from .model import FLOAT_MAX, LEVEL_MAX, NUMBER_FORMAT, OnRamp, _new
 from .model import check_population, positive, social_delay
 
 
@@ -70,70 +71,84 @@ def _checked_outer(ramp, outer, name: str) -> list:
     return [check_population(**{name: value})[taken] for value in values]
 
 
-def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, list]:
-    """The distinct (x_hat_b, case, j_soc) tails, and per value a tail index per grid point.
+def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tuple, list]:
+    """(tails, aligned, columns): each outer value's column as runs (start, stop, k) of cells.
 
-    It must equal _equilibrium_split, whose tie rules it restates per run of cells on a grid
-    (of levels or alphas) ascending from 0.0: BASELINE at value 0.0 or -0.0 and grid index 0,
-    CASE_B where alpha <= phi, CASE_C where alpha < crossing(level), else CASE_D.  Made once,
-    and only where a cell uses it: each crossing and CASE_D tail per level, each CASE_C tail
-    per alpha, each j_soc per share.  A level grid's CASE_D tails are made in one pass, with
-    no cache lookup, when sorting their shares with phi and the alphas finds no two equal;
-    otherwise each share goes through the cache.  An alpha at or above every crossing takes
-    the CASE_D tail at every level, with no comparison.
+    The cells grid[start:stop] share the tail tails[k] = (x_hat_b, case, j_soc), or, where k is
+    None, take their own: with aligned = (first, case, shares, j_socs), grid point first + i
+    has (shares[i], case, j_socs[i]).  It must equal _equilibrium_split, whose tie rules it
+    restates per run on a grid ascending from 0.0: BASELINE at value 0.0 or -0.0 and grid index
+    0, CASE_B where alpha <= phi, CASE_C where alpha < crossing(level), else CASE_D.  The own
+    tails are CASE_C on the alpha grid, where bisect finds the edges, and CASE_D on the level
+    grid.  There bisect finds each alpha's edge when the crossings are nondecreasing; where
+    they jitter in floats (levels of 1e17 or more, delta a few ulps above phi), a scan finds
+    them, and a level whose CASE_D tail no cell takes holds a NaN j_soc.  Each crossing, tail
+    and j_soc is made once, and only where a cell uses it; the CASE_D j_socs skip the cache
+    when sorting their shares with phi and the alphas finds no two equal.
     """
-    phi, delta = ramp.phi, ramp.delta
+    phi, delta, size = ramp.phi, ramp.delta, len(grid)
     tails, j_socs, columns = [], {}, []
 
+    def j_soc(ramp, x_hat_b) -> float:  # social_delay through the cache
+        j = j_socs.get(x_hat_b)
+        if j is None:
+            j = j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
+        return j
+
     def tail(x_hat_b, case) -> int:
-        j_soc = j_socs.get(x_hat_b)
-        if j_soc is None:
-            j_soc = j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
-        tails.append((x_hat_b, case, j_soc))
+        tails.append((x_hat_b, case, j_soc(ramp, x_hat_b)))
         return len(tails) - 1
 
     if not values:
-        return tails, columns
-    base, case_b, size = tail(phi, _BASELINE), tail(phi, _CASE_B), len(grid)
+        return tails, (0, _CASE_D, [], []), columns
+    base, case_b = tail(phi, _BASELINE), tail(phi, _CASE_B)
     if levels_on_grid:
-        active = [alpha for alpha in values if alpha > phi]
+        active, shares, d_socs = [alpha for alpha in values if alpha > phi], [], []
         if active:
             crossings = [_crossing(phi, delta, level) for level in grid[1:]]
-            top, peak = max(active), max(crossings)
-            shares = [x for x in crossings if x <= top]  # each level's CASE_D share, if used
-            known = sorted([*shares, *{phi, *active}])
-            if all(map(lt, known, known[1:])):  # no share is another's, phi or an alpha's
-                index = count(len(tails))
-                tails += zip(shares, repeat(_CASE_D), [social_delay(ramp, x) for x in shares])
-                d_tails = [next(index) if x <= top else None for x in crossings]
-            else:
-                d_tails = [tail(x, _CASE_D) if x <= top else None for x in crossings]
+            top, peak = max(active), max(crossings, default=phi)
+            ordered = all(map(le, crossings, crossings[1:]))
+            # ordered, the levels whose CASE_D tail a cell takes come first
+            shares = crossings[:bisect_right(crossings, top)] if ordered else crossings
+            known = sorted([*shares, *{phi, *active}])  # no two equal: no cache needed
+            evaluate = social_delay if ordered and all(map(lt, known, known[1:])) else j_soc
+            d_socs = [evaluate(ramp, x) if x <= top else math.nan for x in shares]
         for alpha in values:
             if alpha <= phi:  # alpha 0.0 too, as phi > 0
-                column = [base if alpha == 0.0 else case_b] * (size - 1)
-            elif alpha >= peak:  # CASE_D at every level
-                column = d_tails
+                columns.append([(0, size, base)] if alpha == 0.0 else [(0, 1, base), (1, size, case_b)])
+                continue
+            c = tail(alpha, _CASE_C) if alpha < peak else None
+            if ordered:  # CASE_D up to the last crossing <= alpha, then CASE_C
+                d_end = bisect_right(crossings, alpha)
+                spans = [(None, d_end), (c, size - 1 - d_end)]
             else:
-                c = tail(alpha, _CASE_C)
-                column = [c if alpha < x else d for x, d in zip(crossings, d_tails)]
-            columns.append([base, *column])
-        return tails, columns
-    b_end, c_tails = bisect_right(grid, phi, 1), []  # c_tails[i] is grid[b_end + i]'s
+                spans = [(c if is_c else None, len([*run]))
+                         for is_c, run in groupby(map(lt, repeat(alpha), crossings))]
+            runs, start = [(0, 1, base)], 1
+            for k, length in spans:
+                runs.append((start, start + length, k))
+                start += length
+            columns.append([run for run in runs if run[0] < run[1]])
+        return tails, (1, _CASE_D, shares, d_socs), columns
+    b_end = bisect_right(grid, phi, 1)
+    alphas, c_socs = [], []  # the grid alphas from b_end whose CASE_C tail is made
     for level in values:
         if level == 0.0:
-            columns.append([base] * size)
+            columns.append([(0, size, base)])
             continue
         crossing = _crossing(phi, delta, level)
         c_end = bisect_left(grid, crossing, b_end)
-        c_tails += [tail(alpha, _CASE_C) for alpha in grid[b_end + len(c_tails):c_end]]
+        if c_end > b_end + len(alphas):
+            alphas = grid[b_end:c_end]
+            c_socs += [j_soc(ramp, x) for x in alphas[len(c_socs):]]
         d = tail(crossing, _CASE_D) if c_end < size else None
-        columns.append([base] + [case_b] * (b_end - 1) + c_tails[:c_end - b_end]
-                       + [d] * (size - c_end))
-    return tails, columns
+        runs = [(0, 1, base), (1, b_end, case_b), (b_end, c_end, None), (c_end, size, d)]
+        columns.append([run for run in runs if run[0] < run[1]])
+    return tails, (b_end, _CASE_C, alphas, c_socs), columns
 
 
 def _alpha_columns(ramp, betas, alpha_step) -> tuple:
-    """(betas, alpha grid, tails, columns) of alpha_sweep, for its rows and the CLI."""
+    """(betas, alpha grid, tails, aligned, columns) of alpha_sweep, for its rows and the CLI."""
     betas = _checked_outer(ramp, betas, "beta")
     alpha_step = positive("alpha step", alpha_step, most=0.1)
     grid = inclusive_grid(0.0, 1.0, alpha_step)
@@ -141,7 +156,7 @@ def _alpha_columns(ramp, betas, alpha_step) -> tuple:
 
 
 def _level_columns(ramp, alphas, beta_e_max, step) -> tuple:
-    """(alphas, level grid, tails, columns) of beta_e_sweep, for its rows and the CLI."""
+    """(alphas, level grid, tails, aligned, columns) of beta_e_sweep, for its rows and the CLI."""
     alphas = _checked_outer(ramp, alphas, "alpha")
     beta_e_max = positive("beta_e_max", beta_e_max)
     if LEVEL_MAX < beta_e_max <= FLOAT_MAX:
@@ -150,22 +165,35 @@ def _level_columns(ramp, alphas, beta_e_max, step) -> tuple:
     return alphas, grid, *_sweep_columns(ramp, alphas, grid, levels_on_grid=True)
 
 
-def _columns_csv(header, values, grid, tails, columns) -> str:
-    """A sweep's CSV: grid points and tails formatted once (labels by ``_value_``), joined."""
+def _columns_csv(header, values, grid, tails, aligned, columns) -> str:
+    """A sweep's CSV: the points and each list of tails formatted in one pass, runs joined."""
     number = "%" + NUMBER_FORMAT
-    points = [f",{number % point}," for point in grid]
+    points = (f",{number},\n" * len(grid) % tuple(grid)).split("\n")
     tail = f"{number},%s,{number}\n"
     texts = [tail % (x, case._value_, j) for x, case, j in tails]
+    first, case, shares, j_socs = aligned
+    cells = (tail.replace("%s", case._value_) * len(shares)
+             % tuple(chain.from_iterable(zip(shares, j_socs)))).splitlines(True)
+    cells = list(map(add, points[first:], cells))
     lines = [",".join(header) + "\n"]
-    for value, column in zip(values, columns):
+    for value, runs in zip(values, columns):
         head = number % value  # starts each line: the first, and after each other's newline
-        lines += [head, head.join(map(add, points, map(texts.__getitem__, column)))]
+        for start, stop, k in runs:
+            if k is None:
+                lines += head, head.join(cells[start - first:stop - first])
+            else:
+                lines += head, (texts[k] + head).join(points[start:stop]), texts[k]
     return "".join(lines)
 
 
-def _rows(row_type, values, grid, tails, columns) -> list:
-    return [row_type(value, point, *tails[k])
-            for value, column in zip(values, columns) for point, k in zip(grid, column)]
+def _rows(row_type, values, grid, tails, aligned, columns) -> list:
+    first, case, shares, j_socs = aligned
+    own, rows = [None] * first + list(zip(shares, repeat(case), j_socs)), []
+    for value, runs in zip(values, columns):
+        for start, stop, k in runs:
+            cells = own[start:stop] if k is None else repeat(tails[k])
+            rows += [_new(row_type, (value, point, *t)) for point, t in zip(grid[start:stop], cells)]
+    return rows
 
 
 def alpha_sweep(ramp: OnRamp, betas: Sequence[float], alpha_step: float) -> list[AlphaSweepRow]:

@@ -266,8 +266,9 @@ def test_best_time_is_the_best_timeit_loop_per_call(monkeypatch):
 
 
 CLOSED_FORM_ORDER = ["load_config", "from_dict", "from_config", "classification", "optimal_beta",
-                     "poa", "solve", "cli.main[analyze]", "cli.main[equilibrium]",
-                     "cli.main[optimal-beta]"]
+                     "poa", "solve", "alpha_sweep", "beta_e_sweep", "cli.main[analyze]",
+                     "cli.main[equilibrium]", "cli.main[optimal-beta]", "cli.main[sweep-alpha]",
+                     "cli.main[sweep-beta-e]"]
 CLOSED_FORMS = set(CLOSED_FORM_ORDER)
 ORACLES = {"grid_optimal_beta[0.5,2]", "grid_optimal_beta[0.25,4]", "exact_equilibria",
            "best_response_dynamics", "grid_poa"}
@@ -282,6 +283,7 @@ def test_closed_form_times_on_a_synthetic_document(tmp_path, monkeypatch):
     path.write_text(json.dumps({key: getattr(config, key) for key in CONFIG_KEYS}))
     monkeypatch.setattr(record, "CALL_REPEATS", 2)
     monkeypatch.setattr(record, "CALLS_PER_LOOP", 3)
+    monkeypatch.setattr(record, "SWEEP_CALLS_PER_LOOP", 2)
     times = record.closed_form_times(path)
     assert set(times) == CLOSED_FORMS
     assert all(0.0 < seconds < 0.1 for seconds in times.values())
@@ -323,7 +325,8 @@ def test_fresh_code_times_the_cli_import_first_then_the_closed_forms_then_the_or
 
 def test_closed_form_times_leave_numpy_to_the_oracles():
     code = (f"import json, sys; sys.path.insert(0, {record.BENCH!r}); import record; "
-            "record.CALL_REPEATS = record.CALLS_PER_LOOP = 1; record.closed_form_times(); "
+            "record.CALL_REPEATS = record.CALLS_PER_LOOP = record.SWEEP_CALLS_PER_LOOP = 1; "
+            "record.closed_form_times(); "
             "print(json.dumps('numpy' in sys.modules))")
     assert record.run_fresh(_PATH.parents[1], code) is False
 

@@ -494,11 +494,11 @@ def test_cli_sweeps_evaluate_each_distinct_share_once(tmp_path, monkeypatch, val
         shares.clear()
         assert _cli_bytes([kind, "--config", path], None)[0] == 0
         assert sorted(shares) == sorted({row.x_hat_b for row in kind_rows})
-    tails, (first, second) = kernels[-1]
-    if values is ALL_CASE_D:
-        assert {tails[k][1] for k in first[1:] + second[1:]} == {EquilibriumCase.CASE_D}
-        assert first[1:] == second[1:]  # one case-D tail per level, shared by both alphas
-        assert len(tails) == 2 + 400
+    tails, aligned, (first, second) = kernels[-1]
+    if values is ALL_CASE_D:  # one run of the case-D tails per level, shared by both alphas
+        assert first == second == [(0, 1, 0), (1, 401, None)]
+        assert tails[0][1] is EquilibriumCase.BASELINE and len(tails) == 2
+        assert aligned[:2] == (1, EquilibriumCase.CASE_D) and len(aligned[2]) == 400
 
 
 @pytest.mark.parametrize(
@@ -691,6 +691,17 @@ def test_equilibrium_certificate_is_finite_and_passes_near_the_level_bound(
     products = [float(values[f"wardrop_{name}"]) for name in onramp.FlowDistribution._fields]
     assert all(map(math.isfinite, products)) and max(products) <= 1e-12
     assert values["wardrop_pass"] == "true"
+
+
+def test_a_negative_zero_prints_as_zero(capsys, demo_config_file):
+    """At the crossing the altruists' perceived gap is 0.0, and their product -0.0."""
+    code, out, _ = run_cli(
+        capsys, "equilibrium", "--config", str(demo_config_file), "--alpha", "0.8",
+        "--beta", "5e307",
+    )
+    assert code == 0
+    assert "= -0\n" not in out
+    assert parse_kv(out)["wardrop_altruistic_bypass"] == "0"
 
 
 def _nan_perceived_gap(monkeypatch):

@@ -3,6 +3,7 @@
 import io
 import math
 import re
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from onramp.sweeps import (
     write_beta_e_sweep,
 )
 
-from conftest import DEMO_DELTA, DEMO_J_OPT, DEMO_J_SOC_AT_PHI, assert_same_text, meaningful_configs
+from conftest import (DEMO_DELTA, DEMO_J_OPT, DEMO_J_SOC_AT_PHI, DEMO_VALUES, assert_same_text,
+                      meaningful_configs)
 
 
 def test_inclusive_grid_hits_endpoints():
@@ -214,13 +216,35 @@ def test_sweep_rows_equal_the_solver(
         _assert_row_solves(ramp, row, row.alpha, row.beta_e)
 
 
+def _kernel_cells(kernel, grid):
+    """Per outer value, the tail of each grid point, read off the kernel's runs.
+
+    The runs of a column must tile the grid in order, each nonempty; a run with no shared
+    tail reads each cell's own from the aligned tails, which must hold every such cell.
+    """
+    tails, (first, case, shares, j_socs), columns = kernel
+    assert len(shares) == len(j_socs) and first + len(shares) <= len(grid)
+    aligned = [None] * first + list(zip(shares, repeat(case), j_socs))
+    cells = []
+    for runs in columns:
+        column = []
+        for start, stop, k in runs:
+            assert start == len(column) < stop
+            assert k is not None or first <= start and stop <= first + len(shares)
+            column += aligned[start:stop] if k is None else [tails[k]] * (stop - start)
+        assert len(column) == len(grid)
+        cells.append(column)
+    return cells
+
+
 def _assert_columns_solve(ramp, outer, grid, levels_on_grid):
-    tails, columns = sweeps._sweep_columns(ramp, outer, grid, levels_on_grid)
-    for value, column in zip(outer, columns):
-        for point, k in zip(grid, column):
+    cells = _kernel_cells(sweeps._sweep_columns(ramp, outer, grid, levels_on_grid), grid)
+    assert len(cells) == len(outer)
+    for value, column in zip(outer, cells):
+        for point, cell in zip(grid, column):
             alpha, level = (value, point) if levels_on_grid else (point, value)
             result = onramp.solve(ramp, alpha, level)
-            assert tails[k] == (result.x_hat_b, result.case, result.social_delay)
+            assert cell == (result.x_hat_b, result.case, result.social_delay)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -263,10 +287,85 @@ def test_level_kernel_evaluates_each_share_once_where_shares_repeat(
         return onramp.social_delay(ramp, x_hat_b)
 
     monkeypatch.setattr(sweeps, "social_delay", counting_social_delay)
-    tails, columns = sweeps._sweep_columns(demo_ramp, alphas, grid, True)
-    assert sorted(shares) == sorted({tails[k][0] for column in columns for k in column})
+    cells = _kernel_cells(sweeps._sweep_columns(demo_ramp, alphas, grid, True), grid)
+    assert sorted(shares) == sorted({cell[0] for column in cells for cell in column})
     monkeypatch.undo()
     _assert_columns_solve(demo_ramp, alphas, grid, True)
+
+
+def _jittery_ramps():
+    """Meaningful ramps whose delta lies one or two ulps above phi.
+
+    With n0 * ks == n2 * k2, delta - phi is (bb - bs) / (2 * slope_sum), so a bypass
+    intercept a few ulps above the steadfast one puts delta a few ulps above phi.
+    """
+    for intercept in (0.3, 0.7):
+        bypass = intercept
+        for ulps in range(1, 6):
+            bypass = math.nextafter(bypass, math.inf)
+            ramp = onramp.OnRamp(0.5, 0.5, 2.0, intercept, 2.0, bypass, 2.0)
+            if ramp.in_meaningful_set:
+                yield pytest.param(ramp, inclusive_grid(0.0, 4.0, 0.01),
+                                   id=f"intercepts {intercept} +{ulps} ulps")
+
+
+_DEMO_RAMP = onramp.OnRamp.from_config(onramp.OnRampConfig(**DEMO_VALUES))
+
+
+@pytest.mark.parametrize("ramp, grid", [
+    *_jittery_ramps(),
+    pytest.param(_DEMO_RAMP, inclusive_grid(0.0, 4e20, 1e18), id="demo to 4e20"),
+    pytest.param(_DEMO_RAMP, inclusive_grid(0.0, LEVEL_MAX, LEVEL_MAX / 400), id="demo to LEVEL_MAX"),
+])
+@pytest.mark.parametrize("lowest_only", [False, True], ids=["every crossing", "lowest crossing"])
+def test_level_kernel_scans_crossings_that_are_not_monotone(ramp, grid, lowest_only, monkeypatch):
+    """Crossings that fall between grid levels in floats, so that bisect cannot find the edges.
+
+    The outer alphas are phi and each crossing on the grid, at the tie and one ulp either
+    side, and 1; or only those up to the lowest crossing, so that some levels are CASE_C for
+    every alpha.  Every cell is solve at its point; each share's social delay is evaluated
+    once, and only where a cell shows it; the rows and the CSV are those of the solver.
+    """
+    crossings = [_crossing(ramp.phi, ramp.delta, level) for level in grid[1:]]
+    assert any(a > b for a, b in zip(crossings, crossings[1:]))
+    alphas = sorted({ramp.phi, 1.0} | {
+        near for x in crossings if x <= 1.0
+        for near in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))})
+    if lowest_only:
+        alphas = [alpha for alpha in alphas if alpha <= min(crossings)]
+        assert max(alphas) < max(crossings)
+    shares = []
+
+    def counting_social_delay(ramp, x_hat_b):
+        shares.append(x_hat_b)
+        return onramp.social_delay(ramp, x_hat_b)
+
+    monkeypatch.setattr(sweeps, "social_delay", counting_social_delay)
+    kernel = sweeps._sweep_columns(ramp, alphas, grid, True)
+    cells = _kernel_cells(kernel, grid)
+    assert sorted(shares) == sorted({cell[0] for column in cells for cell in column})
+    monkeypatch.undo()
+    _assert_columns_solve(ramp, alphas, grid, True)
+    rows = [LevelSweepRow(alpha, level, *_solved_tail(ramp, alpha, level))
+            for alpha in alphas for level in grid]
+    assert sweeps._rows(LevelSweepRow, alphas, grid, *kernel) == rows
+    buffer = io.StringIO()
+    write_beta_e_sweep(rows, buffer)
+    assert_same_text(sweeps._columns_csv(LEVEL_SWEEP_COLUMNS, alphas, grid, *kernel),
+                     buffer.getvalue())
+    _assert_columns_solve(ramp, [0.0, 1e17, *grid[1::40]], inclusive_grid(0.0, 1.0, 0.01), False)
+
+
+def _solved_tail(ramp, alpha, level):
+    result = onramp.solve(ramp, alpha, level)
+    return result.x_hat_b, result.case, result.social_delay
+
+
+def test_level_sweep_of_one_level(demo_ramp):
+    """A level grid of the one point 0.0: every alpha at the baseline."""
+    rows = beta_e_sweep(demo_ramp, alphas=[0.0, 0.8], beta_e_max=1e-13, step=1.0)
+    assert [(row.beta_e, row.case) for row in rows] == [(0.0, EquilibriumCase.BASELINE)] * 2
+    assert rows[1] == LevelSweepRow(0.8, 0.0, *_solved_tail(demo_ramp, 0.8, 0.0))
 
 
 def test_level_sweep_stops_at_the_level_bound(demo_ramp):
