@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import chain, groupby, repeat
-from operator import add, le, lt
+from itertools import groupby, repeat
+from operator import lt
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .analysis import _crossing, require_meaningful
@@ -80,11 +80,11 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tupl
     restates per run on a grid ascending from 0.0: BASELINE at value 0.0 or -0.0 and grid index
     0, CASE_B where alpha <= phi, CASE_C where alpha < crossing(level), else CASE_D.  The own
     tails are CASE_C on the alpha grid, where bisect finds the edges, and CASE_D on the level
-    grid.  There bisect finds each alpha's edge when the crossings are nondecreasing; where
-    they jitter in floats (levels of 1e17 or more, delta a few ulps above phi), a scan finds
+    grid.  There bisect finds each alpha's edge when the crossings rise strictly; where they
+    tie or jitter in floats (levels of 1e17 or more, delta a few ulps above phi), a scan finds
     them, and a level whose CASE_D tail no cell takes holds a NaN j_soc.  Each crossing, tail
     and j_soc is made once, and only where a cell uses it; the CASE_D j_socs skip the cache
-    when sorting their shares with phi and the alphas finds no two equal.
+    when the crossings rise strictly and neither phi nor an alpha is among their shares.
     """
     phi, delta, size = ramp.phi, ramp.delta, len(grid)
     tails, j_socs, columns = [], {}, []
@@ -106,28 +106,28 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tupl
         active, shares, d_socs = [alpha for alpha in values if alpha > phi], [], []
         if active:
             crossings = [_crossing(phi, delta, level) for level in grid[1:]]
-            top, peak = max(active), max(crossings, default=phi)
-            ordered = all(map(le, crossings, crossings[1:]))
+            top = max(active)
+            ordered = all(map(lt, crossings, crossings[1:]))  # and so no two shares equal
             # ordered, the levels whose CASE_D tail a cell takes come first
             shares = crossings[:bisect_right(crossings, top)] if ordered else crossings
-            known = sorted([*shares, *{phi, *active}])  # no two equal: no cache needed
-            evaluate = social_delay if ordered and all(map(lt, known, known[1:])) else j_soc
-            d_socs = [evaluate(ramp, x) if x <= top else math.nan for x in shares]
+            if ordered and {phi, *active}.isdisjoint(shares):  # no cache needed
+                d_socs = [social_delay(ramp, x) for x in shares]
+            else:
+                d_socs = [j_soc(ramp, x) if x <= top else math.nan for x in shares]
         for alpha in values:
             if alpha <= phi:  # alpha 0.0 too, as phi > 0
                 columns.append([(0, size, base)] if alpha == 0.0 else [(0, 1, base), (1, size, case_b)])
                 continue
-            c = tail(alpha, _CASE_C) if alpha < peak else None
             if ordered:  # CASE_D up to the last crossing <= alpha, then CASE_C
-                d_end = bisect_right(crossings, alpha)
-                spans = [(None, d_end), (c, size - 1 - d_end)]
+                d_end = bisect_right(crossings, alpha) + 1
+                runs = [(0, 1, base), (1, d_end, None),
+                        (d_end, size, tail(alpha, _CASE_C) if d_end < size else None)]
             else:
-                spans = [(c if is_c else None, len([*run]))
-                         for is_c, run in groupby(map(lt, repeat(alpha), crossings))]
-            runs, start = [(0, 1, base)], 1
-            for k, length in spans:
-                runs.append((start, start + length, k))
-                start += length
+                c = tail(alpha, _CASE_C) if alpha < max(crossings) else None
+                runs, start = [(0, 1, base)], 1
+                for is_c, run in groupby(map(lt, repeat(alpha), crossings)):
+                    runs.append((start, start + len([*run]), c if is_c else None))
+                    start = runs[-1][1]
             columns.append([run for run in runs if run[0] < run[1]])
         return tails, (1, _CASE_D, shares, d_socs), columns
     b_end = bisect_right(grid, phi, 1)
@@ -171,10 +171,10 @@ def _columns_csv(header, values, grid, tails, aligned, columns) -> str:
     points = (f",{number},\n" * len(grid) % tuple(grid)).split("\n")
     tail = f"{number},%s,{number}\n"
     texts = [tail % (x, case._value_, j) for x, case, j in tails]
-    first, case, shares, j_socs = aligned
-    cells = (tail.replace("%s", case._value_) * len(shares)
-             % tuple(chain.from_iterable(zip(shares, j_socs)))).splitlines(True)
-    cells = list(map(add, points[first:], cells))
+    first, case, shares, j_socs = aligned  # each aligned tail formatted after its point
+    cells = [None] * (3 * len(shares))  # interleaved by slice, with no tuple per cell
+    cells[::3], cells[1::3], cells[2::3] = points[first:first + len(shares)], shares, j_socs
+    cells = (("%s" + tail.replace("%s", case._value_)) * len(shares) % tuple(cells)).splitlines(True)
     lines = [",".join(header) + "\n"]
     for value, runs in zip(values, columns):
         head = number % value  # starts each line: the first, and after each other's newline
