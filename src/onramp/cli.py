@@ -106,16 +106,22 @@ def _write_sweep(path, text: str) -> int:
 
     The file is not truncated to zero first: on ext4, closing a file that was truncated to
     zero, or renaming a new file over it, starts its writeback, which cost a third of an
-    in-process ``sweep-alpha``.  /dev/null or a pipe is written and not cut.
+    in-process ``sweep-alpha``.  /dev/null or a pipe is written and not cut.  The bytes go
+    through os.write, which a pipe may take in parts, with no buffered file object.
     """
     if path is None:
         sys.stdout.write(text)
         return EXIT_OK
+    data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as stream:
-        stream.write(text.encode())
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            stream.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
     return EXIT_OK
 
 
