@@ -106,8 +106,7 @@ def _write_sweep(path, text: str) -> int:
 
     The file is not truncated to zero first: on ext4, closing a file that was truncated to
     zero, or renaming a new file over it, starts its writeback, which cost a third of an
-    in-process ``sweep-alpha``.  /dev/null or a pipe is written and not cut.  The bytes go
-    through os.write, which a pipe may take in parts, with no buffered file object.
+    in-process ``sweep-alpha``.  /dev/null or a pipe is written and not cut.
     """
     if path is None:
         sys.stdout.write(text)
@@ -116,7 +115,7 @@ def _write_sweep(path, text: str) -> int:
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         rest = memoryview(data)
-        while rest:
+        while rest:  # os.write, unbuffered: a pipe may take the bytes in parts
             rest = rest[os.write(fd, rest):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
             os.ftruncate(fd, len(data))

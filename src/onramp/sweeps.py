@@ -1,11 +1,11 @@
 """Parameter sweeps over the altruistic ratio and the effective level, with CSV emission.
 
-Every input is checked once, before any work.  One column kernel takes the case analysis
-per run of cells: per outer value, a few runs of grid points that share one (x_hat_b,
-case, j_soc) tail or take the tail of their own grid point, whose edges bisect or a scan
-finds.  alpha_sweep / beta_e_sweep expand the runs into rows, and _columns_csv into the
-CLI's CSV text, each grid point and tail formatted once and each run joined whole.  The
-library writers format the rows they are given one cell at a time.
+Every input is checked once, before any work.  One column kernel takes the case analysis per
+run of cells: per outer value, a few runs of grid points that share one (x_hat_b, case, j_soc)
+tail or take their own grid point's, their edges found by bisect or a scan.  alpha_sweep /
+beta_e_sweep expand the runs into rows, and _columns_csv into the CLI's CSV text, each grid
+point and tail formatted once and each run joined whole.  The library writers format the rows
+they are given one cell at a time.
 """
 
 from __future__ import annotations
@@ -79,21 +79,19 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tupl
     has (shares[i], case, j_socs[i]).  It must equal _equilibrium_split, whose tie rules it
     restates per run on a grid ascending from 0.0: BASELINE at value 0.0 or -0.0 and grid index
     0, CASE_B where alpha <= phi, CASE_C where alpha < crossing(level), else CASE_D.  The own
-    tails are CASE_C on the alpha grid, where bisect finds the edges, and CASE_D on the level
-    grid.  There bisect finds each alpha's edge when the crossings rise strictly; where they
-    tie or jitter in floats (levels of 1e17 or more, delta a few ulps above phi), a scan finds
-    them, and a level whose CASE_D tail no cell takes holds a NaN j_soc.  Each crossing, tail
-    and j_soc is made once, and only where a cell uses it; the CASE_D j_socs skip the cache
-    when the crossings rise strictly and neither phi nor an alpha is among their shares.
+    tails are CASE_C on the alpha grid and CASE_D on the level grid.  bisect finds the edges,
+    or a scan where the level crossings do not rise strictly (they tie or jitter in floats at
+    levels of 1e17 or more, or delta a few ulps above phi); a level whose CASE_D tail no cell
+    takes then holds a NaN j_soc.  Each crossing, tail and j_soc is made once, where a cell uses
+    it; the CASE_D j_socs skip the cache if the crossings rise strictly, missing phi and alphas.
     """
     phi, delta, size = ramp.phi, ramp.delta, len(grid)
     tails, j_socs, columns = [], {}, []
 
     def j_soc(ramp, x_hat_b) -> float:  # social_delay through the cache
-        j = j_socs.get(x_hat_b)
-        if j is None:
-            j = j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
-        return j
+        if x_hat_b not in j_socs:
+            j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
+        return j_socs[x_hat_b]
 
     def tail(x_hat_b, case) -> int:
         tails.append((x_hat_b, case, j_soc(ramp, x_hat_b)))
@@ -124,10 +122,9 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tupl
                         (d_end, size, tail(alpha, _CASE_C) if d_end < size else None)]
             else:
                 c = tail(alpha, _CASE_C) if alpha < max(crossings) else None
-                runs, start = [(0, 1, base)], 1
+                runs = [(0, 1, base)]
                 for is_c, run in groupby(map(lt, repeat(alpha), crossings)):
-                    runs.append((start, start + len([*run]), c if is_c else None))
-                    start = runs[-1][1]
+                    runs.append((runs[-1][1], runs[-1][1] + len([*run]), c if is_c else None))
             columns.append([run for run in runs if run[0] < run[1]])
         return tails, (1, _CASE_D, shares, d_socs), columns
     b_end = bisect_right(grid, phi, 1)
@@ -174,7 +171,7 @@ def _columns_csv(header, values, grid, tails, aligned, columns) -> str:
     first, case, shares, j_socs = aligned  # each aligned tail formatted after its point
     cells = [None] * (3 * len(shares))  # interleaved by slice, with no tuple per cell
     cells[::3], cells[1::3], cells[2::3] = points[first:first + len(shares)], shares, j_socs
-    cells = (("%s" + tail.replace("%s", case._value_)) * len(shares) % tuple(cells)).splitlines(True)
+    cells = (("%s" + tail.replace("%s", case._value_)) * len(shares) % (*cells,)).splitlines(True)
     lines = [",".join(header) + "\n"]
     for value, runs in zip(values, columns):
         head = number % value  # starts each line: the first, and after each other's newline
