@@ -72,7 +72,7 @@ def _checked_outer(ramp, outer, name: str) -> list:
 
 
 def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tuple, list]:
-    """(tails, aligned, columns): each outer value's column as runs (start, stop, k) of cells.
+    """(tails, aligned, columns): each outer value's column as nonempty runs (start, stop, k).
 
     The cells grid[start:stop] share the tail tails[k] = (x_hat_b, case, j_soc), or, where k is
     None, take their own: with aligned = (first, case, shares, j_socs), grid point first + i
@@ -101,22 +101,20 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tupl
         return tails, (0, _CASE_D, [], []), columns
     base, case_b = tail(phi, _BASELINE), tail(phi, _CASE_B)
     if levels_on_grid:
-        active, shares, d_socs = [alpha for alpha in values if alpha > phi], [], []
-        if active:
-            crossings = [_crossing(phi, delta, level) for level in grid[1:]]
-            top = max(active)
-            ordered = all(map(lt, crossings, crossings[1:]))  # and so no two shares equal
-            # ordered, the levels whose CASE_D tail a cell takes come first
-            shares = crossings[:bisect_right(crossings, top)] if ordered else crossings
-            if ordered and {phi, *active}.isdisjoint(shares):  # no cache needed
-                d_socs = [social_delay(ramp, x) for x in shares]
-            else:
-                d_socs = [j_soc(ramp, x) if x <= top else math.nan for x in shares]
+        active = [alpha for alpha in values if alpha > phi]
+        crossings = [_crossing(phi, delta, level) for level in grid[1:]] if active else []
+        top = max(active, default=phi)
+        ordered = all(map(lt, crossings, crossings[1:]))  # and so no two shares equal
+        # ordered, the levels whose CASE_D tail a cell takes come first
+        shares = crossings[:bisect_right(crossings, top)] if ordered else crossings
+        if ordered and {phi, *active}.isdisjoint(shares):  # no cache needed
+            d_socs = [social_delay(ramp, x) for x in shares]
+        else:
+            d_socs = [j_soc(ramp, x) if x <= top else math.nan for x in shares]
         for alpha in values:
             if alpha <= phi:  # alpha 0.0 too, as phi > 0
-                columns.append([(0, size, base)] if alpha == 0.0 else [(0, 1, base), (1, size, case_b)])
-                continue
-            if ordered:  # CASE_D up to the last crossing <= alpha, then CASE_C
+                runs = [(0, size, base)] if alpha == 0.0 else [(0, 1, base), (1, size, case_b)]
+            elif ordered:  # CASE_D up to the last crossing <= alpha, then CASE_C
                 d_end = bisect_right(crossings, alpha) + 1
                 runs = [(0, 1, base), (1, d_end, None),
                         (d_end, size, tail(alpha, _CASE_C) if d_end < size else None)]

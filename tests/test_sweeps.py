@@ -362,10 +362,22 @@ def _solved_tail(ramp, alpha, level):
 
 
 def test_level_sweep_of_one_level(demo_ramp):
-    """A level grid of the one point 0.0: every alpha at the baseline."""
-    rows = beta_e_sweep(demo_ramp, alphas=[0.0, 0.8], beta_e_max=1e-13, step=1.0)
-    assert [(row.beta_e, row.case) for row in rows] == [(0.0, EquilibriumCase.BASELINE)] * 2
-    assert rows[1] == LevelSweepRow(0.8, 0.0, *_solved_tail(demo_ramp, 0.8, 0.0))
+    """A level grid of the one point 0.0: every alpha at the baseline, in the rows and the CSV.
+
+    An alpha in (0, phi] has no CASE_B cell left, so its column must hold no empty run.
+    """
+    alphas = [0.0, 0.5, demo_ramp.phi, 0.8]
+    assert 0.5 < demo_ramp.phi < 0.8
+    kernel = sweeps._level_columns(demo_ramp, alphas, 1e-13, 1.0)
+    assert kernel[:2] == (alphas, [0.0])
+    solved = [_solved_tail(demo_ramp, alpha, 0.0) for alpha in alphas]
+    assert {case for _, case, _ in solved} == {EquilibriumCase.BASELINE}
+    assert _kernel_cells(kernel[2:], [0.0]) == [[tail] for tail in solved]
+    rows = beta_e_sweep(demo_ramp, alphas, beta_e_max=1e-13, step=1.0)
+    assert rows == [LevelSweepRow(alpha, 0.0, *tail) for alpha, tail in zip(alphas, solved)]
+    buffer = io.StringIO()
+    write_beta_e_sweep(rows, buffer)
+    assert_same_text(sweeps._columns_csv(LEVEL_SWEEP_COLUMNS, *kernel), buffer.getvalue())
 
 
 def test_level_sweep_stops_at_the_level_bound(demo_ramp):
