@@ -111,16 +111,11 @@ def _write_sweep(path, text: str) -> int:
     if path is None:
         sys.stdout.write(text)
         return EXIT_OK
-    data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        rest = memoryview(data)
-        while rest:  # os.write, unbuffered: a pipe may take the bytes in parts
-            rest = rest[os.write(fd, rest):]
+    with open(fd, "wb") as stream:
+        stream.write(text.encode())
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
+            stream.truncate()
     return EXIT_OK
 
 
