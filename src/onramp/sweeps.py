@@ -44,7 +44,7 @@ MAX_GRID_POINTS = 10**6  # largest grid that is built; larger ones are refused
 
 
 def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
-    """Multiples of ``step`` from ``lower``, with ``upper`` always included, as a list."""
+    """Multiples of ``step`` from ``lower``, ending at ``upper`` or a rounding of it, as a list."""
     if not step > 0.0 or upper < lower:  # a NaN bound is left to the finiteness check
         raise ValueError(f"grid [{lower}, {upper}] with step {step} needs lower <= upper, step > 0")
     span = (upper - lower) / step
@@ -57,7 +57,7 @@ def inclusive_grid(lower: float, upper: float, step: float) -> list[float]:
     grid = [lower + i * step for i in range(steps + 1)]
     if grid[-1] > upper:
         grid[-1] = upper
-    elif upper - grid[-1] > 1e-12:
+    elif upper - grid[-1] > max(1e-12, 2.0 * math.ulp(upper)):  # not a rounding of upper
         grid.append(upper)
     return grid
 
@@ -79,67 +79,64 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tupl
     has (shares[i], case, j_socs[i]).  It must equal _equilibrium_split, whose tie rules it
     restates per run on a grid ascending from 0.0: BASELINE at value 0.0 or -0.0 and grid index
     0, CASE_B where alpha <= phi, CASE_C where alpha < crossing(level), else CASE_D.  The own
-    tails are CASE_C on the alpha grid and CASE_D on the level grid.  bisect finds the edges,
-    or a scan where the level crossings do not rise strictly (they tie or jitter in floats at
-    levels of 1e17 or more, or delta a few ulps above phi); a level whose CASE_D tail no cell
-    takes then holds a NaN j_soc.  Each crossing, tail and j_soc is made once, where a cell uses
-    it; the CASE_D j_socs skip the cache if the crossings rise strictly, missing phi and alphas.
+    tails are CASE_C on the alpha grid and CASE_D on the level grid.  bisect finds the edges, or
+    a scan where level crossings tie or jitter (levels of 1e17 or more, delta ulps above phi).
+    Then, for both grids, empty runs go and the own tails end with the last run that reads one.
+    Each crossing, tail and j_soc is made once, where a cell shows it (else a NaN j_soc); own
+    shares that rise strictly and miss the cache skip it.
     """
     phi, delta, size = ramp.phi, ramp.delta, len(grid)
     tails, j_socs, columns = [], {}, []
 
-    def j_soc(ramp, x_hat_b) -> float:  # social_delay through the cache
+    def j_soc(x_hat_b) -> float:  # social_delay through the cache
         if x_hat_b not in j_socs:
             j_socs[x_hat_b] = social_delay(ramp, x_hat_b)
         return j_socs[x_hat_b]
 
     def tail(x_hat_b, case) -> int:
-        tails.append((x_hat_b, case, j_soc(ramp, x_hat_b)))
+        tails.append((x_hat_b, case, j_soc(x_hat_b)))
         return len(tails) - 1
 
-    if not values:
-        return tails, (0, _CASE_D, [], []), columns
     base, case_b = tail(phi, _BASELINE), tail(phi, _CASE_B)
-    if levels_on_grid:
-        active = [alpha for alpha in values if alpha > phi]
-        crossings = [_crossing(phi, delta, level) for level in grid[1:]] if active else []
-        top = max(active, default=phi)
-        ordered = all(map(lt, crossings, crossings[1:]))  # and so no two shares equal
-        # ordered, the levels whose CASE_D tail a cell takes come first
-        shares = crossings[:bisect_right(crossings, top)] if ordered else crossings
-        if ordered and {phi, *active}.isdisjoint(shares):  # no cache needed
-            d_socs = [social_delay(ramp, x) for x in shares]
-        else:
-            d_socs = [j_soc(ramp, x) if x <= top else math.nan for x in shares]
+    if levels_on_grid:  # own shares: each level's crossing, from grid index 1
+        first, case, active = 1, _CASE_D, max(values, default=phi) > phi
+        shares = [_crossing(phi, delta, level) for level in grid[1:]] if active else []
+        ordered = all(map(lt, shares, shares[1:]))
         for alpha in values:
             if alpha <= phi:  # alpha 0.0 too, as phi > 0
                 runs = [(0, size, base)] if alpha == 0.0 else [(0, 1, base), (1, size, case_b)]
             elif ordered:  # CASE_D up to the last crossing <= alpha, then CASE_C
-                d_end = bisect_right(crossings, alpha) + 1
+                d_end = bisect_right(shares, alpha) + 1
                 runs = [(0, 1, base), (1, d_end, None),
                         (d_end, size, tail(alpha, _CASE_C) if d_end < size else None)]
             else:
-                c = tail(alpha, _CASE_C) if alpha < max(crossings) else None
+                c = tail(alpha, _CASE_C) if alpha < max(shares) else None
                 runs = [(0, 1, base)]
-                for is_c, run in groupby(map(lt, repeat(alpha), crossings)):
+                for is_c, run in groupby(map(lt, repeat(alpha), shares)):
                     runs.append((runs[-1][1], runs[-1][1] + len([*run]), c if is_c else None))
-            columns.append([run for run in runs if run[0] < run[1]])
-        return tails, (1, _CASE_D, shares, d_socs), columns
-    b_end = bisect_right(grid, phi, 1)
-    alphas, c_socs = [], []  # the grid alphas from b_end whose CASE_C tail is made
-    for level in values:
-        if level == 0.0:
-            columns.append([(0, size, base)])
-            continue
-        crossing = _crossing(phi, delta, level)
-        c_end = bisect_left(grid, crossing, b_end)
-        if c_end > b_end + len(alphas):
-            alphas = grid[b_end:c_end]
-            c_socs += [j_soc(ramp, x) for x in alphas[len(c_socs):]]
-        d = tail(crossing, _CASE_D) if c_end < size else None
-        runs = [(0, 1, base), (1, b_end, case_b), (b_end, c_end, None), (c_end, size, d)]
-        columns.append([run for run in runs if run[0] < run[1]])
-    return tails, (b_end, _CASE_C, alphas, c_socs), columns
+            columns.append(runs)
+    else:  # own shares: the grid alphas above phi
+        first, case, ordered = bisect_right(grid, phi, 1), _CASE_C, True
+        shares = grid[first:]
+        for level in values:
+            if level == 0.0:
+                columns.append([(0, size, base)])
+                continue
+            crossing = _crossing(phi, delta, level)
+            c_end = bisect_left(grid, crossing, first)
+            d = tail(crossing, _CASE_D) if c_end < size else None
+            runs = [(0, 1, base), (1, first, case_b), (first, c_end, None), (c_end, size, d)]
+            columns.append(runs)
+    columns = [[run for run in runs if run[0] < run[1]] for runs in columns]
+    end = max((run[1] for runs in columns for run in runs if run[2] is None), default=first)
+    shares = shares[:end - first]
+    if ordered and j_socs.keys().isdisjoint(shares):  # rising: shown where the last is
+        own = [social_delay(ramp, x) for x in shares]
+    else:
+        own = [math.nan] * len(shares)
+        for start, stop, _ in {run for runs in columns for run in runs if run[2] is None}:
+            own[start - first:stop - first] = map(j_soc, shares[start - first:stop - first])
+    return tails, (first, case, shares, own), columns
 
 
 def _alpha_columns(ramp, betas, alpha_step) -> tuple:

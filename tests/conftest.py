@@ -185,7 +185,8 @@ def sampled_error_gap(interval) -> float:
 
 # the most ulps between solve's share and the exact oracle's: 8 in 36,000 draws of a
 # meaningful config from sample_config, a level of 0, up to 5 or 10**U(-300, 300), and alpha
-# random, 0, 1, phi or the crossing, each exact and one ulp off
+# random, 0, 1, phi or the crossing, each exact and one ulp off; calibrated only where phi's
+# numerator ks + bs - bb does not cancel, as where it does phi itself lies further off
 SOLVE_ULPS = 8
 
 

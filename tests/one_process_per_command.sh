@@ -22,6 +22,14 @@ run sweep-beta-e $config --out .bench_build/level.csv
 run sweep-alpha $config --out .bench_build/level.csv
 run sweep-alpha $config > .bench_build/alpha_stdout.csv
 cmp .bench_build/level.csv .bench_build/alpha_stdout.csv
+# level crossings that jitter in floats: the level kernel scans them, to --out and to stdout
+run sweep-beta-e $config --alpha 0.63 --beta-e-max 4e20 --step 1e18 --out .bench_build/scan.csv
+run sweep-beta-e $config --alpha 0.63 --beta-e-max 4e20 --step 1e18 > .bench_build/scan_stdout.csv
+cmp .bench_build/scan.csv .bench_build/scan_stdout.csv
+# a last level one ulp below --beta-e-max is printed once, not twice
+run sweep-beta-e $config --alpha 0.8 --beta-e-max 106362220.71023792 --step 4624444.378705996 \
+    > .bench_build/last_level.csv
+test -z "$(uniq -d .bench_build/last_level.csv)"
 run verify $config
 run verify $config --alpha 0.8 --beta 1000
 # the Wardrop certificate at large levels, up to near the level bound

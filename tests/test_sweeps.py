@@ -39,6 +39,11 @@ def test_inclusive_grid_hits_endpoints():
     assert ragged[-1] == 1.0
     assert all(b > a for a, b in zip(ragged, ragged[1:]))
     assert inclusive_grid(0.5, 2.0, 0.01)[-1] == 2.0
+    # large spans whose last multiple rounds to an ulp below upper: upper is not added again
+    for upper, steps in [(12345.0, 89), (123450000.0, 21), (1.2345e20, 49), (1.2345e300, 27)]:
+        large = inclusive_grid(0.0, upper, upper / steps)
+        assert len(large) == steps + 1 and all(b > a for a, b in zip(large, large[1:]))
+        assert 0.0 <= upper - large[-1] <= 2.0 * math.ulp(upper)
 
 
 def test_inclusive_grid_values_match_scalar_arithmetic():
@@ -220,10 +225,13 @@ def _kernel_cells(kernel, grid):
     """Per outer value, the tail of each grid point, read off the kernel's runs.
 
     The runs of a column must tile the grid in order, each nonempty; a run with no shared
-    tail reads each cell's own from the aligned tails, which must hold every such cell.
+    tail reads each cell's own from the aligned tails, which must hold every such cell and
+    end with the last run that reads one.
     """
     tails, (first, case, shares, j_socs), columns = kernel
     assert len(shares) == len(j_socs) and first + len(shares) <= len(grid)
+    reads = [stop for runs in columns for _, stop, k in runs if k is None]
+    assert first + len(shares) == max(reads, default=first)  # ends where the last reader ends
     aligned = [None] * first + list(zip(shares, repeat(case), j_socs))
     cells = []
     for runs in columns:
@@ -356,6 +364,28 @@ def test_level_kernel_scans_crossings_that_are_not_monotone(ramp, grid, lowest_o
     _assert_columns_solve(ramp, [0.0, 1e17, *grid[1::40]], inclusive_grid(0.0, 1.0, 0.01), False)
 
 
+def test_level_kernel_makes_no_aligned_tail_that_no_cell_shows(monkeypatch):
+    """An alpha below every scanned crossing: each level is CASE_C for it.
+
+    So no level's CASE_D tail is made, nor its social delay evaluated, nor its text formatted.
+    """
+    grid = inclusive_grid(0.0, 4e20, 1e18)
+    crossings = [_crossing(_DEMO_RAMP.phi, _DEMO_RAMP.delta, level) for level in grid[1:]]
+    assert any(a > b for a, b in zip(crossings, crossings[1:])) and 0.63 < min(crossings)
+    shares = []
+
+    def counting_social_delay(ramp, x_hat_b):
+        shares.append(x_hat_b)
+        return onramp.social_delay(ramp, x_hat_b)
+
+    monkeypatch.setattr(sweeps, "social_delay", counting_social_delay)
+    _, aligned, columns = sweeps._sweep_columns(_DEMO_RAMP, [0.63], grid, True)
+    assert aligned[2:] == ([], []) and columns == [[(0, 1, 0), (1, len(grid), 2)]]
+    assert sorted(shares) == [_DEMO_RAMP.phi, 0.63]
+    monkeypatch.undo()
+    _assert_columns_solve(_DEMO_RAMP, [0.63], grid, True)
+
+
 def _solved_tail(ramp, alpha, level):
     result = onramp.solve(ramp, alpha, level)
     return result.x_hat_b, result.case, result.social_delay
@@ -378,6 +408,20 @@ def test_level_sweep_of_one_level(demo_ramp):
     buffer = io.StringIO()
     write_beta_e_sweep(rows, buffer)
     assert_same_text(sweeps._columns_csv(LEVEL_SWEEP_COLUMNS, *kernel), buffer.getvalue())
+
+
+def test_level_sweep_prints_its_last_level_once(demo_ramp):
+    """A last multiple of the step one ulp below beta_e_max is the last level, not a twin of it.
+
+    The grid has 24 levels, [0, 23 * step]; beta_e_max is not added beside the last one.
+    """
+    beta_e_max, step = 106362220.71023792, 4624444.378705996
+    rows = beta_e_sweep(demo_ramp, [0.8], beta_e_max, step)
+    assert [row.beta_e for row in rows] == [i * step for i in range(24)]
+    text = sweeps._columns_csv(LEVEL_SWEEP_COLUMNS, *sweeps._level_columns(
+        demo_ramp, [0.8], beta_e_max, step))
+    lines = text.splitlines()
+    assert len(lines) == 25 and len(set(lines)) == 25
 
 
 def test_level_sweep_stops_at_the_level_bound(demo_ramp):
