@@ -82,8 +82,8 @@ def _sweep_columns(ramp, values, grid, levels_on_grid: bool) -> tuple[list, tupl
     tails are CASE_C on the alpha grid and CASE_D on the level grid.  bisect finds the edges, or
     a scan where level crossings tie or jitter (levels of 1e17 or more, delta ulps above phi).
     Then, for both grids, empty runs go and the own tails end with the last run that reads one.
-    Each crossing, tail and j_soc is made once, where a cell shows it (else a NaN j_soc); own
-    shares that rise strictly and miss the cache skip it.
+    Each crossing, tail and j_soc is made once, where a cell shows it; an own share that no
+    cell shows holds NaN.  Own shares that rise strictly and miss the cache skip it.
     """
     phi, delta, size = ramp.phi, ramp.delta, len(grid)
     tails, j_socs, columns = [], {}, []
